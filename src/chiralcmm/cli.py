@@ -29,6 +29,7 @@ from .linear_model import (
     QUAD_LABELS,
     VARIANT_IDEAL,
     VARIANT_IMPERFECT,
+    UnstableSystemError,
     max_stable_coupling,
 )
 from .output_mode import MAGNON_INSTANT, MAGNON_WINDOWED, FilterSpec
@@ -247,7 +248,7 @@ def load_config(args) -> RunConfig:
     sections: dict = {}
     if args.config:
         if args.config in presets.PRESET_NAMES:
-            text = bundled_preset_text(args.config)
+            text = preset_config_text(args.config)
         else:
             try:
                 with open(args.config, "r", encoding="utf-8") as fh:
@@ -295,18 +296,9 @@ def load_config(args) -> RunConfig:
                                         if d.level == "warning"]})
 
 
-def bundled_preset_text(name: str) -> str:
-    """Text of a shipped preset config file (regenerated if missing)."""
-    from importlib import resources
-
-    ref = resources.files("chiralcmm").joinpath(f"presets/{name}.cfg")
-    if ref.is_file():
-        return ref.read_text(encoding="utf-8")
-    return preset_config_text(name)
-
-
 def preset_config_text(name: str) -> str:
-    """Serialize a bundled figure preset to config-file text."""
+    """Config-file text of a named figure preset; preset names given to
+    ``--config`` load through it."""
     pre = presets.get(name)
     p, det = pre.params, pre.detunings
     lines = [f"# preset {name}: {pre.description}", "[system]"]
@@ -394,10 +386,15 @@ def write_table(fh, cfg: RunConfig, columns, rows, fmt: str,
         fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _open_out(args):
+def _write_result(args, cfg: RunConfig, columns, rows,
+                  extra_meta: dict | None = None) -> int:
+    """Write a result table to ``--out`` (default stdout)."""
     if getattr(args, "out", None):
-        return open(args.out, "w", encoding="utf-8"), True
-    return sys.stdout, False
+        with open(args.out, "w", encoding="utf-8") as fh:
+            write_table(fh, cfg, columns, rows, args.format, extra_meta)
+    else:
+        write_table(sys.stdout, cfg, columns, rows, args.format, extra_meta)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -422,13 +419,7 @@ def cmd_steady(cfg: RunConfig, args) -> int:
         ("e_amplitude", sf.e_amplitude if sf.e_amplitude is not None
          else float("nan")),
     ]
-    fh, close = _open_out(args)
-    try:
-        write_table(fh, cfg, columns, rows, args.format)
-    finally:
-        if close:
-            fh.close()
-    return EXIT_OK
+    return _write_result(args, cfg, columns, rows)
 
 
 def cmd_entangle(cfg: RunConfig, args) -> int:
@@ -445,28 +436,16 @@ def cmd_entangle(cfg: RunConfig, args) -> int:
         rows.append((f"rmin_{key.replace('|', '_')}", value))
     if rep.filtered_e_n is not None:
         rows += [("filtered_en", rep.filtered_e_n), ("fidelity", rep.fidelity)]
-    fh, close = _open_out(args)
-    try:
-        write_table(fh, cfg, columns, rows, args.format,
-                    extra_meta={"variant": variant, "stable": rep.stable})
-    finally:
-        if close:
-            fh.close()
-    return EXIT_OK
+    return _write_result(args, cfg, columns, rows,
+                         {"variant": variant, "stable": rep.stable})
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
     if cfg.sweep is None:
         raise ConfigError("sweep subcommand needs a [sweep] section")
     result = run_sweep(cfg.params, cfg.detunings, cfg.sweep, workers=cfg.workers)
-    fh, close = _open_out(args)
-    try:
-        write_table(fh, cfg, result.columns, result.rows, args.format,
-                    extra_meta={"variant": cfg.sweep.variant})
-    finally:
-        if close:
-            fh.close()
-    return EXIT_OK
+    return _write_result(args, cfg, result.columns, result.rows,
+                         {"variant": cfg.sweep.variant})
 
 
 def cmd_comb_threshold(cfg: RunConfig, args) -> int:
@@ -497,25 +476,13 @@ def cmd_comb_threshold(cfg: RunConfig, args) -> int:
         rows.append(("note", "no self-oscillation below cap"))
     else:
         rows.append(("comb_threshold_hz", to_hz(res.value)))
-    fh, close = _open_out(args)
-    try:
-        write_table(fh, cfg, columns, rows, args.format)
-    finally:
-        if close:
-            fh.close()
-    return EXIT_OK
+    return _write_result(args, cfg, columns, rows)
 
 
 def cmd_stability_edge(cfg: RunConfig, args) -> int:
     variant = args.variant or VARIANT_IMPERFECT
-    try:
-        edge = max_stable_coupling(cfg.params, cfg.detunings,
-                                   cap=hz(args.gm_cap),
-                                   resolution=hz(args.resolution),
-                                   variant=variant)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSTABLE
+    edge = max_stable_coupling(cfg.params, cfg.detunings, cap=hz(args.gm_cap),
+                               resolution=hz(args.resolution), variant=variant)
     columns = ("field", "value")
     rows = [("gm_cap_hz", args.gm_cap)]
     if edge.stable_up_to_cap:
@@ -523,14 +490,7 @@ def cmd_stability_edge(cfg: RunConfig, args) -> int:
         rows.append(("note", "stable up to cap"))
     else:
         rows.append(("max_stable_gm_hz", to_hz(edge.value)))
-    fh, close = _open_out(args)
-    try:
-        write_table(fh, cfg, columns, rows, args.format,
-                    extra_meta={"variant": variant})
-    finally:
-        if close:
-            fh.close()
-    return EXIT_OK
+    return _write_result(args, cfg, columns, rows, {"variant": variant})
 
 
 # ---------------------------------------------------------------------------
@@ -598,19 +558,19 @@ def main(argv=None) -> int:
             f"filter.magnon_convention={args.magnon_convention}"]
     try:
         cfg = load_config(args)
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError and malformed values alike
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
         return _COMMANDS[args.command](cfg, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except UnstableSystemError as exc:
+        print(f"unstable: {exc}", file=sys.stderr)
+        return EXIT_UNSTABLE
     except (ConvergenceError, SingularConfigurationError, IntegrationError,
             FloatingPointError, np.linalg.LinAlgError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:  # inconsistent parameter combinations
+    except ValueError as exc:  # ConfigError, inconsistent parameter combinations
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -29,6 +29,10 @@ MODE_SLOTS = {label: (2 * i, 2 * i + 1) for i, label in enumerate(MODE_ORDER)}
 STABILITY_MARGIN = 1e-9
 
 
+class UnstableSystemError(RuntimeError):
+    """No stationary state exists: the drift matrix is not Hurwitz."""
+
+
 @dataclass(frozen=True)
 class LinearModel:
     """Drift matrix A, diffusion matrix D, and the stability verdict."""
@@ -134,21 +138,18 @@ class CouplingEdge:
 
 def max_stable_coupling(params: SystemParams, det: Detunings,
                         cap: float, resolution: float,
-                        variant: str = VARIANT_IMPERFECT,
-                        phase: float = 0.0) -> CouplingEdge:
+                        variant: str = VARIANT_IMPERFECT) -> CouplingEdge:
     """Largest |G_m| keeping the drift matrix stable, by bisection.
 
-    The system must be stable at |G_m| = 0.  The phase of G_m amounts to a
-    local rotation of the magnon quadratures and does not move the
-    boundary; it is exposed only so that invariance can be checked.
+    Raises UnstableSystemError if the system is unstable already at
+    |G_m| = 0.  The phase of G_m amounts to a local rotation of the magnon
+    quadratures and does not move the boundary, so G_m is taken real.
     """
-    rot = np.exp(1j * phase)
-
     def stable_at(g: float) -> bool:
-        return is_stable(build_drift(params, det, g * rot, variant))[0]
+        return is_stable(build_drift(params, det, g, variant))[0]
 
     if not stable_at(0.0):
-        raise ValueError("system is unstable already at |G_m| = 0")
+        raise UnstableSystemError("system is unstable already at |G_m| = 0")
     if stable_at(cap):
         return CouplingEdge(value=None, cap=cap, bracket=None)
 

@@ -1,26 +1,18 @@
 """Steady-state covariance matrix from the Lyapunov equation A V + V A^T = -D.
 
-The primary solver vectorizes the symmetric unknown (n(n+1)/2 entries) into
-one dense linear solve, which is exact and cheap at n = 8.  A
-Schur-decomposition backend (scipy's Bartels-Stewart implementation) is
-kept as an optional alternative and is validated against the primary in the
-test suite.
+Solved by the Bartels-Stewart method (Schur decomposition of A, Comm. ACM
+15, 1972) through scipy; the test suite checks it against a dense
+Kronecker-product solve and a time-integral oracle.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
 
-from .linear_model import MODE_ORDER, is_stable
-
-
-class UnstableSystemError(RuntimeError):
-    """No stationary covariance exists: the drift matrix is not Hurwitz."""
+from .linear_model import MODE_ORDER, UnstableSystemError, is_stable
 
 
 @dataclass(frozen=True)
@@ -30,31 +22,9 @@ class CovMatrix:
     V: np.ndarray
     mode_order: tuple
 
-    @property
-    def n_modes(self) -> int:
-        return len(self.mode_order)
 
-    def block(self, modes) -> "CovMatrix":
-        return extract_block(self, modes)
-
-
-@lru_cache(maxsize=8)
-def _sym_solve_structure(n: int):
-    """Index machinery mapping vec(V) onto the n(n+1)/2 symmetric unknowns."""
-    iu = np.triu_indices(n)
-    nsym = iu[0].size
-    # duplication: vec_rowmajor(V) = P @ vech(V) for symmetric V
-    pair_index = np.zeros((n, n), dtype=int)
-    pair_index[iu] = np.arange(nsym)
-    pair_index = np.maximum(pair_index, pair_index.T)
-    P = np.zeros((n * n, nsym))
-    P[np.arange(n * n), pair_index.ravel()] = 1.0
-    rows = (iu[0] * n + iu[1])  # equations kept: upper triangle of A V + V A^T
-    return iu, P, rows
-
-
-def solve_lyapunov(A: np.ndarray, D: np.ndarray, mode_order: tuple = MODE_ORDER,
-                   method: str = "sym-vec") -> CovMatrix:
+def solve_lyapunov(A: np.ndarray, D: np.ndarray,
+                   mode_order: tuple = MODE_ORDER) -> CovMatrix:
     """Solve A V + V A^T = -D for the stationary covariance matrix V.
 
     Refuses unstable drift matrices (there is no steady state to report).
@@ -72,24 +42,7 @@ def solve_lyapunov(A: np.ndarray, D: np.ndarray, mode_order: tuple = MODE_ORDER,
             f"drift matrix is not stable (spectral abscissa {abscissa:.6g}); "
             "the system has no steady state")
 
-    if method == "sym-vec":
-        iu, P, rows = _sym_solve_structure(n)
-        L = np.kron(A, np.eye(n)) + np.kron(np.eye(n), A)  # row-major vec
-        M = L[rows] @ P
-        cond = np.linalg.cond(M)
-        if cond > 1e12:
-            warnings.warn(f"Lyapunov system is ill-conditioned "
-                          f"(condition estimate {cond:.3g}); the covariance "
-                          "matrix may lose accuracy", RuntimeWarning,
-                          stacklevel=2)
-        x = np.linalg.solve(M, -D[iu])
-        V = np.zeros((n, n))
-        V[iu] = x
-        V = V + V.T - np.diag(np.diag(V))
-    elif method == "schur":
-        V = scipy.linalg.solve_continuous_lyapunov(A, -D)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    V = scipy.linalg.solve_continuous_lyapunov(A, -D)
 
     asym = np.linalg.norm(V - V.T) / max(np.linalg.norm(V), 1e-300)
     if asym > 1e-8:

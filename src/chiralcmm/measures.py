@@ -163,10 +163,9 @@ def residual_contangle_min(V6: np.ndarray | CovMatrix,
 
     one_vs_two = {i: one_vs_two_log_negativity(V6, i) ** 2 for i in range(3)}
     pairwise = {}
-    for i in range(3):
-        for j in range(3):
-            if i != j:
-                pairwise[(i, j)] = log_negativity(pair_cm(i, j)) ** 2
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        # E_N is symmetric under swapping the two modes
+        pairwise[(i, j)] = pairwise[(j, i)] = log_negativity(pair_cm(i, j)) ** 2
 
     residuals = {}
     violations = []
@@ -208,18 +207,3 @@ def teleportation_fidelity(V_pair: np.ndarray | CovMatrix,
         raise InvalidCovarianceError(f"teleportation output CM has det {det:.3g} <= 0")
     return 1.0 / math.sqrt(det)
 
-
-def two_mode_squeezed_cm(r: float, n_th: float = 0.0, sign: float = -1.0) -> np.ndarray:
-    """Covariance matrix of a (thermal) two-mode squeezed state.
-
-    ``sign=-1`` gives anticorrelated X / correlated Y quadratures, the
-    orientation the teleportation combination sz V_ef picks out.  With
-    n_th = 0 this is the pure two-mode squeezed vacuum, for which
-    E_N = 2r under the vacuum-1/2 convention.
-    """
-    c = (n_th + 0.5) * math.cosh(2.0 * r)
-    s = (n_th + 0.5) * math.sinh(2.0 * r) * sign
-    Z = np.diag([1.0, -1.0])
-    upper = np.hstack([c * np.eye(2), s * Z])
-    lower = np.hstack([s * Z, c * np.eye(2)])
-    return np.vstack([upper, lower])

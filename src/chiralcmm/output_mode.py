@@ -122,8 +122,8 @@ def susceptibility(A: np.ndarray, omega: float) -> np.ndarray:
 
 
 def _transfers(A, chans: NoiseChannels, port: str, kappa_a_e: float, omega: float):
-    """Channel-to-signal transfer rows at omega: intracavity (8x11),
-    driven-port output (2x11), magnon quadratures (2x11)."""
+    """Channel-to-signal transfer rows at omega: driven-port output (2x11)
+    and magnon quadratures (2x11)."""
     MB = susceptibility(A, omega) @ chans.B
     rows = MODE_SLOTS["a_cw"] if port == DRIVE_CW else MODE_SLOTS["a_ccw"]
     T = np.zeros((2, 11))
@@ -131,29 +131,7 @@ def _transfers(A, chans: NoiseChannels, port: str, kappa_a_e: float, omega: floa
         T[i, c] = 1.0
     F_out = math.sqrt(2.0 * kappa_a_e) * MB[list(rows), :] - T
     F_mag = MB[list(MODE_SLOTS["m"]), :]
-    return MB, F_out, F_mag
-
-
-@dataclass(frozen=True)
-class SpectralBlocks:
-    """Symmetrized spectral matrices at one frequency (V = (1/2pi) Int S)."""
-
-    omega: float
-    s_uu: np.ndarray      # intracavity, 8x8 Hermitian
-    s_out: np.ndarray     # driven-port output quadratures, 2x2
-    s_out_mag: np.ndarray  # output x magnon cross block, 2x2
-
-
-def spectral_matrix(A: np.ndarray, chans: NoiseChannels, omega: float,
-                    kappa_a_e: float, port: str = DRIVE_CW) -> SpectralBlocks:
-    """Spectral correlation blocks of intracavity, output, and magnon signals."""
-    MB, F_out, F_mag = _transfers(A, chans, port, kappa_a_e, omega)
-    sig = chans.sigma
-    s_uu = (MB * sig) @ MB.conj().T
-    s_out = (F_out * sig) @ F_out.conj().T
-    s_out_mag = (F_out * sig) @ F_mag.conj().T
-    return SpectralBlocks(omega=omega, s_uu=s_uu, s_out=s_out,
-                          s_out_mag=s_out_mag)
+    return F_out, F_mag
 
 
 @dataclass(frozen=True)
@@ -168,15 +146,13 @@ class FilteredPairCM:
 def filtered_pair_cm(A: np.ndarray, D: np.ndarray, params: SystemParams,
                      spec: FilterSpec,
                      magnon_convention: str = MAGNON_WINDOWED,
-                     magnon_center: float | None = None,
                      drive_port: str | None = None,
-                     abs_tol: float = 1e-6,
-                     window_scale: float = 1.0) -> FilteredPairCM:
+                     abs_tol: float = 1e-6) -> FilteredPairCM:
     """Covariance matrix of the filtered output mode and the magnon mode.
 
     magnon_convention:
       * "windowed": the magnon is read through the same top-hat window at
-        its own central frequency (default +omega_b, the anti-Stokes side),
+        its own central frequency +omega_b (the anti-Stokes side),
         renormalized by its computed commutator so the mode is canonical.
       * "instant": stationary intracavity magnon quadratures; their 2x2
         block is taken from the Lyapunov solution exactly and only the
@@ -195,13 +171,12 @@ def filtered_pair_cm(A: np.ndarray, D: np.ndarray, params: SystemParams,
     v_lyap = solve_lyapunov(A, D).V
     v_mag = v_lyap[np.ix_(MODE_SLOTS["m"], MODE_SLOTS["m"])]
 
-    omega_m = params.omega_b if magnon_center is None else magnon_center
-    mag_spec = FilterSpec(omega_center=omega_m, tau=spec.tau)
+    mag_spec = FilterSpec(omega_center=params.omega_b, tau=spec.tau)
     windowed = magnon_convention == MAGNON_WINDOWED
     inv_sqrt_2pi = 1.0 / math.sqrt(2.0 * math.pi)
 
     def stacked_transfer(omega: float) -> np.ndarray:
-        _, F_out, F_mag = _transfers(A, chans, port, params.kappa_a_e, omega)
+        F_out, F_mag = _transfers(A, chans, port, params.kappa_a_e, omega)
         K_out = _quad_kernel(spec, omega)
         H = np.empty((4, 11), dtype=complex)
         H[:2] = K_out @ F_out
@@ -224,10 +199,10 @@ def filtered_pair_cm(A: np.ndarray, D: np.ndarray, params: SystemParams,
 
     widths = [40.0 / spec.tau,
               10.0 * (params.kappa_a + params.kappa_m + params.omega_b)]
-    W = (max(abs(spec.omega_center), abs(omega_m) if windowed else 0.0)
-         + window_scale * max(widths))
-    breakpoints = sorted({abs(spec.omega_center), abs(omega_m),
-                          params.omega_b, abs(spec.omega_center) + 20 / spec.tau})
+    W = (max(abs(spec.omega_center), params.omega_b if windowed else 0.0)
+         + max(widths))
+    breakpoints = sorted({abs(spec.omega_center), params.omega_b,
+                          abs(spec.omega_center) + 20 / spec.tau})
     pts = [p for p in breakpoints if 0 < p < W]
     val, err = quad_vec(integrand, 0.0, W, epsabs=abs_tol, epsrel=1e-10,
                         points=pts, quadrature="gk21")
@@ -245,7 +220,7 @@ def filtered_pair_cm(A: np.ndarray, D: np.ndarray, params: SystemParams,
 
     meta = {
         "magnon_convention": magnon_convention,
-        "magnon_center": omega_m if windowed else None,
+        "magnon_center": params.omega_b if windowed else None,
         "port": port,
         "port_rate": "kappa_a_e",
         "quad_error": float(err),

@@ -82,11 +82,6 @@ class SystemParams:
         return self.kappa_a_i + self.kappa_a_e
 
     @property
-    def chi(self) -> float:
-        """Coupling ratio g_ccw/g_cw (0 for the strictly chiral case)."""
-        return self.g_ccw / self.g_cw if self.g_cw > 0 else math.inf
-
-    @property
     def quality_factor(self) -> float:
         return self.omega_b / self.gamma_b if self.gamma_b > 0 else math.inf
 
@@ -130,9 +125,6 @@ class Detunings:
         dm = params.omega_m - params.omega_0
         return cls(delta_a=da, delta_m=dm, delta_m_eff=dm)
 
-    def with_shift(self, q_mean: float, g_m: float) -> "Detunings":
-        return Detunings(self.delta_a, self.delta_m, self.delta_m + g_m * q_mean)
-
 
 def thermal_occupancy(omega: float, temperature: float) -> float:
     """Bose-Einstein occupation N = 1/(exp(hbar*omega/k_B*T) - 1).
@@ -162,13 +154,6 @@ def drive_amplitude(power: float, omega_0: float, kappa_a_e: float) -> float:
     if omega_0 <= 0:
         raise ValueError("omega_0 must be > 0")
     return math.sqrt(2.0 * kappa_a_e * power / (HBAR * omega_0))
-
-
-def drive_power(amplitude: float, omega_0: float, kappa_a_e: float) -> float:
-    """Inverse of :func:`drive_amplitude`: P0 = hbar*omega_0*E^2/(2*kappa_a_e)."""
-    if kappa_a_e <= 0:
-        raise ValueError("kappa_a_e must be > 0 to convert amplitude to power")
-    return HBAR * omega_0 * amplitude**2 / (2.0 * kappa_a_e)
 
 
 @dataclass(frozen=True)

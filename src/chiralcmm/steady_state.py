@@ -146,29 +146,6 @@ def imperfect_means(params: SystemParams, det: Detunings, E: float,
     return _pack(params, det, E, a_cw, a_ccw, m, dme)
 
 
-def mean_field_solve(params: SystemParams, det: Detunings, E: float,
-                     drive_port: str | None = None) -> SteadyField:
-    """Direct numerical solve of the 3x3 complex mean-field system.
-
-    Independent route used to cross-check the closed forms.
-    """
-    port = drive_port or params.drive_port
-    ka = params.kappa_a + 1j * det.delta_a
-    km = params.kappa_m + 1j * det.delta_m_eff
-    M = np.array([
-        [ka, 1j * params.J, 1j * params.g_cw],
-        [1j * params.J, ka, 1j * params.g_ccw],
-        [1j * params.g_cw, 1j * params.g_ccw, km],
-    ])
-    b = np.array([*_drive_vector(E, port), 0.0], dtype=complex)
-    try:
-        a_cw, a_ccw, m = np.linalg.solve(M, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularConfigurationError(str(exc)) from exc
-    return _pack(params, det, E, complex(a_cw), complex(a_ccw), complex(m),
-                 det.delta_m_eff)
-
-
 def _closed_form(params, det, E, port):
     if params.J == 0 and (params.g_ccw == 0 or params.g_cw == 0):
         return ideal_means(params, det, E, port)

@@ -1,5 +1,8 @@
 """Shared constructions for the test suite: random stable systems, random
-symplectic transformations, and random physical covariance matrices."""
+symplectic transformations, random physical covariance matrices, and the
+two-mode squeezed state with its known entanglement."""
+
+import math
 
 import numpy as np
 
@@ -31,3 +34,17 @@ def random_physical_cm(rng, n_modes, max_thermal=1.5):
     S = random_symplectic(rng, n_modes)
     nu = 0.5 + max_thermal * rng.uniform(size=n_modes)
     return S @ np.diag(np.repeat(nu, 2)) @ S.T
+
+
+def two_mode_squeezed_cm(r, n_th=0.0):
+    """Covariance matrix of a (thermal) two-mode squeezed state.
+
+    Anticorrelated X / correlated Y quadratures, the orientation the
+    teleportation combination sz V_ef picks out.  With n_th = 0 this is the
+    pure two-mode squeezed vacuum, for which E_N = 2r under the vacuum-1/2
+    convention.
+    """
+    c = (n_th + 0.5) * math.cosh(2.0 * r)
+    s = -(n_th + 0.5) * math.sinh(2.0 * r)
+    Z = np.diag([1.0, -1.0])
+    return np.block([[c * np.eye(2), s * Z], [s * Z, c * np.eye(2)]])

@@ -22,7 +22,6 @@ from chiralcmm.measures import (
     residual_contangle_min,
     symplectic_eigenvalues,
     teleportation_fidelity,
-    two_mode_squeezed_cm,
 )
 from chiralcmm.output_mode import MAGNON_INSTANT, filtered_pair_cm
 from chiralcmm.params import Detunings, DriveSpec, SystemParams
@@ -34,7 +33,7 @@ from chiralcmm.pipeline import (
 from chiralcmm.steady_state import resolve_drive
 from chiralcmm.time_domain import comb_threshold, integrate_classical
 
-from helpers import random_stable_system
+from helpers import random_stable_system, two_mode_squeezed_cm
 
 
 def report(criterion, ok, detail, elapsed):

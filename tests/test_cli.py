@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from chiralcmm import presets
 from chiralcmm.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -12,7 +11,6 @@ from chiralcmm.cli import (
     load_config,
     main,
     parse_config_text,
-    preset_config_text,
 )
 
 BASE_CONFIG = """\
@@ -67,6 +65,12 @@ class TestConfigParsing:
     def test_key_outside_section(self):
         with pytest.raises(ConfigError, match="section"):
             parse_config_text("x = 1\n")
+
+    @pytest.mark.parametrize("override", ["system.g_m=abc", "drive.value=-1"])
+    def test_malformed_value_exit_code(self, override, capsys):
+        rc = main(["steady", "--config", "fig2b", "--set", override])
+        assert rc == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
 
     def test_malformed_config_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -193,16 +197,15 @@ class TestStabilityEdgeCommand:
                     if line and not line.startswith("#") and "field" not in line)
         assert float(rows["max_stable_gm_hz"]) == pytest.approx(11.9e6, rel=0.02)
 
+    def test_inconsistent_variant_is_a_config_error(self):
+        # the ideal variant requires J = 0: a configuration error, not an
+        # instability
+        rc = main(["stability-edge", "--config", "fig2b", "--variant", "ideal",
+                   "--set", "system.j_coupling=1e5"])
+        assert rc == EXIT_CONFIG
+
 
 class TestPresets:
-    def test_bundled_files_match_generator(self):
-        from importlib import resources
-
-        for name in presets.PRESET_NAMES:
-            ref = resources.files("chiralcmm").joinpath(f"presets/{name}.cfg")
-            assert ref.is_file(), f"missing bundled preset {name}"
-            assert ref.read_text(encoding="utf-8") == preset_config_text(name)
-
     def test_preset_loads(self, capsys):
         assert main(["steady", "--config", "fig2b"]) == EXIT_OK
         text = capsys.readouterr().out

@@ -7,6 +7,7 @@ from scipy.optimize import brentq
 
 from chiralcmm.constants import HBAR, KB, hz
 from chiralcmm.linear_model import (
+    UnstableSystemError,
     build_diffusion,
     build_drift,
     build_model,
@@ -182,10 +183,16 @@ class TestMaxStableCoupling:
 
     def test_invariant_under_coupling_phase(self):
         p, det = self.stability_point()
-        kwargs = dict(cap=hz(30e6), resolution=hz(0.01e6), variant="ideal")
-        e0 = max_stable_coupling(p, det, **kwargs)
-        e1 = max_stable_coupling(p, det, phase=1.1, **kwargs)
-        assert abs(e0.value - e1.value) <= hz(0.01e6)
+        rot = np.exp(1.1j)
+        for g in np.linspace(0.0, hz(30e6), 61):
+            assert is_stable(build_drift(p, det, g * rot, "ideal"))[0] \
+                == is_stable(build_drift(p, det, g, "ideal"))[0]
+
+    def test_unstable_at_zero_coupling_raises(self):
+        p = SystemParams(gamma_b=-1.0)
+        det = Detunings.effective(-p.omega_b, p.omega_b)
+        with pytest.raises(UnstableSystemError):
+            max_stable_coupling(p, det, cap=hz(5e6), resolution=hz(0.01e6))
 
 
 class TestCcwBlockClosure:

@@ -14,10 +14,9 @@ from chiralcmm.measures import (
     symplectic_eigenvalues,
     symplectic_form,
     teleportation_fidelity,
-    two_mode_squeezed_cm,
 )
 
-from helpers import random_physical_cm, random_symplectic
+from helpers import random_physical_cm, random_symplectic, two_mode_squeezed_cm
 
 
 def direct_sum(*blocks):

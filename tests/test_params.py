@@ -9,11 +9,16 @@ from chiralcmm.params import (
     DriveSpec,
     SystemParams,
     drive_amplitude,
-    drive_power,
     errors_of,
     thermal_occupancy,
     validate,
 )
+from chiralcmm.steady_state import self_consistent_solve
+
+
+def drive_power(amplitude, omega_0, kappa_a_e):
+    """Inverse of drive_amplitude: P0 = hbar*omega_0*E^2/(2*kappa_a_e)."""
+    return HBAR * omega_0 * amplitude**2 / (2.0 * kappa_a_e)
 
 
 def bose_einstein(omega, T):
@@ -119,8 +124,11 @@ class TestDetunings:
 
     def test_no_shift_when_q_or_gm_vanishes(self):
         det = Detunings(1.0, 2.0, 2.0)
-        assert det.with_shift(0.0, 5.0).delta_m_eff == det.delta_m
-        assert det.with_shift(3.0, 0.0).delta_m_eff == det.delta_m
+        p = SystemParams(g_m=5.0)
+        assert self_consistent_solve(p, 0.0, det=det).delta_m_eff == det.delta_m
+        p = SystemParams(g_m=0.0)
+        assert self_consistent_solve(p, hz(1e9), det=det).delta_m_eff \
+            == det.delta_m
 
     def test_physical_mode_from_frequencies(self):
         p = SystemParams(omega_a=hz(10.01e9), omega_m=hz(10.005e9),
