@@ -7,7 +7,7 @@ settle to a fixed point.  Integrating the full nonlinear mean-field
 equations from an empty cavity shows |<m>(t)| ringing up and settling at
 moderate drive, and breaking into persistent self-oscillation (the comb
 regime) beyond a critical drive.  The bisection for the critical |G_m|
-takes a few minutes; this walk shows one probe on each side instead.
+takes about 13 s on 2 cores; this walk shows one probe on each side instead.
 (The full search: `chiralcmm comb-threshold --config fig2b --gm-cap 12e6`,
 which lands near 8.7 MHz at these settings.)
 """

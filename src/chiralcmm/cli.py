@@ -6,8 +6,9 @@ headers; frequency-like values are given in Hz (the quantity divided by
 file values.  Every output starts with a metadata block (tool version,
 resolved-config digest, conventions) sufficient to reproduce the run.
 
-Exit codes: 0 success, 2 configuration error, 3 instability where a stable
-system is required, 4 numerical failure.
+Exit codes: 0 success, 2 configuration error (an output path that cannot
+be written included), 3 instability where a stable system is required,
+4 numerical failure.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .linear_model import (
     VARIANT_IDEAL,
     VARIANT_IMPERFECT,
     UnstableSystemError,
+    check_bisection,
     max_stable_coupling,
 )
 from .output_mode import MAGNON_INSTANT, MAGNON_WINDOWED, FilterSpec
@@ -359,7 +361,8 @@ def metadata_lines(cfg: RunConfig, extra: dict | None = None) -> list[str]:
         "magnon_convention": cfg.magnon_convention,
     }
     meta.update(extra or {})
-    lines = [f"# {k} = {v}" for k, v in meta.items()]
+    lines = [f"# {k} = {json.dumps(v) if isinstance(v, (list, dict)) else v}"
+             for k, v in meta.items()]
     lines += [f"# cfg: {line}" for line in cfg.resolved_text.splitlines()]
     return lines
 
@@ -386,12 +389,28 @@ def write_table(fh, cfg: RunConfig, columns, rows, fmt: str,
         fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _check_output_paths(args) -> None:
+    """Refuse ``--out`` and ``--dump-trajectory`` paths that cannot be
+    written, before any computation starts."""
+    for path in (getattr(args, "out", None),
+                 getattr(args, "dump_trajectory", None)):
+        if not path:
+            continue
+        parent = os.path.dirname(os.path.abspath(path))
+        if (os.path.isdir(path) or not os.path.isdir(parent)
+                or not os.access(parent, os.W_OK)):
+            raise ConfigError(f"cannot write output {path!r}")
+
+
 def _write_result(args, cfg: RunConfig, columns, rows,
                   extra_meta: dict | None = None) -> int:
     """Write a result table to ``--out`` (default stdout)."""
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            write_table(fh, cfg, columns, rows, args.format, extra_meta)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                write_table(fh, cfg, columns, rows, args.format, extra_meta)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {args.out!r}: {exc}") from exc
     else:
         write_table(sys.stdout, cfg, columns, rows, args.format, extra_meta)
     return EXIT_OK
@@ -449,6 +468,8 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
 
 
 def cmd_comb_threshold(cfg: RunConfig, args) -> int:
+    cap = hz(args.gm_cap if args.gm_cap is not None else 12e6)
+    check_bisection(cap, hz(args.resolution))
     if args.dump_trajectory:
         params = cfg.params
         if params.g_m is None:
@@ -462,11 +483,14 @@ def cmd_comb_threshold(cfg: RunConfig, args) -> int:
                         cfg.detunings.delta_m_eff - shift,
                         cfg.detunings.delta_m_eff)
         traj = integrate_classical(params, det, sf.e_amplitude)
-        trajectory_to_csv(traj, args.dump_trajectory)
+        try:
+            trajectory_to_csv(traj, args.dump_trajectory)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {args.dump_trajectory!r}: "
+                              f"{exc}") from exc
         print(f"trajectory written to {args.dump_trajectory}")
         if args.gm_cap is None:
             return EXIT_OK
-    cap = hz(args.gm_cap if args.gm_cap is not None else 12e6)
     res = comb_threshold(cfg.params, cfg.detunings, cap=cap,
                          resolution=hz(args.resolution))
     columns = ("field", "value")
@@ -476,7 +500,11 @@ def cmd_comb_threshold(cfg: RunConfig, args) -> int:
         rows.append(("note", "no self-oscillation below cap"))
     else:
         rows.append(("comb_threshold_hz", to_hz(res.value)))
-    return _write_result(args, cfg, columns, rows)
+    probes = [{"target_hz": to_hz(target), "kind": kind,
+               "realized_hz": to_hz(realized), "nfev": nfev}
+              for (target, kind, realized), nfev in zip(res.probes, res.probe_nfev)]
+    return _write_result(args, cfg, columns, rows,
+                         {"ode_start": "zero", "probes": probes})
 
 
 def cmd_stability_edge(cfg: RunConfig, args) -> int:
@@ -557,6 +585,7 @@ def main(argv=None) -> int:
         args.set = (args.set or []) + [
             f"filter.magnon_convention={args.magnon_convention}"]
     try:
+        _check_output_paths(args)
         cfg = load_config(args)
     except ValueError as exc:  # ConfigError and malformed values alike
         print(f"config error: {exc}", file=sys.stderr)

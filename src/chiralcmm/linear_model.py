@@ -10,6 +10,7 @@ between the circulating modes and the residual coupling g_ccw.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,6 +137,14 @@ class CouplingEdge:
         return self.value is None
 
 
+def check_bisection(cap: float, resolution: float) -> None:
+    """Reject a |G_m| search whose bisection could not end or has no range."""
+    for name, value in (("cap", cap), ("resolution", resolution)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, "
+                             f"got {value!r} rad/s")
+
+
 def max_stable_coupling(params: SystemParams, det: Detunings,
                         cap: float, resolution: float,
                         variant: str = VARIANT_IMPERFECT) -> CouplingEdge:
@@ -145,6 +154,8 @@ def max_stable_coupling(params: SystemParams, det: Detunings,
     |G_m| = 0.  The phase of G_m amounts to a local rotation of the magnon
     quadratures and does not move the boundary, so G_m is taken real.
     """
+    check_bisection(cap, resolution)
+
     def stable_at(g: float) -> bool:
         return is_stable(build_drift(params, det, g, variant))[0]
 

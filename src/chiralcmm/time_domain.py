@@ -17,14 +17,20 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from .linear_model import check_bisection
 from .params import DRIVE_CCW, DRIVE_CW, Detunings, SystemParams
-from .steady_state import SQRT2, imperfect_means
+from .steady_state import SQRT2, SingularConfigurationError, imperfect_means
 
 STEADY = "steady"
 OSCILLATORY = "oscillatory"
 
 # relative peak-to-peak variation of |<m>| below which the motion is settled
 STEADY_TOL = 1e-3
+
+# DOP853 error control: relative tolerance per component, and absolute
+# tolerance per component as a fraction of that component's fixed-point scale
+RTOL = 1e-9
+ATOL_REL = 1e-9
 
 
 class IntegrationError(RuntimeError):
@@ -66,16 +72,49 @@ def default_horizon(params: SystemParams, periods: float = 200.0) -> float:
     return t_decay + periods * 2.0 * math.pi / params.omega_b
 
 
+def _fixed_point_scales(params: SystemParams, det: Detunings, E: float,
+                        port: str, y0: np.ndarray) -> np.ndarray:
+    """Magnitude of each state component at the closed-form fixed point.
+
+    Cavity components share max(|a_cw|, |a_ccw|), the magnon components
+    take |m| and q, p take g_m*|m|^2/omega_b.  A vanishing scale (E = 0, a
+    decoupled magnon, g_m = 0) or a singular mean field falls back to the
+    largest scale, max|y0|, or 1.
+    """
+    try:
+        sf = imperfect_means(params, det, E, port)
+    except SingularConfigurationError:
+        scales = np.zeros(8)
+    else:
+        a = max(abs(sf.a_cw), abs(sf.a_ccw))
+        m = abs(sf.m)
+        x = abs(params.g_m) * m * m / params.omega_b
+        scales = np.array([a, a, a, a, m, m, x, x])
+    fallback = max(scales.max(), np.abs(y0).max()) or 1.0
+    return np.where(scales > 0, scales, fallback)
+
+
 def integrate_classical(params: SystemParams, det: Detunings, E: float,
                         t_end: float | None = None,
                         drive_port: str | None = None,
-                        y0=None, rtol: float = 1e-9, atol: float = 1e-12,
-                        samples_per_period: int = 48) -> Trajectory:
+                        y0=None, samples_per_period: int = 48) -> Trajectory:
     """Integrate the classical averages from ``y0`` (default: all modes empty).
 
     ``det.delta_m`` is the bare magnon detuning; the dispersive shift
     develops dynamically through the g_m*<m><q> term, so g_m must be given.
     With E = 0 and a zero initial state the trajectory is identically zero.
+
+    Error control: DOP853 accepts a step when the root mean square over
+    components of err_i / (RTOL*|y_i| + ATOL_REL*s_i) is at most 1, where
+    err_i is the local error estimate and s_i that component's magnitude
+    at the closed-form fixed point (``imperfect_means`` at
+    ``det.delta_m_eff``).  This is the same as
+    integrating amplitudes non-dimensionalized by their fixed-point
+    scales, so that near the fixed point, where p and a_ccw may approach
+    0, no component is resolved to an absolute error far below the size
+    of the state.  The scales move with (g_m, E) -> (g_m/s, s*E) like the
+    state does, so the rescaling invariance of the dynamics carries over
+    to the integrator.
     """
     if params.g_m is None:
         raise ValueError("integrate_classical requires g_m")
@@ -105,13 +144,13 @@ def integrate_classical(params: SystemParams, det: Detunings, E: float,
 
     if t_end is None:
         t_end = default_horizon(params)
-    if y0 is None:
-        y0 = np.zeros(8)
+    y0 = np.zeros(8) if y0 is None else np.asarray(y0, dtype=float)
+    atol = ATOL_REL * _fixed_point_scales(params, det, E, port, y0)
     n_samples = max(int(samples_per_period * t_end * wb / (2 * math.pi)), 200)
     t_eval = np.linspace(0.0, t_end, n_samples)
     with np.errstate(over="ignore", invalid="ignore"):  # rejected trial steps
-        sol = solve_ivp(rhs, (0.0, t_end), np.asarray(y0, dtype=float),
-                        method="DOP853", t_eval=t_eval, rtol=rtol, atol=atol)
+        sol = solve_ivp(rhs, (0.0, t_end), y0, method="DOP853",
+                        t_eval=t_eval, rtol=RTOL, atol=atol)
     if not sol.success:
         raise IntegrationError(f"integration failed: {sol.message}")
     y = sol.y
@@ -169,6 +208,7 @@ class CombThreshold:
     cap: float
     bracket: tuple[float, float] | None
     probes: tuple                # (target |G_m|, kind, realized |G_m|) triples
+    probe_nfev: tuple = ()       # right-hand-side calls of each probe's ODE run
 
     @property
     def no_comb_below_cap(self) -> bool:
@@ -203,40 +243,40 @@ def comb_threshold(params: SystemParams, det: Detunings, cap: float,
     effective coupling |G_m| = sqrt(2)*g_m*|<m>| of the settled state at the
     steady side of the final bracket.  If g_m is not set, an arbitrary
     reference value is used internally; the reported |G_m| is invariant
-    under the (g_m, E) -> (g_m/s, s*E) rescaling of the dynamics.
+    under the (g_m, E) -> (g_m/s, s*E) rescaling of the dynamics.  Every
+    probe integrates from the empty state (all modes zero).
     """
-    if params.g_m is None:
-        params = params.replace(g_m=1.0)
     if resolution is None:
         resolution = 2 * math.pi * 0.05e6
+    check_bisection(cap, resolution)
+    if params.g_m is None:
+        params = params.replace(g_m=1.0)
     if imperfect_means(params, det, 1.0).m == 0:
         # the drive cannot pump the magnon at all: no comb at any power
         return CombThreshold(value=None, cap=cap, bracket=None, probes=())
 
-    probes = []
+    probes, nfev = [], []
 
-    def probe(gm_target: float) -> tuple[str, float]:
+    def probe(gm_target: float) -> str:
         E, det_bare = _probe_setup(params, det, gm_target)
         traj = integrate_classical(params, det_bare, E, t_end=t_end)
         rep = classify_attractor(traj)
-        realized = SQRT2 * params.g_m * rep.mean_m_abs
-        probes.append((gm_target, rep.kind, realized))
-        return rep.kind, realized
+        probes.append((gm_target, rep.kind, SQRT2 * params.g_m * rep.mean_m_abs))
+        nfev.append(int(traj.stats["nfev"]))
+        return rep.kind
 
-    kind_cap, _ = probe(cap)
-    if kind_cap == STEADY:
+    if probe(cap) == STEADY:
         return CombThreshold(value=None, cap=cap, bracket=None,
-                             probes=tuple(probes))
+                             probes=tuple(probes), probe_nfev=tuple(nfev))
     lo, hi = 0.0, cap
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
-        kind, _ = probe(mid)
-        if kind == STEADY:
+        if probe(mid) == STEADY:
             lo = mid
         else:
             hi = mid
     return CombThreshold(value=0.5 * (lo + hi), cap=cap, bracket=(lo, hi),
-                         probes=tuple(probes))
+                         probes=tuple(probes), probe_nfev=tuple(nfev))
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:

@@ -1,9 +1,11 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
+from chiralcmm import cli, time_domain
 from chiralcmm.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -125,6 +127,28 @@ class TestSteadyCommand:
         assert "# config_sha256 = " in text
         assert "# mode_order = a_cw,a_ccw,m,b" in text
 
+    def test_unwritable_out_fails_before_work(self, monkeypatch, capsys):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("computed a result it cannot write")
+
+        monkeypatch.setattr(cli, "resolve_drive", refuse)
+        rc = main(["steady", "--config", "fig2b", "--out", "/nonexistent/x.csv"])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "/nonexistent/x.csv" in err
+
+    def test_write_failure_is_a_config_error(self, monkeypatch, tmp_path,
+                                             capsys):
+        def full_disk(*_args, **_kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "write_table", full_disk)
+        rc = main(["steady", "--config", "fig2b",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "No space left" in err
+
 
 class TestEntangleCommand:
     def test_unstable_point_reported_not_fatal(self, config_path, tmp_path):
@@ -186,6 +210,17 @@ class TestSweepCommand:
         rc = main(["sweep", "--config", config_path])
         assert rc == EXIT_CONFIG
 
+    def test_unwritable_out_fails_before_sweep(self, sweep_config_path,
+                                               monkeypatch, capsys):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("run_sweep called with an unwritable --out")
+
+        monkeypatch.setattr(cli, "run_sweep", refuse)
+        rc = main(["sweep", "--config", sweep_config_path,
+                   "--out", "/nonexistent/x.csv"])
+        assert rc == EXIT_CONFIG
+        assert "/nonexistent/x.csv" in capsys.readouterr().err
+
 
 class TestStabilityEdgeCommand:
     def test_known_boundary(self, tmp_path):
@@ -203,6 +238,69 @@ class TestStabilityEdgeCommand:
         rc = main(["stability-edge", "--config", "fig2b", "--variant", "ideal",
                    "--set", "system.j_coupling=1e5"])
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("flag", [("--resolution", "0"),
+                                      ("--gm-cap", "-5")],
+                             ids=["resolution-0", "gm-cap-negative"])
+    def test_bisection_arguments_checked(self, flag, capsys):
+        t0 = time.perf_counter()
+        rc = main(["stability-edge", "--config", "fig2b", "--variant", "ideal",
+                   *flag])
+        assert rc == EXIT_CONFIG
+        assert time.perf_counter() - t0 < 1.0
+        assert "finite and positive" in capsys.readouterr().err
+
+
+def _fail_if_integrated(*_args, **_kwargs):
+    raise AssertionError("integrate_classical called")
+
+
+class TestCombThresholdCommand:
+    def test_zero_resolution_rejected_before_any_probe(self, monkeypatch,
+                                                      capsys):
+        monkeypatch.setattr(time_domain, "integrate_classical",
+                            _fail_if_integrated)
+        monkeypatch.setattr(cli, "integrate_classical", _fail_if_integrated)
+        rc = main(["comb-threshold", "--config", "fig2b", "--resolution", "0"])
+        assert rc == EXIT_CONFIG
+        assert "resolution" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--dump-trajectory", "/nonexistent/t.csv"],
+        ["--dump-trajectory", "t.csv", "--gm-cap", "12e6", "--resolution", "0"],
+    ], ids=["unwritable", "resolution-0"])
+    def test_dump_rejected_before_integration(self, argv, monkeypatch,
+                                              tmp_path):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "integrate_classical", _fail_if_integrated)
+        rc = main(["comb-threshold", "--config", "figs1", *argv])
+        assert rc == EXIT_CONFIG
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_probes_in_metadata(self, fmt, tmp_path):
+        # a cap below the threshold: one probe, which settles
+        out = tmp_path / f"comb.{fmt}"
+        rc = main(["comb-threshold", "--config", "fig2b", "--gm-cap", "6e6",
+                   "--format", fmt, "--out", str(out)])
+        assert rc == EXIT_OK
+        lines = out.read_text().splitlines()
+        if fmt == "csv":
+            meta = dict(ln[2:].split(" = ", 1) for ln in lines
+                        if ln.startswith("# ") and " = " in ln)
+            meta["probes"] = json.loads(meta["probes"])
+            data = [ln for ln in lines if not ln.startswith("#")]
+            assert data[:2] == ["field,value", "gm_cap_hz,6000000"]
+            assert data[2] == "comb_threshold_hz,nan"
+        else:
+            meta = json.loads(lines[0])["_meta"]
+            assert json.loads(lines[1]) == {"field": "gm_cap_hz",
+                                            "value": 6e6}
+        assert meta["ode_start"] == "zero"
+        (probe,) = meta["probes"]
+        assert probe["target_hz"] == 6e6 and probe["kind"] == "steady"
+        assert probe["realized_hz"] == pytest.approx(6e6, rel=1e-8)
+        assert 0 < probe["nfev"] < 50_000
 
 
 class TestPresets:

@@ -2,16 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from chiralcmm.constants import hz
 from chiralcmm.params import Detunings, SystemParams
-from chiralcmm.steady_state import ideal_means, imperfect_means
+from chiralcmm.steady_state import SQRT2, ideal_means, imperfect_means
 from chiralcmm.time_domain import (
     OSCILLATORY,
     STEADY,
     InconclusiveError,
     Trajectory,
+    _fixed_point_scales,
+    _probe_setup,
     classify_attractor,
     comb_threshold,
     default_horizon,
@@ -43,12 +47,13 @@ class TestIntegration:
         assert traj.m[-1] == pytest.approx(ref.m, rel=1e-6)
         assert traj.a_cw[-1] == pytest.approx(ref.a_cw, rel=1e-6)
 
-    def test_scaling_invariance(self):
+    @settings(max_examples=8, deadline=None)
+    @given(s=st.floats(min_value=0.1, max_value=10.0))
+    def test_scaling_invariance(self, s):
         # (g_m, E) -> (g_m/s, s E) leaves g_m-scaled trajectories unchanged
         p1 = SystemParams(g_m=2.0, kappa_a_e=hz(4.8e6), g_cw=hz(8e6))
         det = bare_detunings(p1, -0.76 * p1.omega_b, 0.65 * p1.omega_b)
         E = 5e14
-        s = 10.0
         p2 = p1.replace(g_m=p1.g_m / s)
         t1 = integrate_classical(p1, det, E, t_end=4e-6)
         t2 = integrate_classical(p2, det, s * E, t_end=4e-6)
@@ -79,6 +84,20 @@ class TestIntegration:
         t2 = integrate_classical(p, det, 1e12, t_end=2e-6)
         assert np.array_equal(t1.m, t2.m)
         assert np.array_equal(t1.q, t2.q)
+
+    def test_tolerance_scales_fall_back_where_a_mode_is_empty(self):
+        p = SystemParams(g_m=1.0)
+        det = bare_detunings(p, -p.omega_b, p.omega_b)
+        assert_allclose(_fixed_point_scales(p, det, 0.0, "cw", np.zeros(8)),
+                        np.ones(8))
+        y0 = np.full(8, -3.0)
+        assert_allclose(_fixed_point_scales(p, det, 0.0, "cw", y0), 3.0)
+        # magnon decoupled from the driven mode: its scales and those of
+        # the mechanics take the cavity's
+        p = SystemParams(g_cw=0.0, g_ccw=0.0, g_m=1.0)
+        scales = _fixed_point_scales(p, det, 1e12, "cw", np.zeros(8))
+        assert scales[0] > 0
+        assert_allclose(scales, scales[0])
 
     def test_requires_g_m(self):
         p = SystemParams()
@@ -131,6 +150,19 @@ class TestClassification:
 
 
 class TestCombThreshold:
+    def test_settling_probe_realizes_target_cheaply(self):
+        # the benchmark's steady probe: fig2b at |G_m| = 6 MHz.  With a
+        # scalar absolute tolerance it took 2.77 M right-hand-side calls.
+        pre = presets.get("fig2b")
+        p = pre.params.replace(g_m=1.0)
+        target = hz(6e6)
+        E, det = _probe_setup(p, pre.detunings, target)
+        traj = integrate_classical(p, det, E)
+        rep = classify_attractor(traj)
+        assert rep.kind == STEADY
+        assert SQRT2 * p.g_m * rep.mean_m_abs == pytest.approx(target, rel=1e-8)
+        assert traj.stats["nfev"] < 50_000
+
     def test_probe_below_threshold_settles(self):
         p = SystemParams(kappa_a_e=hz(4.8e6), g_cw=hz(8e6))
         det = Detunings.effective(-0.76 * p.omega_b, 0.65 * p.omega_b)
