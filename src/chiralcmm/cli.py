@@ -464,7 +464,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         raise ConfigError("sweep subcommand needs a [sweep] section")
     result = run_sweep(cfg.params, cfg.detunings, cfg.sweep, workers=cfg.workers)
     return _write_result(args, cfg, result.columns, result.rows,
-                         {"variant": cfg.sweep.variant})
+                         {"variant": cfg.sweep.variant, **result.meta})
 
 
 def cmd_comb_threshold(cfg: RunConfig, args) -> int:
@@ -540,7 +540,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
         p.add_argument("--workers", type=int, default=None,
-                       help="sweep worker processes (default: all cores)")
+                       help="processes sharing a sweep's blocks of grid "
+                            "points; a sweep of one block runs in-process "
+                            "(default: all cores)")
 
     p = sub.add_parser("steady", help="classical steady-state means and G_m")
     common(p)

@@ -36,7 +36,8 @@ class UnstableSystemError(RuntimeError):
 
 @dataclass(frozen=True)
 class LinearModel:
-    """Drift matrix A, diffusion matrix D, and the stability verdict."""
+    """Drift matrix A, diffusion matrix D, and the stability verdict (stacks
+    of them, one entry per point, for stacked parameters)."""
 
     A: np.ndarray
     D: np.ndarray
@@ -47,7 +48,8 @@ class LinearModel:
 
 def build_drift(params: SystemParams, det: Detunings, g_m_eff: complex,
                 variant: str = VARIANT_IMPERFECT) -> np.ndarray:
-    """Assemble the 8x8 drift matrix.
+    """Assemble the 8x8 drift matrix, or an (n, 8, 8) stack of them for
+    stacked parameters.
 
     ``g_m_eff`` is the complex effective magnomechanical coupling G_m; its
     real and imaginary parts enter the magnon-mechanics block separately.
@@ -56,37 +58,36 @@ def build_drift(params: SystemParams, det: Detunings, g_m_eff: complex,
     """
     if variant not in (VARIANT_IDEAL, VARIANT_IMPERFECT):
         raise ValueError(f"unknown drift variant {variant!r}")
-    ka, km, gb = params.kappa_a, params.kappa_m, params.gamma_b
-    da, dme = det.delta_a, det.delta_m_eff
-    wb = params.omega_b
-    gr = params.g_cw
-    gre, gim = np.real(g_m_eff), np.imag(g_m_eff)
-    values = [ka, km, gb, da, dme, wb, gr, params.g_ccw, params.J, gre, gim]
-    if not np.all(np.isfinite(values)):
+    values = np.broadcast_arrays(
+        params.kappa_a, params.kappa_m, params.gamma_b, det.delta_a,
+        det.delta_m_eff, params.omega_b, params.g_cw, params.g_ccw, params.J,
+        np.real(g_m_eff), np.imag(g_m_eff))
+    if not all(np.all(np.isfinite(v)) for v in values):
         raise ValueError("drift matrix inputs must be finite")
+    ka, km, gb, da, dme, wb, gr, gl, J, gre, gim = values
+    zero = np.zeros_like(ka)
 
     if variant == VARIANT_IDEAL:
-        if params.J != 0 or params.g_ccw != 0:
+        if np.any(J != 0) or np.any(gl != 0):
             raise ValueError("ideal variant requires J = 0 and g_ccw = 0")
-        gl, J = 0.0, 0.0
-    else:
-        gl, J = params.g_ccw, params.J
+        gl, J = zero, zero
 
     A = np.array([
-        [-ka,  da,   0.0,  J,    0.0,  gr,   0.0,  0.0],
-        [-da, -ka,  -J,    0.0, -gr,   0.0,  0.0,  0.0],
-        [0.0,  J,   -ka,   da,   0.0,  gl,   0.0,  0.0],
-        [-J,   0.0, -da,  -ka,  -gl,   0.0,  0.0,  0.0],
-        [0.0,  gr,   0.0,  gl,  -km,   dme,  gim,  0.0],
-        [-gr,  0.0, -gl,   0.0, -dme, -km,  -gre,  0.0],
-        [0.0,  0.0,  0.0,  0.0,  0.0,  0.0,  0.0,  wb],
-        [0.0,  0.0,  0.0,  0.0, -gre, -gim, -wb,  -gb],
+        [-ka,  da,   zero, J,    zero, gr,   zero, zero],
+        [-da, -ka,  -J,    zero, -gr,  zero, zero, zero],
+        [zero, J,   -ka,   da,   zero, gl,   zero, zero],
+        [-J,   zero, -da, -ka,  -gl,   zero, zero, zero],
+        [zero, gr,   zero, gl,  -km,   dme,  gim,  zero],
+        [-gr,  zero, -gl,  zero, -dme, -km,  -gre, zero],
+        [zero, zero, zero, zero, zero, zero, zero, wb],
+        [zero, zero, zero, zero, -gre, -gim, -wb,  -gb],
     ])
-    return A
+    return np.ascontiguousarray(np.moveaxis(A, (0, 1), (-2, -1)))
 
 
 def build_diffusion(params: SystemParams) -> np.ndarray:
-    """Diagonal diffusion matrix of the input noises.
+    """Diagonal diffusion matrix of the input noises (a stack of them for
+    stacked parameters).
 
     diag[kappa_a(2N_a+1) x4, kappa_m(2N_m+1) x2, 0, gamma_b(2N_b+1)];
     the q row carries no noise because the Brownian force drives p only.
@@ -95,29 +96,44 @@ def build_diffusion(params: SystemParams) -> np.ndarray:
     ca = params.kappa_a * (2 * n_a + 1)
     cm = params.kappa_m * (2 * n_m + 1)
     cb = params.gamma_b * (2 * n_b + 1)
-    return np.diag([ca, ca, ca, ca, cm, cm, 0.0, cb])
+    diag = np.stack(np.broadcast_arrays(ca, ca, ca, ca, cm, cm, 0.0, cb), axis=-1)
+    return diag[..., None] * np.eye(8)
 
 
 def is_stable(A: np.ndarray) -> tuple[bool, float]:
     """Routh-Hurwitz verdict from the spectral abscissa of A.
 
-    Returns (stable, abscissa).  The threshold scales with ||A|| so that
-    marginal numerical zeros in a matrix mixing rates across six decades
-    are not misclassified.
+    Returns (stable, abscissa), or arrays of both for an (n, 8, 8) stack.
+    The threshold scales with ||A||_2 so that marginal numerical zeros in a
+    matrix mixing rates across six decades are not misclassified.
     """
     A = np.asarray(A, dtype=float)
     if not np.all(np.isfinite(A)):
         raise ValueError("is_stable requires a finite matrix")
+    stack = A.reshape((-1,) + A.shape[-2:])
     try:
-        eig = np.linalg.eigvals(A)
+        eig = np.linalg.eigvals(stack)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigenvalue solver failed: {exc}") from exc
-    abscissa = float(np.max(eig.real))
-    return abscissa < -STABILITY_MARGIN * np.linalg.norm(A, 2), abscissa
+    abscissa = eig.real.max(axis=-1)
+    # ||A||_2 <= ||A||_F, so the 2-norm (an SVD) can only change the verdict
+    # where the abscissa lies in [-2 margin ||A||_F, 0); elsewhere the sign
+    # and the Frobenius bound decide it alike
+    frobenius = np.linalg.norm(stack, axis=(-2, -1))
+    stable = abscissa < -2 * STABILITY_MARGIN * frobenius
+    near = ~stable & (abscissa < 0)
+    if np.any(near):
+        two_norm = np.linalg.norm(stack[near], 2, axis=(-2, -1))
+        stable[near] = abscissa[near] < -STABILITY_MARGIN * two_norm
+    if A.ndim == 2:
+        return bool(stable[0]), float(abscissa[0])
+    return stable, abscissa
 
 
 def build_model(params: SystemParams, det: Detunings, g_m_eff: complex,
                 variant: str = VARIANT_IMPERFECT) -> LinearModel:
+    """Drift, diffusion and stability verdict at one point, or stacks of
+    them for stacked parameters."""
     A = build_drift(params, det, g_m_eff, variant)
     D = build_diffusion(params)
     stable, absc = is_stable(A)

@@ -4,12 +4,19 @@ All quantities are stored internally as angular frequencies / rates in
 rad/s; constructors that accept ordinary frequencies (Hz) multiply by
 2*pi on the way in.  Parameter objects are immutable and safe to share
 across workers.
+
+A *stacked* configuration (``SystemParams.stacked``, ``Detunings.stacked``)
+holds an (n,) array in every rate field instead of one number; the
+steady-state, drift and diffusion functions evaluate all n points of such a
+stack at once, which is how the sweep engine runs a block of grid points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from .constants import HBAR, KB, hz
 
@@ -24,13 +31,19 @@ DRIVE_POWER = "power"          # drive power P0 in watts
 DRIVE_AMPLITUDE = "amplitude"  # cavity drive amplitude E in rad/s
 DRIVE_GM_ABS = "gm_abs"        # target |G_m| of the effective coupling, rad/s
 
+#: the SystemParams fields that hold rates, frequencies or the temperature;
+#: g_m, which no sweep varies, is not among them
+RATE_FIELDS = ("omega_a", "omega_m", "omega_b", "omega_0", "kappa_a_i",
+               "kappa_a_e", "kappa_m", "gamma_b", "g_cw", "g_ccw", "J",
+               "temperature")
+
 
 @dataclass(frozen=True)
 class DriveSpec:
     """How the drive strength is specified.
 
     kind:  one of DRIVE_POWER, DRIVE_AMPLITUDE, DRIVE_GM_ABS.
-    value: watts for power, rad/s otherwise.
+    value: watts for power, rad/s otherwise (an array in a stack).
     """
 
     kind: str
@@ -39,7 +52,7 @@ class DriveSpec:
     def __post_init__(self):
         if self.kind not in (DRIVE_POWER, DRIVE_AMPLITUDE, DRIVE_GM_ABS):
             raise ValueError(f"unknown drive spec kind {self.kind!r}")
-        if not math.isfinite(self.value) or self.value < 0:
+        if not np.all(np.isfinite(self.value)) or np.any(self.value < 0):
             raise ValueError("drive value must be finite and >= 0")
 
 
@@ -97,6 +110,20 @@ class SystemParams:
     def replace(self, **changes) -> "SystemParams":
         return replace(self, **changes)
 
+    def stacked(self, n: int) -> "SystemParams":
+        """n copies of this configuration as one stack: every rate field and
+        the drive value become (n,) arrays."""
+        changes = {name: np.full(n, float(getattr(self, name)))
+                   for name in RATE_FIELDS}
+        drive = DriveSpec(self.drive.kind, np.full(n, float(self.drive.value)))
+        return replace(self, drive=drive, **changes)
+
+    def at(self, i: int) -> "SystemParams":
+        """Point i of a stacked configuration, with plain float fields."""
+        changes = {name: float(getattr(self, name)[i]) for name in RATE_FIELDS}
+        drive = DriveSpec(self.drive.kind, float(self.drive.value[i]))
+        return replace(self, drive=drive, **changes)
+
 
 @dataclass(frozen=True)
 class Detunings:
@@ -125,35 +152,51 @@ class Detunings:
         dm = params.omega_m - params.omega_0
         return cls(delta_a=da, delta_m=dm, delta_m_eff=dm)
 
+    def stacked(self, n: int) -> "Detunings":
+        """n copies as one stack of (n,) arrays."""
+        return Detunings(*(np.full(n, float(v)) for v in
+                           (self.delta_a, self.delta_m, self.delta_m_eff)))
+
+    def at(self, i: int) -> "Detunings":
+        """Point i of a stack."""
+        return Detunings(float(self.delta_a[i]), float(self.delta_m[i]),
+                         float(self.delta_m_eff[i]))
+
 
 def thermal_occupancy(omega: float, temperature: float) -> float:
     """Bose-Einstein occupation N = 1/(exp(hbar*omega/k_B*T) - 1).
 
     Returns 0 at T = 0.  Monotone increasing in T, decreasing in omega.
+    Either argument may be an array; the result then is one too.
     """
-    if not (math.isfinite(omega) and math.isfinite(temperature)):
+    omega = np.asarray(omega, dtype=float)
+    temperature = np.asarray(temperature, dtype=float)
+    if not (np.all(np.isfinite(omega)) and np.all(np.isfinite(temperature))):
         raise ValueError("thermal_occupancy requires finite inputs")
-    if omega <= 0:
+    if np.any(omega <= 0):
         raise ValueError("thermal_occupancy requires omega > 0")
-    if temperature < 0:
+    if np.any(temperature < 0):
         raise ValueError("thermal_occupancy requires T >= 0")
-    if temperature == 0.0:
-        return 0.0
-    x = HBAR * omega / (KB * temperature)
-    if x > 700.0:  # exp would overflow; occupancy is indistinguishable from 0
-        return 0.0
-    return 1.0 / math.expm1(x)
+    with np.errstate(divide="ignore"):
+        x = HBAR * omega / (KB * temperature)   # inf at T = 0
+    # beyond x = 700 exp would overflow; the occupancy is indistinguishable
+    # from 0 there
+    n = np.where(x > 700.0, 0.0, 1.0 / np.expm1(np.minimum(x, 700.0)))
+    return float(n) if n.ndim == 0 else n
 
 
 def drive_amplitude(power: float, omega_0: float, kappa_a_e: float) -> float:
-    """Cavity drive amplitude E = sqrt(2*kappa_a_e*P0/(hbar*omega_0)) in rad/s."""
-    if not all(map(math.isfinite, (power, omega_0, kappa_a_e))):
+    """Cavity drive amplitude E = sqrt(2*kappa_a_e*P0/(hbar*omega_0)) in rad/s.
+
+    Arrays in, array out."""
+    if not all(np.all(np.isfinite(v)) for v in (power, omega_0, kappa_a_e)):
         raise ValueError("drive_amplitude requires finite inputs")
-    if power < 0 or kappa_a_e < 0:
+    if np.any(power < 0) or np.any(kappa_a_e < 0):
         raise ValueError("power and kappa_a_e must be >= 0")
-    if omega_0 <= 0:
+    if np.any(omega_0 <= 0):
         raise ValueError("omega_0 must be > 0")
-    return math.sqrt(2.0 * kappa_a_e * power / (HBAR * omega_0))
+    E = np.sqrt(2.0 * kappa_a_e * power / (HBAR * omega_0))
+    return float(E) if E.ndim == 0 else E
 
 
 @dataclass(frozen=True)
@@ -178,15 +221,8 @@ def validate(params: SystemParams) -> list[Diagnostic]:
     def warn(code, msg):
         out.append(Diagnostic("warning", code, msg))
 
-    rates = {
-        "omega_a": params.omega_a, "omega_m": params.omega_m,
-        "omega_b": params.omega_b, "omega_0": params.omega_0,
-        "kappa_a_i": params.kappa_a_i, "kappa_a_e": params.kappa_a_e,
-        "kappa_m": params.kappa_m, "gamma_b": params.gamma_b,
-        "g_cw": params.g_cw, "g_ccw": params.g_ccw, "J": params.J,
-        "temperature": params.temperature,
-    }
-    for name, value in rates.items():
+    for name in RATE_FIELDS:
+        value = getattr(params, name)
         if not math.isfinite(value):
             err("non_finite", f"{name} is not finite")
         elif value < 0:

@@ -2,20 +2,41 @@
 stability gate -> covariance -> entanglement measures, plus grid sweeps and
 the drive-direction contrast.
 
-Sweeps are embarrassingly parallel; rows are assembled in a fixed row-major
-grid order (clockwise drive before counter-clockwise at each point) so the
-result table is byte-identical for any worker count.
+Evaluation runs on blocks of points.  A block goes through every stage as
+arrays: stacked parameters, closed-form means, (n, 8, 8) drift and
+diffusion stacks, one stability gate, one stacked Lyapunov solve and the
+vectorized measures.  Only the self-consistent mean field of the physical
+detuning mode and the filtered-output quadrature run point by point inside
+a block.  Every stage treats each point on its own, so a row does not
+depend on the block it is evaluated in, and ``evaluate_point`` is the same
+evaluator run on a block of one point.
+
+A sweep lists its rows in a fixed order: row-major over the grid (the last
+axis varies fastest), clockwise drive before counter-clockwise at each grid
+point.  It cuts that list into contiguous blocks of BLOCK_POINTS rows.
+``workers > 1`` maps whole blocks onto a process pool; a sweep of one block
+runs in-process.  The result is the same for any worker count.
+
+A block that meets a domain error (the ValueError and RuntimeError
+families: singular mean field, invalid covariance, convergence or
+quadrature failure, instability, a refused Lyapunov solve, a rejected drift
+variant) is split in halves until each failing point stands alone; those
+rows carry ``"<Type>: <message>"`` and the others are unaffected.  Any
+other exception fails the sweep.
 """
 
 from __future__ import annotations
 
-import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linear_model import VARIANT_IMPERFECT, build_model
+from . import linear_model
+# pipeline.build_model stays the single-point helper (bench/tracer.py wraps
+# it and reads one verdict per call); blocks go through
+# linear_model.build_model
+from .linear_model import VARIANT_IMPERFECT, build_model  # noqa: F401
 from .lyapunov import extract_block, solve_lyapunov
 from .measures import (
     is_physical,
@@ -26,6 +47,12 @@ from .measures import (
 from .output_mode import MAGNON_INSTANT, FilterSpec, filtered_pair_cm
 from .params import DRIVE_CCW, DRIVE_CW, Detunings, DriveSpec, SystemParams
 from .steady_state import resolve_drive
+
+#: rows per block: the block's (n, 36, 36) Lyapunov system takes 1.3 MB
+BLOCK_POINTS = 128
+
+#: exceptions that become in-row errors of a sweep
+DOMAIN_ERRORS = (ValueError, RuntimeError)
 
 PAIRS_DEFAULT = (("a_cw", "m"), ("a_cw", "b"), ("a_ccw", "m"), ("a_ccw", "b"))
 TRIPLES_DEFAULT = (("a_cw", "m", "b"), ("a_ccw", "m", "b"))
@@ -71,38 +98,95 @@ def evaluate_point(params: SystemParams, det: Detunings,
                    variant: str = VARIANT_IMPERFECT,
                    drive_port: str | None = None,
                    request: MeasureRequest | None = None) -> EntReport:
-    """Full single-point evaluation."""
+    """Full single-point evaluation: the block evaluator on one point."""
     request = request or MeasureRequest()
     port = drive_port or params.drive_port
-    steady = resolve_drive(params, det, port,
-                           variant_imperfect=(variant == VARIANT_IMPERFECT))
-    model = build_model(params, det, steady.g_m_eff, variant)
+    block = _evaluate(params, det, variant, request, (), np.empty((1, 0)),
+                      np.array([port]))
     echo = (params.replace(drive_port=DRIVE_CW), det, variant)
-    if not model.stable:
-        return EntReport(stable=False, abscissa=model.abscissa, drive_port=port,
-                         g_m_eff=steady.g_m_eff, e_n={}, r_min={},
-                         filtered_e_n=None, fidelity=None, physical=None,
-                         echo=echo)
-
-    cm = solve_lyapunov(model.A, model.D)
-    e_n = {partition_key(pair): log_negativity(extract_block(cm, pair))
-           for pair in request.pairs}
-    r_min = {partition_key(tri): residual_contangle_min(extract_block(cm, tri)).r_min
-             for tri in request.triples}
-
+    stable = bool(block.stable[0])
+    common = dict(stable=stable, abscissa=float(block.abscissa[0]),
+                  drive_port=port, g_m_eff=complex(block.g_m_eff[0]), echo=echo)
+    if not stable:
+        return EntReport(e_n={}, r_min={}, filtered_e_n=None, fidelity=None,
+                         physical=None, **common)
+    e_n = {key: float(v[0]) for key, v in block.e_n.items()}
+    r_min = {key: float(v[0]) for key, v in block.r_min.items()}
     filtered_e_n = fidelity = None
     meta = {}
     if request.filter_spec is not None:
-        out = filtered_pair_cm(model.A, model.D, params, request.filter_spec,
-                               request.magnon_convention, drive_port=port)
-        filtered_e_n = log_negativity(out.V)
-        fidelity = teleportation_fidelity(out.V)
-        meta["filtered"] = out.meta
+        filtered_e_n = float(block.filtered_e_n[0])
+        fidelity = float(block.fidelity[0])
+        meta["filtered"] = block.filtered_meta[0]
+    return EntReport(e_n=e_n, r_min=r_min, filtered_e_n=filtered_e_n,
+                     fidelity=fidelity, physical=bool(block.physical[0]),
+                     meta=meta, **common)
 
-    return EntReport(stable=True, abscissa=model.abscissa, drive_port=port,
-                     g_m_eff=steady.g_m_eff, e_n=e_n, r_min=r_min,
-                     filtered_e_n=filtered_e_n, fidelity=fidelity,
-                     physical=is_physical(cm.V), echo=echo, meta=meta)
+
+@dataclass(frozen=True)
+class _Block:
+    """Results of one block, one array entry per point; the measures are
+    NaN (``physical`` False) at unstable points."""
+
+    stable: np.ndarray
+    abscissa: np.ndarray
+    g_m_eff: np.ndarray
+    e_n: dict               # partition key -> values
+    r_min: dict
+    filtered_e_n: np.ndarray
+    fidelity: np.ndarray
+    filtered_meta: list
+    physical: np.ndarray
+    several_below_half: np.ndarray   # a 1|2 split had > 1 eigenvalue below 1/2
+
+
+def _evaluate(params: SystemParams, det: Detunings, variant: str,
+              request: MeasureRequest, axes: tuple, values: np.ndarray,
+              ports: np.ndarray) -> _Block:
+    """Evaluate the points ``params``/``det`` with ``axes`` set to the rows
+    of ``values``, each driven through its entry of ``ports``."""
+    n = len(ports)
+    P, dets = params.stacked(n), det.stacked(n)
+    for k, ax in enumerate(axes):
+        P, dets = SWEEPABLE[ax.name](P, dets, values[:, k])
+    steady = resolve_drive(P, dets, ports,
+                           variant_imperfect=(variant == VARIANT_IMPERFECT))
+    model = linear_model.build_model(P, dets, steady.g_m_eff, variant)
+    ok = model.stable
+    cm = solve_lyapunov(model.A[ok], model.D[ok], gated=True)
+
+    def at_stable(x, fill=np.nan):
+        out = np.full(n, fill, dtype=np.asarray(x).dtype)
+        out[ok] = x
+        return out
+
+    e_n = {partition_key(pair): at_stable(log_negativity(extract_block(cm, pair)))
+           for pair in request.pairs}
+    r_min = {}
+    several_below = np.zeros(n, dtype=bool)
+    for tri in request.triples:
+        report = residual_contangle_min(extract_block(cm, tri))
+        r_min[partition_key(tri)] = at_stable(report.r_min)
+        several_below |= at_stable(
+            np.any([b > 1 for b in report.below_half.values()], axis=0), False)
+
+    filtered_e_n, fidelity = np.full(n, np.nan), np.full(n, np.nan)
+    filtered_meta = [None] * n
+    if request.filter_spec is not None:
+        for i in np.flatnonzero(ok):
+            out = filtered_pair_cm(model.A[i], model.D[i], P.at(i),
+                                   request.filter_spec,
+                                   request.magnon_convention,
+                                   drive_port=str(ports[i]))
+            filtered_e_n[i] = log_negativity(out.V)
+            fidelity[i] = teleportation_fidelity(out.V)
+            filtered_meta[i] = out.meta
+
+    return _Block(stable=ok, abscissa=model.abscissa, g_m_eff=steady.g_m_eff,
+                  e_n=e_n, r_min=r_min, filtered_e_n=filtered_e_n,
+                  fidelity=fidelity, filtered_meta=filtered_meta,
+                  physical=at_stable(is_physical(cm.V), False),
+                  several_below_half=several_below)
 
 
 def nonreciprocity_contrast(report_cw: EntReport, report_ccw: EntReport,
@@ -217,6 +301,8 @@ class SweepResult:
     columns: tuple
     rows: tuple          # tuples aligned with columns
     spec: SweepSpec
+    # sweep-level counts of per-row diagnostics (see run_sweep)
+    meta: dict = field(default_factory=dict, compare=False)
 
 
 def _row_columns(spec: SweepSpec) -> tuple:
@@ -230,45 +316,77 @@ def _row_columns(spec: SweepSpec) -> tuple:
     return tuple(cols)
 
 
-def _eval_row(task):
-    params, det, spec, values, port = task
-    row = list(values) + [port]
-    try:
-        rep = evaluate_point(params, det, spec.variant, port, spec.request)
-        row += [int(rep.stable), abs(rep.g_m_eff)]
-        for pair in spec.request.pairs:
-            row.append(rep.e_n.get(partition_key(pair), np.nan))
-        for tri in spec.request.triples:
-            row.append(rep.r_min.get(partition_key(tri), np.nan))
-        if spec.request.filter_spec is not None:
-            row += [rep.filtered_e_n if rep.filtered_e_n is not None else np.nan,
-                    rep.fidelity if rep.fidelity is not None else np.nan]
-        row.append("")
-    except Exception as exc:  # per-point failures stay in-row
-        pad = len(_row_columns(spec)) - len(row) - 1
-        row += [np.nan] * pad + [f"{type(exc).__name__}: {exc}"]
-    return tuple(row)
-
-
-def _tasks(params: SystemParams, det: Detunings, spec: SweepSpec):
+def grid_rows(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Axis values (rows x axes) and drive port of every row, in row order."""
     ports = sorted(spec.drive_ports, key=lambda p: p != DRIVE_CW)  # cw first
-    axes_values = [ax.values() for ax in spec.axes]
-    for values in itertools.product(*axes_values):
-        p, d = params, det
-        for ax, v in zip(spec.axes, values):
-            p, d = SWEEPABLE[ax.name](p, d, float(v))
-        for port in ports:
-            yield (p, d, spec, tuple(float(v) for v in values), port)
+    mesh = np.meshgrid(*(ax.values() for ax in spec.axes), indexing="ij")
+    points = np.column_stack([m.ravel() for m in mesh])
+    return (np.repeat(points, len(ports), axis=0),
+            np.tile(np.array(ports), len(points)))
+
+
+#: sweep metadata keys of the diagnostic counts, in the order of the
+#: counts evaluate_block returns
+SWEEP_COUNTS = ("unphysical_rows", "several_below_half_rows", "error_rows")
+
+
+def evaluate_block(params: SystemParams, det: Detunings, spec: SweepSpec,
+                   values: np.ndarray, ports: np.ndarray):
+    """Rows of the sweep points given by ``values`` and ``ports`` (as from
+    :func:`grid_rows`), and their SWEEP_COUNTS diagnostic counts."""
+    try:
+        block = _evaluate(params, det, spec.variant, spec.request, spec.axes,
+                          values, ports)
+    except DOMAIN_ERRORS as exc:
+        if len(ports) == 1:
+            pad = len(_row_columns(spec)) - len(spec.axes) - 2
+            row = (*values[0].tolist(), str(ports[0]), *[np.nan] * pad,
+                   f"{type(exc).__name__}: {exc}")
+            return [row], np.array([0, 0, 1])
+        half = len(ports) // 2
+        rows_a, counts_a = evaluate_block(params, det, spec, values[:half],
+                                          ports[:half])
+        rows_b, counts_b = evaluate_block(params, det, spec, values[half:],
+                                          ports[half:])
+        return rows_a + rows_b, counts_a + counts_b
+
+    columns = [*values.T.tolist(), ports.tolist(),
+               block.stable.astype(int).tolist(),
+               np.abs(block.g_m_eff).tolist()]
+    columns += [block.e_n[partition_key(p)].tolist() for p in spec.request.pairs]
+    columns += [block.r_min[partition_key(t)].tolist()
+                for t in spec.request.triples]
+    if spec.request.filter_spec is not None:
+        columns += [block.filtered_e_n.tolist(), block.fidelity.tolist()]
+    columns.append([""] * len(ports))
+    counts = np.array([np.sum(block.stable & ~block.physical),
+                       np.sum(block.several_below_half), 0])
+    return list(zip(*columns)), counts
+
+
+def _evaluate_task(task):
+    return evaluate_block(*task)
 
 
 def run_sweep(params: SystemParams, det: Detunings, spec: SweepSpec,
               workers: int = 1) -> SweepResult:
-    """Evaluate the grid; deterministic row order regardless of worker count."""
-    tasks = list(_tasks(params, det, spec))
+    """Evaluate the grid; deterministic row order regardless of worker count.
+
+    ``meta`` counts the rows whose covariance fails :func:`is_physical`, the
+    rows where a 1|2 partial transpose had more than one symplectic
+    eigenvalue below 1/2, and the rows with an in-row error.
+    """
+    values, ports = grid_rows(spec)
+    tasks = [(params, det, spec, values[i:i + BLOCK_POINTS],
+              ports[i:i + BLOCK_POINTS])
+             for i in range(0, len(ports), BLOCK_POINTS)]
     workers = min(workers, len(tasks))
     if workers <= 1:
-        rows = [_eval_row(t) for t in tasks]
+        results = [evaluate_block(*task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_eval_row, tasks, chunksize=16))
-    return SweepResult(columns=_row_columns(spec), rows=tuple(rows), spec=spec)
+            results = list(pool.map(_evaluate_task, tasks))
+    rows = [row for block_rows, _ in results for row in block_rows]
+    counts = sum(c for _, c in results)
+    return SweepResult(columns=_row_columns(spec), rows=tuple(rows), spec=spec,
+                       meta=dict(zip(SWEEP_COUNTS, map(int, counts))))

@@ -60,23 +60,29 @@ class SteadyField:
     meta: dict = field(default_factory=dict, compare=False)
 
 
-def _drive_vector(E: float, drive_port: str) -> tuple[float, float]:
-    if drive_port == DRIVE_CW:
-        return E, 0.0
-    if drive_port == DRIVE_CCW:
-        return 0.0, E
-    raise ValueError(f"unknown drive port {drive_port!r}")
+def _by_port(port, cw_value, ccw_value):
+    """``cw_value`` for a clockwise drive, ``ccw_value`` for a
+    counter-clockwise one; ``port`` is one label or an array of labels."""
+    if isinstance(port, str):
+        if port not in (DRIVE_CW, DRIVE_CCW):
+            raise ValueError(f"unknown drive port {port!r}")
+        return cw_value if port == DRIVE_CW else ccw_value
+    port = np.asarray(port)
+    unknown = ~np.isin(port, (DRIVE_CW, DRIVE_CCW))
+    if np.any(unknown):
+        raise ValueError(f"unknown drive port {port[unknown][0]!r}")
+    return np.where(port == DRIVE_CW, cw_value, ccw_value)
 
 
 def _cavity_means(params: SystemParams, det: Detunings, E: float,
                   drive_port: str, m: complex) -> tuple[complex, complex]:
     """Back-substitute <m> into the 2x2 linear system for the cavity means."""
     ka = params.kappa_a + 1j * det.delta_a
-    e_cw, e_ccw = _drive_vector(E, drive_port)
+    e_cw, e_ccw = _by_port(drive_port, E, 0.0), _by_port(drive_port, 0.0, E)
     b1 = e_cw - 1j * params.g_cw * m
     b2 = e_ccw - 1j * params.g_ccw * m
     det2 = ka * ka + params.J**2
-    if det2 == 0:
+    if np.any(det2 == 0):
         raise SingularConfigurationError("cavity mean-field system is singular")
     a_cw = (ka * b1 - 1j * params.J * b2) / det2
     a_ccw = (ka * b2 - 1j * params.J * b1) / det2
@@ -103,19 +109,18 @@ def ideal_means(params: SystemParams, det: Detunings, E: float,
     <m> = -i*g_cw*E / [g_cw^2 + (kappa_a + i*delta_a)(kappa_m + i*delta_m_eff)];
     under CCW drive the same expression with the CCW coupling, which is 0 in
     the chiral case, so the magnomechanics is not pumped at all.
+    Stacked parameters (and an array of ports) give arrays of means.
     """
-    port = drive_port or params.drive_port
-    g = params.g_cw if port == DRIVE_CW else params.g_ccw
+    port = params.drive_port if drive_port is None else drive_port
+    g = _by_port(port, params.g_cw, params.g_ccw)
     dme = det.delta_m_eff
     den = g * g + (params.kappa_a + 1j * det.delta_a) * (params.kappa_m + 1j * dme)
-    if den == 0:
+    if np.any(den == 0):
         raise SingularConfigurationError("vanishing mean-field denominator")
     m = -1j * g * E / den
     a_driven = (E - 1j * g * m) / (params.kappa_a + 1j * det.delta_a)
-    if port == DRIVE_CW:
-        a_cw, a_ccw = a_driven, 0.0 + 0.0j
-    else:
-        a_cw, a_ccw = 0.0 + 0.0j, a_driven
+    a_cw = _by_port(port, a_driven, 0.0 + 0.0j)
+    a_ccw = _by_port(port, 0.0 + 0.0j, a_driven)
     return _pack(params, det, E, a_cw, a_ccw, m, dme)
 
 
@@ -125,8 +130,9 @@ def imperfect_means(params: SystemParams, det: Detunings, E: float,
 
     Reduces exactly to :func:`ideal_means` when J = 0 and the non-driven
     coupling vanishes.  Both circulating modes are generally populated.
+    Stacked parameters (and an array of ports) give arrays of means.
     """
-    port = drive_port or params.drive_port
+    port = params.drive_port if drive_port is None else drive_port
     ka, km = params.kappa_a, params.kappa_m
     da, dme = det.delta_a, det.delta_m_eff
     gr, gl, J = params.g_cw, params.g_ccw, params.J
@@ -135,12 +141,11 @@ def imperfect_means(params: SystemParams, det: Detunings, E: float,
     eps2 = ka * dme + km * da
     den = (km * J * J + ka * eps1 - da * eps2) \
         + 1j * (dme * J * J - 2 * J * gr * gl + da * eps1 + ka * eps2)
-    if den == 0:
+    if np.any(den == 0):
         raise SingularConfigurationError("vanishing mean-field denominator")
-    if port == DRIVE_CW:
-        num = E * ((gr * da - gl * J) - 1j * gr * ka)
-    else:
-        num = E * ((gl * da - gr * J) - 1j * gl * ka)
+    # couplings of the driven and of the other circulating mode
+    g_d, g_o = _by_port(port, gr, gl), _by_port(port, gl, gr)
+    num = E * ((g_d * da - g_o * J) - 1j * g_d * ka)
     m = num / den
     a_cw, a_ccw = _cavity_means(params, det, E, port, m)
     return _pack(params, det, E, a_cw, a_ccw, m, dme)
@@ -258,8 +263,12 @@ def resolve_drive(params: SystemParams, det: Detunings,
     one with the larger cavity-magnon coupling), and the same underlying
     drive amplitude is implied for the opposite port, mirroring an
     equal-power comparison.
+
+    Stacked parameters with an array of ports give a SteadyField of arrays;
+    the self-consistent solve of the physical detuning mode then runs point
+    by point.
     """
-    port = drive_port or params.drive_port
+    port = params.drive_port if drive_port is None else drive_port
     if variant_imperfect is None:
         means = _closed_form
     elif variant_imperfect:
@@ -273,14 +282,20 @@ def resolve_drive(params: SystemParams, det: Detunings,
             raise ValueError(f"{spec.kind} drive spec requires g_m to form G_m")
         E = spec.value if spec.kind == DRIVE_AMPLITUDE else drive_amplitude(
             spec.value, params.omega_0, params.kappa_a_e)
-        if params.detuning_mode == DETUNING_PHYSICAL:
+        if params.detuning_mode != DETUNING_PHYSICAL:
+            return means(params, det, E, port)
+        if isinstance(port, str):
             return self_consistent_solve(params, E, port, det)
-        return means(params, det, E, port)
+        return _stack_fields([
+            self_consistent_solve(params.at(i), float(E[i]), str(p), det.at(i))
+            for i, p in enumerate(port)])
 
     # |G_m| spec: calibrate on the dominant chiral port at unit amplitude.
-    cal_port = DRIVE_CW if params.g_cw >= params.g_ccw else DRIVE_CCW
+    cal_cw = params.g_cw >= params.g_ccw
+    cal_port = (np.where(cal_cw, DRIVE_CW, DRIVE_CCW) if np.ndim(cal_cw)
+                else DRIVE_CW if cal_cw else DRIVE_CCW)
     m_cal = means(params, det, 1.0, cal_port).m
-    if m_cal == 0:
+    if np.any(m_cal == 0):
         raise SingularConfigurationError(
             "|G_m| target unreachable: calibration port does not pump the magnon")
     scale = spec.value / (SQRT2 * abs(m_cal))   # equals g_m * E for any split
@@ -293,3 +308,10 @@ def resolve_drive(params: SystemParams, det: Detunings,
                            g_m_eff, full.delta_m_eff, E, full.meta)
     return SteadyField(out.a_cw, out.a_ccw, out.m, 0.0, g_m_eff,
                        out.delta_m_eff, None, out.meta)
+
+
+def _stack_fields(fields: list[SteadyField]) -> SteadyField:
+    """One SteadyField of arrays from per-point fields (meta dropped)."""
+    return SteadyField(*(np.array([getattr(f, name) for f in fields])
+                         for name in ("a_cw", "a_ccw", "m", "q_mean", "g_m_eff",
+                                      "delta_m_eff", "e_amplitude")))

@@ -1,10 +1,12 @@
 """Shared constructions for the test suite: random stable systems, random
-symplectic transformations, random physical covariance matrices, and the
-two-mode squeezed state with its known entanglement."""
+symplectic transformations, random physical covariance matrices, the
+two-mode squeezed state with its known entanglement, and the Schur-method
+Lyapunov oracle."""
 
 import math
 
 import numpy as np
+import scipy.linalg
 
 from chiralcmm.measures import symplectic_form
 
@@ -17,6 +19,11 @@ def random_stable_system(rng, n=8, margin=0.5):
     B = rng.normal(size=(n, n))
     D = B @ B.T
     return A, D
+
+
+def schur_lyapunov(A, D):
+    """V with A V + V A^T = -D by the Bartels-Stewart (Schur) method."""
+    return scipy.linalg.solve_continuous_lyapunov(A, -D)
 
 
 def random_symplectic(rng, n_modes, scale=0.4):

@@ -198,6 +198,25 @@ class TestSweepCommand:
         record = json.loads(lines[1])
         assert record["drive_port"] == "cw"
 
+    def test_diagnostic_counts_in_metadata(self, sweep_config_path, tmp_path):
+        counts = {"unphysical_rows": 0, "several_below_half_rows": 0,
+                  "error_rows": 1}
+        # the ideal variant refuses J != 0: the second of two rows is an error
+        args = ["--set", "sweep.axis1=J,0.0,2.0e5,2"]
+        csv_out, jsonl_out = tmp_path / "s.csv", tmp_path / "s.jsonl"
+        assert main(["sweep", "--config", sweep_config_path, "--out",
+                     str(csv_out), *args]) == EXIT_OK
+        assert main(["sweep", "--config", sweep_config_path, "--out",
+                     str(jsonl_out), "--format", "jsonl", *args]) == EXIT_OK
+        lines = csv_out.read_text().splitlines()
+        for key, value in counts.items():
+            assert f"# {key} = {value}" in lines
+        data = [ln for ln in lines if not ln.startswith("#")]
+        assert data[0] == "J,drive_port,stable,abs_g_m_eff,en_a_cw_m,error"
+        assert [ln.split(",")[-1] != "" for ln in data[1:]] == [False, True]
+        meta = json.loads(jsonl_out.read_text().splitlines()[0])["_meta"]
+        assert {key: meta[key] for key in counts} == counts
+
     def test_worker_flag_output_identical(self, sweep_config_path, tmp_path):
         out1, out2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
         main(["sweep", "--config", sweep_config_path, "--out", str(out1),

@@ -15,7 +15,7 @@ from chiralcmm.lyapunov import (
 )
 from chiralcmm.params import Detunings, SystemParams
 
-from helpers import random_stable_system
+from helpers import random_stable_system, schur_lyapunov
 
 
 def integral_oracle(A, D, reltol=1e-11):
@@ -66,6 +66,27 @@ class TestSolver:
             v2 = np.linalg.solve(np.kron(A, eye) + np.kron(eye, A),
                                  -D.ravel()).reshape(A.shape)
             assert_allclose(v1, v2, rtol=1e-8, atol=1e-12 * np.linalg.norm(v1))
+
+    def test_stacked_solve_matches_schur_oracle(self):
+        rng = np.random.default_rng(44)
+        systems = [random_stable_system(rng) for _ in range(20)]
+        A = np.array([a for a, _ in systems])
+        D = np.array([d for _, d in systems])
+        V = solve_lyapunov(A, D, mode_order=tuple("abcd")).V
+        assert V.shape == (20, 8, 8)
+        for k, (a, d) in enumerate(systems):
+            ref = schur_lyapunov(a, d)
+            assert np.linalg.norm(V[k] - ref) <= 1e-9 * np.linalg.norm(ref)
+            # a system's solution does not depend on the stack around it
+            single = solve_lyapunov(a, d, mode_order=tuple("abcd")).V
+            assert np.array_equal(single, V[k])
+
+    def test_stack_with_one_unstable_member_refused(self):
+        rng = np.random.default_rng(46)
+        A, D = random_stable_system(rng)
+        unstable = A + 10.0 * np.eye(8)
+        with pytest.raises(UnstableSystemError):
+            solve_lyapunov(np.array([A, unstable]), np.array([D, D]))
 
     def test_orthogonal_congruence_covariance(self):
         rng = np.random.default_rng(45)

@@ -1,15 +1,27 @@
+import io
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chiralcmm import pipeline
+from chiralcmm.cli import write_table
 from chiralcmm.constants import hz
 from chiralcmm.output_mode import FilterSpec
 from chiralcmm.params import Detunings, DriveSpec
 from chiralcmm.pipeline import (
+    BLOCK_POINTS,
+    SWEEPABLE,
     MeasureRequest,
     SweepAxis,
     SweepSpec,
+    evaluate_block,
     evaluate_point,
+    grid_rows,
     nonreciprocity_contrast,
+    partition_key,
     run_sweep,
 )
 from chiralcmm.steady_state import resolve_drive
@@ -141,6 +153,31 @@ class TestSweep:
         assert errors[0] == ""
         assert any(e != "" for e in errors[1:])
 
+    def test_error_rows_carry_the_single_point_error(self):
+        p, det, _ = self.spec()
+        spec = SweepSpec(axes=(SweepAxis("chi", 0.0, 2.0, 3),),
+                         variant="ideal",
+                         request=MeasureRequest(pairs=(("a_cw", "m"),),
+                                                triples=()))
+        res = run_sweep(p, det, spec)
+        with pytest.raises(ValueError) as exc:
+            evaluate_point(p.replace(g_ccw=2.0 * p.g_cw), det, "ideal", "cw",
+                           spec.request)
+        assert res.rows[2][-1] == f"ValueError: {exc.value}"
+        assert all(np.isnan(v) for v in res.rows[2][2:-1])
+        assert res.meta == {"unphysical_rows": 0, "several_below_half_rows": 0,
+                            "error_rows": 2}
+
+    def test_programming_errors_fail_the_sweep(self, monkeypatch):
+        p, det, spec = self.spec()
+
+        def broken(*_args, **_kwargs):
+            raise TypeError("not a domain error")
+
+        monkeypatch.setattr(pipeline, "log_negativity", broken)
+        with pytest.raises(TypeError, match="not a domain error"):
+            run_sweep(p, det, spec)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SweepSpec(axes=(SweepAxis("delta_a", 0.0, 1.0, 1),))
@@ -174,3 +211,76 @@ class TestDetuningOptimum:
         assert best["delta_a"] / wb == pytest.approx(-0.72, abs=0.06)
         assert best["delta_m_eff"] / wb == pytest.approx(0.76, abs=0.06)
         assert best["en_a_cw_m"] > 0
+
+
+def _bits(row):
+    """A row in a form where equality means bitwise-equal numbers."""
+    return [repr(float(v)) if isinstance(v, float) else repr(v) for v in row]
+
+
+def _single_point_row(pre, values, port):
+    """The sweep row of one grid point, from evaluate_point."""
+    p, d = pre.params, pre.detunings
+    for ax, v in zip(pre.sweep.axes, values):
+        p, d = SWEEPABLE[ax.name](p, d, float(v))
+    req = pre.sweep.request
+    rep = evaluate_point(p, d, pre.sweep.variant, port, req)
+    row = [float(v) for v in values] + [port, int(rep.stable),
+                                        np.abs(np.array([rep.g_m_eff]))[0]]
+    row += [rep.e_n.get(partition_key(q), np.nan) for q in req.pairs]
+    row += [rep.r_min.get(partition_key(t), np.nan) for t in req.triples]
+    return row + [""]
+
+
+class TestBlockEngine:
+    @pytest.mark.parametrize("name", ["fig2a", "fig4a"])
+    @settings(max_examples=15)
+    @given(data=st.data())
+    def test_rows_do_not_depend_on_the_block(self, name, data):
+        pre = presets.get(name, grid_points=9)
+        values, ports = grid_rows(pre.sweep)
+        idx = np.array(sorted(data.draw(st.sets(
+            st.integers(0, len(ports) - 1), min_size=1, max_size=12))))
+        cut = data.draw(st.integers(0, len(idx)))
+        args = (pre.params, pre.detunings, pre.sweep)
+        whole, _ = evaluate_block(*args, values[idx], ports[idx])
+        head, _ = evaluate_block(*args, values[idx[:cut]], ports[idx[:cut]])
+        tail, _ = evaluate_block(*args, values[idx[cut:]], ports[idx[cut:]])
+        assert [_bits(r) for r in head + tail] == [_bits(r) for r in whole]
+        for row, i in zip(whole, idx):
+            expected = _single_point_row(pre, values[i], str(ports[i]))
+            assert _bits(row) == _bits(expected)
+
+    def test_physical_detuning_mode_rows_match_single_points(self):
+        # the self-consistent mean field runs point by point inside a block
+        p = presets.fixed_power_set("magnon", chi=0.1).replace(
+            detuning_mode="physical", omega_a=hz(10e9) - 0.72 * hz(10e6),
+            omega_m=hz(10e9) + 0.76 * hz(10e6))
+        spec = SweepSpec(axes=(SweepAxis("temperature", 0.01, 0.05, 3),),
+                         drive_ports=("cw", "ccw"),
+                         request=MeasureRequest(pairs=(("a_cw", "m"),),
+                                                triples=()))
+        pre = SimpleNamespace(params=p, detunings=Detunings.physical(p),
+                              sweep=spec)
+        res = run_sweep(p, pre.detunings, spec)
+        values, ports = grid_rows(spec)
+        assert res.meta["error_rows"] == 0
+        for row, v, port in zip(res.rows, values, ports):
+            assert _bits(row) == _bits(_single_point_row(pre, v, str(port)))
+
+    def test_output_identical_across_worker_counts(self):
+        pre = presets.get("fig2a", grid_points=23)
+        assert 23 * 23 > 2 * BLOCK_POINTS    # at least three blocks
+
+        class _Cfg:
+            digest = "test"
+            magnon_convention = "instant"
+            resolved_text = ""
+
+        def table(workers):
+            res = run_sweep(pre.params, pre.detunings, pre.sweep, workers=workers)
+            buf = io.StringIO()
+            write_table(buf, _Cfg(), res.columns, res.rows, "csv", res.meta)
+            return buf.getvalue().encode()
+
+        assert table(1) == table(2)
