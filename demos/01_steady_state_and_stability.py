@@ -13,7 +13,7 @@ import numpy as np
 
 from chiralcmm.constants import hz, to_hz
 from chiralcmm.params import Detunings, SystemParams
-from chiralcmm.steady_state import ideal_means, resolve_drive
+from chiralcmm.steady_state import imperfect_means, resolve_drive
 from chiralcmm.linear_model import max_stable_coupling
 
 # The cavity of the phonon-optimized working point: total linewidth 5 MHz,
@@ -23,15 +23,16 @@ det = Detunings.effective(delta_a=-0.76 * params.omega_b,
                           delta_m_eff=0.65 * params.omega_b)
 
 # A drive of 100 MHz (in amplitude units) on the clockwise mode: the magnon
-# mean follows the closed-form expression of the coupled linear system.
+# mean follows the closed-form expression of the coupled linear system
+# (here with no backscattering, J = 0, and no CCW coupling, g_ccw = 0).
 E = hz(100e6)
-cw = ideal_means(params, det, E, drive_port="cw")
+cw = imperfect_means(params, det, E, drive_port="cw")
 print("CW drive:  <a_cw> = %.4g%+.4gj   <m> = %.4g%+.4gj"
       % (cw.a_cw.real, cw.a_cw.imag, cw.m.real, cw.m.imag))
 
 # The counter-clockwise mode is decoupled from the magnon (chiral coupling),
 # so driving it fills the cavity but never pumps the magnomechanics.
-ccw = ideal_means(params, det, E, drive_port="ccw")
+ccw = imperfect_means(params, det, E, drive_port="ccw")
 print("CCW drive: <a_ccw> = %.4g%+.4gj  <m> = %g  (chirality at work)"
       % (ccw.a_ccw.real, ccw.a_ccw.imag, abs(ccw.m)))
 

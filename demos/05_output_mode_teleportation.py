@@ -22,7 +22,7 @@ from chiralcmm.steady_state import resolve_drive
 
 pre = presets.get("fig2d_magnon")
 params, det = pre.params, pre.detunings
-field = resolve_drive(params, det, variant_imperfect=False)
+field = resolve_drive(params, det)
 model = build_model(params, det, field.g_m_eff, "ideal")
 
 # intracavity benchmark

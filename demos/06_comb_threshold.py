@@ -16,7 +16,11 @@ import numpy as np
 
 from chiralcmm.constants import hz, to_hz
 from chiralcmm.params import Detunings, SystemParams
-from chiralcmm.steady_state import SQRT2, ideal_means
+from chiralcmm.steady_state import (
+    SQRT2,
+    amplitude_for_gm,
+    precompensated_detunings,
+)
 from chiralcmm.time_domain import classify_attractor, integrate_classical
 
 params = SystemParams(kappa_a_e=hz(4.8e6), g_cw=hz(8e6), g_m=1.0)
@@ -26,14 +30,8 @@ det_eff = Detunings.effective(delta_a=-0.76 * params.omega_b,
 for target_mhz in (6.0, 9.5):
     # choose the drive that realizes |G_m| = target at the effective
     # detuning, pre-compensating the bare detuning for the dispersive shift
-    target = hz(target_mhz * 1e6)
-    m_target = target / (SQRT2 * params.g_m)
-    m_unit = ideal_means(params, det_eff, 1.0).m
-    E = m_target / abs(m_unit)
-    det = Detunings(det_eff.delta_a,
-                    det_eff.delta_m_eff
-                    + params.g_m ** 2 * m_target ** 2 / params.omega_b,
-                    det_eff.delta_m_eff)
+    E = amplitude_for_gm(params, det_eff, hz(target_mhz * 1e6))
+    det = precompensated_detunings(params, det_eff, E)
 
     traj = integrate_classical(params, det, E)
     rep = classify_attractor(traj)

@@ -19,8 +19,9 @@ from .params import (  # noqa: F401
 )
 from .steady_state import (  # noqa: F401
     SteadyField,
-    ideal_means,
+    amplitude_for_gm,
     imperfect_means,
+    precompensated_detunings,
     resolve_drive,
     self_consistent_solve,
 )
@@ -35,7 +36,6 @@ from .linear_model import (  # noqa: F401
 from .lyapunov import CovMatrix, extract_block, solve_lyapunov  # noqa: F401
 from .measures import (  # noqa: F401
     log_negativity,
-    one_vs_two_log_negativity,
     residual_contangle_min,
     symplectic_eigenvalues,
     teleportation_fidelity,

@@ -32,6 +32,7 @@ from .linear_model import (
     VARIANT_IMPERFECT,
     UnstableSystemError,
     check_bisection,
+    check_variant,
     max_stable_coupling,
 )
 from .output_mode import MAGNON_INSTANT, MAGNON_WINDOWED, FilterSpec
@@ -53,7 +54,12 @@ from .pipeline import (
     evaluate_point,
     run_sweep,
 )
-from .steady_state import ConvergenceError, SingularConfigurationError, resolve_drive
+from .steady_state import (
+    ConvergenceError,
+    SingularConfigurationError,
+    precompensated_detunings,
+    resolve_drive,
+)
 from .time_domain import (
     IntegrationError,
     comb_threshold,
@@ -420,10 +426,11 @@ def _write_result(args, cfg: RunConfig, columns, rows,
 # subcommands
 
 def cmd_steady(cfg: RunConfig, args) -> int:
-    variant = None
-    if getattr(args, "variant", None):
-        variant = args.variant == VARIANT_IMPERFECT
-    sf = resolve_drive(cfg.params, cfg.detunings, variant_imperfect=variant)
+    # one mean field for both variants; --variant ideal only insists on the
+    # chiral configuration, as the ideal drift matrix does
+    if args.variant:
+        check_variant(cfg.params, args.variant)
+    sf = resolve_drive(cfg.params, cfg.detunings)
     columns = ("field", "value")
     gm = sf.g_m_eff if sf.g_m_eff is not None else float("nan")
     rows = [
@@ -438,7 +445,9 @@ def cmd_steady(cfg: RunConfig, args) -> int:
         ("e_amplitude", sf.e_amplitude if sf.e_amplitude is not None
          else float("nan")),
     ]
-    return _write_result(args, cfg, columns, rows)
+    # + 0.0 prints the empty mode of a chiral drive as 0, not -0
+    return _write_result(args, cfg, columns,
+                         [(name, value + 0.0) for name, value in rows])
 
 
 def cmd_entangle(cfg: RunConfig, args) -> int:
@@ -474,15 +483,14 @@ def cmd_comb_threshold(cfg: RunConfig, args) -> int:
         params = cfg.params
         if params.g_m is None:
             params = params.replace(g_m=presets.inferred_g_m())
-        sf = resolve_drive(params, cfg.detunings)
-        if sf.e_amplitude is None:
+        E = resolve_drive(params, cfg.detunings).e_amplitude
+        if E is None:
             raise ConfigError("trajectory dump needs an amplitude/power drive "
                               "spec (or g_m with a |G_m| spec)")
-        shift = (params.g_m * sf.q_mean if params.g_m else 0.0)
-        det = Detunings(cfg.detunings.delta_a,
-                        cfg.detunings.delta_m_eff - shift,
-                        cfg.detunings.delta_m_eff)
-        traj = integrate_classical(params, det, sf.e_amplitude)
+        det = cfg.detunings
+        if params.detuning_mode != DETUNING_PHYSICAL:
+            det = precompensated_detunings(params, det, E)
+        traj = integrate_classical(params, det, E)
         try:
             trajectory_to_csv(traj, args.dump_trajectory)
         except OSError as exc:

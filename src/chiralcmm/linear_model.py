@@ -46,6 +46,16 @@ class LinearModel:
     abscissa: float = np.nan
 
 
+def check_variant(params: SystemParams, variant: str) -> None:
+    """Reject an unknown drift variant, and the ideal one unless J = 0 and
+    g_ccw = 0 (at every point of a stack)."""
+    if variant not in (VARIANT_IDEAL, VARIANT_IMPERFECT):
+        raise ValueError(f"unknown drift variant {variant!r}")
+    if variant == VARIANT_IDEAL and (np.any(params.J != 0)
+                                     or np.any(params.g_ccw != 0)):
+        raise ValueError("ideal variant requires J = 0 and g_ccw = 0")
+
+
 def build_drift(params: SystemParams, det: Detunings, g_m_eff: complex,
                 variant: str = VARIANT_IMPERFECT) -> np.ndarray:
     """Assemble the 8x8 drift matrix, or an (n, 8, 8) stack of them for
@@ -53,11 +63,10 @@ def build_drift(params: SystemParams, det: Detunings, g_m_eff: complex,
 
     ``g_m_eff`` is the complex effective magnomechanical coupling G_m; its
     real and imaginary parts enter the magnon-mechanics block separately.
-    The ideal variant requires J = 0 and g_ccw = 0 and has an exactly zero
-    CCW coupling block.
+    The ideal variant requires J = 0 and g_ccw = 0 (:func:`check_variant`)
+    and so has an exactly zero CCW coupling block.
     """
-    if variant not in (VARIANT_IDEAL, VARIANT_IMPERFECT):
-        raise ValueError(f"unknown drift variant {variant!r}")
+    check_variant(params, variant)
     values = np.broadcast_arrays(
         params.kappa_a, params.kappa_m, params.gamma_b, det.delta_a,
         det.delta_m_eff, params.omega_b, params.g_cw, params.g_ccw, params.J,
@@ -66,11 +75,6 @@ def build_drift(params: SystemParams, det: Detunings, g_m_eff: complex,
         raise ValueError("drift matrix inputs must be finite")
     ka, km, gb, da, dme, wb, gr, gl, J, gre, gim = values
     zero = np.zeros_like(ka)
-
-    if variant == VARIANT_IDEAL:
-        if np.any(J != 0) or np.any(gl != 0):
-            raise ValueError("ideal variant requires J = 0 and g_ccw = 0")
-        gl, J = zero, zero
 
     A = np.array([
         [-ka,  da,   zero, J,    zero, gr,   zero, zero],
@@ -161,6 +165,26 @@ def check_bisection(cap: float, resolution: float) -> None:
                              f"got {value!r} rad/s")
 
 
+def bisect_edge(passes, cap: float, resolution: float):
+    """Bracket (lo, hi) of the |G_m| where ``passes`` stops holding, or None
+    if it still holds at the cap.
+
+    Probes the cap first, then halves [0, cap] until the bracket is no wider
+    than ``resolution``; ``passes`` must hold at lo and fail at hi.  Callers
+    check the arguments with :func:`check_bisection` first.
+    """
+    if passes(cap):
+        return None
+    lo, hi = 0.0, cap
+    while hi - lo > resolution:
+        mid = 0.5 * (lo + hi)
+        if passes(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def max_stable_coupling(params: SystemParams, det: Detunings,
                         cap: float, resolution: float,
                         variant: str = VARIANT_IMPERFECT) -> CouplingEdge:
@@ -177,14 +201,8 @@ def max_stable_coupling(params: SystemParams, det: Detunings,
 
     if not stable_at(0.0):
         raise UnstableSystemError("system is unstable already at |G_m| = 0")
-    if stable_at(cap):
+    bracket = bisect_edge(stable_at, cap, resolution)
+    if bracket is None:
         return CouplingEdge(value=None, cap=cap, bracket=None)
-
-    lo, hi = 0.0, cap
-    while hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
-        if stable_at(mid):
-            lo = mid
-        else:
-            hi = mid
-    return CouplingEdge(value=0.5 * (lo + hi), cap=cap, bracket=(lo, hi))
+    lo, hi = bracket
+    return CouplingEdge(value=0.5 * (lo + hi), cap=cap, bracket=bracket)

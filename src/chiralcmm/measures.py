@@ -20,6 +20,16 @@ from .lyapunov import CovMatrix
 # roundoff inside analytic square roots: clip, don't fail, beyond -CLIP_TOL
 CLIP_TOL = 1e-12
 
+# a symplectic spectrum whose +-i*nu pairs differ by more than PAIRING_TOL
+# of its largest value is rejected
+PAIRING_TOL = 1e-8
+
+# Heisenberg check: symplectic eigenvalues down to 1/2 - PHYSICAL_SLACK pass
+PHYSICAL_SLACK = 1e-9
+
+# residuals below -VIOLATION_TOL are reported as monogamy violations
+VIOLATION_TOL = 1e-9
+
 
 class InvalidCovarianceError(ValueError):
     """The matrix is not a physically valid covariance matrix."""
@@ -39,26 +49,22 @@ def _floor_at_zero(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0.0, x, 0.0)
 
 
-def symplectic_form(n_modes: int) -> np.ndarray:
-    """Direct sum of [[0, 1], [-1, 0]] blocks in (X, Y) ordering."""
-    omega2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return np.kron(np.eye(n_modes), omega2)
-
-
-def symplectic_eigenvalues(V: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def symplectic_eigenvalues(V: np.ndarray) -> np.ndarray:
     """Symplectic spectrum of a symmetric 2n x 2n matrix, sorted ascending
     (one row per matrix of a (points, 2n, 2n) stack).
 
     The eigenvalues of Omega V come in pairs +-i*nu; the returned values are
-    the n distinct |nu|.  A spectrum that does not pair up within ``tol``
-    (relative to its largest value) is rejected as an invalid input.
+    the n distinct |nu|.  A spectrum that does not pair up within
+    PAIRING_TOL (relative to its largest value) is rejected as an invalid
+    input.
     """
     V = np.asarray(V, dtype=float)
     n2 = V.shape[-1]
     if V.ndim not in (2, 3) or V.shape[-2] != n2 or n2 % 2:
         raise InvalidCovarianceError("covariance matrix must be 2n x 2n")
     norm = np.maximum(np.linalg.norm(V, axis=(-2, -1)), 1e-300)
-    if np.any(np.linalg.norm(V - V.swapaxes(-2, -1), axis=(-2, -1)) > tol * norm):
+    if np.any(np.linalg.norm(V - V.swapaxes(-2, -1), axis=(-2, -1))
+              > PAIRING_TOL * norm):
         raise InvalidCovarianceError("covariance matrix must be symmetric")
     n = n2 // 2
     # Omega V exactly: row 2k is row 2k+1 of V, row 2k+1 is minus row 2k
@@ -67,7 +73,8 @@ def symplectic_eigenvalues(V: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     ev = np.sort(np.abs(np.linalg.eigvals(sign * V[..., swap, :])), axis=-1)
     pairs = ev.reshape(ev.shape[:-1] + (n, 2))
     scale = np.maximum(ev[..., -1:], 1e-300)
-    unpaired = np.any(np.abs(pairs[..., 1] - pairs[..., 0]) > tol * scale, axis=-1)
+    unpaired = np.any(np.abs(pairs[..., 1] - pairs[..., 0]) > PAIRING_TOL * scale,
+                      axis=-1)
     if np.any(unpaired):
         bad = ev if ev.ndim == 1 else ev[unpaired][0]
         raise InvalidCovarianceError(
@@ -75,10 +82,10 @@ def symplectic_eigenvalues(V: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     return pairs.mean(axis=-1)
 
 
-def is_physical(V: np.ndarray, slack: float = 1e-9):
-    """Heisenberg check: every symplectic eigenvalue >= 1/2 - slack (one
-    verdict per matrix of a stack)."""
-    ok = np.all(symplectic_eigenvalues(V) >= 0.5 - slack, axis=-1)
+def is_physical(V: np.ndarray):
+    """Heisenberg check: every symplectic eigenvalue >= 1/2 - PHYSICAL_SLACK
+    (one verdict per matrix of a stack)."""
+    ok = np.all(symplectic_eigenvalues(V) >= 0.5 - PHYSICAL_SLACK, axis=-1)
     return bool(ok) if np.ndim(ok) == 0 else ok
 
 
@@ -130,23 +137,6 @@ def _one_vs_two(V6: np.ndarray, single: int):
     return _floor_at_zero(-np.log(2.0 * nu[..., 0])), below
 
 
-def one_vs_two_log_negativity(V6: np.ndarray | CovMatrix, single: int | str):
-    """Logarithmic negativity across the 1|2 bipartition of a three-mode CM
-    (one value per matrix of a stack).
-
-    Partial transposition flips the momentum of the ``single`` mode; the
-    entanglement is -ln(2*nu_min) from the smallest symplectic eigenvalue of
-    the transposed matrix.  If more than one eigenvalue drops below 1/2 the
-    measure is only a lower bound; :func:`residual_contangle_min` reports
-    how often that happens.
-    """
-    if isinstance(V6, CovMatrix) and isinstance(single, str):
-        single = V6.mode_order.index(single)
-    V6 = _matrices(V6, 6, "one_vs_two expects a 6x6 matrix")
-    e = _one_vs_two(V6, single)[0]
-    return float(e) if e.ndim == 0 else e
-
-
 @dataclass(frozen=True)
 class ContangleReport:
     """Residual-contangle breakdown of a three-mode Gaussian state.
@@ -165,15 +155,14 @@ class ContangleReport:
     below_half: dict
 
 
-def residual_contangle_min(V6: np.ndarray | CovMatrix,
-                           violation_tol: float = 1e-9) -> ContangleReport:
+def residual_contangle_min(V6: np.ndarray | CovMatrix) -> ContangleReport:
     """Minimum residual contangle of a three-mode Gaussian state (or of each
     state of a stack).
 
     The contangle of a split is the squared logarithmic negativity; the
     residual for focus mode i is C_{i|jk} - C_{i|j} - C_{i|k} and the
     reported measure is the minimum over the three focus choices, floored
-    at zero.  Monogamy violations beyond ``violation_tol`` are reported as
+    at zero.  Monogamy violations beyond VIOLATION_TOL are reported as
     diagnostics rather than raised.
     """
     labels = V6.mode_order if isinstance(V6, CovMatrix) else (0, 1, 2)
@@ -200,7 +189,7 @@ def residual_contangle_min(V6: np.ndarray | CovMatrix,
     r_min = _floor_at_zero(np.minimum.reduce([residuals[i] for i in range(3)]))
     violations = tuple(
         tuple((labels[i], float(residuals[i][p])) for i in range(3)
-              if residuals[i][p] < -violation_tol)
+              if residuals[i][p] < -VIOLATION_TOL)
         for p in range(len(stack)))
     if V6.ndim == 3:
         return ContangleReport(r_min=r_min, residuals=residuals,

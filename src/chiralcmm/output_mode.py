@@ -39,6 +39,10 @@ from .params import DRIVE_CCW, DRIVE_CW, SystemParams
 MAGNON_WINDOWED = "windowed"
 MAGNON_INSTANT = "instant"
 
+#: absolute error target of the frequency integrals; an error estimate
+#: above 50 times it is refused
+QUAD_ABS_TOL = 1e-6
+
 
 class QuadratureError(RuntimeError):
     """Frequency integration did not reach the requested accuracy."""
@@ -146,8 +150,7 @@ class FilteredPairCM:
 def filtered_pair_cm(A: np.ndarray, D: np.ndarray, params: SystemParams,
                      spec: FilterSpec,
                      magnon_convention: str = MAGNON_WINDOWED,
-                     drive_port: str | None = None,
-                     abs_tol: float = 1e-6) -> FilteredPairCM:
+                     drive_port: str | None = None) -> FilteredPairCM:
     """Covariance matrix of the filtered output mode and the magnon mode.
 
     magnon_convention:
@@ -204,14 +207,14 @@ def filtered_pair_cm(A: np.ndarray, D: np.ndarray, params: SystemParams,
     breakpoints = sorted({abs(spec.omega_center), params.omega_b,
                           abs(spec.omega_center) + 20 / spec.tau})
     pts = [p for p in breakpoints if 0 < p < W]
-    val, err = quad_vec(integrand, 0.0, W, epsabs=abs_tol, epsrel=1e-10,
+    val, err = quad_vec(integrand, 0.0, W, epsabs=QUAD_ABS_TOL, epsrel=1e-10,
                         points=pts, quadrature="gk21")
     tail = np.abs(integrand(W)) * W  # bound for a >= 1/omega^2 decaying tail
     tail_err = float(np.max(tail))
-    if err > 50 * abs_tol:
+    if err > 50 * QUAD_ABS_TOL:
         raise QuadratureError(
             f"frequency integral error estimate {err:.3g} exceeds "
-            f"tolerance {abs_tol:.3g}")
+            f"tolerance {QUAD_ABS_TOL:.3g}")
 
     V = val
     V[:2, :2] += n_port * np.eye(2)
@@ -228,7 +231,7 @@ def filtered_pair_cm(A: np.ndarray, D: np.ndarray, params: SystemParams,
         "window": W,
     }
     if windowed:
-        c = _magnon_commutator(A, chans, mag_spec, W, pts, abs_tol)
+        c = _magnon_commutator(A, chans, mag_spec, W, pts)
         meta["magnon_commutator"] = c
         V[2:, :] /= math.sqrt(c)
         V[:, 2:] /= math.sqrt(c)
@@ -237,7 +240,7 @@ def filtered_pair_cm(A: np.ndarray, D: np.ndarray, params: SystemParams,
 
 
 def _magnon_commutator(A, chans: NoiseChannels, mag_spec: FilterSpec,
-                       W: float, pts, abs_tol: float) -> float:
+                       W: float, pts) -> float:
     """[f, f^dag] of the windowed magnon mode, for canonical renormalization.
 
     The window duration is comparable to the magnon lifetime, so the
@@ -251,12 +254,12 @@ def _magnon_commutator(A, chans: NoiseChannels, mag_spec: FilterSpec,
         f = K @ F_mag @ chans.comm @ F_mag.conj().T @ K.conj().T
         return 2.0 * np.imag(f)  # +-omega fold of the antisymmetric part
 
-    val, err = quad_vec(integrand, 0.0, W, epsabs=abs_tol, epsrel=1e-10,
+    val, err = quad_vec(integrand, 0.0, W, epsabs=QUAD_ABS_TOL, epsrel=1e-10,
                         points=pts, quadrature="gk21")
     c = 0.5 * float(val[0, 1] - val[1, 0])
     if not (c > 0 and math.isfinite(c)):
         raise QuadratureError(f"windowed magnon commutator came out {c!r}")
-    if err > 50 * abs_tol:
+    if err > 50 * QUAD_ABS_TOL:
         raise QuadratureError(
             f"commutator integral error estimate {err:.3g} too large")
     return c

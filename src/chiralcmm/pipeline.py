@@ -149,8 +149,10 @@ def _evaluate(params: SystemParams, det: Detunings, variant: str,
     P, dets = params.stacked(n), det.stacked(n)
     for k, ax in enumerate(axes):
         P, dets = SWEEPABLE[ax.name](P, dets, values[:, k])
-    steady = resolve_drive(P, dets, ports,
-                           variant_imperfect=(variant == VARIANT_IMPERFECT))
+    steady = resolve_drive(P, dets, ports)
+    # the drift sees the shifted magnon detuning: the input one, or the
+    # self-consistent one of the physical detuning mode
+    dets = Detunings(dets.delta_a, dets.delta_m, steady.delta_m_eff)
     model = linear_model.build_model(P, dets, steady.g_m_eff, variant)
     ok = model.stable
     cm = solve_lyapunov(model.A[ok], model.D[ok], gated=True)

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from .constants import hz
 from .linear_model import VARIANT_IDEAL
 from .output_mode import FilterSpec
-from .params import DRIVE_CW, Detunings, DriveSpec, SystemParams
+from .params import DRIVE_CW, Detunings, DriveSpec, SystemParams, drive_amplitude
 from .pipeline import MeasureRequest, SweepAxis, SweepSpec
-from .steady_state import SQRT2, amplitude_for_gm, ideal_means
+from .steady_state import amplitude_for_gm
 
 GM_MAGNON = hz(4.0e6)   # |G_m| used with the magnon-optimal set
 GM_PHONON = hz(2.5e6)   # |G_m| used with the phonon-optimal set
@@ -38,6 +38,9 @@ OPT_PHONON = (-0.76, 0.65)
 #: comb threshold <-> drive power pairing used to infer g_m
 COMB_GM = hz(8.5e6)
 COMB_POWER = 0.9  # W
+
+#: output filter bandwidth in units of omega_b
+FILTER_BANDWIDTH_RATIO = 0.1
 
 
 def magnon_set(**overrides) -> SystemParams:
@@ -62,33 +65,25 @@ def optimum(params: SystemParams, which: str) -> Detunings:
 def inferred_g_m() -> float:
     """g_m back-derived from the comb threshold <-> 0.9 W correspondence.
 
-    Evaluates the ideal steady state of the phonon set at its optimum
-    detunings for a 0.9 W drive and solves |G_m| = sqrt(2)*g_m*|<m>| for
-    g_m.  Documented as an inferred constant.
+    The product g_m*E that realizes COMB_GM for the chiral phonon set at
+    its optimum detunings, divided by the amplitude E of a 0.9 W drive.
+    Documented as an inferred constant.
     """
-    from .params import drive_amplitude
-
     p = phonon_set()
-    det = optimum(p, "phonon")
     E = drive_amplitude(COMB_POWER, p.omega_0, p.kappa_a_e)
-    m_unit = ideal_means(p, det, 1.0, DRIVE_CW).m
-    return COMB_GM / (SQRT2 * abs(m_unit) * E)
+    return amplitude_for_gm(p, optimum(p, "phonon"), COMB_GM) / E
 
 
 def reference_amplitude(which: str) -> float:
-    """Drive amplitude realizing the reference |G_m| in the ideal case.
+    """Drive amplitude realizing the reference |G_m| in the chiral case.
 
     The fixed-power sweeps (backscattering, coupling-ratio, temperature,
     and their tripartite variants) all drive with the amplitude that yields
-    the reference |G_m| for the corresponding ideal configuration at its
-    optimum detunings.
+    the reference |G_m| for the corresponding chiral configuration (J = 0,
+    g_ccw = 0) at its optimum detunings.
     """
-    g_m = inferred_g_m()
-    if which == "magnon":
-        p = magnon_set(g_m=g_m)
-        return amplitude_for_gm(p, optimum(p, "magnon"), GM_MAGNON, DRIVE_CW)
-    p = phonon_set(g_m=g_m)
-    return amplitude_for_gm(p, optimum(p, "phonon"), GM_PHONON, DRIVE_CW)
+    p = (magnon_set if which == "magnon" else phonon_set)(g_m=inferred_g_m())
+    return amplitude_for_gm(p, optimum(p, which), p.drive.value)
 
 
 def fixed_power_set(which: str, *, J: float = 0.0, chi: float = 0.0,
@@ -122,10 +117,11 @@ def _detuning_grid(params, pairs, n=101) -> SweepSpec:
     )
 
 
-def output_filter(params: SystemParams, bandwidth_ratio: float = 0.1) -> FilterSpec:
-    """Stokes-sideband filter: center -omega_b, bandwidth 0.1*omega_b."""
+def output_filter(params: SystemParams) -> FilterSpec:
+    """Stokes-sideband filter: center -omega_b, bandwidth
+    FILTER_BANDWIDTH_RATIO*omega_b."""
     return FilterSpec(omega_center=-params.omega_b,
-                      tau=1.0 / (bandwidth_ratio * params.omega_b))
+                      tau=1.0 / (FILTER_BANDWIDTH_RATIO * params.omega_b))
 
 
 def get(name: str, grid_points: int = 101) -> FigurePreset:

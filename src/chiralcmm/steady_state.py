@@ -3,10 +3,12 @@
 The driven circulating mode builds up a large coherent amplitude which,
 through the cavity-magnon exchange coupling, pumps the magnon mode; the
 enhanced effective magnomechanical coupling is G_m = sqrt(2)*g_m*<m>.
-This module evaluates the closed-form means for the strictly chiral
-("ideal") configuration and for the general one with backscattering
-J != 0 and residual coupling g_ccw != 0, and solves the dispersive-shift
-self-consistency when the bare magnon detuning is what is known.
+This module is the one place that knows the mean field: one closed form
+(backscattering J and residual coupling g_ccw included; the strictly
+chiral configuration is its J = 0, g_ccw = 0 case), the dispersive-shift
+self-consistency when the bare magnon detuning is what is known, the drive
+amplitude that realizes a given |G_m|, and the bare detuning that lands the
+shifted one where it is wanted.
 """
 
 from __future__ import annotations
@@ -29,6 +31,12 @@ from .params import (
 )
 
 SQRT2 = math.sqrt(2.0)
+
+# damped fixed-point iteration of the dispersive shift: relative tolerance
+# on |<m>|^2, iteration cap and damping factor
+SC_TOL = 1e-12
+SC_MAX_ITER = 500
+SC_DAMPING = 0.5
 
 
 class SingularConfigurationError(ValueError):
@@ -100,36 +108,15 @@ def _pack(params: SystemParams, det: Detunings, E: float | None,
                        e_amplitude=E, meta=dict(meta))
 
 
-def ideal_means(params: SystemParams, det: Detunings, E: float,
-                drive_port: str | None = None) -> SteadyField:
-    """Means for the strictly chiral configuration (J = 0).
-
-    The non-driven circulating mode is decoupled and stays empty.  Under CW
-    drive the magnon amplitude is
-    <m> = -i*g_cw*E / [g_cw^2 + (kappa_a + i*delta_a)(kappa_m + i*delta_m_eff)];
-    under CCW drive the same expression with the CCW coupling, which is 0 in
-    the chiral case, so the magnomechanics is not pumped at all.
-    Stacked parameters (and an array of ports) give arrays of means.
-    """
-    port = params.drive_port if drive_port is None else drive_port
-    g = _by_port(port, params.g_cw, params.g_ccw)
-    dme = det.delta_m_eff
-    den = g * g + (params.kappa_a + 1j * det.delta_a) * (params.kappa_m + 1j * dme)
-    if np.any(den == 0):
-        raise SingularConfigurationError("vanishing mean-field denominator")
-    m = -1j * g * E / den
-    a_driven = (E - 1j * g * m) / (params.kappa_a + 1j * det.delta_a)
-    a_cw = _by_port(port, a_driven, 0.0 + 0.0j)
-    a_ccw = _by_port(port, 0.0 + 0.0j, a_driven)
-    return _pack(params, det, E, a_cw, a_ccw, m, dme)
-
-
 def imperfect_means(params: SystemParams, det: Detunings, E: float,
                     drive_port: str | None = None) -> SteadyField:
     """Closed-form means with backscattering J and residual coupling g_ccw.
 
-    Reduces exactly to :func:`ideal_means` when J = 0 and the non-driven
-    coupling vanishes.  Both circulating modes are generally populated.
+    Both circulating modes are generally populated.  With J = 0 and the
+    non-driven coupling g_o = 0 this is the strictly chiral result
+    <m> = -i*g_d*E / [g_d^2 + (kappa_a + i*delta_a)(kappa_m + i*delta_m_eff)]
+    with the non-driven mode empty; a drive on the uncoupled port of the
+    chiral configuration leaves <m> = 0 exactly.
     Stacked parameters (and an array of ports) give arrays of means.
     """
     port = params.drive_port if drive_port is None else drive_port
@@ -151,17 +138,9 @@ def imperfect_means(params: SystemParams, det: Detunings, E: float,
     return _pack(params, det, E, a_cw, a_ccw, m, dme)
 
 
-def _closed_form(params, det, E, port):
-    if params.J == 0 and (params.g_ccw == 0 or params.g_cw == 0):
-        return ideal_means(params, det, E, port)
-    return imperfect_means(params, det, E, port)
-
-
 def self_consistent_solve(params: SystemParams, E: float,
                           drive_port: str | None = None,
-                          det: Detunings | None = None,
-                          tol: float = 1e-12, max_iter: int = 500,
-                          damping: float = 0.5) -> SteadyField:
+                          det: Detunings | None = None) -> SteadyField:
     """Fixed point of the coupled (<m>, <q>, delta_m_eff) system.
 
     The dispersive interaction shifts the magnon detuning by g_m*<q> with
@@ -182,18 +161,18 @@ def self_consistent_solve(params: SystemParams, E: float,
         return Detunings(base.delta_a, base.delta_m, base.delta_m + g_m * q)
 
     if g_m == 0.0 or E == 0.0:
-        out = _closed_form(params, shifted(0.0), E, port)
+        out = imperfect_means(params, shifted(0.0), E, port)
         return _pack(params, shifted(abs(out.m) ** 2), E, out.a_cw, out.a_ccw,
                      out.m, base.delta_m, iterations=1, branches=[abs(out.m) ** 2])
 
     msq = 0.0
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
-        m_new = _closed_form(params, shifted(msq), E, port).m
-        msq_new = (1 - damping) * msq + damping * abs(m_new) ** 2
+    for iterations in range(1, SC_MAX_ITER + 1):
+        m_new = imperfect_means(params, shifted(msq), E, port).m
+        msq_new = (1 - SC_DAMPING) * msq + SC_DAMPING * abs(m_new) ** 2
         scale = max(msq_new, msq, 1e-300)
-        if abs(msq_new - msq) <= tol * scale:
+        if abs(msq_new - msq) <= SC_TOL * scale:
             msq = msq_new
             converged = True
             break
@@ -201,7 +180,7 @@ def self_consistent_solve(params: SystemParams, E: float,
 
     # residual of the modulus equation, for root bracketing and reporting
     def h(x: float) -> float:
-        m = _closed_form(params, shifted(x), E, port).m
+        m = imperfect_means(params, shifted(x), E, port).m
         return abs(m) ** 2 - x
 
     branches = _bracket_roots(h, msq if converged else None, params, det=base,
@@ -209,18 +188,18 @@ def self_consistent_solve(params: SystemParams, E: float,
     if not converged:
         if not branches:
             raise ConvergenceError(
-                f"no self-consistent solution found after {max_iter} iterations")
+                f"no self-consistent solution found after {SC_MAX_ITER} iterations")
         msq = branches[0]  # continuation from zero drive: smallest amplitude
 
     d = shifted(msq)
-    out = _closed_form(params, d, E, port)
+    out = imperfect_means(params, d, E, port)
     return _pack(params, d, E, out.a_cw, out.a_ccw, out.m, d.delta_m_eff,
                  iterations=iterations, converged=converged, branches=branches)
 
 
 def _bracket_roots(h, seed: float | None, params, det, E, port) -> list[float]:
     """All fixed points of the modulus equation on a geometric scan grid."""
-    zero_shift = _closed_form(params, det, E, port).m
+    zero_shift = imperfect_means(params, det, E, port).m
     scale = max(abs(zero_shift) ** 2, seed or 0.0, 1e-30)
     grid = np.concatenate(([0.0], np.geomspace(scale * 1e-6, scale * 1e3, 200)))
     vals = np.array([h(x) for x in grid])
@@ -238,44 +217,55 @@ def _bracket_roots(h, seed: float | None, params, det, E, port) -> list[float]:
 
 
 def amplitude_for_gm(params: SystemParams, det: Detunings, gm_target: float,
-                     drive_port: str = DRIVE_CW) -> float:
-    """Drive amplitude E that realizes |G_m| = gm_target at fixed delta_m_eff.
+                     drive_port: str | None = None) -> float:
+    """Drive amplitude E that realizes |G_m| = gm_target at det.delta_m_eff.
 
-    Requires g_m.  The means are linear in E at fixed effective detuning, so
-    E = gm_target / (sqrt(2)*g_m*|<m>(E=1)|).
+    The means are linear in E at fixed effective detuning, so
+    E = gm_target / (sqrt(2)*g_m*|<m>(E=1)|).  Without g_m this is the
+    product g_m*E (the amplitude at g_m = 1), through which alone G_m
+    depends on the two.  Stacked parameters (and an array of ports) give
+    an array.
     """
-    if params.g_m is None:
-        raise ValueError("amplitude_for_gm requires g_m")
-    m1 = _closed_form(params, det, 1.0, drive_port).m
-    if m1 == 0:
+    port = params.drive_port if drive_port is None else drive_port
+    m1 = imperfect_means(params, det, 1.0, port).m
+    if np.any(m1 == 0):
         raise SingularConfigurationError(
             "drive port does not pump the magnon mode; |G_m| target unreachable")
-    return gm_target / (SQRT2 * params.g_m * abs(m1))
+    scale = gm_target / (SQRT2 * abs(m1))
+    return scale if params.g_m is None else scale / params.g_m
+
+
+def precompensated_detunings(params: SystemParams, det: Detunings, E: float,
+                             drive_port: str | None = None) -> Detunings:
+    """Detunings whose bare magnon detuning lands the dispersively shifted
+    one on det.delta_m_eff at drive amplitude E.
+
+    delta_m = delta_m_eff + g_m^2*|<m>|^2/omega_b (that is, minus g_m*<q>)
+    with <m> the closed-form mean at det.delta_m_eff; requires g_m.
+    """
+    if params.g_m is None:
+        raise ValueError("precompensated_detunings requires g_m")
+    m = imperfect_means(params, det, E, drive_port).m
+    shift = params.g_m ** 2 * abs(m) ** 2 / params.omega_b
+    return Detunings(det.delta_a, det.delta_m_eff + shift, det.delta_m_eff)
 
 
 def resolve_drive(params: SystemParams, det: Detunings,
-                  drive_port: str | None = None,
-                  variant_imperfect: bool | None = None) -> SteadyField:
+                  drive_port: str | None = None) -> SteadyField:
     """Evaluate the steady field for the configured drive specification.
 
     power/amplitude specs need g_m to convert <m> into G_m.  A |G_m| spec
     needs no g_m: the drive is calibrated on the strongly coupled port (the
     one with the larger cavity-magnon coupling), and the same underlying
     drive amplitude is implied for the opposite port, mirroring an
-    equal-power comparison.
+    equal-power comparison.  Without g_m (or with g_m = 0) the means are
+    reported for unit drive amplitude and ``e_amplitude`` is None.
 
     Stacked parameters with an array of ports give a SteadyField of arrays;
     the self-consistent solve of the physical detuning mode then runs point
     by point.
     """
     port = params.drive_port if drive_port is None else drive_port
-    if variant_imperfect is None:
-        means = _closed_form
-    elif variant_imperfect:
-        means = imperfect_means
-    else:
-        means = ideal_means
-
     spec = params.drive
     if spec.kind in (DRIVE_POWER, DRIVE_AMPLITUDE):
         if params.g_m is None:
@@ -283,27 +273,24 @@ def resolve_drive(params: SystemParams, det: Detunings,
         E = spec.value if spec.kind == DRIVE_AMPLITUDE else drive_amplitude(
             spec.value, params.omega_0, params.kappa_a_e)
         if params.detuning_mode != DETUNING_PHYSICAL:
-            return means(params, det, E, port)
+            return imperfect_means(params, det, E, port)
         if isinstance(port, str):
             return self_consistent_solve(params, E, port, det)
         return _stack_fields([
             self_consistent_solve(params.at(i), float(E[i]), str(p), det.at(i))
             for i, p in enumerate(port)])
 
-    # |G_m| spec: calibrate on the dominant chiral port at unit amplitude.
+    # |G_m| spec: calibrate on the dominant chiral port
     cal_cw = params.g_cw >= params.g_ccw
     cal_port = (np.where(cal_cw, DRIVE_CW, DRIVE_CCW) if np.ndim(cal_cw)
                 else DRIVE_CW if cal_cw else DRIVE_CCW)
-    m_cal = means(params, det, 1.0, cal_port).m
-    if np.any(m_cal == 0):
-        raise SingularConfigurationError(
-            "|G_m| target unreachable: calibration port does not pump the magnon")
-    scale = spec.value / (SQRT2 * abs(m_cal))   # equals g_m * E for any split
-    out = means(params, det, 1.0, port)
+    scale = amplitude_for_gm(params.replace(g_m=None), det, spec.value,
+                             cal_port)   # g_m * E
+    out = imperfect_means(params, det, 1.0, port)
     g_m_eff = SQRT2 * scale * out.m
-    if params.g_m is not None and params.g_m > 0:
+    if params.g_m:
         E = scale / params.g_m
-        full = means(params, det, E, port)
+        full = imperfect_means(params, det, E, port)
         return SteadyField(full.a_cw, full.a_ccw, full.m, full.q_mean,
                            g_m_eff, full.delta_m_eff, E, full.meta)
     return SteadyField(out.a_cw, out.a_ccw, out.m, 0.0, g_m_eff,

@@ -17,9 +17,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .linear_model import check_bisection
+from .linear_model import bisect_edge, check_bisection
 from .params import DRIVE_CCW, DRIVE_CW, Detunings, SystemParams
-from .steady_state import SQRT2, SingularConfigurationError, imperfect_means
+from .steady_state import (
+    SQRT2,
+    SingularConfigurationError,
+    amplitude_for_gm,
+    imperfect_means,
+    precompensated_detunings,
+)
 
 STEADY = "steady"
 OSCILLATORY = "oscillatory"
@@ -170,8 +176,8 @@ class AttractorReport:
     dominant_frequency: float | None  # rad/s, oscillatory case only
 
 
-def classify_attractor(traj: Trajectory, window_frac: float = 0.2,
-                       steady_tol: float = STEADY_TOL) -> AttractorReport:
+def classify_attractor(traj: Trajectory,
+                       window_frac: float = 0.2) -> AttractorReport:
     """Settled vs self-oscillating, from the tail of the trajectory.
 
     The analysis window is the final fraction of the run and must span at
@@ -189,7 +195,7 @@ def classify_attractor(traj: Trajectory, window_frac: float = 0.2,
     if peak == 0.0:
         return AttractorReport(STEADY, 0.0, 0.0, None)
     variation = float(np.ptp(amp)) / max(mean, 1e-300)
-    if variation < steady_tol:
+    if variation < STEADY_TOL:
         return AttractorReport(STEADY, variation, mean, None)
     # dominant oscillation line of the tail spectrum (diagnostic only)
     detrended = amp - np.mean(amp)
@@ -213,23 +219,6 @@ class CombThreshold:
     @property
     def no_comb_below_cap(self) -> bool:
         return self.value is None
-
-
-def _probe_setup(params: SystemParams, det: Detunings, gm_target: float):
-    """Drive amplitude and bare detuning realizing |G_m| at delta_m_eff.
-
-    The intended fixed point has |<m>| = gm_target/(sqrt(2)*g_m); the bare
-    detuning is pre-compensated so that the dispersive shift lands the
-    effective detuning exactly on det.delta_m_eff at that amplitude.
-    """
-    g_m, wb = params.g_m, params.omega_b
-    m_target = gm_target / (SQRT2 * g_m)
-    m_unit = imperfect_means(params, det, 1.0).m
-    if m_unit == 0:
-        raise ValueError("drive port does not pump the magnon mode")
-    E = m_target / abs(m_unit)
-    delta_m_bare = det.delta_m_eff + g_m**2 * m_target**2 / wb
-    return E, Detunings(det.delta_a, delta_m_bare, det.delta_m_eff)
 
 
 def comb_threshold(params: SystemParams, det: Detunings, cap: float,
@@ -257,25 +246,19 @@ def comb_threshold(params: SystemParams, det: Detunings, cap: float,
 
     probes, nfev = [], []
 
-    def probe(gm_target: float) -> str:
-        E, det_bare = _probe_setup(params, det, gm_target)
-        traj = integrate_classical(params, det_bare, E, t_end=t_end)
+    def settles(gm_target: float) -> bool:
+        E = amplitude_for_gm(params, det, gm_target)
+        traj = integrate_classical(params,
+                                   precompensated_detunings(params, det, E),
+                                   E, t_end=t_end)
         rep = classify_attractor(traj)
         probes.append((gm_target, rep.kind, SQRT2 * params.g_m * rep.mean_m_abs))
         nfev.append(int(traj.stats["nfev"]))
-        return rep.kind
+        return rep.kind == STEADY
 
-    if probe(cap) == STEADY:
-        return CombThreshold(value=None, cap=cap, bracket=None,
-                             probes=tuple(probes), probe_nfev=tuple(nfev))
-    lo, hi = 0.0, cap
-    while hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
-        if probe(mid) == STEADY:
-            lo = mid
-        else:
-            hi = mid
-    return CombThreshold(value=0.5 * (lo + hi), cap=cap, bracket=(lo, hi),
+    bracket = bisect_edge(settles, cap, resolution)
+    value = None if bracket is None else 0.5 * (bracket[0] + bracket[1])
+    return CombThreshold(value=value, cap=cap, bracket=bracket,
                          probes=tuple(probes), probe_nfev=tuple(nfev))
 
 

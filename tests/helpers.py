@@ -1,14 +1,15 @@
-"""Shared constructions for the test suite: random stable systems, random
-symplectic transformations, random physical covariance matrices, the
-two-mode squeezed state with its known entanglement, and the Schur-method
-Lyapunov oracle."""
+"""Shared constructions for the test suite: random stable systems, the
+symplectic form, random symplectic transformations, random physical
+covariance matrices, the two-mode squeezed state with its known
+entanglement, the Schur-method Lyapunov oracle and the strictly chiral
+closed-form means."""
 
 import math
 
 import numpy as np
 import scipy.linalg
 
-from chiralcmm.measures import symplectic_form
+from chiralcmm.steady_state import SQRT2, SteadyField
 
 
 def random_stable_system(rng, n=8, margin=0.5):
@@ -24,6 +25,11 @@ def random_stable_system(rng, n=8, margin=0.5):
 def schur_lyapunov(A, D):
     """V with A V + V A^T = -D by the Bartels-Stewart (Schur) method."""
     return scipy.linalg.solve_continuous_lyapunov(A, -D)
+
+
+def symplectic_form(n_modes):
+    """Direct sum of [[0, 1], [-1, 0]] blocks in (X, Y) ordering."""
+    return np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
 def random_symplectic(rng, n_modes, scale=0.4):
@@ -55,3 +61,26 @@ def two_mode_squeezed_cm(r, n_th=0.0):
     s = -(n_th + 0.5) * math.sinh(2.0 * r)
     Z = np.diag([1.0, -1.0])
     return np.block([[c * np.eye(2), s * Z], [s * Z, c * np.eye(2)]])
+
+
+def ideal_means(params, det, E, drive_port=None):
+    """Means of the strictly chiral configuration (J = 0) by its own closed
+    form, an oracle for the library's general one.
+
+    The non-driven circulating mode is decoupled and stays empty; the
+    magnon amplitude is
+    <m> = -i*g*E / [g^2 + (kappa_a + i*delta_a)(kappa_m + i*delta_m_eff)]
+    with g the coupling of the driven mode.
+    """
+    port = drive_port or params.drive_port
+    g = params.g_cw if port == "cw" else params.g_ccw
+    ka = params.kappa_a + 1j * det.delta_a
+    m = -1j * g * E / (g * g + ka * (params.kappa_m + 1j * det.delta_m_eff))
+    a_driven = (E - 1j * g * m) / ka
+    a_cw, a_ccw = (a_driven, 0j) if port == "cw" else (0j, a_driven)
+    g_m = params.g_m
+    return SteadyField(
+        a_cw=a_cw, a_ccw=a_ccw, m=m,
+        q_mean=0.0 if g_m is None else -g_m * abs(m) ** 2 / params.omega_b,
+        g_m_eff=None if g_m is None else SQRT2 * g_m * m,
+        delta_m_eff=det.delta_m_eff, e_amplitude=E)

@@ -75,8 +75,7 @@ class TestAcceptance:
         t0 = time.time()
         pre = presets.get("fig2d_magnon")
         model = build_model(pre.params, pre.detunings,
-                            resolve_drive(pre.params, pre.detunings,
-                                          variant_imperfect=False).g_m_eff,
+                            resolve_drive(pre.params, pre.detunings).g_m_eff,
                             "ideal")
         out = filtered_pair_cm(model.A, model.D, pre.params, pre.filter_spec,
                                MAGNON_INSTANT)
@@ -264,7 +263,7 @@ class TestAcceptance:
             )
             det = Detunings.effective(rng.uniform(-2, 0) * p.omega_b,
                                       rng.uniform(0, 2) * p.omega_b)
-            sf = resolve_drive(p, det, variant_imperfect=True)
+            sf = resolve_drive(p, det)
             model = build_model(p, det, sf.g_m_eff, "imperfect")
             if not model.stable:
                 continue
@@ -276,8 +275,7 @@ class TestAcceptance:
         # the figure operating domains (the negativity-based contangle can
         # dip below zero off-design; see test_measures stress test)
         def min_residual(params, det, variant):
-            sf = resolve_drive(params, det,
-                               variant_imperfect=(variant == "imperfect"))
+            sf = resolve_drive(params, det)
             model = build_model(params, det, sf.g_m_eff, variant)
             if not model.stable:
                 return 0.0

@@ -14,6 +14,7 @@ from chiralcmm.cli import (
     main,
     parse_config_text,
 )
+from chiralcmm.steady_state import precompensated_detunings
 
 BASE_CONFIG = """\
 # minimal single-point configuration
@@ -119,6 +120,27 @@ class TestSteadyCommand:
         rows = dict(line.split(",") for line in out.read_text().splitlines()
                     if line and not line.startswith("#") and "field" not in line)
         assert float(rows["abs_g_m_eff_hz"]) == 0.0
+
+    def test_variants_share_one_mean_field(self, tmp_path):
+        def values(variant):
+            out = tmp_path / f"{variant}.csv"
+            assert main(["steady", "--config", "fig2b", "--variant", variant,
+                         "--out", str(out)]) == EXIT_OK
+            return {k: float(v) for k, v in (
+                line.split(",") for line in out.read_text().splitlines()
+                if line and not line.startswith("#") and "field" not in line)}
+
+        ideal, imperfect = values("ideal"), values("imperfect")
+        assert ideal.keys() == imperfect.keys()
+        for key, value in imperfect.items():
+            assert ideal[key] == pytest.approx(value, rel=1e-12, nan_ok=True)
+
+    def test_ideal_variant_rejects_backscattering(self, capsys):
+        # the same J = 0 / g_ccw = 0 check as the ideal drift matrix
+        rc = main(["steady", "--config", "fig2b", "--variant", "ideal",
+                   "--set", "system.j_coupling=1e5"])
+        assert rc == EXIT_CONFIG
+        assert "ideal variant requires J = 0" in capsys.readouterr().err
 
     def test_metadata_block_present(self, config_path, capsys):
         assert main(["steady", "--config", config_path]) == EXIT_OK
@@ -295,6 +317,31 @@ class TestCombThresholdCommand:
         rc = main(["comb-threshold", "--config", "figs1", *argv])
         assert rc == EXIT_CONFIG
         assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("mode", ["effective", "physical"])
+    def test_dump_integrates_from_the_bare_detuning(self, mode, monkeypatch,
+                                                    tmp_path):
+        # an effective magnon detuning is pre-compensated for the dispersive
+        # shift; a physical one already is the bare detuning
+        calls = []
+
+        def short_run(params, det, E):
+            calls.append((det, E))
+            return time_domain.integrate_classical(params, det, E, t_end=1e-7)
+
+        monkeypatch.setattr(cli, "integrate_classical", short_run)
+        argv = ["comb-threshold", "--config", "figs1", "--set",
+                f"detuning.mode={mode}",
+                "--dump-trajectory", str(tmp_path / "t.csv")]
+        assert main(argv) == EXIT_OK
+        cfg = load_config(cli.build_parser().parse_args(argv))
+        ((det, E),) = calls
+        assert E == cfg.params.drive.value
+        if mode == "physical":
+            assert det == cfg.detunings
+        else:
+            assert det == precompensated_detunings(cfg.params, cfg.detunings, E)
+            assert det.delta_m > det.delta_m_eff == cfg.detunings.delta_m_eff
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_probes_in_metadata(self, fmt, tmp_path):

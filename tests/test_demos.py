@@ -1,0 +1,32 @@
+"""The narrative demos still run against the library.
+
+Each of demos 01-05 runs as its own process in a temporary directory (demo
+02 writes ``detuning_map.csv`` into its working directory) and must exit 0,
+so a renamed or removed library name cannot break a demo silently.  Demo 06
+(two classical-dynamics runs, about 3 s on a 2-core host) is not among
+them; run it by hand after changing ``time_domain`` or ``steady_state``.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("0[1-5]_*.py"))
+
+
+def test_all_five_demos_found():
+    assert len(DEMOS) == 5
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs(demo, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

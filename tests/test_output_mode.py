@@ -36,7 +36,7 @@ def spectral_matrix(A, chans, omega, kappa_a_e, port="cw"):
 def fig2d_point():
     p = SystemParams()
     det = Detunings.effective(-0.72 * p.omega_b, 0.76 * p.omega_b)
-    sf = resolve_drive(p, det, variant_imperfect=False)
+    sf = resolve_drive(p, det)
     model = build_model(p, det, sf.g_m_eff, "ideal")
     spec = FilterSpec(omega_center=-p.omega_b, tau=10.0 / p.omega_b)
     return p, model, spec
@@ -178,8 +178,7 @@ class TestTimeDomainOracle:
         p = SystemParams(kappa_a_e=hz(4.8e6), g_cw=hz(8e6), g_ccw=hz(0.8e6),
                          J=hz(0.5e6), temperature=0.05)
         det = Detunings.effective(-0.76 * p.omega_b, 0.65 * p.omega_b)
-        model = build(p, det, rd(p, det, variant_imperfect=True).g_m_eff,
-                      "imperfect")
+        model = build(p, det, rd(p, det).g_m_eff, "imperfect")
         spec = FilterSpec(omega_center=-p.omega_b, tau=8.0 / p.omega_b)
         freq = filtered_pair_cm(model.A, model.D, p, spec, MAGNON_INSTANT).V
         time_dom = self.oracle(model.A, p, spec)

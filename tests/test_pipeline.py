@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.testing import assert_allclose
 
-from chiralcmm import pipeline
+from chiralcmm import linear_model, pipeline
 from chiralcmm.cli import write_table
 from chiralcmm.constants import hz
+from chiralcmm.linear_model import build_drift
 from chiralcmm.output_mode import FilterSpec
 from chiralcmm.params import Detunings, DriveSpec
 from chiralcmm.pipeline import (
@@ -105,8 +107,8 @@ class TestContrast:
         # backscattering configuration: CCW drive yields a much smaller G_m
         pre = presets.get("fig4a")
         p = pre.params.replace(J=0.5 * pre.params.kappa_m)
-        cw = resolve_drive(p, pre.detunings, "cw", variant_imperfect=True)
-        ccw = resolve_drive(p, pre.detunings, "ccw", variant_imperfect=True)
+        cw = resolve_drive(p, pre.detunings, "cw")
+        ccw = resolve_drive(p, pre.detunings, "ccw")
         assert abs(ccw.g_m_eff) < 0.2 * abs(cw.g_m_eff)
 
 
@@ -267,6 +269,37 @@ class TestBlockEngine:
         assert res.meta["error_rows"] == 0
         for row, v, port in zip(res.rows, values, ports):
             assert _bits(row) == _bits(_single_point_row(pre, v, str(port)))
+
+    def test_physical_mode_drift_sees_the_dispersive_shift(self, monkeypatch):
+        # the drift is built at the self-consistent delta_m_eff, not at the
+        # bare magnon detuning the physical mode starts from
+        p = presets.fixed_power_set("magnon", chi=0.1).replace(
+            detuning_mode="physical", omega_a=hz(10e9) - 0.72 * hz(10e6),
+            omega_m=hz(10e9) + 0.76 * hz(10e6))
+        det = Detunings.physical(p)
+        sf = resolve_drive(p, det)
+        assert det.delta_m - sf.delta_m_eff > 0.05 * p.omega_b
+        expected = build_drift(
+            p, Detunings(det.delta_a, det.delta_m, sf.delta_m_eff), sf.g_m_eff)
+
+        drifts = []
+        build_model = linear_model.build_model
+
+        def recording(*args):
+            model = build_model(*args)
+            drifts.append(model.A)
+            return model
+
+        monkeypatch.setattr(linear_model, "build_model", recording)
+        evaluate_point(p, det, "imperfect", "cw")
+        # the first row, at the configured temperature, is the same point
+        spec = SweepSpec(axes=(SweepAxis("temperature", p.temperature, 0.05, 2),),
+                         request=MeasureRequest(pairs=(("a_cw", "m"),),
+                                                triples=()))
+        run_sweep(p, det, spec)
+        assert len(drifts) == 2
+        assert_allclose(drifts[0][0], expected, rtol=1e-12, atol=0)
+        assert_allclose(drifts[1][0], expected, rtol=1e-12, atol=0)
 
     def test_output_identical_across_worker_counts(self):
         pre = presets.get("fig2a", grid_points=23)

@@ -10,11 +10,12 @@ from chiralcmm.params import Detunings, DriveSpec, SystemParams
 from chiralcmm.steady_state import (
     SQRT2,
     amplitude_for_gm,
-    ideal_means,
     imperfect_means,
     resolve_drive,
     self_consistent_solve,
 )
+
+from helpers import ideal_means
 
 
 def mean_field_solve(p, det, E, drive_port=None):
@@ -50,13 +51,13 @@ class TestIdealMeans:
     def test_zero_drive(self):
         p = SystemParams()
         det = Detunings.effective(-p.omega_b, p.omega_b)
-        sf = ideal_means(p, det, 0.0)
+        sf = imperfect_means(p, det, 0.0)
         assert sf.a_cw == 0 and sf.a_ccw == 0 and sf.m == 0
 
     def test_chiral_decoupling_under_ccw_drive(self):
         p = SystemParams()
         det = Detunings.effective(-p.omega_b, p.omega_b)
-        sf = ideal_means(p, det, hz(50e6), drive_port="ccw")
+        sf = imperfect_means(p, det, hz(50e6), drive_port="ccw")
         assert sf.m == 0 and sf.q_mean == 0
         assert sf.a_ccw != 0 and sf.a_cw == 0
 
@@ -69,7 +70,7 @@ class TestIdealMeans:
         E = hz(100e6)
         g, ka, km = hz(4e6), hz(3e6), hz(1e6)
         expected = -1j * g * E / (g * g + (ka + 1j * -wb) * (km + 1j * wb))
-        sf = ideal_means(p, det, E)
+        sf = imperfect_means(p, det, E)
         assert sf.m == pytest.approx(expected, rel=1e-14)
         assert abs(sf.m) == pytest.approx(3.3148538883453393, rel=1e-12)
 
@@ -78,7 +79,7 @@ class TestIdealMeans:
         p = SystemParams()
         det = Detunings.effective(-0.72 * p.omega_b, 0.76 * p.omega_b)
         E = hz(80e6)
-        sf = ideal_means(p, det, E)
+        sf = imperfect_means(p, det, E)
         lhs = (p.kappa_a + 1j * det.delta_a) * sf.a_cw + 1j * p.g_cw * sf.m
         assert lhs == pytest.approx(E, rel=1e-12)
 
@@ -162,7 +163,7 @@ class TestSelfConsistentSolve:
         det = Detunings.physical(p)
         E = hz(0.1e6)  # |G_m| << kappa_m
         sf = self_consistent_solve(p, E)
-        one_shot = ideal_means(p, det, E)
+        one_shot = imperfect_means(p, det, E)
         assert sf.m == pytest.approx(one_shot.m, rel=1e-4)
 
     def test_strong_drive_matches_bracketing_oracle(self):
@@ -200,7 +201,7 @@ class TestDriveResolution:
         p = SystemParams(drive=DriveSpec("gm_abs", hz(4e6)))
         det = Detunings.effective(-0.72 * p.omega_b, 0.76 * p.omega_b)
         sf = resolve_drive(p, det)
-        m1 = ideal_means(p, det, 1.0).m
+        m1 = imperfect_means(p, det, 1.0).m
         assert cmath.phase(sf.g_m_eff) == pytest.approx(cmath.phase(m1), abs=1e-12)
 
     def test_amplitude_calibration_round_trip(self):

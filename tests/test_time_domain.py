@@ -8,14 +8,18 @@ from numpy.testing import assert_allclose
 
 from chiralcmm.constants import hz
 from chiralcmm.params import Detunings, SystemParams
-from chiralcmm.steady_state import SQRT2, ideal_means, imperfect_means
+from chiralcmm.steady_state import (
+    SQRT2,
+    amplitude_for_gm,
+    imperfect_means,
+    precompensated_detunings,
+)
 from chiralcmm.time_domain import (
     OSCILLATORY,
     STEADY,
     InconclusiveError,
     Trajectory,
     _fixed_point_scales,
-    _probe_setup,
     classify_attractor,
     comb_threshold,
     default_horizon,
@@ -43,7 +47,7 @@ class TestIntegration:
         det = bare_detunings(p, -0.72 * p.omega_b, 0.76 * p.omega_b)
         E = hz(50e6)
         traj = integrate_classical(p, det, E, t_end=default_horizon(p))
-        ref = ideal_means(p, det, E)
+        ref = imperfect_means(p, det, E)
         assert traj.m[-1] == pytest.approx(ref.m, rel=1e-6)
         assert traj.a_cw[-1] == pytest.approx(ref.a_cw, rel=1e-6)
 
@@ -156,8 +160,9 @@ class TestCombThreshold:
         pre = presets.get("fig2b")
         p = pre.params.replace(g_m=1.0)
         target = hz(6e6)
-        E, det = _probe_setup(p, pre.detunings, target)
-        traj = integrate_classical(p, det, E)
+        E = amplitude_for_gm(p, pre.detunings, target)
+        traj = integrate_classical(
+            p, precompensated_detunings(p, pre.detunings, E), E)
         rep = classify_attractor(traj)
         assert rep.kind == STEADY
         assert SQRT2 * p.g_m * rep.mean_m_abs == pytest.approx(target, rel=1e-8)
