@@ -41,6 +41,7 @@ from .params import (
     DETUNING_PHYSICAL,
     DRIVE_CCW,
     DRIVE_CW,
+    DRIVE_GM_ABS,
     Detunings,
     DriveSpec,
     SystemParams,
@@ -55,6 +56,7 @@ from .pipeline import (
     run_sweep,
 )
 from .steady_state import (
+    GM_ABS_PHYSICAL,
     ConvergenceError,
     SingularConfigurationError,
     precompensated_detunings,
@@ -291,6 +293,10 @@ def load_config(args) -> RunConfig:
                           choices=(MAGNON_INSTANT, MAGNON_WINDOWED))
     filter_spec = _build_filter(sections, params)
     sweep = _build_sweep(sections, filter_spec, convention)
+    gm_abs = params.drive.kind == DRIVE_GM_ABS or (
+        sweep is not None and any(ax.name == "gm_abs" for ax in sweep.axes))
+    if gm_abs and params.detuning_mode == DETUNING_PHYSICAL:
+        raise ConfigError(GM_ABS_PHYSICAL)
     resolved = _canonical_text(sections)
     digest = hashlib.sha256(resolved.encode()).hexdigest()
     workers = getattr(args, "workers", None)

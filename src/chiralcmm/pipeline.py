@@ -6,8 +6,8 @@ Evaluation runs on blocks of points.  A block goes through every stage as
 arrays: stacked parameters, closed-form means, (n, 8, 8) drift and
 diffusion stacks, one stability gate, one stacked Lyapunov solve and the
 vectorized measures.  Only the self-consistent mean field of the physical
-detuning mode and the filtered-output quadrature run point by point inside
-a block.  Every stage treats each point on its own, so a row does not
+detuning mode and the filtered-output quadrature (one stacked call per
+adaptive pass) run point by point inside a block.  Every stage treats each point on its own, so a row does not
 depend on the block it is evaluated in, and ``evaluate_point`` is the same
 evaluator run on a block of one point.
 
@@ -27,6 +27,7 @@ other exception fails the sweep.
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -327,15 +328,30 @@ def grid_rows(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
             np.tile(np.array(ports), len(points)))
 
 
-#: sweep metadata keys of the diagnostic counts, in the order of the
-#: counts evaluate_block returns
+#: sweep metadata keys of the diagnostic counts (summed over blocks)
 SWEEP_COUNTS = ("unphysical_rows", "several_below_half_rows", "error_rows")
+#: sweep metadata keys of a filtered sweep's largest quadrature error and
+#: tail estimate over its filtered rows (None if no row was filtered), and
+#: the filtered_pair_cm meta entries they are taken from
+SWEEP_MAXIMA = {"filtered_quad_error_max": "quad_error",
+                "filtered_tail_estimate_max": "tail_estimate"}
+
+
+def _merge(diag_a: dict, diag_b: dict) -> dict:
+    """Diagnostics of two row sets together: counts add, maxima take the
+    larger (NaN stands for no filtered row)."""
+    return {key: (float(np.fmax(value, diag_b[key])) if key in SWEEP_MAXIMA
+                  else value + diag_b[key])
+            for key, value in diag_a.items()}
 
 
 def evaluate_block(params: SystemParams, det: Detunings, spec: SweepSpec,
                    values: np.ndarray, ports: np.ndarray):
     """Rows of the sweep points given by ``values`` and ``ports`` (as from
-    :func:`grid_rows`), and their SWEEP_COUNTS diagnostic counts."""
+    :func:`grid_rows`), and their diagnostics: the SWEEP_COUNTS counts and,
+    for a filtered sweep, the SWEEP_MAXIMA maxima."""
+    maxima = dict.fromkeys(SWEEP_MAXIMA if spec.request.filter_spec else (),
+                           np.nan)
     try:
         block = _evaluate(params, det, spec.variant, spec.request, spec.axes,
                           values, ports)
@@ -344,13 +360,13 @@ def evaluate_block(params: SystemParams, det: Detunings, spec: SweepSpec,
             pad = len(_row_columns(spec)) - len(spec.axes) - 2
             row = (*values[0].tolist(), str(ports[0]), *[np.nan] * pad,
                    f"{type(exc).__name__}: {exc}")
-            return [row], np.array([0, 0, 1])
+            return [row], {**dict(zip(SWEEP_COUNTS, (0, 0, 1))), **maxima}
         half = len(ports) // 2
-        rows_a, counts_a = evaluate_block(params, det, spec, values[:half],
-                                          ports[:half])
-        rows_b, counts_b = evaluate_block(params, det, spec, values[half:],
-                                          ports[half:])
-        return rows_a + rows_b, counts_a + counts_b
+        rows_a, diag_a = evaluate_block(params, det, spec, values[:half],
+                                        ports[:half])
+        rows_b, diag_b = evaluate_block(params, det, spec, values[half:],
+                                        ports[half:])
+        return rows_a + rows_b, _merge(diag_a, diag_b)
 
     columns = [*values.T.tolist(), ports.tolist(),
                block.stable.astype(int).tolist(),
@@ -361,9 +377,14 @@ def evaluate_block(params: SystemParams, det: Detunings, spec: SweepSpec,
     if spec.request.filter_spec is not None:
         columns += [block.filtered_e_n.tolist(), block.fidelity.tolist()]
     columns.append([""] * len(ports))
-    counts = np.array([np.sum(block.stable & ~block.physical),
-                       np.sum(block.several_below_half), 0])
-    return list(zip(*columns)), counts
+    counts = (np.sum(block.stable & ~block.physical),
+              np.sum(block.several_below_half), 0)
+    if maxima:
+        filtered = [m for m in block.filtered_meta if m is not None]
+        maxima = {key: max((m[entry] for m in filtered), default=np.nan)
+                  for key, entry in SWEEP_MAXIMA.items()}
+    return list(zip(*columns)), {**dict(zip(SWEEP_COUNTS, map(int, counts))),
+                                 **maxima}
 
 
 def _evaluate_task(task):
@@ -376,7 +397,9 @@ def run_sweep(params: SystemParams, det: Detunings, spec: SweepSpec,
 
     ``meta`` counts the rows whose covariance fails :func:`is_physical`, the
     rows where a 1|2 partial transpose had more than one symplectic
-    eigenvalue below 1/2, and the rows with an in-row error.
+    eigenvalue below 1/2, and the rows with an in-row error.  A filtered
+    sweep adds the largest quadrature error estimate and tail estimate of
+    its filtered rows (SWEEP_MAXIMA).
     """
     values, ports = grid_rows(spec)
     tasks = [(params, det, spec, values[i:i + BLOCK_POINTS],
@@ -389,6 +412,9 @@ def run_sweep(params: SystemParams, det: Detunings, spec: SweepSpec,
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_evaluate_task, tasks))
     rows = [row for block_rows, _ in results for row in block_rows]
-    counts = sum(c for _, c in results)
+    meta = functools.reduce(_merge, (diag for _, diag in results))
+    for key in SWEEP_MAXIMA:
+        if key in meta and np.isnan(meta[key]):
+            meta[key] = None
     return SweepResult(columns=_row_columns(spec), rows=tuple(rows), spec=spec,
-                       meta=dict(zip(SWEEP_COUNTS, map(int, counts))))
+                       meta=meta)

@@ -24,6 +24,7 @@ from .params import (
     DRIVE_AMPLITUDE,
     DRIVE_CCW,
     DRIVE_CW,
+    DRIVE_GM_ABS,
     DRIVE_POWER,
     Detunings,
     SystemParams,
@@ -31,6 +32,13 @@ from .params import (
 )
 
 SQRT2 = math.sqrt(2.0)
+
+#: why a |G_m| drive spec is refused in the physical detuning mode: the
+#: calibration holds delta_m_eff fixed, so the mode's dispersive shift would
+#: silently be dropped
+GM_ABS_PHYSICAL = (f"a {DRIVE_GM_ABS} drive spec needs detuning mode "
+                   f"'effective': its dispersive shift in mode "
+                   f"'{DETUNING_PHYSICAL}' is not modelled")
 
 # damped fixed-point iteration of the dispersive shift: relative tolerance
 # on |<m>|^2, iteration cap and damping factor
@@ -258,7 +266,8 @@ def resolve_drive(params: SystemParams, det: Detunings,
     needs no g_m: the drive is calibrated on the strongly coupled port (the
     one with the larger cavity-magnon coupling), and the same underlying
     drive amplitude is implied for the opposite port, mirroring an
-    equal-power comparison.  Without g_m (or with g_m = 0) the means are
+    equal-power comparison.  A |G_m| spec in the physical detuning mode
+    raises ValueError (GM_ABS_PHYSICAL).  Without g_m (or with g_m = 0) the means are
     reported for unit drive amplitude and ``e_amplitude`` is None.
 
     Stacked parameters with an array of ports give a SteadyField of arrays;
@@ -281,6 +290,8 @@ def resolve_drive(params: SystemParams, det: Detunings,
             for i, p in enumerate(port)])
 
     # |G_m| spec: calibrate on the dominant chiral port
+    if params.detuning_mode == DETUNING_PHYSICAL:
+        raise ValueError(GM_ABS_PHYSICAL)
     cal_cw = params.g_cw >= params.g_ccw
     cal_port = (np.where(cal_cw, DRIVE_CW, DRIVE_CCW) if np.ndim(cal_cw)
                 else DRIVE_CW if cal_cw else DRIVE_CCW)

@@ -142,6 +142,18 @@ class TestSteadyCommand:
         assert rc == EXIT_CONFIG
         assert "ideal variant requires J = 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", [
+        [],                                       # the config's |G_m| drive
+        ["--set", "drive.spec=amplitude", "--set", "drive.value=1e8",
+         "--set", "system.g_m=0.2", "--set", "sweep.axis1=gm_abs,1e6,4e6,2"],
+    ], ids=["drive", "sweep-axis"])
+    def test_gm_abs_refused_in_physical_mode(self, override, sweep_config_path,
+                                             capsys):
+        rc = main(["sweep", "--config", sweep_config_path,
+                   "--set", "detuning.mode=physical", *override])
+        assert rc == EXIT_CONFIG
+        assert "detuning mode 'effective'" in capsys.readouterr().err
+
     def test_metadata_block_present(self, config_path, capsys):
         assert main(["steady", "--config", config_path]) == EXIT_OK
         text = capsys.readouterr().out
@@ -238,6 +250,21 @@ class TestSweepCommand:
         assert [ln.split(",")[-1] != "" for ln in data[1:]] == [False, True]
         meta = json.loads(jsonl_out.read_text().splitlines()[0])["_meta"]
         assert {key: meta[key] for key in counts} == counts
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_quadrature_maxima_in_metadata(self, fmt, tmp_path):
+        out = tmp_path / f"f.{fmt}"
+        assert main(["sweep", "--config", "fig2d_magnon", "--workers", "1",
+                     "--set", "sweep.axis1=gamma_b,10,1e5,3", "--format", fmt,
+                     "--out", str(out)]) == EXIT_OK
+        lines = out.read_text().splitlines()
+        if fmt == "csv":
+            meta = dict(ln[2:].split(" = ", 1) for ln in lines
+                        if ln.startswith("# ") and " = " in ln)
+        else:
+            meta = json.loads(lines[0])["_meta"]
+        for key in ("filtered_quad_error_max", "filtered_tail_estimate_max"):
+            assert 0 < float(meta[key]) < 1e-3
 
     def test_worker_flag_output_identical(self, sweep_config_path, tmp_path):
         out1, out2 = tmp_path / "w1.csv", tmp_path / "w2.csv"

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad, quad_vec
 
+from chiralcmm import output_mode, pipeline, presets
 from chiralcmm.constants import hz
 from chiralcmm.linear_model import build_model
 from chiralcmm.lyapunov import solve_lyapunov
@@ -13,13 +16,17 @@ from chiralcmm.output_mode import (
     MAGNON_INSTANT,
     MAGNON_WINDOWED,
     FilterSpec,
+    QuadratureError,
+    QuadResult,
     _transfers,
+    adaptive_gk21,
     filter_transform,
     filtered_pair_cm,
     noise_channels,
     susceptibility,
 )
 from chiralcmm.params import Detunings, SystemParams
+from chiralcmm.pipeline import MeasureRequest, SweepAxis, SweepSpec
 from chiralcmm.steady_state import resolve_drive
 
 
@@ -40,6 +47,21 @@ def fig2d_point():
     model = build_model(p, det, sf.g_m_eff, "ideal")
     spec = FilterSpec(omega_center=-p.omega_b, tau=10.0 / p.omega_b)
     return p, model, spec
+
+
+def fig2d_sweep(num):
+    """The fig2d_magnon preset and its filtered gamma_b sweep cut to ``num``
+    points."""
+    pre = presets.get("fig2d_magnon")
+    axis = pre.sweep.axes[0]
+    request = MeasureRequest(pairs=pre.sweep.request.pairs,
+                             triples=pre.sweep.request.triples,
+                             filter_spec=pre.filter_spec,
+                             magnon_convention=MAGNON_INSTANT)
+    spec = SweepSpec(axes=(SweepAxis(axis.name, axis.start, axis.stop, num),),
+                     drive_ports=pre.sweep.drive_ports,
+                     variant=pre.sweep.variant, request=request)
+    return pre, spec
 
 
 class TestFilterTransform:
@@ -242,3 +264,134 @@ class TestFilteredPairCM:
         p, model, spec = fig2d_point()
         out = filtered_pair_cm(model.A, model.D, p, spec, MAGNON_WINDOWED)
         assert out.meta["magnon_commutator"] > 0
+
+
+def lorentzians(centers, widths):
+    """Stacked integrand: a 2x3 block of sharp Lorentzian peaks per
+    abscissa, the second row modulated by sin(3x)."""
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        peaks = np.stack([w / ((x - c) ** 2 + w ** 2)
+                          for c, w in zip(centers, widths)], axis=-1)
+        return np.stack([peaks, np.sin(3.0 * x)[..., None] * peaks], axis=-2)
+    return f
+
+
+def scipy_gk21(f, a, b, points=(), *, epsabs, epsrel, limit=10000):
+    """The same integral by scipy's quad_vec on scalar calls of f."""
+    val, err, info = quad_vec(lambda x: f(np.array([x]))[0], a, b,
+                              epsabs=epsabs, epsrel=epsrel, limit=limit,
+                              points=list(points) or None, quadrature="gk21",
+                              full_output=True)
+    return QuadResult(val, err, sorted(map(tuple, info.intervals.tolist())))
+
+
+class TestAdaptiveGK21:
+    """quad_vec is the oracle: the stacked integrator must visit the same
+    intervals and return the same integral and error estimate."""
+
+    # the library's tolerances, and tighter ones that end at the
+    # rounding-error stop or at the interval limit, where the batch rule
+    # and the stops shape the final partition
+    TOLERANCES = {"library": dict(epsabs=1e-6, epsrel=1e-10),
+                  "rounding": dict(epsabs=0.0, epsrel=1e-14),
+                  "unreachable": dict(epsabs=0.0, epsrel=1e-16, limit=400)}
+
+    def check(self, f, a, b, points, tolerance):
+        kwargs = self.TOLERANCES[tolerance]
+        ours = adaptive_gk21(f, a, b, points, **kwargs)
+        ref = scipy_gk21(f, a, b, points, **kwargs)
+        assert ours.intervals == ref.intervals
+        assert ours.value.shape == ref.value.shape
+        assert (np.max(np.abs(ours.value - ref.value))
+                <= 1e-14 * np.linalg.norm(ref.value))
+        assert ours.error == pytest.approx(ref.error, rel=1e-12)
+        return ours
+
+    @pytest.mark.parametrize("tolerance", sorted(TOLERANCES))
+    @pytest.mark.parametrize("widths", [(1e-3, 1e-2, 5e-4), (0.1, 0.07, 0.13)],
+                             ids=["sharp", "wide"])
+    @pytest.mark.parametrize("points", [(), (0.3, 0.7, 1.1, 0.7, 9.0)],
+                             ids=["plain", "breakpoints"])
+    def test_matches_quad_vec_on_peaks(self, points, widths, tolerance):
+        f = lorentzians((0.3, 1.0, 1.9), widths)
+        ours = self.check(f, 0.0, 2.5, points, tolerance)
+        assert len(ours.intervals) > 6     # the peaks force splits
+
+    @settings(max_examples=12)
+    @given(centers=st.lists(st.floats(0.05, 2.45), min_size=3, max_size=3),
+           log_widths=st.lists(st.floats(-4.0, -1.0), min_size=3, max_size=3),
+           split=st.booleans(), tolerance=st.sampled_from(sorted(TOLERANCES)))
+    def test_matches_quad_vec_for_any_peaks(self, centers, log_widths, split,
+                                            tolerance):
+        f = lorentzians(centers, [10.0 ** w for w in log_widths])
+        self.check(f, 0.0, 2.5, sorted(centers) if split else (), tolerance)
+
+    @pytest.mark.parametrize("conv", [MAGNON_INSTANT, MAGNON_WINDOWED])
+    def test_filtered_pair_cm_matches_quad_vec(self, conv, monkeypatch):
+        p, model, spec = fig2d_point()
+        ours = filtered_pair_cm(model.A, model.D, p, spec, conv)
+        monkeypatch.setattr(output_mode, "adaptive_gk21", scipy_gk21)
+        ref = filtered_pair_cm(model.A, model.D, p, spec, conv)
+        assert np.max(np.abs(ours.V - ref.V)) <= 1e-14
+        assert ours.meta["quad_error"] == pytest.approx(ref.meta["quad_error"],
+                                                        rel=1e-12)
+
+
+def capped(limit, calls=None):
+    """adaptive_gk21 with its interval limit cut to ``limit`` on the calls
+    numbered in ``calls`` (all calls if None), so those stop after their
+    initial intervals with a large error estimate."""
+    real = adaptive_gk21
+    count = [0]
+
+    def integrate(*args, **kwargs):
+        count[0] += 1
+        if calls is None or count[0] in calls:
+            kwargs["limit"] = limit
+        return real(*args, **kwargs)
+    return integrate
+
+
+class TestQuadratureFailure:
+    @pytest.mark.parametrize("conv", [MAGNON_INSTANT, MAGNON_WINDOWED])
+    def test_pair_integral_refused(self, conv, monkeypatch):
+        p, model, spec = fig2d_point()
+        monkeypatch.setattr(output_mode, "adaptive_gk21", capped(1))
+        with pytest.raises(QuadratureError, match="frequency integral error"):
+            filtered_pair_cm(model.A, model.D, p, spec, conv)
+
+    def test_windowed_commutator_refused(self, monkeypatch):
+        p, model, spec = fig2d_point()
+        # the commutator (about 7e-8) sits below the default absolute
+        # tolerance, so tighten it; the first call is the pair integral,
+        # which still converges, the second the commutator
+        monkeypatch.setattr(output_mode, "QUAD_ABS_TOL", 1e-12)
+        monkeypatch.setattr(output_mode, "adaptive_gk21", capped(1, calls={2}))
+        with pytest.raises(QuadratureError, match="commutator integral error"):
+            filtered_pair_cm(model.A, model.D, p, spec, MAGNON_WINDOWED)
+
+    def test_sweep_rows_carry_the_failure(self, monkeypatch):
+        pre, spec = fig2d_sweep(6)
+        good = pipeline.run_sweep(pre.params, pre.detunings, spec).rows
+        doomed = {good[1][0], good[4][0]}      # gamma_b of rows 1 and 4
+        real = pipeline.filtered_pair_cm
+
+        def failing_for_doomed(A, D, params, *args, **kwargs):
+            if params.gamma_b not in doomed:
+                return real(A, D, params, *args, **kwargs)
+            with monkeypatch.context() as m:
+                m.setattr(output_mode, "adaptive_gk21", capped(1))
+                return real(A, D, params, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "filtered_pair_cm", failing_for_doomed)
+        res = pipeline.run_sweep(pre.params, pre.detunings, spec)
+        assert res.meta["error_rows"] == 2
+        for i, (row, ref) in enumerate(zip(res.rows, good)):
+            if i in (1, 4):
+                assert row[:2] == ref[:2]
+                assert row[-1].startswith("QuadratureError: frequency integral")
+                assert all(np.isnan(v) for v in row[2:-1])
+            else:
+                assert repr(row) == repr(ref)
+

@@ -301,6 +301,34 @@ class TestBlockEngine:
         assert_allclose(drifts[0][0], expected, rtol=1e-12, atol=0)
         assert_allclose(drifts[1][0], expected, rtol=1e-12, atol=0)
 
+    def test_quadrature_maxima_identical_across_worker_counts(self,
+                                                              monkeypatch):
+        pre = presets.get("fig2d_magnon")
+        axis = pre.sweep.axes[0]
+        request = MeasureRequest(pairs=(("a_cw", "m"),), triples=(),
+                                 filter_spec=pre.filter_spec)
+        spec = SweepSpec(axes=(SweepAxis(axis.name, axis.start, axis.stop, 7),),
+                         request=request)
+        monkeypatch.setattr(pipeline, "BLOCK_POINTS", 3)   # three blocks
+        single = run_sweep(pre.params, pre.detunings, spec, workers=1)
+        pooled = run_sweep(pre.params, pre.detunings, spec, workers=2)
+        assert single.meta == pooled.meta
+        values, ports = grid_rows(spec)
+        quad = [evaluate_point(pre.params.replace(gamma_b=v[0]), pre.detunings,
+                               spec.variant, str(port), request).meta["filtered"]
+                for v, port in zip(values, ports)]
+        assert single.meta["filtered_quad_error_max"] == max(
+            m["quad_error"] for m in quad)
+        assert single.meta["filtered_tail_estimate_max"] == max(
+            m["tail_estimate"] for m in quad)
+
+    def test_unfiltered_sweep_has_no_quadrature_maxima(self):
+        p, det = magnon_point()
+        spec = SweepSpec(axes=(SweepAxis("chi", 0.0, 0.5, 2),),
+                         request=MeasureRequest(pairs=(("a_cw", "m"),),
+                                                triples=()))
+        assert "filtered_quad_error_max" not in run_sweep(p, det, spec).meta
+
     def test_output_identical_across_worker_counts(self):
         pre = presets.get("fig2a", grid_points=23)
         assert 23 * 23 > 2 * BLOCK_POINTS    # at least three blocks

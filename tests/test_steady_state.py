@@ -216,3 +216,10 @@ class TestDriveResolution:
         det = Detunings.effective(-p.omega_b, p.omega_b)
         with pytest.raises(ValueError, match="g_m"):
             resolve_drive(p, det)
+
+    def test_gm_abs_spec_refused_in_physical_mode(self):
+        # the |G_m| calibration would silently drop the dispersive shift
+        p = SystemParams(drive=DriveSpec("gm_abs", hz(4e6)), g_m=0.2,
+                         detuning_mode="physical")
+        with pytest.raises(ValueError, match="detuning mode 'effective'"):
+            resolve_drive(p, Detunings.physical(p))
