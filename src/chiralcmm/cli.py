@@ -515,8 +515,10 @@ def cmd_comb_threshold(cfg: RunConfig, args) -> int:
     else:
         rows.append(("comb_threshold_hz", to_hz(res.value)))
     probes = [{"target_hz": to_hz(target), "kind": kind,
-               "realized_hz": to_hz(realized), "nfev": nfev}
-              for (target, kind, realized), nfev in zip(res.probes, res.probe_nfev)]
+               "realized_hz": to_hz(realized), "nfev": nfev,
+               "variation": variation}
+              for (target, kind, realized), nfev, variation
+              in zip(res.probes, res.probe_nfev, res.probe_variation)]
     return _write_result(args, cfg, columns, rows,
                          {"ode_start": "zero", "probes": probes})
 

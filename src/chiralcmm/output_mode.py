@@ -54,6 +54,11 @@ MAGNON_INSTANT = "instant"
 #: above 50 times it is refused
 QUAD_ABS_TOL = 1e-6
 
+#: relative error target of the windowed magnon commutator, which is far
+#: below QUAD_ABS_TOL (about 7e-8 at the fig2d point); an error estimate
+#: above 50 times it, relative to the commutator, is refused
+COMM_REL_TOL = 1e-6
+
 
 class QuadratureError(RuntimeError):
     """Frequency integration did not reach the requested accuracy."""
@@ -346,14 +351,27 @@ def filtered_pair_cm(A: np.ndarray, D: np.ndarray, params: SystemParams,
 
     n_port = chans.n_port + 0.5
 
+    widths = [40.0 / spec.tau,
+              10.0 * (params.kappa_a + params.kappa_m + params.omega_b)]
+    W = (max(abs(spec.omega_center), params.omega_b if windowed else 0.0)
+         + max(widths))
+    breakpoints = sorted({abs(spec.omega_center), params.omega_b,
+                          abs(spec.omega_center) + 20 / spec.tau})
+    pts = [p for p in breakpoints if 0 < p < W]
+    if windowed:
+        # the windowed magnon is integrated already renormalized, so that
+        # its block is resolved to the same absolute error as the output's
+        c = _magnon_commutator(A, chans, mag_spec, W, pts)
+        mag_scale = 1.0 / math.sqrt(c)
+
     def integrand(omega: np.ndarray) -> np.ndarray:
         # (k, 4, 4) on an array of k frequencies
         F_out, F_mag = _transfers(A, chans, port, params.kappa_a_e, omega)
         K_out = _quad_kernel(spec, omega)
         H = np.empty((len(omega), 4, 11), dtype=complex)
         H[:, :2] = K_out @ F_out
-        H[:, 2:] = (_quad_kernel(mag_spec, omega) @ F_mag if windowed
-                    else inv_sqrt_2pi * F_mag)
+        H[:, 2:] = (mag_scale * (_quad_kernel(mag_spec, omega) @ F_mag)
+                    if windowed else inv_sqrt_2pi * F_mag)
         full = (H * sig) @ _adjoint(H)
         # white output part, integrated analytically over the full line
         full[:, :2, :2] -= n_port * (K_out @ _adjoint(K_out))
@@ -364,13 +382,6 @@ def filtered_pair_cm(A: np.ndarray, D: np.ndarray, params: SystemParams,
         # fold +-omega: the full-line integral of the two is 2*Re
         return 2.0 * np.real(full)
 
-    widths = [40.0 / spec.tau,
-              10.0 * (params.kappa_a + params.kappa_m + params.omega_b)]
-    W = (max(abs(spec.omega_center), params.omega_b if windowed else 0.0)
-         + max(widths))
-    breakpoints = sorted({abs(spec.omega_center), params.omega_b,
-                          abs(spec.omega_center) + 20 / spec.tau})
-    pts = [p for p in breakpoints if 0 < p < W]
     val, err, _ = adaptive_gk21(integrand, 0.0, W, pts,
                                 epsabs=QUAD_ABS_TOL, epsrel=1e-10)
     # bound for a >= 1/omega^2 decaying tail
@@ -396,10 +407,7 @@ def filtered_pair_cm(A: np.ndarray, D: np.ndarray, params: SystemParams,
         "window": W,
     }
     if windowed:
-        c = _magnon_commutator(A, chans, mag_spec, W, pts)
         meta["magnon_commutator"] = c
-        V[2:, :] /= math.sqrt(c)
-        V[:, 2:] /= math.sqrt(c)
     V = 0.5 * (V + V.T)
     return FilteredPairCM(V=V, meta=meta)
 
@@ -420,11 +428,12 @@ def _magnon_commutator(A, chans: NoiseChannels, mag_spec: FilterSpec,
         return 2.0 * np.imag(f)  # +-omega fold of the antisymmetric part
 
     val, err, _ = adaptive_gk21(integrand, 0.0, W, pts,
-                                epsabs=QUAD_ABS_TOL, epsrel=1e-10)
+                                epsabs=0.0, epsrel=COMM_REL_TOL)
     c = 0.5 * float(val[0, 1] - val[1, 0])
     if not (c > 0 and math.isfinite(c)):
         raise QuadratureError(f"windowed magnon commutator came out {c!r}")
-    if err > 50 * QUAD_ABS_TOL:
+    if err > 50 * COMM_REL_TOL * c:
         raise QuadratureError(
-            f"commutator integral error estimate {err:.3g} too large")
+            f"commutator integral error estimate {err:.3g} too large for "
+            f"the commutator {c:.3g}")
     return c

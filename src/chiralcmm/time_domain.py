@@ -6,7 +6,9 @@ the drive frequency, with the full dispersive nonlinearity -i*g_m*<m><q> and
 radiation-pressure-like force -g_m*|<m>|^2.  A drive that settles to a fixed
 amplitude is classified STEADY; persistent amplitude oscillation of |<m>(t)|
 marks the self-oscillation (comb) regime, and the threshold in |G_m| is
-located by bisection on the drive scale.
+located by bisection on the drive scale.  The attractor is read from the
+final WINDOW_FRAC of the run only, so the comb probes dense-sample that
+analysis window alone; the integrator's steps do not depend on the samples.
 """
 
 from __future__ import annotations
@@ -32,6 +34,9 @@ OSCILLATORY = "oscillatory"
 
 # relative peak-to-peak variation of |<m>| below which the motion is settled
 STEADY_TOL = 1e-3
+
+# final fraction of the run that the attractor is classified from
+WINDOW_FRAC = 0.2
 
 # DOP853 error control: relative tolerance per component, and absolute
 # tolerance per component as a fraction of that component's fixed-point scale
@@ -100,15 +105,61 @@ def _fixed_point_scales(params: SystemParams, det: Detunings, E: float,
     return np.where(scales > 0, scales, fallback)
 
 
+def make_rhs(params: SystemParams, det: Detunings, E: float, port: str):
+    """Right-hand side f(t, y) of the classical equations on the real state
+    y = (Re a_cw, Im a_cw, Re a_ccw, Im a_ccw, Re m, Im m, q, p).
+
+    This is the integration hot loop, so it works on plain floats.  Each
+    component repeats, operation for operation, the rounding of the complex
+    form (d<a_cw>/dt = -(kappa_a + i*delta_a)<a_cw> - i(J<a_ccw> +
+    g_cw<m>) + E_cw, and so on) and gives the same bits for any finite
+    state.  It drops the products with an exact zero part, except the
+    0.0*x terms of i*(g_cw<a_cw> + g_ccw<a_ccw>) and the final + 0.0 of
+    the cavity equations, which decide the sign of a zero derivative.
+    """
+    e_cw = E if port == DRIVE_CW else 0.0
+    e_ccw = E if port == DRIVE_CCW else 0.0
+    ca = params.kappa_a + 1j * det.delta_a
+    cm_ = params.kappa_m + 1j * det.delta_m
+    car, cai, cmr, cmi = ca.real, ca.imag, cm_.real, cm_.imag
+    gr, gl, J, gm = params.g_cw, params.g_ccw, params.J, params.g_m
+    wb, gb = params.omega_b, params.gamma_b
+
+    def rhs(_t, y):
+        ar, ai, cr, ci, mr, mi, q, p = y.tolist()
+        w = cmi + gm * q
+        ur = gr * ar - 0.0 * ai + (gl * cr - 0.0 * ci)
+        ui = gr * ai + 0.0 * ar + (gl * ci + 0.0 * cr)
+        return [-car * ar + cai * ai + (J * ci + gr * mi) + e_cw,
+                -car * ai - cai * ar - (J * cr + gr * mr) + 0.0,
+                -car * cr + cai * ci + (J * ai + gl * mi) + e_ccw,
+                -car * ci - cai * cr - (J * ar + gl * mr) + 0.0,
+                -cmr * mr + w * mi - (0.0 * ur - ui),
+                -cmr * mi - w * mr - (0.0 * ui + ur),
+                wb * p,
+                -wb * q - gb * p - gm * (mr * mr + mi * mi)]
+
+    return rhs
+
+
 def integrate_classical(params: SystemParams, det: Detunings, E: float,
                         t_end: float | None = None,
                         drive_port: str | None = None,
-                        y0=None, samples_per_period: int = 48) -> Trajectory:
+                        y0=None, samples_per_period: int = 48,
+                        window_frac: float | None = None) -> Trajectory:
     """Integrate the classical averages from ``y0`` (default: all modes empty).
 
     ``det.delta_m`` is the bare magnon detuning; the dispersive shift
     develops dynamically through the g_m*<m><q> term, so g_m must be given.
     With E = 0 and a zero initial state the trajectory is identically zero.
+
+    The samples lie on a uniform grid of ``samples_per_period`` points per
+    mechanical period from t = 0 (``stats["n_grid"]`` points).  With
+    ``window_frac``, only the grid points from index
+    int(n_grid*(1 - window_frac)) on are sampled: the analysis window of
+    ``classify_attractor`` at that fraction.  The steps do not depend on the
+    samples, so those are bitwise the tail of the full-grid run, and the
+    steps before the window build no dense output.
 
     Error control: DOP853 accepts a step when the root mean square over
     components of err_i / (RTOL*|y_i| + ATOL_REL*s_i) is at most 1, where
@@ -125,46 +176,28 @@ def integrate_classical(params: SystemParams, det: Detunings, E: float,
     if params.g_m is None:
         raise ValueError("integrate_classical requires g_m")
     port = drive_port or params.drive_port
-    e_cw = E if port == DRIVE_CW else 0.0
-    e_ccw = E if port == DRIVE_CCW else 0.0
-    ka, km, gb = params.kappa_a, params.kappa_m, params.gamma_b
-    da, dm = det.delta_a, det.delta_m
-    gr, gl, J, gm, wb = params.g_cw, params.g_ccw, params.J, params.g_m, params.omega_b
-    ca = ka + 1j * da
-    cm_ = km + 1j * dm
-
-    def rhs(_t, y):
-        # plain-float complex arithmetic: this is the integration hot loop
-        yf = y.tolist()
-        acw = complex(yf[0], yf[1])
-        accw = complex(yf[2], yf[3])
-        m = complex(yf[4], yf[5])
-        q, p = yf[6], yf[7]
-        d_acw = -ca * acw - 1j * (J * accw + gr * m) + e_cw
-        d_accw = -ca * accw - 1j * (J * acw + gl * m) + e_ccw
-        d_m = -(cm_ + 1j * gm * q) * m - 1j * (gr * acw + gl * accw)
-        d_q = wb * p
-        d_p = -wb * q - gb * p - gm * (m.real * m.real + m.imag * m.imag)
-        return [d_acw.real, d_acw.imag, d_accw.real, d_accw.imag,
-                d_m.real, d_m.imag, d_q, d_p]
-
+    wb = params.omega_b
     if t_end is None:
         t_end = default_horizon(params)
     y0 = np.zeros(8) if y0 is None else np.asarray(y0, dtype=float)
     atol = ATOL_REL * _fixed_point_scales(params, det, E, port, y0)
     n_samples = max(int(samples_per_period * t_end * wb / (2 * math.pi)), 200)
     t_eval = np.linspace(0.0, t_end, n_samples)
+    if window_frac is not None:
+        if not 0.0 < window_frac <= 1.0:
+            raise ValueError(f"window_frac must lie in (0, 1], got {window_frac}")
+        t_eval = t_eval[int(n_samples * (1.0 - window_frac)):]
     with np.errstate(over="ignore", invalid="ignore"):  # rejected trial steps
-        sol = solve_ivp(rhs, (0.0, t_end), y0, method="DOP853",
-                        t_eval=t_eval, rtol=RTOL, atol=atol)
+        sol = solve_ivp(make_rhs(params, det, E, port), (0.0, t_end), y0,
+                        method="DOP853", t_eval=t_eval, rtol=RTOL, atol=atol)
     if not sol.success:
         raise IntegrationError(f"integration failed: {sol.message}")
     y = sol.y
     return Trajectory(
         t=sol.t, a_cw=y[0] + 1j * y[1], a_ccw=y[2] + 1j * y[3],
         m=y[4] + 1j * y[5], q=y[6], p=y[7],
-        stats={"nfev": sol.nfev, "omega_b": wb, "t_end": t_end,
-               "drive_port": port, "amplitude": E},
+        stats={"nfev": sol.nfev, "n_grid": n_samples, "omega_b": wb,
+               "t_end": t_end, "drive_port": port, "amplitude": E},
     )
 
 
@@ -177,15 +210,23 @@ class AttractorReport:
 
 
 def classify_attractor(traj: Trajectory,
-                       window_frac: float = 0.2) -> AttractorReport:
+                       window_frac: float = WINDOW_FRAC) -> AttractorReport:
     """Settled vs self-oscillating, from the tail of the trajectory.
 
-    The analysis window is the final fraction of the run and must span at
-    least 10 mechanical periods; shorter windows raise InconclusiveError.
+    The analysis window is the final fraction of the run's sample grid and
+    must span at least 10 mechanical periods; shorter windows raise
+    InconclusiveError.  A trajectory sampled only on its tail (see
+    ``integrate_classical``'s ``window_frac``) counts its grid from
+    ``stats["n_grid"]``; a window that reaches before its first sample
+    raises ValueError.
     """
     wb = traj.stats.get("omega_b")
-    n = traj.t.size
-    start = int(n * (1.0 - window_frac))
+    n = traj.stats.get("n_grid", traj.t.size)
+    start = int(n * (1.0 - window_frac)) - (n - traj.t.size)
+    if start < 0:
+        raise ValueError(f"analysis window of {window_frac} reaches before "
+                         f"the first of the trajectory's {traj.t.size} "
+                         f"samples (grid of {n})")
     window_t = traj.t[start:]
     if wb is not None and (window_t[-1] - window_t[0]) < 10 * 2 * math.pi / wb:
         raise InconclusiveError("analysis window shorter than 10 mechanical periods")
@@ -215,6 +256,7 @@ class CombThreshold:
     bracket: tuple[float, float] | None
     probes: tuple                # (target |G_m|, kind, realized |G_m|) triples
     probe_nfev: tuple = ()       # right-hand-side calls of each probe's ODE run
+    probe_variation: tuple = ()  # each probe's AttractorReport.variation
 
     @property
     def no_comb_below_cap(self) -> bool:
@@ -233,7 +275,8 @@ def comb_threshold(params: SystemParams, det: Detunings, cap: float,
     steady side of the final bracket.  If g_m is not set, an arbitrary
     reference value is used internally; the reported |G_m| is invariant
     under the (g_m, E) -> (g_m/s, s*E) rescaling of the dynamics.  Every
-    probe integrates from the empty state (all modes zero).
+    probe integrates from the empty state (all modes zero) and dense-samples
+    only its analysis window, the final WINDOW_FRAC of the run.
     """
     if resolution is None:
         resolution = 2 * math.pi * 0.05e6
@@ -244,22 +287,24 @@ def comb_threshold(params: SystemParams, det: Detunings, cap: float,
         # the drive cannot pump the magnon at all: no comb at any power
         return CombThreshold(value=None, cap=cap, bracket=None, probes=())
 
-    probes, nfev = [], []
+    probes, nfev, variation = [], [], []
 
     def settles(gm_target: float) -> bool:
         E = amplitude_for_gm(params, det, gm_target)
         traj = integrate_classical(params,
                                    precompensated_detunings(params, det, E),
-                                   E, t_end=t_end)
+                                   E, t_end=t_end, window_frac=WINDOW_FRAC)
         rep = classify_attractor(traj)
         probes.append((gm_target, rep.kind, SQRT2 * params.g_m * rep.mean_m_abs))
         nfev.append(int(traj.stats["nfev"]))
+        variation.append(rep.variation)
         return rep.kind == STEADY
 
     bracket = bisect_edge(settles, cap, resolution)
     value = None if bracket is None else 0.5 * (bracket[0] + bracket[1])
     return CombThreshold(value=value, cap=cap, bracket=bracket,
-                         probes=tuple(probes), probe_nfev=tuple(nfev))
+                         probes=tuple(probes), probe_nfev=tuple(nfev),
+                         probe_variation=tuple(variation))
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:

@@ -1,8 +1,8 @@
 """Shared constructions for the test suite: random stable systems, the
 symplectic form, random symplectic transformations, random physical
 covariance matrices, the two-mode squeezed state with its known
-entanglement, the Schur-method Lyapunov oracle and the strictly chiral
-closed-form means."""
+entanglement, the Schur-method Lyapunov oracle, the strictly chiral
+closed-form means and the complex-form classical right-hand side."""
 
 import math
 
@@ -84,3 +84,31 @@ def ideal_means(params, det, E, drive_port=None):
         q_mean=0.0 if g_m is None else -g_m * abs(m) ** 2 / params.omega_b,
         g_m_eff=None if g_m is None else SQRT2 * g_m * m,
         delta_m_eff=det.delta_m_eff, e_amplitude=E)
+
+
+def complex_rhs(params, det, E, drive_port=None):
+    """Right-hand side of the classical equations in complex arithmetic,
+    the form the library's float ``time_domain.make_rhs`` reproduces."""
+    port = drive_port or params.drive_port
+    e_cw = E if port == "cw" else 0.0
+    e_ccw = E if port == "ccw" else 0.0
+    ca = params.kappa_a + 1j * det.delta_a
+    cm_ = params.kappa_m + 1j * det.delta_m
+    gr, gl, J, gm = params.g_cw, params.g_ccw, params.J, params.g_m
+    wb, gb = params.omega_b, params.gamma_b
+
+    def rhs(_t, y):
+        yf = y.tolist()
+        acw = complex(yf[0], yf[1])
+        accw = complex(yf[2], yf[3])
+        m = complex(yf[4], yf[5])
+        q, p = yf[6], yf[7]
+        d_acw = -ca * acw - 1j * (J * accw + gr * m) + e_cw
+        d_accw = -ca * accw - 1j * (J * acw + gl * m) + e_ccw
+        d_m = -(cm_ + 1j * gm * q) * m - 1j * (gr * acw + gl * accw)
+        d_q = wb * p
+        d_p = -wb * q - gb * p - gm * (m.real * m.real + m.imag * m.imag)
+        return [d_acw.real, d_acw.imag, d_accw.real, d_accw.imag,
+                d_m.real, d_m.imag, d_q, d_p]
+
+    return rhs

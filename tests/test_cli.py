@@ -394,6 +394,7 @@ class TestCombThresholdCommand:
         assert probe["target_hz"] == 6e6 and probe["kind"] == "steady"
         assert probe["realized_hz"] == pytest.approx(6e6, rel=1e-8)
         assert 0 < probe["nfev"] < 50_000
+        assert 0 <= probe["variation"] < time_domain.STEADY_TOL
 
 
 class TestPresets:

@@ -265,6 +265,23 @@ class TestFilteredPairCM:
         out = filtered_pair_cm(model.A, model.D, p, spec, MAGNON_WINDOWED)
         assert out.meta["magnon_commutator"] > 0
 
+    def test_windowed_commutator_converged(self, monkeypatch):
+        # the commutator (about 7e-8) lies far below the pair integral's
+        # absolute tolerance; quad_vec at epsabs 1e-12 is the oracle
+        p, model, spec = fig2d_point()
+        out = filtered_pair_cm(model.A, model.D, p, spec, MAGNON_WINDOWED)
+        real = adaptive_gk21
+
+        def tight_commutator(f, a, b, points=(), **kwargs):
+            if f(np.array([a]))[0].shape == (2, 2):    # not the 4x4 pair
+                return scipy_gk21(f, a, b, points, epsabs=1e-12, epsrel=1e-10)
+            return real(f, a, b, points, **kwargs)
+
+        monkeypatch.setattr(output_mode, "adaptive_gk21", tight_commutator)
+        ref = filtered_pair_cm(model.A, model.D, p, spec, MAGNON_WINDOWED)
+        assert out.meta["magnon_commutator"] == pytest.approx(
+            ref.meta["magnon_commutator"], rel=output_mode.COMM_REL_TOL)
+
 
 def lorentzians(centers, widths):
     """Stacked integrand: a 2x3 block of sharp Lorentzian peaks per
@@ -357,17 +374,17 @@ class TestQuadratureFailure:
     @pytest.mark.parametrize("conv", [MAGNON_INSTANT, MAGNON_WINDOWED])
     def test_pair_integral_refused(self, conv, monkeypatch):
         p, model, spec = fig2d_point()
-        monkeypatch.setattr(output_mode, "adaptive_gk21", capped(1))
+        # the windowed convention integrates the commutator first
+        pair_call = 2 if conv == MAGNON_WINDOWED else 1
+        monkeypatch.setattr(output_mode, "adaptive_gk21",
+                            capped(1, calls={pair_call}))
         with pytest.raises(QuadratureError, match="frequency integral error"):
             filtered_pair_cm(model.A, model.D, p, spec, conv)
 
     def test_windowed_commutator_refused(self, monkeypatch):
         p, model, spec = fig2d_point()
-        # the commutator (about 7e-8) sits below the default absolute
-        # tolerance, so tighten it; the first call is the pair integral,
-        # which still converges, the second the commutator
-        monkeypatch.setattr(output_mode, "QUAD_ABS_TOL", 1e-12)
-        monkeypatch.setattr(output_mode, "adaptive_gk21", capped(1, calls={2}))
+        # the first call is the commutator, refused relative to its own size
+        monkeypatch.setattr(output_mode, "adaptive_gk21", capped(1, calls={1}))
         with pytest.raises(QuadratureError, match="commutator integral error"):
             filtered_pair_cm(model.A, model.D, p, spec, MAGNON_WINDOWED)
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from chiralcmm.constants import hz
-from chiralcmm.params import Detunings, SystemParams
+from chiralcmm.params import DRIVE_CCW, DRIVE_CW, Detunings, SystemParams
 from chiralcmm.steady_state import (
     SQRT2,
     amplitude_for_gm,
@@ -17,6 +17,8 @@ from chiralcmm.steady_state import (
 from chiralcmm.time_domain import (
     OSCILLATORY,
     STEADY,
+    STEADY_TOL,
+    WINDOW_FRAC,
     InconclusiveError,
     Trajectory,
     _fixed_point_scales,
@@ -24,9 +26,12 @@ from chiralcmm.time_domain import (
     comb_threshold,
     default_horizon,
     integrate_classical,
+    make_rhs,
     trajectory_to_csv,
 )
 from chiralcmm import presets
+
+from helpers import complex_rhs
 
 
 def bare_detunings(p, delta_a, delta_m):
@@ -110,6 +115,82 @@ class TestIntegration:
             integrate_classical(p, det, 1.0)
 
 
+# finite states and couplings whose products stay far from overflow; state
+# components are often zero of either sign, where the sign of a zero
+# derivative depends on every zero product of the complex form
+state_component = st.one_of(st.sampled_from([0.0, -0.0]),
+                            st.floats(min_value=-1e30, max_value=1e30))
+coupling = st.floats(min_value=-1e9, max_value=1e9)
+
+
+class TestRightHandSide:
+    @settings(max_examples=300, deadline=None)
+    @given(y=st.lists(state_component, min_size=8, max_size=8),
+           J=coupling, g_ccw=coupling,
+           g_m=st.floats(min_value=0.0, max_value=1e3),
+           gamma_b=st.floats(min_value=0.0, max_value=1e7),
+           delta_a=coupling, delta_m=coupling,
+           E=st.floats(min_value=0.0, max_value=1e16),
+           port=st.sampled_from([DRIVE_CW, DRIVE_CCW]))
+    def test_float_form_matches_complex_form_bitwise(
+            self, y, J, g_ccw, g_m, gamma_b, delta_a, delta_m, E, port):
+        p = SystemParams(J=J, g_ccw=g_ccw, g_m=g_m, gamma_b=gamma_b)
+        det = Detunings(delta_a, delta_m, delta_m)
+        y = np.array(y)
+        ours = make_rhs(p, det, E, port)(0.0, y)
+        oracle = complex_rhs(p, det, E, port)(0.0, y)
+        assert np.array(ours).tobytes() == np.array(oracle).tobytes()
+
+
+def fig2b_probe(target_hz):
+    """g_m, bare detunings and drive of the fig2b comb probe at a target."""
+    pre = presets.get("fig2b")
+    p = pre.params.replace(g_m=1.0)
+    E = amplitude_for_gm(p, pre.detunings, hz(target_hz))
+    return p, precompensated_detunings(p, pre.detunings, E), E
+
+
+class TestWindowOnlySampling:
+    @pytest.mark.parametrize("target_hz, t_end, kind", [
+        (6e6, None, STEADY), (9e6, 6e-6, OSCILLATORY)])
+    def test_window_is_the_tail_of_the_full_grid(self, target_hz, t_end, kind):
+        p, det, E = fig2b_probe(target_hz)
+        full = integrate_classical(p, det, E, t_end=t_end)
+        tail = integrate_classical(p, det, E, t_end=t_end,
+                                   window_frac=WINDOW_FRAC)
+        n = full.t.size
+        start = int(n * (1.0 - WINDOW_FRAC))
+        assert tail.stats["n_grid"] == full.stats["n_grid"] == n
+        assert tail.t.size == n - start
+        for name in ("t", "a_cw", "a_ccw", "m", "q", "p"):
+            assert getattr(tail, name).tobytes() == \
+                getattr(full, name)[start:].tobytes()
+        rep = classify_attractor(tail)
+        assert rep == classify_attractor(full)
+        assert rep.kind == kind
+        assert tail.stats["nfev"] < full.stats["nfev"]
+
+    def test_window_reaching_before_the_first_sample_raises(self):
+        p, det, E = fig2b_probe(6e6)
+        tail = integrate_classical(p, det, E, t_end=3e-6, window_frac=0.5)
+        classify_attractor(tail, window_frac=0.5)
+        with pytest.raises(ValueError, match="first"):
+            classify_attractor(tail, window_frac=0.6)
+
+    @pytest.mark.parametrize("window_frac", [0.0, -0.1, 1.5])
+    def test_window_fraction_checked(self, window_frac):
+        p, det, E = fig2b_probe(6e6)
+        with pytest.raises(ValueError, match="window_frac"):
+            integrate_classical(p, det, E, t_end=2e-6, window_frac=window_frac)
+
+    def test_default_returns_the_full_grid(self):
+        p, det, E = fig2b_probe(6e6)
+        traj = integrate_classical(p, det, E, t_end=2e-6)
+        n = traj.stats["n_grid"]
+        assert traj.t.size == n
+        assert np.array_equal(traj.t, np.linspace(0.0, 2e-6, n))
+
+
 class TestClassification:
     def test_damped_linear_system_is_steady(self):
         p = SystemParams(g_m=0.0)
@@ -174,6 +255,8 @@ class TestCombThreshold:
         res = comb_threshold(p, det, cap=hz(5e6), resolution=hz(0.05e6))
         assert res.no_comb_below_cap
         assert res.probes[0][1] == STEADY
+        (variation,) = res.probe_variation
+        assert 0 <= variation < STEADY_TOL
 
     def test_decoupled_cavity_never_combs(self):
         p = SystemParams(g_cw=0.0, g_m=1.0)
