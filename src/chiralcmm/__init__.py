@@ -1,10 +1,11 @@
 """Desk-scale simulator of a chiral cavity-magnomechanical system.
 
-Computes classical steady states, linearized drift/diffusion matrices,
-stationary Gaussian covariance matrices via the Lyapunov equation,
-bipartite/tripartite entanglement measures, filtered-output teleportation
-fidelity, and the nonlinear classical dynamics used to locate the
-magnon-frequency-comb threshold.
+Computes classical steady states (in the physical detuning mode the lowest
+root of the cubic dispersive self-consistency), linearized drift/diffusion
+matrices, stationary Gaussian covariance matrices via the Lyapunov
+equation, bipartite/tripartite entanglement measures, filtered-output
+teleportation fidelity, and the nonlinear classical dynamics used to
+locate the magnon-frequency-comb threshold.
 """
 
 __version__ = "0.1.0"

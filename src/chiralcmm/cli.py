@@ -57,7 +57,6 @@ from .pipeline import (
 )
 from .steady_state import (
     GM_ABS_PHYSICAL,
-    ConvergenceError,
     SingularConfigurationError,
     precompensated_detunings,
     resolve_drive,
@@ -451,9 +450,14 @@ def cmd_steady(cfg: RunConfig, args) -> int:
         ("e_amplitude", sf.e_amplitude if sf.e_amplitude is not None
          else float("nan")),
     ]
+    # the physical detuning mode names the branch of its cubic mean field
+    # (see steady_state.self_consistent_solve)
+    extra = ({"mean_field_branch": "lowest",
+              "mean_field_branches": sf.meta["branches"]}
+             if cfg.params.detuning_mode == DETUNING_PHYSICAL else None)
     # + 0.0 prints the empty mode of a chiral drive as 0, not -0
     return _write_result(args, cfg, columns,
-                         [(name, value + 0.0) for name, value in rows])
+                         [(name, value + 0.0) for name, value in rows], extra)
 
 
 def cmd_entangle(cfg: RunConfig, args) -> int:
@@ -613,8 +617,8 @@ def main(argv=None) -> int:
     except UnstableSystemError as exc:
         print(f"unstable: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
-    except (ConvergenceError, SingularConfigurationError, IntegrationError,
-            FloatingPointError, np.linalg.LinAlgError, RuntimeError) as exc:
+    except (SingularConfigurationError, IntegrationError, FloatingPointError,
+            np.linalg.LinAlgError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:  # ConfigError, inconsistent parameter combinations

@@ -3,13 +3,14 @@ stability gate -> covariance -> entanglement measures, plus grid sweeps and
 the drive-direction contrast.
 
 Evaluation runs on blocks of points.  A block goes through every stage as
-arrays: stacked parameters, closed-form means, (n, 8, 8) drift and
-diffusion stacks, one stability gate, one stacked Lyapunov solve and the
-vectorized measures.  Only the self-consistent mean field of the physical
-detuning mode and the filtered-output quadrature (one stacked call per
-adaptive pass) run point by point inside a block.  Every stage treats each point on its own, so a row does not
-depend on the block it is evaluated in, and ``evaluate_point`` is the same
-evaluator run on a block of one point.
+arrays: stacked parameters, the mean field (closed form, or the stacked
+cubic of the physical detuning mode), (n, 8, 8) drift and diffusion
+stacks, one stability gate, one stacked Lyapunov solve and the vectorized
+measures.  Only the filtered-output quadrature (one stacked call per
+adaptive pass) runs point by point inside a block.  Every stage treats
+each point on its own, so a row does not depend on the block it is
+evaluated in, and ``evaluate_point`` is the same evaluator run on a block
+of one point.
 
 A sweep lists its rows in a fixed order: row-major over the grid (the last
 axis varies fastest), clockwise drive before counter-clockwise at each grid
@@ -18,8 +19,8 @@ point.  It cuts that list into contiguous blocks of BLOCK_POINTS rows.
 runs in-process.  The result is the same for any worker count.
 
 A block that meets a domain error (the ValueError and RuntimeError
-families: singular mean field, invalid covariance, convergence or
-quadrature failure, instability, a refused Lyapunov solve, a rejected drift
+families: singular mean field, invalid covariance, quadrature failure,
+instability, a refused Lyapunov solve, a rejected drift
 variant) is split in halves until each failing point stands alone; those
 rows carry ``"<Type>: <message>"`` and the others are unaffected.  Any
 other exception fails the sweep.
@@ -46,7 +47,14 @@ from .measures import (
     teleportation_fidelity,
 )
 from .output_mode import MAGNON_INSTANT, FilterSpec, filtered_pair_cm
-from .params import DRIVE_CCW, DRIVE_CW, Detunings, DriveSpec, SystemParams
+from .params import (
+    DETUNING_PHYSICAL,
+    DRIVE_CCW,
+    DRIVE_CW,
+    Detunings,
+    DriveSpec,
+    SystemParams,
+)
 from .steady_state import resolve_drive
 
 #: rows per block: the block's (n, 36, 36) Lyapunov system takes 1.3 MB
@@ -139,6 +147,7 @@ class _Block:
     filtered_meta: list
     physical: np.ndarray
     several_below_half: np.ndarray   # a 1|2 split had > 1 eigenvalue below 1/2
+    branches: np.ndarray | None      # real mean-field roots (physical mode)
 
 
 def _evaluate(params: SystemParams, det: Detunings, variant: str,
@@ -189,7 +198,8 @@ def _evaluate(params: SystemParams, det: Detunings, variant: str,
                   e_n=e_n, r_min=r_min, filtered_e_n=filtered_e_n,
                   fidelity=fidelity, filtered_meta=filtered_meta,
                   physical=at_stable(is_physical(cm.V), False),
-                  several_below_half=several_below)
+                  several_below_half=several_below,
+                  branches=steady.meta.get("branches"))
 
 
 def nonreciprocity_contrast(report_cw: EntReport, report_ccw: EntReport,
@@ -330,6 +340,9 @@ def grid_rows(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
 
 #: sweep metadata keys of the diagnostic counts (summed over blocks)
 SWEEP_COUNTS = ("unphysical_rows", "several_below_half_rows", "error_rows")
+#: sweep metadata key of a physical-mode sweep: rows whose cubic mean field
+#: has more than one branch (summed over blocks)
+MULTISTABLE = "multistable_rows"
 #: sweep metadata keys of a filtered sweep's largest quadrature error and
 #: tail estimate over its filtered rows (None if no row was filtered), and
 #: the filtered_pair_cm meta entries they are taken from
@@ -348,10 +361,13 @@ def _merge(diag_a: dict, diag_b: dict) -> dict:
 def evaluate_block(params: SystemParams, det: Detunings, spec: SweepSpec,
                    values: np.ndarray, ports: np.ndarray):
     """Rows of the sweep points given by ``values`` and ``ports`` (as from
-    :func:`grid_rows`), and their diagnostics: the SWEEP_COUNTS counts and,
-    for a filtered sweep, the SWEEP_MAXIMA maxima."""
+    :func:`grid_rows`), and their diagnostics: the SWEEP_COUNTS counts, in
+    the physical detuning mode the MULTISTABLE count and, for a filtered
+    sweep, the SWEEP_MAXIMA maxima."""
     maxima = dict.fromkeys(SWEEP_MAXIMA if spec.request.filter_spec else (),
                            np.nan)
+    multistable = ({MULTISTABLE: 0}
+                   if params.detuning_mode == DETUNING_PHYSICAL else {})
     try:
         block = _evaluate(params, det, spec.variant, spec.request, spec.axes,
                           values, ports)
@@ -360,7 +376,8 @@ def evaluate_block(params: SystemParams, det: Detunings, spec: SweepSpec,
             pad = len(_row_columns(spec)) - len(spec.axes) - 2
             row = (*values[0].tolist(), str(ports[0]), *[np.nan] * pad,
                    f"{type(exc).__name__}: {exc}")
-            return [row], {**dict(zip(SWEEP_COUNTS, (0, 0, 1))), **maxima}
+            return [row], {**dict(zip(SWEEP_COUNTS, (0, 0, 1))), **multistable,
+                           **maxima}
         half = len(ports) // 2
         rows_a, diag_a = evaluate_block(params, det, spec, values[:half],
                                         ports[:half])
@@ -379,12 +396,14 @@ def evaluate_block(params: SystemParams, det: Detunings, spec: SweepSpec,
     columns.append([""] * len(ports))
     counts = (np.sum(block.stable & ~block.physical),
               np.sum(block.several_below_half), 0)
+    if multistable:
+        multistable = {MULTISTABLE: int(np.sum(block.branches > 1))}
     if maxima:
         filtered = [m for m in block.filtered_meta if m is not None]
         maxima = {key: max((m[entry] for m in filtered), default=np.nan)
                   for key, entry in SWEEP_MAXIMA.items()}
     return list(zip(*columns)), {**dict(zip(SWEEP_COUNTS, map(int, counts))),
-                                 **maxima}
+                                 **multistable, **maxima}
 
 
 def _evaluate_task(task):
@@ -397,9 +416,11 @@ def run_sweep(params: SystemParams, det: Detunings, spec: SweepSpec,
 
     ``meta`` counts the rows whose covariance fails :func:`is_physical`, the
     rows where a 1|2 partial transpose had more than one symplectic
-    eigenvalue below 1/2, and the rows with an in-row error.  A filtered
-    sweep adds the largest quadrature error estimate and tail estimate of
-    its filtered rows (SWEEP_MAXIMA).
+    eigenvalue below 1/2, and the rows with an in-row error.  A sweep in
+    the physical detuning mode adds the count of rows whose mean field has
+    several branches (MULTISTABLE).  A filtered sweep adds the largest
+    quadrature error estimate and tail estimate of its filtered rows
+    (SWEEP_MAXIMA).
     """
     values, ports = grid_rows(spec)
     tasks = [(params, det, spec, values[i:i + BLOCK_POINTS],

@@ -9,6 +9,12 @@ chiral configuration is its J = 0, g_ccw = 0 case), the dispersive-shift
 self-consistency when the bare magnon detuning is what is known, the drive
 amplitude that realizes a given |G_m|, and the bare detuning that lands the
 shifted one where it is wanted.
+
+The self-consistency is a real cubic in |<m>|^2, solved exactly and
+array-aware.  Near a fold it has three real roots (magnon Kerr
+bistability); the returned branch is the lowest root, the one continuous
+with zero drive as the drive increases, and the number of real roots
+travels with the result.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .params import (
     DETUNING_PHYSICAL,
@@ -40,19 +45,9 @@ GM_ABS_PHYSICAL = (f"a {DRIVE_GM_ABS} drive spec needs detuning mode "
                    f"'effective': its dispersive shift in mode "
                    f"'{DETUNING_PHYSICAL}' is not modelled")
 
-# damped fixed-point iteration of the dispersive shift: relative tolerance
-# on |<m>|^2, iteration cap and damping factor
-SC_TOL = 1e-12
-SC_MAX_ITER = 500
-SC_DAMPING = 0.5
-
 
 class SingularConfigurationError(ValueError):
     """The mean-field system is singular at this exact parameter point."""
-
-
-class ConvergenceError(RuntimeError):
-    """The dispersive-shift fixed point did not converge."""
 
 
 @dataclass(frozen=True)
@@ -116,6 +111,26 @@ def _pack(params: SystemParams, det: Detunings, E: float | None,
                        e_amplitude=E, meta=dict(meta))
 
 
+def _denominator(params: SystemParams, det: Detunings):
+    """Denominator of the closed-form magnon mean, <m> = num/den.
+
+    It is linear in delta_m_eff with slope i*[(kappa_a + i*delta_a)^2 + J^2]
+    and num does not depend on delta_m_eff, which makes the dispersive
+    self-consistency a cubic.
+    """
+    ka, km = params.kappa_a, params.kappa_m
+    da, dme = det.delta_a, det.delta_m_eff
+    gr, gl, J = params.g_cw, params.g_ccw, params.J
+
+    eps1 = gr * gr + gl * gl + ka * km - da * dme
+    eps2 = ka * dme + km * da
+    den = (km * J * J + ka * eps1 - da * eps2) \
+        + 1j * (dme * J * J - 2 * J * gr * gl + da * eps1 + ka * eps2)
+    if np.any(den == 0):
+        raise SingularConfigurationError("vanishing mean-field denominator")
+    return den
+
+
 def imperfect_means(params: SystemParams, det: Detunings, E: float,
                     drive_port: str | None = None) -> SteadyField:
     """Closed-form means with backscattering J and residual coupling g_ccw.
@@ -128,100 +143,89 @@ def imperfect_means(params: SystemParams, det: Detunings, E: float,
     Stacked parameters (and an array of ports) give arrays of means.
     """
     port = params.drive_port if drive_port is None else drive_port
-    ka, km = params.kappa_a, params.kappa_m
-    da, dme = det.delta_a, det.delta_m_eff
-    gr, gl, J = params.g_cw, params.g_ccw, params.J
-
-    eps1 = gr * gr + gl * gl + ka * km - da * dme
-    eps2 = ka * dme + km * da
-    den = (km * J * J + ka * eps1 - da * eps2) \
-        + 1j * (dme * J * J - 2 * J * gr * gl + da * eps1 + ka * eps2)
-    if np.any(den == 0):
-        raise SingularConfigurationError("vanishing mean-field denominator")
+    den = _denominator(params, det)
+    ka, da, J = params.kappa_a, det.delta_a, params.J
     # couplings of the driven and of the other circulating mode
-    g_d, g_o = _by_port(port, gr, gl), _by_port(port, gl, gr)
+    g_d = _by_port(port, params.g_cw, params.g_ccw)
+    g_o = _by_port(port, params.g_ccw, params.g_cw)
     num = E * ((g_d * da - g_o * J) - 1j * g_d * ka)
     m = num / den
     a_cw, a_ccw = _cavity_means(params, det, E, port, m)
-    return _pack(params, det, E, a_cw, a_ccw, m, dme)
+    return _pack(params, det, E, a_cw, a_ccw, m, det.delta_m_eff)
 
 
 def self_consistent_solve(params: SystemParams, E: float,
                           drive_port: str | None = None,
                           det: Detunings | None = None) -> SteadyField:
-    """Fixed point of the coupled (<m>, <q>, delta_m_eff) system.
+    """Means when the bare magnon detuning is what is known.
 
-    The dispersive interaction shifts the magnon detuning by g_m*<q> with
-    <q> = -g_m*|<m>|^2/omega_b, so the means obey a cubic self-consistency.
-    Damped iteration from the zero-drive solution tracks the branch that is
-    continuously connected to it; on non-convergence a bracketed 1-D root
-    find on |<m>|^2 takes over.  All detected branches are reported in the
-    ``meta`` field.
+    The dispersive interaction shifts the magnon detuning to
+    delta_m_eff = delta_m + g_m*<q> with <q> = -g_m*x/omega_b, x = |<m>|^2.
+    1/<m> is linear in delta_m_eff, so <m> = m0/(1 + r*y) with m0 the mean
+    at the bare detuning, y = x/|m0|^2 and
+    r = -i*(g_m^2*|m0|^2/omega_b)*[(kappa_a + i*delta_a)^2 + J^2]/den, den
+    the closed form's denominator at the bare detuning.  y solves the real
+    cubic y*|1 + r*y|^2 = 1, whose real roots are all positive; near a fold
+    (magnon Kerr bistability) it has three.  Branch rule: the lowest root,
+    the branch continuous with zero drive as the drive increases.
+    ``meta["branches"]`` counts the real roots (1 or 3); it is 1 where there
+    is no shift (E = 0, g_m = 0, or a port that does not pump the magnon).
+
+    Stacked parameters with arrays of ports and amplitudes give arrays; one
+    point is solved as a stack of one, so it gets the same bits as in any
+    stack.
     """
     if params.g_m is None:
         raise ValueError("self_consistent_solve requires g_m")
-    port = drive_port or params.drive_port
+    port = params.drive_port if drive_port is None else drive_port
     base = det if det is not None else Detunings.physical(params)
+    if isinstance(port, str):
+        one = self_consistent_solve(params.stacked(1), np.full(1, E),
+                                    np.array([port]), base.stacked(1))
+        return SteadyField(*(getattr(one, name)[0].item() for name in
+                             ("a_cw", "a_ccw", "m", "q_mean", "g_m_eff",
+                              "delta_m_eff")),
+                           e_amplitude=E,
+                           meta={"branches": int(one.meta["branches"][0])})
+
     g_m, wb = params.g_m, params.omega_b
-
-    def shifted(msq: float) -> Detunings:
-        q = -g_m * msq / wb
-        return Detunings(base.delta_a, base.delta_m, base.delta_m + g_m * q)
-
-    if g_m == 0.0 or E == 0.0:
-        out = imperfect_means(params, shifted(0.0), E, port)
-        return _pack(params, shifted(abs(out.m) ** 2), E, out.a_cw, out.a_ccw,
-                     out.m, base.delta_m, iterations=1, branches=[abs(out.m) ** 2])
-
-    msq = 0.0
-    converged = False
-    iterations = 0
-    for iterations in range(1, SC_MAX_ITER + 1):
-        m_new = imperfect_means(params, shifted(msq), E, port).m
-        msq_new = (1 - SC_DAMPING) * msq + SC_DAMPING * abs(m_new) ** 2
-        scale = max(msq_new, msq, 1e-300)
-        if abs(msq_new - msq) <= SC_TOL * scale:
-            msq = msq_new
-            converged = True
-            break
-        msq = msq_new
-
-    # residual of the modulus equation, for root bracketing and reporting
-    def h(x: float) -> float:
-        m = imperfect_means(params, shifted(x), E, port).m
-        return abs(m) ** 2 - x
-
-    branches = _bracket_roots(h, msq if converged else None, params, det=base,
-                              E=E, port=port)
-    if not converged:
-        if not branches:
-            raise ConvergenceError(
-                f"no self-consistent solution found after {SC_MAX_ITER} iterations")
-        msq = branches[0]  # continuation from zero drive: smallest amplitude
-
-    d = shifted(msq)
+    bare = Detunings(base.delta_a, base.delta_m, base.delta_m)
+    x0 = np.abs(imperfect_means(params, bare, E, port).m) ** 2
+    ka = params.kappa_a + 1j * base.delta_a
+    r = (-1j * (g_m * g_m * x0 / wb) * (ka * ka + params.J ** 2)
+         / _denominator(params, bare))
+    y, branches = _lowest_root(r)
+    q = -g_m * (x0 * y) / wb
+    d = Detunings(base.delta_a, base.delta_m, base.delta_m + g_m * q)
     out = imperfect_means(params, d, E, port)
     return _pack(params, d, E, out.a_cw, out.a_ccw, out.m, d.delta_m_eff,
-                 iterations=iterations, converged=converged, branches=branches)
+                 branches=branches)
 
 
-def _bracket_roots(h, seed: float | None, params, det, E, port) -> list[float]:
-    """All fixed points of the modulus equation on a geometric scan grid."""
-    zero_shift = imperfect_means(params, det, E, port).m
-    scale = max(abs(zero_shift) ** 2, seed or 0.0, 1e-30)
-    grid = np.concatenate(([0.0], np.geomspace(scale * 1e-6, scale * 1e3, 200)))
-    vals = np.array([h(x) for x in grid])
-    roots: list[float] = []
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            roots.append(grid[i])
-        elif vals[i] * vals[i + 1] < 0:
-            roots.append(brentq(h, grid[i], grid[i + 1], xtol=1e-30, rtol=1e-14))
-    dedup: list[float] = []
-    for r in roots:
-        if not any(math.isclose(r, s, rel_tol=1e-8, abs_tol=1e-20) for s in dedup):
-            dedup.append(r)
-    return sorted(dedup)
+def _lowest_root(r):
+    """Lowest real root y of y*|1 + r*y|^2 = 1 for each entry of r, and the
+    number of real roots.
+
+    With z = 1/y the cubic is the monic z^3 - z^2 - 2*Re(r)*z - |r|^2 = 0,
+    whose companion matrix stays well scaled for small r; the lowest y is
+    its largest real z.  LAPACK marks real eigenvalues with an exact zero
+    imaginary part.  Two Newton steps on the y form polish the root.  At
+    r = 0 the cubic degenerates to y = 1, one root (z = 0 is no root of
+    the y form).
+    """
+    p, q = r.real, r.real ** 2 + r.imag ** 2
+    companion = np.zeros(r.shape + (3, 3))
+    companion[..., 0, 0] = 1.0
+    companion[..., 0, 1] = 2.0 * p
+    companion[..., 0, 2] = q
+    companion[..., 1, 0] = companion[..., 2, 1] = 1.0
+    z = np.linalg.eigvals(companion)
+    real = z.imag == 0
+    y = 1.0 / np.max(np.where(real, z.real, -np.inf), axis=-1)
+    for _ in range(2):
+        f = ((q * y + 2.0 * p) * y + 1.0) * y - 1.0
+        y = y - f / ((3.0 * q * y + 4.0 * p) * y + 1.0)
+    return y, np.where(r == 0, 1, np.count_nonzero(real, axis=-1))
 
 
 def amplitude_for_gm(params: SystemParams, det: Detunings, gm_target: float,
@@ -268,11 +272,11 @@ def resolve_drive(params: SystemParams, det: Detunings,
     drive amplitude is implied for the opposite port, mirroring an
     equal-power comparison.  A |G_m| spec in the physical detuning mode
     raises ValueError (GM_ABS_PHYSICAL).  Without g_m (or with g_m = 0) the means are
-    reported for unit drive amplitude and ``e_amplitude`` is None.
+    reported for unit drive amplitude and ``e_amplitude`` is None.  In the
+    physical detuning mode the means come from :func:`self_consistent_solve`.
 
-    Stacked parameters with an array of ports give a SteadyField of arrays;
-    the self-consistent solve of the physical detuning mode then runs point
-    by point.
+    Stacked parameters with an array of ports give a SteadyField of arrays,
+    in either detuning mode.
     """
     port = params.drive_port if drive_port is None else drive_port
     spec = params.drive
@@ -283,11 +287,7 @@ def resolve_drive(params: SystemParams, det: Detunings,
             spec.value, params.omega_0, params.kappa_a_e)
         if params.detuning_mode != DETUNING_PHYSICAL:
             return imperfect_means(params, det, E, port)
-        if isinstance(port, str):
-            return self_consistent_solve(params, E, port, det)
-        return _stack_fields([
-            self_consistent_solve(params.at(i), float(E[i]), str(p), det.at(i))
-            for i, p in enumerate(port)])
+        return self_consistent_solve(params, E, port, det)
 
     # |G_m| spec: calibrate on the dominant chiral port
     if params.detuning_mode == DETUNING_PHYSICAL:
@@ -307,9 +307,3 @@ def resolve_drive(params: SystemParams, det: Detunings,
     return SteadyField(out.a_cw, out.a_ccw, out.m, 0.0, g_m_eff,
                        out.delta_m_eff, None, out.meta)
 
-
-def _stack_fields(fields: list[SteadyField]) -> SteadyField:
-    """One SteadyField of arrays from per-point fields (meta dropped)."""
-    return SteadyField(*(np.array([getattr(f, name) for f in fields])
-                         for name in ("a_cw", "a_ccw", "m", "q_mean", "g_m_eff",
-                                      "delta_m_eff", "e_amplitude")))

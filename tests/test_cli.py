@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from chiralcmm import cli, time_domain
+from chiralcmm import cli, presets, time_domain
 from chiralcmm.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -14,7 +14,8 @@ from chiralcmm.cli import (
     main,
     parse_config_text,
 )
-from chiralcmm.steady_state import precompensated_detunings
+from chiralcmm.constants import hz, to_hz
+from chiralcmm.steady_state import amplitude_for_gm, precompensated_detunings
 
 BASE_CONFIG = """\
 # minimal single-point configuration
@@ -153,6 +154,33 @@ class TestSteadyCommand:
                    "--set", "detuning.mode=physical", *override])
         assert rc == EXIT_CONFIG
         assert "detuning mode 'effective'" in capsys.readouterr().err
+
+    def test_physical_mode_names_its_mean_field_branch(self, tmp_path):
+        # fig2b driven for |G_m| = 12 MHz from the pre-compensated bare
+        # detuning: the fold, where the cubic mean field has three branches
+        pre = presets.get("fig2b")
+        p = pre.params.replace(g_m=hz(1.0))
+        E = amplitude_for_gm(p, pre.detunings, hz(12e6))
+        det = precompensated_detunings(p, pre.detunings, E)
+        f0 = to_hz(p.omega_0)
+        physical = ["--set", "system.g_m=1.0", "--set", "drive.spec=amplitude",
+                    "--set", f"drive.value={to_hz(E)!r}",
+                    "--set", "detuning.mode=physical",
+                    "--set", f"system.omega_a={f0 + to_hz(det.delta_a)!r}",
+                    "--set", f"system.omega_m={f0 + to_hz(det.delta_m)!r}"]
+
+        def meta(argv):
+            out = tmp_path / "steady.csv"
+            assert main(["steady", "--config", "fig2b", "--out", str(out),
+                         *argv]) == EXIT_OK
+            return dict(ln[2:].split(" = ", 1)
+                        for ln in out.read_text().splitlines()
+                        if ln.startswith("# ") and " = " in ln)
+
+        branch = meta(physical)
+        assert branch["mean_field_branch"] == "lowest"
+        assert branch["mean_field_branches"] == "3"
+        assert not any(key.startswith("mean_field") for key in meta([]))
 
     def test_metadata_block_present(self, config_path, capsys):
         assert main(["steady", "--config", config_path]) == EXIT_OK

@@ -254,7 +254,7 @@ class TestBlockEngine:
             assert _bits(row) == _bits(expected)
 
     def test_physical_detuning_mode_rows_match_single_points(self):
-        # the self-consistent mean field runs point by point inside a block
+        # the cubic mean field of the physical mode runs on the whole block
         p = presets.fixed_power_set("magnon", chi=0.1).replace(
             detuning_mode="physical", omega_a=hz(10e9) - 0.72 * hz(10e6),
             omega_m=hz(10e9) + 0.76 * hz(10e6))
@@ -321,6 +321,29 @@ class TestBlockEngine:
             m["quad_error"] for m in quad)
         assert single.meta["filtered_tail_estimate_max"] == max(
             m["tail_estimate"] for m in quad)
+
+    def test_multistable_rows_identical_across_worker_counts(self,
+                                                            monkeypatch):
+        # a physical-mode detuning grid of the magnon set that crosses the
+        # fold of the cubic mean field
+        p = presets.fixed_power_set("magnon", chi=0.1).replace(
+            detuning_mode="physical")
+        wb = p.omega_b
+        spec = SweepSpec(axes=(SweepAxis("delta_a", -1.5 * wb, 0.0, 5),
+                               SweepAxis("delta_m_eff", 0.0, 1.5 * wb, 5)),
+                         request=MeasureRequest(pairs=(("a_cw", "m"),),
+                                                triples=()))
+        det = Detunings.physical(p)
+        monkeypatch.setattr(pipeline, "BLOCK_POINTS", 7)   # four blocks
+        single = run_sweep(p, det, spec, workers=1)
+        pooled = run_sweep(p, det, spec, workers=2)
+        assert single.meta == pooled.meta
+        values, _ = grid_rows(spec)
+        expected = sum(resolve_drive(p, Detunings(da, dm, dm)).meta["branches"]
+                       > 1 for da, dm in values)
+        assert 0 < single.meta["multistable_rows"] == expected < len(values)
+        effective = run_sweep(p.replace(detuning_mode="effective"), det, spec)
+        assert "multistable_rows" not in effective.meta
 
     def test_unfiltered_sweep_has_no_quadrature_maxima(self):
         p, det = magnon_point()

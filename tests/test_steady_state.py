@@ -3,14 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from chiralcmm.constants import hz
-from chiralcmm.params import Detunings, DriveSpec, SystemParams
+from chiralcmm import presets
+from chiralcmm.constants import hz, to_hz
+from chiralcmm.params import RATE_FIELDS, Detunings, DriveSpec, SystemParams
+from chiralcmm.pipeline import evaluate_point
 from chiralcmm.steady_state import (
     SQRT2,
     amplitude_for_gm,
     imperfect_means,
+    precompensated_detunings,
     resolve_drive,
     self_consistent_solve,
 )
@@ -18,18 +23,36 @@ from chiralcmm.steady_state import (
 from helpers import ideal_means
 
 
-def mean_field_solve(p, det, E, drive_port=None):
-    """Direct numerical solve of the 3x3 complex mean-field system, an
-    independent route to the closed forms; returns (a_cw, a_ccw, m)."""
+def mean_field_matrix(p, det):
+    """The 3x3 complex mean-field system acting on (a_cw, a_ccw, m)."""
     ka = p.kappa_a + 1j * det.delta_a
     km = p.kappa_m + 1j * det.delta_m_eff
-    M = np.array([
+    return np.array([
         [ka, 1j * p.J, 1j * p.g_cw],
         [1j * p.J, ka, 1j * p.g_ccw],
         [1j * p.g_cw, 1j * p.g_ccw, km],
     ])
+
+
+def mean_field_solve(p, det, E, drive_port=None):
+    """Direct numerical solve of the 3x3 complex mean-field system, an
+    independent route to the closed forms; returns (a_cw, a_ccw, m)."""
     drive = (E, 0.0) if (drive_port or p.drive_port) == "cw" else (0.0, E)
-    return np.linalg.solve(M, np.array([*drive, 0.0], dtype=complex))
+    return np.linalg.solve(mean_field_matrix(p, det),
+                           np.array([*drive, 0.0], dtype=complex))
+
+
+def modulus_cubic(p, det, E, drive_port):
+    """(u0, u1) with 1/<m> = u0 + u1*x at x = |<m>|^2 in the physical
+    detuning mode, from the 3x3 system: by Cramer's rule 1/<m> = det(M)/N
+    with N free of delta_m_eff, and det(M) has the slope
+    i*[(kappa_a + i*delta_a)^2 + J^2] in delta_m_eff, which the dispersive
+    shift moves by -g_m^2*x/omega_b."""
+    bare = Detunings(det.delta_a, det.delta_m, det.delta_m)
+    m0 = mean_field_solve(p, bare, E, drive_port)[2]
+    ka = p.kappa_a + 1j * det.delta_a
+    N = m0 * np.linalg.det(mean_field_matrix(p, bare))
+    return 1.0 / m0, -(p.g_m**2 / p.omega_b) * 1j * (ka * ka + p.J**2) / N
 
 
 def rand_config(rng, j_max=hz(3e6)):
@@ -154,7 +177,7 @@ class TestSelfConsistentSolve:
         p = SystemParams(g_m=0.0, omega_a=hz(10.0072e9), omega_m=hz(10.0076e9),
                          detuning_mode="physical")
         sf = self_consistent_solve(p, hz(100e6))
-        assert sf.meta["iterations"] == 1
+        assert sf.meta["branches"] == 1
         assert sf.delta_m_eff == p.omega_m - p.omega_0
 
     def test_weak_drive_matches_one_shot(self):
@@ -188,6 +211,85 @@ class TestSelfConsistentSolve:
         # fixed-point consistency: q = -g_m |m|^2 / omega_b
         assert sf.q_mean == pytest.approx(-p.g_m * abs(sf.m) ** 2 / p.omega_b,
                                           rel=1e-12)
+
+    @pytest.mark.parametrize("target_mhz, lower_mhz",
+                             [(12.0, 11.936), (11.9, 11.900)])
+    def test_fold_returns_the_stable_lower_branch(self, target_mhz, lower_mhz):
+        # fig2b driven for |G_m| near 12 MHz from the pre-compensated bare
+        # detuning: three branches, of which the lowest is linearly stable
+        # and the far one (about 22 MHz) is not
+        pre = presets.get("fig2b")
+        p = pre.params.replace(g_m=1.0)
+        E = amplitude_for_gm(p, pre.detunings, hz(target_mhz * 1e6))
+        det = precompensated_detunings(p, pre.detunings, E)
+        p = p.replace(detuning_mode="physical",
+                      drive=DriveSpec("amplitude", E))
+        sf = self_consistent_solve(p, E, det=det)
+        assert to_hz(abs(sf.g_m_eff)) == pytest.approx(lower_mhz * 1e6,
+                                                       abs=1e3)
+        assert sf.meta["branches"] == 3
+        rep = evaluate_point(p, det, "imperfect")
+        assert rep.g_m_eff == sf.g_m_eff
+        assert rep.stable and rep.abscissa < 0
+
+
+# one point of the cubic property: J/kappa_m, g_ccw/g_cw, drive port,
+# delta_a/omega_b, the effective delta_m/omega_b the bare detuning is
+# pre-compensated for, and the |G_m| (MHz) that sets the drive, through the
+# fold near 12 MHz.  J and g_ccw are 0 or at least 1e-3 of their scale, so
+# that the oracle's cubic coefficients stay inside the float range.
+CUBIC_POINT = st.tuples(st.just(0.0) | st.floats(1e-3, 1.0),
+                        st.just(0.0) | st.floats(1e-3, 0.5),
+                        st.sampled_from(["cw", "ccw"]),
+                        st.floats(-1.5, 0.0), st.floats(0.0, 1.5),
+                        st.floats(0.5, 14.0))
+
+
+def _bits(value):
+    return np.asarray(value).tobytes()
+
+
+class TestCubicMeanField:
+    @given(st.lists(CUBIC_POINT, min_size=1, max_size=6))
+    def test_lowest_root_of_the_modulus_cubic(self, points):
+        base = presets.phonon_set(g_m=1.0, detuning_mode="physical")
+        wb = base.omega_b
+        cases = []
+        for j, chi, port, da, dme, gm_mhz in points:
+            p = base.replace(J=j * base.kappa_m, g_ccw=chi * base.g_cw)
+            det_eff = Detunings.effective(da * wb, dme * wb)
+            E = amplitude_for_gm(p, det_eff, hz(gm_mhz * 1e6), "cw")
+            cases.append((p, precompensated_detunings(p, det_eff, E, "cw"),
+                          E, port))
+        stack = base.replace(**{name: np.array([getattr(c[0], name)
+                                                for c in cases])
+                                for name in RATE_FIELDS})
+        dets = Detunings(*(np.array([getattr(c[1], name) for c in cases])
+                           for name in ("delta_a", "delta_m", "delta_m_eff")))
+        stacked = self_consistent_solve(stack, np.array([c[2] for c in cases]),
+                                        np.array([c[3] for c in cases]), dets)
+
+        for i, (p, det, E, port) in enumerate(cases):
+            sf = self_consistent_solve(p, E, port, det)
+            for name in ("a_cw", "a_ccw", "m", "q_mean", "g_m_eff",
+                         "delta_m_eff"):
+                assert _bits(getattr(sf, name)) == \
+                    _bits(getattr(stacked, name)[i]), name
+            assert sf.meta["branches"] == stacked.meta["branches"][i]
+
+            if port == "ccw" and p.J == 0 and p.g_ccw == 0:
+                # the chiral configuration's uncoupled port: no shift
+                assert sf.m == 0 and sf.meta["branches"] == 1
+                continue
+            u0, u1 = modulus_cubic(p, det, E, port)
+            x = abs(sf.m) ** 2
+            assert abs(x * abs(u0 + u1 * x) ** 2 - 1) <= 1e-12
+            roots = np.roots([abs(u1) ** 2, 2 * (u0 * u1.conjugate()).real,
+                              abs(u0) ** 2, -1.0])
+            real = [z.real for z in roots
+                    if abs(z.imag) <= 1e-6 * abs(z) and z.real > 0]
+            assert x == pytest.approx(min(real), rel=1e-9)
+            assert sf.meta["branches"] == len(real)
 
 
 class TestDriveResolution:

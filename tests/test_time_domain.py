@@ -275,6 +275,6 @@ class TestTrajectoryDump:
         lines = path.read_text().splitlines()
         assert lines[0].startswith("#")
         assert lines[2] == "t,re_a_cw,im_a_cw,re_a_ccw,im_a_ccw,re_m,im_m,q,p"
-        data = np.loadtxt(path.open(), delimiter=",", skiprows=3)
+        data = np.loadtxt(path, delimiter=",", skiprows=3)
         assert data.shape[1] == 9
         assert_allclose(data[:, 0], traj.t, rtol=1e-8)
