@@ -45,7 +45,8 @@ print("|G_m| spec: |G_m|/2pi = %.3f MHz, arg G_m = %+.3f rad"
 
 # Past a critical |G_m| the drift matrix acquires an eigenvalue with a
 # positive real part and the steady state disappears.  Bisection finds the
-# boundary; at these settings it sits near 11.9 MHz.
+# boundary; at these settings (strictly chiral, as J = 0 and g_ccw = 0) it
+# sits near 11.9 MHz.
 edge = max_stable_coupling(params, det, cap=hz(30e6),
-                           resolution=hz(0.01e6), variant="ideal")
+                           resolution=hz(0.01e6))
 print("stability edge: |G_m|/2pi = %.2f MHz" % (to_hz(edge.value) / 1e6))

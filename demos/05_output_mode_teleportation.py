@@ -23,7 +23,7 @@ from chiralcmm.steady_state import resolve_drive
 pre = presets.get("fig2d_magnon")
 params, det = pre.params, pre.detunings
 field = resolve_drive(params, det)
-model = build_model(params, det, field.g_m_eff, "ideal")
+model = build_model(params, det, field.g_m_eff)
 
 # intracavity benchmark
 cm = solve_lyapunov(model.A, model.D)

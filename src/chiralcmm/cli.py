@@ -28,11 +28,8 @@ from .constants import hz, to_hz
 from .linear_model import (
     MODE_ORDER,
     QUAD_LABELS,
-    VARIANT_IDEAL,
-    VARIANT_IMPERFECT,
     UnstableSystemError,
     check_bisection,
-    check_variant,
     max_stable_coupling,
 )
 from .output_mode import MAGNON_INSTANT, MAGNON_WINDOWED, FilterSpec
@@ -86,6 +83,12 @@ _SYSTEM_HZ = ("omega_a", "omega_m", "omega_b", "omega_0", "kappa_a_i",
               "j_coupling", "g_m")
 _AXIS_HZ = {"delta_a", "delta_m_eff", "J", "g_cw", "g_ccw", "kappa_a_e",
             "kappa_a_i", "kappa_m", "gamma_b", "omega_b", "gm_abs", "amplitude"}
+_SWEEP_KEYS = ("axis1", "axis2", "ports", "pairs", "triples")
+#: flags that set one config key each; a flag overrides ``--set``
+_FLAG_KEYS = {"drive": ("drive", "port"),
+              "filter_center": ("filter", "center"),
+              "filter_tau": ("filter", "tau"),
+              "magnon_convention": ("filter", "magnon_convention")}
 
 
 def parse_config_text(text: str) -> dict:
@@ -197,6 +200,12 @@ def _build_sweep(sections, filter_spec, convention) -> SweepSpec | None:
     sweep = sections.get("sweep")
     if not sweep:
         return None
+    for key in sweep:
+        if key not in _SWEEP_KEYS:
+            raise ConfigError(
+                f"sweep.{key}: unknown key (known: {', '.join(_SWEEP_KEYS)}); "
+                "the strictly chiral case is system.j_coupling = 0, "
+                "system.g_ccw = 0")
     axes = []
     for ax in ("axis1", "axis2"):
         raw = sweep.get(ax)
@@ -216,16 +225,13 @@ def _build_sweep(sections, filter_spec, convention) -> SweepSpec | None:
     if not axes:
         raise ConfigError("sweep section present but no axis1 given")
     ports = tuple(p.strip() for p in sweep.get("ports", "cw").split(","))
-    variant = _get_str(sections, "sweep", "variant", default=VARIANT_IMPERFECT,
-                       choices=(VARIANT_IDEAL, VARIANT_IMPERFECT))
     pairs = _parse_partitions(sweep.get("pairs", "a_cw:m,a_cw:b,a_ccw:m,a_ccw:b"), 2)
     triples = _parse_partitions(sweep.get("triples", ""), 3)
     request = MeasureRequest(pairs=pairs, triples=triples,
                              filter_spec=filter_spec,
                              magnon_convention=convention)
     try:
-        return SweepSpec(axes=tuple(axes), drive_ports=ports, variant=variant,
-                         request=request)
+        return SweepSpec(axes=tuple(axes), drive_ports=ports, request=request)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -272,14 +278,10 @@ def load_config(args) -> RunConfig:
         section, key = key.split(".", 1)
         sections.setdefault(section.strip().lower(), {})[key.strip().lower()] = \
             value.strip()
-    if getattr(args, "drive", None):
-        sections.setdefault("drive", {})["port"] = args.drive
-    if getattr(args, "variant", None) and "sweep" in sections:
-        sections["sweep"]["variant"] = args.variant
-    if getattr(args, "filter_center", None) is not None:
-        sections.setdefault("filter", {})["center"] = str(args.filter_center)
-    if getattr(args, "filter_tau", None) is not None:
-        sections.setdefault("filter", {})["tau"] = str(args.filter_tau)
+    for flag, (section, key) in _FLAG_KEYS.items():
+        value = getattr(args, flag, None)
+        if value is not None:
+            sections.setdefault(section, {})[key] = str(value)
 
     params = _build_params(sections)
     diags = validate(params)
@@ -301,12 +303,12 @@ def load_config(args) -> RunConfig:
     workers = getattr(args, "workers", None)
     if workers is None:
         workers = os.cpu_count() or 1
+    warnings = [f"{d.code}: {d.message}" for d in diags if d.level == "warning"]
     return RunConfig(params=params, detunings=detunings, sweep=sweep,
                      filter_spec=filter_spec, magnon_convention=convention,
                      resolved_text=resolved, digest=digest,
                      workers=max(workers, 1),
-                     meta={"warnings": [d.message for d in diags
-                                        if d.level == "warning"]})
+                     meta={"warnings": warnings} if warnings else {})
 
 
 def preset_config_text(name: str) -> str:
@@ -332,7 +334,6 @@ def preset_config_text(name: str) -> str:
     if pre.sweep is not None:
         s = pre.sweep
         lines.append("[sweep]")
-        lines.append(f"variant = {s.variant}")
         lines.append(f"ports = {','.join(s.drive_ports)}")
         for i, ax in enumerate(s.axes, start=1):
             start, stop = ax.start, ax.stop
@@ -363,38 +364,29 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def metadata_lines(cfg: RunConfig, extra: dict | None = None) -> list[str]:
-    meta = {
-        "tool": f"chiralcmm {__version__}",
-        "config_sha256": cfg.digest,
-        "mode_order": ",".join(MODE_ORDER),
-        "quadrature_order": ",".join(QUAD_LABELS),
-        "magnon_convention": cfg.magnon_convention,
-    }
-    meta.update(extra or {})
-    lines = [f"# {k} = {json.dumps(v) if isinstance(v, (list, dict)) else v}"
-             for k, v in meta.items()]
-    lines += [f"# cfg: {line}" for line in cfg.resolved_text.splitlines()]
-    return lines
-
-
 def write_table(fh, cfg: RunConfig, columns, rows, fmt: str,
                 extra_meta: dict | None = None) -> None:
+    """Write the metadata (tool, digest, conventions and ``extra_meta``;
+    tuples are name lists), then the rows, as CSV or JSONL."""
+    meta = {"tool": f"chiralcmm {__version__}", "config_sha256": cfg.digest,
+            "mode_order": MODE_ORDER, "quadrature_order": QUAD_LABELS,
+            "magnon_convention": cfg.magnon_convention, **(extra_meta or {})}
     if fmt == "jsonl":
-        head = {"_meta": {"tool": f"chiralcmm {__version__}",
-                          "config_sha256": cfg.digest,
-                          "mode_order": list(MODE_ORDER),
-                          "magnon_convention": cfg.magnon_convention,
-                          **(extra_meta or {}),
-                          "config": cfg.resolved_text}}
+        head = {"_meta": {**meta, "config": cfg.resolved_text}}
         fh.write(json.dumps(head, sort_keys=True) + "\n")
         for row in rows:
             record = {c: (None if isinstance(v, float) and math.isnan(v) else v)
                       for c, v in zip(columns, row)}
             fh.write(json.dumps(record, sort_keys=True) + "\n")
         return
-    for line in metadata_lines(cfg, extra_meta):
-        fh.write(line + "\n")
+    for key, value in meta.items():
+        if isinstance(value, tuple):
+            value = ",".join(value)
+        elif isinstance(value, (list, dict)):
+            value = json.dumps(value)
+        fh.write(f"# {key} = {value}\n")
+    for line in cfg.resolved_text.splitlines():
+        fh.write(f"# cfg: {line}\n")
     fh.write(",".join(columns) + "\n")
     for row in rows:
         fh.write(",".join(_fmt(v) for v in row) + "\n")
@@ -415,7 +407,9 @@ def _check_output_paths(args) -> None:
 
 def _write_result(args, cfg: RunConfig, columns, rows,
                   extra_meta: dict | None = None) -> int:
-    """Write a result table to ``--out`` (default stdout)."""
+    """Write a result table to ``--out`` (default stdout); its metadata
+    adds the config's validation warnings, if any."""
+    extra_meta = {**(extra_meta or {}), **cfg.meta}
     if getattr(args, "out", None):
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -430,11 +424,15 @@ def _write_result(args, cfg: RunConfig, columns, rows,
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _branch_meta(cfg: RunConfig, branches: int | None) -> dict:
+    """The physical detuning mode names the branch of its cubic mean field
+    (see steady_state.self_consistent_solve)."""
+    if cfg.params.detuning_mode != DETUNING_PHYSICAL:
+        return {}
+    return {"mean_field_branch": "lowest", "mean_field_branches": branches}
+
+
 def cmd_steady(cfg: RunConfig, args) -> int:
-    # one mean field for both variants; --variant ideal only insists on the
-    # chiral configuration, as the ideal drift matrix does
-    if args.variant:
-        check_variant(cfg.params, args.variant)
     sf = resolve_drive(cfg.params, cfg.detunings)
     columns = ("field", "value")
     gm = sf.g_m_eff if sf.g_m_eff is not None else float("nan")
@@ -450,21 +448,16 @@ def cmd_steady(cfg: RunConfig, args) -> int:
         ("e_amplitude", sf.e_amplitude if sf.e_amplitude is not None
          else float("nan")),
     ]
-    # the physical detuning mode names the branch of its cubic mean field
-    # (see steady_state.self_consistent_solve)
-    extra = ({"mean_field_branch": "lowest",
-              "mean_field_branches": sf.meta["branches"]}
-             if cfg.params.detuning_mode == DETUNING_PHYSICAL else None)
     # + 0.0 prints the empty mode of a chiral drive as 0, not -0
     return _write_result(args, cfg, columns,
-                         [(name, value + 0.0) for name, value in rows], extra)
+                         [(name, value + 0.0) for name, value in rows],
+                         _branch_meta(cfg, sf.meta.get("branches")))
 
 
 def cmd_entangle(cfg: RunConfig, args) -> int:
-    variant = args.variant or (cfg.sweep.variant if cfg.sweep else VARIANT_IMPERFECT)
     request = MeasureRequest(filter_spec=cfg.filter_spec,
                              magnon_convention=cfg.magnon_convention)
-    rep = evaluate_point(cfg.params, cfg.detunings, variant, request=request)
+    rep = evaluate_point(cfg.params, cfg.detunings, request=request)
     columns = ("field", "value")
     rows = [("stable", int(rep.stable)), ("abscissa", rep.abscissa),
             ("abs_g_m_eff_hz", to_hz(abs(rep.g_m_eff)))]
@@ -475,15 +468,15 @@ def cmd_entangle(cfg: RunConfig, args) -> int:
     if rep.filtered_e_n is not None:
         rows += [("filtered_en", rep.filtered_e_n), ("fidelity", rep.fidelity)]
     return _write_result(args, cfg, columns, rows,
-                         {"variant": variant, "stable": rep.stable})
+                         {"stable": rep.stable,
+                          **_branch_meta(cfg, rep.meta.get("branches"))})
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
     if cfg.sweep is None:
         raise ConfigError("sweep subcommand needs a [sweep] section")
     result = run_sweep(cfg.params, cfg.detunings, cfg.sweep, workers=cfg.workers)
-    return _write_result(args, cfg, result.columns, result.rows,
-                         {"variant": cfg.sweep.variant, **result.meta})
+    return _write_result(args, cfg, result.columns, result.rows, result.meta)
 
 
 def cmd_comb_threshold(cfg: RunConfig, args) -> int:
@@ -528,9 +521,8 @@ def cmd_comb_threshold(cfg: RunConfig, args) -> int:
 
 
 def cmd_stability_edge(cfg: RunConfig, args) -> int:
-    variant = args.variant or VARIANT_IMPERFECT
     edge = max_stable_coupling(cfg.params, cfg.detunings, cap=hz(args.gm_cap),
-                               resolution=hz(args.resolution), variant=variant)
+                               resolution=hz(args.resolution))
     columns = ("field", "value")
     rows = [("gm_cap_hz", args.gm_cap)]
     if edge.stable_up_to_cap:
@@ -538,7 +530,7 @@ def cmd_stability_edge(cfg: RunConfig, args) -> int:
         rows.append(("note", "stable up to cap"))
     else:
         rows.append(("max_stable_gm_hz", to_hz(edge.value)))
-    return _write_result(args, cfg, columns, rows, {"variant": variant})
+    return _write_result(args, cfg, columns, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                        help="override a config value (repeatable)")
         p.add_argument("--drive", choices=(DRIVE_CW, DRIVE_CCW))
-        p.add_argument("--variant", choices=(VARIANT_IDEAL, VARIANT_IMPERFECT))
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
         p.add_argument("--workers", type=int, default=None,
@@ -603,9 +594,6 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "magnon_convention", None):
-        args.set = (args.set or []) + [
-            f"filter.magnon_convention={args.magnon_convention}"]
     try:
         _check_output_paths(args)
         cfg = load_config(args)

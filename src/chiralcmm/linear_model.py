@@ -3,9 +3,9 @@
 The fluctuation vector is ordered
     [X_a_cw, Y_a_cw, X_a_ccw, Y_a_ccw, X_m, Y_m, q, p]
 with X = (a + a^dag)/sqrt(2), Y = i(a^dag - a)/sqrt(2) and vacuum variance
-1/2 per quadrature.  The "ideal" drift matrix describes the strictly chiral
-configuration; the "imperfect" one adds the backscattering coupling J
-between the circulating modes and the residual coupling g_ccw.
+1/2 per quadrature.  The drift matrix carries the backscattering coupling
+J between the circulating modes and the residual coupling g_ccw; the
+strictly chiral configuration is its J = 0, g_ccw = 0 case.
 """
 
 from __future__ import annotations
@@ -16,9 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import Detunings, SystemParams
-
-VARIANT_IDEAL = "ideal"
-VARIANT_IMPERFECT = "imperfect"
 
 MODE_ORDER = ("a_cw", "a_ccw", "m", "b")
 QUAD_LABELS = ("X_a_cw", "Y_a_cw", "X_a_ccw", "Y_a_ccw", "X_m", "Y_m", "q", "p")
@@ -46,27 +43,15 @@ class LinearModel:
     abscissa: float = np.nan
 
 
-def check_variant(params: SystemParams, variant: str) -> None:
-    """Reject an unknown drift variant, and the ideal one unless J = 0 and
-    g_ccw = 0 (at every point of a stack)."""
-    if variant not in (VARIANT_IDEAL, VARIANT_IMPERFECT):
-        raise ValueError(f"unknown drift variant {variant!r}")
-    if variant == VARIANT_IDEAL and (np.any(params.J != 0)
-                                     or np.any(params.g_ccw != 0)):
-        raise ValueError("ideal variant requires J = 0 and g_ccw = 0")
-
-
-def build_drift(params: SystemParams, det: Detunings, g_m_eff: complex,
-                variant: str = VARIANT_IMPERFECT) -> np.ndarray:
+def build_drift(params: SystemParams, det: Detunings,
+                g_m_eff: complex) -> np.ndarray:
     """Assemble the 8x8 drift matrix, or an (n, 8, 8) stack of them for
     stacked parameters.
 
     ``g_m_eff`` is the complex effective magnomechanical coupling G_m; its
     real and imaginary parts enter the magnon-mechanics block separately.
-    The ideal variant requires J = 0 and g_ccw = 0 (:func:`check_variant`)
-    and so has an exactly zero CCW coupling block.
+    With J = 0 and g_ccw = 0 the CCW coupling block is exactly zero.
     """
-    check_variant(params, variant)
     values = np.broadcast_arrays(
         params.kappa_a, params.kappa_m, params.gamma_b, det.delta_a,
         det.delta_m_eff, params.omega_b, params.g_cw, params.g_ccw, params.J,
@@ -134,11 +119,11 @@ def is_stable(A: np.ndarray) -> tuple[bool, float]:
     return stable, abscissa
 
 
-def build_model(params: SystemParams, det: Detunings, g_m_eff: complex,
-                variant: str = VARIANT_IMPERFECT) -> LinearModel:
+def build_model(params: SystemParams, det: Detunings,
+                g_m_eff: complex) -> LinearModel:
     """Drift, diffusion and stability verdict at one point, or stacks of
     them for stacked parameters."""
-    A = build_drift(params, det, g_m_eff, variant)
+    A = build_drift(params, det, g_m_eff)
     D = build_diffusion(params)
     stable, absc = is_stable(A)
     return LinearModel(A=A, D=D, stable=stable, abscissa=absc)
@@ -186,8 +171,7 @@ def bisect_edge(passes, cap: float, resolution: float):
 
 
 def max_stable_coupling(params: SystemParams, det: Detunings,
-                        cap: float, resolution: float,
-                        variant: str = VARIANT_IMPERFECT) -> CouplingEdge:
+                        cap: float, resolution: float) -> CouplingEdge:
     """Largest |G_m| keeping the drift matrix stable, by bisection.
 
     Raises UnstableSystemError if the system is unstable already at
@@ -197,7 +181,7 @@ def max_stable_coupling(params: SystemParams, det: Detunings,
     check_bisection(cap, resolution)
 
     def stable_at(g: float) -> bool:
-        return is_stable(build_drift(params, det, g, variant))[0]
+        return is_stable(build_drift(params, det, g))[0]
 
     if not stable_at(0.0):
         raise UnstableSystemError("system is unstable already at |G_m| = 0")

@@ -319,8 +319,7 @@ class FilteredPairCM:
 
 
 def filtered_pair_cm(A: np.ndarray, D: np.ndarray, params: SystemParams,
-                     spec: FilterSpec,
-                     magnon_convention: str = MAGNON_WINDOWED,
+                     spec: FilterSpec, magnon_convention: str,
                      drive_port: str | None = None) -> FilteredPairCM:
     """Covariance matrix of the filtered output mode and the magnon mode.
 

@@ -20,10 +20,9 @@ runs in-process.  The result is the same for any worker count.
 
 A block that meets a domain error (the ValueError and RuntimeError
 families: singular mean field, invalid covariance, quadrature failure,
-instability, a refused Lyapunov solve, a rejected drift
-variant) is split in halves until each failing point stands alone; those
-rows carry ``"<Type>: <message>"`` and the others are unaffected.  Any
-other exception fails the sweep.
+instability, a refused Lyapunov solve) is split in halves until each
+failing point stands alone; those rows carry ``"<Type>: <message>"`` and
+the others are unaffected.  Any other exception fails the sweep.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from . import linear_model
 # pipeline.build_model stays the single-point helper (bench/tracer.py wraps
 # it and reads one verdict per call); blocks go through
 # linear_model.build_model
-from .linear_model import VARIANT_IMPERFECT, build_model  # noqa: F401
+from .linear_model import build_model  # noqa: F401
 from .lyapunov import extract_block, solve_lyapunov
 from .measures import (
     is_physical,
@@ -88,6 +87,8 @@ class EntReport:
     Unstable points carry no measures: only steady-state quantities are
     reported.  ``echo`` identifies the configuration up to the drive port so
     that drive-direction comparisons can verify they compare like with like.
+    ``meta`` holds the mean-field branch count in the physical detuning mode
+    (``branches``) and the filtered-output diagnostics (``filtered``).
     """
 
     stable: bool
@@ -104,25 +105,24 @@ class EntReport:
 
 
 def evaluate_point(params: SystemParams, det: Detunings,
-                   variant: str = VARIANT_IMPERFECT,
                    drive_port: str | None = None,
                    request: MeasureRequest | None = None) -> EntReport:
     """Full single-point evaluation: the block evaluator on one point."""
     request = request or MeasureRequest()
     port = drive_port or params.drive_port
-    block = _evaluate(params, det, variant, request, (), np.empty((1, 0)),
+    block = _evaluate(params, det, request, (), np.empty((1, 0)),
                       np.array([port]))
-    echo = (params.replace(drive_port=DRIVE_CW), det, variant)
+    echo = (params.replace(drive_port=DRIVE_CW), det)
     stable = bool(block.stable[0])
+    meta = {} if block.branches is None else {"branches": int(block.branches[0])}
     common = dict(stable=stable, abscissa=float(block.abscissa[0]),
                   drive_port=port, g_m_eff=complex(block.g_m_eff[0]), echo=echo)
     if not stable:
         return EntReport(e_n={}, r_min={}, filtered_e_n=None, fidelity=None,
-                         physical=None, **common)
+                         physical=None, meta=meta, **common)
     e_n = {key: float(v[0]) for key, v in block.e_n.items()}
     r_min = {key: float(v[0]) for key, v in block.r_min.items()}
     filtered_e_n = fidelity = None
-    meta = {}
     if request.filter_spec is not None:
         filtered_e_n = float(block.filtered_e_n[0])
         fidelity = float(block.fidelity[0])
@@ -150,9 +150,8 @@ class _Block:
     branches: np.ndarray | None      # real mean-field roots (physical mode)
 
 
-def _evaluate(params: SystemParams, det: Detunings, variant: str,
-              request: MeasureRequest, axes: tuple, values: np.ndarray,
-              ports: np.ndarray) -> _Block:
+def _evaluate(params: SystemParams, det: Detunings, request: MeasureRequest,
+              axes: tuple, values: np.ndarray, ports: np.ndarray) -> _Block:
     """Evaluate the points ``params``/``det`` with ``axes`` set to the rows
     of ``values``, each driven through its entry of ``ports``."""
     n = len(ports)
@@ -163,7 +162,7 @@ def _evaluate(params: SystemParams, det: Detunings, variant: str,
     # the drift sees the shifted magnon detuning: the input one, or the
     # self-consistent one of the physical detuning mode
     dets = Detunings(dets.delta_a, dets.delta_m, steady.delta_m_eff)
-    model = linear_model.build_model(P, dets, steady.g_m_eff, variant)
+    model = linear_model.build_model(P, dets, steady.g_m_eff)
     ok = model.stable
     cm = solve_lyapunov(model.A[ok], model.D[ok], gated=True)
 
@@ -290,7 +289,6 @@ class SweepSpec:
 
     axes: tuple
     drive_ports: tuple = (DRIVE_CW,)
-    variant: str = VARIANT_IMPERFECT
     request: MeasureRequest = field(default_factory=MeasureRequest)
 
     def __post_init__(self):
@@ -369,8 +367,7 @@ def evaluate_block(params: SystemParams, det: Detunings, spec: SweepSpec,
     multistable = ({MULTISTABLE: 0}
                    if params.detuning_mode == DETUNING_PHYSICAL else {})
     try:
-        block = _evaluate(params, det, spec.variant, spec.request, spec.axes,
-                          values, ports)
+        block = _evaluate(params, det, spec.request, spec.axes, values, ports)
     except DOMAIN_ERRORS as exc:
         if len(ports) == 1:
             pad = len(_row_columns(spec)) - len(spec.axes) - 2

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .constants import hz
-from .linear_model import VARIANT_IDEAL
 from .output_mode import FilterSpec
 from .params import DRIVE_CW, Detunings, DriveSpec, SystemParams, drive_amplitude
 from .pipeline import MeasureRequest, SweepAxis, SweepSpec
@@ -112,7 +111,6 @@ def _detuning_grid(params, pairs, n=101) -> SweepSpec:
         axes=(SweepAxis("delta_a", -2 * wb, 0.0, n),
               SweepAxis("delta_m_eff", 0.0, 2 * wb, n)),
         drive_ports=(DRIVE_CW,),
-        variant=VARIANT_IDEAL,
         request=MeasureRequest(pairs=pairs, triples=()),
     )
 
@@ -145,7 +143,6 @@ def get(name: str, grid_points: int = 101) -> FigurePreset:
         sweep = SweepSpec(
             axes=(SweepAxis("kappa_a_e", hz(0.5e6), hz(7.8e6), grid_points),
                   SweepAxis("power", 1e-3, 1.0, grid_points)),
-            variant=VARIANT_IDEAL,
             request=MeasureRequest(pairs=(("a_cw", "b"),), triples=()),
         )
         return FigurePreset(name, "microwave-phonon entanglement vs cavity "
@@ -156,7 +153,6 @@ def get(name: str, grid_points: int = 101) -> FigurePreset:
         det = optimum(p, which)
         pair = ("a_cw", "m") if which == "magnon" else ("a_cw", "b")
         sweep = SweepSpec(axes=(SweepAxis("gamma_b", hz(10.0), hz(1e5), 51),),
-                          variant=VARIANT_IDEAL,
                           request=MeasureRequest(pairs=(pair,), triples=()))
         return FigurePreset(name, "entanglement vs mechanical damping",
                             p, det, sweep, output_filter(p))
@@ -166,7 +162,6 @@ def get(name: str, grid_points: int = 101) -> FigurePreset:
         det = optimum(p, which)
         wb = p.omega_b
         sweep = SweepSpec(axes=(SweepAxis("delta_a", -2 * wb, 0.0, grid_points),),
-                          variant=VARIANT_IDEAL,
                           request=MeasureRequest(pairs=(),
                                                  triples=(("a_cw", "m", "b"),)))
         return FigurePreset(name, "tripartite residual contangle vs delta_a",

@@ -43,6 +43,8 @@ WINDOW_FRAC = 0.2
 RTOL = 1e-9
 ATOL_REL = 1e-9
 
+SAMPLES_PER_PERIOD = 48   # trajectory samples per mechanical period
+
 
 class IntegrationError(RuntimeError):
     pass
@@ -84,13 +86,13 @@ def default_horizon(params: SystemParams, periods: float = 200.0) -> float:
 
 
 def _fixed_point_scales(params: SystemParams, det: Detunings, E: float,
-                        port: str, y0: np.ndarray) -> np.ndarray:
+                        port: str) -> np.ndarray:
     """Magnitude of each state component at the closed-form fixed point.
 
     Cavity components share max(|a_cw|, |a_ccw|), the magnon components
     take |m| and q, p take g_m*|m|^2/omega_b.  A vanishing scale (E = 0, a
     decoupled magnon, g_m = 0) or a singular mean field falls back to the
-    largest scale, max|y0|, or 1.
+    largest scale, or 1.
     """
     try:
         sf = imperfect_means(params, det, E, port)
@@ -101,7 +103,7 @@ def _fixed_point_scales(params: SystemParams, det: Detunings, E: float,
         m = abs(sf.m)
         x = abs(params.g_m) * m * m / params.omega_b
         scales = np.array([a, a, a, a, m, m, x, x])
-    fallback = max(scales.max(), np.abs(y0).max()) or 1.0
+    fallback = scales.max() or 1.0
     return np.where(scales > 0, scales, fallback)
 
 
@@ -145,15 +147,14 @@ def make_rhs(params: SystemParams, det: Detunings, E: float, port: str):
 def integrate_classical(params: SystemParams, det: Detunings, E: float,
                         t_end: float | None = None,
                         drive_port: str | None = None,
-                        y0=None, samples_per_period: int = 48,
                         window_frac: float | None = None) -> Trajectory:
-    """Integrate the classical averages from ``y0`` (default: all modes empty).
+    """Integrate the classical averages from the empty state (all modes 0).
 
     ``det.delta_m`` is the bare magnon detuning; the dispersive shift
     develops dynamically through the g_m*<m><q> term, so g_m must be given.
-    With E = 0 and a zero initial state the trajectory is identically zero.
+    With E = 0 the trajectory is identically zero.
 
-    The samples lie on a uniform grid of ``samples_per_period`` points per
+    The samples lie on a uniform grid of SAMPLES_PER_PERIOD points per
     mechanical period from t = 0 (``stats["n_grid"]`` points).  With
     ``window_frac``, only the grid points from index
     int(n_grid*(1 - window_frac)) on are sampled: the analysis window of
@@ -179,17 +180,17 @@ def integrate_classical(params: SystemParams, det: Detunings, E: float,
     wb = params.omega_b
     if t_end is None:
         t_end = default_horizon(params)
-    y0 = np.zeros(8) if y0 is None else np.asarray(y0, dtype=float)
-    atol = ATOL_REL * _fixed_point_scales(params, det, E, port, y0)
-    n_samples = max(int(samples_per_period * t_end * wb / (2 * math.pi)), 200)
+    atol = ATOL_REL * _fixed_point_scales(params, det, E, port)
+    n_samples = max(int(SAMPLES_PER_PERIOD * t_end * wb / (2 * math.pi)), 200)
     t_eval = np.linspace(0.0, t_end, n_samples)
     if window_frac is not None:
         if not 0.0 < window_frac <= 1.0:
             raise ValueError(f"window_frac must lie in (0, 1], got {window_frac}")
         t_eval = t_eval[int(n_samples * (1.0 - window_frac)):]
     with np.errstate(over="ignore", invalid="ignore"):  # rejected trial steps
-        sol = solve_ivp(make_rhs(params, det, E, port), (0.0, t_end), y0,
-                        method="DOP853", t_eval=t_eval, rtol=RTOL, atol=atol)
+        sol = solve_ivp(make_rhs(params, det, E, port), (0.0, t_end),
+                        np.zeros(8), method="DOP853", t_eval=t_eval,
+                        rtol=RTOL, atol=atol)
     if not sol.success:
         raise IntegrationError(f"integration failed: {sol.message}")
     y = sol.y

@@ -53,7 +53,7 @@ class TestAcceptance:
         t0 = time.time()
         p, det = stability_point()
         edge = max_stable_coupling(p, det, cap=hz(30e6),
-                                   resolution=hz(0.01e6), variant="ideal")
+                                   resolution=hz(0.01e6))
         elapsed = time.time() - t0
         value_mhz = to_hz(edge.value) / 1e6
         ok = abs(value_mhz - 11.9) <= 0.02 * 11.9 and elapsed < 10.0
@@ -75,8 +75,7 @@ class TestAcceptance:
         t0 = time.time()
         pre = presets.get("fig2d_magnon")
         model = build_model(pre.params, pre.detunings,
-                            resolve_drive(pre.params, pre.detunings).g_m_eff,
-                            "ideal")
+                            resolve_drive(pre.params, pre.detunings).g_m_eff)
         out = filtered_pair_cm(model.A, model.D, pre.params, pre.filter_spec,
                                MAGNON_INSTANT)
         e_n = log_negativity(out.V)
@@ -120,7 +119,7 @@ class TestAcceptance:
         key = "|".join(pair)
 
         def entangled(T):
-            rep = evaluate_point(p.replace(temperature=T), det, "imperfect")
+            rep = evaluate_point(p.replace(temperature=T), det)
             return rep.e_n[key] > 0
 
         lo, hi = 0.080, 0.250
@@ -144,7 +143,7 @@ class TestAcceptance:
         for which, pair in (("magnon", "a_cw|m"), ("phonon", "a_cw|b")):
             build = presets.magnon_set if which == "magnon" else presets.phonon_set
             p = build(gamma_b=hz(1e4))
-            rep = evaluate_point(p, presets.optimum(p, which), "ideal")
+            rep = evaluate_point(p, presets.optimum(p, which))
             values[pair] = rep.e_n[pair]
         elapsed = time.time() - t0
         ok = all(v > 0 for v in values.values())
@@ -158,8 +157,8 @@ class TestAcceptance:
         t0 = time.time()
         p = presets.magnon_set()
         det = presets.optimum(p, "magnon")
-        cw = evaluate_point(p, det, "ideal", "cw")
-        ccw = evaluate_point(p, det, "ideal", "ccw")
+        cw = evaluate_point(p, det, "cw")
+        ccw = evaluate_point(p, det, "ccw")
         worst = max(list(ccw.e_n.values()) + list(ccw.r_min.values()))
         contrast = nonreciprocity_contrast(cw, ccw, ("a_cw", "m"))
         elapsed = time.time() - t0
@@ -264,7 +263,7 @@ class TestAcceptance:
             det = Detunings.effective(rng.uniform(-2, 0) * p.omega_b,
                                       rng.uniform(0, 2) * p.omega_b)
             sf = resolve_drive(p, det)
-            model = build_model(p, det, sf.g_m_eff, "imperfect")
+            model = build_model(p, det, sf.g_m_eff)
             if not model.stable:
                 continue
             cm = solve_lyapunov(model.A, model.D)
@@ -274,9 +273,9 @@ class TestAcceptance:
         # monogamy non-negativity on the pipeline's three-mode CMs across
         # the figure operating domains (the negativity-based contangle can
         # dip below zero off-design; see test_measures stress test)
-        def min_residual(params, det, variant):
+        def min_residual(params, det):
             sf = resolve_drive(params, det)
-            model = build_model(params, det, sf.g_m_eff, variant)
+            model = build_model(params, det, sf.g_m_eff)
             if not model.stable:
                 return 0.0
             cm = solve_lyapunov(model.A, model.D)
@@ -288,17 +287,15 @@ class TestAcceptance:
         wb = pre.params.omega_b
         worst = min(min_residual(pre.params,
                                  Detunings.effective(da,
-                                                     pre.detunings.delta_m_eff),
-                                 "ideal")
+                                                     pre.detunings.delta_m_eff))
                     for da in np.linspace(-2 * wb, 0, 11))
         pre = presets.get("fig6a")
         worst = min(worst, min(
-            min_residual(pre.params.replace(J=J), pre.detunings, "imperfect")
+            min_residual(pre.params.replace(J=J), pre.detunings)
             for J in np.linspace(0, 2 * pre.params.kappa_m, 7)))
         pre = presets.get("fig5a")
         worst = min(worst, min(
-            min_residual(pre.params.replace(temperature=T), pre.detunings,
-                         "imperfect")
+            min_residual(pre.params.replace(temperature=T), pre.detunings)
             for T in np.linspace(0.001, 0.25, 7)))
         if worst < -1e-9:
             failures.append("monogamy")

@@ -1,6 +1,8 @@
 import json
 import math
+import shlex
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,7 +38,6 @@ delta_m_eff = 7.6e6
 
 SWEEP_SECTION = """\
 [sweep]
-variant = ideal
 ports = cw
 pairs = a_cw:m
 axis1 = delta_a,-10.0e6,-5.0e6,3
@@ -55,6 +56,31 @@ def sweep_config_path(tmp_path):
     path = tmp_path / "sweep.cfg"
     path.write_text(BASE_CONFIG + SWEEP_SECTION, encoding="utf-8")
     return str(path)
+
+
+def csv_meta(tmp_path, command, *argv):
+    """Metadata entries of a CSV run of ``command`` on the fig2b preset."""
+    out = tmp_path / f"{command}.csv"
+    assert main([command, "--config", "fig2b", "--out", str(out),
+                 *argv]) == EXIT_OK
+    return dict(ln[2:].split(" = ", 1) for ln in out.read_text().splitlines()
+                if ln.startswith("# ") and " = " in ln)
+
+
+def fold_point_physical():
+    """--set flags for fig2b driven for |G_m| = 12 MHz from the
+    pre-compensated bare detuning in the physical detuning mode: the fold,
+    where the cubic mean field has three branches."""
+    pre = presets.get("fig2b")
+    p = pre.params.replace(g_m=hz(1.0))
+    E = amplitude_for_gm(p, pre.detunings, hz(12e6))
+    det = precompensated_detunings(p, pre.detunings, E)
+    f0 = to_hz(p.omega_0)
+    return ["--set", "system.g_m=1.0", "--set", "drive.spec=amplitude",
+            "--set", f"drive.value={to_hz(E)!r}",
+            "--set", "detuning.mode=physical",
+            "--set", f"system.omega_a={f0 + to_hz(det.delta_a)!r}",
+            "--set", f"system.omega_m={f0 + to_hz(det.delta_m)!r}"]
 
 
 class TestConfigParsing:
@@ -90,10 +116,6 @@ class TestOverrides:
         class Args:
             config = config_path
             set = ["drive.value=2.5e6"]
-            drive = None
-            variant = None
-            filter_center = None
-            filter_tau = None
             workers = 1
 
         cfg = load_config(Args())
@@ -104,12 +126,45 @@ class TestOverrides:
             config = config_path
             set = None
             drive = "ccw"
-            variant = None
-            filter_center = None
-            filter_tau = None
             workers = 1
 
         assert load_config(Args()).params.drive_port == "ccw"
+
+    def test_flags_override_set_of_the_same_key(self):
+        args = cli.build_parser().parse_args([
+            "entangle", "--config", "fig2d_magnon",
+            "--set", "drive.port=cw", "--drive", "ccw",
+            "--set", "filter.tau=1e-6", "--filter-tau", "2e-7",
+            "--set", "filter.magnon_convention=instant",
+            "--magnon-convention", "windowed"])
+        cfg = load_config(args)
+        assert cfg.params.drive_port == "ccw"
+        assert cfg.filter_spec.tau == 2e-7
+        assert cfg.magnon_convention == "windowed"
+
+    def test_sweep_variant_key_refused(self, tmp_path, capsys):
+        # files written by earlier versions carry a drift-variant key
+        path = tmp_path / "old.cfg"
+        path.write_text(cli.preset_config_text("fig2a").replace(
+            "[sweep]\n", "[sweep]\nvariant = ideal\n"), encoding="utf-8")
+        assert main(["sweep", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "sweep.variant" in err and "j_coupling = 0" in err
+
+    def test_variant_flag_refused(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", "fig2a", "--variant", "ideal"])
+        assert exc.value.code == EXIT_CONFIG
+
+    def test_readme_commands_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        commands = [shlex.split(line)[1:] for line in readme.splitlines()
+                    if line.startswith("chiralcmm ")]
+        assert len(commands) >= 5
+        parser = cli.build_parser()
+        for argv in commands:
+            parser.parse_args(argv)
 
 
 class TestSteadyCommand:
@@ -121,27 +176,6 @@ class TestSteadyCommand:
         rows = dict(line.split(",") for line in out.read_text().splitlines()
                     if line and not line.startswith("#") and "field" not in line)
         assert float(rows["abs_g_m_eff_hz"]) == 0.0
-
-    def test_variants_share_one_mean_field(self, tmp_path):
-        def values(variant):
-            out = tmp_path / f"{variant}.csv"
-            assert main(["steady", "--config", "fig2b", "--variant", variant,
-                         "--out", str(out)]) == EXIT_OK
-            return {k: float(v) for k, v in (
-                line.split(",") for line in out.read_text().splitlines()
-                if line and not line.startswith("#") and "field" not in line)}
-
-        ideal, imperfect = values("ideal"), values("imperfect")
-        assert ideal.keys() == imperfect.keys()
-        for key, value in imperfect.items():
-            assert ideal[key] == pytest.approx(value, rel=1e-12, nan_ok=True)
-
-    def test_ideal_variant_rejects_backscattering(self, capsys):
-        # the same J = 0 / g_ccw = 0 check as the ideal drift matrix
-        rc = main(["steady", "--config", "fig2b", "--variant", "ideal",
-                   "--set", "system.j_coupling=1e5"])
-        assert rc == EXIT_CONFIG
-        assert "ideal variant requires J = 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("override", [
         [],                                       # the config's |G_m| drive
@@ -156,31 +190,27 @@ class TestSteadyCommand:
         assert "detuning mode 'effective'" in capsys.readouterr().err
 
     def test_physical_mode_names_its_mean_field_branch(self, tmp_path):
-        # fig2b driven for |G_m| = 12 MHz from the pre-compensated bare
-        # detuning: the fold, where the cubic mean field has three branches
-        pre = presets.get("fig2b")
-        p = pre.params.replace(g_m=hz(1.0))
-        E = amplitude_for_gm(p, pre.detunings, hz(12e6))
-        det = precompensated_detunings(p, pre.detunings, E)
-        f0 = to_hz(p.omega_0)
-        physical = ["--set", "system.g_m=1.0", "--set", "drive.spec=amplitude",
-                    "--set", f"drive.value={to_hz(E)!r}",
-                    "--set", "detuning.mode=physical",
-                    "--set", f"system.omega_a={f0 + to_hz(det.delta_a)!r}",
-                    "--set", f"system.omega_m={f0 + to_hz(det.delta_m)!r}"]
-
-        def meta(argv):
-            out = tmp_path / "steady.csv"
-            assert main(["steady", "--config", "fig2b", "--out", str(out),
-                         *argv]) == EXIT_OK
-            return dict(ln[2:].split(" = ", 1)
-                        for ln in out.read_text().splitlines()
-                        if ln.startswith("# ") and " = " in ln)
-
-        branch = meta(physical)
+        branch = csv_meta(tmp_path, "steady", *fold_point_physical())
         assert branch["mean_field_branch"] == "lowest"
         assert branch["mean_field_branches"] == "3"
-        assert not any(key.startswith("mean_field") for key in meta([]))
+        assert not any(key.startswith("mean_field")
+                       for key in csv_meta(tmp_path, "steady"))
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_validation_warnings_reach_the_output(self, fmt, tmp_path):
+        out = tmp_path / f"steady.{fmt}"
+        assert main(["steady", "--config", "fig2b", "--format", fmt,
+                     "--set", "system.gamma_b=2e6", "--set",
+                     "system.kappa_m=20e6", "--out", str(out)]) == EXIT_OK
+        lines = out.read_text().splitlines()
+        if fmt == "csv":
+            (line,) = [ln for ln in lines if ln.startswith("# warnings = ")]
+            warnings = json.loads(line.split(" = ", 1)[1])
+        else:
+            warnings = json.loads(lines[0])["_meta"]["warnings"]
+        assert [w.split(":")[0] for w in warnings] == ["low_q",
+                                                       "unresolved_sideband"]
+        assert "warnings" not in csv_meta(tmp_path, "steady")
 
     def test_metadata_block_present(self, config_path, capsys):
         assert main(["steady", "--config", config_path]) == EXIT_OK
@@ -216,15 +246,21 @@ class TestEntangleCommand:
     def test_unstable_point_reported_not_fatal(self, config_path, tmp_path):
         out = tmp_path / "ent.csv"
         rc = main(["entangle", "--config", config_path,
-                   "--set", "drive.value=14e6", "--variant", "ideal",
-                   "--out", str(out)])
+                   "--set", "drive.value=14e6", "--out", str(out)])
         assert rc == EXIT_OK
         body = out.read_text()
         assert "stable,0" in body
 
+    def test_physical_mode_names_its_mean_field_branch(self, tmp_path):
+        branch = csv_meta(tmp_path, "entangle", *fold_point_physical())
+        assert branch["mean_field_branch"] == "lowest"
+        assert branch["mean_field_branches"] == "3"
+        assert not any(key.startswith("mean_field")
+                       for key in csv_meta(tmp_path, "entangle"))
+
     def test_filtered_outputs(self, config_path, tmp_path):
         out = tmp_path / "ent.csv"
-        rc = main(["entangle", "--config", config_path, "--variant", "ideal",
+        rc = main(["entangle", "--config", config_path,
                    "--filter-center=-10e6", "--filter-tau=1.5915494e-7",
                    "--out", str(out)])
         assert rc == EXIT_OK
@@ -257,14 +293,15 @@ class TestSweepCommand:
         lines = out.read_text().splitlines()
         meta = json.loads(lines[0])["_meta"]
         assert meta["mode_order"] == ["a_cw", "a_ccw", "m", "b"]
+        assert meta["quadrature_order"][:2] == ["X_a_cw", "Y_a_cw"]
         record = json.loads(lines[1])
         assert record["drive_port"] == "cw"
 
     def test_diagnostic_counts_in_metadata(self, sweep_config_path, tmp_path):
         counts = {"unphysical_rows": 0, "several_below_half_rows": 0,
                   "error_rows": 1}
-        # the ideal variant refuses J != 0: the second of two rows is an error
-        args = ["--set", "sweep.axis1=J,0.0,2.0e5,2"]
+        # a negative temperature is refused: the second of two rows is an error
+        args = ["--set", "sweep.axis1=temperature,0.01,-0.01,2"]
         csv_out, jsonl_out = tmp_path / "s.csv", tmp_path / "s.jsonl"
         assert main(["sweep", "--config", sweep_config_path, "--out",
                      str(csv_out), *args]) == EXIT_OK
@@ -274,7 +311,8 @@ class TestSweepCommand:
         for key, value in counts.items():
             assert f"# {key} = {value}" in lines
         data = [ln for ln in lines if not ln.startswith("#")]
-        assert data[0] == "J,drive_port,stable,abs_g_m_eff,en_a_cw_m,error"
+        assert data[0] == ("temperature,drive_port,stable,abs_g_m_eff,"
+                           "en_a_cw_m,error")
         assert [ln.split(",")[-1] != "" for ln in data[1:]] == [False, True]
         meta = json.loads(jsonl_out.read_text().splitlines()[0])["_meta"]
         assert {key: meta[key] for key in counts} == counts
@@ -321,27 +359,19 @@ class TestSweepCommand:
 class TestStabilityEdgeCommand:
     def test_known_boundary(self, tmp_path):
         out = tmp_path / "edge.csv"
-        rc = main(["stability-edge", "--config", "fig2b", "--variant", "ideal",
-                   "--gm-cap", "30e6", "--out", str(out)])
+        rc = main(["stability-edge", "--config", "fig2b", "--gm-cap", "30e6",
+                   "--out", str(out)])
         assert rc == EXIT_OK
         rows = dict(line.split(",") for line in out.read_text().splitlines()
                     if line and not line.startswith("#") and "field" not in line)
         assert float(rows["max_stable_gm_hz"]) == pytest.approx(11.9e6, rel=0.02)
-
-    def test_inconsistent_variant_is_a_config_error(self):
-        # the ideal variant requires J = 0: a configuration error, not an
-        # instability
-        rc = main(["stability-edge", "--config", "fig2b", "--variant", "ideal",
-                   "--set", "system.j_coupling=1e5"])
-        assert rc == EXIT_CONFIG
 
     @pytest.mark.parametrize("flag", [("--resolution", "0"),
                                       ("--gm-cap", "-5")],
                              ids=["resolution-0", "gm-cap-negative"])
     def test_bisection_arguments_checked(self, flag, capsys):
         t0 = time.perf_counter()
-        rc = main(["stability-edge", "--config", "fig2b", "--variant", "ideal",
-                   *flag])
+        rc = main(["stability-edge", "--config", "fig2b", *flag])
         assert rc == EXIT_CONFIG
         assert time.perf_counter() - t0 < 1.0
         assert "finite and positive" in capsys.readouterr().err

@@ -40,15 +40,15 @@ IMPERFECT_ZERO = np.array([
 ], dtype=bool)
 
 
-def rand_point(rng, imperfect=True):
+def rand_point(rng):
     p = SystemParams(
         kappa_a_i=rng.uniform(hz(0.1e6), hz(1e6)),
         kappa_a_e=rng.uniform(hz(1e6), hz(6e6)),
         kappa_m=rng.uniform(hz(0.5e6), hz(2e6)),
         gamma_b=rng.uniform(hz(10), hz(1e4)),
         g_cw=rng.uniform(hz(1e6), hz(9e6)),
-        g_ccw=rng.uniform(0, hz(2e6)) if imperfect else 0.0,
-        J=rng.uniform(0, hz(2e6)) if imperfect else 0.0,
+        g_ccw=rng.uniform(0, hz(2e6)),
+        J=rng.uniform(0, hz(2e6)),
     )
     det = Detunings.effective(rng.uniform(-2, 2) * p.omega_b,
                               rng.uniform(-2, 2) * p.omega_b)
@@ -60,7 +60,7 @@ class TestDrift:
     def test_decoupled_limit_eigenvalues(self):
         p = SystemParams(g_cw=0.0)
         det = Detunings.effective(-0.5 * p.omega_b, 0.3 * p.omega_b)
-        A = build_drift(p, det, 0.0, "ideal")
+        A = build_drift(p, det, 0.0)
         ev = np.sort_complex(np.linalg.eigvals(A))
         expected = [-p.kappa_a + 1j * det.delta_a, -p.kappa_a - 1j * det.delta_a,
                     -p.kappa_a + 1j * det.delta_a, -p.kappa_a - 1j * det.delta_a,
@@ -71,28 +71,29 @@ class TestDrift:
         assert_allclose(ev, np.sort_complex(np.array(expected)), rtol=1e-9)
 
     def test_imperfect_reduces_to_ideal(self):
+        # J and g_ccw enter only entries that the chiral drift leaves zero
         rng = np.random.default_rng(21)
         for _ in range(20):
-            p, det, gm = rand_point(rng, imperfect=False)
-            A1 = build_drift(p, det, gm, "ideal")
-            A2 = build_drift(p, det, gm, "imperfect")
-            assert np.array_equal(A1, A2)
+            p, det, gm = rand_point(rng)
+            A = build_drift(p, det, gm)
+            A0 = build_drift(p.replace(J=0.0, g_ccw=0.0), det, gm)
+            assert np.array_equal(A[~IDEAL_ZERO], A0[~IDEAL_ZERO])
 
     def test_sparsity_pattern(self):
         rng = np.random.default_rng(22)
         for _ in range(1000):
             p, det, gm = rand_point(rng)
-            A = build_drift(p, det, gm, "imperfect")
+            A = build_drift(p, det, gm)
             assert np.all(A[IMPERFECT_ZERO] == 0.0)
             p0 = p.replace(J=0.0, g_ccw=0.0)
-            A0 = build_drift(p0, det, gm, "ideal")
+            A0 = build_drift(p0, det, gm)
             assert np.all(A0[IDEAL_ZERO] == 0.0)
 
     def test_coupling_signs(self):
         p = SystemParams(J=hz(1e6), g_ccw=hz(0.3e6))
         det = Detunings.effective(-0.7 * p.omega_b, 0.6 * p.omega_b)
         gm = hz(2e6) * np.exp(0.4j)
-        A = build_drift(p, det, gm, "imperfect")
+        A = build_drift(p, det, gm)
         assert A[0, 1] == det.delta_a and A[1, 0] == -det.delta_a
         assert A[0, 5] == p.g_cw and A[1, 4] == -p.g_cw
         assert A[0, 3] == p.J and A[1, 2] == -p.J
@@ -100,12 +101,6 @@ class TestDrift:
         assert A[7, 4] == -gm.real and A[7, 5] == -gm.imag
         assert A[6, 7] == p.omega_b and A[7, 6] == -p.omega_b
         assert A[7, 7] == -p.gamma_b
-
-    def test_ideal_variant_rejects_imperfections(self):
-        p = SystemParams(J=hz(1e6))
-        det = Detunings.effective(0.0, 0.0)
-        with pytest.raises(ValueError):
-            build_drift(p, det, 0.0, "ideal")
 
 
 class TestDiffusion:
@@ -145,13 +140,13 @@ class TestStability:
     def test_decoupled_damped_system_is_stable(self):
         p = SystemParams(g_cw=0.0)
         det = Detunings.effective(-p.omega_b, p.omega_b)
-        assert is_stable(build_drift(p, det, 0.0, "ideal"))[0]
+        assert is_stable(build_drift(p, det, 0.0))[0]
 
     def test_invariant_under_time_rescaling(self):
         rng = np.random.default_rng(23)
         for _ in range(50):
             p, det, gm = rand_point(rng)
-            A = build_drift(p, det, gm, "imperfect")
+            A = build_drift(p, det, gm)
             verdict = is_stable(A)[0]
             for s in (1e-6, 1e-3, 42.0, 1e6):
                 assert is_stable(s * A)[0] == verdict
@@ -170,7 +165,7 @@ class TestMaxStableCoupling:
     def test_known_boundary(self):
         p, det = self.stability_point()
         edge = max_stable_coupling(p, det, cap=hz(30e6),
-                                   resolution=hz(0.01e6), variant="ideal")
+                                   resolution=hz(0.01e6))
         assert edge.value == pytest.approx(hz(11.9e6), rel=0.02)
 
     def test_decoupled_system_stable_up_to_cap(self):
@@ -178,15 +173,15 @@ class TestMaxStableCoupling:
         p = SystemParams(g_cw=0.0)
         det = Detunings.effective(-p.omega_b, p.omega_b)
         edge = max_stable_coupling(p, det, cap=hz(5e6),
-                                   resolution=hz(0.01e6), variant="ideal")
+                                   resolution=hz(0.01e6))
         assert edge.stable_up_to_cap and edge.value is None
 
     def test_invariant_under_coupling_phase(self):
         p, det = self.stability_point()
         rot = np.exp(1.1j)
         for g in np.linspace(0.0, hz(30e6), 61):
-            assert is_stable(build_drift(p, det, g * rot, "ideal"))[0] \
-                == is_stable(build_drift(p, det, g, "ideal"))[0]
+            assert is_stable(build_drift(p, det, g * rot))[0] \
+                == is_stable(build_drift(p, det, g))[0]
 
     def test_unstable_at_zero_coupling_raises(self):
         p = SystemParams(gamma_b=-1.0)
@@ -201,7 +196,7 @@ class TestCcwBlockClosure:
 
         p = SystemParams()
         det = Detunings.effective(-0.72 * p.omega_b, 0.76 * p.omega_b)
-        model = build_model(p, det, hz(4e6) * np.exp(0.3j), "ideal")
+        model = build_model(p, det, hz(4e6) * np.exp(0.3j))
         V = solve_lyapunov(model.A, model.D).V
         n_a = p.occupancies()[0]
         assert_allclose(V[2:4, 2:4], (n_a + 0.5) * np.eye(2), atol=1e-12)

@@ -108,7 +108,7 @@ class TestSolver:
 
         p = SystemParams()
         det = Detunings.effective(-0.72 * p.omega_b, 0.76 * p.omega_b)
-        model = build_model(p, det, hz(4e6), "ideal")
+        model = build_model(p, det, hz(4e6))
         cm = solve_lyapunov(model.A, model.D)
         assert np.all(symplectic_eigenvalues(cm.V) >= 0.5 - 1e-9)
 

@@ -163,7 +163,7 @@ class TestResidualContangle:
         det = Detunings.effective(-0.84250274 * p.omega_b,
                                   1.04799034 * p.omega_b)
         sf = resolve_drive(p, det)
-        model = build_model(p, det, sf.g_m_eff, "imperfect")
+        model = build_model(p, det, sf.g_m_eff)
         assert model.stable
         cm = solve_lyapunov(model.A, model.D)
         rep = residual_contangle_min(extract_block(cm, ("a_ccw", "m", "b")))

@@ -44,7 +44,7 @@ def fig2d_point():
     p = SystemParams()
     det = Detunings.effective(-0.72 * p.omega_b, 0.76 * p.omega_b)
     sf = resolve_drive(p, det)
-    model = build_model(p, det, sf.g_m_eff, "ideal")
+    model = build_model(p, det, sf.g_m_eff)
     spec = FilterSpec(omega_center=-p.omega_b, tau=10.0 / p.omega_b)
     return p, model, spec
 
@@ -59,8 +59,7 @@ def fig2d_sweep(num):
                              filter_spec=pre.filter_spec,
                              magnon_convention=MAGNON_INSTANT)
     spec = SweepSpec(axes=(SweepAxis(axis.name, axis.start, axis.stop, num),),
-                     drive_ports=pre.sweep.drive_ports,
-                     variant=pre.sweep.variant, request=request)
+                     drive_ports=pre.sweep.drive_ports, request=request)
     return pre, spec
 
 
@@ -99,7 +98,7 @@ class TestSpectralMatrix:
     def test_cold_decoupled_output_is_vacuum_flat(self):
         p = SystemParams(g_cw=0.0, temperature=0.0)
         det = Detunings.effective(-0.3 * p.omega_b, 0.5 * p.omega_b)
-        model = build_model(p, det, 0.0, "ideal")
+        model = build_model(p, det, 0.0)
         chans = noise_channels(p)
         for w in (0.0, 0.7 * p.omega_b, -2.3 * p.omega_b, 10 * p.omega_b):
             s_out = spectral_matrix(model.A, chans, w, p.kappa_a_e)[1]
@@ -108,7 +107,7 @@ class TestSpectralMatrix:
     def test_vanishing_external_coupling_kills_cross_block(self):
         p = SystemParams(kappa_a_e=0.0, kappa_a_i=hz(3e6))
         det = Detunings.effective(-0.72 * p.omega_b, 0.76 * p.omega_b)
-        model = build_model(p, det, hz(4e6), "ideal")
+        model = build_model(p, det, hz(4e6))
         chans = noise_channels(p)
         s_out_mag = spectral_matrix(model.A, chans, 0.9 * p.omega_b,
                                     p.kappa_a_e)[2]
@@ -200,7 +199,7 @@ class TestTimeDomainOracle:
         p = SystemParams(kappa_a_e=hz(4.8e6), g_cw=hz(8e6), g_ccw=hz(0.8e6),
                          J=hz(0.5e6), temperature=0.05)
         det = Detunings.effective(-0.76 * p.omega_b, 0.65 * p.omega_b)
-        model = build(p, det, rd(p, det).g_m_eff, "imperfect")
+        model = build(p, det, rd(p, det).g_m_eff)
         spec = FilterSpec(omega_center=-p.omega_b, tau=8.0 / p.omega_b)
         freq = filtered_pair_cm(model.A, model.D, p, spec, MAGNON_INSTANT).V
         time_dom = self.oracle(model.A, p, spec)
@@ -211,7 +210,7 @@ class TestFilteredPairCM:
     def test_vacuum_identity_both_conventions(self):
         p = SystemParams(g_cw=0.0, temperature=0.0)
         det = Detunings.effective(-0.4 * p.omega_b, 0.6 * p.omega_b)
-        model = build_model(p, det, 0.0, "ideal")
+        model = build_model(p, det, 0.0)
         spec = FilterSpec(omega_center=-p.omega_b, tau=10.0 / p.omega_b)
         for conv in (MAGNON_WINDOWED, MAGNON_INSTANT):
             out = filtered_pair_cm(model.A, model.D, p, spec, conv)
@@ -221,7 +220,7 @@ class TestFilteredPairCM:
         # G_m = 0: no magnomechanical link, filtered output x magnon separable
         p = SystemParams(temperature=0.0)
         det = Detunings.effective(-0.72 * p.omega_b, 0.76 * p.omega_b)
-        model = build_model(p, det, 0.0, "ideal")
+        model = build_model(p, det, 0.0)
         spec = FilterSpec(omega_center=-p.omega_b, tau=10.0 / p.omega_b)
         out = filtered_pair_cm(model.A, model.D, p, spec, MAGNON_INSTANT)
         assert_allclose(out.V[:2, 2:], 0.0, atol=1e-5)

@@ -38,7 +38,7 @@ def magnon_point():
 class TestEvaluatePoint:
     def test_optimal_point_is_entangled(self):
         p, det = magnon_point()
-        rep = evaluate_point(p, det, "ideal")
+        rep = evaluate_point(p, det)
         assert rep.stable
         assert rep.e_n["a_cw|m"] > 0.04
         assert rep.r_min["a_cw|m|b"] > 0
@@ -46,7 +46,7 @@ class TestEvaluatePoint:
 
     def test_ideal_ccw_drive_measures_vanish(self):
         p, det = magnon_point()
-        rep = evaluate_point(p, det, "ideal", drive_port="ccw")
+        rep = evaluate_point(p, det, drive_port="ccw")
         assert rep.g_m_eff == 0
         for value in rep.e_n.values():
             assert value <= 1e-8
@@ -56,7 +56,7 @@ class TestEvaluatePoint:
     def test_unstable_point_has_no_measures(self):
         p, det = magnon_point()
         p = p.replace(drive=DriveSpec("gm_abs", hz(14e6)))
-        rep = evaluate_point(p, det, "ideal")
+        rep = evaluate_point(p, det)
         assert not rep.stable
         assert rep.e_n == {} and rep.r_min == {}
 
@@ -64,7 +64,7 @@ class TestEvaluatePoint:
         p, det = magnon_point()
         req = MeasureRequest(filter_spec=FilterSpec(-p.omega_b, 10 / p.omega_b),
                              magnon_convention="instant")
-        rep = evaluate_point(p, det, "ideal", request=req)
+        rep = evaluate_point(p, det, request=req)
         assert 0.5 < rep.fidelity <= 1.0
         assert rep.filtered_e_n > 0
 
@@ -72,8 +72,8 @@ class TestEvaluatePoint:
 class TestContrast:
     def test_ideal_case_is_unity(self):
         p, det = magnon_point()
-        cw = evaluate_point(p, det, "ideal", "cw")
-        ccw = evaluate_point(p, det, "ideal", "ccw")
+        cw = evaluate_point(p, det, "cw")
+        ccw = evaluate_point(p, det, "ccw")
         assert nonreciprocity_contrast(cw, ccw, ("a_cw", "m")) \
             == pytest.approx(1.0, abs=1e-6)
         assert nonreciprocity_contrast(cw, ccw, ("a_cw", "m", "b")) == 1.0
@@ -81,8 +81,8 @@ class TestContrast:
     def test_symmetric_configuration_is_zero(self):
         p = presets.magnon_set(g_ccw=hz(4e6))  # chi = 1, J = 0
         det = presets.optimum(p, "magnon")
-        cw = evaluate_point(p, det, "imperfect", "cw")
-        ccw = evaluate_point(p, det, "imperfect", "ccw")
+        cw = evaluate_point(p, det, "cw")
+        ccw = evaluate_point(p, det, "ccw")
         # mirror symmetry maps one drive onto the other
         assert cw.e_n["a_cw|m"] == pytest.approx(ccw.e_n["a_ccw|m"], rel=1e-9)
         c_pair = nonreciprocity_contrast(cw, ccw, ("a_cw", "m"))
@@ -92,14 +92,14 @@ class TestContrast:
     def test_both_zero_gives_zero(self):
         p, det = magnon_point()
         p = p.replace(drive=DriveSpec("gm_abs", 0.0))
-        cw = evaluate_point(p, det, "ideal", "cw")
-        ccw = evaluate_point(p, det, "ideal", "ccw")
+        cw = evaluate_point(p, det, "cw")
+        ccw = evaluate_point(p, det, "ccw")
         assert nonreciprocity_contrast(cw, ccw, ("a_cw", "b")) == 0.0
 
     def test_mismatched_configurations_rejected(self):
         p, det = magnon_point()
-        cw = evaluate_point(p, det, "ideal", "cw")
-        other = evaluate_point(p.replace(temperature=0.02), det, "ideal", "ccw")
+        cw = evaluate_point(p, det, "cw")
+        other = evaluate_point(p.replace(temperature=0.02), det, "ccw")
         with pytest.raises(ValueError):
             nonreciprocity_contrast(cw, other, ("a_cw", "m"))
 
@@ -118,7 +118,6 @@ class TestSweep:
         wb = p.omega_b
         axes = (SweepAxis("delta_a", -1.0 * wb, -0.5 * wb, n),)
         return p, det, SweepSpec(axes=axes, drive_ports=ports,
-                                 variant="ideal",
                                  request=MeasureRequest(pairs=pairs, triples=()))
 
     def test_rows_match_single_point_evaluation(self):
@@ -127,7 +126,7 @@ class TestSweep:
         for row in res.rows:
             d = dict(zip(res.columns, row))
             det_i = Detunings.effective(d["delta_a"], det.delta_m_eff)
-            rep = evaluate_point(p, det_i, "ideal", "cw", spec.request)
+            rep = evaluate_point(p, det_i, "cw", spec.request)
             assert d["en_a_cw_m"] == rep.e_n["a_cw|m"]
 
     def test_row_order_cw_before_ccw(self):
@@ -144,10 +143,8 @@ class TestSweep:
 
     def test_per_point_failures_recorded_in_row(self):
         p, det, _ = self.spec()
-        # chi > 1 with the |G_m| spec calibrates on the ccw port and makes the
-        # ideal-variant drift builder reject the configuration
-        spec = SweepSpec(axes=(SweepAxis("chi", 0.0, 2.0, 3),),
-                         variant="ideal",
+        # a negative temperature has no thermal occupancy
+        spec = SweepSpec(axes=(SweepAxis("temperature", 0.01, -0.03, 3),),
                          request=MeasureRequest(pairs=(("a_cw", "m"),),
                                                 triples=()))
         res = run_sweep(p, det, spec)
@@ -157,13 +154,12 @@ class TestSweep:
 
     def test_error_rows_carry_the_single_point_error(self):
         p, det, _ = self.spec()
-        spec = SweepSpec(axes=(SweepAxis("chi", 0.0, 2.0, 3),),
-                         variant="ideal",
+        spec = SweepSpec(axes=(SweepAxis("temperature", 0.01, -0.03, 3),),
                          request=MeasureRequest(pairs=(("a_cw", "m"),),
                                                 triples=()))
         res = run_sweep(p, det, spec)
         with pytest.raises(ValueError) as exc:
-            evaluate_point(p.replace(g_ccw=2.0 * p.g_cw), det, "ideal", "cw",
+            evaluate_point(p.replace(temperature=res.rows[2][0]), det, "cw",
                            spec.request)
         assert res.rows[2][-1] == f"ValueError: {exc.value}"
         assert all(np.isnan(v) for v in res.rows[2][2:-1])
@@ -226,7 +222,7 @@ def _single_point_row(pre, values, port):
     for ax, v in zip(pre.sweep.axes, values):
         p, d = SWEEPABLE[ax.name](p, d, float(v))
     req = pre.sweep.request
-    rep = evaluate_point(p, d, pre.sweep.variant, port, req)
+    rep = evaluate_point(p, d, port, req)
     row = [float(v) for v in values] + [port, int(rep.stable),
                                         np.abs(np.array([rep.g_m_eff]))[0]]
     row += [rep.e_n.get(partition_key(q), np.nan) for q in req.pairs]
@@ -291,7 +287,7 @@ class TestBlockEngine:
             return model
 
         monkeypatch.setattr(linear_model, "build_model", recording)
-        evaluate_point(p, det, "imperfect", "cw")
+        evaluate_point(p, det, "cw")
         # the first row, at the configured temperature, is the same point
         spec = SweepSpec(axes=(SweepAxis("temperature", p.temperature, 0.05, 2),),
                          request=MeasureRequest(pairs=(("a_cw", "m"),),
@@ -315,7 +311,7 @@ class TestBlockEngine:
         assert single.meta == pooled.meta
         values, ports = grid_rows(spec)
         quad = [evaluate_point(pre.params.replace(gamma_b=v[0]), pre.detunings,
-                               spec.variant, str(port), request).meta["filtered"]
+                               str(port), request).meta["filtered"]
                 for v, port in zip(values, ports)]
         assert single.meta["filtered_quad_error_max"] == max(
             m["quad_error"] for m in quad)

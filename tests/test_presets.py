@@ -8,10 +8,6 @@ from chiralcmm.pipeline import SweepAxis, SweepSpec, evaluate_point, run_sweep
 
 class _Args:
     set = None
-    drive = None
-    variant = None
-    filter_center = None
-    filter_tau = None
     workers = 1
 
     def __init__(self, config):
@@ -46,18 +42,17 @@ class TestEveryPreset:
                 assert got.name == want.name and got.num == want.num
                 assert got.start == pytest.approx(want.start, rel=1e-14)
             assert cfg.sweep.drive_ports == pre.sweep.drive_ports
-            assert cfg.sweep.variant == pre.sweep.variant
 
     def test_runs(self, name):
         pre = presets.get(name)
         if pre.sweep is None:
-            rep = evaluate_point(pre.params, pre.detunings, "imperfect")
+            rep = evaluate_point(pre.params, pre.detunings)
             assert rep.stable
             return
         # shrink every axis to 2 points: the preset must at least execute
         axes = tuple(SweepAxis(ax.name, ax.start, ax.stop, 2)
                      for ax in pre.sweep.axes)
         small = SweepSpec(axes=axes, drive_ports=pre.sweep.drive_ports,
-                          variant=pre.sweep.variant, request=pre.sweep.request)
+                          request=pre.sweep.request)
         res = run_sweep(pre.params, pre.detunings, small)
         assert all(row[-1] == "" for row in res.rows)

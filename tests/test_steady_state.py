@@ -228,7 +228,7 @@ class TestSelfConsistentSolve:
         assert to_hz(abs(sf.g_m_eff)) == pytest.approx(lower_mhz * 1e6,
                                                        abs=1e3)
         assert sf.meta["branches"] == 3
-        rep = evaluate_point(p, det, "imperfect")
+        rep = evaluate_point(p, det)
         assert rep.g_m_eff == sf.g_m_eff
         assert rep.stable and rep.abscissa < 0
 

@@ -97,14 +97,11 @@ class TestIntegration:
     def test_tolerance_scales_fall_back_where_a_mode_is_empty(self):
         p = SystemParams(g_m=1.0)
         det = bare_detunings(p, -p.omega_b, p.omega_b)
-        assert_allclose(_fixed_point_scales(p, det, 0.0, "cw", np.zeros(8)),
-                        np.ones(8))
-        y0 = np.full(8, -3.0)
-        assert_allclose(_fixed_point_scales(p, det, 0.0, "cw", y0), 3.0)
+        assert_allclose(_fixed_point_scales(p, det, 0.0, "cw"), np.ones(8))
         # magnon decoupled from the driven mode: its scales and those of
         # the mechanics take the cavity's
         p = SystemParams(g_cw=0.0, g_ccw=0.0, g_m=1.0)
-        scales = _fixed_point_scales(p, det, 1e12, "cw", np.zeros(8))
+        scales = _fixed_point_scales(p, det, 1e12, "cw")
         assert scales[0] > 0
         assert_allclose(scales, scales[0])
 
