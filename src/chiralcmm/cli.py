@@ -6,9 +6,10 @@ headers; frequency-like values are given in Hz (the quantity divided by
 file values.  Every output starts with a metadata block (tool version,
 resolved-config digest, conventions) sufficient to reproduce the run.
 
-Exit codes: 0 success, 2 configuration error (an output path that cannot
-be written included), 3 instability where a stable system is required,
-4 numerical failure.
+Exit codes: 0 success (a reader that closes stdout early included),
+2 configuration error (an unknown section or key and an output path that
+cannot be written included), 3 instability where a stable system is
+required, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .params import (
     DRIVE_CW,
     DRIVE_GM_ABS,
     Detunings,
+    Diagnostic,
     DriveSpec,
     SystemParams,
     errors_of,
@@ -59,6 +61,9 @@ from .steady_state import (
     resolve_drive,
 )
 from .time_domain import (
+    ATOL_REL,
+    ODE_METHOD,
+    RTOL,
     IntegrationError,
     comb_threshold,
     integrate_classical,
@@ -83,7 +88,14 @@ _SYSTEM_HZ = ("omega_a", "omega_m", "omega_b", "omega_0", "kappa_a_i",
               "j_coupling", "g_m")
 _AXIS_HZ = {"delta_a", "delta_m_eff", "J", "g_cw", "g_ccw", "kappa_a_e",
             "kappa_a_i", "kappa_m", "gamma_b", "omega_b", "gm_abs", "amplitude"}
-_SWEEP_KEYS = ("axis1", "axis2", "ports", "pairs", "triples")
+#: the keys of each config section; any other section or key is refused
+_SECTION_KEYS = {
+    "system": _SYSTEM_HZ + ("temperature",),
+    "drive": ("port", "spec", "value"),
+    "detuning": ("mode", "delta_a", "delta_m_eff"),
+    "filter": ("center", "tau", "magnon_convention"),
+    "sweep": ("axis1", "axis2", "ports", "pairs", "triples"),
+}
 #: flags that set one config key each; a flag overrides ``--set``
 _FLAG_KEYS = {"drive": ("drive", "port"),
               "filter_center": ("filter", "center"),
@@ -178,8 +190,33 @@ def _build_params(sections) -> SystemParams:
     return SystemParams(drive_port=port, drive=drive, detuning_mode=mode, **kw)
 
 
-def _build_detunings(sections, params: SystemParams) -> Detunings:
+def _check_keys(sections) -> None:
+    for section, keys in sections.items():
+        known = _SECTION_KEYS.get(section)
+        if known is None:
+            raise ConfigError(f"[{section}]: unknown section (known: "
+                              f"{', '.join(_SECTION_KEYS)})")
+        for key in keys:
+            if key not in known:
+                hint = ("; the strictly chiral case is system.j_coupling = 0, "
+                        "system.g_ccw = 0" if section == "sweep" else "")
+                raise ConfigError(f"{section}.{key}: unknown key (known: "
+                                  f"{', '.join(known)}){hint}")
+
+
+def _build_detunings(sections, params: SystemParams,
+                     diags: list[Diagnostic]) -> Detunings:
+    """The run's detunings; in the physical mode they come from the
+    frequencies, and a given delta_a or delta_m_eff adds a warning to
+    ``diags``."""
     if params.detuning_mode == DETUNING_PHYSICAL:
+        ignored = [f"detuning.{key}" for key in ("delta_a", "delta_m_eff")
+                   if key in sections.get("detuning", {})]
+        if ignored:
+            diags.append(Diagnostic(
+                "warning", "ignored_detunings",
+                f"{', '.join(ignored)} ignored: in detuning mode 'physical' "
+                "the detunings come from omega_a, omega_m and omega_0"))
         return Detunings.physical(params)
     da = hz(_get_float(sections, "detuning", "delta_a"))
     dme = hz(_get_float(sections, "detuning", "delta_m_eff"))
@@ -200,12 +237,6 @@ def _build_sweep(sections, filter_spec, convention) -> SweepSpec | None:
     sweep = sections.get("sweep")
     if not sweep:
         return None
-    for key in sweep:
-        if key not in _SWEEP_KEYS:
-            raise ConfigError(
-                f"sweep.{key}: unknown key (known: {', '.join(_SWEEP_KEYS)}); "
-                "the strictly chiral case is system.j_coupling = 0, "
-                "system.g_ccw = 0")
     axes = []
     for ax in ("axis1", "axis2"):
         raw = sweep.get(ax)
@@ -282,13 +313,14 @@ def load_config(args) -> RunConfig:
         value = getattr(args, flag, None)
         if value is not None:
             sections.setdefault(section, {})[key] = str(value)
+    _check_keys(sections)
 
     params = _build_params(sections)
     diags = validate(params)
     errors = errors_of(diags)
     if errors:
         raise ConfigError("; ".join(d.message for d in errors))
-    detunings = _build_detunings(sections, params)
+    detunings = _build_detunings(sections, params, diags)
     convention = _get_str(sections, "filter", "magnon_convention",
                           default=MAGNON_INSTANT,
                           choices=(MAGNON_INSTANT, MAGNON_WINDOWED))
@@ -512,12 +544,13 @@ def cmd_comb_threshold(cfg: RunConfig, args) -> int:
     else:
         rows.append(("comb_threshold_hz", to_hz(res.value)))
     probes = [{"target_hz": to_hz(target), "kind": kind,
-               "realized_hz": to_hz(realized), "nfev": nfev,
-               "variation": variation}
-              for (target, kind, realized), nfev, variation
-              in zip(res.probes, res.probe_nfev, res.probe_variation)]
+               "realized_hz": to_hz(realized), **info}
+              for (target, kind, realized), info
+              in zip(res.probes, res.probe_info)]
     return _write_result(args, cfg, columns, rows,
-                         {"ode_start": "zero", "probes": probes})
+                         {"ode_start": "zero", "ode_method": ODE_METHOD,
+                          "ode_rtol": RTOL, "ode_atol_rel": ATOL_REL,
+                          "probes": probes})
 
 
 def cmd_stability_edge(cfg: RunConfig, args) -> int:
@@ -601,7 +634,14 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        return _COMMANDS[args.command](cfg, args)
+        code = _COMMANDS[args.command](cfg, args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``); point it at devnull
+        # so that the flush at interpreter exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except UnstableSystemError as exc:
         print(f"unstable: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE

@@ -7,17 +7,23 @@ radiation-pressure-like force -g_m*|<m>|^2.  A drive that settles to a fixed
 amplitude is classified STEADY; persistent amplitude oscillation of |<m>(t)|
 marks the self-oscillation (comb) regime, and the threshold in |G_m| is
 located by bisection on the drive scale.  The attractor is read from the
-final WINDOW_FRAC of the run only, so the comb probes dense-sample that
-analysis window alone; the integrator's steps do not depend on the samples.
+final WINDOW_FRAC of the run.
+
+The ODE is integrated by ODEPACK's LSODA (``scipy.integrate.odeint``),
+which switches between Adams and BDF steps as the stiffness changes.  Its
+step loop and its interpolation onto the sample grid both run in compiled
+code; only the right-hand side is a Python call, and the samples cost no
+right-hand-side calls.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import ODEintWarning, odeint
 
 from .linear_model import bisect_edge, check_bisection
 from .params import DRIVE_CCW, DRIVE_CW, Detunings, SystemParams
@@ -38,10 +44,18 @@ STEADY_TOL = 1e-3
 # final fraction of the run that the attractor is classified from
 WINDOW_FRAC = 0.2
 
-# DOP853 error control: relative tolerance per component, and absolute
-# tolerance per component as a fraction of that component's fixed-point scale
-RTOL = 1e-9
-ATOL_REL = 1e-9
+# LSODA error control: relative tolerance per component, and absolute
+# tolerance per component as a fraction of that component's fixed-point
+# scale.  At 1e-11 the fig2b probes at |G_m| = 6 and 9 MHz stay within
+# 5e-12 and 6e-8 (max |dy_i|/s_i over the analysis window) of a run at
+# 1e-13; at 1e-9, LSODA's error there is 8e-6.
+ODE_METHOD = "LSODA"
+RTOL = 1e-11
+ATOL_REL = 1e-11
+# steps LSODA may take between two samples before it gives up; far above
+# any probe's need (the 12 MHz fig2b probe takes about 84 000 steps over
+# its whole run of about 10 000 samples)
+MXSTEP = 1_000_000
 
 SAMPLES_PER_PERIOD = 48   # trajectory samples per mechanical period
 
@@ -146,8 +160,7 @@ def make_rhs(params: SystemParams, det: Detunings, E: float, port: str):
 
 def integrate_classical(params: SystemParams, det: Detunings, E: float,
                         t_end: float | None = None,
-                        drive_port: str | None = None,
-                        window_frac: float | None = None) -> Trajectory:
+                        drive_port: str | None = None) -> Trajectory:
     """Integrate the classical averages from the empty state (all modes 0).
 
     ``det.delta_m`` is the bare magnon detuning; the dispersive shift
@@ -155,14 +168,11 @@ def integrate_classical(params: SystemParams, det: Detunings, E: float,
     With E = 0 the trajectory is identically zero.
 
     The samples lie on a uniform grid of SAMPLES_PER_PERIOD points per
-    mechanical period from t = 0 (``stats["n_grid"]`` points).  With
-    ``window_frac``, only the grid points from index
-    int(n_grid*(1 - window_frac)) on are sampled: the analysis window of
-    ``classify_attractor`` at that fraction.  The steps do not depend on the
-    samples, so those are bitwise the tail of the full-grid run, and the
-    steps before the window build no dense output.
+    mechanical period from t = 0.  LSODA takes its first step size from
+    the first output interval, so the fixed grid makes every run of the
+    same inputs bitwise the same.
 
-    Error control: DOP853 accepts a step when the root mean square over
+    Error control: LSODA accepts a step when the weighted max norm over
     components of err_i / (RTOL*|y_i| + ATOL_REL*s_i) is at most 1, where
     err_i is the local error estimate and s_i that component's magnitude
     at the closed-form fixed point (``imperfect_means`` at
@@ -173,6 +183,10 @@ def integrate_classical(params: SystemParams, det: Detunings, E: float,
     of the state.  The scales move with (g_m, E) -> (g_m/s, s*E) like the
     state does, so the rescaling invariance of the dynamics carries over
     to the integrator.
+
+    ``stats`` records the right-hand-side calls (``nfev``), the accepted
+    steps (``nst``) and whether LSODA switched to its stiff BDF method
+    (``used_bdf``).  An LSODA failure raises IntegrationError.
     """
     if params.g_m is None:
         raise ValueError("integrate_classical requires g_m")
@@ -182,22 +196,21 @@ def integrate_classical(params: SystemParams, det: Detunings, E: float,
         t_end = default_horizon(params)
     atol = ATOL_REL * _fixed_point_scales(params, det, E, port)
     n_samples = max(int(SAMPLES_PER_PERIOD * t_end * wb / (2 * math.pi)), 200)
-    t_eval = np.linspace(0.0, t_end, n_samples)
-    if window_frac is not None:
-        if not 0.0 < window_frac <= 1.0:
-            raise ValueError(f"window_frac must lie in (0, 1], got {window_frac}")
-        t_eval = t_eval[int(n_samples * (1.0 - window_frac)):]
-    with np.errstate(over="ignore", invalid="ignore"):  # rejected trial steps
-        sol = solve_ivp(make_rhs(params, det, E, port), (0.0, t_end),
-                        np.zeros(8), method="DOP853", t_eval=t_eval,
-                        rtol=RTOL, atol=atol)
-    if not sol.success:
-        raise IntegrationError(f"integration failed: {sol.message}")
-    y = sol.y
+    t = np.linspace(0.0, t_end, n_samples)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ODEintWarning)
+            y, info = odeint(make_rhs(params, det, E, port), np.zeros(8), t,
+                             rtol=RTOL, atol=atol, mxstep=MXSTEP,
+                             full_output=True, tfirst=True)
+    except ODEintWarning as exc:
+        raise IntegrationError(f"{ODE_METHOD} failed: {exc}") from exc
+    y = y.T
     return Trajectory(
-        t=sol.t, a_cw=y[0] + 1j * y[1], a_ccw=y[2] + 1j * y[3],
+        t=t, a_cw=y[0] + 1j * y[1], a_ccw=y[2] + 1j * y[3],
         m=y[4] + 1j * y[5], q=y[6], p=y[7],
-        stats={"nfev": sol.nfev, "n_grid": n_samples, "omega_b": wb,
+        stats={"nfev": int(info["nfe"][-1]), "nst": int(info["nst"][-1]),
+               "used_bdf": bool(np.any(info["mused"] == 2)), "omega_b": wb,
                "t_end": t_end, "drive_port": port, "amplitude": E},
     )
 
@@ -210,24 +223,15 @@ class AttractorReport:
     dominant_frequency: float | None  # rad/s, oscillatory case only
 
 
-def classify_attractor(traj: Trajectory,
-                       window_frac: float = WINDOW_FRAC) -> AttractorReport:
+def classify_attractor(traj: Trajectory) -> AttractorReport:
     """Settled vs self-oscillating, from the tail of the trajectory.
 
-    The analysis window is the final fraction of the run's sample grid and
+    The analysis window is the final WINDOW_FRAC of the run's samples and
     must span at least 10 mechanical periods; shorter windows raise
-    InconclusiveError.  A trajectory sampled only on its tail (see
-    ``integrate_classical``'s ``window_frac``) counts its grid from
-    ``stats["n_grid"]``; a window that reaches before its first sample
-    raises ValueError.
+    InconclusiveError.
     """
     wb = traj.stats.get("omega_b")
-    n = traj.stats.get("n_grid", traj.t.size)
-    start = int(n * (1.0 - window_frac)) - (n - traj.t.size)
-    if start < 0:
-        raise ValueError(f"analysis window of {window_frac} reaches before "
-                         f"the first of the trajectory's {traj.t.size} "
-                         f"samples (grid of {n})")
+    start = int(traj.t.size * (1.0 - WINDOW_FRAC))
     window_t = traj.t[start:]
     if wb is not None and (window_t[-1] - window_t[0]) < 10 * 2 * math.pi / wb:
         raise InconclusiveError("analysis window shorter than 10 mechanical periods")
@@ -256,8 +260,9 @@ class CombThreshold:
     cap: float
     bracket: tuple[float, float] | None
     probes: tuple                # (target |G_m|, kind, realized |G_m|) triples
-    probe_nfev: tuple = ()       # right-hand-side calls of each probe's ODE run
-    probe_variation: tuple = ()  # each probe's AttractorReport.variation
+    # per probe: its ODE run's nfev, nst and used_bdf, and the
+    # AttractorReport.variation
+    probe_info: tuple = ()
 
     @property
     def no_comb_below_cap(self) -> bool:
@@ -276,8 +281,7 @@ def comb_threshold(params: SystemParams, det: Detunings, cap: float,
     steady side of the final bracket.  If g_m is not set, an arbitrary
     reference value is used internally; the reported |G_m| is invariant
     under the (g_m, E) -> (g_m/s, s*E) rescaling of the dynamics.  Every
-    probe integrates from the empty state (all modes zero) and dense-samples
-    only its analysis window, the final WINDOW_FRAC of the run.
+    probe integrates from the empty state (all modes zero).
     """
     if resolution is None:
         resolution = 2 * math.pi * 0.05e6
@@ -288,24 +292,23 @@ def comb_threshold(params: SystemParams, det: Detunings, cap: float,
         # the drive cannot pump the magnon at all: no comb at any power
         return CombThreshold(value=None, cap=cap, bracket=None, probes=())
 
-    probes, nfev, variation = [], [], []
+    probes, info = [], []
 
     def settles(gm_target: float) -> bool:
         E = amplitude_for_gm(params, det, gm_target)
         traj = integrate_classical(params,
                                    precompensated_detunings(params, det, E),
-                                   E, t_end=t_end, window_frac=WINDOW_FRAC)
+                                   E, t_end=t_end)
         rep = classify_attractor(traj)
         probes.append((gm_target, rep.kind, SQRT2 * params.g_m * rep.mean_m_abs))
-        nfev.append(int(traj.stats["nfev"]))
-        variation.append(rep.variation)
+        info.append({**{k: traj.stats[k] for k in ("nfev", "nst", "used_bdf")},
+                     "variation": rep.variation})
         return rep.kind == STEADY
 
     bracket = bisect_edge(settles, cap, resolution)
     value = None if bracket is None else 0.5 * (bracket[0] + bracket[1])
     return CombThreshold(value=value, cap=cap, bracket=bracket,
-                         probes=tuple(probes), probe_nfev=tuple(nfev),
-                         probe_variation=tuple(variation))
+                         probes=tuple(probes), probe_info=tuple(info))
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:

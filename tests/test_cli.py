@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 from chiralcmm import cli, presets, time_domain
 from chiralcmm.cli import (
     EXIT_CONFIG,
+    EXIT_NUMERICAL,
     EXIT_OK,
     ConfigError,
     load_config,
@@ -18,6 +22,8 @@ from chiralcmm.cli import (
 )
 from chiralcmm.constants import hz, to_hz
 from chiralcmm.steady_state import amplitude_for_gm, precompensated_detunings
+
+ROOT = Path(__file__).resolve().parents[1]
 
 BASE_CONFIG = """\
 # minimal single-point configuration
@@ -151,14 +157,23 @@ class TestOverrides:
         err = capsys.readouterr().err
         assert "sweep.variant" in err and "j_coupling = 0" in err
 
+    @pytest.mark.parametrize("override, named, known", [
+        ("system.jcoupling=1e5", "system.jcoupling", "j_coupling, g_m"),
+        ("drives.port=ccw", "[drives]", "system, drive, detuning"),
+    ], ids=["key", "section"])
+    def test_unknown_key_refused(self, override, named, known, capsys):
+        rc = main(["steady", "--config", "fig2b", "--set", override])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert named in err and known in err
+
     def test_variant_flag_refused(self):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--config", "fig2a", "--variant", "ideal"])
         assert exc.value.code == EXIT_CONFIG
 
     def test_readme_commands_parse(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
-            encoding="utf-8")
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
         commands = [shlex.split(line)[1:] for line in readme.splitlines()
                     if line.startswith("chiralcmm ")]
         assert len(commands) >= 5
@@ -211,6 +226,13 @@ class TestSteadyCommand:
         assert [w.split(":")[0] for w in warnings] == ["low_q",
                                                        "unresolved_sideband"]
         assert "warnings" not in csv_meta(tmp_path, "steady")
+
+    def test_ignored_detunings_warn(self, tmp_path):
+        # the preset's effective detunings are dropped in the physical mode
+        meta = csv_meta(tmp_path, "steady", *fold_point_physical())
+        (warning,) = json.loads(meta["warnings"])
+        assert warning.startswith("ignored_detunings: detuning.delta_a, "
+                                  "detuning.delta_m_eff ignored")
 
     def test_metadata_block_present(self, config_path, capsys):
         assert main(["steady", "--config", config_path]) == EXIT_OK
@@ -448,11 +470,22 @@ class TestCombThresholdCommand:
             assert json.loads(lines[1]) == {"field": "gm_cap_hz",
                                             "value": 6e6}
         assert meta["ode_start"] == "zero"
+        assert meta["ode_method"] == "LSODA"
+        assert float(meta["ode_rtol"]) == time_domain.RTOL
+        assert float(meta["ode_atol_rel"]) == time_domain.ATOL_REL
         (probe,) = meta["probes"]
         assert probe["target_hz"] == 6e6 and probe["kind"] == "steady"
         assert probe["realized_hz"] == pytest.approx(6e6, rel=1e-8)
         assert 0 < probe["nfev"] < 50_000
+        assert 0 < probe["nst"] < probe["nfev"]
+        assert probe["used_bdf"] is True
         assert 0 <= probe["variation"] < time_domain.STEADY_TOL
+
+    def test_failed_integration_exit_code(self, monkeypatch, capsys):
+        monkeypatch.setattr(time_domain, "MXSTEP", 1)
+        rc = main(["comb-threshold", "--config", "fig2b", "--gm-cap", "6e6"])
+        assert rc == EXIT_NUMERICAL
+        assert "LSODA failed" in capsys.readouterr().err
 
 
 class TestPresets:
@@ -460,3 +493,18 @@ class TestPresets:
         assert main(["steady", "--config", "fig2b"]) == EXIT_OK
         text = capsys.readouterr().out
         assert "abs_g_m_eff_hz,2500000" in text
+
+
+class TestClosedStdout:
+    def test_reader_closing_the_pipe_is_not_an_error(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "chiralcmm.cli", "sweep", "--config",
+             "fig3a", "--workers", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()    # before the table is written
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == EXIT_OK
+        assert err == b""
