@@ -9,7 +9,9 @@ moderate drive, and breaking into persistent self-oscillation (the comb
 regime) beyond a critical drive.  The bisection for the critical |G_m|
 takes about 1 s on 2 cores; this walk shows one probe on each side instead.
 (The full search: `chiralcmm comb-threshold --config fig2b --gm-cap 12e6`,
-which lands near 8.7 MHz at these settings.)
+which lands near 8.7 MHz at these settings.  The samples of one ring-up,
+as CSV or JSONL with the metadata of the run:
+`chiralcmm trajectory --config figs1 --out ringup.csv`.)
 """
 
 import numpy as np

@@ -2,8 +2,10 @@
 
 Configuration files are flat ``key = value`` text with ``[section]``
 headers; frequency-like values are given in Hz (the quantity divided by
-2*pi) and converted to angular units on load.  CLI ``--set`` flags override
-file values.  Every output starts with a metadata block (tool version,
+2*pi) and converted to angular units on load.  ``--set section.key=value``
+is the one way to override a file value from the command line.  Every
+result, the ``trajectory`` samples included, goes through one writer: to
+``--out`` or stdout, as CSV or JSONL, after a metadata block (tool version,
 resolved-config digest, conventions) sufficient to reproduce the run.
 
 Exit codes: 0 success (a reader that closes stdout early included),
@@ -30,7 +32,6 @@ from .linear_model import (
     MODE_ORDER,
     QUAD_LABELS,
     UnstableSystemError,
-    check_bisection,
     max_stable_coupling,
 )
 from .output_mode import MAGNON_INSTANT, MAGNON_WINDOWED, FilterSpec
@@ -67,7 +68,6 @@ from .time_domain import (
     IntegrationError,
     comb_threshold,
     integrate_classical,
-    trajectory_to_csv,
 )
 
 EXIT_OK = 0
@@ -96,11 +96,6 @@ _SECTION_KEYS = {
     "filter": ("center", "tau", "magnon_convention"),
     "sweep": ("axis1", "axis2", "ports", "pairs", "triples"),
 }
-#: flags that set one config key each; a flag overrides ``--set``
-_FLAG_KEYS = {"drive": ("drive", "port"),
-              "filter_center": ("filter", "center"),
-              "filter_tau": ("filter", "tau"),
-              "magnon_convention": ("filter", "magnon_convention")}
 
 
 def parse_config_text(text: str) -> dict:
@@ -162,7 +157,6 @@ class RunConfig:
     magnon_convention: str
     resolved_text: str
     digest: str
-    workers: int = 1
     meta: dict = field(default_factory=dict, compare=False)
 
 
@@ -309,10 +303,6 @@ def load_config(args) -> RunConfig:
         section, key = key.split(".", 1)
         sections.setdefault(section.strip().lower(), {})[key.strip().lower()] = \
             value.strip()
-    for flag, (section, key) in _FLAG_KEYS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            sections.setdefault(section, {})[key] = str(value)
     _check_keys(sections)
 
     params = _build_params(sections)
@@ -332,14 +322,10 @@ def load_config(args) -> RunConfig:
         raise ConfigError(GM_ABS_PHYSICAL)
     resolved = _canonical_text(sections)
     digest = hashlib.sha256(resolved.encode()).hexdigest()
-    workers = getattr(args, "workers", None)
-    if workers is None:
-        workers = os.cpu_count() or 1
     warnings = [f"{d.code}: {d.message}" for d in diags if d.level == "warning"]
     return RunConfig(params=params, detunings=detunings, sweep=sweep,
                      filter_spec=filter_spec, magnon_convention=convention,
                      resolved_text=resolved, digest=digest,
-                     workers=max(workers, 1),
                      meta={"warnings": warnings} if warnings else {})
 
 
@@ -424,17 +410,16 @@ def write_table(fh, cfg: RunConfig, columns, rows, fmt: str,
         fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _check_output_paths(args) -> None:
-    """Refuse ``--out`` and ``--dump-trajectory`` paths that cannot be
-    written, before any computation starts."""
-    for path in (getattr(args, "out", None),
-                 getattr(args, "dump_trajectory", None)):
-        if not path:
-            continue
-        parent = os.path.dirname(os.path.abspath(path))
-        if (os.path.isdir(path) or not os.path.isdir(parent)
-                or not os.access(parent, os.W_OK)):
-            raise ConfigError(f"cannot write output {path!r}")
+def _check_output_path(args) -> None:
+    """Refuse an ``--out`` path that cannot be written, before any
+    computation starts."""
+    path = args.out
+    if not path:
+        return
+    parent = os.path.dirname(os.path.abspath(path))
+    if (os.path.isdir(path) or not os.path.isdir(parent)
+            or not os.access(parent, os.W_OK)):
+        raise ConfigError(f"cannot write output {path!r}")
 
 
 def _write_result(args, cfg: RunConfig, columns, rows,
@@ -442,7 +427,7 @@ def _write_result(args, cfg: RunConfig, columns, rows,
     """Write a result table to ``--out`` (default stdout); its metadata
     adds the config's validation warnings, if any."""
     extra_meta = {**(extra_meta or {}), **cfg.meta}
-    if getattr(args, "out", None):
+    if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 write_table(fh, cfg, columns, rows, args.format, extra_meta)
@@ -507,34 +492,46 @@ def cmd_entangle(cfg: RunConfig, args) -> int:
 def cmd_sweep(cfg: RunConfig, args) -> int:
     if cfg.sweep is None:
         raise ConfigError("sweep subcommand needs a [sweep] section")
-    result = run_sweep(cfg.params, cfg.detunings, cfg.sweep, workers=cfg.workers)
+    workers = (os.cpu_count() or 1) if args.workers is None else args.workers
+    result = run_sweep(cfg.params, cfg.detunings, cfg.sweep,
+                       workers=max(workers, 1))
     return _write_result(args, cfg, result.columns, result.rows, result.meta)
 
 
+#: the classical ODE's start state, integrator and tolerances, written to
+#: the metadata of every command that integrates it
+_ODE_META = {"ode_start": "zero", "ode_method": ODE_METHOD,
+             "ode_rtol": RTOL, "ode_atol_rel": ATOL_REL}
+
+
+def cmd_trajectory(cfg: RunConfig, args) -> int:
+    """The classical mean-field ring-up at the configured drive, from the
+    empty state; without g_m, the inferred value is used and recorded."""
+    params = cfg.params
+    if params.g_m is None:
+        params = params.replace(g_m=presets.inferred_g_m())
+    E = resolve_drive(params, cfg.detunings).e_amplitude
+    if E is None:
+        raise ConfigError("trajectory needs an amplitude/power drive spec "
+                          "(or a nonzero g_m with a |G_m| spec)")
+    det = cfg.detunings
+    if params.detuning_mode != DETUNING_PHYSICAL:
+        det = precompensated_detunings(params, det, E)
+    traj = integrate_classical(params, det, E)
+    columns = ("t", "re_a_cw", "im_a_cw", "re_a_ccw", "im_a_ccw",
+               "re_m", "im_m", "q", "p")
+    rows = np.column_stack([
+        traj.t, traj.a_cw.real, traj.a_cw.imag, traj.a_ccw.real,
+        traj.a_ccw.imag, traj.m.real, traj.m.imag, traj.q, traj.p,
+    ]).tolist()
+    return _write_result(args, cfg, columns, rows,
+                         {"g_m_hz": to_hz(params.g_m), **_ODE_META,
+                          **{k: traj.stats[k]
+                             for k in ("nfev", "nst", "used_bdf")}})
+
+
 def cmd_comb_threshold(cfg: RunConfig, args) -> int:
-    cap = hz(args.gm_cap if args.gm_cap is not None else 12e6)
-    check_bisection(cap, hz(args.resolution))
-    if args.dump_trajectory:
-        params = cfg.params
-        if params.g_m is None:
-            params = params.replace(g_m=presets.inferred_g_m())
-        E = resolve_drive(params, cfg.detunings).e_amplitude
-        if E is None:
-            raise ConfigError("trajectory dump needs an amplitude/power drive "
-                              "spec (or g_m with a |G_m| spec)")
-        det = cfg.detunings
-        if params.detuning_mode != DETUNING_PHYSICAL:
-            det = precompensated_detunings(params, det, E)
-        traj = integrate_classical(params, det, E)
-        try:
-            trajectory_to_csv(traj, args.dump_trajectory)
-        except OSError as exc:
-            raise ConfigError(f"cannot write output {args.dump_trajectory!r}: "
-                              f"{exc}") from exc
-        print(f"trajectory written to {args.dump_trajectory}")
-        if args.gm_cap is None:
-            return EXIT_OK
-    res = comb_threshold(cfg.params, cfg.detunings, cap=cap,
+    res = comb_threshold(cfg.params, cfg.detunings, cap=hz(args.gm_cap),
                          resolution=hz(args.resolution))
     columns = ("field", "value")
     rows = [("gm_cap_hz", to_hz(res.cap))]
@@ -548,9 +545,7 @@ def cmd_comb_threshold(cfg: RunConfig, args) -> int:
               for (target, kind, realized), info
               in zip(res.probes, res.probe_info)]
     return _write_result(args, cfg, columns, rows,
-                         {"ode_start": "zero", "ode_method": ODE_METHOD,
-                          "ode_rtol": RTOL, "ode_atol_rel": ATOL_REL,
-                          "probes": probes})
+                         {**_ODE_META, "probes": probes})
 
 
 def cmd_stability_edge(cfg: RunConfig, args) -> int:
@@ -580,35 +575,29 @@ def build_parser() -> argparse.ArgumentParser:
                        f"({', '.join(presets.PRESET_NAMES)})")
         p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                        help="override a config value (repeatable)")
-        p.add_argument("--drive", choices=(DRIVE_CW, DRIVE_CCW))
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-        p.add_argument("--workers", type=int, default=None,
-                       help="processes sharing a sweep's blocks of grid "
-                            "points; a sweep of one block runs in-process "
-                            "(default: all cores)")
 
     p = sub.add_parser("steady", help="classical steady-state means and G_m")
     common(p)
     p = sub.add_parser("entangle", help="single-point entanglement report")
     common(p)
-    p.add_argument("--filter-center", type=float, metavar="HZ",
-                   help="output filter central frequency (drive frame, Hz)")
-    p.add_argument("--filter-tau", type=float, metavar="S",
-                   help="output filter window duration (s)")
-    p.add_argument("--magnon-convention",
-                   choices=(MAGNON_WINDOWED, MAGNON_INSTANT))
-    p = sub.add_parser("sweep", help="run the [sweep] grid of the config")
+    p = sub.add_parser("sweep", help="run the [sweep] grid of the config "
+                                     "(ports from sweep.ports)")
+    common(p)
+    p.add_argument("--workers", type=int, default=None,
+                   help="processes sharing the sweep's blocks of grid "
+                        "points; a sweep of one block runs in-process "
+                        "(default: all cores)")
+    p = sub.add_parser("trajectory",
+                       help="classical mean-field trajectory at the "
+                            "configured drive, from the empty state")
     common(p)
     p = sub.add_parser("comb-threshold",
                        help="drive threshold for magnon self-oscillation")
     common(p)
-    p.add_argument("--gm-cap", type=float, metavar="HZ", default=None,
-                   help="search cap on |G_m| (Hz, default 12e6)")
+    p.add_argument("--gm-cap", type=float, metavar="HZ", default=12e6)
     p.add_argument("--resolution", type=float, metavar="HZ", default=0.05e6)
-    p.add_argument("--dump-trajectory", metavar="PATH",
-                   help="write the classical trajectory at the configured "
-                        "drive to CSV (skips the search unless --gm-cap given)")
     p = sub.add_parser("stability-edge", help="largest stable |G_m|")
     common(p)
     p.add_argument("--gm-cap", type=float, metavar="HZ", default=20e6)
@@ -620,6 +609,7 @@ _COMMANDS = {
     "steady": cmd_steady,
     "entangle": cmd_entangle,
     "sweep": cmd_sweep,
+    "trajectory": cmd_trajectory,
     "comb-threshold": cmd_comb_threshold,
     "stability-edge": cmd_stability_edge,
 }
@@ -628,7 +618,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_output_paths(args)
+        _check_output_path(args)
         cfg = load_config(args)
     except ValueError as exc:  # ConfigError and malformed values alike
         print(f"config error: {exc}", file=sys.stderr)

@@ -241,16 +241,10 @@ def _param_setter(name):
     return set_
 
 
-def _set_gm_abs(p, d, v):
-    return p.replace(drive=DriveSpec("gm_abs", v)), d
-
-
-def _set_amplitude(p, d, v):
-    return p.replace(drive=DriveSpec("amplitude", v)), d
-
-
-def _set_power(p, d, v):
-    return p.replace(drive=DriveSpec("power", v)), d
+def _drive_setter(kind):
+    def set_(p, d, v):
+        return p.replace(drive=DriveSpec(kind, v)), d
+    return set_
 
 
 SWEEPABLE = {
@@ -266,9 +260,9 @@ SWEEPABLE = {
     "gamma_b": _param_setter("gamma_b"),
     "temperature": _param_setter("temperature"),
     "omega_b": _param_setter("omega_b"),
-    "gm_abs": _set_gm_abs,
-    "amplitude": _set_amplitude,
-    "power": _set_power,
+    "gm_abs": _drive_setter("gm_abs"),
+    "amplitude": _drive_setter("amplitude"),
+    "power": _drive_setter("power"),
 }
 
 

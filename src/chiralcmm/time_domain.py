@@ -58,6 +58,7 @@ ATOL_REL = 1e-11
 MXSTEP = 1_000_000
 
 SAMPLES_PER_PERIOD = 48   # trajectory samples per mechanical period
+SETTLING_PERIODS = 200    # mechanical periods added to the ring-down time
 
 
 class IntegrationError(RuntimeError):
@@ -85,8 +86,9 @@ class Trajectory:
         return np.abs(self.m)
 
 
-def default_horizon(params: SystemParams, periods: float = 200.0) -> float:
-    """Integration horizon: slowest relevant ring-down plus a settling span.
+def default_horizon(params: SystemParams) -> float:
+    """Integration horizon: slowest relevant ring-down plus SETTLING_PERIODS
+    mechanical periods.
 
     gamma_b is excluded from the decay-time bookkeeping when it is far below
     the other linewidths, since magnomechanical cooling (not the bare
@@ -96,7 +98,7 @@ def default_horizon(params: SystemParams, periods: float = 200.0) -> float:
     if params.gamma_b / 2 >= 0.01 * min(rates):
         rates.append(params.gamma_b / 2)
     t_decay = 5.0 / min(rates)
-    return t_decay + periods * 2.0 * math.pi / params.omega_b
+    return t_decay + SETTLING_PERIODS * 2.0 * math.pi / params.omega_b
 
 
 def _fixed_point_scales(params: SystemParams, det: Detunings, E: float,
@@ -270,8 +272,7 @@ class CombThreshold:
 
 
 def comb_threshold(params: SystemParams, det: Detunings, cap: float,
-                   resolution: float | None = None,
-                   t_end: float | None = None) -> CombThreshold:
+                   resolution: float) -> CombThreshold:
     """Bisect the drive scale for the onset of magnon self-oscillation.
 
     ``det`` carries the target effective detunings (held fixed along the
@@ -281,10 +282,9 @@ def comb_threshold(params: SystemParams, det: Detunings, cap: float,
     steady side of the final bracket.  If g_m is not set, an arbitrary
     reference value is used internally; the reported |G_m| is invariant
     under the (g_m, E) -> (g_m/s, s*E) rescaling of the dynamics.  Every
-    probe integrates from the empty state (all modes zero).
+    probe integrates from the empty state (all modes zero) over the
+    default horizon.
     """
-    if resolution is None:
-        resolution = 2 * math.pi * 0.05e6
     check_bisection(cap, resolution)
     if params.g_m is None:
         params = params.replace(g_m=1.0)
@@ -297,8 +297,7 @@ def comb_threshold(params: SystemParams, det: Detunings, cap: float,
     def settles(gm_target: float) -> bool:
         E = amplitude_for_gm(params, det, gm_target)
         traj = integrate_classical(params,
-                                   precompensated_detunings(params, det, E),
-                                   E, t_end=t_end)
+                                   precompensated_detunings(params, det, E), E)
         rep = classify_attractor(traj)
         probes.append((gm_target, rep.kind, SQRT2 * params.g_m * rep.mean_m_abs))
         info.append({**{k: traj.stats[k] for k in ("nfev", "nst", "used_bdf")},
@@ -309,21 +308,3 @@ def comb_threshold(params: SystemParams, det: Detunings, cap: float,
     value = None if bracket is None else 0.5 * (bracket[0] + bracket[1])
     return CombThreshold(value=value, cap=cap, bracket=bracket,
                          probes=tuple(probes), probe_info=tuple(info))
-
-
-def trajectory_to_csv(traj: Trajectory, path) -> None:
-    """Dump a trajectory as CSV with a self-describing header."""
-    header = (
-        "# classical mean-field trajectory\n"
-        "# columns: t [s], Re<a_cw>, Im<a_cw>, Re<a_ccw>, Im<a_ccw>, "
-        "Re<m>, Im<m>, q, p (mode amplitudes dimensionless)\n"
-        "t,re_a_cw,im_a_cw,re_a_ccw,im_a_ccw,re_m,im_m,q,p\n"
-    )
-    rows = np.column_stack([
-        traj.t, traj.a_cw.real, traj.a_cw.imag, traj.a_ccw.real,
-        traj.a_ccw.imag, traj.m.real, traj.m.imag, traj.q, traj.p,
-    ])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header)
-        for row in rows:
-            fh.write(",".join(format(v, ".9g") for v in row) + "\n")

@@ -122,31 +122,9 @@ class TestOverrides:
         class Args:
             config = config_path
             set = ["drive.value=2.5e6"]
-            workers = 1
 
         cfg = load_config(Args())
         assert cfg.params.drive.value == pytest.approx(2 * math.pi * 2.5e6)
-
-    def test_drive_flag(self, config_path):
-        class Args:
-            config = config_path
-            set = None
-            drive = "ccw"
-            workers = 1
-
-        assert load_config(Args()).params.drive_port == "ccw"
-
-    def test_flags_override_set_of_the_same_key(self):
-        args = cli.build_parser().parse_args([
-            "entangle", "--config", "fig2d_magnon",
-            "--set", "drive.port=cw", "--drive", "ccw",
-            "--set", "filter.tau=1e-6", "--filter-tau", "2e-7",
-            "--set", "filter.magnon_convention=instant",
-            "--magnon-convention", "windowed"])
-        cfg = load_config(args)
-        assert cfg.params.drive_port == "ccw"
-        assert cfg.filter_spec.tau == 2e-7
-        assert cfg.magnon_convention == "windowed"
 
     def test_sweep_variant_key_refused(self, tmp_path, capsys):
         # files written by earlier versions carry a drift-variant key
@@ -172,6 +150,24 @@ class TestOverrides:
             main(["sweep", "--config", "fig2a", "--variant", "ideal"])
         assert exc.value.code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("argv", [
+        ["steady", "--config", "fig2b", "--drive", "ccw"],
+        ["entangle", "--config", "fig2d_magnon", "--filter-center", "-10e6"],
+        ["entangle", "--config", "fig2d_magnon", "--filter-tau", "2e-7"],
+        ["entangle", "--config", "fig2d_magnon",
+         "--magnon-convention", "windowed"],
+        ["comb-threshold", "--config", "figs1", "--dump-trajectory", "t.csv"],
+        ["steady", "--config", "fig2b", "--workers", "1"],
+    ], ids=["drive", "filter-center", "filter-tau", "magnon-convention",
+            "dump-trajectory", "workers-on-steady"])
+    def test_removed_flag_refused(self, argv, monkeypatch, tmp_path):
+        # each config key has one override, --set section.key=value
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
+        assert not (tmp_path / "t.csv").exists()
+
     def test_readme_commands_parse(self):
         readme = (ROOT / "README.md").read_text(encoding="utf-8")
         commands = [shlex.split(line)[1:] for line in readme.splitlines()
@@ -185,8 +181,8 @@ class TestOverrides:
 class TestSteadyCommand:
     def test_ccw_ideal_prints_zero_coupling(self, config_path, tmp_path):
         out = tmp_path / "steady.csv"
-        rc = main(["steady", "--config", config_path, "--drive", "ccw",
-                   "--out", str(out)])
+        rc = main(["steady", "--config", config_path,
+                   "--set", "drive.port=ccw", "--out", str(out)])
         assert rc == EXIT_OK
         rows = dict(line.split(",") for line in out.read_text().splitlines()
                     if line and not line.startswith("#") and "field" not in line)
@@ -283,7 +279,8 @@ class TestEntangleCommand:
     def test_filtered_outputs(self, config_path, tmp_path):
         out = tmp_path / "ent.csv"
         rc = main(["entangle", "--config", config_path,
-                   "--filter-center=-10e6", "--filter-tau=1.5915494e-7",
+                   "--set", "filter.center=-10e6",
+                   "--set", "filter.tau=1.5915494e-7",
                    "--out", str(out)])
         assert rc == EXIT_OK
         rows = dict(line.split(",") for line in out.read_text().splitlines()
@@ -413,43 +410,6 @@ class TestCombThresholdCommand:
         assert rc == EXIT_CONFIG
         assert "resolution" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [
-        ["--dump-trajectory", "/nonexistent/t.csv"],
-        ["--dump-trajectory", "t.csv", "--gm-cap", "12e6", "--resolution", "0"],
-    ], ids=["unwritable", "resolution-0"])
-    def test_dump_rejected_before_integration(self, argv, monkeypatch,
-                                              tmp_path):
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(cli, "integrate_classical", _fail_if_integrated)
-        rc = main(["comb-threshold", "--config", "figs1", *argv])
-        assert rc == EXIT_CONFIG
-        assert not (tmp_path / "t.csv").exists()
-
-    @pytest.mark.parametrize("mode", ["effective", "physical"])
-    def test_dump_integrates_from_the_bare_detuning(self, mode, monkeypatch,
-                                                    tmp_path):
-        # an effective magnon detuning is pre-compensated for the dispersive
-        # shift; a physical one already is the bare detuning
-        calls = []
-
-        def short_run(params, det, E):
-            calls.append((det, E))
-            return time_domain.integrate_classical(params, det, E, t_end=1e-7)
-
-        monkeypatch.setattr(cli, "integrate_classical", short_run)
-        argv = ["comb-threshold", "--config", "figs1", "--set",
-                f"detuning.mode={mode}",
-                "--dump-trajectory", str(tmp_path / "t.csv")]
-        assert main(argv) == EXIT_OK
-        cfg = load_config(cli.build_parser().parse_args(argv))
-        ((det, E),) = calls
-        assert E == cfg.params.drive.value
-        if mode == "physical":
-            assert det == cfg.detunings
-        else:
-            assert det == precompensated_detunings(cfg.params, cfg.detunings, E)
-            assert det.delta_m > det.delta_m_eff == cfg.detunings.delta_m_eff
-
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_probes_in_metadata(self, fmt, tmp_path):
         # a cap below the threshold: one probe, which settles
@@ -481,11 +441,90 @@ class TestCombThresholdCommand:
         assert probe["used_bdf"] is True
         assert 0 <= probe["variation"] < time_domain.STEADY_TOL
 
+    def test_stdout_starts_with_the_header(self, capsys):
+        assert main(["comb-threshold", "--config", "fig2b",
+                     "--gm-cap", "6e6"]) == EXIT_OK
+        data = [ln for ln in capsys.readouterr().out.splitlines()
+                if not ln.startswith("#")]
+        assert data[:2] == ["field,value", "gm_cap_hz,6000000"]
+
     def test_failed_integration_exit_code(self, monkeypatch, capsys):
         monkeypatch.setattr(time_domain, "MXSTEP", 1)
         rc = main(["comb-threshold", "--config", "fig2b", "--gm-cap", "6e6"])
         assert rc == EXIT_NUMERICAL
         assert "LSODA failed" in capsys.readouterr().err
+
+
+TRAJECTORY_HEADER = "t,re_a_cw,im_a_cw,re_a_ccw,im_a_ccw,re_m,im_m,q,p"
+
+
+class TestTrajectoryCommand:
+    @staticmethod
+    def short_runs(monkeypatch):
+        """Make the command integrate over 2 us instead of its default
+        horizon; returns the list of (det, E, trajectory) of its runs."""
+        runs = []
+
+        def short_run(params, det, E):
+            traj = time_domain.integrate_classical(params, det, E, t_end=2e-6)
+            runs.append((det, E, traj))
+            return traj
+
+        monkeypatch.setattr(cli, "integrate_classical", short_run)
+        return runs
+
+    def test_unwritable_out_rejected_before_integration(self, monkeypatch):
+        monkeypatch.setattr(cli, "integrate_classical", _fail_if_integrated)
+        rc = main(["trajectory", "--config", "figs1",
+                   "--out", "/nonexistent/t.csv"])
+        assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("mode", ["effective", "physical"])
+    def test_integrates_from_the_bare_detuning(self, mode, monkeypatch,
+                                               tmp_path):
+        # an effective magnon detuning is pre-compensated for the dispersive
+        # shift; a physical one already is the bare detuning
+        runs = self.short_runs(monkeypatch)
+        argv = ["trajectory", "--config", "figs1", "--set",
+                f"detuning.mode={mode}", "--out", str(tmp_path / "t.csv")]
+        assert main(argv) == EXIT_OK
+        cfg = load_config(cli.build_parser().parse_args(argv))
+        ((det, E, _),) = runs
+        assert E == cfg.params.drive.value
+        if mode == "physical":
+            assert det == cfg.detunings
+        else:
+            assert det == precompensated_detunings(cfg.params, cfg.detunings, E)
+            assert det.delta_m > det.delta_m_eff == cfg.detunings.delta_m_eff
+
+    def test_rows_are_the_integrated_samples(self, monkeypatch, capsys):
+        runs = self.short_runs(monkeypatch)
+        assert main(["trajectory", "--config", "figs1"]) == EXIT_OK
+        data = [ln for ln in capsys.readouterr().out.splitlines()
+                if not ln.startswith("#")]
+        assert data[0] == TRAJECTORY_HEADER
+        ((_, _, traj),) = runs
+        columns = (traj.t, traj.a_cw.real, traj.a_cw.imag, traj.a_ccw.real,
+                   traj.a_ccw.imag, traj.m.real, traj.m.imag, traj.q, traj.p)
+        assert data[1:] == [",".join(format(v, ".9g") for v in row)
+                            for row in zip(*columns)]
+
+    def test_jsonl_metadata_names_its_hidden_choices(self, monkeypatch,
+                                                     tmp_path):
+        runs = self.short_runs(monkeypatch)
+        out = tmp_path / "t.jsonl"
+        assert main(["trajectory", "--config", "fig2b", "--format", "jsonl",
+                     "--out", str(out)]) == EXIT_OK
+        lines = out.read_text().splitlines()
+        meta = json.loads(lines[0])["_meta"]
+        ((_, _, traj),) = runs
+        # fig2b sets no g_m: the inferred one is used and recorded
+        assert meta["g_m_hz"] == to_hz(presets.inferred_g_m())
+        assert meta["nfev"] == traj.stats["nfev"] > 0
+        assert meta["ode_method"] == "LSODA" and meta["ode_start"] == "zero"
+        first = json.loads(lines[1])
+        assert list(first) == sorted(TRAJECTORY_HEADER.split(","))
+        assert len(lines) == 1 + traj.t.size
 
 
 class TestPresets:

@@ -1,10 +1,8 @@
 """The narrative demos still run against the library.
 
-Each of demos 01-05 runs as its own process in a temporary directory (demo
+Each of demos 01-06 runs as its own process in a temporary directory (demo
 02 writes ``detuning_map.csv`` into its working directory) and must exit 0,
-so a renamed or removed library name cannot break a demo silently.  Demo 06
-(two classical-dynamics runs, about 3 s on a 2-core host) is not among
-them; run it by hand after changing ``time_domain`` or ``steady_state``.
+so a renamed or removed library name cannot break a demo silently.
 """
 
 import os
@@ -15,11 +13,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DEMOS = sorted((ROOT / "demos").glob("0[1-5]_*.py"))
+DEMOS = sorted((ROOT / "demos").glob("0[1-6]_*.py"))
 
 
-def test_all_five_demos_found():
-    assert len(DEMOS) == 5
+def test_all_six_demos_found():
+    assert len(DEMOS) == 6
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)

@@ -8,7 +8,6 @@ from chiralcmm.pipeline import SweepAxis, SweepSpec, evaluate_point, run_sweep
 
 class _Args:
     set = None
-    workers = 1
 
     def __init__(self, config):
         self.config = config

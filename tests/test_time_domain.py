@@ -30,7 +30,6 @@ from chiralcmm.time_domain import (
     default_horizon,
     integrate_classical,
     make_rhs,
-    trajectory_to_csv,
 )
 from chiralcmm import presets, time_domain
 
@@ -276,18 +275,3 @@ class TestCombThreshold:
         det = Detunings.effective(-p.omega_b, 0.65 * p.omega_b)
         res = comb_threshold(p, det, cap=hz(1e6), resolution=hz(0.05e6))
         assert res.no_comb_below_cap
-
-
-class TestTrajectoryDump:
-    def test_csv_round_trip(self, tmp_path):
-        p = SystemParams(g_m=1.0)
-        det = bare_detunings(p, -p.omega_b, p.omega_b)
-        traj = integrate_classical(p, det, 1e12, t_end=2e-6)
-        path = tmp_path / "traj.csv"
-        trajectory_to_csv(traj, path)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("#")
-        assert lines[2] == "t,re_a_cw,im_a_cw,re_a_ccw,im_a_ccw,re_m,im_m,q,p"
-        data = np.loadtxt(path, delimiter=",", skiprows=3)
-        assert data.shape[1] == 9
-        assert_allclose(data[:, 0], traj.t, rtol=1e-8)
