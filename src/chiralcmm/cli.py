@@ -489,12 +489,21 @@ def cmd_entangle(cfg: RunConfig, args) -> int:
                           **_branch_meta(cfg, rep.meta.get("branches"))})
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the platform
+    has one, else all of the host's)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_sweep(cfg: RunConfig, args) -> int:
     if cfg.sweep is None:
         raise ConfigError("sweep subcommand needs a [sweep] section")
-    workers = (os.cpu_count() or 1) if args.workers is None else args.workers
-    result = run_sweep(cfg.params, cfg.detunings, cfg.sweep,
-                       workers=max(workers, 1))
+    workers = _usable_cpus() if args.workers is None else args.workers
+    if workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {workers}")
+    result = run_sweep(cfg.params, cfg.detunings, cfg.sweep, workers=workers)
     return _write_result(args, cfg, result.columns, result.rows, result.meta)
 
 
@@ -586,9 +595,9 @@ def build_parser() -> argparse.ArgumentParser:
                                      "(ports from sweep.ports)")
     common(p)
     p.add_argument("--workers", type=int, default=None,
-                   help="processes sharing the sweep's blocks of grid "
-                        "points; a sweep of one block runs in-process "
-                        "(default: all cores)")
+                   help="threads sharing the sweep's blocks of grid "
+                        "points, at least 1; a sweep of one block runs on "
+                        "one (default: the CPUs this process may use)")
     p = sub.add_parser("trajectory",
                        help="classical mean-field trajectory at the "
                             "configured drive, from the empty state")

@@ -15,8 +15,9 @@ of one point.
 A sweep lists its rows in a fixed order: row-major over the grid (the last
 axis varies fastest), clockwise drive before counter-clockwise at each grid
 point.  It cuts that list into contiguous blocks of BLOCK_POINTS rows.
-``workers > 1`` maps whole blocks onto a process pool; a sweep of one block
-runs in-process.  The result is the same for any worker count.
+``workers > 1`` maps whole blocks onto a pool of threads in this process; a
+sweep of one block runs in the calling thread.  The result is the same for
+any worker count.
 
 A block that meets a domain error (the ValueError and RuntimeError
 families: singular mean field, invalid covariance, quadrature failure,
@@ -28,7 +29,7 @@ the others are unaffected.  Any other exception fails the sweep.
 from __future__ import annotations
 
 import functools
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -397,10 +398,6 @@ def evaluate_block(params: SystemParams, det: Detunings, spec: SweepSpec,
                                  **multistable, **maxima}
 
 
-def _evaluate_task(task):
-    return evaluate_block(*task)
-
-
 def run_sweep(params: SystemParams, det: Detunings, spec: SweepSpec,
               workers: int = 1) -> SweepResult:
     """Evaluate the grid; deterministic row order regardless of worker count.
@@ -412,17 +409,34 @@ def run_sweep(params: SystemParams, det: Detunings, spec: SweepSpec,
     several branches (MULTISTABLE).  A filtered sweep adds the largest
     quadrature error estimate and tail estimate of its filtered rows
     (SWEEP_MAXIMA).
+
+    ``workers > 1`` evaluates the blocks on that many threads of this
+    process.  Most of a block's time is spent in numpy's stacked LAPACK
+    calls, which release the GIL: the ``eigvals`` of
+    :func:`linear_model.is_stable` and :func:`is_physical` and the batched
+    solve of the Lyapunov system.  The rest of a block is Python that holds
+    the GIL; that share caps the speed-up (1 -> 2 workers gives about 1.5x
+    on the fig2a map on 2 cores) and limits scaling on hosts with many
+    cores.  Blocks must not call ``odeint``: ODEPACK keeps its state in
+    Fortran common blocks and is not re-entrant.  If a block raises an
+    exception outside DOMAIN_ERRORS, or the caller is interrupted (Ctrl-C),
+    the blocks that have not started are cancelled and the exception
+    propagates once the running ones end.
     """
     values, ports = grid_rows(spec)
-    tasks = [(params, det, spec, values[i:i + BLOCK_POINTS],
-              ports[i:i + BLOCK_POINTS])
-             for i in range(0, len(ports), BLOCK_POINTS)]
-    workers = min(workers, len(tasks))
+    starts = range(0, len(ports), BLOCK_POINTS)
+    blocks = ([values[i:i + BLOCK_POINTS] for i in starts],
+              [ports[i:i + BLOCK_POINTS] for i in starts])
+    evaluate = functools.partial(evaluate_block, params, det, spec)
+    workers = min(workers, len(starts))
     if workers <= 1:
-        results = [evaluate_block(*task) for task in tasks]
+        results = list(map(evaluate, *blocks))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_evaluate_task, tasks))
+        pool = ThreadPoolExecutor(max_workers=workers)
+        try:
+            results = list(pool.map(evaluate, *blocks))
+        finally:
+            pool.shutdown(cancel_futures=True)
     rows = [row for block_rows, _ in results for row in block_rows]
     meta = functools.reduce(_merge, (diag for _, diag in results))
     for key in SWEEP_MAXIMA:

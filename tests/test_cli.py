@@ -359,6 +359,39 @@ class TestSweepCommand:
               "--workers", "2"])
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_refused(self, workers, sweep_config_path,
+                                       monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_sweep", _fail_if_swept)
+        rc = main(["sweep", "--config", sweep_config_path,
+                   "--workers", workers])
+        assert rc == EXIT_CONFIG
+        assert f"--workers must be at least 1, got {workers}" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("affinity", [True, False],
+                             ids=["affinity-mask", "no-affinity-call"])
+    def test_default_workers_are_the_usable_cpus(self, affinity,
+                                                 sweep_config_path,
+                                                 monkeypatch, tmp_path):
+        seen = []
+        run_sweep = cli.run_sweep
+
+        def recording(*args, workers):
+            seen.append(workers)
+            return run_sweep(*args, workers=workers)
+
+        monkeypatch.setattr(cli, "run_sweep", recording)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        if affinity:    # as under ``taskset -c 0`` on a larger host
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                                raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert main(["sweep", "--config", sweep_config_path, "--out",
+                     str(tmp_path / "s.csv")]) == EXIT_OK
+        assert seen == [1 if affinity else 3]
+
     def test_missing_sweep_section(self, config_path, capsys):
         rc = main(["sweep", "--config", config_path])
         assert rc == EXIT_CONFIG
@@ -394,6 +427,10 @@ class TestStabilityEdgeCommand:
         assert rc == EXIT_CONFIG
         assert time.perf_counter() - t0 < 1.0
         assert "finite and positive" in capsys.readouterr().err
+
+
+def _fail_if_swept(*_args, **_kwargs):
+    raise AssertionError("run_sweep called")
 
 
 def _fail_if_integrated(*_args, **_kwargs):

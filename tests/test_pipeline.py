@@ -1,4 +1,7 @@
 import io
+import multiprocessing
+import os
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -135,28 +138,67 @@ class TestSweep:
         ports = [row[1] for row in res.rows]
         assert ports == ["cw", "ccw"] * 3
 
-    def test_identical_results_across_worker_counts(self):
+    @staticmethod
+    def error_spec():
+        # a negative temperature has no thermal occupancy: rows 2 and 3 fail
+        return SweepSpec(axes=(SweepAxis("temperature", 0.01, -0.03, 3),),
+                         request=MeasureRequest(pairs=(("a_cw", "m"),),
+                                                triples=()))
+
+    def test_identical_results_across_worker_counts(self, monkeypatch):
         p, det, spec = self.spec(n=4)
-        serial = run_sweep(p, det, spec, workers=1)
-        parallel = run_sweep(p, det, spec, workers=3)
-        assert serial.rows == parallel.rows
+        monkeypatch.setattr(pipeline, "BLOCK_POINTS", 2)   # two blocks each
+        for spec in (spec, self.error_spec()):
+            serial = run_sweep(p, det, spec, workers=1)
+            parallel = run_sweep(p, det, spec, workers=3)
+            np.testing.assert_equal(parallel.rows, serial.rows)  # NaN == NaN
+            assert serial.meta == parallel.meta
+
+    def test_blocks_run_in_this_process(self, monkeypatch):
+        p, det, spec = self.spec(n=6)
+        monkeypatch.setattr(pipeline, "BLOCK_POINTS", 2)   # three blocks
+        pids = []
+
+        def recording(*args):
+            pids.append(os.getpid())
+            return evaluate_block(*args)
+
+        monkeypatch.setattr(pipeline, "evaluate_block", recording)
+        res = run_sweep(p, det, spec, workers=2)
+        assert len(res.rows) == 6
+        assert pids == [os.getpid()] * 3
+        assert multiprocessing.active_children() == []
+
+    def test_programming_error_cancels_waiting_blocks(self, monkeypatch):
+        p, det, spec = self.spec(n=40)
+        monkeypatch.setattr(pipeline, "BLOCK_POINTS", 1)   # 40 blocks
+        evaluated = []
+
+        def first_fails(params, det, spec, values, ports):
+            evaluated.append(values[0, 0])
+            if values[0, 0] == spec.axes[0].start:
+                raise TypeError("not a domain error")
+            time.sleep(0.01)
+            return evaluate_block(params, det, spec, values, ports)
+
+        monkeypatch.setattr(pipeline, "evaluate_block", first_fails)
+        with pytest.raises(TypeError, match="not a domain error"):
+            run_sweep(p, det, spec, workers=2)
+        done = len(evaluated)
+        assert done < 40
+        time.sleep(0.05)
+        assert len(evaluated) == done        # no block ran after the raise
 
     def test_per_point_failures_recorded_in_row(self):
         p, det, _ = self.spec()
-        # a negative temperature has no thermal occupancy
-        spec = SweepSpec(axes=(SweepAxis("temperature", 0.01, -0.03, 3),),
-                         request=MeasureRequest(pairs=(("a_cw", "m"),),
-                                                triples=()))
-        res = run_sweep(p, det, spec)
+        res = run_sweep(p, det, self.error_spec())
         errors = [row[-1] for row in res.rows]
         assert errors[0] == ""
         assert any(e != "" for e in errors[1:])
 
     def test_error_rows_carry_the_single_point_error(self):
         p, det, _ = self.spec()
-        spec = SweepSpec(axes=(SweepAxis("temperature", 0.01, -0.03, 3),),
-                         request=MeasureRequest(pairs=(("a_cw", "m"),),
-                                                triples=()))
+        spec = self.error_spec()
         res = run_sweep(p, det, spec)
         with pytest.raises(ValueError) as exc:
             evaluate_point(p.replace(temperature=res.rows[2][0]), det, "cw",
