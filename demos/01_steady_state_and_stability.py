@@ -26,13 +26,14 @@ det = Detunings.effective(delta_a=-0.76 * params.omega_b,
 # mean follows the closed-form expression of the coupled linear system
 # (here with no backscattering, J = 0, and no CCW coupling, g_ccw = 0).
 E = hz(100e6)
-cw = imperfect_means(params, det, E, drive_port="cw")
+cw = imperfect_means(params, det, E)
 print("CW drive:  <a_cw> = %.4g%+.4gj   <m> = %.4g%+.4gj"
       % (cw.a_cw.real, cw.a_cw.imag, cw.m.real, cw.m.imag))
 
 # The counter-clockwise mode is decoupled from the magnon (chiral coupling),
-# so driving it fills the cavity but never pumps the magnomechanics.
-ccw = imperfect_means(params, det, E, drive_port="ccw")
+# so driving it fills the cavity but never pumps the magnomechanics.  The
+# drive port is a field of the parameters, like every other input.
+ccw = imperfect_means(params.replace(drive_port="ccw"), det, E)
 print("CCW drive: <a_ccw> = %.4g%+.4gj  <m> = %g  (chirality at work)"
       % (ccw.a_ccw.real, ccw.a_ccw.imag, abs(ccw.m)))
 

@@ -15,8 +15,8 @@ from chiralcmm.pipeline import evaluate_point, nonreciprocity_contrast, run_swee
 # --- the ideal chiral case -------------------------------------------------
 p = presets.magnon_set()
 det = presets.optimum(p, "magnon")
-cw = evaluate_point(p, det, drive_port="cw")
-ccw = evaluate_point(p, det, drive_port="ccw")
+cw = evaluate_point(p, det)                               # p drives CW
+ccw = evaluate_point(p.replace(drive_port="ccw"), det)
 
 print("CW drive:  E(a_cw, m) = %.4f  E(a_cw, b) = %.4f  R_min = %.4f"
       % (cw.e_n["a_cw|m"], cw.e_n["a_cw|b"], cw.r_min["a_cw|m|b"]))

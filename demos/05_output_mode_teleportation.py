@@ -12,12 +12,13 @@ value and pushes the coherent-state teleportation fidelity past the 1/2
 classical boundary.
 """
 
+from dataclasses import replace
 
 from chiralcmm import presets
 from chiralcmm.linear_model import build_model
 from chiralcmm.lyapunov import extract_block, solve_lyapunov
 from chiralcmm.measures import log_negativity, teleportation_fidelity
-from chiralcmm.output_mode import MAGNON_INSTANT, FilterSpec, filtered_pair_cm
+from chiralcmm.output_mode import filtered_pair_cm
 from chiralcmm.steady_state import resolve_drive
 
 pre = presets.get("fig2d_magnon")
@@ -30,9 +31,9 @@ cm = solve_lyapunov(model.A, model.D)
 print("intracavity E(a_cw, m) = %.4f"
       % log_negativity(extract_block(cm, ("a_cw", "m"))))
 
-# filtered output mode + stationary magnon quadratures
-out = filtered_pair_cm(model.A, model.D, params, pre.filter_spec,
-                       MAGNON_INSTANT)
+# filtered output mode + stationary magnon quadratures: the preset's filter
+# carries the "instant" magnon convention
+out = filtered_pair_cm(model.A, model.D, params, pre.filter_spec)
 e_out = log_negativity(out.V)
 fid = teleportation_fidelity(out.V)
 print("filtered-output E(a_out, m) = %.3f" % e_out)
@@ -45,6 +46,6 @@ print("conventions:", {k: out.meta[k] for k in
 # too wide dilutes the entangled sideband into vacuum.
 print("\nbandwidth sweep (1/tau in units of omega_b):")
 for ratio in (0.03, 0.1, 0.3, 1.0, 3.0):
-    spec = FilterSpec(-params.omega_b, tau=1.0 / (ratio * params.omega_b))
-    v = filtered_pair_cm(model.A, model.D, params, spec, MAGNON_INSTANT).V
+    spec = replace(pre.filter_spec, tau=1.0 / (ratio * params.omega_b))
+    v = filtered_pair_cm(model.A, model.D, params, spec).V
     print("   %5.2f -> E = %.3f" % (ratio, log_negativity(v)))

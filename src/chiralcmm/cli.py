@@ -154,7 +154,6 @@ class RunConfig:
     detunings: Detunings
     sweep: SweepSpec | None
     filter_spec: FilterSpec | None
-    magnon_convention: str
     resolved_text: str
     digest: str
     meta: dict = field(default_factory=dict, compare=False)
@@ -227,7 +226,7 @@ def _parse_partitions(raw: str, size: int):
     return tuple(out)
 
 
-def _build_sweep(sections, filter_spec, convention) -> SweepSpec | None:
+def _build_sweep(sections, filter_spec) -> SweepSpec | None:
     sweep = sections.get("sweep")
     if not sweep:
         return None
@@ -253,8 +252,7 @@ def _build_sweep(sections, filter_spec, convention) -> SweepSpec | None:
     pairs = _parse_partitions(sweep.get("pairs", "a_cw:m,a_cw:b,a_ccw:m,a_ccw:b"), 2)
     triples = _parse_partitions(sweep.get("triples", ""), 3)
     request = MeasureRequest(pairs=pairs, triples=triples,
-                             filter_spec=filter_spec,
-                             magnon_convention=convention)
+                             filter_spec=filter_spec)
     try:
         return SweepSpec(axes=tuple(axes), drive_ports=ports, request=request)
     except ValueError as exc:
@@ -269,8 +267,12 @@ def _build_filter(sections, params) -> FilterSpec | None:
                            default=-to_hz(params.omega_b)))
     tau = _get_float(sections, "filter", "tau",
                      default=10.0 / params.omega_b)
+    convention = _get_str(sections, "filter", "magnon_convention",
+                          default=MAGNON_INSTANT,
+                          choices=(MAGNON_INSTANT, MAGNON_WINDOWED))
     try:
-        return FilterSpec(omega_center=center, tau=tau)
+        return FilterSpec(omega_center=center, tau=tau,
+                          magnon_convention=convention)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -311,11 +313,8 @@ def load_config(args) -> RunConfig:
     if errors:
         raise ConfigError("; ".join(d.message for d in errors))
     detunings = _build_detunings(sections, params, diags)
-    convention = _get_str(sections, "filter", "magnon_convention",
-                          default=MAGNON_INSTANT,
-                          choices=(MAGNON_INSTANT, MAGNON_WINDOWED))
     filter_spec = _build_filter(sections, params)
-    sweep = _build_sweep(sections, filter_spec, convention)
+    sweep = _build_sweep(sections, filter_spec)
     gm_abs = params.drive.kind == DRIVE_GM_ABS or (
         sweep is not None and any(ax.name == "gm_abs" for ax in sweep.axes))
     if gm_abs and params.detuning_mode == DETUNING_PHYSICAL:
@@ -324,7 +323,7 @@ def load_config(args) -> RunConfig:
     digest = hashlib.sha256(resolved.encode()).hexdigest()
     warnings = [f"{d.code}: {d.message}" for d in diags if d.level == "warning"]
     return RunConfig(params=params, detunings=detunings, sweep=sweep,
-                     filter_spec=filter_spec, magnon_convention=convention,
+                     filter_spec=filter_spec,
                      resolved_text=resolved, digest=digest,
                      meta={"warnings": warnings} if warnings else {})
 
@@ -367,7 +366,7 @@ def preset_config_text(name: str) -> str:
         lines += ["[filter]",
                   f"center = {to_hz(pre.filter_spec.omega_center)!r}",
                   f"tau = {pre.filter_spec.tau!r}",
-                  "magnon_convention = instant"]
+                  f"magnon_convention = {pre.filter_spec.magnon_convention}"]
     return "\n".join(lines) + "\n"
 
 
@@ -386,9 +385,11 @@ def write_table(fh, cfg: RunConfig, columns, rows, fmt: str,
                 extra_meta: dict | None = None) -> None:
     """Write the metadata (tool, digest, conventions and ``extra_meta``;
     tuples are name lists), then the rows, as CSV or JSONL."""
+    convention = (cfg.filter_spec.magnon_convention if cfg.filter_spec
+                  else MAGNON_INSTANT)
     meta = {"tool": f"chiralcmm {__version__}", "config_sha256": cfg.digest,
             "mode_order": MODE_ORDER, "quadrature_order": QUAD_LABELS,
-            "magnon_convention": cfg.magnon_convention, **(extra_meta or {})}
+            "magnon_convention": convention, **(extra_meta or {})}
     if fmt == "jsonl":
         head = {"_meta": {**meta, "config": cfg.resolved_text}}
         fh.write(json.dumps(head, sort_keys=True) + "\n")
@@ -472,9 +473,8 @@ def cmd_steady(cfg: RunConfig, args) -> int:
 
 
 def cmd_entangle(cfg: RunConfig, args) -> int:
-    request = MeasureRequest(filter_spec=cfg.filter_spec,
-                             magnon_convention=cfg.magnon_convention)
-    rep = evaluate_point(cfg.params, cfg.detunings, request=request)
+    rep = evaluate_point(cfg.params, cfg.detunings,
+                         MeasureRequest(filter_spec=cfg.filter_spec))
     columns = ("field", "value")
     rows = [("stable", int(rep.stable)), ("abscissa", rep.abscissa),
             ("abs_g_m_eff_hz", to_hz(abs(rep.g_m_eff)))]

@@ -38,7 +38,7 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -208,14 +208,23 @@ def adaptive_gk21(f, a: float, b: float, points=(), *, epsabs: float,
 @dataclass(frozen=True)
 class FilterSpec:
     """Top-hat output filter: central frequency Omega (rad/s, drive frame)
-    and window duration tau (s); the bandwidth is 1/tau."""
+    and window duration tau (s), the bandwidth being 1/tau, and the
+    convention of the magnon mode paired with the filtered output:
+    MAGNON_WINDOWED reads the magnon through the same window at +omega_b
+    (the anti-Stokes side), renormalized by its computed commutator so the
+    mode is canonical; MAGNON_INSTANT takes the stationary intracavity
+    magnon quadratures."""
 
     omega_center: float
     tau: float
+    magnon_convention: str
 
     def __post_init__(self):
         if not (self.tau > 0 and math.isfinite(self.tau)):
             raise ValueError("filter duration tau must be positive and finite")
+        if self.magnon_convention not in (MAGNON_WINDOWED, MAGNON_INSTANT):
+            raise ValueError(
+                f"unknown magnon convention {self.magnon_convention!r}")
 
 
 def filter_transform(spec: FilterSpec, omega) -> complex | np.ndarray:
@@ -319,33 +328,26 @@ class FilteredPairCM:
 
 
 def filtered_pair_cm(A: np.ndarray, D: np.ndarray, params: SystemParams,
-                     spec: FilterSpec, magnon_convention: str,
-                     drive_port: str | None = None) -> FilteredPairCM:
-    """Covariance matrix of the filtered output mode and the magnon mode.
-
-    magnon_convention:
-      * "windowed": the magnon is read through the same top-hat window at
-        its own central frequency +omega_b (the anti-Stokes side),
-        renormalized by its computed commutator so the mode is canonical.
-      * "instant": stationary intracavity magnon quadratures; their 2x2
-        block is taken from the Lyapunov solution exactly and only the
-        cross block is integrated.
+                     spec: FilterSpec) -> FilteredPairCM:
+    """Covariance matrix of the output of the driven port
+    (``params.drive_port``) through the filter ``spec`` and the magnon mode
+    in the filter's magnon convention.  In the instant convention the
+    magnon's 2x2 block is taken from the Lyapunov solution exactly and only
+    the cross block is integrated.
 
     The white (frequency-flat) part of the output spectrum integrates
     against the filter analytically and only spectrally colored terms are
     integrated numerically, which keeps the truncation error of the slowly
     decaying sinc tail out of the result.
     """
-    if magnon_convention not in (MAGNON_WINDOWED, MAGNON_INSTANT):
-        raise ValueError(f"unknown magnon convention {magnon_convention!r}")
-    port = drive_port or params.drive_port
+    port = params.drive_port
     chans = noise_channels(params)
     sig = chans.sigma
     v_lyap = solve_lyapunov(A, D).V
     v_mag = v_lyap[np.ix_(MODE_SLOTS["m"], MODE_SLOTS["m"])]
 
-    mag_spec = FilterSpec(omega_center=params.omega_b, tau=spec.tau)
-    windowed = magnon_convention == MAGNON_WINDOWED
+    mag_spec = replace(spec, omega_center=params.omega_b)
+    windowed = spec.magnon_convention == MAGNON_WINDOWED
     inv_sqrt_2pi = 1.0 / math.sqrt(2.0 * math.pi)
 
     n_port = chans.n_port + 0.5
@@ -397,7 +399,7 @@ def filtered_pair_cm(A: np.ndarray, D: np.ndarray, params: SystemParams,
         V[2:, 2:] += v_mag
 
     meta = {
-        "magnon_convention": magnon_convention,
+        "magnon_convention": spec.magnon_convention,
         "magnon_center": params.omega_b if windowed else None,
         "port": port,
         "port_rate": "kappa_a_e",

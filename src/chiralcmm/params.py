@@ -6,9 +6,10 @@ rad/s; constructors that accept ordinary frequencies (Hz) multiply by
 across workers.
 
 A *stacked* configuration (``SystemParams.stacked``, ``Detunings.stacked``)
-holds an (n,) array in every rate field instead of one number; the
-steady-state, drift and diffusion functions evaluate all n points of such a
-stack at once, which is how the sweep engine runs a block of grid points.
+holds an (n,) array in every rate field and in the drive port instead of
+one value; the steady-state, drift and diffusion functions evaluate all n
+points of such a stack at once, which is how the sweep engine runs a block
+of grid points.
 """
 
 from __future__ import annotations
@@ -64,7 +65,9 @@ class SystemParams:
     single-magnon magnomechanical rate) is optional: every result that is
     parametrized by the effective coupling magnitude |G_m| can be computed
     without it.  ``kappa_a`` is the total cavity linewidth
-    kappa_a_i + kappa_a_e.
+    kappa_a_i + kappa_a_e.  ``drive_port`` names the driven circulating
+    mode, DRIVE_CW or DRIVE_CCW; every function that needs the port reads
+    it from here.
     """
 
     omega_a: float = hz(10e9)    # degenerate circulating-mode resonance
@@ -80,13 +83,15 @@ class SystemParams:
     g_m: float | None = None     # single-magnon magnomechanical rate (optional)
     J: float = 0.0               # backscattering coupling between the two modes
     temperature: float = 0.010
-    drive_port: str = DRIVE_CW
+    drive_port: str = DRIVE_CW   # an (n,) array of labels in a stack
     drive: DriveSpec = field(default_factory=lambda: DriveSpec(DRIVE_GM_ABS, hz(4e6)))
     detuning_mode: str = DETUNING_EFFECTIVE
 
     def __post_init__(self):
-        if self.drive_port not in (DRIVE_CW, DRIVE_CCW):
-            raise ValueError(f"unknown drive port {self.drive_port!r}")
+        unknown = (set(np.atleast_1d(self.drive_port).tolist())
+                   - {DRIVE_CW, DRIVE_CCW})
+        if unknown:
+            raise ValueError(f"unknown drive port {min(unknown, key=str)!r}")
         if self.detuning_mode not in (DETUNING_PHYSICAL, DETUNING_EFFECTIVE):
             raise ValueError(f"unknown detuning mode {self.detuning_mode!r}")
 
@@ -111,18 +116,21 @@ class SystemParams:
         return replace(self, **changes)
 
     def stacked(self, n: int) -> "SystemParams":
-        """n copies of this configuration as one stack: every rate field and
-        the drive value become (n,) arrays."""
+        """n copies of this configuration as one stack: every rate field,
+        the drive port and the drive value become (n,) arrays."""
         changes = {name: np.full(n, float(getattr(self, name)))
                    for name in RATE_FIELDS}
         drive = DriveSpec(self.drive.kind, np.full(n, float(self.drive.value)))
-        return replace(self, drive=drive, **changes)
+        return replace(self, drive=drive, drive_port=np.full(n, self.drive_port),
+                       **changes)
 
     def at(self, i: int) -> "SystemParams":
-        """Point i of a stacked configuration, with plain float fields."""
+        """Point i of a stacked configuration, with plain float fields and
+        its port label."""
         changes = {name: float(getattr(self, name)[i]) for name in RATE_FIELDS}
         drive = DriveSpec(self.drive.kind, float(self.drive.value[i]))
-        return replace(self, drive=drive, **changes)
+        return replace(self, drive=drive, drive_port=str(self.drive_port[i]),
+                       **changes)
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ from .measures import (
     residual_contangle_min,
     teleportation_fidelity,
 )
-from .output_mode import MAGNON_INSTANT, FilterSpec, filtered_pair_cm
+from .output_mode import FilterSpec, filtered_pair_cm
 from .params import (
     DETUNING_PHYSICAL,
     DRIVE_CCW,
@@ -78,7 +78,6 @@ class MeasureRequest:
     pairs: tuple = PAIRS_DEFAULT
     triples: tuple = TRIPLES_DEFAULT
     filter_spec: FilterSpec | None = None     # enables filtered-output block
-    magnon_convention: str = MAGNON_INSTANT   # convention reproducing Sec. 5
 
 
 @dataclass(frozen=True)
@@ -106,18 +105,17 @@ class EntReport:
 
 
 def evaluate_point(params: SystemParams, det: Detunings,
-                   drive_port: str | None = None,
                    request: MeasureRequest | None = None) -> EntReport:
     """Full single-point evaluation: the block evaluator on one point."""
     request = request or MeasureRequest()
-    port = drive_port or params.drive_port
     block = _evaluate(params, det, request, (), np.empty((1, 0)),
-                      np.array([port]))
+                      np.array([params.drive_port]))
     echo = (params.replace(drive_port=DRIVE_CW), det)
     stable = bool(block.stable[0])
     meta = {} if block.branches is None else {"branches": int(block.branches[0])}
     common = dict(stable=stable, abscissa=float(block.abscissa[0]),
-                  drive_port=port, g_m_eff=complex(block.g_m_eff[0]), echo=echo)
+                  drive_port=params.drive_port,
+                  g_m_eff=complex(block.g_m_eff[0]), echo=echo)
     if not stable:
         return EntReport(e_n={}, r_min={}, filtered_e_n=None, fidelity=None,
                          physical=None, meta=meta, **common)
@@ -156,10 +154,10 @@ def _evaluate(params: SystemParams, det: Detunings, request: MeasureRequest,
     """Evaluate the points ``params``/``det`` with ``axes`` set to the rows
     of ``values``, each driven through its entry of ``ports``."""
     n = len(ports)
-    P, dets = params.stacked(n), det.stacked(n)
+    P, dets = params.stacked(n).replace(drive_port=ports), det.stacked(n)
     for k, ax in enumerate(axes):
         P, dets = SWEEPABLE[ax.name](P, dets, values[:, k])
-    steady = resolve_drive(P, dets, ports)
+    steady = resolve_drive(P, dets)
     # the drift sees the shifted magnon detuning: the input one, or the
     # self-consistent one of the physical detuning mode
     dets = Detunings(dets.delta_a, dets.delta_m, steady.delta_m_eff)
@@ -187,9 +185,7 @@ def _evaluate(params: SystemParams, det: Detunings, request: MeasureRequest,
     if request.filter_spec is not None:
         for i in np.flatnonzero(ok):
             out = filtered_pair_cm(model.A[i], model.D[i], P.at(i),
-                                   request.filter_spec,
-                                   request.magnon_convention,
-                                   drive_port=str(ports[i]))
+                                   request.filter_spec)
             filtered_e_n[i] = log_negativity(out.V)
             fidelity[i] = teleportation_fidelity(out.V)
             filtered_meta[i] = out.meta

@@ -73,23 +73,19 @@ class SteadyField:
 
 def _by_port(port, cw_value, ccw_value):
     """``cw_value`` for a clockwise drive, ``ccw_value`` for a
-    counter-clockwise one; ``port`` is one label or an array of labels."""
+    counter-clockwise one; ``port`` is one label or an array of labels,
+    already checked by SystemParams."""
     if isinstance(port, str):
-        if port not in (DRIVE_CW, DRIVE_CCW):
-            raise ValueError(f"unknown drive port {port!r}")
         return cw_value if port == DRIVE_CW else ccw_value
-    port = np.asarray(port)
-    unknown = ~np.isin(port, (DRIVE_CW, DRIVE_CCW))
-    if np.any(unknown):
-        raise ValueError(f"unknown drive port {port[unknown][0]!r}")
     return np.where(port == DRIVE_CW, cw_value, ccw_value)
 
 
 def _cavity_means(params: SystemParams, det: Detunings, E: float,
-                  drive_port: str, m: complex) -> tuple[complex, complex]:
+                  m: complex) -> tuple[complex, complex]:
     """Back-substitute <m> into the 2x2 linear system for the cavity means."""
     ka = params.kappa_a + 1j * det.delta_a
-    e_cw, e_ccw = _by_port(drive_port, E, 0.0), _by_port(drive_port, 0.0, E)
+    port = params.drive_port
+    e_cw, e_ccw = _by_port(port, E, 0.0), _by_port(port, 0.0, E)
     b1 = e_cw - 1j * params.g_cw * m
     b2 = e_ccw - 1j * params.g_ccw * m
     det2 = ka * ka + params.J**2
@@ -131,8 +127,8 @@ def _denominator(params: SystemParams, det: Detunings):
     return den
 
 
-def imperfect_means(params: SystemParams, det: Detunings, E: float,
-                    drive_port: str | None = None) -> SteadyField:
+def imperfect_means(params: SystemParams, det: Detunings,
+                    E: float) -> SteadyField:
     """Closed-form means with backscattering J and residual coupling g_ccw.
 
     Both circulating modes are generally populated.  With J = 0 and the
@@ -140,9 +136,9 @@ def imperfect_means(params: SystemParams, det: Detunings, E: float,
     <m> = -i*g_d*E / [g_d^2 + (kappa_a + i*delta_a)(kappa_m + i*delta_m_eff)]
     with the non-driven mode empty; a drive on the uncoupled port of the
     chiral configuration leaves <m> = 0 exactly.
-    Stacked parameters (and an array of ports) give arrays of means.
+    Stacked parameters give arrays of means.
     """
-    port = params.drive_port if drive_port is None else drive_port
+    port = params.drive_port
     den = _denominator(params, det)
     ka, da, J = params.kappa_a, det.delta_a, params.J
     # couplings of the driven and of the other circulating mode
@@ -150,12 +146,11 @@ def imperfect_means(params: SystemParams, det: Detunings, E: float,
     g_o = _by_port(port, params.g_ccw, params.g_cw)
     num = E * ((g_d * da - g_o * J) - 1j * g_d * ka)
     m = num / den
-    a_cw, a_ccw = _cavity_means(params, det, E, port, m)
+    a_cw, a_ccw = _cavity_means(params, det, E, m)
     return _pack(params, det, E, a_cw, a_ccw, m, det.delta_m_eff)
 
 
 def self_consistent_solve(params: SystemParams, E: float,
-                          drive_port: str | None = None,
                           det: Detunings | None = None) -> SteadyField:
     """Means when the bare magnon detuning is what is known.
 
@@ -171,17 +166,15 @@ def self_consistent_solve(params: SystemParams, E: float,
     ``meta["branches"]`` counts the real roots (1 or 3); it is 1 where there
     is no shift (E = 0, g_m = 0, or a port that does not pump the magnon).
 
-    Stacked parameters with arrays of ports and amplitudes give arrays; one
-    point is solved as a stack of one, so it gets the same bits as in any
-    stack.
+    Stacked parameters with an array of amplitudes give arrays; one point
+    is solved as a stack of one, so it gets the same bits as in any stack.
     """
     if params.g_m is None:
         raise ValueError("self_consistent_solve requires g_m")
-    port = params.drive_port if drive_port is None else drive_port
     base = det if det is not None else Detunings.physical(params)
-    if isinstance(port, str):
+    if isinstance(params.drive_port, str):
         one = self_consistent_solve(params.stacked(1), np.full(1, E),
-                                    np.array([port]), base.stacked(1))
+                                    base.stacked(1))
         return SteadyField(*(getattr(one, name)[0].item() for name in
                              ("a_cw", "a_ccw", "m", "q_mean", "g_m_eff",
                               "delta_m_eff")),
@@ -190,14 +183,14 @@ def self_consistent_solve(params: SystemParams, E: float,
 
     g_m, wb = params.g_m, params.omega_b
     bare = Detunings(base.delta_a, base.delta_m, base.delta_m)
-    x0 = np.abs(imperfect_means(params, bare, E, port).m) ** 2
+    x0 = np.abs(imperfect_means(params, bare, E).m) ** 2
     ka = params.kappa_a + 1j * base.delta_a
     r = (-1j * (g_m * g_m * x0 / wb) * (ka * ka + params.J ** 2)
          / _denominator(params, bare))
     y, branches = _lowest_root(r)
     q = -g_m * (x0 * y) / wb
     d = Detunings(base.delta_a, base.delta_m, base.delta_m + g_m * q)
-    out = imperfect_means(params, d, E, port)
+    out = imperfect_means(params, d, E)
     return _pack(params, d, E, out.a_cw, out.a_ccw, out.m, d.delta_m_eff,
                  branches=branches)
 
@@ -228,18 +221,16 @@ def _lowest_root(r):
     return y, np.where(r == 0, 1, np.count_nonzero(real, axis=-1))
 
 
-def amplitude_for_gm(params: SystemParams, det: Detunings, gm_target: float,
-                     drive_port: str | None = None) -> float:
+def amplitude_for_gm(params: SystemParams, det: Detunings,
+                     gm_target: float) -> float:
     """Drive amplitude E that realizes |G_m| = gm_target at det.delta_m_eff.
 
     The means are linear in E at fixed effective detuning, so
     E = gm_target / (sqrt(2)*g_m*|<m>(E=1)|).  Without g_m this is the
     product g_m*E (the amplitude at g_m = 1), through which alone G_m
-    depends on the two.  Stacked parameters (and an array of ports) give
-    an array.
+    depends on the two.  Stacked parameters give an array.
     """
-    port = params.drive_port if drive_port is None else drive_port
-    m1 = imperfect_means(params, det, 1.0, port).m
+    m1 = imperfect_means(params, det, 1.0).m
     if np.any(m1 == 0):
         raise SingularConfigurationError(
             "drive port does not pump the magnon mode; |G_m| target unreachable")
@@ -247,8 +238,8 @@ def amplitude_for_gm(params: SystemParams, det: Detunings, gm_target: float,
     return scale if params.g_m is None else scale / params.g_m
 
 
-def precompensated_detunings(params: SystemParams, det: Detunings, E: float,
-                             drive_port: str | None = None) -> Detunings:
+def precompensated_detunings(params: SystemParams, det: Detunings,
+                             E: float) -> Detunings:
     """Detunings whose bare magnon detuning lands the dispersively shifted
     one on det.delta_m_eff at drive amplitude E.
 
@@ -257,13 +248,12 @@ def precompensated_detunings(params: SystemParams, det: Detunings, E: float,
     """
     if params.g_m is None:
         raise ValueError("precompensated_detunings requires g_m")
-    m = imperfect_means(params, det, E, drive_port).m
+    m = imperfect_means(params, det, E).m
     shift = params.g_m ** 2 * abs(m) ** 2 / params.omega_b
     return Detunings(det.delta_a, det.delta_m_eff + shift, det.delta_m_eff)
 
 
-def resolve_drive(params: SystemParams, det: Detunings,
-                  drive_port: str | None = None) -> SteadyField:
+def resolve_drive(params: SystemParams, det: Detunings) -> SteadyField:
     """Evaluate the steady field for the configured drive specification.
 
     power/amplitude specs need g_m to convert <m> into G_m.  A |G_m| spec
@@ -275,10 +265,9 @@ def resolve_drive(params: SystemParams, det: Detunings,
     reported for unit drive amplitude and ``e_amplitude`` is None.  In the
     physical detuning mode the means come from :func:`self_consistent_solve`.
 
-    Stacked parameters with an array of ports give a SteadyField of arrays,
-    in either detuning mode.
+    Stacked parameters give a SteadyField of arrays, in either detuning
+    mode.
     """
-    port = params.drive_port if drive_port is None else drive_port
     spec = params.drive
     if spec.kind in (DRIVE_POWER, DRIVE_AMPLITUDE):
         if params.g_m is None:
@@ -286,8 +275,8 @@ def resolve_drive(params: SystemParams, det: Detunings,
         E = spec.value if spec.kind == DRIVE_AMPLITUDE else drive_amplitude(
             spec.value, params.omega_0, params.kappa_a_e)
         if params.detuning_mode != DETUNING_PHYSICAL:
-            return imperfect_means(params, det, E, port)
-        return self_consistent_solve(params, E, port, det)
+            return imperfect_means(params, det, E)
+        return self_consistent_solve(params, E, det)
 
     # |G_m| spec: calibrate on the dominant chiral port
     if params.detuning_mode == DETUNING_PHYSICAL:
@@ -295,13 +284,13 @@ def resolve_drive(params: SystemParams, det: Detunings,
     cal_cw = params.g_cw >= params.g_ccw
     cal_port = (np.where(cal_cw, DRIVE_CW, DRIVE_CCW) if np.ndim(cal_cw)
                 else DRIVE_CW if cal_cw else DRIVE_CCW)
-    scale = amplitude_for_gm(params.replace(g_m=None), det, spec.value,
-                             cal_port)   # g_m * E
-    out = imperfect_means(params, det, 1.0, port)
+    scale = amplitude_for_gm(params.replace(g_m=None, drive_port=cal_port),
+                             det, spec.value)   # g_m * E
+    out = imperfect_means(params, det, 1.0)
     g_m_eff = SQRT2 * scale * out.m
     if params.g_m:
         E = scale / params.g_m
-        full = imperfect_means(params, det, E, port)
+        full = imperfect_means(params, det, E)
         return SteadyField(full.a_cw, full.a_ccw, full.m, full.q_mean,
                            g_m_eff, full.delta_m_eff, E, full.meta)
     return SteadyField(out.a_cw, out.a_ccw, out.m, 0.0, g_m_eff,

@@ -101,8 +101,8 @@ def default_horizon(params: SystemParams) -> float:
     return t_decay + SETTLING_PERIODS * 2.0 * math.pi / params.omega_b
 
 
-def _fixed_point_scales(params: SystemParams, det: Detunings, E: float,
-                        port: str) -> np.ndarray:
+def _fixed_point_scales(params: SystemParams, det: Detunings,
+                        E: float) -> np.ndarray:
     """Magnitude of each state component at the closed-form fixed point.
 
     Cavity components share max(|a_cw|, |a_ccw|), the magnon components
@@ -111,7 +111,7 @@ def _fixed_point_scales(params: SystemParams, det: Detunings, E: float,
     largest scale, or 1.
     """
     try:
-        sf = imperfect_means(params, det, E, port)
+        sf = imperfect_means(params, det, E)
     except SingularConfigurationError:
         scales = np.zeros(8)
     else:
@@ -123,7 +123,7 @@ def _fixed_point_scales(params: SystemParams, det: Detunings, E: float,
     return np.where(scales > 0, scales, fallback)
 
 
-def make_rhs(params: SystemParams, det: Detunings, E: float, port: str):
+def make_rhs(params: SystemParams, det: Detunings, E: float):
     """Right-hand side f(t, y) of the classical equations on the real state
     y = (Re a_cw, Im a_cw, Re a_ccw, Im a_ccw, Re m, Im m, q, p).
 
@@ -135,8 +135,8 @@ def make_rhs(params: SystemParams, det: Detunings, E: float, port: str):
     0.0*x terms of i*(g_cw<a_cw> + g_ccw<a_ccw>) and the final + 0.0 of
     the cavity equations, which decide the sign of a zero derivative.
     """
-    e_cw = E if port == DRIVE_CW else 0.0
-    e_ccw = E if port == DRIVE_CCW else 0.0
+    e_cw = E if params.drive_port == DRIVE_CW else 0.0
+    e_ccw = E if params.drive_port == DRIVE_CCW else 0.0
     ca = params.kappa_a + 1j * det.delta_a
     cm_ = params.kappa_m + 1j * det.delta_m
     car, cai, cmr, cmi = ca.real, ca.imag, cm_.real, cm_.imag
@@ -161,8 +161,7 @@ def make_rhs(params: SystemParams, det: Detunings, E: float, port: str):
 
 
 def integrate_classical(params: SystemParams, det: Detunings, E: float,
-                        t_end: float | None = None,
-                        drive_port: str | None = None) -> Trajectory:
+                        t_end: float | None = None) -> Trajectory:
     """Integrate the classical averages from the empty state (all modes 0).
 
     ``det.delta_m`` is the bare magnon detuning; the dispersive shift
@@ -192,17 +191,16 @@ def integrate_classical(params: SystemParams, det: Detunings, E: float,
     """
     if params.g_m is None:
         raise ValueError("integrate_classical requires g_m")
-    port = drive_port or params.drive_port
     wb = params.omega_b
     if t_end is None:
         t_end = default_horizon(params)
-    atol = ATOL_REL * _fixed_point_scales(params, det, E, port)
+    atol = ATOL_REL * _fixed_point_scales(params, det, E)
     n_samples = max(int(SAMPLES_PER_PERIOD * t_end * wb / (2 * math.pi)), 200)
     t = np.linspace(0.0, t_end, n_samples)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", ODEintWarning)
-            y, info = odeint(make_rhs(params, det, E, port), np.zeros(8), t,
+            y, info = odeint(make_rhs(params, det, E), np.zeros(8), t,
                              rtol=RTOL, atol=atol, mxstep=MXSTEP,
                              full_output=True, tfirst=True)
     except ODEintWarning as exc:
@@ -213,7 +211,8 @@ def integrate_classical(params: SystemParams, det: Detunings, E: float,
         m=y[4] + 1j * y[5], q=y[6], p=y[7],
         stats={"nfev": int(info["nfe"][-1]), "nst": int(info["nst"][-1]),
                "used_bdf": bool(np.any(info["mused"] == 2)), "omega_b": wb,
-               "t_end": t_end, "drive_port": port, "amplitude": E},
+               "t_end": t_end, "drive_port": params.drive_port,
+               "amplitude": E},
     )
 
 

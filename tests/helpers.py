@@ -63,7 +63,7 @@ def two_mode_squeezed_cm(r, n_th=0.0):
     return np.block([[c * np.eye(2), s * Z], [s * Z, c * np.eye(2)]])
 
 
-def ideal_means(params, det, E, drive_port=None):
+def ideal_means(params, det, E):
     """Means of the strictly chiral configuration (J = 0) by its own closed
     form, an oracle for the library's general one.
 
@@ -72,7 +72,7 @@ def ideal_means(params, det, E, drive_port=None):
     <m> = -i*g*E / [g^2 + (kappa_a + i*delta_a)(kappa_m + i*delta_m_eff)]
     with g the coupling of the driven mode.
     """
-    port = drive_port or params.drive_port
+    port = params.drive_port
     g = params.g_cw if port == "cw" else params.g_ccw
     ka = params.kappa_a + 1j * det.delta_a
     m = -1j * g * E / (g * g + ka * (params.kappa_m + 1j * det.delta_m_eff))
@@ -86,12 +86,11 @@ def ideal_means(params, det, E, drive_port=None):
         delta_m_eff=det.delta_m_eff, e_amplitude=E)
 
 
-def complex_rhs(params, det, E, drive_port=None):
+def complex_rhs(params, det, E):
     """Right-hand side of the classical equations in complex arithmetic,
     the form the library's float ``time_domain.make_rhs`` reproduces."""
-    port = drive_port or params.drive_port
-    e_cw = E if port == "cw" else 0.0
-    e_ccw = E if port == "ccw" else 0.0
+    e_cw = E if params.drive_port == "cw" else 0.0
+    e_ccw = E if params.drive_port == "ccw" else 0.0
     ca = params.kappa_a + 1j * det.delta_a
     cm_ = params.kappa_m + 1j * det.delta_m
     gr, gl, J, gm = params.g_cw, params.g_ccw, params.J, params.g_m

@@ -23,7 +23,7 @@ from chiralcmm.measures import (
     symplectic_eigenvalues,
     teleportation_fidelity,
 )
-from chiralcmm.output_mode import MAGNON_INSTANT, filtered_pair_cm
+from chiralcmm.output_mode import filtered_pair_cm
 from chiralcmm.params import Detunings, DriveSpec, SystemParams
 from chiralcmm.pipeline import (
     evaluate_point,
@@ -76,8 +76,7 @@ class TestAcceptance:
         pre = presets.get("fig2d_magnon")
         model = build_model(pre.params, pre.detunings,
                             resolve_drive(pre.params, pre.detunings).g_m_eff)
-        out = filtered_pair_cm(model.A, model.D, pre.params, pre.filter_spec,
-                               MAGNON_INSTANT)
+        out = filtered_pair_cm(model.A, model.D, pre.params, pre.filter_spec)
         e_n = log_negativity(out.V)
         fid = teleportation_fidelity(out.V)
         elapsed = time.time() - t0
@@ -157,8 +156,8 @@ class TestAcceptance:
         t0 = time.time()
         p = presets.magnon_set()
         det = presets.optimum(p, "magnon")
-        cw = evaluate_point(p, det, "cw")
-        ccw = evaluate_point(p, det, "ccw")
+        cw = evaluate_point(p, det)
+        ccw = evaluate_point(p.replace(drive_port="ccw"), det)
         worst = max(list(ccw.e_n.values()) + list(ccw.r_min.values()))
         contrast = nonreciprocity_contrast(cw, ccw, ("a_cw", "m"))
         elapsed = time.time() - t0
@@ -330,7 +329,7 @@ class TestAcceptance:
 
             class _Cfg:
                 digest = "acceptance"
-                magnon_convention = MAGNON_INSTANT
+                filter_spec = None
                 resolved_text = ""
 
             write_table(buf, _Cfg(), res.columns, res.rows, "csv")

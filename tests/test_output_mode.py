@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -45,8 +46,13 @@ def fig2d_point():
     det = Detunings.effective(-0.72 * p.omega_b, 0.76 * p.omega_b)
     sf = resolve_drive(p, det)
     model = build_model(p, det, sf.g_m_eff)
-    spec = FilterSpec(omega_center=-p.omega_b, tau=10.0 / p.omega_b)
+    spec = FilterSpec(omega_center=-p.omega_b, tau=10.0 / p.omega_b,
+                      magnon_convention=MAGNON_INSTANT)
     return p, model, spec
+
+
+def windowed(spec):
+    return replace(spec, magnon_convention=MAGNON_WINDOWED)
 
 
 def fig2d_sweep(num):
@@ -56,8 +62,7 @@ def fig2d_sweep(num):
     axis = pre.sweep.axes[0]
     request = MeasureRequest(pairs=pre.sweep.request.pairs,
                              triples=pre.sweep.request.triples,
-                             filter_spec=pre.filter_spec,
-                             magnon_convention=MAGNON_INSTANT)
+                             filter_spec=pre.filter_spec)
     spec = SweepSpec(axes=(SweepAxis(axis.name, axis.start, axis.stop, num),),
                      drive_ports=pre.sweep.drive_ports, request=request)
     return pre, spec
@@ -65,7 +70,8 @@ def fig2d_sweep(num):
 
 class TestFilterTransform:
     def setup_method(self):
-        self.spec = FilterSpec(omega_center=-hz(10e6), tau=1e-7)
+        self.spec = FilterSpec(omega_center=-hz(10e6), tau=1e-7,
+                               magnon_convention=MAGNON_INSTANT)
 
     def test_peak_value(self):
         g0 = filter_transform(self.spec, self.spec.omega_center)
@@ -91,7 +97,11 @@ class TestFilterTransform:
 
     def test_rejects_bad_tau(self):
         with pytest.raises(ValueError):
-            FilterSpec(omega_center=0.0, tau=0.0)
+            FilterSpec(omega_center=0.0, tau=0.0, magnon_convention=MAGNON_INSTANT)
+
+    def test_rejects_unknown_magnon_convention(self):
+        with pytest.raises(ValueError, match="unknown magnon convention"):
+            FilterSpec(omega_center=0.0, tau=1e-7, magnon_convention="late")
 
 
 class TestSpectralMatrix:
@@ -188,7 +198,7 @@ class TestTimeDomainOracle:
 
     def test_matches_frequency_domain_route(self):
         p, model, spec = fig2d_point()
-        freq = filtered_pair_cm(model.A, model.D, p, spec, MAGNON_INSTANT).V
+        freq = filtered_pair_cm(model.A, model.D, p, spec).V
         time_dom = self.oracle(model.A, p, spec)
         assert np.max(np.abs(freq - time_dom)) < 2e-4
 
@@ -200,8 +210,9 @@ class TestTimeDomainOracle:
                          J=hz(0.5e6), temperature=0.05)
         det = Detunings.effective(-0.76 * p.omega_b, 0.65 * p.omega_b)
         model = build(p, det, rd(p, det).g_m_eff)
-        spec = FilterSpec(omega_center=-p.omega_b, tau=8.0 / p.omega_b)
-        freq = filtered_pair_cm(model.A, model.D, p, spec, MAGNON_INSTANT).V
+        spec = FilterSpec(omega_center=-p.omega_b, tau=8.0 / p.omega_b,
+                          magnon_convention=MAGNON_INSTANT)
+        freq = filtered_pair_cm(model.A, model.D, p, spec).V
         time_dom = self.oracle(model.A, p, spec)
         assert np.max(np.abs(freq - time_dom)) < 2e-4
 
@@ -211,9 +222,11 @@ class TestFilteredPairCM:
         p = SystemParams(g_cw=0.0, temperature=0.0)
         det = Detunings.effective(-0.4 * p.omega_b, 0.6 * p.omega_b)
         model = build_model(p, det, 0.0)
-        spec = FilterSpec(omega_center=-p.omega_b, tau=10.0 / p.omega_b)
+        spec = FilterSpec(omega_center=-p.omega_b, tau=10.0 / p.omega_b,
+                          magnon_convention=MAGNON_INSTANT)
         for conv in (MAGNON_WINDOWED, MAGNON_INSTANT):
-            out = filtered_pair_cm(model.A, model.D, p, spec, conv)
+            out = filtered_pair_cm(model.A, model.D, p,
+                                   replace(spec, magnon_convention=conv))
             assert_allclose(out.V, 0.5 * np.eye(4), atol=1e-6)
 
     def test_decoupled_pair_is_product_state(self):
@@ -221,8 +234,9 @@ class TestFilteredPairCM:
         p = SystemParams(temperature=0.0)
         det = Detunings.effective(-0.72 * p.omega_b, 0.76 * p.omega_b)
         model = build_model(p, det, 0.0)
-        spec = FilterSpec(omega_center=-p.omega_b, tau=10.0 / p.omega_b)
-        out = filtered_pair_cm(model.A, model.D, p, spec, MAGNON_INSTANT)
+        spec = FilterSpec(omega_center=-p.omega_b, tau=10.0 / p.omega_b,
+                          magnon_convention=MAGNON_INSTANT)
+        out = filtered_pair_cm(model.A, model.D, p, spec)
         assert_allclose(out.V[:2, 2:], 0.0, atol=1e-5)
         assert log_negativity(out.V) < 1e-9
 
@@ -230,7 +244,7 @@ class TestFilteredPairCM:
         from chiralcmm.measures import teleportation_fidelity
 
         p, model, spec = fig2d_point()
-        out = filtered_pair_cm(model.A, model.D, p, spec, MAGNON_INSTANT)
+        out = filtered_pair_cm(model.A, model.D, p, spec)
         assert log_negativity(out.V) == pytest.approx(0.23, abs=0.02)
         assert teleportation_fidelity(out.V) == pytest.approx(0.55, abs=0.02)
         assert out.meta["magnon_convention"] == MAGNON_INSTANT
@@ -238,15 +252,16 @@ class TestFilteredPairCM:
     def test_physicality_of_filtered_cm(self):
         p, model, spec = fig2d_point()
         for conv in (MAGNON_WINDOWED, MAGNON_INSTANT):
-            out = filtered_pair_cm(model.A, model.D, p, spec, conv)
+            out = filtered_pair_cm(model.A, model.D, p,
+                                   replace(spec, magnon_convention=conv))
             assert np.all(symplectic_eigenvalues(out.V) >= 0.5 - 1e-6)
 
     def test_entanglement_washes_out_at_large_bandwidth(self):
         p, model, spec = fig2d_point()
         values = []
         for ratio in (0.1, 0.3, 1.0, 3.0, 10.0):
-            wide = FilterSpec(spec.omega_center, tau=1.0 / (ratio * p.omega_b))
-            out = filtered_pair_cm(model.A, model.D, p, wide, MAGNON_INSTANT)
+            wide = replace(spec, tau=1.0 / (ratio * p.omega_b))
+            out = filtered_pair_cm(model.A, model.D, p, wide)
             values.append(log_negativity(out.V))
         assert values[0] > 0.1
         # monotone decrease over the last decade of the bandwidth sweep
@@ -255,20 +270,20 @@ class TestFilteredPairCM:
 
     def test_deterministic(self):
         p, model, spec = fig2d_point()
-        v1 = filtered_pair_cm(model.A, model.D, p, spec, MAGNON_INSTANT).V
-        v2 = filtered_pair_cm(model.A, model.D, p, spec, MAGNON_INSTANT).V
+        v1 = filtered_pair_cm(model.A, model.D, p, spec).V
+        v2 = filtered_pair_cm(model.A, model.D, p, spec).V
         assert np.array_equal(v1, v2)
 
     def test_windowed_commutator_reported(self):
         p, model, spec = fig2d_point()
-        out = filtered_pair_cm(model.A, model.D, p, spec, MAGNON_WINDOWED)
+        out = filtered_pair_cm(model.A, model.D, p, windowed(spec))
         assert out.meta["magnon_commutator"] > 0
 
     def test_windowed_commutator_converged(self, monkeypatch):
         # the commutator (about 7e-8) lies far below the pair integral's
         # absolute tolerance; quad_vec at epsabs 1e-12 is the oracle
         p, model, spec = fig2d_point()
-        out = filtered_pair_cm(model.A, model.D, p, spec, MAGNON_WINDOWED)
+        out = filtered_pair_cm(model.A, model.D, p, windowed(spec))
         real = adaptive_gk21
 
         def tight_commutator(f, a, b, points=(), **kwargs):
@@ -277,7 +292,7 @@ class TestFilteredPairCM:
             return real(f, a, b, points, **kwargs)
 
         monkeypatch.setattr(output_mode, "adaptive_gk21", tight_commutator)
-        ref = filtered_pair_cm(model.A, model.D, p, spec, MAGNON_WINDOWED)
+        ref = filtered_pair_cm(model.A, model.D, p, windowed(spec))
         assert out.meta["magnon_commutator"] == pytest.approx(
             ref.meta["magnon_commutator"], rel=output_mode.COMM_REL_TOL)
 
@@ -346,9 +361,10 @@ class TestAdaptiveGK21:
     @pytest.mark.parametrize("conv", [MAGNON_INSTANT, MAGNON_WINDOWED])
     def test_filtered_pair_cm_matches_quad_vec(self, conv, monkeypatch):
         p, model, spec = fig2d_point()
-        ours = filtered_pair_cm(model.A, model.D, p, spec, conv)
+        spec = replace(spec, magnon_convention=conv)
+        ours = filtered_pair_cm(model.A, model.D, p, spec)
         monkeypatch.setattr(output_mode, "adaptive_gk21", scipy_gk21)
-        ref = filtered_pair_cm(model.A, model.D, p, spec, conv)
+        ref = filtered_pair_cm(model.A, model.D, p, spec)
         assert np.max(np.abs(ours.V - ref.V)) <= 1e-14
         assert ours.meta["quad_error"] == pytest.approx(ref.meta["quad_error"],
                                                         rel=1e-12)
@@ -378,14 +394,15 @@ class TestQuadratureFailure:
         monkeypatch.setattr(output_mode, "adaptive_gk21",
                             capped(1, calls={pair_call}))
         with pytest.raises(QuadratureError, match="frequency integral error"):
-            filtered_pair_cm(model.A, model.D, p, spec, conv)
+            filtered_pair_cm(model.A, model.D, p,
+                             replace(spec, magnon_convention=conv))
 
     def test_windowed_commutator_refused(self, monkeypatch):
         p, model, spec = fig2d_point()
         # the first call is the commutator, refused relative to its own size
         monkeypatch.setattr(output_mode, "adaptive_gk21", capped(1, calls={1}))
         with pytest.raises(QuadratureError, match="commutator integral error"):
-            filtered_pair_cm(model.A, model.D, p, spec, MAGNON_WINDOWED)
+            filtered_pair_cm(model.A, model.D, p, windowed(spec))
 
     def test_sweep_rows_carry_the_failure(self, monkeypatch):
         pre, spec = fig2d_sweep(6)

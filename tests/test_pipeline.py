@@ -49,7 +49,7 @@ class TestEvaluatePoint:
 
     def test_ideal_ccw_drive_measures_vanish(self):
         p, det = magnon_point()
-        rep = evaluate_point(p, det, drive_port="ccw")
+        rep = evaluate_point(p.replace(drive_port="ccw"), det)
         assert rep.g_m_eff == 0
         for value in rep.e_n.values():
             assert value <= 1e-8
@@ -65,8 +65,8 @@ class TestEvaluatePoint:
 
     def test_filtered_block_optional(self):
         p, det = magnon_point()
-        req = MeasureRequest(filter_spec=FilterSpec(-p.omega_b, 10 / p.omega_b),
-                             magnon_convention="instant")
+        req = MeasureRequest(
+            filter_spec=FilterSpec(-p.omega_b, 10 / p.omega_b, "instant"))
         rep = evaluate_point(p, det, request=req)
         assert 0.5 < rep.fidelity <= 1.0
         assert rep.filtered_e_n > 0
@@ -75,8 +75,8 @@ class TestEvaluatePoint:
 class TestContrast:
     def test_ideal_case_is_unity(self):
         p, det = magnon_point()
-        cw = evaluate_point(p, det, "cw")
-        ccw = evaluate_point(p, det, "ccw")
+        cw = evaluate_point(p, det)
+        ccw = evaluate_point(p.replace(drive_port="ccw"), det)
         assert nonreciprocity_contrast(cw, ccw, ("a_cw", "m")) \
             == pytest.approx(1.0, abs=1e-6)
         assert nonreciprocity_contrast(cw, ccw, ("a_cw", "m", "b")) == 1.0
@@ -84,8 +84,8 @@ class TestContrast:
     def test_symmetric_configuration_is_zero(self):
         p = presets.magnon_set(g_ccw=hz(4e6))  # chi = 1, J = 0
         det = presets.optimum(p, "magnon")
-        cw = evaluate_point(p, det, "cw")
-        ccw = evaluate_point(p, det, "ccw")
+        cw = evaluate_point(p, det)
+        ccw = evaluate_point(p.replace(drive_port="ccw"), det)
         # mirror symmetry maps one drive onto the other
         assert cw.e_n["a_cw|m"] == pytest.approx(ccw.e_n["a_ccw|m"], rel=1e-9)
         c_pair = nonreciprocity_contrast(cw, ccw, ("a_cw", "m"))
@@ -95,14 +95,14 @@ class TestContrast:
     def test_both_zero_gives_zero(self):
         p, det = magnon_point()
         p = p.replace(drive=DriveSpec("gm_abs", 0.0))
-        cw = evaluate_point(p, det, "cw")
-        ccw = evaluate_point(p, det, "ccw")
+        cw = evaluate_point(p, det)
+        ccw = evaluate_point(p.replace(drive_port="ccw"), det)
         assert nonreciprocity_contrast(cw, ccw, ("a_cw", "b")) == 0.0
 
     def test_mismatched_configurations_rejected(self):
         p, det = magnon_point()
-        cw = evaluate_point(p, det, "cw")
-        other = evaluate_point(p.replace(temperature=0.02), det, "ccw")
+        cw = evaluate_point(p, det)
+        other = evaluate_point(p.replace(temperature=0.02, drive_port="ccw"), det)
         with pytest.raises(ValueError):
             nonreciprocity_contrast(cw, other, ("a_cw", "m"))
 
@@ -110,8 +110,8 @@ class TestContrast:
         # backscattering configuration: CCW drive yields a much smaller G_m
         pre = presets.get("fig4a")
         p = pre.params.replace(J=0.5 * pre.params.kappa_m)
-        cw = resolve_drive(p, pre.detunings, "cw")
-        ccw = resolve_drive(p, pre.detunings, "ccw")
+        cw = resolve_drive(p, pre.detunings)
+        ccw = resolve_drive(p.replace(drive_port="ccw"), pre.detunings)
         assert abs(ccw.g_m_eff) < 0.2 * abs(cw.g_m_eff)
 
 
@@ -129,7 +129,7 @@ class TestSweep:
         for row in res.rows:
             d = dict(zip(res.columns, row))
             det_i = Detunings.effective(d["delta_a"], det.delta_m_eff)
-            rep = evaluate_point(p, det_i, "cw", spec.request)
+            rep = evaluate_point(p, det_i, spec.request)
             assert d["en_a_cw_m"] == rep.e_n["a_cw|m"]
 
     def test_row_order_cw_before_ccw(self):
@@ -201,7 +201,7 @@ class TestSweep:
         spec = self.error_spec()
         res = run_sweep(p, det, spec)
         with pytest.raises(ValueError) as exc:
-            evaluate_point(p.replace(temperature=res.rows[2][0]), det, "cw",
+            evaluate_point(p.replace(temperature=res.rows[2][0]), det,
                            spec.request)
         assert res.rows[2][-1] == f"ValueError: {exc.value}"
         assert all(np.isnan(v) for v in res.rows[2][2:-1])
@@ -264,7 +264,7 @@ def _single_point_row(pre, values, port):
     for ax, v in zip(pre.sweep.axes, values):
         p, d = SWEEPABLE[ax.name](p, d, float(v))
     req = pre.sweep.request
-    rep = evaluate_point(p, d, port, req)
+    rep = evaluate_point(p.replace(drive_port=port), d, req)
     row = [float(v) for v in values] + [port, int(rep.stable),
                                         np.abs(np.array([rep.g_m_eff]))[0]]
     row += [rep.e_n.get(partition_key(q), np.nan) for q in req.pairs]
@@ -329,7 +329,7 @@ class TestBlockEngine:
             return model
 
         monkeypatch.setattr(linear_model, "build_model", recording)
-        evaluate_point(p, det, "cw")
+        evaluate_point(p, det)
         # the first row, at the configured temperature, is the same point
         spec = SweepSpec(axes=(SweepAxis("temperature", p.temperature, 0.05, 2),),
                          request=MeasureRequest(pairs=(("a_cw", "m"),),
@@ -352,8 +352,9 @@ class TestBlockEngine:
         pooled = run_sweep(pre.params, pre.detunings, spec, workers=2)
         assert single.meta == pooled.meta
         values, ports = grid_rows(spec)
-        quad = [evaluate_point(pre.params.replace(gamma_b=v[0]), pre.detunings,
-                               str(port), request).meta["filtered"]
+        quad = [evaluate_point(pre.params.replace(gamma_b=v[0],
+                                                  drive_port=str(port)),
+                               pre.detunings, request).meta["filtered"]
                 for v, port in zip(values, ports)]
         assert single.meta["filtered_quad_error_max"] == max(
             m["quad_error"] for m in quad)
@@ -396,7 +397,7 @@ class TestBlockEngine:
 
         class _Cfg:
             digest = "test"
-            magnon_convention = "instant"
+            filter_spec = None
             resolved_text = ""
 
         def table(workers):

@@ -34,22 +34,22 @@ def mean_field_matrix(p, det):
     ])
 
 
-def mean_field_solve(p, det, E, drive_port=None):
+def mean_field_solve(p, det, E):
     """Direct numerical solve of the 3x3 complex mean-field system, an
     independent route to the closed forms; returns (a_cw, a_ccw, m)."""
-    drive = (E, 0.0) if (drive_port or p.drive_port) == "cw" else (0.0, E)
+    drive = (E, 0.0) if p.drive_port == "cw" else (0.0, E)
     return np.linalg.solve(mean_field_matrix(p, det),
                            np.array([*drive, 0.0], dtype=complex))
 
 
-def modulus_cubic(p, det, E, drive_port):
+def modulus_cubic(p, det, E):
     """(u0, u1) with 1/<m> = u0 + u1*x at x = |<m>|^2 in the physical
     detuning mode, from the 3x3 system: by Cramer's rule 1/<m> = det(M)/N
     with N free of delta_m_eff, and det(M) has the slope
     i*[(kappa_a + i*delta_a)^2 + J^2] in delta_m_eff, which the dispersive
     shift moves by -g_m^2*x/omega_b."""
     bare = Detunings(det.delta_a, det.delta_m, det.delta_m)
-    m0 = mean_field_solve(p, bare, E, drive_port)[2]
+    m0 = mean_field_solve(p, bare, E)[2]
     ka = p.kappa_a + 1j * det.delta_a
     N = m0 * np.linalg.det(mean_field_matrix(p, bare))
     return 1.0 / m0, -(p.g_m**2 / p.omega_b) * 1j * (ka * ka + p.J**2) / N
@@ -78,9 +78,9 @@ class TestIdealMeans:
         assert sf.a_cw == 0 and sf.a_ccw == 0 and sf.m == 0
 
     def test_chiral_decoupling_under_ccw_drive(self):
-        p = SystemParams()
+        p = SystemParams(drive_port="ccw")
         det = Detunings.effective(-p.omega_b, p.omega_b)
-        sf = imperfect_means(p, det, hz(50e6), drive_port="ccw")
+        sf = imperfect_means(p, det, hz(50e6))
         assert sf.m == 0 and sf.q_mean == 0
         assert sf.a_ccw != 0 and sf.a_cw == 0
 
@@ -134,11 +134,11 @@ class TestImperfectMeans:
 
     def test_ccw_drive_j_mediated_pumping(self):
         # with g_ccw = 0, only the backscattering path drives the magnon
-        p = SystemParams(J=hz(0.5e6))
+        p = SystemParams(J=hz(0.5e6), drive_port="ccw")
         det = Detunings.effective(-0.72 * p.omega_b, 0.76 * p.omega_b)
         E = hz(100e6)
-        a = imperfect_means(p, det, E, drive_port="ccw")
-        m = mean_field_solve(p, det, E, drive_port="ccw")[2]
+        a = imperfect_means(p, det, E)
+        m = mean_field_solve(p, det, E)[2]
         assert a.m != 0
         assert a.m == pytest.approx(m, rel=1e-10)
 
@@ -147,8 +147,8 @@ class TestImperfectMeans:
         p = SystemParams(J=hz(0.5e6), g_ccw=0.1 * hz(4e6))
         det = Detunings.effective(-0.72 * p.omega_b, 0.76 * p.omega_b)
         E = hz(100e6)
-        cw = imperfect_means(p, det, E, drive_port="cw")
-        ccw = imperfect_means(p, det, E, drive_port="ccw")
+        cw = imperfect_means(p, det, E)
+        ccw = imperfect_means(p.replace(drive_port="ccw"), det, E)
         assert abs(ccw.m) < 0.2 * abs(cw.m)
 
 
@@ -258,19 +258,20 @@ class TestCubicMeanField:
         for j, chi, port, da, dme, gm_mhz in points:
             p = base.replace(J=j * base.kappa_m, g_ccw=chi * base.g_cw)
             det_eff = Detunings.effective(da * wb, dme * wb)
-            E = amplitude_for_gm(p, det_eff, hz(gm_mhz * 1e6), "cw")
-            cases.append((p, precompensated_detunings(p, det_eff, E, "cw"),
-                          E, port))
+            E = amplitude_for_gm(p, det_eff, hz(gm_mhz * 1e6))
+            cases.append((p.replace(drive_port=port),
+                          precompensated_detunings(p, det_eff, E), E))
         stack = base.replace(**{name: np.array([getattr(c[0], name)
                                                 for c in cases])
-                                for name in RATE_FIELDS})
+                                for name in RATE_FIELDS + ("drive_port",)})
         dets = Detunings(*(np.array([getattr(c[1], name) for c in cases])
                            for name in ("delta_a", "delta_m", "delta_m_eff")))
         stacked = self_consistent_solve(stack, np.array([c[2] for c in cases]),
-                                        np.array([c[3] for c in cases]), dets)
+                                        dets)
 
-        for i, (p, det, E, port) in enumerate(cases):
-            sf = self_consistent_solve(p, E, port, det)
+        for i, (p, det, E) in enumerate(cases):
+            port = p.drive_port
+            sf = self_consistent_solve(p, E, det)
             for name in ("a_cw", "a_ccw", "m", "q_mean", "g_m_eff",
                          "delta_m_eff"):
                 assert _bits(getattr(sf, name)) == \
@@ -281,7 +282,7 @@ class TestCubicMeanField:
                 # the chiral configuration's uncoupled port: no shift
                 assert sf.m == 0 and sf.meta["branches"] == 1
                 continue
-            u0, u1 = modulus_cubic(p, det, E, port)
+            u0, u1 = modulus_cubic(p, det, E)
             x = abs(sf.m) ** 2
             assert abs(x * abs(u0 + u1 * x) ** 2 - 1) <= 1e-12
             roots = np.roots([abs(u1) ** 2, 2 * (u0 * u1.conjugate()).real,

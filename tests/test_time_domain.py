@@ -99,11 +99,11 @@ class TestIntegration:
     def test_tolerance_scales_fall_back_where_a_mode_is_empty(self):
         p = SystemParams(g_m=1.0)
         det = bare_detunings(p, -p.omega_b, p.omega_b)
-        assert_allclose(_fixed_point_scales(p, det, 0.0, "cw"), np.ones(8))
+        assert_allclose(_fixed_point_scales(p, det, 0.0), np.ones(8))
         # magnon decoupled from the driven mode: its scales and those of
         # the mechanics take the cavity's
         p = SystemParams(g_cw=0.0, g_ccw=0.0, g_m=1.0)
-        scales = _fixed_point_scales(p, det, 1e12, "cw")
+        scales = _fixed_point_scales(p, det, 1e12)
         assert scales[0] > 0
         assert_allclose(scales, scales[0])
 
@@ -133,11 +133,12 @@ class TestRightHandSide:
            port=st.sampled_from([DRIVE_CW, DRIVE_CCW]))
     def test_float_form_matches_complex_form_bitwise(
             self, y, J, g_ccw, g_m, gamma_b, delta_a, delta_m, E, port):
-        p = SystemParams(J=J, g_ccw=g_ccw, g_m=g_m, gamma_b=gamma_b)
+        p = SystemParams(J=J, g_ccw=g_ccw, g_m=g_m, gamma_b=gamma_b,
+                         drive_port=port)
         det = Detunings(delta_a, delta_m, delta_m)
         y = np.array(y)
-        ours = make_rhs(p, det, E, port)(0.0, y)
-        oracle = complex_rhs(p, det, E, port)(0.0, y)
+        ours = make_rhs(p, det, E)(0.0, y)
+        oracle = complex_rhs(p, det, E)(0.0, y)
         assert np.array(ours).tobytes() == np.array(oracle).tobytes()
 
 
@@ -187,9 +188,9 @@ class TestAccuracy:
         p, det, E = fig2b_probe(target_hz)
         traj = integrate_classical(p, det, E)
         start = int(traj.t.size * (1.0 - WINDOW_FRAC))
-        scales = _fixed_point_scales(p, det, E, p.drive_port)
+        scales = _fixed_point_scales(p, det, E)
         with np.errstate(over="ignore", invalid="ignore"):  # rejected steps
-            ref = solve_ivp(make_rhs(p, det, E, p.drive_port),
+            ref = solve_ivp(make_rhs(p, det, E),
                             (0.0, traj.t[-1]), np.zeros(8), method="DOP853",
                             t_eval=traj.t[start:], rtol=1e-13,
                             atol=1e-13 * scales)
