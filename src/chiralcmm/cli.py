@@ -49,6 +49,7 @@ from .params import (
     validate,
 )
 from .pipeline import (
+    PAIRS_DEFAULT,
     MeasureRequest,
     SweepAxis,
     SweepSpec,
@@ -249,7 +250,8 @@ def _build_sweep(sections, filter_spec) -> SweepSpec | None:
     if not axes:
         raise ConfigError("sweep section present but no axis1 given")
     ports = tuple(p.strip() for p in sweep.get("ports", "cw").split(","))
-    pairs = _parse_partitions(sweep.get("pairs", "a_cw:m,a_cw:b,a_ccw:m,a_ccw:b"), 2)
+    pairs = (_parse_partitions(sweep["pairs"], 2) if "pairs" in sweep
+             else PAIRS_DEFAULT)
     triples = _parse_partitions(sweep.get("triples", ""), 3)
     request = MeasureRequest(pairs=pairs, triples=triples,
                              filter_spec=filter_spec)

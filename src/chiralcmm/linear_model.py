@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import Detunings, SystemParams
+from .steady_state import target_detunings
 
 MODE_ORDER = ("a_cw", "a_ccw", "m", "b")
 QUAD_LABELS = ("X_a_cw", "Y_a_cw", "X_a_ccw", "Y_a_ccw", "X_m", "Y_m", "q", "p")
@@ -176,12 +177,16 @@ def max_stable_coupling(params: SystemParams, det: Detunings,
 
     Raises UnstableSystemError if the system is unstable already at
     |G_m| = 0.  The phase of G_m amounts to a local rotation of the magnon
-    quadratures and does not move the boundary, so G_m is taken real.
+    quadratures and does not move the boundary, so G_m is taken real.  In
+    the physical detuning mode ``det`` holds the bare detunings and each
+    |G_m| is probed at the dispersive shift it implies
+    (:func:`target_detunings`).
     """
     check_bisection(cap, resolution)
 
     def stable_at(g: float) -> bool:
-        return is_stable(build_drift(params, det, g))[0]
+        return is_stable(build_drift(params, target_detunings(params, det, g),
+                                     g))[0]
 
     if not stable_at(0.0):
         raise UnstableSystemError("system is unstable already at |G_m| = 0")

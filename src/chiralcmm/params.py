@@ -165,11 +165,6 @@ class Detunings:
         return Detunings(*(np.full(n, float(v)) for v in
                            (self.delta_a, self.delta_m, self.delta_m_eff)))
 
-    def at(self, i: int) -> "Detunings":
-        """Point i of a stack."""
-        return Detunings(float(self.delta_a[i]), float(self.delta_m[i]),
-                         float(self.delta_m_eff[i]))
-
 
 def thermal_occupancy(omega: float, temperature: float) -> float:
     """Bose-Einstein occupation N = 1/(exp(hbar*omega/k_B*T) - 1).

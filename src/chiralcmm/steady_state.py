@@ -253,6 +253,22 @@ def precompensated_detunings(params: SystemParams, det: Detunings,
     return Detunings(det.delta_a, det.delta_m_eff + shift, det.delta_m_eff)
 
 
+def target_detunings(params: SystemParams, det: Detunings,
+                     gm_abs: float) -> Detunings:
+    """The detunings of a point that realizes |G_m| = gm_abs.
+
+    In the physical detuning mode ``det`` holds the bare detunings, and the
+    target alone fixes the dispersive shift: g_m*<q> = -g_m^2*|<m>|^2/omega_b
+    = -|G_m|^2/(2*omega_b), so delta_m_eff = delta_m - gm_abs^2/(2*omega_b)
+    whatever g_m and the drive.  In the effective mode ``det`` already holds
+    the effective detunings and is returned as it is.
+    """
+    if params.detuning_mode != DETUNING_PHYSICAL:
+        return det
+    return Detunings(det.delta_a, det.delta_m,
+                     det.delta_m - gm_abs ** 2 / (2.0 * params.omega_b))
+
+
 def resolve_drive(params: SystemParams, det: Detunings) -> SteadyField:
     """Evaluate the steady field for the configured drive specification.
 

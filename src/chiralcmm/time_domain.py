@@ -26,13 +26,20 @@ import numpy as np
 from scipy.integrate import ODEintWarning, odeint
 
 from .linear_model import bisect_edge, check_bisection
-from .params import DRIVE_CCW, DRIVE_CW, Detunings, SystemParams
+from .params import (
+    DETUNING_PHYSICAL,
+    DRIVE_CCW,
+    DRIVE_CW,
+    Detunings,
+    SystemParams,
+)
 from .steady_state import (
     SQRT2,
     SingularConfigurationError,
     amplitude_for_gm,
     imperfect_means,
     precompensated_detunings,
+    target_detunings,
 )
 
 STEADY = "steady"
@@ -274,11 +281,15 @@ def comb_threshold(params: SystemParams, det: Detunings, cap: float,
                    resolution: float) -> CombThreshold:
     """Bisect the drive scale for the onset of magnon self-oscillation.
 
-    ``det`` carries the target effective detunings (held fixed along the
-    sweep by adjusting the bare detuning per probe, the same bookkeeping the
-    fixed-|G_m| steady-state sweeps use).  The threshold is reported as the
-    effective coupling |G_m| = sqrt(2)*g_m*|<m>| of the settled state at the
-    steady side of the final bracket.  If g_m is not set, an arbitrary
+    In the effective detuning mode ``det`` carries the target effective
+    detunings (held fixed along the sweep by adjusting the bare detuning per
+    probe, the same bookkeeping the fixed-|G_m| steady-state sweeps use).
+    In the physical mode ``det`` carries the bare detunings, which every
+    probe integrates at; its drive is calibrated at the effective detuning
+    that its target's dispersive shift implies (:func:`target_detunings`).
+    The threshold is reported as the effective coupling
+    |G_m| = sqrt(2)*g_m*|<m>| of the settled state at the steady side of
+    the final bracket.  If g_m is not set, an arbitrary
     reference value is used internally; the reported |G_m| is invariant
     under the (g_m, E) -> (g_m/s, s*E) rescaling of the dynamics.  Every
     probe integrates from the empty state (all modes zero) over the
@@ -294,9 +305,11 @@ def comb_threshold(params: SystemParams, det: Detunings, cap: float,
     probes, info = [], []
 
     def settles(gm_target: float) -> bool:
-        E = amplitude_for_gm(params, det, gm_target)
-        traj = integrate_classical(params,
-                                   precompensated_detunings(params, det, E), E)
+        probe_det = target_detunings(params, det, gm_target)
+        E = amplitude_for_gm(params, probe_det, gm_target)
+        if params.detuning_mode != DETUNING_PHYSICAL:
+            probe_det = precompensated_detunings(params, probe_det, E)
+        traj = integrate_classical(params, probe_det, E)
         rep = classify_attractor(traj)
         probes.append((gm_target, rep.kind, SQRT2 * params.g_m * rep.mean_m_abs))
         info.append({**{k: traj.stats[k] for k in ("nfev", "nst", "used_bdf")},

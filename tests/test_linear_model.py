@@ -14,7 +14,9 @@ from chiralcmm.linear_model import (
     is_stable,
     max_stable_coupling,
 )
-from chiralcmm.params import Detunings, SystemParams
+from chiralcmm.params import Detunings, DriveSpec, SystemParams
+from chiralcmm.pipeline import evaluate_point
+from chiralcmm.steady_state import amplitude_for_gm, target_detunings
 
 # entries the drift matrices leave identically zero, for any parameters
 IDEAL_ZERO = np.array([
@@ -182,6 +184,24 @@ class TestMaxStableCoupling:
         for g in np.linspace(0.0, hz(30e6), 61):
             assert is_stable(build_drift(p, det, g * rot))[0] \
                 == is_stable(build_drift(p, det, g))[0]
+
+    def test_physical_mode_edge_brackets_the_self_consistent_edge(self):
+        # fig2b's cavity at zero bare detunings: each probe sees the
+        # dispersive shift of its |G_m|, and the bracket's ends are stable
+        # and unstable where the pipeline solves the mean field itself
+        p = SystemParams(kappa_a_e=hz(4.8e6), g_cw=hz(8e6), g_m=hz(1.0),
+                         detuning_mode="physical",
+                         drive=DriveSpec("amplitude", hz(1e12)))
+        det = Detunings.physical(p)
+        edge = max_stable_coupling(p, det, cap=hz(20e6),
+                                   resolution=hz(0.01e6))
+        assert edge.value == pytest.approx(hz(0.5225e6), rel=1e-3)
+        for gm, stable in zip(edge.bracket, (True, False)):
+            E = amplitude_for_gm(p, target_detunings(p, det, gm), gm)
+            rep = evaluate_point(p.replace(drive=DriveSpec("amplitude", E)),
+                                 det)
+            assert abs(rep.g_m_eff) == pytest.approx(gm, rel=1e-9)
+            assert rep.stable == stable
 
     def test_unstable_at_zero_coupling_raises(self):
         p = SystemParams(gamma_b=-1.0)

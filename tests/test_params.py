@@ -117,6 +117,23 @@ class TestUnits:
             DriveSpec("power", -1.0)
 
 
+class TestDrivePort:
+    def test_unknown_label_refused(self):
+        with pytest.raises(ValueError, match="unknown drive port 'up'"):
+            SystemParams(drive_port="up")
+        stack = SystemParams().stacked(3)
+        with pytest.raises(ValueError, match="unknown drive port 'up'"):
+            stack.replace(drive_port=np.array(["cw", "up", "ccw"]))
+
+    def test_stack_gives_back_the_port(self):
+        stack = SystemParams(drive_port="ccw").stacked(3)
+        assert stack.drive_port.tolist() == ["ccw"] * 3
+        assert [stack.at(i).drive_port for i in range(3)] == ["ccw"] * 3
+        mixed = stack.replace(drive_port=np.array(["cw", "ccw", "cw"]))
+        assert type(mixed.at(1).drive_port) is str
+        assert [mixed.at(i).drive_port for i in range(3)] == ["cw", "ccw", "cw"]
+
+
 class TestDetunings:
     def test_effective_mode_passthrough(self):
         det = Detunings.effective(-1.0, 2.0)

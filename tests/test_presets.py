@@ -41,6 +41,14 @@ class TestEveryPreset:
                 assert got.name == want.name and got.num == want.num
                 assert got.start == pytest.approx(want.start, rel=1e-14)
             assert cfg.sweep.drive_ports == pre.sweep.drive_ports
+        if pre.filter_spec is None:
+            assert cfg.filter_spec is None
+        else:
+            got, want = cfg.filter_spec, pre.filter_spec
+            assert got.omega_center == pytest.approx(want.omega_center,
+                                                      rel=1e-14)
+            assert got.tau == want.tau
+            assert got.magnon_convention == want.magnon_convention
 
     def test_runs(self, name):
         pre = presets.get(name)

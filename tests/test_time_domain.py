@@ -14,6 +14,7 @@ from chiralcmm.steady_state import (
     amplitude_for_gm,
     imperfect_means,
     precompensated_detunings,
+    self_consistent_solve,
 )
 from chiralcmm.time_domain import (
     OSCILLATORY,
@@ -270,6 +271,40 @@ class TestCombThreshold:
         assert res.probes[0][1] == STEADY
         (info,) = res.probe_info
         assert 0 <= info["variation"] < STEADY_TOL
+
+    def test_physical_mode_probes_integrate_at_the_bare_detunings(
+            self, monkeypatch):
+        # a bare magnon detuning of 6.5 kHz: the probe at the 2 MHz cap
+        # integrates there, with the drive calibrated at the 200 kHz
+        # dispersive shift its target implies
+        p = presets.phonon_set(g_m=1.0, detuning_mode="physical",
+                               omega_m=hz(10e9 + 6.5e3))
+        det = Detunings.physical(p)
+        cap = hz(2e6)
+        calls = []
+
+        def settled(params, probe_det, E):
+            calls.append((probe_det, E))
+            t = np.linspace(0.0, 1e-4, 2000)
+            zero = np.zeros_like(t)
+            return Trajectory(t=t, a_cw=zero, a_ccw=zero, m=zero + 1.0,
+                              q=zero, p=zero,
+                              stats={"omega_b": params.omega_b, "nfev": 0,
+                                     "nst": 0, "used_bdf": False})
+
+        monkeypatch.setattr(time_domain, "integrate_classical", settled)
+        res = comb_threshold(p, det, cap=cap, resolution=hz(0.5e6))
+        assert res.no_comb_below_cap
+        ((probe_det, E),) = calls
+        assert (probe_det.delta_a, probe_det.delta_m) == (det.delta_a,
+                                                          det.delta_m)
+        assert probe_det.delta_m_eff == pytest.approx(
+            hz(6.5e3) - hz(200e3), rel=1e-9)
+        # the calibrated drive realizes the target at the bare detunings
+        sf = self_consistent_solve(p, E, det)
+        assert abs(sf.g_m_eff) == pytest.approx(cap, rel=1e-9)
+        assert sf.delta_m_eff == pytest.approx(probe_det.delta_m_eff,
+                                               rel=1e-9)
 
     def test_decoupled_cavity_never_combs(self):
         p = SystemParams(g_cw=0.0, g_m=1.0)
