@@ -375,14 +375,6 @@ def preset_config_text(name: str) -> str:
 # ---------------------------------------------------------------------------
 # output formatting
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        return format(value, ".9g")
-    return str(value)
-
-
 def write_table(fh, cfg: RunConfig, columns, rows, fmt: str,
                 extra_meta: dict | None = None) -> None:
     """Write the metadata (tool, digest, conventions and ``extra_meta``;
@@ -410,7 +402,8 @@ def write_table(fh, cfg: RunConfig, columns, rows, fmt: str,
         fh.write(f"# cfg: {line}\n")
     fh.write(",".join(columns) + "\n")
     for row in rows:
-        fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(",".join([format(v, ".9g") if isinstance(v, float) else str(v)
+                           for v in row]) + "\n")
 
 
 def _check_output_path(args) -> None:
@@ -474,6 +467,13 @@ def cmd_steady(cfg: RunConfig, args) -> int:
                          _branch_meta(cfg, sf.meta.get("branches")))
 
 
+#: the filtered_pair_cm diagnostics that `entangle` writes to its metadata,
+#: each prefixed with ``filtered_`` (magnon_commutator in the windowed
+#: convention only)
+_FILTERED_META = ("quad_error", "tail_estimate", "window", "modal_cond",
+                  "magnon_commutator")
+
+
 def cmd_entangle(cfg: RunConfig, args) -> int:
     rep = evaluate_point(cfg.params, cfg.detunings,
                          MeasureRequest(filter_spec=cfg.filter_spec))
@@ -486,9 +486,12 @@ def cmd_entangle(cfg: RunConfig, args) -> int:
         rows.append((f"rmin_{key.replace('|', '_')}", value))
     if rep.filtered_e_n is not None:
         rows += [("filtered_en", rep.filtered_e_n), ("fidelity", rep.fidelity)]
+    filtered = rep.meta.get("filtered", {})
     return _write_result(args, cfg, columns, rows,
                          {"stable": rep.stable,
-                          **_branch_meta(cfg, rep.meta.get("branches"))})
+                          **_branch_meta(cfg, rep.meta.get("branches")),
+                          **{f"filtered_{key}": filtered[key]
+                             for key in _FILTERED_META if key in filtered}})
 
 
 def _usable_cpus() -> int:

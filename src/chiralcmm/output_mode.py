@@ -28,9 +28,18 @@ adaptive Gauss-Kronrod 21-point integrator (``adaptive_gk21``) that takes
 the steps of SciPy's adaptive vector quadrature (``scipy.integrate``, gk21
 rule): the same initial intervals, heap, batch rule, error estimates and
 stops.  Each pass evaluates the integrand on the 21 nodes of every
-interval it splits in one stacked call, so a point costs one batched
-(k, 8, 8) ``susceptibility`` inverse per pass (about 6) instead of one
-8x8 inverse per node (about 700).
+interval it splits in one stacked call (about 6 passes per point).
+
+Resolvent: each point diagonalizes its drift matrix once,
+A = P diag(lambda) P^{-1}, so that (-i*omega*I - A)^{-1} =
+P diag(1/(-i*omega - lambda)) P^{-1}.  The rows the integrands read (the
+driven port's output and the magnon) are folded into P, and the noise map
+into P^{-1} B, once per point (``modal_resolvent``); a node then costs one
+diagonal scaling and one (4x8)(8x11) product (``susceptibility``) instead
+of an 8x8 inverse.  The modal values carry a relative error of about
+kappa(P)*eps, with kappa(P) the condition number of the eigenvector
+matrix, so a point whose kappa(P) exceeds MODAL_COND_MAX (a defective or
+nearly defective drift matrix) is refused with QuadratureError.
 """
 
 from __future__ import annotations
@@ -59,9 +68,17 @@ QUAD_ABS_TOL = 1e-6
 #: above 50 times it, relative to the commutator, is refused
 COMM_REL_TOL = 1e-6
 
+#: largest condition number kappa(P) of the drift matrix's eigenvector
+#: matrix that the modal resolvent accepts: its values carry a relative
+#: error of about kappa(P)*eps, at most 2.2e-8 here, far below QUAD_ABS_TOL
+#: against the O(1) covariance entries (kappa(P) is at most 3.14 over the
+#: fig2d sweeps)
+MODAL_COND_MAX = 1e8
+
 
 class QuadratureError(RuntimeError):
-    """Frequency integration did not reach the requested accuracy."""
+    """Frequency integration did not reach the requested accuracy, or
+    cannot (a nearly defective drift matrix, see MODAL_COND_MAX)."""
 
 
 # Gauss-Kronrod 21-point rule on [-1, 1], from QUADPACK's QK21 (R. Piessens,
@@ -291,26 +308,67 @@ def noise_channels(params: SystemParams) -> NoiseChannels:
                          n_port=n_a)
 
 
-def susceptibility(A: np.ndarray, omega) -> np.ndarray:
-    """(-i*omega*I - A)^{-1}, the response of u(omega) to the input noises;
-    a 1-D array of k frequencies gives a (k, n, n) stack from one batched
-    inverse."""
-    w = np.asarray(omega, dtype=float)[..., None, None]
-    return np.linalg.inv(-1j * w * np.eye(A.shape[0]) - A)
+class Resolvent(NamedTuple):
+    """Rows of the resolvent, L (-i*omega*I - A)^{-1} R, in the eigenbasis
+    A = P diag(lam) P^{-1}: ``left`` = L P, ``right`` = P^{-1} R, and the
+    condition number ``cond`` = kappa(P)."""
+
+    lam: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    cond: float
 
 
-def _transfers(A, chans: NoiseChannels, port: str, kappa_a_e: float, omega):
-    """Channel-to-signal transfer rows at omega: driven-port output (2x11)
-    and magnon quadratures (2x11), stacked (k, 2, 11) over an array of k
-    frequencies."""
-    MB = susceptibility(A, omega) @ chans.B
+def modal_resolvent(A: np.ndarray, left: np.ndarray,
+                    right: np.ndarray) -> Resolvent:
+    """One eigendecomposition of A with the rows ``left`` (r, n) and the
+    right factor ``right`` (n, m) folded in; refused with QuadratureError
+    where kappa(P) exceeds MODAL_COND_MAX."""
+    lam, P = np.linalg.eig(A)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = float(np.linalg.cond(P))
+    if not cond <= MODAL_COND_MAX:
+        raise QuadratureError(
+            f"drift matrix eigenvector condition number {cond:.3g} exceeds "
+            f"{MODAL_COND_MAX:.3g} (nearly defective)")
+    return Resolvent(lam=lam, left=left @ P, right=np.linalg.solve(P, right),
+                     cond=cond)
+
+
+def susceptibility(res: Resolvent, omega: np.ndarray) -> np.ndarray:
+    """L (-i*omega*I - A)^{-1} R, the rows L of the response of u(omega) to
+    the inputs R, on a 1-D array of k frequencies: a (k, r, m) stack from
+    one diagonal scaling and one product.  ``res`` comes from
+    :func:`modal_resolvent`, which refuses a drift matrix whose eigenvector
+    matrix is too ill-conditioned (MODAL_COND_MAX) for these values to hold
+    their accuracy."""
+    d = 1.0 / (-1j * np.asarray(omega, dtype=float)[:, None] - res.lam)
+    k, (r, n) = len(d), res.left.shape
+    scaled = (res.left * d[:, None, :]).reshape(k * r, n)
+    return (scaled @ res.right).reshape(k, r, -1)
+
+
+def _pair_resolvent(A, chans: NoiseChannels, port: str,
+                    kappa_a_e: float) -> Resolvent:
+    """Resolvent factors of the driven port's output rows (scaled by
+    sqrt(2*kappa_a_e)) and the magnon rows, with the noise map B."""
     rows = MODE_SLOTS["a_cw"] if port == DRIVE_CW else MODE_SLOTS["a_ccw"]
+    L = np.zeros((4, A.shape[0]))
+    L[[0, 1], list(rows)] = math.sqrt(2.0 * kappa_a_e)
+    L[[2, 3], list(MODE_SLOTS["m"])] = 1.0
+    return modal_resolvent(A, L, chans.B)
+
+
+def _transfers(res: Resolvent, chans: NoiseChannels, port: str, omega):
+    """Channel-to-signal transfer rows at omega from the factors of
+    :func:`_pair_resolvent`: driven-port output (2x11) and magnon
+    quadratures (2x11), stacked (k, 2, 11) over an array of k
+    frequencies."""
+    MB = susceptibility(res, omega)
     T = np.zeros((2, 11))
     for i, c in enumerate(chans.port_channels[port]):
         T[i, c] = 1.0
-    F_out = math.sqrt(2.0 * kappa_a_e) * MB[..., list(rows), :] - T
-    F_mag = MB[..., list(MODE_SLOTS["m"]), :]
-    return F_out, F_mag
+    return MB[:, :2] - T, MB[:, 2:]
 
 
 def _adjoint(M: np.ndarray) -> np.ndarray:
@@ -339,11 +397,17 @@ def filtered_pair_cm(A: np.ndarray, D: np.ndarray, params: SystemParams,
     against the filter analytically and only spectrally colored terms are
     integrated numerically, which keeps the truncation error of the slowly
     decaying sinc tail out of the result.
+
+    The resolvent comes from one eigendecomposition of A
+    (:func:`modal_resolvent`); ``meta["modal_cond"]`` is its kappa(P).
+    Raises QuadratureError where kappa(P) exceeds MODAL_COND_MAX or an
+    integral's error estimate exceeds its tolerance.
     """
     port = params.drive_port
     chans = noise_channels(params)
     sig = chans.sigma
     v_lyap = solve_lyapunov(A, D).V
+    res = _pair_resolvent(A, chans, port, params.kappa_a_e)
     v_mag = v_lyap[np.ix_(MODE_SLOTS["m"], MODE_SLOTS["m"])]
 
     mag_spec = replace(spec, omega_center=params.omega_b)
@@ -362,12 +426,13 @@ def filtered_pair_cm(A: np.ndarray, D: np.ndarray, params: SystemParams,
     if windowed:
         # the windowed magnon is integrated already renormalized, so that
         # its block is resolved to the same absolute error as the output's
-        c = _magnon_commutator(A, chans, mag_spec, W, pts)
+        c = _magnon_commutator(res._replace(left=res.left[2:]), chans,
+                               mag_spec, W, pts)
         mag_scale = 1.0 / math.sqrt(c)
 
     def integrand(omega: np.ndarray) -> np.ndarray:
         # (k, 4, 4) on an array of k frequencies
-        F_out, F_mag = _transfers(A, chans, port, params.kappa_a_e, omega)
+        F_out, F_mag = _transfers(res, chans, port, omega)
         K_out = _quad_kernel(spec, omega)
         H = np.empty((len(omega), 4, 11), dtype=complex)
         H[:, :2] = K_out @ F_out
@@ -406,6 +471,7 @@ def filtered_pair_cm(A: np.ndarray, D: np.ndarray, params: SystemParams,
         "quad_error": float(err),
         "tail_estimate": tail_err,
         "window": W,
+        "modal_cond": res.cond,
     }
     if windowed:
         meta["magnon_commutator"] = c
@@ -413,17 +479,17 @@ def filtered_pair_cm(A: np.ndarray, D: np.ndarray, params: SystemParams,
     return FilteredPairCM(V=V, meta=meta)
 
 
-def _magnon_commutator(A, chans: NoiseChannels, mag_spec: FilterSpec,
-                       W: float, pts) -> float:
-    """[f, f^dag] of the windowed magnon mode, for canonical renormalization.
+def _magnon_commutator(res: Resolvent, chans: NoiseChannels,
+                       mag_spec: FilterSpec, W: float, pts) -> float:
+    """[f, f^dag] of the windowed magnon mode, for canonical renormalization;
+    ``res`` holds the magnon rows of the resolvent with the noise map.
 
     The window duration is comparable to the magnon lifetime, so the
     windowed intracavity operator is not automatically canonical; its
     commutator follows from the (state-independent) input commutators.
     """
     def integrand(omega: np.ndarray) -> np.ndarray:
-        MB = susceptibility(A, omega) @ chans.B
-        F_mag = MB[:, list(MODE_SLOTS["m"]), :]
+        F_mag = susceptibility(res, omega)
         K = _quad_kernel(mag_spec, omega)
         f = K @ F_mag @ chans.comm @ _adjoint(F_mag) @ _adjoint(K)
         return 2.0 * np.imag(f)  # +-omega fold of the antisymmetric part

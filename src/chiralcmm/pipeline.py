@@ -332,11 +332,13 @@ SWEEP_COUNTS = ("unphysical_rows", "several_below_half_rows", "error_rows")
 #: sweep metadata key of a physical-mode sweep: rows whose cubic mean field
 #: has more than one branch (summed over blocks)
 MULTISTABLE = "multistable_rows"
-#: sweep metadata keys of a filtered sweep's largest quadrature error and
-#: tail estimate over its filtered rows (None if no row was filtered), and
-#: the filtered_pair_cm meta entries they are taken from
+#: sweep metadata keys of a filtered sweep's largest quadrature error, tail
+#: estimate and eigenvector condition number kappa(P) over its filtered rows
+#: (None if no row was filtered), and the filtered_pair_cm meta entries they
+#: are taken from
 SWEEP_MAXIMA = {"filtered_quad_error_max": "quad_error",
-                "filtered_tail_estimate_max": "tail_estimate"}
+                "filtered_tail_estimate_max": "tail_estimate",
+                "filtered_modal_cond_max": "modal_cond"}
 
 
 def _merge(diag_a: dict, diag_b: dict) -> dict:
@@ -403,8 +405,8 @@ def run_sweep(params: SystemParams, det: Detunings, spec: SweepSpec,
     eigenvalue below 1/2, and the rows with an in-row error.  A sweep in
     the physical detuning mode adds the count of rows whose mean field has
     several branches (MULTISTABLE).  A filtered sweep adds the largest
-    quadrature error estimate and tail estimate of its filtered rows
-    (SWEEP_MAXIMA).
+    quadrature error estimate, tail estimate and modal condition number of
+    its filtered rows (SWEEP_MAXIMA).
 
     ``workers > 1`` evaluates the blocks on that many threads of this
     process.  Most of a block's time is spent in numpy's stacked LAPACK

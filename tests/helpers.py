@@ -1,14 +1,18 @@
 """Shared constructions for the test suite: random stable systems, the
 symplectic form, random symplectic transformations, random physical
 covariance matrices, the two-mode squeezed state with its known
-entanglement, the Schur-method Lyapunov oracle, the strictly chiral
-closed-form means and the complex-form classical right-hand side."""
+entanglement, the Schur-method Lyapunov oracle, the batched-inverse
+resolvent oracle, the strictly chiral closed-form means and the
+complex-form classical right-hand side."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
+from chiralcmm.linear_model import MODE_SLOTS
+from chiralcmm.params import DRIVE_CW
 from chiralcmm.steady_state import SQRT2, SteadyField
 
 
@@ -25,6 +29,41 @@ def random_stable_system(rng, n=8, margin=0.5):
 def schur_lyapunov(A, D):
     """V with A V + V A^T = -D by the Bartels-Stewart (Schur) method."""
     return scipy.linalg.solve_continuous_lyapunov(A, -D)
+
+
+def inverse_susceptibility(A, omega):
+    """(-i*omega*I - A)^{-1} by one batched inverse, a (k, n, n) stack over
+    an array of k frequencies: the oracle of the library's modal
+    resolvent."""
+    w = np.asarray(omega, dtype=float)[..., None, None]
+    return np.linalg.inv(-1j * w * np.eye(A.shape[0]) - A)
+
+
+def inverse_transfers(A, chans, port, kappa_a_e, omega):
+    """Driven-port output (2x11) and magnon (2x11) transfer rows, stacked
+    over an array of frequencies, from the inverse oracle."""
+    MB = inverse_susceptibility(A, omega) @ chans.B
+    rows = MODE_SLOTS["a_cw"] if port == DRIVE_CW else MODE_SLOTS["a_ccw"]
+    T = np.zeros((2, 11))
+    for i, c in enumerate(chans.port_channels[port]):
+        T[i, c] = 1.0
+    F_out = math.sqrt(2.0 * kappa_a_e) * MB[..., list(rows), :] - T
+    return F_out, MB[..., list(MODE_SLOTS["m"]), :]
+
+
+class InverseResolvent(NamedTuple):
+    """The arguments of ``output_mode.modal_resolvent``, kept whole so that
+    :func:`inverse_rows` can stand in for ``output_mode.susceptibility``."""
+
+    A: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    cond: float = math.nan
+
+
+def inverse_rows(res, omega):
+    """L (-i*omega*I - A)^{-1} R from the inverse oracle."""
+    return res.left @ inverse_susceptibility(res.A, omega) @ res.right
 
 
 def symplectic_form(n_modes):

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -62,6 +63,26 @@ def sweep_config_path(tmp_path):
     path = tmp_path / "sweep.cfg"
     path.write_text(BASE_CONFIG + SWEEP_SECTION, encoding="utf-8")
     return str(path)
+
+
+def read_meta(path, fmt):
+    """Metadata of a CSV or JSONL output file (CSV values as strings)."""
+    lines = path.read_text().splitlines()
+    if fmt == "jsonl":
+        return json.loads(lines[0])["_meta"]
+    return dict(ln[2:].split(" = ", 1) for ln in lines
+                if ln.startswith("# ") and " = " in ln)
+
+
+def legacy_cell(value):
+    """A CSV cell as the earlier writer formatted it: NaN spelled out,
+    other floats (np.float64 included) to 9 significant digits, anything
+    else through str."""
+    if isinstance(value, float):
+        if math.isnan(value):
+            return "nan"
+        return format(value, ".9g")
+    return str(value)
 
 
 def csv_meta(tmp_path, command, *argv):
@@ -288,6 +309,27 @@ class TestEntangleCommand:
         assert float(rows["fidelity"]) > 0.5
         assert float(rows["filtered_en"]) > 0.2
 
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("convention", ["instant", "windowed"])
+    def test_filtered_diagnostics_in_metadata(self, convention, fmt, tmp_path):
+        out = tmp_path / f"ent.{fmt}"
+        assert main(["entangle", "--config", "fig2d_magnon", "--set",
+                     f"filter.magnon_convention={convention}",
+                     "--format", fmt, "--out", str(out)]) == EXIT_OK
+        meta = read_meta(out, fmt)
+        assert 0 < float(meta["filtered_quad_error"]) < 1e-3
+        assert 0 < float(meta["filtered_tail_estimate"]) < 1e-3
+        assert float(meta["filtered_window"]) > 10 * hz(10e6)
+        assert 1 <= float(meta["filtered_modal_cond"]) < 10
+        if convention == "windowed":
+            assert 0 < float(meta["filtered_magnon_commutator"]) < 1e-6
+        else:
+            assert "filtered_magnon_commutator" not in meta
+
+    def test_no_filtered_diagnostics_without_a_filter(self, tmp_path):
+        assert not any(key.startswith("filtered_")
+                       for key in csv_meta(tmp_path, "entangle"))
+
 
 class TestSweepCommand:
     def test_csv_output_formatting(self, sweep_config_path, tmp_path):
@@ -342,14 +384,10 @@ class TestSweepCommand:
         assert main(["sweep", "--config", "fig2d_magnon", "--workers", "1",
                      "--set", "sweep.axis1=gamma_b,10,1e5,3", "--format", fmt,
                      "--out", str(out)]) == EXIT_OK
-        lines = out.read_text().splitlines()
-        if fmt == "csv":
-            meta = dict(ln[2:].split(" = ", 1) for ln in lines
-                        if ln.startswith("# ") and " = " in ln)
-        else:
-            meta = json.loads(lines[0])["_meta"]
+        meta = read_meta(out, fmt)
         for key in ("filtered_quad_error_max", "filtered_tail_estimate_max"):
             assert 0 < float(meta[key]) < 1e-3
+        assert 1 <= float(meta["filtered_modal_cond_max"]) < 10
 
     def test_worker_flag_output_identical(self, sweep_config_path, tmp_path):
         out1, out2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
@@ -493,6 +531,53 @@ class TestCombThresholdCommand:
 
 
 TRAJECTORY_HEADER = "t,re_a_cw,im_a_cw,re_a_ccw,im_a_ccw,re_m,im_m,q,p"
+
+
+class TestWriteTable:
+    # NaN as float and np.float64, signed zero, infinities, integers,
+    # strings and flags: every kind of cell the commands write
+    CELLS = (1.5, -0.0, math.nan, np.float64(math.nan), np.float64(2 / 3),
+             math.inf, -math.inf, 1e-300, 7, np.int64(3), "cw", True,
+             "ValueError: temperature must be >= 0")
+
+    def test_cells_format_as_before(self, config_path):
+        cfg = load_config(cli.build_parser().parse_args(
+            ["steady", "--config", config_path]))
+        fh = io.StringIO()
+        cli.write_table(fh, cfg, [f"c{i}" for i in range(len(self.CELLS))],
+                        [self.CELLS, self.CELLS[::-1]], "csv")
+        data = fh.getvalue().splitlines()[-2:]
+        assert data == [",".join(map(legacy_cell, row))
+                        for row in (self.CELLS, self.CELLS[::-1])]
+        assert data[0].split(",")[2:4] == ["nan", "nan"]
+
+    @pytest.mark.parametrize("argv", [
+        ["steady", "--config", "fig2b"],
+        ["entangle", "--config", "fig2d_magnon"],
+        ["entangle", "--config", "fig2b", "--set", "drive.value=14e6"],
+        ["sweep", "--config", "fig2d_magnon", "--workers", "1",
+         "--set", "sweep.axis1=temperature,0.01,-0.01,2"],
+        ["stability-edge", "--config", "fig2b"],
+        ["comb-threshold", "--config", "fig2b", "--gm-cap", "6e6"],
+        ["trajectory", "--config", "figs1"],
+    ], ids=lambda argv: "-".join(argv[:3:2]))
+    def test_every_command_writes_its_rows_as_before(self, argv, monkeypatch,
+                                                     tmp_path):
+        TestTrajectoryCommand.short_runs(monkeypatch)
+        written = []
+        real = cli.write_table
+
+        def spy(fh, cfg, columns, rows, fmt, extra_meta=None):
+            written.append([tuple(row) for row in rows])
+            real(fh, cfg, columns, written[-1], fmt, extra_meta)
+
+        monkeypatch.setattr(cli, "write_table", spy)
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        data = [ln for ln in out.read_text().splitlines()
+                if not ln.startswith("#")][1:]
+        (rows,) = written
+        assert data == [",".join(map(legacy_cell, row)) for row in rows]
 
 
 class TestTrajectoryCommand:

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad, quad_vec
@@ -13,29 +13,35 @@ from chiralcmm.constants import hz
 from chiralcmm.linear_model import build_model
 from chiralcmm.lyapunov import solve_lyapunov
 from chiralcmm.measures import log_negativity, symplectic_eigenvalues
+from chiralcmm.linear_model import build_drift
 from chiralcmm.output_mode import (
     MAGNON_INSTANT,
     MAGNON_WINDOWED,
     FilterSpec,
     QuadratureError,
     QuadResult,
+    _pair_resolvent,
     _transfers,
     adaptive_gk21,
     filter_transform,
     filtered_pair_cm,
+    modal_resolvent,
     noise_channels,
     susceptibility,
 )
-from chiralcmm.params import Detunings, SystemParams
+from chiralcmm.params import DRIVE_CCW, DRIVE_CW, Detunings, SystemParams
 from chiralcmm.pipeline import MeasureRequest, SweepAxis, SweepSpec
 from chiralcmm.steady_state import resolve_drive
+from helpers import InverseResolvent, inverse_rows, inverse_transfers
 
 
 def spectral_matrix(A, chans, omega, kappa_a_e, port="cw"):
     """Symmetrized spectral matrices at one frequency (V = (1/2pi) Int S):
     intracavity (8x8), driven-port output (2x2), output x magnon (2x2)."""
-    MB = susceptibility(A, omega) @ chans.B
-    F_out, F_mag = _transfers(A, chans, port, kappa_a_e, omega)
+    w = np.array([omega])
+    MB = susceptibility(modal_resolvent(A, np.eye(8), chans.B), w)[0]
+    res = _pair_resolvent(A, chans, port, kappa_a_e)
+    F_out, F_mag = (F[0] for F in _transfers(res, chans, port, w))
     sig = chans.sigma
     return ((MB * sig) @ MB.conj().T, (F_out * sig) @ F_out.conj().T,
             (F_out * sig) @ F_mag.conj().T)
@@ -137,9 +143,109 @@ class TestSpectralMatrix:
             <= 1e-4 * np.linalg.norm(v_ref)
 
     def test_susceptibility_definition(self):
-        A = np.diag([-1.0, -2.0])
-        M = susceptibility(A, 3.0)
+        A = np.array([[-1.0, 0.5], [0.0, -2.0]])
+        res = modal_resolvent(A, np.eye(2), np.eye(2))
+        M = susceptibility(res, np.array([3.0]))[0]
         assert_allclose(M @ (-3j * np.eye(2) - A), np.eye(2), atol=1e-14)
+
+
+def imperfect_point():
+    """The T = 0.05 K point with backscattering and a weak CCW coupling."""
+    p = SystemParams(kappa_a_e=hz(4.8e6), g_cw=hz(8e6), g_ccw=hz(0.8e6),
+                     J=hz(0.5e6), temperature=0.05)
+    det = Detunings.effective(-0.76 * p.omega_b, 0.65 * p.omega_b)
+    model = build_model(p, det, resolve_drive(p, det).g_m_eff)
+    spec = FilterSpec(omega_center=-p.omega_b, tau=8.0 / p.omega_b,
+                      magnon_convention=MAGNON_INSTANT)
+    return p, model, spec
+
+
+class TestModalResolvent:
+    """The eigendecomposition route against the batched-inverse oracle."""
+
+    @settings(max_examples=60)
+    @given(g_cw=st.sampled_from([0.0, 1e6, 4e6, 8e6]),
+           g_ccw=st.sampled_from([0.0, 0.8e6, 4e6]),
+           J=st.sampled_from([0.0, 0.5e6, 3e6]),
+           port=st.sampled_from([DRIVE_CW, DRIVE_CCW]),
+           d_a=st.floats(-2.0, 2.0), d_m=st.floats(-2.0, 2.0),
+           gm=st.floats(0.0, 6e6), phase=st.floats(0.0, 2 * math.pi))
+    def test_transfers_match_the_inverse_oracle(self, g_cw, g_ccw, J, port,
+                                                d_a, d_m, gm, phase):
+        # g_cw = g_ccw = J = 0 gives two copies of the bare cavity block:
+        # a repeated eigenvalue pair
+        p = SystemParams(g_cw=hz(g_cw), g_ccw=hz(g_ccw), J=hz(J),
+                         drive_port=port)
+        det = Detunings.effective(d_a * p.omega_b, d_m * p.omega_b)
+        A = build_drift(p, det, hz(gm) * np.exp(1j * phase))
+        chans = noise_channels(p)
+        try:
+            res = _pair_resolvent(A, chans, port, p.kappa_a_e)
+        except QuadratureError:
+            # the exceptional point of test_exceptional_point
+            assume(False)
+        lam = np.linalg.eigvals(A)
+        w = np.concatenate([np.linspace(0.0, 3.0 * p.omega_b, 31),
+                            np.abs(lam.imag)])
+        ours = _transfers(res, chans, port, w)
+        ref = inverse_transfers(A, chans, port, p.kappa_a_e, w)
+        # both routes resolve -i*omega*I - A to a relative error of about
+        # eps*||A||/dist(i*omega, spectrum); the modal one adds kappa(P)
+        sens = (np.linalg.norm(A, 2)
+                / np.min(np.abs(-1j * w[:, None] - lam), axis=1))
+        for F, F_ref in zip(ours, ref):
+            scale = np.max(np.abs(F_ref), axis=(1, 2))
+            tol = 100 * res.cond * np.finfo(float).eps * sens * scale
+            assert np.all(np.max(np.abs(F - F_ref), axis=(1, 2)) <= tol)
+
+    @pytest.mark.parametrize("case", ["instant", "windowed", "imperfect"])
+    def test_filtered_pair_cm_matches_the_inverse_oracle(self, case,
+                                                         monkeypatch):
+        p, model, spec = imperfect_point() if case == "imperfect" \
+            else fig2d_point()
+        if case == "windowed":
+            spec = windowed(spec)
+        ours = filtered_pair_cm(model.A, model.D, p, spec)
+        monkeypatch.setattr(output_mode, "modal_resolvent", InverseResolvent)
+        monkeypatch.setattr(output_mode, "susceptibility", inverse_rows)
+        ref = filtered_pair_cm(model.A, model.D, p, spec)
+        assert np.max(np.abs(ours.V - ref.V)) <= 1e-12
+        assert ours.meta["quad_error"] == pytest.approx(ref.meta["quad_error"],
+                                                        rel=1e-6)
+        assert 1.0 <= ours.meta["modal_cond"] < 10.0
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-14, 1e-8, 1e-2])
+    def test_exceptional_point(self, offset):
+        # on resonance and without G_m, the CW cavity-magnon block has a
+        # Jordan block at g_cw = (kappa_a - kappa_m)/2, here 1 MHz; next to
+        # it kappa(P) grows as offset^(-1/2), and the modal error with it
+        p = SystemParams(g_cw=hz(1e6 * (1.0 + offset)), temperature=0.0)
+        det = Detunings.effective(0.0, 0.0)
+        model = build_model(p, det, 0.0)
+        chans = noise_channels(p)
+        spec = FilterSpec(omega_center=-p.omega_b, tau=10.0 / p.omega_b,
+                          magnon_convention=MAGNON_INSTANT)
+        if offset == 0.0:
+            with pytest.raises(QuadratureError, match="condition number"):
+                _pair_resolvent(model.A, chans, DRIVE_CW, p.kappa_a_e)
+            with pytest.raises(QuadratureError, match="condition number"):
+                filtered_pair_cm(model.A, model.D, p, spec)
+            return
+        res = _pair_resolvent(model.A, chans, DRIVE_CW, p.kappa_a_e)
+        assert 1.0 < res.cond * math.sqrt(offset) < 3.0
+        w = np.linspace(0.0, 3.0 * p.omega_b, 31)
+        for F, F_ref in zip(_transfers(res, chans, DRIVE_CW, w),
+                            inverse_transfers(model.A, chans, DRIVE_CW,
+                                              p.kappa_a_e, w)):
+            assert np.max(np.abs(F - F_ref)) <= 1e-14 * res.cond
+
+    def test_defective_drift_refused(self):
+        # a Jordan block of the drift's own size: the eigenvector matrix is
+        # numerically singular
+        A = np.diag([-1.0, -1.0, -2.0, -3.0, -4.0, -5.0, -6.0, -7.0]) * 1e6
+        A[0, 1] = 1e6
+        with pytest.raises(QuadratureError, match="condition number"):
+            modal_resolvent(A, np.eye(8), np.eye(8))
 
 
 class TestTimeDomainOracle:
@@ -203,15 +309,7 @@ class TestTimeDomainOracle:
         assert np.max(np.abs(freq - time_dom)) < 2e-4
 
     def test_matches_at_nonzero_temperature_and_imperfections(self):
-        from chiralcmm.linear_model import build_model as build
-        from chiralcmm.steady_state import resolve_drive as rd
-
-        p = SystemParams(kappa_a_e=hz(4.8e6), g_cw=hz(8e6), g_ccw=hz(0.8e6),
-                         J=hz(0.5e6), temperature=0.05)
-        det = Detunings.effective(-0.76 * p.omega_b, 0.65 * p.omega_b)
-        model = build(p, det, rd(p, det).g_m_eff)
-        spec = FilterSpec(omega_center=-p.omega_b, tau=8.0 / p.omega_b,
-                          magnon_convention=MAGNON_INSTANT)
+        p, model, spec = imperfect_point()
         freq = filtered_pair_cm(model.A, model.D, p, spec).V
         time_dom = self.oracle(model.A, p, spec)
         assert np.max(np.abs(freq - time_dom)) < 2e-4

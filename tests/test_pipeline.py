@@ -1,7 +1,10 @@
 import io
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -356,10 +359,9 @@ class TestBlockEngine:
                                                   drive_port=str(port)),
                                pre.detunings, request).meta["filtered"]
                 for v, port in zip(values, ports)]
-        assert single.meta["filtered_quad_error_max"] == max(
-            m["quad_error"] for m in quad)
-        assert single.meta["filtered_tail_estimate_max"] == max(
-            m["tail_estimate"] for m in quad)
+        assert len(pipeline.SWEEP_MAXIMA) == 3
+        for key, entry in pipeline.SWEEP_MAXIMA.items():
+            assert single.meta[key] == max(m[entry] for m in quad)
 
     def test_multistable_rows_identical_across_worker_counts(self,
                                                             monkeypatch):
@@ -407,3 +409,17 @@ class TestBlockEngine:
             return buf.getvalue().encode()
 
         assert table(1) == table(2)
+
+
+def test_import_loads_no_scipy():
+    # the sweep engine is numpy-only: scipy is loaded by time_domain alone,
+    # for the ODE
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = ("import sys, chiralcmm.pipeline; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
