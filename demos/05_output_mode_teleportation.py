@@ -31,16 +31,15 @@ cm = solve_lyapunov(model.A, model.D)
 print("intracavity E(a_cw, m) = %.4f"
       % log_negativity(extract_block(cm, ("a_cw", "m"))))
 
-# filtered output mode + stationary magnon quadratures: the preset's filter
-# carries the "instant" magnon convention
+# filtered output mode + stationary magnon quadratures
 out = filtered_pair_cm(model.A, model.D, params, pre.filter_spec)
 e_out = log_negativity(out.V)
 fid = teleportation_fidelity(out.V)
 print("filtered-output E(a_out, m) = %.3f" % e_out)
 print("coherent-state teleportation fidelity F = %.3f (classical limit 0.5)"
       % fid)
-print("conventions:", {k: out.meta[k] for k in
-                       ("magnon_convention", "port_rate")})
+print("output port and its rate:", {k: out.meta[k] for k in
+                                    ("port", "port_rate")})
 
 # The window bandwidth matters: too narrow integrates excess noise time,
 # too wide dilutes the entangled sideband into vacuum.

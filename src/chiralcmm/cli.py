@@ -34,7 +34,7 @@ from .linear_model import (
     UnstableSystemError,
     max_stable_coupling,
 )
-from .output_mode import MAGNON_INSTANT, MAGNON_WINDOWED, FilterSpec
+from .output_mode import FilterSpec
 from .params import (
     DETUNING_EFFECTIVE,
     DETUNING_PHYSICAL,
@@ -94,7 +94,7 @@ _SECTION_KEYS = {
     "system": _SYSTEM_HZ + ("temperature",),
     "drive": ("port", "spec", "value"),
     "detuning": ("mode", "delta_a", "delta_m_eff"),
-    "filter": ("center", "tau", "magnon_convention"),
+    "filter": ("center", "tau"),
     "sweep": ("axis1", "axis2", "ports", "pairs", "triples"),
 }
 
@@ -166,8 +166,9 @@ def _build_params(sections) -> SystemParams:
     for key in _SYSTEM_HZ:
         attr = "J" if key == "j_coupling" else key
         if key == "g_m":
-            raw = sections.get("system", {}).get("g_m", "")
-            kw["g_m"] = hz(float(raw)) if raw else None
+            # empty or absent: None (inferred where a command needs it)
+            given = sections.get("system", {}).get(key)
+            kw["g_m"] = hz(_get_float(sections, "system", key)) if given else None
             continue
         kw[attr] = hz(_get_float(sections, "system", key,
                                  default=to_hz(getattr(defaults, attr))))
@@ -269,12 +270,8 @@ def _build_filter(sections, params) -> FilterSpec | None:
                            default=-to_hz(params.omega_b)))
     tau = _get_float(sections, "filter", "tau",
                      default=10.0 / params.omega_b)
-    convention = _get_str(sections, "filter", "magnon_convention",
-                          default=MAGNON_INSTANT,
-                          choices=(MAGNON_INSTANT, MAGNON_WINDOWED))
     try:
-        return FilterSpec(omega_center=center, tau=tau,
-                          magnon_convention=convention)
+        return FilterSpec(omega_center=center, tau=tau)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -367,8 +364,7 @@ def preset_config_text(name: str) -> str:
     if pre.filter_spec is not None:
         lines += ["[filter]",
                   f"center = {to_hz(pre.filter_spec.omega_center)!r}",
-                  f"tau = {pre.filter_spec.tau!r}",
-                  f"magnon_convention = {pre.filter_spec.magnon_convention}"]
+                  f"tau = {pre.filter_spec.tau!r}"]
     return "\n".join(lines) + "\n"
 
 
@@ -379,11 +375,9 @@ def write_table(fh, cfg: RunConfig, columns, rows, fmt: str,
                 extra_meta: dict | None = None) -> None:
     """Write the metadata (tool, digest, conventions and ``extra_meta``;
     tuples are name lists), then the rows, as CSV or JSONL."""
-    convention = (cfg.filter_spec.magnon_convention if cfg.filter_spec
-                  else MAGNON_INSTANT)
     meta = {"tool": f"chiralcmm {__version__}", "config_sha256": cfg.digest,
             "mode_order": MODE_ORDER, "quadrature_order": QUAD_LABELS,
-            "magnon_convention": convention, **(extra_meta or {})}
+            **(extra_meta or {})}
     if fmt == "jsonl":
         head = {"_meta": {**meta, "config": cfg.resolved_text}}
         fh.write(json.dumps(head, sort_keys=True) + "\n")
@@ -468,10 +462,8 @@ def cmd_steady(cfg: RunConfig, args) -> int:
 
 
 #: the filtered_pair_cm diagnostics that `entangle` writes to its metadata,
-#: each prefixed with ``filtered_`` (magnon_commutator in the windowed
-#: convention only)
-_FILTERED_META = ("quad_error", "tail_estimate", "window", "modal_cond",
-                  "magnon_commutator")
+#: each prefixed with ``filtered_``
+_FILTERED_META = ("quad_error", "tail_estimate", "window", "modal_cond")
 
 
 def cmd_entangle(cfg: RunConfig, args) -> int:

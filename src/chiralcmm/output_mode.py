@@ -23,6 +23,12 @@ alpha(omega) = g(omega) and beta(omega) = conj(g(-omega)); the vacuum
 identity (exact 1/2 variances for a decoupled cold cavity) pins this
 convention down and is asserted in the test suite.
 
+The magnon partner of the filtered output is the stationary intracavity
+magnon mode, read at the same instant (C. Genes, D. Vitali, P. Tombesi,
+PRA 78, 032316 (2008)): its 2x2 block is the magnon block of the Lyapunov
+covariance, and only the output block and the output-magnon cross block
+are integrated over frequency.
+
 Quadrature: the frequency integrals still run point by point, with an
 adaptive Gauss-Kronrod 21-point integrator (``adaptive_gk21``) that takes
 the steps of SciPy's adaptive vector quadrature (``scipy.integrate``, gk21
@@ -47,7 +53,7 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -56,17 +62,9 @@ from .linear_model import MODE_SLOTS
 from .lyapunov import solve_lyapunov
 from .params import DRIVE_CCW, DRIVE_CW, SystemParams
 
-MAGNON_WINDOWED = "windowed"
-MAGNON_INSTANT = "instant"
-
 #: absolute error target of the frequency integrals; an error estimate
 #: above 50 times it is refused
 QUAD_ABS_TOL = 1e-6
-
-#: relative error target of the windowed magnon commutator, which is far
-#: below QUAD_ABS_TOL (about 7e-8 at the fig2d point); an error estimate
-#: above 50 times it, relative to the commutator, is refused
-COMM_REL_TOL = 1e-6
 
 #: largest condition number kappa(P) of the drift matrix's eigenvector
 #: matrix that the modal resolvent accepts: its values carry a relative
@@ -225,23 +223,15 @@ def adaptive_gk21(f, a: float, b: float, points=(), *, epsabs: float,
 @dataclass(frozen=True)
 class FilterSpec:
     """Top-hat output filter: central frequency Omega (rad/s, drive frame)
-    and window duration tau (s), the bandwidth being 1/tau, and the
-    convention of the magnon mode paired with the filtered output:
-    MAGNON_WINDOWED reads the magnon through the same window at +omega_b
-    (the anti-Stokes side), renormalized by its computed commutator so the
-    mode is canonical; MAGNON_INSTANT takes the stationary intracavity
-    magnon quadratures."""
+    and window duration tau (s), the bandwidth being 1/tau.  The filtered
+    output is paired with the stationary intracavity magnon mode."""
 
     omega_center: float
     tau: float
-    magnon_convention: str
 
     def __post_init__(self):
         if not (self.tau > 0 and math.isfinite(self.tau)):
             raise ValueError("filter duration tau must be positive and finite")
-        if self.magnon_convention not in (MAGNON_WINDOWED, MAGNON_INSTANT):
-            raise ValueError(
-                f"unknown magnon convention {self.magnon_convention!r}")
 
 
 def filter_transform(spec: FilterSpec, omega) -> complex | np.ndarray:
@@ -273,14 +263,11 @@ class NoiseChannels:
     Channel order: CW external port (X, Y), CW internal (X, Y), CCW external
     (X, Y), CCW internal (X, Y), magnon (X, Y), mechanical Brownian force.
     ``B`` maps channels into the quadrature equations (so B S B^T = D),
-    ``sigma`` holds the symmetrized channel variances, and ``comm`` the
-    channel commutator matrix (i*Omega_2 per bosonic quadrature pair; the
-    Brownian force commutator is dropped with the Markov approximation).
+    ``sigma`` holds the symmetrized channel variances.
     """
 
     B: np.ndarray
     sigma: np.ndarray
-    comm: np.ndarray
     port_channels: dict
     n_port: float
 
@@ -299,13 +286,8 @@ def noise_channels(params: SystemParams) -> NoiseChannels:
     B[7, 10] = 1.0
     sigma = np.array([n_a + 0.5] * 8 + [n_m + 0.5] * 2
                      + [params.gamma_b * (2 * n_b + 1)])
-    omega2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    comm = np.zeros((11, 11), dtype=complex)
-    for k in range(5):
-        comm[2 * k:2 * k + 2, 2 * k:2 * k + 2] = 1j * omega2
     ports = {DRIVE_CW: (0, 1), DRIVE_CCW: (4, 5)}
-    return NoiseChannels(B=B, sigma=sigma, comm=comm, port_channels=ports,
-                         n_port=n_a)
+    return NoiseChannels(B=B, sigma=sigma, port_channels=ports, n_port=n_a)
 
 
 class Resolvent(NamedTuple):
@@ -388,10 +370,9 @@ class FilteredPairCM:
 def filtered_pair_cm(A: np.ndarray, D: np.ndarray, params: SystemParams,
                      spec: FilterSpec) -> FilteredPairCM:
     """Covariance matrix of the output of the driven port
-    (``params.drive_port``) through the filter ``spec`` and the magnon mode
-    in the filter's magnon convention.  In the instant convention the
-    magnon's 2x2 block is taken from the Lyapunov solution exactly and only
-    the cross block is integrated.
+    (``params.drive_port``) through the filter ``spec`` and the stationary
+    magnon mode.  The magnon's 2x2 block is taken from the Lyapunov
+    solution exactly; the output block and the cross block are integrated.
 
     The white (frequency-flat) part of the output spectrum integrates
     against the filter analytically and only spectrally colored terms are
@@ -408,43 +389,28 @@ def filtered_pair_cm(A: np.ndarray, D: np.ndarray, params: SystemParams,
     sig = chans.sigma
     v_lyap = solve_lyapunov(A, D).V
     res = _pair_resolvent(A, chans, port, params.kappa_a_e)
-    v_mag = v_lyap[np.ix_(MODE_SLOTS["m"], MODE_SLOTS["m"])]
-
-    mag_spec = replace(spec, omega_center=params.omega_b)
-    windowed = spec.magnon_convention == MAGNON_WINDOWED
     inv_sqrt_2pi = 1.0 / math.sqrt(2.0 * math.pi)
 
     n_port = chans.n_port + 0.5
 
     widths = [40.0 / spec.tau,
               10.0 * (params.kappa_a + params.kappa_m + params.omega_b)]
-    W = (max(abs(spec.omega_center), params.omega_b if windowed else 0.0)
-         + max(widths))
+    W = abs(spec.omega_center) + max(widths)
     breakpoints = sorted({abs(spec.omega_center), params.omega_b,
                           abs(spec.omega_center) + 20 / spec.tau})
     pts = [p for p in breakpoints if 0 < p < W]
-    if windowed:
-        # the windowed magnon is integrated already renormalized, so that
-        # its block is resolved to the same absolute error as the output's
-        c = _magnon_commutator(res._replace(left=res.left[2:]), chans,
-                               mag_spec, W, pts)
-        mag_scale = 1.0 / math.sqrt(c)
 
     def integrand(omega: np.ndarray) -> np.ndarray:
-        # (k, 4, 4) on an array of k frequencies
+        # (k, 4, 4) on an array of k frequencies; the magnon block stays 0
         F_out, F_mag = _transfers(res, chans, port, omega)
         K_out = _quad_kernel(spec, omega)
-        H = np.empty((len(omega), 4, 11), dtype=complex)
-        H[:, :2] = K_out @ F_out
-        H[:, 2:] = (mag_scale * (_quad_kernel(mag_spec, omega) @ F_mag)
-                    if windowed else inv_sqrt_2pi * F_mag)
-        full = (H * sig) @ _adjoint(H)
+        H = np.concatenate([K_out @ F_out, inv_sqrt_2pi * F_mag], axis=1)
+        full = np.zeros((len(omega), 4, 4), dtype=complex)
+        # output rows: the output block and the cross block
+        full[:, :2] = (H[:, :2] * sig) @ _adjoint(H)
         # white output part, integrated analytically over the full line
         full[:, :2, :2] -= n_port * (K_out @ _adjoint(K_out))
-        if not windowed:
-            # stationary magnon block comes from the Lyapunov solution
-            full[:, 2:, 2:] -= ((1.0 / (2.0 * math.pi))
-                                * (F_mag * sig) @ _adjoint(F_mag))
+        full[:, 2:, :2] = _adjoint(full[:, :2, 2:])
         # fold +-omega: the full-line integral of the two is 2*Re
         return 2.0 * np.real(full)
 
@@ -460,12 +426,9 @@ def filtered_pair_cm(A: np.ndarray, D: np.ndarray, params: SystemParams,
 
     V = val
     V[:2, :2] += n_port * np.eye(2)
-    if not windowed:
-        V[2:, 2:] += v_mag
+    V[2:, 2:] = v_lyap[np.ix_(MODE_SLOTS["m"], MODE_SLOTS["m"])]
 
     meta = {
-        "magnon_convention": spec.magnon_convention,
-        "magnon_center": params.omega_b if windowed else None,
         "port": port,
         "port_rate": "kappa_a_e",
         "quad_error": float(err),
@@ -473,34 +436,5 @@ def filtered_pair_cm(A: np.ndarray, D: np.ndarray, params: SystemParams,
         "window": W,
         "modal_cond": res.cond,
     }
-    if windowed:
-        meta["magnon_commutator"] = c
     V = 0.5 * (V + V.T)
     return FilteredPairCM(V=V, meta=meta)
-
-
-def _magnon_commutator(res: Resolvent, chans: NoiseChannels,
-                       mag_spec: FilterSpec, W: float, pts) -> float:
-    """[f, f^dag] of the windowed magnon mode, for canonical renormalization;
-    ``res`` holds the magnon rows of the resolvent with the noise map.
-
-    The window duration is comparable to the magnon lifetime, so the
-    windowed intracavity operator is not automatically canonical; its
-    commutator follows from the (state-independent) input commutators.
-    """
-    def integrand(omega: np.ndarray) -> np.ndarray:
-        F_mag = susceptibility(res, omega)
-        K = _quad_kernel(mag_spec, omega)
-        f = K @ F_mag @ chans.comm @ _adjoint(F_mag) @ _adjoint(K)
-        return 2.0 * np.imag(f)  # +-omega fold of the antisymmetric part
-
-    val, err, _ = adaptive_gk21(integrand, 0.0, W, pts,
-                                epsabs=0.0, epsrel=COMM_REL_TOL)
-    c = 0.5 * float(val[0, 1] - val[1, 0])
-    if not (c > 0 and math.isfinite(c)):
-        raise QuadratureError(f"windowed magnon commutator came out {c!r}")
-    if err > 50 * COMM_REL_TOL * c:
-        raise QuadratureError(
-            f"commutator integral error estimate {err:.3g} too large for "
-            f"the commutator {c:.3g}")
-    return c

@@ -262,6 +262,17 @@ SWEEPABLE = {
     "power": _drive_setter("power"),
 }
 
+#: the quantity a sweep variable writes, where it is not its own name; two
+#: axes that write one quantity are refused
+_WRITES = {"chi": "g_ccw", "gm_abs": "drive", "amplitude": "drive",
+           "power": "drive"}
+
+
+def _repeated(items) -> list:
+    """The entries of ``items`` that repeat an earlier one, in order."""
+    items = list(items)
+    return [x for i, x in enumerate(items) if x in items[:i]]
+
 
 @dataclass(frozen=True)
 class SweepAxis:
@@ -293,9 +304,19 @@ class SweepSpec:
             if ax.name not in SWEEPABLE:
                 raise ValueError(f"unknown sweep variable {ax.name!r}; "
                                  f"choose from {sorted(SWEEPABLE)}")
+        if _repeated(_WRITES.get(ax.name, ax.name) for ax in self.axes):
+            raise ValueError("sweep axes "
+                             + " and ".join(ax.name for ax in self.axes)
+                             + " set the same quantity")
         ports = tuple(self.drive_ports)
         if any(p not in (DRIVE_CW, DRIVE_CCW) for p in ports):
             raise ValueError("drive_ports must be cw/ccw")
+        for what, entries in (("drive_ports", ports),
+                              ("pairs", map(":".join, self.request.pairs)),
+                              ("triples", map(":".join, self.request.triples))):
+            repeated = _repeated(entries)
+            if repeated:
+                raise ValueError(f"repeated entry {repeated[0]!r} in {what}")
 
 
 @dataclass(frozen=True)

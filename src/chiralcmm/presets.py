@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .constants import hz
-from .output_mode import MAGNON_INSTANT, FilterSpec
+from .output_mode import FilterSpec
 from .params import DRIVE_CW, Detunings, DriveSpec, SystemParams, drive_amplitude
 from .pipeline import MeasureRequest, SweepAxis, SweepSpec
 from .steady_state import amplitude_for_gm
@@ -117,11 +117,9 @@ def _detuning_grid(params, pairs, n=101) -> SweepSpec:
 
 def output_filter(params: SystemParams) -> FilterSpec:
     """Stokes-sideband filter: center -omega_b, bandwidth
-    FILTER_BANDWIDTH_RATIO*omega_b, instant magnon convention (the one
-    reproducing the teleportation results)."""
+    FILTER_BANDWIDTH_RATIO*omega_b."""
     return FilterSpec(omega_center=-params.omega_b,
-                      tau=1.0 / (FILTER_BANDWIDTH_RATIO * params.omega_b),
-                      magnon_convention=MAGNON_INSTANT)
+                      tau=1.0 / (FILTER_BANDWIDTH_RATIO * params.omega_b))
 
 
 def get(name: str, grid_points: int = 101) -> FigurePreset:

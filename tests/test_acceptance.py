@@ -82,8 +82,8 @@ class TestAcceptance:
         elapsed = time.time() - t0
         ok = abs(e_n - 0.23) <= 0.02 and abs(fid - 0.55) <= 0.02 and fid > 0.5
         report(3, ok, f"filtered output-magnon E = {e_n:.3f} (0.23 +-0.02), "
-                      f"F = {fid:.3f} (0.55 +-0.02, > 0.5) under the "
-                      f"'{out.meta['magnon_convention']}' magnon convention",
+                      f"F = {fid:.3f} (0.55 +-0.02, > 0.5) with the "
+                      f"stationary magnon",
                elapsed)
 
     @pytest.mark.parametrize("which,pair,col,target", [

@@ -123,11 +123,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="section"):
             parse_config_text("x = 1\n")
 
-    @pytest.mark.parametrize("override", ["system.g_m=abc", "drive.value=-1"])
-    def test_malformed_value_exit_code(self, override, capsys):
+    @pytest.mark.parametrize("override, message", [
+        ("system.g_m=abc", "system.g_m: not a number: 'abc'"),
+        ("drive.value=-1", "drive value must be finite and >= 0"),
+    ], ids=["system.g_m=abc", "drive.value=-1"])
+    def test_malformed_value_exit_code(self, override, message, capsys):
         rc = main(["steady", "--config", "fig2b", "--set", override])
         assert rc == EXIT_CONFIG
-        assert "config error" in capsys.readouterr().err
+        assert f"config error: {message}" in capsys.readouterr().err
 
     def test_malformed_config_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -159,7 +162,13 @@ class TestOverrides:
     @pytest.mark.parametrize("override, named, known", [
         ("system.jcoupling=1e5", "system.jcoupling", "j_coupling, g_m"),
         ("drives.port=ccw", "[drives]", "system, drive, detuning"),
-    ], ids=["key", "section"])
+        # the stationary magnon is the one reading of the filtered pair
+        ("filter.magnon_convention=instant", "filter.magnon_convention",
+         "(known: center, tau)"),
+        ("filter.magnon_convention=windowed", "filter.magnon_convention",
+         "(known: center, tau)"),
+    ], ids=["key", "section", "magnon-convention-instant",
+            "magnon-convention-windowed"])
     def test_unknown_key_refused(self, override, named, known, capsys):
         rc = main(["steady", "--config", "fig2b", "--set", override])
         assert rc == EXIT_CONFIG
@@ -176,7 +185,7 @@ class TestOverrides:
         ["entangle", "--config", "fig2d_magnon", "--filter-center", "-10e6"],
         ["entangle", "--config", "fig2d_magnon", "--filter-tau", "2e-7"],
         ["entangle", "--config", "fig2d_magnon",
-         "--magnon-convention", "windowed"],
+         "--magnon-convention", "instant"],
         ["comb-threshold", "--config", "figs1", "--dump-trajectory", "t.csv"],
         ["steady", "--config", "fig2b", "--workers", "1"],
     ], ids=["drive", "filter-center", "filter-tau", "magnon-convention",
@@ -310,21 +319,17 @@ class TestEntangleCommand:
         assert float(rows["filtered_en"]) > 0.2
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-    @pytest.mark.parametrize("convention", ["instant", "windowed"])
-    def test_filtered_diagnostics_in_metadata(self, convention, fmt, tmp_path):
+    def test_filtered_diagnostics_in_metadata(self, fmt, tmp_path):
         out = tmp_path / f"ent.{fmt}"
-        assert main(["entangle", "--config", "fig2d_magnon", "--set",
-                     f"filter.magnon_convention={convention}",
+        assert main(["entangle", "--config", "fig2d_magnon",
                      "--format", fmt, "--out", str(out)]) == EXIT_OK
         meta = read_meta(out, fmt)
         assert 0 < float(meta["filtered_quad_error"]) < 1e-3
         assert 0 < float(meta["filtered_tail_estimate"]) < 1e-3
         assert float(meta["filtered_window"]) > 10 * hz(10e6)
         assert 1 <= float(meta["filtered_modal_cond"]) < 10
-        if convention == "windowed":
-            assert 0 < float(meta["filtered_magnon_commutator"]) < 1e-6
-        else:
-            assert "filtered_magnon_commutator" not in meta
+        assert "filtered_magnon_commutator" not in meta
+        assert "magnon_convention" not in meta
 
     def test_no_filtered_diagnostics_without_a_filter(self, tmp_path):
         assert not any(key.startswith("filtered_")
@@ -433,6 +438,31 @@ class TestSweepCommand:
     def test_missing_sweep_section(self, config_path, capsys):
         rc = main(["sweep", "--config", config_path])
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("overrides, message", [
+        (["sweep.axis1=delta_a,-20e6,0,2", "sweep.axis2=delta_a,0,20e6,2"],
+         "set the same quantity"),
+        (["sweep.axis2=chi,0,1,2", "sweep.axis1=g_ccw,0,1e6,2"],
+         "set the same quantity"),
+        (["sweep.axis1=gm_abs,1e6,2e6,2", "sweep.axis2=power,0.1,0.2,2"],
+         "set the same quantity"),
+        (["sweep.ports=cw,cw"], "repeated entry 'cw' in drive_ports"),
+        (["sweep.pairs=a_cw:m,a_cw:m"], "repeated entry 'a_cw:m' in pairs"),
+        (["sweep.triples=a_cw:m:b,a_cw:m:b"],
+         "repeated entry 'a_cw:m:b' in triples"),
+    ], ids=["same-axis", "chi-g_ccw", "two-drives", "ports", "pairs",
+            "triples"])
+    def test_ambiguous_sweep_refused(self, overrides, message, monkeypatch,
+                                     capsys):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("ran an ambiguous sweep")
+
+        monkeypatch.setattr(cli, "run_sweep", refuse)
+        argv = ["sweep", "--config", "fig2a"]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
 
     def test_unwritable_out_fails_before_sweep(self, sweep_config_path,
                                                monkeypatch, capsys):

@@ -15,8 +15,6 @@ from chiralcmm.lyapunov import solve_lyapunov
 from chiralcmm.measures import log_negativity, symplectic_eigenvalues
 from chiralcmm.linear_model import build_drift
 from chiralcmm.output_mode import (
-    MAGNON_INSTANT,
-    MAGNON_WINDOWED,
     FilterSpec,
     QuadratureError,
     QuadResult,
@@ -52,13 +50,8 @@ def fig2d_point():
     det = Detunings.effective(-0.72 * p.omega_b, 0.76 * p.omega_b)
     sf = resolve_drive(p, det)
     model = build_model(p, det, sf.g_m_eff)
-    spec = FilterSpec(omega_center=-p.omega_b, tau=10.0 / p.omega_b,
-                      magnon_convention=MAGNON_INSTANT)
+    spec = FilterSpec(omega_center=-p.omega_b, tau=10.0 / p.omega_b)
     return p, model, spec
-
-
-def windowed(spec):
-    return replace(spec, magnon_convention=MAGNON_WINDOWED)
 
 
 def fig2d_sweep(num):
@@ -76,8 +69,7 @@ def fig2d_sweep(num):
 
 class TestFilterTransform:
     def setup_method(self):
-        self.spec = FilterSpec(omega_center=-hz(10e6), tau=1e-7,
-                               magnon_convention=MAGNON_INSTANT)
+        self.spec = FilterSpec(omega_center=-hz(10e6), tau=1e-7)
 
     def test_peak_value(self):
         g0 = filter_transform(self.spec, self.spec.omega_center)
@@ -103,11 +95,7 @@ class TestFilterTransform:
 
     def test_rejects_bad_tau(self):
         with pytest.raises(ValueError):
-            FilterSpec(omega_center=0.0, tau=0.0, magnon_convention=MAGNON_INSTANT)
-
-    def test_rejects_unknown_magnon_convention(self):
-        with pytest.raises(ValueError, match="unknown magnon convention"):
-            FilterSpec(omega_center=0.0, tau=1e-7, magnon_convention="late")
+            FilterSpec(omega_center=0.0, tau=0.0)
 
 
 class TestSpectralMatrix:
@@ -155,8 +143,7 @@ def imperfect_point():
                      J=hz(0.5e6), temperature=0.05)
     det = Detunings.effective(-0.76 * p.omega_b, 0.65 * p.omega_b)
     model = build_model(p, det, resolve_drive(p, det).g_m_eff)
-    spec = FilterSpec(omega_center=-p.omega_b, tau=8.0 / p.omega_b,
-                      magnon_convention=MAGNON_INSTANT)
+    spec = FilterSpec(omega_center=-p.omega_b, tau=8.0 / p.omega_b)
     return p, model, spec
 
 
@@ -198,13 +185,11 @@ class TestModalResolvent:
             tol = 100 * res.cond * np.finfo(float).eps * sens * scale
             assert np.all(np.max(np.abs(F - F_ref), axis=(1, 2)) <= tol)
 
-    @pytest.mark.parametrize("case", ["instant", "windowed", "imperfect"])
+    @pytest.mark.parametrize("case", ["instant", "imperfect"])
     def test_filtered_pair_cm_matches_the_inverse_oracle(self, case,
                                                          monkeypatch):
         p, model, spec = imperfect_point() if case == "imperfect" \
             else fig2d_point()
-        if case == "windowed":
-            spec = windowed(spec)
         ours = filtered_pair_cm(model.A, model.D, p, spec)
         monkeypatch.setattr(output_mode, "modal_resolvent", InverseResolvent)
         monkeypatch.setattr(output_mode, "susceptibility", inverse_rows)
@@ -223,8 +208,7 @@ class TestModalResolvent:
         det = Detunings.effective(0.0, 0.0)
         model = build_model(p, det, 0.0)
         chans = noise_channels(p)
-        spec = FilterSpec(omega_center=-p.omega_b, tau=10.0 / p.omega_b,
-                          magnon_convention=MAGNON_INSTANT)
+        spec = FilterSpec(omega_center=-p.omega_b, tau=10.0 / p.omega_b)
         if offset == 0.0:
             with pytest.raises(QuadratureError, match="condition number"):
                 _pair_resolvent(model.A, chans, DRIVE_CW, p.kappa_a_e)
@@ -306,34 +290,30 @@ class TestTimeDomainOracle:
         p, model, spec = fig2d_point()
         freq = filtered_pair_cm(model.A, model.D, p, spec).V
         time_dom = self.oracle(model.A, p, spec)
-        assert np.max(np.abs(freq - time_dom)) < 2e-4
+        assert np.max(np.abs(freq - time_dom)) < 2e-5
 
     def test_matches_at_nonzero_temperature_and_imperfections(self):
         p, model, spec = imperfect_point()
         freq = filtered_pair_cm(model.A, model.D, p, spec).V
         time_dom = self.oracle(model.A, p, spec)
-        assert np.max(np.abs(freq - time_dom)) < 2e-4
+        assert np.max(np.abs(freq - time_dom)) < 2e-5
 
 
 class TestFilteredPairCM:
-    def test_vacuum_identity_both_conventions(self):
+    def test_vacuum_identity(self):
         p = SystemParams(g_cw=0.0, temperature=0.0)
         det = Detunings.effective(-0.4 * p.omega_b, 0.6 * p.omega_b)
         model = build_model(p, det, 0.0)
-        spec = FilterSpec(omega_center=-p.omega_b, tau=10.0 / p.omega_b,
-                          magnon_convention=MAGNON_INSTANT)
-        for conv in (MAGNON_WINDOWED, MAGNON_INSTANT):
-            out = filtered_pair_cm(model.A, model.D, p,
-                                   replace(spec, magnon_convention=conv))
-            assert_allclose(out.V, 0.5 * np.eye(4), atol=1e-6)
+        spec = FilterSpec(omega_center=-p.omega_b, tau=10.0 / p.omega_b)
+        out = filtered_pair_cm(model.A, model.D, p, spec)
+        assert_allclose(out.V, 0.5 * np.eye(4), atol=1e-6)
 
     def test_decoupled_pair_is_product_state(self):
         # G_m = 0: no magnomechanical link, filtered output x magnon separable
         p = SystemParams(temperature=0.0)
         det = Detunings.effective(-0.72 * p.omega_b, 0.76 * p.omega_b)
         model = build_model(p, det, 0.0)
-        spec = FilterSpec(omega_center=-p.omega_b, tau=10.0 / p.omega_b,
-                          magnon_convention=MAGNON_INSTANT)
+        spec = FilterSpec(omega_center=-p.omega_b, tau=10.0 / p.omega_b)
         out = filtered_pair_cm(model.A, model.D, p, spec)
         assert_allclose(out.V[:2, 2:], 0.0, atol=1e-5)
         assert log_negativity(out.V) < 1e-9
@@ -345,14 +325,11 @@ class TestFilteredPairCM:
         out = filtered_pair_cm(model.A, model.D, p, spec)
         assert log_negativity(out.V) == pytest.approx(0.23, abs=0.02)
         assert teleportation_fidelity(out.V) == pytest.approx(0.55, abs=0.02)
-        assert out.meta["magnon_convention"] == MAGNON_INSTANT
 
     def test_physicality_of_filtered_cm(self):
         p, model, spec = fig2d_point()
-        for conv in (MAGNON_WINDOWED, MAGNON_INSTANT):
-            out = filtered_pair_cm(model.A, model.D, p,
-                                   replace(spec, magnon_convention=conv))
-            assert np.all(symplectic_eigenvalues(out.V) >= 0.5 - 1e-6)
+        out = filtered_pair_cm(model.A, model.D, p, spec)
+        assert np.all(symplectic_eigenvalues(out.V) >= 0.5 - 1e-6)
 
     def test_entanglement_washes_out_at_large_bandwidth(self):
         p, model, spec = fig2d_point()
@@ -371,28 +348,6 @@ class TestFilteredPairCM:
         v1 = filtered_pair_cm(model.A, model.D, p, spec).V
         v2 = filtered_pair_cm(model.A, model.D, p, spec).V
         assert np.array_equal(v1, v2)
-
-    def test_windowed_commutator_reported(self):
-        p, model, spec = fig2d_point()
-        out = filtered_pair_cm(model.A, model.D, p, windowed(spec))
-        assert out.meta["magnon_commutator"] > 0
-
-    def test_windowed_commutator_converged(self, monkeypatch):
-        # the commutator (about 7e-8) lies far below the pair integral's
-        # absolute tolerance; quad_vec at epsabs 1e-12 is the oracle
-        p, model, spec = fig2d_point()
-        out = filtered_pair_cm(model.A, model.D, p, windowed(spec))
-        real = adaptive_gk21
-
-        def tight_commutator(f, a, b, points=(), **kwargs):
-            if f(np.array([a]))[0].shape == (2, 2):    # not the 4x4 pair
-                return scipy_gk21(f, a, b, points, epsabs=1e-12, epsrel=1e-10)
-            return real(f, a, b, points, **kwargs)
-
-        monkeypatch.setattr(output_mode, "adaptive_gk21", tight_commutator)
-        ref = filtered_pair_cm(model.A, model.D, p, windowed(spec))
-        assert out.meta["magnon_commutator"] == pytest.approx(
-            ref.meta["magnon_commutator"], rel=output_mode.COMM_REL_TOL)
 
 
 def lorentzians(centers, widths):
@@ -456,10 +411,8 @@ class TestAdaptiveGK21:
         f = lorentzians(centers, [10.0 ** w for w in log_widths])
         self.check(f, 0.0, 2.5, sorted(centers) if split else (), tolerance)
 
-    @pytest.mark.parametrize("conv", [MAGNON_INSTANT, MAGNON_WINDOWED])
-    def test_filtered_pair_cm_matches_quad_vec(self, conv, monkeypatch):
+    def test_filtered_pair_cm_matches_quad_vec(self, monkeypatch):
         p, model, spec = fig2d_point()
-        spec = replace(spec, magnon_convention=conv)
         ours = filtered_pair_cm(model.A, model.D, p, spec)
         monkeypatch.setattr(output_mode, "adaptive_gk21", scipy_gk21)
         ref = filtered_pair_cm(model.A, model.D, p, spec)
@@ -468,39 +421,22 @@ class TestAdaptiveGK21:
                                                         rel=1e-12)
 
 
-def capped(limit, calls=None):
-    """adaptive_gk21 with its interval limit cut to ``limit`` on the calls
-    numbered in ``calls`` (all calls if None), so those stop after their
-    initial intervals with a large error estimate."""
+def capped(limit):
+    """adaptive_gk21 with its interval limit cut to ``limit``, so that it
+    stops after its initial intervals with a large error estimate."""
     real = adaptive_gk21
-    count = [0]
 
     def integrate(*args, **kwargs):
-        count[0] += 1
-        if calls is None or count[0] in calls:
-            kwargs["limit"] = limit
-        return real(*args, **kwargs)
+        return real(*args, **{**kwargs, "limit": limit})
     return integrate
 
 
 class TestQuadratureFailure:
-    @pytest.mark.parametrize("conv", [MAGNON_INSTANT, MAGNON_WINDOWED])
-    def test_pair_integral_refused(self, conv, monkeypatch):
+    def test_pair_integral_refused(self, monkeypatch):
         p, model, spec = fig2d_point()
-        # the windowed convention integrates the commutator first
-        pair_call = 2 if conv == MAGNON_WINDOWED else 1
-        monkeypatch.setattr(output_mode, "adaptive_gk21",
-                            capped(1, calls={pair_call}))
+        monkeypatch.setattr(output_mode, "adaptive_gk21", capped(1))
         with pytest.raises(QuadratureError, match="frequency integral error"):
-            filtered_pair_cm(model.A, model.D, p,
-                             replace(spec, magnon_convention=conv))
-
-    def test_windowed_commutator_refused(self, monkeypatch):
-        p, model, spec = fig2d_point()
-        # the first call is the commutator, refused relative to its own size
-        monkeypatch.setattr(output_mode, "adaptive_gk21", capped(1, calls={1}))
-        with pytest.raises(QuadratureError, match="commutator integral error"):
-            filtered_pair_cm(model.A, model.D, p, windowed(spec))
+            filtered_pair_cm(model.A, model.D, p, spec)
 
     def test_sweep_rows_carry_the_failure(self, monkeypatch):
         pre, spec = fig2d_sweep(6)

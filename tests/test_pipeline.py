@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -69,7 +70,7 @@ class TestEvaluatePoint:
     def test_filtered_block_optional(self):
         p, det = magnon_point()
         req = MeasureRequest(
-            filter_spec=FilterSpec(-p.omega_b, 10 / p.omega_b, "instant"))
+            filter_spec=FilterSpec(-p.omega_b, 10 / p.omega_b))
         rep = evaluate_point(p, det, request=req)
         assert 0.5 < rep.fidelity <= 1.0
         assert rep.filtered_e_n > 0
@@ -272,18 +273,33 @@ def _single_point_row(pre, values, port):
                                         np.abs(np.array([rep.g_m_eff]))[0]]
     row += [rep.e_n.get(partition_key(q), np.nan) for q in req.pairs]
     row += [rep.r_min.get(partition_key(t), np.nan) for t in req.triples]
+    if req.filter_spec is not None:
+        row += [np.nan, np.nan] if rep.filtered_e_n is None \
+            else [rep.filtered_e_n, rep.fidelity]
     return row + [""]
 
 
+def _block_preset(name):
+    """The preset ``name`` on a coarse grid; a filtered preset's sweep
+    requests its filter, as the CLI's does."""
+    pre = presets.get(name, grid_points=9)
+    if pre.filter_spec is None:
+        return pre
+    request = replace(pre.sweep.request, filter_spec=pre.filter_spec)
+    return replace(pre, sweep=replace(pre.sweep, request=request))
+
+
 class TestBlockEngine:
-    @pytest.mark.parametrize("name", ["fig2a", "fig4a"])
+    @pytest.mark.parametrize("name", ["fig2a", "fig4a", "fig2d_magnon"])
     @settings(max_examples=15)
     @given(data=st.data())
     def test_rows_do_not_depend_on_the_block(self, name, data):
-        pre = presets.get(name, grid_points=9)
+        pre = _block_preset(name)
         values, ports = grid_rows(pre.sweep)
+        # a filtered point costs milliseconds: fewer of them
+        size = 12 if pre.filter_spec is None else 3
         idx = np.array(sorted(data.draw(st.sets(
-            st.integers(0, len(ports) - 1), min_size=1, max_size=12))))
+            st.integers(0, len(ports) - 1), min_size=1, max_size=size))))
         cut = data.draw(st.integers(0, len(idx)))
         args = (pre.params, pre.detunings, pre.sweep)
         whole, _ = evaluate_block(*args, values[idx], ports[idx])
