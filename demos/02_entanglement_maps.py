@@ -11,6 +11,8 @@ the detuning plane and finds the optimum.
 """
 
 
+import numpy as np
+
 from chiralcmm import presets
 from chiralcmm.pipeline import run_sweep
 
@@ -20,16 +22,16 @@ print(pre.description, "-", "grid:",
       " x ".join(str(ax.num) for ax in pre.sweep.axes))
 
 result = run_sweep(pre.params, pre.detunings, pre.sweep)
-rows = [dict(zip(result.columns, r)) for r in result.rows]
+t = {name: np.array(column) for name, column in result.table.items()}
 
 wb = pre.params.omega_b
-best = max(rows, key=lambda r: r["en_a_cw_m"] if r["stable"] else -1)
+best = np.argmax(np.where(t["stable"] == 1, t["en_a_cw_m"], -1))
 print("maximum E(microwave, magnon) = %.4f at delta_a = %+.2f w_b, "
       "delta_m_eff = %+.2f w_b"
-      % (best["en_a_cw_m"], best["delta_a"] / wb, best["delta_m_eff"] / wb))
+      % (t["en_a_cw_m"][best], t["delta_a"][best] / wb,
+         t["delta_m_eff"][best] / wb))
 
-unstable = sum(1 for r in rows if not r["stable"])
-print("grid points without a steady state:", unstable)
+print("grid points without a steady state:", np.sum(t["stable"] == 0))
 
 # Write the full map for external plotting.
 with open("detuning_map.csv", "w", encoding="utf-8") as fh:

@@ -32,7 +32,7 @@ pre = presets.get("fig4a", grid_points=9)
 res = run_sweep(pre.params, pre.detunings, pre.sweep)
 km = pre.params.kappa_m
 print("\nJ/kappa_m   port  E(a_cw,m)   E(a_ccw,m)")
-for row in res.rows:
-    d = dict(zip(res.columns, row))
-    print("  %4.2f      %-4s  %.5f     %.5f"
-          % (d["J"] / km, d["drive_port"], d["en_a_cw_m"], d["en_a_ccw_m"]))
+t = res.table
+for J, port, e_cw, e_ccw in zip(t["J"], t["drive_port"], t["en_a_cw_m"],
+                                t["en_a_ccw_m"]):
+    print("  %4.2f      %-4s  %.5f     %.5f" % (J / km, port, e_cw, e_ccw))

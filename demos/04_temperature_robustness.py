@@ -16,10 +16,9 @@ from chiralcmm.pipeline import run_sweep
 for name, column in (("fig5a", "en_a_cw_m"), ("fig5b", "en_a_cw_b")):
     pre = presets.get(name, grid_points=26)
     res = run_sweep(pre.params, pre.detunings, pre.sweep)
-    rows = [dict(zip(res.columns, r)) for r in res.rows
-            if r[res.columns.index("drive_port")] == "cw"]
-    temps = np.array([r["temperature"] for r in rows])
-    values = np.array([r[column] for r in rows])
+    cw = np.array(res.table["drive_port"]) == "cw"
+    temps = np.array(res.table["temperature"])[cw]
+    values = np.array(res.table[column])[cw]
     alive = temps[values > 0]
     print(f"{name}: {column}")
     for T, E in zip(temps[::5], values[::5]):

@@ -461,11 +461,6 @@ def cmd_steady(cfg: RunConfig, args) -> int:
                          _branch_meta(cfg, sf.meta.get("branches")))
 
 
-#: the filtered_pair_cm diagnostics that `entangle` writes to its metadata,
-#: each prefixed with ``filtered_``
-_FILTERED_META = ("quad_error", "tail_estimate", "window", "modal_cond")
-
-
 def cmd_entangle(cfg: RunConfig, args) -> int:
     rep = evaluate_point(cfg.params, cfg.detunings,
                          MeasureRequest(filter_spec=cfg.filter_spec))
@@ -482,8 +477,8 @@ def cmd_entangle(cfg: RunConfig, args) -> int:
     return _write_result(args, cfg, columns, rows,
                          {"stable": rep.stable,
                           **_branch_meta(cfg, rep.meta.get("branches")),
-                          **{f"filtered_{key}": filtered[key]
-                             for key in _FILTERED_META if key in filtered}})
+                          **{f"filtered_{key}": value
+                             for key, value in filtered.items()}})
 
 
 def _usable_cpus() -> int:

@@ -19,16 +19,24 @@ point.  It cuts that list into contiguous blocks of BLOCK_POINTS rows.
 sweep of one block runs in the calling thread.  The result is the same for
 any worker count.
 
+Every result is one table: column name -> list with one entry per point.
+A block's table holds the written columns of a sweep and the diagnostic
+columns computed on the way (:func:`value_columns`); ``evaluate_point``
+reads its report from the one-row table, and each sweep metadata key is
+one reduction of one column over the joined table (SWEEP_META).
+
 A block that meets a domain error (the ValueError and RuntimeError
 families: singular mean field, invalid covariance, quadrature failure,
 instability, a refused Lyapunov solve) is split in halves until each
-failing point stands alone; those rows carry ``"<Type>: <message>"`` and
-the others are unaffected.  Any other exception fails the sweep.
+failing point stands alone; those rows carry ``"<Type>: <message>"`` in
+``error`` and NaN in every value column, and the others are unaffected.
+Any other exception fails the sweep.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -108,51 +116,65 @@ def evaluate_point(params: SystemParams, det: Detunings,
                    request: MeasureRequest | None = None) -> EntReport:
     """Full single-point evaluation: the block evaluator on one point."""
     request = request or MeasureRequest()
-    block = _evaluate(params, det, request, (), np.empty((1, 0)),
-                      np.array([params.drive_port]))
+    row = {name: column[0] for name, column in
+           _evaluate(params, det, request, (), np.empty((1, 0)),
+                     np.array([params.drive_port])).items()}
     echo = (params.replace(drive_port=DRIVE_CW), det)
-    stable = bool(block.stable[0])
-    meta = {} if block.branches is None else {"branches": int(block.branches[0])}
-    common = dict(stable=stable, abscissa=float(block.abscissa[0]),
+    stable = bool(row["stable"])
+    meta = {"branches": row["branches"]} if "branches" in row else {}
+    common = dict(stable=stable, abscissa=row["abscissa"],
                   drive_port=params.drive_port,
-                  g_m_eff=complex(block.g_m_eff[0]), echo=echo)
+                  g_m_eff=complex(row["g_m_eff"]), echo=echo)
     if not stable:
         return EntReport(e_n={}, r_min={}, filtered_e_n=None, fidelity=None,
                          physical=None, meta=meta, **common)
-    e_n = {key: float(v[0]) for key, v in block.e_n.items()}
-    r_min = {key: float(v[0]) for key, v in block.r_min.items()}
+    e_n = {partition_key(p): row[_column("en", p)] for p in request.pairs}
+    r_min = {partition_key(t): row[_column("rmin", t)] for t in request.triples}
     filtered_e_n = fidelity = None
     if request.filter_spec is not None:
-        filtered_e_n = float(block.filtered_e_n[0])
-        fidelity = float(block.fidelity[0])
-        meta["filtered"] = block.filtered_meta[0]
+        filtered_e_n, fidelity = row["filtered_en"], row["fidelity"]
+        meta["filtered"] = {key: row[f"filtered_{key}"]
+                            for key in FILTERED_DIAGNOSTICS}
     return EntReport(e_n=e_n, r_min=r_min, filtered_e_n=filtered_e_n,
-                     fidelity=fidelity, physical=bool(block.physical[0]),
+                     fidelity=fidelity, physical=not row["unphysical"],
                      meta=meta, **common)
 
 
-@dataclass(frozen=True)
-class _Block:
-    """Results of one block, one array entry per point; the measures are
-    NaN (``physical`` False) at unstable points."""
+def _column(prefix: str, modes) -> str:
+    """Column name of a measure of a partition, e.g. ``en_a_cw_m``."""
+    return f"{prefix}_{'_'.join(modes)}"
 
-    stable: np.ndarray
-    abscissa: np.ndarray
-    g_m_eff: np.ndarray
-    e_n: dict               # partition key -> values
-    r_min: dict
-    filtered_e_n: np.ndarray
-    fidelity: np.ndarray
-    filtered_meta: list
-    physical: np.ndarray
-    several_below_half: np.ndarray   # a 1|2 split had > 1 eigenvalue below 1/2
-    branches: np.ndarray | None      # real mean-field roots (physical mode)
+
+#: the filtered_pair_cm diagnostics a filtered block carries, each as the
+#: column ``filtered_<entry>``
+FILTERED_DIAGNOSTICS = ("quad_error", "tail_estimate", "window", "modal_cond")
+
+
+def value_columns(request: MeasureRequest, detuning_mode: str):
+    """The value columns of a block: those a sweep writes, in order, and the
+    diagnostic ones.  The measures are NaN at unstable points.
+    ``unphysical``: a stable covariance fails :func:`is_physical`;
+    ``several_below_half``: a 1|2 partial transpose had more than one
+    symplectic eigenvalue below 1/2; ``branches``: real roots of the cubic
+    mean field."""
+    written = ["stable", "abs_g_m_eff"]
+    written += [_column("en", p) for p in request.pairs]
+    written += [_column("rmin", t) for t in request.triples]
+    diagnostic = ["abscissa", "g_m_eff", "unphysical", "several_below_half"]
+    if detuning_mode == DETUNING_PHYSICAL:
+        diagnostic.append("branches")
+    if request.filter_spec is not None:
+        written += ["filtered_en", "fidelity"]
+        diagnostic += [f"filtered_{key}" for key in FILTERED_DIAGNOSTICS]
+    return tuple(written), tuple(diagnostic)
 
 
 def _evaluate(params: SystemParams, det: Detunings, request: MeasureRequest,
-              axes: tuple, values: np.ndarray, ports: np.ndarray) -> _Block:
-    """Evaluate the points ``params``/``det`` with ``axes`` set to the rows
-    of ``values``, each driven through its entry of ``ports``."""
+              axes: tuple, values: np.ndarray, ports: np.ndarray) -> dict:
+    """The value columns (see :func:`value_columns`) of the points
+    ``params``/``det`` with ``axes`` set to the rows of ``values``, each
+    driven through its entry of ``ports``: column name -> list with one
+    entry per point."""
     n = len(ports)
     P, dets = params.stacked(n).replace(drive_port=ports), det.stacked(n)
     for k, ax in enumerate(axes):
@@ -165,37 +187,40 @@ def _evaluate(params: SystemParams, det: Detunings, request: MeasureRequest,
     ok = model.stable
     cm = solve_lyapunov(model.A[ok], model.D[ok], gated=True)
 
-    def at_stable(x, fill=np.nan):
+    def at_stable(x, fill=np.nan) -> list:
         out = np.full(n, fill, dtype=np.asarray(x).dtype)
         out[ok] = x
-        return out
+        return out.tolist()
 
-    e_n = {partition_key(pair): at_stable(log_negativity(extract_block(cm, pair)))
-           for pair in request.pairs}
-    r_min = {}
-    several_below = np.zeros(n, dtype=bool)
+    table = {"stable": ok.astype(int).tolist(),
+             "abs_g_m_eff": np.abs(steady.g_m_eff).tolist()}
+    for pair in request.pairs:
+        table[_column("en", pair)] = at_stable(
+            log_negativity(extract_block(cm, pair)))
+    several_below = False
     for tri in request.triples:
         report = residual_contangle_min(extract_block(cm, tri))
-        r_min[partition_key(tri)] = at_stable(report.r_min)
-        several_below |= at_stable(
-            np.any([b > 1 for b in report.below_half.values()], axis=0), False)
+        table[_column("rmin", tri)] = at_stable(report.r_min)
+        several_below = several_below | np.any(
+            [b > 1 for b in report.below_half.values()], axis=0)
+    table.update(abscissa=model.abscissa.tolist(),
+                 g_m_eff=steady.g_m_eff.tolist(),
+                 unphysical=at_stable(~is_physical(cm.V), False),
+                 several_below_half=at_stable(several_below, False))
+    if params.detuning_mode == DETUNING_PHYSICAL:
+        table["branches"] = steady.meta["branches"].tolist()
 
-    filtered_e_n, fidelity = np.full(n, np.nan), np.full(n, np.nan)
-    filtered_meta = [None] * n
     if request.filter_spec is not None:
+        names = ("filtered_en", "fidelity",
+                 *(f"filtered_{key}" for key in FILTERED_DIAGNOSTICS))
+        filtered = np.full((n, len(names)), np.nan)
         for i in np.flatnonzero(ok):
             out = filtered_pair_cm(model.A[i], model.D[i], P.at(i),
                                    request.filter_spec)
-            filtered_e_n[i] = log_negativity(out.V)
-            fidelity[i] = teleportation_fidelity(out.V)
-            filtered_meta[i] = out.meta
-
-    return _Block(stable=ok, abscissa=model.abscissa, g_m_eff=steady.g_m_eff,
-                  e_n=e_n, r_min=r_min, filtered_e_n=filtered_e_n,
-                  fidelity=fidelity, filtered_meta=filtered_meta,
-                  physical=at_stable(is_physical(cm.V), False),
-                  several_below_half=several_below,
-                  branches=steady.meta.get("branches"))
+            filtered[i] = (log_negativity(out.V), teleportation_fidelity(out.V),
+                           *(out.meta[key] for key in FILTERED_DIAGNOSTICS))
+        table.update(zip(names, filtered.T.tolist()))
+    return table
 
 
 def nonreciprocity_contrast(report_cw: EntReport, report_ccw: EntReport,
@@ -321,22 +346,16 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepResult:
-    columns: tuple
-    rows: tuple          # tuples aligned with columns
+    columns: tuple       # the written columns, in order
+    table: dict          # column name -> one entry per row (see evaluate_block)
     spec: SweepSpec
-    # sweep-level counts of per-row diagnostics (see run_sweep)
+    # sweep-level reductions of the diagnostic columns (see run_sweep)
     meta: dict = field(default_factory=dict, compare=False)
 
-
-def _row_columns(spec: SweepSpec) -> tuple:
-    cols = [ax.name for ax in spec.axes]
-    cols += ["drive_port", "stable", "abs_g_m_eff"]
-    cols += [f"en_{'_'.join(p)}" for p in spec.request.pairs]
-    cols += [f"rmin_{'_'.join(t)}" for t in spec.request.triples]
-    if spec.request.filter_spec is not None:
-        cols += ["filtered_en", "fidelity"]
-    cols += ["error"]
-    return tuple(cols)
+    @property
+    def rows(self) -> list:
+        """The written columns as one tuple per row."""
+        return list(zip(*(self.table[name] for name in self.columns)))
 
 
 def grid_rows(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -348,86 +367,67 @@ def grid_rows(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
             np.tile(np.array(ports), len(points)))
 
 
-#: sweep metadata keys of the diagnostic counts (summed over blocks)
-SWEEP_COUNTS = ("unphysical_rows", "several_below_half_rows", "error_rows")
-#: sweep metadata key of a physical-mode sweep: rows whose cubic mean field
-#: has more than one branch (summed over blocks)
-MULTISTABLE = "multistable_rows"
-#: sweep metadata keys of a filtered sweep's largest quadrature error, tail
-#: estimate and eigenvector condition number kappa(P) over its filtered rows
-#: (None if no row was filtered), and the filtered_pair_cm meta entries they
-#: are taken from
-SWEEP_MAXIMA = {"filtered_quad_error_max": "quad_error",
-                "filtered_tail_estimate_max": "tail_estimate",
-                "filtered_modal_cond_max": "modal_cond"}
+def _rows_above(limit: float):
+    """Reduction: the number of rows whose value exceeds ``limit`` (NaN,
+    the value of an error row, does not)."""
+    return lambda column: int(np.sum(np.asarray(column, dtype=float) > limit))
 
 
-def _merge(diag_a: dict, diag_b: dict) -> dict:
-    """Diagnostics of two row sets together: counts add, maxima take the
-    larger (NaN stands for no filtered row)."""
-    return {key: (float(np.fmax(value, diag_b[key])) if key in SWEEP_MAXIMA
-                  else value + diag_b[key])
-            for key, value in diag_a.items()}
+def _largest(column) -> float | None:
+    """Reduction: the largest value other than NaN, None if there is none."""
+    values = np.asarray(column, dtype=float)
+    return None if np.all(np.isnan(values)) else float(np.nanmax(values))
+
+
+#: sweep metadata: key -> (column, reduction of that column over all rows).
+#: A key is present when its column is: ``multistable_rows`` in the
+#: physical detuning mode, the ``*_max`` keys in a filtered sweep.
+SWEEP_META = {
+    "unphysical_rows": ("unphysical", _rows_above(0)),
+    "several_below_half_rows": ("several_below_half", _rows_above(0)),
+    "error_rows": ("error", lambda column: sum(map(bool, column))),
+    "multistable_rows": ("branches", _rows_above(1)),
+    "filtered_quad_error_max": ("filtered_quad_error", _largest),
+    "filtered_tail_estimate_max": ("filtered_tail_estimate", _largest),
+    "filtered_modal_cond_max": ("filtered_modal_cond", _largest),
+}
 
 
 def evaluate_block(params: SystemParams, det: Detunings, spec: SweepSpec,
-                   values: np.ndarray, ports: np.ndarray):
-    """Rows of the sweep points given by ``values`` and ``ports`` (as from
-    :func:`grid_rows`), and their diagnostics: the SWEEP_COUNTS counts, in
-    the physical detuning mode the MULTISTABLE count and, for a filtered
-    sweep, the SWEEP_MAXIMA maxima."""
-    maxima = dict.fromkeys(SWEEP_MAXIMA if spec.request.filter_spec else (),
-                           np.nan)
-    multistable = ({MULTISTABLE: 0}
-                   if params.detuning_mode == DETUNING_PHYSICAL else {})
+                   values: np.ndarray, ports: np.ndarray) -> dict:
+    """The table of the sweep points given by ``values`` and ``ports`` (as
+    from :func:`grid_rows`): column name -> list with one entry per point.
+    The columns are the axes, ``drive_port``, the value columns of
+    :func:`value_columns` and ``error`` ("" where the point evaluated).  A
+    point that fails alone has NaN in every value column."""
     try:
-        block = _evaluate(params, det, spec.request, spec.axes, values, ports)
+        table = _evaluate(params, det, spec.request, spec.axes, values, ports)
+        error = [""] * len(ports)
     except DOMAIN_ERRORS as exc:
-        if len(ports) == 1:
-            pad = len(_row_columns(spec)) - len(spec.axes) - 2
-            row = (*values[0].tolist(), str(ports[0]), *[np.nan] * pad,
-                   f"{type(exc).__name__}: {exc}")
-            return [row], {**dict(zip(SWEEP_COUNTS, (0, 0, 1))), **multistable,
-                           **maxima}
-        half = len(ports) // 2
-        rows_a, diag_a = evaluate_block(params, det, spec, values[:half],
-                                        ports[:half])
-        rows_b, diag_b = evaluate_block(params, det, spec, values[half:],
-                                        ports[half:])
-        return rows_a + rows_b, _merge(diag_a, diag_b)
-
-    columns = [*values.T.tolist(), ports.tolist(),
-               block.stable.astype(int).tolist(),
-               np.abs(block.g_m_eff).tolist()]
-    columns += [block.e_n[partition_key(p)].tolist() for p in spec.request.pairs]
-    columns += [block.r_min[partition_key(t)].tolist()
-                for t in spec.request.triples]
-    if spec.request.filter_spec is not None:
-        columns += [block.filtered_e_n.tolist(), block.fidelity.tolist()]
-    columns.append([""] * len(ports))
-    counts = (np.sum(block.stable & ~block.physical),
-              np.sum(block.several_below_half), 0)
-    if multistable:
-        multistable = {MULTISTABLE: int(np.sum(block.branches > 1))}
-    if maxima:
-        filtered = [m for m in block.filtered_meta if m is not None]
-        maxima = {key: max((m[entry] for m in filtered), default=np.nan)
-                  for key, entry in SWEEP_MAXIMA.items()}
-    return list(zip(*columns)), {**dict(zip(SWEEP_COUNTS, map(int, counts))),
-                                 **multistable, **maxima}
+        if len(ports) > 1:
+            half = len(ports) // 2
+            head = evaluate_block(params, det, spec, values[:half], ports[:half])
+            tail = evaluate_block(params, det, spec, values[half:], ports[half:])
+            return {name: head[name] + tail[name] for name in head}
+        table = {name: [np.nan] for name in itertools.chain(
+            *value_columns(spec.request, params.detuning_mode))}
+        error = [f"{type(exc).__name__}: {exc}"]
+    axes = dict(zip((ax.name for ax in spec.axes), values.T.tolist()))
+    return {**axes, "drive_port": ports.tolist(), **table, "error": error}
 
 
 def run_sweep(params: SystemParams, det: Detunings, spec: SweepSpec,
               workers: int = 1) -> SweepResult:
     """Evaluate the grid; deterministic row order regardless of worker count.
 
-    ``meta`` counts the rows whose covariance fails :func:`is_physical`, the
-    rows where a 1|2 partial transpose had more than one symplectic
-    eigenvalue below 1/2, and the rows with an in-row error.  A sweep in
-    the physical detuning mode adds the count of rows whose mean field has
-    several branches (MULTISTABLE).  A filtered sweep adds the largest
-    quadrature error estimate, tail estimate and modal condition number of
-    its filtered rows (SWEEP_MAXIMA).
+    ``table`` joins the block tables of :func:`evaluate_block`, and each
+    ``meta`` key is one reduction of one of its columns (SWEEP_META): the
+    counts of rows whose covariance fails :func:`is_physical`, of rows where
+    a 1|2 partial transpose had more than one symplectic eigenvalue below
+    1/2, and of rows with an in-row error.  A sweep in the physical
+    detuning mode adds the count of rows whose mean field has several
+    branches.  A filtered sweep adds the largest quadrature error estimate,
+    tail estimate and modal condition number of its filtered rows.
 
     ``workers > 1`` evaluates the blocks on that many threads of this
     process.  Most of a block's time is spent in numpy's stacked LAPACK
@@ -449,17 +449,17 @@ def run_sweep(params: SystemParams, det: Detunings, spec: SweepSpec,
     evaluate = functools.partial(evaluate_block, params, det, spec)
     workers = min(workers, len(starts))
     if workers <= 1:
-        results = list(map(evaluate, *blocks))
+        tables = list(map(evaluate, *blocks))
     else:
         pool = ThreadPoolExecutor(max_workers=workers)
         try:
-            results = list(pool.map(evaluate, *blocks))
+            tables = list(pool.map(evaluate, *blocks))
         finally:
             pool.shutdown(cancel_futures=True)
-    rows = [row for block_rows, _ in results for row in block_rows]
-    meta = functools.reduce(_merge, (diag for _, diag in results))
-    for key in SWEEP_MAXIMA:
-        if key in meta and np.isnan(meta[key]):
-            meta[key] = None
-    return SweepResult(columns=_row_columns(spec), rows=tuple(rows), spec=spec,
-                       meta=meta)
+    table = {name: list(itertools.chain.from_iterable(t[name] for t in tables))
+             for name in tables[0]}
+    meta = {key: reduce(table[name])
+            for key, (name, reduce) in SWEEP_META.items() if name in table}
+    written, _ = value_columns(spec.request, params.detuning_mode)
+    columns = (*(ax.name for ax in spec.axes), "drive_port", *written, "error")
+    return SweepResult(columns=columns, table=table, spec=spec, meta=meta)

@@ -42,6 +42,21 @@ def report(criterion, ok, detail, elapsed):
     assert ok, f"criterion {criterion}: {detail}"
 
 
+def _ccw_max(table, *columns):
+    """The largest value of ``columns`` over the rows of the ccw drive."""
+    return max(max(table[c][i] for c in columns)
+               for i, port in enumerate(table["drive_port"]) if port == "ccw")
+
+
+def _operating_rows(table, axis_name, value):
+    """Indices of the cw-drive and the ccw-drive row at ``axis_name`` =
+    ``value``."""
+    return [next(i for i, (port, x) in enumerate(zip(table["drive_port"],
+                                                     table[axis_name]))
+                 if port == want and math.isclose(x, value))
+            for want in ("cw", "ccw")]
+
+
 def stability_point():
     """Phonon-optimized cavity settings at their optimal detunings."""
     p = presets.phonon_set()
@@ -95,15 +110,15 @@ class TestAcceptance:
         pre = presets.get(which, grid_points=101)
         res = run_sweep(pre.params, pre.detunings, pre.sweep)
         elapsed = time.time() - t0
-        rows = [dict(zip(res.columns, r)) for r in res.rows]
-        best = max(rows, key=lambda r: r[col] if r["stable"] else -1.0)
+        t = res.table
+        best = int(np.argmax(np.where(t["stable"], t[col], -1.0)))
         wb = pre.params.omega_b
-        da, dm = best["delta_a"] / wb, best["delta_m_eff"] / wb
+        da, dm = t["delta_a"][best] / wb, t["delta_m_eff"][best] / wb
         ok = (abs(da - target[0]) <= 0.06 and abs(dm - target[1]) <= 0.06
-              and best[col] > 0 and elapsed < 120.0)
+              and t[col][best] > 0 and elapsed < 120.0)
         report(4, ok, f"{which} 101x101 maximum at ({da:+.2f}, {dm:+.2f}) w_b "
                       f"(target ({target[0]}, {target[1]}) +-0.06), "
-                      f"E = {best[col]:.3f} > 0, runtime < 2 min", elapsed)
+                      f"E = {t[col][best]:.3f} > 0, runtime < 2 min", elapsed)
 
     @pytest.mark.parametrize("which,pair,target_mk", [
         ("magnon", ("a_cw", "m"), 125.0),
@@ -180,16 +195,11 @@ class TestAcceptance:
         def sweep_and_check(name, col_cw, col_ccw, op_value, axis_name):
             nonlocal ccw_max
             pre = presets.get(name, grid_points=21)
-            res = run_sweep(pre.params, pre.detunings, pre.sweep)
-            rows = [dict(zip(res.columns, r)) for r in res.rows]
-            ccw_rows = [r for r in rows if r["drive_port"] == "ccw"]
-            local_max = max(max(r[col_cw], r[col_ccw]) for r in ccw_rows)
+            t = run_sweep(pre.params, pre.detunings, pre.sweep).table
+            local_max = _ccw_max(t, col_cw, col_ccw)
             ccw_max = max(ccw_max, local_max)
-            op_cw = next(r for r in rows if r["drive_port"] == "cw"
-                         and math.isclose(r[axis_name], op_value))
-            op_ccw = next(r for r in rows if r["drive_port"] == "ccw"
-                          and math.isclose(r[axis_name], op_value))
-            ratio = op_cw[col_cw] / max(op_ccw[col_cw], op_ccw[col_ccw], 1e-300)
+            cw, ccw = _operating_rows(t, axis_name, op_value)
+            ratio = t[col_cw][cw] / max(t[col_cw][ccw], t[col_ccw][ccw], 1e-300)
             checks.append((name, local_max < 0.01, ratio >= 5.0))
 
         sweep_and_check("fig4a", "en_a_cw_m", "en_a_ccw_m", 0.5 * kappa_m, "J")
@@ -212,17 +222,11 @@ class TestAcceptance:
         for name, op_value, axis_name in (("fig4b", 0.5 * kappa_m, "J"),
                                           ("fig4d", 0.1, "chi")):
             pre = presets.get(name, grid_points=21)
-            res = run_sweep(pre.params, pre.detunings, pre.sweep)
-            rows = [dict(zip(res.columns, r)) for r in res.rows]
-            ccw_rows = [r for r in rows if r["drive_port"] == "ccw"]
-            worst = max(max(r["en_a_cw_b"], r["en_a_ccw_b"]) for r in ccw_rows)
-            assert worst < 0.02
-            op_cw = next(r for r in rows if r["drive_port"] == "cw"
-                         and math.isclose(r[axis_name], op_value))
-            op_ccw = next(r for r in rows if r["drive_port"] == "ccw"
-                          and math.isclose(r[axis_name], op_value))
-            assert op_cw["en_a_cw_b"] >= 5.0 * max(op_ccw["en_a_cw_b"],
-                                                   op_ccw["en_a_ccw_b"])
+            t = run_sweep(pre.params, pre.detunings, pre.sweep).table
+            assert _ccw_max(t, "en_a_cw_b", "en_a_ccw_b") < 0.02
+            cw, ccw = _operating_rows(t, axis_name, op_value)
+            assert t["en_a_cw_b"][cw] >= 5.0 * max(t["en_a_cw_b"][ccw],
+                                                   t["en_a_ccw_b"][ccw])
 
     def test_criterion_9_property_suites(self):
         t0 = time.time()

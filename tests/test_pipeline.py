@@ -1,4 +1,5 @@
 import io
+import itertools
 import multiprocessing
 import os
 import subprocess
@@ -32,6 +33,7 @@ from chiralcmm.pipeline import (
     nonreciprocity_contrast,
     partition_key,
     run_sweep,
+    value_columns,
 )
 from chiralcmm.steady_state import resolve_drive
 from chiralcmm import presets
@@ -130,17 +132,15 @@ class TestSweep:
     def test_rows_match_single_point_evaluation(self):
         p, det, spec = self.spec()
         res = run_sweep(p, det, spec)
-        for row in res.rows:
-            d = dict(zip(res.columns, row))
-            det_i = Detunings.effective(d["delta_a"], det.delta_m_eff)
-            rep = evaluate_point(p, det_i, spec.request)
-            assert d["en_a_cw_m"] == rep.e_n["a_cw|m"]
+        for da, e_n in zip(res.table["delta_a"], res.table["en_a_cw_m"]):
+            rep = evaluate_point(p, Detunings.effective(da, det.delta_m_eff),
+                                 spec.request)
+            assert e_n == rep.e_n["a_cw|m"]
 
     def test_row_order_cw_before_ccw(self):
         p, det, spec = self.spec(ports=("ccw", "cw"))
         res = run_sweep(p, det, spec)
-        ports = [row[1] for row in res.rows]
-        assert ports == ["cw", "ccw"] * 3
+        assert res.table["drive_port"] == ["cw", "ccw"] * 3
 
     @staticmethod
     def error_spec():
@@ -154,8 +154,9 @@ class TestSweep:
         monkeypatch.setattr(pipeline, "BLOCK_POINTS", 2)   # two blocks each
         for spec in (spec, self.error_spec()):
             serial = run_sweep(p, det, spec, workers=1)
-            parallel = run_sweep(p, det, spec, workers=3)
-            np.testing.assert_equal(parallel.rows, serial.rows)  # NaN == NaN
+            parallel = run_sweep(p, det, spec, workers=2)
+            np.testing.assert_equal(parallel.table, serial.table)  # NaN == NaN
+            assert parallel.columns == serial.columns
             assert serial.meta == parallel.meta
 
     def test_blocks_run_in_this_process(self, monkeypatch):
@@ -169,7 +170,7 @@ class TestSweep:
 
         monkeypatch.setattr(pipeline, "evaluate_block", recording)
         res = run_sweep(p, det, spec, workers=2)
-        assert len(res.rows) == 6
+        assert len(res.table["error"]) == 6
         assert pids == [os.getpid()] * 3
         assert multiprocessing.active_children() == []
 
@@ -196,7 +197,7 @@ class TestSweep:
     def test_per_point_failures_recorded_in_row(self):
         p, det, _ = self.spec()
         res = run_sweep(p, det, self.error_spec())
-        errors = [row[-1] for row in res.rows]
+        errors = res.table["error"]
         assert errors[0] == ""
         assert any(e != "" for e in errors[1:])
 
@@ -205,10 +206,13 @@ class TestSweep:
         spec = self.error_spec()
         res = run_sweep(p, det, spec)
         with pytest.raises(ValueError) as exc:
-            evaluate_point(p.replace(temperature=res.rows[2][0]), det,
-                           spec.request)
-        assert res.rows[2][-1] == f"ValueError: {exc.value}"
-        assert all(np.isnan(v) for v in res.rows[2][2:-1])
+            evaluate_point(p.replace(temperature=res.table["temperature"][2]),
+                           det, spec.request)
+        assert res.table["error"][2] == f"ValueError: {exc.value}"
+        value_names = set(res.table) - {"temperature", "drive_port", "error"}
+        assert value_names == set(itertools.chain(*value_columns(
+            spec.request, p.detuning_mode)))
+        assert all(np.isnan(res.table[name][2]) for name in value_names)
         assert res.meta == {"unphysical_rows": 0, "several_below_half_rows": 0,
                             "error_rows": 2}
 
@@ -237,8 +241,8 @@ class TestTemperatureCurve:
         # correlations) but the curve must be non-increasing past its peak
         pre = presets.get("fig5a", grid_points=41)
         res = run_sweep(pre.params, pre.detunings, pre.sweep)
-        values = [dict(zip(res.columns, r))["en_a_cw_m"]
-                  for r in res.rows if r[1] == "cw"]
+        values = [e for e, port in zip(res.table["en_a_cw_m"],
+                                       res.table["drive_port"]) if port == "cw"]
         k = int(np.argmax(values))
         diffs = np.diff(values[k:])
         assert np.all(diffs <= 1e-6)
@@ -248,18 +252,25 @@ class TestDetuningOptimum:
     def test_coarse_grid_peaks_near_reference_point(self):
         # cheap version of the full-map reproduction (acceptance runs 101x101)
         pre = presets.get("fig2a", grid_points=41)
-        res = run_sweep(pre.params, pre.detunings, pre.sweep)
-        rows = [dict(zip(res.columns, r)) for r in res.rows]
-        best = max(rows, key=lambda r: r["en_a_cw_m"] if r["stable"] else -1)
+        t = run_sweep(pre.params, pre.detunings, pre.sweep).table
+        best = int(np.argmax(np.where(t["stable"], t["en_a_cw_m"], -1)))
         wb = pre.params.omega_b
-        assert best["delta_a"] / wb == pytest.approx(-0.72, abs=0.06)
-        assert best["delta_m_eff"] / wb == pytest.approx(0.76, abs=0.06)
-        assert best["en_a_cw_m"] > 0
+        assert t["delta_a"][best] / wb == pytest.approx(-0.72, abs=0.06)
+        assert t["delta_m_eff"][best] / wb == pytest.approx(0.76, abs=0.06)
+        assert t["en_a_cw_m"][best] > 0
 
 
 def _bits(row):
     """A row in a form where equality means bitwise-equal numbers."""
     return [repr(float(v)) if isinstance(v, float) else repr(v) for v in row]
+
+
+def _written_rows(pre, table):
+    """The rows a sweep of ``pre`` writes, from a block table."""
+    written, _ = value_columns(pre.sweep.request, pre.params.detuning_mode)
+    names = (*(ax.name for ax in pre.sweep.axes), "drive_port", *written,
+             "error")
+    return list(zip(*(table[name] for name in names)))
 
 
 def _single_point_row(pre, values, port):
@@ -302,11 +313,13 @@ class TestBlockEngine:
             st.integers(0, len(ports) - 1), min_size=1, max_size=size))))
         cut = data.draw(st.integers(0, len(idx)))
         args = (pre.params, pre.detunings, pre.sweep)
-        whole, _ = evaluate_block(*args, values[idx], ports[idx])
-        head, _ = evaluate_block(*args, values[idx[:cut]], ports[idx[:cut]])
-        tail, _ = evaluate_block(*args, values[idx[cut:]], ports[idx[cut:]])
-        assert [_bits(r) for r in head + tail] == [_bits(r) for r in whole]
-        for row, i in zip(whole, idx):
+        whole = evaluate_block(*args, values[idx], ports[idx])
+        head = evaluate_block(*args, values[idx[:cut]], ports[idx[:cut]])
+        tail = evaluate_block(*args, values[idx[cut:]], ports[idx[cut:]])
+        assert list(head) == list(tail) == list(whole)
+        for name, column in whole.items():
+            assert _bits(head[name] + tail[name]) == _bits(column)
+        for row, i in zip(_written_rows(pre, whole), idx):
             expected = _single_point_row(pre, values[i], str(ports[i]))
             assert _bits(row) == _bits(expected)
 
@@ -375,9 +388,9 @@ class TestBlockEngine:
                                                   drive_port=str(port)),
                                pre.detunings, request).meta["filtered"]
                 for v, port in zip(values, ports)]
-        assert len(pipeline.SWEEP_MAXIMA) == 3
-        for key, entry in pipeline.SWEEP_MAXIMA.items():
-            assert single.meta[key] == max(m[entry] for m in quad)
+        for entry in ("quad_error", "tail_estimate", "modal_cond"):
+            assert single.meta[f"filtered_{entry}_max"] == max(
+                m[entry] for m in quad)
 
     def test_multistable_rows_identical_across_worker_counts(self,
                                                             monkeypatch):
@@ -401,6 +414,64 @@ class TestBlockEngine:
         assert 0 < single.meta["multistable_rows"] == expected < len(values)
         effective = run_sweep(p.replace(detuning_mode="effective"), det, spec)
         assert "multistable_rows" not in effective.meta
+
+    @staticmethod
+    def _meta_case(case):
+        """(params, detunings, spec) of a filtered sweep with error rows, a
+        filtered sweep where every row fails, a physical-mode sweep across
+        the fold of the mean field, and an unfiltered sweep with error
+        rows."""
+        if case == "physical":
+            p = presets.fixed_power_set("magnon", chi=0.1).replace(
+                detuning_mode="physical")
+            wb = p.omega_b
+            axes = (SweepAxis("delta_a", -1.5 * wb, 0.0, 4),
+                    SweepAxis("delta_m_eff", 0.0, 1.5 * wb, 4))
+            return p, Detunings.physical(p), SweepSpec(
+                axes=axes, request=MeasureRequest(pairs=(("a_cw", "m"),),
+                                                  triples=()))
+        if case == "errors":
+            p, det = magnon_point()
+            return p, det, TestSweep.error_spec()
+        pre = presets.get("fig2d_magnon")
+        temperatures = ((-0.01, -0.03) if case == "filtered_failing"
+                        else (0.01, -0.01))
+        request = MeasureRequest(pairs=(("a_cw", "m"),),
+                                 triples=(("a_cw", "m", "b"),),
+                                 filter_spec=pre.filter_spec)
+        return pre.params, pre.detunings, SweepSpec(
+            axes=(SweepAxis("temperature", *temperatures, 3),),
+            drive_ports=("cw", "ccw"), request=request)
+
+    @pytest.mark.parametrize("case", ["filtered", "filtered_failing",
+                                      "physical", "errors"])
+    def test_meta_is_one_reduction_per_column(self, case):
+        p, det, spec = self._meta_case(case)
+        res = run_sweep(p, det, spec)
+        t = res.table
+        names = [ax.name for ax in spec.axes] + ["drive_port", "error"]
+        assert set(t) == set(names).union(*value_columns(spec.request,
+                                                         p.detuning_mode))
+        expected = {
+            "unphysical_rows": sum(v is True for v in t["unphysical"]),
+            "several_below_half_rows":
+                sum(v is True for v in t["several_below_half"]),
+            "error_rows": sum(e != "" for e in t["error"])}
+        if case == "physical":
+            expected["multistable_rows"] = sum(
+                b > 1 for b, e in zip(t["branches"], t["error"]) if not e)
+            assert expected["multistable_rows"] > 0
+        if spec.request.filter_spec is not None:
+            for entry in ("quad_error", "tail_estimate", "modal_cond"):
+                values = [v for v in t[f"filtered_{entry}"] if not np.isnan(v)]
+                expected[f"filtered_{entry}_max"] = max(values, default=None)
+        assert list(res.meta.items()) == list(expected.items())
+        if case != "physical":
+            assert 0 < res.meta["error_rows"]
+        if case.startswith("filtered"):
+            failing = case == "filtered_failing"
+            assert (res.meta["error_rows"] == len(t["error"])) == failing
+            assert (res.meta["filtered_quad_error_max"] is None) == failing
 
     def test_unfiltered_sweep_has_no_quadrature_maxima(self):
         p, det = magnon_point()

@@ -66,4 +66,4 @@ class TestEveryPreset:
         small = SweepSpec(axes=axes, drive_ports=pre.sweep.drive_ports,
                           request=pre.sweep.request)
         res = run_sweep(pre.params, pre.detunings, small)
-        assert all(row[-1] == "" for row in res.rows)
+        assert all(e == "" for e in res.table["error"])
