@@ -107,34 +107,48 @@ def log_negativity(V4: np.ndarray | CovMatrix):
         Sigma = det V_e + det V_f - 2 det V_ef,
     and E_N = max[0, -ln(2*eta_minus)].  Symmetric under swapping the two
     modes; zero for separable states.
+
+    Both differences of the closed form cancel in floating point: the
+    discriminant at product states with nearly equal local determinants,
+    and Sigma minus its root where eta_minus is near 1/2 and V4 is large
+    (hot modes).  So the discriminant comes from a sum of terms that vanish
+    at product states, and eta_minus^2 from
+    2 det V4 / (Sigma + (Sigma^2 - 4 det V4)^{1/2}).
     """
     V4 = _matrices(V4, 4, "log_negativity expects a 4x4 matrix")
-    de, df, dc = (np.linalg.det(V4[..., :2, :2]), np.linalg.det(V4[..., 2:, 2:]),
-                  np.linalg.det(V4[..., :2, 2:]))
+    Ve, Vf, Vef = V4[..., :2, :2], V4[..., 2:, 2:], V4[..., :2, 2:]
+    de, df, dc = np.linalg.det(Ve), np.linalg.det(Vf), np.linalg.det(Vef)
     sigma = de + df - 2.0 * dc
-    disc = sigma * sigma - 4.0 * np.linalg.det(V4)
+    # Sigma^2 - 4 det V4, from
+    # det V4 = de df + dc^2 - tr(Ve W Vef W Vf W Vef^T W), W = [[0, 1], [-1, 0]]
+    W = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    chain = Ve @ W @ Vef @ W @ Vf @ W @ Vef.swapaxes(-2, -1) @ W
+    disc = ((de - df) ** 2 - 4.0 * dc * (de + df)
+            + 4.0 * np.trace(chain, axis1=-2, axis2=-1))
     scale = np.maximum(np.abs(sigma * sigma), 1.0)
     bad = disc < -CLIP_TOL * scale
     if np.any(bad):
         worst = np.atleast_1d(disc)[np.atleast_1d(bad)][0]
         raise InvalidCovarianceError(
             f"negative discriminant {worst:.3g}: not a valid two-mode CM")
-    inner = sigma - np.sqrt(np.maximum(disc, 0.0))
-    if np.any(inner < -CLIP_TOL * np.maximum(np.abs(sigma), 1.0)):
-        raise InvalidCovarianceError("invalid two-mode CM (eta^2 < 0)")
-    eta_minus = np.sqrt(np.maximum(inner, 0.0) / 2.0)
-    if np.any(eta_minus <= 0.0):
-        raise InvalidCovarianceError("degenerate two-mode CM (eta_minus = 0)")
-    e_n = _floor_at_zero(-np.log(2.0 * eta_minus))
+    plus = sigma + np.sqrt(np.maximum(disc, 0.0))
+    det_v = np.linalg.det(V4)
+    if (np.any(plus <= 0.0) or np.any(det_v <= 0.0)
+            or np.any(np.diagonal(V4, axis1=-2, axis2=-1) <= 0.0)):
+        raise InvalidCovarianceError("invalid two-mode CM (eta_minus^2 <= 0 "
+                                     "or a variance <= 0)")
+    e_n = _floor_at_zero(-0.5 * np.log(8.0 * det_v / plus))
     return float(e_n) if e_n.ndim == 0 else e_n
 
 
 def _one_vs_two(V6: np.ndarray, single: int):
     """E across the 1|2 split and the number of symplectic eigenvalues of the
-    partial transpose below 1/2, per matrix."""
+    partial transpose below 1/2, per matrix.  E is zero unless an eigenvalue
+    counts as below 1/2 (by more than CLIP_TOL): roundoff about 1/2 is no
+    entanglement."""
     nu = symplectic_eigenvalues(partial_transpose(V6, [single]))
     below = np.sum(nu < 0.5 - CLIP_TOL, axis=-1)
-    return _floor_at_zero(-np.log(2.0 * nu[..., 0])), below
+    return np.where(below > 0, -np.log(2.0 * nu[..., 0]), 0.0), below
 
 
 @dataclass(frozen=True)

@@ -105,6 +105,23 @@ class TestLogNegativity:
                 noisy = V + np.diag([eps, eps, 0.0, 0.0])
                 assert log_negativity(noisy) <= base + 1e-12
 
+    def test_squeezed_product_states_are_not_entangled(self):
+        # the discriminant Sigma^2 - 4 det V cancels to roundoff at product
+        # states with nearly equal local determinants; the closed form must
+        # not turn that roundoff into a nonzero E_N
+        rng = np.random.default_rng(37)
+        n = 3000
+        V = np.zeros((n, 4, 4))
+        for k in (0, 2):
+            r = rng.uniform(0.0, 1.5, n)
+            theta = rng.uniform(0.0, np.pi, n)
+            c, s = np.cos(theta), np.sin(theta)
+            R = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+            squeeze = np.zeros((n, 2, 2))
+            squeeze[:, 0, 0], squeeze[:, 1, 1] = np.exp(2 * r), np.exp(-2 * r)
+            V[:, k:k + 2, k:k + 2] = 0.5 * R @ squeeze @ R.swapaxes(-2, -1)
+        assert np.max(log_negativity(V)) <= 1e-13
+
     def test_invalid_cm_rejected(self):
         V = np.diag([1.0, 1.0, 1e-12, 1e-12])  # violates Heisenberg badly
         with pytest.raises(InvalidCovarianceError):
