@@ -498,6 +498,120 @@ class TestBlockEngine:
         assert table(1) == table(2)
 
 
+def _mirrored(key):
+    """A partition key with the two circulating modes swapped."""
+    swap = {"a_cw": "a_ccw", "a_ccw": "a_cw"}
+    return "|".join(swap.get(mode, mode) for mode in key.split("|"))
+
+
+def _model_measures(p, det, g_m_eff):
+    """Stability verdict, E_N of every pair and r_min of every triple of
+    the four modes, from the drift at the coupling ``g_m_eff``."""
+    model = linear_model.build_model(p, det, g_m_eff)
+    if not model.stable:
+        return False, {}, {}
+    cm = pipeline.solve_lyapunov(model.A, model.D)
+    pairs = itertools.combinations(linear_model.MODE_ORDER, 2)
+    e_n = {pair: pipeline.log_negativity(pipeline.extract_block(cm, pair))
+           for pair in pairs}
+    r_min = {tri: pipeline.residual_contangle_min(
+                 pipeline.extract_block(cm, tri)).r_min
+             for tri in pipeline.TRIPLES_DEFAULT}
+    return True, e_n, r_min
+
+
+#: random configurations around the magnon set, in Hz and omega_b units
+_CONFIG = dict(
+    g_cw=st.floats(0.5e6, 6e6), g_ccw=st.floats(0.5e6, 6e6),
+    J=st.floats(0.0, 2e6), temperature=st.floats(0.005, 0.05),
+    delta_a=st.floats(-1.0, -0.4), delta_m=st.floats(0.4, 1.0))
+
+
+class TestMetamorphic:
+    """Properties of the whole engine that tie different inputs together."""
+
+    @pytest.mark.parametrize("mode", ["effective", "physical"])
+    @settings(max_examples=8)
+    @given(scale=st.floats(0.3, 1.2), **_CONFIG)
+    def test_port_mirror(self, mode, scale, g_cw, g_ccw, J, temperature,
+                         delta_a, delta_m):
+        # driving ccw with (g_cw, g_ccw) = (x, y) is driving cw with (y, x)
+        # once a_cw and a_ccw swap names, the filtered output included
+        wb = hz(10e6)
+        p = presets.magnon_set(g_cw=hz(g_cw), g_ccw=hz(g_ccw), J=hz(J),
+                               temperature=temperature, drive_port="ccw")
+        if mode == "effective":
+            p = p.replace(drive=DriveSpec("gm_abs", scale * p.drive.value))
+            det = Detunings.effective(delta_a * wb, delta_m * wb)
+        else:
+            p = p.replace(g_m=presets.inferred_g_m(), drive=DriveSpec(
+                "amplitude", scale * presets.reference_amplitude("magnon")),
+                detuning_mode="physical", omega_a=p.omega_0 + delta_a * wb,
+                omega_m=p.omega_0 + delta_m * wb)
+            det = Detunings.physical(p)
+        request = MeasureRequest(filter_spec=presets.output_filter(p))
+        ccw = evaluate_point(p, det, request)
+        cw = evaluate_point(p.replace(g_cw=p.g_ccw, g_ccw=p.g_cw,
+                                      drive_port="cw"), det, request)
+        assert cw.stable == ccw.stable
+        assert abs(cw.g_m_eff) == pytest.approx(abs(ccw.g_m_eff), rel=1e-12)
+        if not ccw.stable:
+            return
+        for table_ccw, table_cw in ((ccw.e_n, cw.e_n), (ccw.r_min, cw.r_min)):
+            for key, value in table_ccw.items():
+                assert table_cw[_mirrored(key)] == pytest.approx(value,
+                                                                 abs=1e-12)
+        assert cw.filtered_e_n == pytest.approx(ccw.filtered_e_n, abs=1e-10)
+        assert cw.fidelity == pytest.approx(ccw.fidelity, abs=1e-10)
+
+    @settings(max_examples=15)
+    @given(gm=st.floats(0.5e6, 20e6), phase=st.floats(0.0, 2 * np.pi),
+           **_CONFIG)
+    def test_measures_do_not_depend_on_the_phase_of_g_m(
+            self, gm, phase, g_cw, g_ccw, J, temperature, delta_a, delta_m):
+        # a rotation of the cavity and magnon modes absorbs arg G_m; the
+        # range of |G_m| reaches past the stability edge
+        wb = hz(10e6)
+        p = presets.magnon_set(g_cw=hz(g_cw), g_ccw=hz(g_ccw), J=hz(J),
+                               temperature=temperature)
+        det = Detunings.effective(delta_a * wb, delta_m * wb)
+        stable, e_n, r_min = _model_measures(p, det, hz(gm))
+        turned = _model_measures(p, det, hz(gm) * np.exp(1j * phase))
+        assert turned[0] == stable
+        for ours, theirs in zip((e_n, r_min), turned[1:]):
+            assert ours.keys() == theirs.keys()
+            for key, value in ours.items():
+                assert theirs[key] == pytest.approx(value, abs=1e-12)
+
+    @settings(max_examples=15)
+    @given(gm=st.floats(0.5e6, 8e6), **_CONFIG)
+    def test_uncoupled_cavity_is_not_entangled_with_the_magnon(
+            self, gm, g_cw, g_ccw, J, temperature, delta_a, delta_m):
+        wb = hz(10e6)
+        p = presets.magnon_set(g_cw=0.0, g_ccw=0.0, J=hz(J),
+                               temperature=temperature)
+        det = Detunings.effective(delta_a * wb, delta_m * wb)
+        stable, e_n, _ = _model_measures(p, det, hz(gm))
+        if stable:
+            assert e_n[("a_cw", "m")] <= 1e-13
+            assert e_n[("a_ccw", "m")] <= 1e-13
+
+    @settings(max_examples=15)
+    @given(**_CONFIG)
+    def test_zero_temperature_without_g_m_is_vacuum(
+            self, g_cw, g_ccw, J, temperature, delta_a, delta_m):
+        # the beam-splitter couplings keep the cavity and magnon in vacuum
+        wb = hz(10e6)
+        p = presets.magnon_set(g_cw=hz(g_cw), g_ccw=hz(g_ccw), J=hz(J),
+                               temperature=0.0)
+        det = Detunings.effective(delta_a * wb, delta_m * wb)
+        model = linear_model.build_model(p, det, 0.0)
+        assert model.stable
+        cm = pipeline.solve_lyapunov(model.A, model.D)
+        block = pipeline.extract_block(cm, ("a_cw", "a_ccw", "m")).V
+        assert_allclose(block, 0.5 * np.eye(6), rtol=0, atol=1e-12)
+
+
 def test_import_loads_no_scipy():
     # the sweep engine is numpy-only: scipy is loaded by time_domain alone,
     # for the ODE
