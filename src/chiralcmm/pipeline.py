@@ -21,7 +21,7 @@ any worker count.
 
 Every result is one table: column name -> list with one entry per point.
 A block's table holds the written columns of a sweep and the diagnostic
-columns computed on the way (:func:`value_columns`); ``evaluate_point``
+columns computed on the way (:func:`sweep_columns`); ``evaluate_point``
 reads its report from the one-row table, and each sweep metadata key is
 one reduction of one column over the joined table (SWEEP_META).
 
@@ -148,30 +148,36 @@ def _column(prefix: str, modes) -> str:
 #: the filtered_pair_cm diagnostics a filtered block carries, each as the
 #: column ``filtered_<entry>``
 FILTERED_DIAGNOSTICS = ("quad_error", "tail_estimate", "window", "modal_cond")
+#: the columns of a filtered block: the two a sweep writes, then the diagnostics
+FILTERED_COLUMNS = ("filtered_en", "fidelity",
+                    *(f"filtered_{key}" for key in FILTERED_DIAGNOSTICS))
 
 
-def value_columns(request: MeasureRequest, detuning_mode: str):
-    """The value columns of a block: those a sweep writes, in order, and the
-    diagnostic ones.  The measures are NaN at unstable points.
+def sweep_columns(spec, detuning_mode: str):
+    """The columns of a sweep table: those a sweep writes, in order, and the
+    diagnostic ones.  All but the axes, ``drive_port`` and ``error`` are
+    value columns, whose measures are NaN at unstable points.
     ``unphysical``: a stable covariance fails :func:`is_physical`;
     ``several_below_half``: a 1|2 partial transpose had more than one
     symplectic eigenvalue below 1/2; ``branches``: real roots of the cubic
     mean field."""
-    written = ["stable", "abs_g_m_eff"]
+    request = spec.request
+    written = [ax.name for ax in spec.axes] + ["drive_port", "stable",
+                                               "abs_g_m_eff"]
     written += [_column("en", p) for p in request.pairs]
     written += [_column("rmin", t) for t in request.triples]
     diagnostic = ["abscissa", "g_m_eff", "unphysical", "several_below_half"]
     if detuning_mode == DETUNING_PHYSICAL:
         diagnostic.append("branches")
     if request.filter_spec is not None:
-        written += ["filtered_en", "fidelity"]
-        diagnostic += [f"filtered_{key}" for key in FILTERED_DIAGNOSTICS]
-    return tuple(written), tuple(diagnostic)
+        written += FILTERED_COLUMNS[:2]
+        diagnostic += FILTERED_COLUMNS[2:]
+    return (*written, "error"), tuple(diagnostic)
 
 
 def _evaluate(params: SystemParams, det: Detunings, request: MeasureRequest,
               axes: tuple, values: np.ndarray, ports: np.ndarray) -> dict:
-    """The value columns (see :func:`value_columns`) of the points
+    """The value columns (see :func:`sweep_columns`) of the points
     ``params``/``det`` with ``axes`` set to the rows of ``values``, each
     driven through its entry of ``ports``: column name -> list with one
     entry per point."""
@@ -211,15 +217,13 @@ def _evaluate(params: SystemParams, det: Detunings, request: MeasureRequest,
         table["branches"] = steady.meta["branches"].tolist()
 
     if request.filter_spec is not None:
-        names = ("filtered_en", "fidelity",
-                 *(f"filtered_{key}" for key in FILTERED_DIAGNOSTICS))
-        filtered = np.full((n, len(names)), np.nan)
+        filtered = np.full((n, len(FILTERED_COLUMNS)), np.nan)
         for i in np.flatnonzero(ok):
             out = filtered_pair_cm(model.A[i], model.D[i], P.at(i),
                                    request.filter_spec)
             filtered[i] = (log_negativity(out.V), teleportation_fidelity(out.V),
                            *(out.meta[key] for key in FILTERED_DIAGNOSTICS))
-        table.update(zip(names, filtered.T.tolist()))
+        table.update(zip(FILTERED_COLUMNS, filtered.T.tolist()))
     return table
 
 
@@ -397,9 +401,10 @@ def evaluate_block(params: SystemParams, det: Detunings, spec: SweepSpec,
                    values: np.ndarray, ports: np.ndarray) -> dict:
     """The table of the sweep points given by ``values`` and ``ports`` (as
     from :func:`grid_rows`): column name -> list with one entry per point.
-    The columns are the axes, ``drive_port``, the value columns of
-    :func:`value_columns` and ``error`` ("" where the point evaluated).  A
-    point that fails alone has NaN in every value column."""
+    The columns are those of :func:`sweep_columns`, in its order; ``error``
+    is "" where the point evaluated.  A point that fails alone has NaN in
+    every value column."""
+    names = list(itertools.chain(*sweep_columns(spec, params.detuning_mode)))
     try:
         table = _evaluate(params, det, spec.request, spec.axes, values, ports)
         error = [""] * len(ports)
@@ -408,12 +413,12 @@ def evaluate_block(params: SystemParams, det: Detunings, spec: SweepSpec,
             half = len(ports) // 2
             head = evaluate_block(params, det, spec, values[:half], ports[:half])
             tail = evaluate_block(params, det, spec, values[half:], ports[half:])
-            return {name: head[name] + tail[name] for name in head}
-        table = {name: [np.nan] for name in itertools.chain(
-            *value_columns(spec.request, params.detuning_mode))}
+            return {name: head[name] + tail[name] for name in names}
+        table = {name: [np.nan] for name in names}
         error = [f"{type(exc).__name__}: {exc}"]
-    axes = dict(zip((ax.name for ax in spec.axes), values.T.tolist()))
-    return {**axes, "drive_port": ports.tolist(), **table, "error": error}
+    table.update(zip((ax.name for ax in spec.axes), values.T.tolist()),
+                 drive_port=ports.tolist(), error=error)
+    return {name: table[name] for name in names}
 
 
 def run_sweep(params: SystemParams, det: Detunings, spec: SweepSpec,
@@ -460,6 +465,5 @@ def run_sweep(params: SystemParams, det: Detunings, spec: SweepSpec,
              for name in tables[0]}
     meta = {key: reduce(table[name])
             for key, (name, reduce) in SWEEP_META.items() if name in table}
-    written, _ = value_columns(spec.request, params.detuning_mode)
-    columns = (*(ax.name for ax in spec.axes), "drive_port", *written, "error")
+    columns, _ = sweep_columns(spec, params.detuning_mode)
     return SweepResult(columns=columns, table=table, spec=spec, meta=meta)

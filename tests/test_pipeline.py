@@ -33,7 +33,7 @@ from chiralcmm.pipeline import (
     nonreciprocity_contrast,
     partition_key,
     run_sweep,
-    value_columns,
+    sweep_columns,
 )
 from chiralcmm.steady_state import resolve_drive
 from chiralcmm import presets
@@ -210,8 +210,8 @@ class TestSweep:
                            det, spec.request)
         assert res.table["error"][2] == f"ValueError: {exc.value}"
         value_names = set(res.table) - {"temperature", "drive_port", "error"}
-        assert value_names == set(itertools.chain(*value_columns(
-            spec.request, p.detuning_mode)))
+        assert value_names == set(itertools.chain(*sweep_columns(
+            spec, p.detuning_mode))) - {"temperature", "drive_port", "error"}
         assert all(np.isnan(res.table[name][2]) for name in value_names)
         assert res.meta == {"unphysical_rows": 0, "several_below_half_rows": 0,
                             "error_rows": 2}
@@ -265,14 +265,6 @@ def _bits(row):
     return [repr(float(v)) if isinstance(v, float) else repr(v) for v in row]
 
 
-def _written_rows(pre, table):
-    """The rows a sweep of ``pre`` writes, from a block table."""
-    written, _ = value_columns(pre.sweep.request, pre.params.detuning_mode)
-    names = (*(ax.name for ax in pre.sweep.axes), "drive_port", *written,
-             "error")
-    return list(zip(*(table[name] for name in names)))
-
-
 def _single_point_row(pre, values, port):
     """The sweep row of one grid point, from evaluate_point."""
     p, d = pre.params, pre.detunings
@@ -319,7 +311,8 @@ class TestBlockEngine:
         assert list(head) == list(tail) == list(whole)
         for name, column in whole.items():
             assert _bits(head[name] + tail[name]) == _bits(column)
-        for row, i in zip(_written_rows(pre, whole), idx):
+        written, _ = sweep_columns(pre.sweep, pre.params.detuning_mode)
+        for row, i in zip(zip(*(whole[name] for name in written)), idx):
             expected = _single_point_row(pre, values[i], str(ports[i]))
             assert _bits(row) == _bits(expected)
 
@@ -449,9 +442,8 @@ class TestBlockEngine:
         p, det, spec = self._meta_case(case)
         res = run_sweep(p, det, spec)
         t = res.table
-        names = [ax.name for ax in spec.axes] + ["drive_port", "error"]
-        assert set(t) == set(names).union(*value_columns(spec.request,
-                                                         p.detuning_mode))
+        assert list(t) == list(itertools.chain(*sweep_columns(
+            spec, p.detuning_mode)))
         expected = {
             "unphysical_rows": sum(v is True for v in t["unphysical"]),
             "several_below_half_rows":
