@@ -122,6 +122,20 @@ class TestLogNegativity:
             V[:, k:k + 2, k:k + 2] = 0.5 * R @ squeeze @ R.swapaxes(-2, -1)
         assert np.max(log_negativity(V)) <= 1e-13
 
+    @pytest.mark.parametrize("a", [250.0, 930.0, 1000.0])
+    @pytest.mark.parametrize("gap", [0.4999, 0.4995, 0.499, 0.45])
+    def test_hot_two_mode_squeezed_state_near_the_edge(self, a, gap):
+        # a two-mode squeezed thermal state [[a I, -s Z], [-s Z, a I]] with
+        # (n + 1/2) = (a^2 - s^2)^{1/2} near 30 and e^{2r} near 2n + 1: eta_minus
+        # = a - s is close to 1/2 and V is large, where Sigma minus its root
+        # cancels.  a - s is exact in floating point (Sterbenz), so the
+        # reference is that of the matrix as stored.
+        s = a - gap
+        Z = np.diag([1.0, -1.0])
+        V = np.block([[a * np.eye(2), -s * Z], [-s * Z, a * np.eye(2)]])
+        assert log_negativity(V) == pytest.approx(-math.log(2 * (a - s)),
+                                                  rel=0, abs=1e-13)
+
     def test_invalid_cm_rejected(self):
         V = np.diag([1.0, 1.0, 1e-12, 1e-12])  # violates Heisenberg badly
         with pytest.raises(InvalidCovarianceError):
