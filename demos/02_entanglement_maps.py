@@ -36,7 +36,7 @@ print("grid points without a steady state:", np.sum(t["stable"] == 0))
 # Write the full map for external plotting.
 with open("detuning_map.csv", "w", encoding="utf-8") as fh:
     fh.write(",".join(result.columns) + "\n")
-    for row in result.rows:
+    for row in result.rows():
         fh.write(",".join(format(v, ".9g") if isinstance(v, float) else str(v)
                           for v in row) + "\n")
 print("full map written to detuning_map.csv")

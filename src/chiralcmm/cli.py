@@ -496,7 +496,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     if workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {workers}")
     result = run_sweep(cfg.params, cfg.detunings, cfg.sweep, workers=workers)
-    return _write_result(args, cfg, result.columns, result.rows, result.meta)
+    return _write_result(args, cfg, result.columns, result.rows(), result.meta)
 
 
 #: the classical ODE's start state, integrator and tolerances, written to

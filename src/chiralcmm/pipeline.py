@@ -356,10 +356,10 @@ class SweepResult:
     # sweep-level reductions of the diagnostic columns (see run_sweep)
     meta: dict = field(default_factory=dict, compare=False)
 
-    @property
-    def rows(self) -> list:
-        """The written columns as one tuple per row."""
-        return list(zip(*(self.table[name] for name in self.columns)))
+    def rows(self):
+        """An iterator over the rows: the written columns, one tuple per row.
+        It builds no row list, so a writer holds the table only."""
+        return zip(*(self.table[name] for name in self.columns))
 
 
 def grid_rows(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -336,7 +336,7 @@ class TestAcceptance:
                 filter_spec = None
                 resolved_text = ""
 
-            write_table(buf, _Cfg(), res.columns, res.rows, "csv")
+            write_table(buf, _Cfg(), res.columns, res.rows(), "csv")
             return buf.getvalue().encode()
 
         if table_bytes(1) != table_bytes(3):

@@ -440,7 +440,7 @@ class TestQuadratureFailure:
 
     def test_sweep_rows_carry_the_failure(self, monkeypatch):
         pre, spec = fig2d_sweep(6)
-        good = pipeline.run_sweep(pre.params, pre.detunings, spec).rows
+        good = list(pipeline.run_sweep(pre.params, pre.detunings, spec).rows())
         doomed = {good[1][0], good[4][0]}      # gamma_b of rows 1 and 4
         real = pipeline.filtered_pair_cm
 
@@ -454,7 +454,7 @@ class TestQuadratureFailure:
         monkeypatch.setattr(pipeline, "filtered_pair_cm", failing_for_doomed)
         res = pipeline.run_sweep(pre.params, pre.detunings, spec)
         assert res.meta["error_rows"] == 2
-        for i, (row, ref) in enumerate(zip(res.rows, good)):
+        for i, (row, ref) in enumerate(zip(res.rows(), good)):
             if i in (1, 4):
                 assert row[:2] == ref[:2]
                 assert row[-1].startswith("QuadratureError: frequency integral")

@@ -330,7 +330,7 @@ class TestBlockEngine:
         res = run_sweep(p, pre.detunings, spec)
         values, ports = grid_rows(spec)
         assert res.meta["error_rows"] == 0
-        for row, v, port in zip(res.rows, values, ports):
+        for row, v, port in zip(res.rows(), values, ports):
             assert _bits(row) == _bits(_single_point_row(pre, v, str(port)))
 
     def test_physical_mode_drift_sees_the_dispersive_shift(self, monkeypatch):
@@ -484,7 +484,7 @@ class TestBlockEngine:
         def table(workers):
             res = run_sweep(pre.params, pre.detunings, pre.sweep, workers=workers)
             buf = io.StringIO()
-            write_table(buf, _Cfg(), res.columns, res.rows, "csv", res.meta)
+            write_table(buf, _Cfg(), res.columns, res.rows(), "csv", res.meta)
             return buf.getvalue().encode()
 
         assert table(1) == table(2)
