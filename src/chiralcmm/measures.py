@@ -98,6 +98,11 @@ def partial_transpose(V: np.ndarray, modes) -> np.ndarray:
     return signs[:, None] * V * signs
 
 
+def _det2(M: np.ndarray) -> np.ndarray:
+    """Determinants of a stack of 2x2 matrices."""
+    return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+
+
 def log_negativity(V4: np.ndarray | CovMatrix):
     """Logarithmic negativity of a two-mode Gaussian state (one value per
     matrix of a (points, 4, 4) stack).
@@ -117,12 +122,13 @@ def log_negativity(V4: np.ndarray | CovMatrix):
     """
     V4 = _matrices(V4, 4, "log_negativity expects a 4x4 matrix")
     Ve, Vf, Vef = V4[..., :2, :2], V4[..., 2:, 2:], V4[..., :2, 2:]
-    de, df, dc = np.linalg.det(Ve), np.linalg.det(Vf), np.linalg.det(Vef)
+    de, df, dc = _det2(Ve), _det2(Vf), _det2(Vef)
     sigma = de + df - 2.0 * dc
     # Sigma^2 - 4 det V4, from
-    # det V4 = de df + dc^2 - tr(Ve W Vef W Vf W Vef^T W), W = [[0, 1], [-1, 0]]
-    W = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    chain = Ve @ W @ Vef @ W @ Vf @ W @ Vef.swapaxes(-2, -1) @ W
+    # det V4 = de df + dc^2 - tr(Ve W Vef W Vf W Vef^T W), W = [[0, 1], [-1, 0]],
+    # where W Vef W = -P, P = adj(Vef)^T
+    P = Vef[..., ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    chain = Ve @ P @ Vf @ P.swapaxes(-2, -1)
     disc = ((de - df) ** 2 - 4.0 * dc * (de + df)
             + 4.0 * np.trace(chain, axis1=-2, axis2=-1))
     scale = np.maximum(np.abs(sigma * sigma), 1.0)
