@@ -17,12 +17,13 @@ import numpy as np
 
 from .lyapunov import CovMatrix
 
-# roundoff inside analytic square roots: clip, don't fail, beyond -CLIP_TOL
+# relative roundoff: analytic square roots clip, and don't fail, down to
+# -CLIP_TOL; the Heisenberg check allows -CLIP_TOL * ||V||
 CLIP_TOL = 1e-12
 
-# a symplectic spectrum whose +-i*nu pairs differ by more than PAIRING_TOL
-# of its largest value is rejected
-PAIRING_TOL = 1e-8
+# a matrix whose asymmetric part exceeds SYMMETRY_TOL of its norm is not a
+# covariance matrix
+SYMMETRY_TOL = 1e-8
 
 # Heisenberg check: symplectic eigenvalues down to 1/2 - PHYSICAL_SLACK pass
 PHYSICAL_SLACK = 1e-9
@@ -49,43 +50,56 @@ def _floor_at_zero(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0.0, x, 0.0)
 
 
-def symplectic_eigenvalues(V: np.ndarray) -> np.ndarray:
-    """Symplectic spectrum of a symmetric 2n x 2n matrix, sorted ascending
-    (one row per matrix of a (points, 2n, 2n) stack).
-
-    The eigenvalues of Omega V come in pairs +-i*nu; the returned values are
-    the n distinct |nu|.  A spectrum that does not pair up within
-    PAIRING_TOL (relative to its largest value) is rejected as an invalid
-    input.
-    """
+def _symmetric(V: np.ndarray) -> np.ndarray:
+    """V as a float array of one symmetric 2n x 2n matrix or a stack of
+    them, refused otherwise."""
     V = np.asarray(V, dtype=float)
     n2 = V.shape[-1]
     if V.ndim not in (2, 3) or V.shape[-2] != n2 or n2 % 2:
         raise InvalidCovarianceError("covariance matrix must be 2n x 2n")
     norm = np.maximum(np.linalg.norm(V, axis=(-2, -1)), 1e-300)
     if np.any(np.linalg.norm(V - V.swapaxes(-2, -1), axis=(-2, -1))
-              > PAIRING_TOL * norm):
+              > SYMMETRY_TOL * norm):
         raise InvalidCovarianceError("covariance matrix must be symmetric")
-    n = n2 // 2
-    # Omega V exactly: row 2k is row 2k+1 of V, row 2k+1 is minus row 2k
-    swap = np.arange(n2) ^ 1
+    return V
+
+
+def _omega_times(M: np.ndarray) -> np.ndarray:
+    """Omega M exactly, Omega the symplectic form of the quadrature ordering:
+    row 2k is row 2k+1 of M, row 2k+1 is minus row 2k."""
+    n2 = M.shape[-2]
     sign = np.where(np.arange(n2) % 2, -1.0, 1.0)[:, None]
-    ev = np.sort(np.abs(np.linalg.eigvals(sign * V[..., swap, :])), axis=-1)
-    pairs = ev.reshape(ev.shape[:-1] + (n, 2))
-    scale = np.maximum(ev[..., -1:], 1e-300)
-    unpaired = np.any(np.abs(pairs[..., 1] - pairs[..., 0]) > PAIRING_TOL * scale,
-                      axis=-1)
-    if np.any(unpaired):
-        bad = ev if ev.ndim == 1 else ev[unpaired][0]
+    return sign * M[..., np.arange(n2) ^ 1, :]
+
+
+def symplectic_eigenvalues(V: np.ndarray) -> np.ndarray:
+    """Symplectic spectrum of a symmetric positive definite 2n x 2n matrix,
+    sorted ascending (one row per matrix of a (points, 2n, 2n) stack).
+
+    With V = L L^T (Cholesky), the Hermitian i L^T Omega L has the
+    eigenvalues +-nu; the returned values are its n positive ones.  A matrix
+    that is not positive definite is refused as an invalid input.
+    """
+    V = _symmetric(V)
+    try:
+        L = np.linalg.cholesky(V)
+    except np.linalg.LinAlgError as exc:
         raise InvalidCovarianceError(
-            f"symplectic spectrum does not pair up: {bad}")
-    return pairs.mean(axis=-1)
+            "covariance matrix must be positive definite") from exc
+    n = V.shape[-1] // 2
+    M = L.swapaxes(-2, -1) @ _omega_times(L)
+    return np.linalg.eigvalsh(1j * M)[..., n:]
 
 
 def is_physical(V: np.ndarray):
-    """Heisenberg check: every symplectic eigenvalue >= 1/2 - PHYSICAL_SLACK
-    (one verdict per matrix of a stack)."""
-    ok = np.all(symplectic_eigenvalues(V) >= 0.5 - PHYSICAL_SLACK, axis=-1)
+    """Heisenberg check: V + i(1/2 - PHYSICAL_SLACK) Omega >= 0, that is
+    (Williamson) every symplectic eigenvalue >= 1/2 - PHYSICAL_SLACK and V
+    positive definite.  Its smallest eigenvalue may fall below zero by the
+    roundoff CLIP_TOL * ||V|| (one verdict per matrix of a stack)."""
+    V = _symmetric(V)
+    omega = _omega_times(np.eye(V.shape[-1]))
+    smallest = np.linalg.eigvalsh(V + 1j * (0.5 - PHYSICAL_SLACK) * omega)[..., 0]
+    ok = smallest >= -CLIP_TOL * np.linalg.norm(V, axis=(-2, -1))
     return bool(ok) if np.ndim(ok) == 0 else ok
 
 

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from chiralcmm.measures import (
+    PHYSICAL_SLACK,
     InvalidCovarianceError,
     is_physical,
     log_negativity,
@@ -57,6 +58,12 @@ class TestSymplecticEigenvalues:
     def test_rejects_asymmetric(self):
         with pytest.raises(InvalidCovarianceError):
             symplectic_eigenvalues(np.triu(np.ones((4, 4))))
+
+    @pytest.mark.parametrize("V", [-np.eye(2), np.diag([1.0, -1.0]),
+                                   np.diag([1.0, 1.0, 0.0, 1.0])])
+    def test_rejects_not_positive_definite(self, V):
+        with pytest.raises(InvalidCovarianceError):
+            symplectic_eigenvalues(V)
 
 
 class TestLogNegativity:
@@ -241,3 +248,20 @@ class TestPhysicality:
 
     def test_below_heisenberg_is_not(self):
         assert not is_physical(0.4 * np.eye(4))
+
+    @pytest.mark.parametrize("V", [-np.eye(2), np.diag([1.0, -1.0]),
+                                   np.diag([10.0, 10.0, 10.0, -0.1])])
+    def test_indefinite_or_negative_is_not(self, V):
+        assert not is_physical(V)
+
+    def test_slack(self):
+        # a thermal mode nu * I passes down to nu = 1/2 - PHYSICAL_SLACK
+        assert is_physical((0.5 - 0.5 * PHYSICAL_SLACK) * np.eye(2))
+        assert not is_physical((0.5 - 2.0 * PHYSICAL_SLACK) * np.eye(2))
+
+    def test_squeezed_pure_state_is(self):
+        # at r = 7 the smallest eigenvalue of V + i Omega/2 is about -6e-11,
+        # roundoff of ||V|| = 8.5e5
+        assert is_physical(two_mode_squeezed_cm(7.0))
+        assert list(is_physical(np.stack([two_mode_squeezed_cm(7.0),
+                                          -np.eye(4)]))) == [True, False]
