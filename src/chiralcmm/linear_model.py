@@ -39,7 +39,6 @@ class LinearModel:
 
     A: np.ndarray
     D: np.ndarray
-    mode_order: tuple = MODE_ORDER
     stable: bool = False
     abscissa: float = np.nan
 

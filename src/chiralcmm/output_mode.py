@@ -363,7 +363,6 @@ class FilteredPairCM:
     """4x4 covariance matrix of (filtered output, magnon) plus diagnostics."""
 
     V: np.ndarray
-    mode_order: tuple = ("a_out", "m")
     meta: dict = field(default_factory=dict, compare=False)
 
 

@@ -194,7 +194,9 @@ def integrate_classical(params: SystemParams, det: Detunings, E: float,
 
     ``stats`` records the right-hand-side calls (``nfev``), the accepted
     steps (``nst``) and whether LSODA switched to its stiff BDF method
-    (``used_bdf``).  An LSODA failure raises IntegrationError.
+    (``used_bdf``), and ``omega_b``, which sets the shortest window
+    :func:`classify_attractor` accepts.  An LSODA failure raises
+    IntegrationError.
     """
     if params.g_m is None:
         raise ValueError("integrate_classical requires g_m")
@@ -217,9 +219,7 @@ def integrate_classical(params: SystemParams, det: Detunings, E: float,
         t=t, a_cw=y[0] + 1j * y[1], a_ccw=y[2] + 1j * y[3],
         m=y[4] + 1j * y[5], q=y[6], p=y[7],
         stats={"nfev": int(info["nfe"][-1]), "nst": int(info["nst"][-1]),
-               "used_bdf": bool(np.any(info["mused"] == 2)), "omega_b": wb,
-               "t_end": t_end, "drive_port": params.drive_port,
-               "amplitude": E},
+               "used_bdf": bool(np.any(info["mused"] == 2)), "omega_b": wb},
     )
 
 
