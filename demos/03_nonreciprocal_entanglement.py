@@ -19,10 +19,10 @@ cw = evaluate_point(p, det)                               # p drives CW
 ccw = evaluate_point(p.replace(drive_port="ccw"), det)
 
 print("CW drive:  E(a_cw, m) = %.4f  E(a_cw, b) = %.4f  R_min = %.4f"
-      % (cw.e_n["a_cw|m"], cw.e_n["a_cw|b"], cw.r_min["a_cw|m|b"]))
+      % (cw["en_a_cw_m"], cw["en_a_cw_b"], cw["rmin_a_cw_m_b"]))
 print("CCW drive: E(a_ccw, m) = %.2e  E(a_ccw, b) = %.2e  R_min = %.2e"
-      % (ccw.e_n["a_ccw|m"], ccw.e_n["a_ccw|b"], ccw.r_min["a_ccw|m|b"]))
-print("contrast (a_cw, m):", nonreciprocity_contrast(cw, ccw, ("a_cw", "m")))
+      % (ccw["en_a_ccw_m"], ccw["en_a_ccw_b"], ccw["rmin_a_ccw_m_b"]))
+print("contrast (a_cw, m):", nonreciprocity_contrast(p, det, ("a_cw", "m")))
 
 # --- robustness against backscattering ---------------------------------------
 # Fixed drive power calibrated on the ideal configuration; the mode coupling

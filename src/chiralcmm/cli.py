@@ -49,6 +49,7 @@ from .params import (
     validate,
 )
 from .pipeline import (
+    FILTERED_COLUMNS,
     PAIRS_DEFAULT,
     MeasureRequest,
     SweepAxis,
@@ -462,23 +463,23 @@ def cmd_steady(cfg: RunConfig, args) -> int:
 
 
 def cmd_entangle(cfg: RunConfig, args) -> int:
-    rep = evaluate_point(cfg.params, cfg.detunings,
+    row = evaluate_point(cfg.params, cfg.detunings,
                          MeasureRequest(filter_spec=cfg.filter_spec))
+    stable = bool(row["stable"])
     columns = ("field", "value")
-    rows = [("stable", int(rep.stable)), ("abscissa", rep.abscissa),
-            ("abs_g_m_eff_hz", to_hz(abs(rep.g_m_eff)))]
-    for key, value in rep.e_n.items():
-        rows.append((f"en_{key.replace('|', '_')}", value))
-    for key, value in rep.r_min.items():
-        rows.append((f"rmin_{key.replace('|', '_')}", value))
-    if rep.filtered_e_n is not None:
-        rows += [("filtered_en", rep.filtered_e_n), ("fidelity", rep.fidelity)]
-    filtered = rep.meta.get("filtered", {})
+    rows = [("stable", row["stable"]), ("abscissa", row["abscissa"]),
+            ("abs_g_m_eff_hz", to_hz(abs(complex(row["g_m_eff"]))))]
+    diagnostics = {}    # an unstable point writes no measures
+    if stable:
+        rows += [(name, value) for name, value in row.items()
+                 if name.startswith(("en_", "rmin_"))
+                 or name in FILTERED_COLUMNS[:2]]
+        diagnostics = {name: row[name] for name in FILTERED_COLUMNS[2:]
+                       if name in row}
     return _write_result(args, cfg, columns, rows,
-                         {"stable": rep.stable,
-                          **_branch_meta(cfg, rep.meta.get("branches")),
-                          **{f"filtered_{key}": value
-                             for key, value in filtered.items()}})
+                         {"stable": stable,
+                          **_branch_meta(cfg, row.get("branches")),
+                          **diagnostics})
 
 
 def _usable_cpus() -> int:

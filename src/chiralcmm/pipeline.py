@@ -9,8 +9,9 @@ stacks, one stability gate, one stacked Lyapunov solve and the vectorized
 measures.  Only the filtered-output quadrature (one stacked call per
 adaptive pass) runs point by point inside a block.  Every stage treats
 each point on its own, so a row does not depend on the block it is
-evaluated in, and ``evaluate_point`` is the same evaluator run on a block
-of one point.
+evaluated in.  ``evaluate_point`` is the same evaluator run on a block of
+one point, and ``nonreciprocity_contrast`` on a block of two: one point
+driven through each port.
 
 A sweep lists its rows in a fixed order: row-major over the grid (the last
 axis varies fastest), clockwise drive before counter-clockwise at each grid
@@ -21,9 +22,10 @@ any worker count.
 
 Every result is one table: column name -> list with one entry per point.
 A block's table holds the written columns of a sweep and the diagnostic
-columns computed on the way (:func:`sweep_columns`); ``evaluate_point``
-reads its report from the one-row table, and each sweep metadata key is
-one reduction of one column over the joined table (SWEEP_META).
+columns computed on the way (:func:`sweep_columns`).  ``evaluate_point``
+returns the one row of its table as a dict, column name -> value, and each
+sweep metadata key is one reduction of one column over the joined table
+(SWEEP_META).
 
 A block that meets a domain error (the ValueError and RuntimeError
 families: singular mean field, invalid covariance, quadrature failure,
@@ -75,10 +77,6 @@ PAIRS_DEFAULT = (("a_cw", "m"), ("a_cw", "b"), ("a_ccw", "m"), ("a_ccw", "b"))
 TRIPLES_DEFAULT = (("a_cw", "m", "b"), ("a_ccw", "m", "b"))
 
 
-def partition_key(modes) -> str:
-    return "|".join(modes)
-
-
 @dataclass(frozen=True)
 class MeasureRequest:
     """Which quantities to evaluate at each parameter point."""
@@ -88,56 +86,15 @@ class MeasureRequest:
     filter_spec: FilterSpec | None = None     # enables filtered-output block
 
 
-@dataclass(frozen=True)
-class EntReport:
-    """Measures for one parameter point.
-
-    Unstable points carry no measures: only steady-state quantities are
-    reported.  ``echo`` identifies the configuration up to the drive port so
-    that drive-direction comparisons can verify they compare like with like.
-    ``meta`` holds the mean-field branch count in the physical detuning mode
-    (``branches``) and the filtered-output diagnostics (``filtered``).
-    """
-
-    stable: bool
-    abscissa: float
-    drive_port: str
-    g_m_eff: complex
-    e_n: dict
-    r_min: dict
-    filtered_e_n: float | None
-    fidelity: float | None
-    physical: bool | None
-    echo: tuple
-    meta: dict = field(default_factory=dict, compare=False)
-
-
 def evaluate_point(params: SystemParams, det: Detunings,
-                   request: MeasureRequest | None = None) -> EntReport:
-    """Full single-point evaluation: the block evaluator on one point."""
-    request = request or MeasureRequest()
-    row = {name: column[0] for name, column in
-           _evaluate(params, det, request, (), np.empty((1, 0)),
-                     np.array([params.drive_port])).items()}
-    echo = (params.replace(drive_port=DRIVE_CW), det)
-    stable = bool(row["stable"])
-    meta = {"branches": row["branches"]} if "branches" in row else {}
-    common = dict(stable=stable, abscissa=row["abscissa"],
-                  drive_port=params.drive_port,
-                  g_m_eff=complex(row["g_m_eff"]), echo=echo)
-    if not stable:
-        return EntReport(e_n={}, r_min={}, filtered_e_n=None, fidelity=None,
-                         physical=None, meta=meta, **common)
-    e_n = {partition_key(p): row[_column("en", p)] for p in request.pairs}
-    r_min = {partition_key(t): row[_column("rmin", t)] for t in request.triples}
-    filtered_e_n = fidelity = None
-    if request.filter_spec is not None:
-        filtered_e_n, fidelity = row["filtered_en"], row["fidelity"]
-        meta["filtered"] = {key: row[f"filtered_{key}"]
-                            for key in FILTERED_DIAGNOSTICS}
-    return EntReport(e_n=e_n, r_min=r_min, filtered_e_n=filtered_e_n,
-                     fidelity=fidelity, physical=not row["unphysical"],
-                     meta=meta, **common)
+                   request: MeasureRequest | None = None) -> dict:
+    """The sweep row of one point, driven through ``params.drive_port``:
+    each value column of :func:`sweep_columns` -> its value.  The measures
+    are NaN at an unstable point.  This is the block evaluator on a block of
+    one point, so the values equal those of the point's row in a sweep."""
+    table = _evaluate(params, det, request or MeasureRequest(), (),
+                      np.empty((1, 0)), np.array([params.drive_port]))
+    return {name: column[0] for name, column in table.items()}
 
 
 def _column(prefix: str, modes) -> str:
@@ -227,20 +184,24 @@ def _evaluate(params: SystemParams, det: Detunings, request: MeasureRequest,
     return table
 
 
-def nonreciprocity_contrast(report_cw: EntReport, report_ccw: EntReport,
+def nonreciprocity_contrast(params: SystemParams, det: Detunings,
                             partition) -> float:
-    """(E_cw - E_ccw)/(E_cw + E_ccw) for one partition, in [0, 1].
+    """(E_cw - E_ccw)/(E_cw + E_ccw) for one partition, in [-1, 1]: E is
+    E_N for a pair of modes and the minimum residual contangle for a
+    triple, at ``params``/``det`` driven through the cw port and through
+    the ccw port (``params.drive_port`` is not read).
 
     1 for perfectly one-way entanglement (the exact chiral case), 0 for a
-    direction-symmetric configuration or when both vanish.  The two reports
-    must describe identical configurations up to the drive port.
+    direction-symmetric configuration or when both vanish; NaN when either
+    drive is unstable.  Both ports are one block of two points, so they are
+    evaluated alike by construction.
     """
-    if report_cw.echo != report_ccw.echo:
-        raise ValueError("reports do not come from matching configurations")
-    key = partition_key(partition) if not isinstance(partition, str) else partition
-    table_cw = report_cw.e_n if key in report_cw.e_n else report_cw.r_min
-    table_ccw = report_ccw.e_n if key in report_ccw.e_n else report_ccw.r_min
-    e1, e2 = table_cw[key], table_ccw[key]
+    pair = len(partition) == 2
+    request = MeasureRequest(pairs=(partition,) if pair else (),
+                             triples=() if pair else (partition,))
+    table = _evaluate(params, det, request, (), np.empty((2, 0)),
+                      np.array([DRIVE_CW, DRIVE_CCW]))
+    e1, e2 = table[_column("en" if pair else "rmin", partition)]
     if e1 + e2 == 0.0:
         return 0.0
     return (e1 - e2) / (e1 + e2)

@@ -198,10 +198,10 @@ class TestMaxStableCoupling:
         assert edge.value == pytest.approx(hz(0.5225e6), rel=1e-3)
         for gm, stable in zip(edge.bracket, (True, False)):
             E = amplitude_for_gm(p, target_detunings(p, det, gm), gm)
-            rep = evaluate_point(p.replace(drive=DriveSpec("amplitude", E)),
+            row = evaluate_point(p.replace(drive=DriveSpec("amplitude", E)),
                                  det)
-            assert abs(rep.g_m_eff) == pytest.approx(gm, rel=1e-9)
-            assert rep.stable == stable
+            assert abs(row["g_m_eff"]) == pytest.approx(gm, rel=1e-9)
+            assert row["stable"] == stable
 
     def test_unstable_at_zero_coupling_raises(self):
         p = SystemParams(gamma_b=-1.0)

@@ -2,6 +2,7 @@ import io
 import itertools
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import time
@@ -31,7 +32,6 @@ from chiralcmm.pipeline import (
     evaluate_point,
     grid_rows,
     nonreciprocity_contrast,
-    partition_key,
     run_sweep,
     sweep_columns,
 )
@@ -44,48 +44,52 @@ def magnon_point():
     return p, presets.optimum(p, "magnon")
 
 
+def _measures(row) -> dict:
+    """The E_N and r_min columns of a row."""
+    return {name: value for name, value in row.items()
+            if name.startswith(("en_", "rmin_"))}
+
+
 class TestEvaluatePoint:
     def test_optimal_point_is_entangled(self):
         p, det = magnon_point()
-        rep = evaluate_point(p, det)
-        assert rep.stable
-        assert rep.e_n["a_cw|m"] > 0.04
-        assert rep.r_min["a_cw|m|b"] > 0
-        assert rep.physical
+        row = evaluate_point(p, det)
+        assert row["stable"] == 1
+        assert row["en_a_cw_m"] > 0.04
+        assert row["rmin_a_cw_m_b"] > 0
+        assert row["unphysical"] is False
 
     def test_ideal_ccw_drive_measures_vanish(self):
         p, det = magnon_point()
-        rep = evaluate_point(p.replace(drive_port="ccw"), det)
-        assert rep.g_m_eff == 0
-        for value in rep.e_n.values():
-            assert value <= 1e-8
-        for value in rep.r_min.values():
-            assert value == 0.0
+        row = evaluate_point(p.replace(drive_port="ccw"), det)
+        assert row["g_m_eff"] == 0
+        for name, value in _measures(row).items():
+            assert value <= 1e-8 if name.startswith("en_") else value == 0.0
 
     def test_unstable_point_has_no_measures(self):
         p, det = magnon_point()
         p = p.replace(drive=DriveSpec("gm_abs", hz(14e6)))
-        rep = evaluate_point(p, det)
-        assert not rep.stable
-        assert rep.e_n == {} and rep.r_min == {}
+        row = evaluate_point(p, det)
+        assert row["stable"] == 0
+        assert len(_measures(row)) == 6
+        assert all(np.isnan(value) for value in _measures(row).values())
 
     def test_filtered_block_optional(self):
         p, det = magnon_point()
         req = MeasureRequest(
             filter_spec=FilterSpec(-p.omega_b, 10 / p.omega_b))
-        rep = evaluate_point(p, det, request=req)
-        assert 0.5 < rep.fidelity <= 1.0
-        assert rep.filtered_e_n > 0
+        row = evaluate_point(p, det, request=req)
+        assert 0.5 < row["fidelity"] <= 1.0
+        assert row["filtered_en"] > 0
+        assert "filtered_en" not in evaluate_point(p, det)
 
 
 class TestContrast:
     def test_ideal_case_is_unity(self):
         p, det = magnon_point()
-        cw = evaluate_point(p, det)
-        ccw = evaluate_point(p.replace(drive_port="ccw"), det)
-        assert nonreciprocity_contrast(cw, ccw, ("a_cw", "m")) \
+        assert nonreciprocity_contrast(p, det, ("a_cw", "m")) \
             == pytest.approx(1.0, abs=1e-6)
-        assert nonreciprocity_contrast(cw, ccw, ("a_cw", "m", "b")) == 1.0
+        assert nonreciprocity_contrast(p, det, ("a_cw", "m", "b")) == 1.0
 
     def test_symmetric_configuration_is_zero(self):
         p = presets.magnon_set(g_ccw=hz(4e6))  # chi = 1, J = 0
@@ -93,24 +97,33 @@ class TestContrast:
         cw = evaluate_point(p, det)
         ccw = evaluate_point(p.replace(drive_port="ccw"), det)
         # mirror symmetry maps one drive onto the other
-        assert cw.e_n["a_cw|m"] == pytest.approx(ccw.e_n["a_ccw|m"], rel=1e-9)
-        c_pair = nonreciprocity_contrast(cw, ccw, ("a_cw", "m"))
-        c_mirror = nonreciprocity_contrast(cw, ccw, ("a_ccw", "m"))
+        assert cw["en_a_cw_m"] == pytest.approx(ccw["en_a_ccw_m"], rel=1e-9)
+        c_pair = nonreciprocity_contrast(p, det, ("a_cw", "m"))
+        c_mirror = nonreciprocity_contrast(p, det, ("a_ccw", "m"))
         assert c_pair + c_mirror == pytest.approx(0.0, abs=1e-9)
 
     def test_both_zero_gives_zero(self):
         p, det = magnon_point()
         p = p.replace(drive=DriveSpec("gm_abs", 0.0))
-        cw = evaluate_point(p, det)
-        ccw = evaluate_point(p.replace(drive_port="ccw"), det)
-        assert nonreciprocity_contrast(cw, ccw, ("a_cw", "b")) == 0.0
+        assert nonreciprocity_contrast(p, det, ("a_cw", "b")) == 0.0
 
-    def test_mismatched_configurations_rejected(self):
+    @pytest.mark.parametrize("partition", [("a_cw", "m"), ("a_cw", "m", "b")])
+    def test_is_the_contrast_of_the_two_rows(self, partition):
+        # backscattering and a ccw coupling entangle through both ports
+        p = presets.magnon_set(g_ccw=hz(2e6), J=hz(0.5e6))
+        det = presets.optimum(p, "magnon")
+        column = ("en_" if len(partition) == 2 else "rmin_") + "_".join(partition)
+        e1, e2 = (evaluate_point(p.replace(drive_port=port), det)[column]
+                  for port in ("cw", "ccw"))
+        assert e1 > e2 > 0
+        contrast = nonreciprocity_contrast(p.replace(drive_port="ccw"), det,
+                                           partition)
+        assert repr(contrast) == repr((e1 - e2) / (e1 + e2))
+
+    def test_unstable_point_is_nan(self):
         p, det = magnon_point()
-        cw = evaluate_point(p, det)
-        other = evaluate_point(p.replace(temperature=0.02, drive_port="ccw"), det)
-        with pytest.raises(ValueError):
-            nonreciprocity_contrast(cw, other, ("a_cw", "m"))
+        p = p.replace(drive=DriveSpec("gm_abs", hz(14e6)))
+        assert np.isnan(nonreciprocity_contrast(p, det, ("a_cw", "m")))
 
     def test_equal_power_ccw_coupling_is_weak(self):
         # backscattering configuration: CCW drive yields a much smaller G_m
@@ -133,9 +146,9 @@ class TestSweep:
         p, det, spec = self.spec()
         res = run_sweep(p, det, spec)
         for da, e_n in zip(res.table["delta_a"], res.table["en_a_cw_m"]):
-            rep = evaluate_point(p, Detunings.effective(da, det.delta_m_eff),
+            row = evaluate_point(p, Detunings.effective(da, det.delta_m_eff),
                                  spec.request)
-            assert e_n == rep.e_n["a_cw|m"]
+            assert e_n == row["en_a_cw_m"]
 
     def test_row_order_cw_before_ccw(self):
         p, det, spec = self.spec(ports=("ccw", "cw"))
@@ -265,21 +278,16 @@ def _bits(row):
     return [repr(float(v)) if isinstance(v, float) else repr(v) for v in row]
 
 
-def _single_point_row(pre, values, port):
-    """The sweep row of one grid point, from evaluate_point."""
+def _single_point_row(pre, values, port) -> dict:
+    """The sweep row of one grid point, from evaluate_point: column name ->
+    value, the axis values, the port and an empty error added."""
     p, d = pre.params, pre.detunings
     for ax, v in zip(pre.sweep.axes, values):
         p, d = SWEEPABLE[ax.name](p, d, float(v))
-    req = pre.sweep.request
-    rep = evaluate_point(p.replace(drive_port=port), d, req)
-    row = [float(v) for v in values] + [port, int(rep.stable),
-                                        np.abs(np.array([rep.g_m_eff]))[0]]
-    row += [rep.e_n.get(partition_key(q), np.nan) for q in req.pairs]
-    row += [rep.r_min.get(partition_key(t), np.nan) for t in req.triples]
-    if req.filter_spec is not None:
-        row += [np.nan, np.nan] if rep.filtered_e_n is None \
-            else [rep.filtered_e_n, rep.fidelity]
-    return row + [""]
+    row = evaluate_point(p.replace(drive_port=port), d, pre.sweep.request)
+    row.update(zip((ax.name for ax in pre.sweep.axes), map(float, values)),
+               drive_port=port, error="")
+    return row
 
 
 def _block_preset(name):
@@ -311,10 +319,12 @@ class TestBlockEngine:
         assert list(head) == list(tail) == list(whole)
         for name, column in whole.items():
             assert _bits(head[name] + tail[name]) == _bits(column)
-        written, _ = sweep_columns(pre.sweep, pre.params.detuning_mode)
-        for row, i in zip(zip(*(whole[name] for name in written)), idx):
+        # evaluate_point returns the value columns, diagnostics included
+        for k, i in enumerate(idx):
             expected = _single_point_row(pre, values[i], str(ports[i]))
-            assert _bits(row) == _bits(expected)
+            assert set(expected) == set(whole)
+            assert _bits(whole[name][k] for name in whole) \
+                == _bits(expected[name] for name in whole)
 
     def test_physical_detuning_mode_rows_match_single_points(self):
         # the cubic mean field of the physical mode runs on the whole block
@@ -330,8 +340,11 @@ class TestBlockEngine:
         res = run_sweep(p, pre.detunings, spec)
         values, ports = grid_rows(spec)
         assert res.meta["error_rows"] == 0
-        for row, v, port in zip(res.rows(), values, ports):
-            assert _bits(row) == _bits(_single_point_row(pre, v, str(port)))
+        for i, (v, port) in enumerate(zip(values, ports)):
+            expected = _single_point_row(pre, v, str(port))
+            assert set(expected) == set(res.table)
+            assert _bits(res.table[name][i] for name in res.table) \
+                == _bits(expected[name] for name in res.table)
 
     def test_physical_mode_drift_sees_the_dispersive_shift(self, monkeypatch):
         # the drift is built at the self-consistent delta_m_eff, not at the
@@ -377,13 +390,13 @@ class TestBlockEngine:
         pooled = run_sweep(pre.params, pre.detunings, spec, workers=2)
         assert single.meta == pooled.meta
         values, ports = grid_rows(spec)
-        quad = [evaluate_point(pre.params.replace(gamma_b=v[0],
+        rows = [evaluate_point(pre.params.replace(gamma_b=v[0],
                                                   drive_port=str(port)),
-                               pre.detunings, request).meta["filtered"]
+                               pre.detunings, request)
                 for v, port in zip(values, ports)]
         for entry in ("quad_error", "tail_estimate", "modal_cond"):
             assert single.meta[f"filtered_{entry}_max"] == max(
-                m[entry] for m in quad)
+                row[f"filtered_{entry}"] for row in rows)
 
     def test_multistable_rows_identical_across_worker_counts(self,
                                                             monkeypatch):
@@ -490,10 +503,10 @@ class TestBlockEngine:
         assert table(1) == table(2)
 
 
-def _mirrored(key):
-    """A partition key with the two circulating modes swapped."""
+def _mirrored(column):
+    """A column name with the two circulating modes swapped."""
     swap = {"a_cw": "a_ccw", "a_ccw": "a_cw"}
-    return "|".join(swap.get(mode, mode) for mode in key.split("|"))
+    return re.sub("a_c?cw", lambda mode: swap[mode.group()], column)
 
 
 def _model_measures(p, det, g_m_eff):
@@ -545,16 +558,15 @@ class TestMetamorphic:
         ccw = evaluate_point(p, det, request)
         cw = evaluate_point(p.replace(g_cw=p.g_ccw, g_ccw=p.g_cw,
                                       drive_port="cw"), det, request)
-        assert cw.stable == ccw.stable
-        assert abs(cw.g_m_eff) == pytest.approx(abs(ccw.g_m_eff), rel=1e-12)
-        if not ccw.stable:
+        assert cw["stable"] == ccw["stable"]
+        assert abs(cw["g_m_eff"]) == pytest.approx(abs(ccw["g_m_eff"]),
+                                                   rel=1e-12)
+        if not ccw["stable"]:
             return
-        for table_ccw, table_cw in ((ccw.e_n, cw.e_n), (ccw.r_min, cw.r_min)):
-            for key, value in table_ccw.items():
-                assert table_cw[_mirrored(key)] == pytest.approx(value,
-                                                                 abs=1e-12)
-        assert cw.filtered_e_n == pytest.approx(ccw.filtered_e_n, abs=1e-10)
-        assert cw.fidelity == pytest.approx(ccw.fidelity, abs=1e-10)
+        for name, value in _measures(ccw).items():
+            assert cw[_mirrored(name)] == pytest.approx(value, abs=1e-12)
+        assert cw["filtered_en"] == pytest.approx(ccw["filtered_en"], abs=1e-10)
+        assert cw["fidelity"] == pytest.approx(ccw["fidelity"], abs=1e-10)
 
     @settings(max_examples=15)
     @given(gm=st.floats(0.5e6, 20e6), phase=st.floats(0.0, 2 * np.pi),

@@ -57,8 +57,7 @@ class TestEveryPreset:
     def test_runs(self, name):
         pre = presets.get(name)
         if pre.sweep is None:
-            rep = evaluate_point(pre.params, pre.detunings)
-            assert rep.stable
+            assert evaluate_point(pre.params, pre.detunings)["stable"] == 1
             return
         # shrink every axis to 2 points: the preset must at least execute
         axes = tuple(SweepAxis(ax.name, ax.start, ax.stop, 2)

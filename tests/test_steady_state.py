@@ -228,9 +228,9 @@ class TestSelfConsistentSolve:
         assert to_hz(abs(sf.g_m_eff)) == pytest.approx(lower_mhz * 1e6,
                                                        abs=1e3)
         assert sf.meta["branches"] == 3
-        rep = evaluate_point(p, det)
-        assert rep.g_m_eff == sf.g_m_eff
-        assert rep.stable and rep.abscissa < 0
+        row = evaluate_point(p, det)
+        assert row["g_m_eff"] == sf.g_m_eff
+        assert row["stable"] == 1 and row["abscissa"] < 0
 
 
 # one point of the cubic property: J/kappa_m, g_ccw/g_cw, drive port,
