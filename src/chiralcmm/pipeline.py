@@ -307,6 +307,11 @@ class SweepSpec:
             repeated = _repeated(entries)
             if repeated:
                 raise ValueError(f"repeated entry {repeated[0]!r} in {what}")
+        for modes in (*self.request.pairs, *self.request.triples):
+            repeated = _repeated(modes)
+            if repeated:
+                raise ValueError(f"partition {':'.join(modes)!r} names mode "
+                                 f"{repeated[0]!r} twice")
 
 
 @dataclass(frozen=True)

@@ -450,8 +450,11 @@ class TestSweepCommand:
         (["sweep.pairs=a_cw:m,a_cw:m"], "repeated entry 'a_cw:m' in pairs"),
         (["sweep.triples=a_cw:m:b,a_cw:m:b"],
          "repeated entry 'a_cw:m:b' in triples"),
+        (["sweep.pairs=m:m"], "partition 'm:m' names mode 'm' twice"),
+        (["sweep.triples=a_cw:m:m"],
+         "partition 'a_cw:m:m' names mode 'm' twice"),
     ], ids=["same-axis", "chi-g_ccw", "two-drives", "ports", "pairs",
-            "triples"])
+            "triples", "pair-mode-twice", "triple-mode-twice"])
     def test_ambiguous_sweep_refused(self, overrides, message, monkeypatch,
                                      capsys):
         def refuse(*_args, **_kwargs):

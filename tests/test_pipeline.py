@@ -247,6 +247,16 @@ class TestSweep:
         with pytest.raises(ValueError):
             SweepSpec(axes=(SweepAxis("delta_a", 0.0, np.inf, 5),))
 
+    @pytest.mark.parametrize("pairs, triples", [
+        ((("a_cw", "m"), ("b", "b")), ()),
+        ((), (("a_cw", "m", "b"), ("a_ccw", "b", "a_ccw")))])
+    def test_partition_naming_a_mode_twice_refused(self, pairs, triples):
+        # it could only give rows whose covariance is singular
+        request = MeasureRequest(pairs=pairs, triples=triples)
+        with pytest.raises(ValueError, match="names mode .* twice"):
+            SweepSpec(axes=(SweepAxis("delta_a", 0.0, 1.0, 5),),
+                      request=request)
+
 
 class TestTemperatureCurve:
     def test_monotone_decay_past_the_peak(self):
