@@ -27,9 +27,9 @@ field = resolve_drive(params, det)
 model = build_model(params, det, field.g_m_eff)
 
 # intracavity benchmark
-cm = solve_lyapunov(model.A, model.D)
+V = solve_lyapunov(model.A, model.D)
 print("intracavity E(a_cw, m) = %.4f"
-      % log_negativity(extract_block(cm, ("a_cw", "m"))))
+      % log_negativity(extract_block(V, ("a_cw", "m"))))
 
 # filtered output mode + stationary magnon quadratures
 out = filtered_pair_cm(model.A, model.D, params, pre.filter_spec)

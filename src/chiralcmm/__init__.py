@@ -34,7 +34,7 @@ from .linear_model import (  # noqa: F401
     is_stable,
     max_stable_coupling,
 )
-from .lyapunov import CovMatrix, extract_block, solve_lyapunov  # noqa: F401
+from .lyapunov import extract_block, solve_lyapunov  # noqa: F401
 from .measures import (  # noqa: F401
     log_negativity,
     residual_contangle_min,

@@ -7,25 +7,19 @@ on the stack it is solved in), and numpy's batched LU solves every system
 of the stack in one call.  The test suite checks it against a Schur
 (Bartels-Stewart) solve, a dense Kronecker-product solve and a time-integral
 oracle.
+
+A covariance matrix is a plain array, in the quadrature ordering of
+``linear_model.MODE_ORDER``: :func:`extract_block` picks modes by label
+through ``linear_model.MODE_SLOTS``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .linear_model import MODE_ORDER, UnstableSystemError, is_stable
-
-
-@dataclass(frozen=True)
-class CovMatrix:
-    """Symmetric 2n x 2n covariance matrix with mode labels (a stack of
-    them when V is (points, 2n, 2n))."""
-
-    V: np.ndarray
-    mode_order: tuple
+from .linear_model import MODE_SLOTS, UnstableSystemError, is_stable
 
 
 @lru_cache(maxsize=None)
@@ -53,11 +47,11 @@ def _sym_vec_maps(n: int):
 
 
 def solve_lyapunov(A: np.ndarray, D: np.ndarray,
-                   mode_order: tuple = MODE_ORDER,
-                   gated: bool = False) -> CovMatrix:
+                   gated: bool = False) -> np.ndarray:
     """Solve A V + V A^T = -D for the stationary covariance matrix V.
 
-    A and D are n x n, or (points, n, n) stacks solved in one call.
+    A and D are n x n, or (points, n, n) stacks solved in one call; V has
+    the shape of A.
     Refuses unstable drift matrices (there is no steady state to report);
     ``gated=True`` says the caller has already checked every A with
     :func:`is_stable`, which is then not repeated.  Every solution is
@@ -104,17 +98,15 @@ def solve_lyapunov(A: np.ndarray, D: np.ndarray,
         raise RuntimeError(
             f"Lyapunov residual {residual[bad][0]:.3g} exceeds bound "
             f"{bound[bad][0]:.3g} (ill-conditioned solve)")
-    return CovMatrix(V=V.reshape(A.shape), mode_order=tuple(mode_order))
+    return V.reshape(A.shape)
 
 
-def extract_block(cm: CovMatrix, modes) -> CovMatrix:
-    """Principal submatrix for the requested modes, in the requested order
-    (of every matrix of a stack)."""
-    modes = tuple(modes)
-    pos = {label: i for i, label in enumerate(cm.mode_order)}
+def extract_block(V: np.ndarray, modes) -> np.ndarray:
+    """Principal submatrix of the 8x8 covariance V (or of every matrix of a
+    stack) for the labelled modes of ``MODE_SLOTS``, in the requested
+    order."""
     for label in modes:
-        if label not in pos:
+        if label not in MODE_SLOTS:
             raise KeyError(f"unknown mode label {label!r}")
-    idx = np.array([k for label in modes
-                    for k in (2 * pos[label], 2 * pos[label] + 1)])
-    return CovMatrix(V=cm.V[..., idx[:, None], idx], mode_order=modes)
+    idx = np.array([k for label in modes for k in MODE_SLOTS[label]])
+    return V[..., idx[:, None], idx]

@@ -6,6 +6,9 @@ negativity E_N = max[0, -ln(2*eta_minus)] with eta_minus the smallest
 symplectic eigenvalue of the partially transposed two-mode covariance
 matrix; genuine tripartite entanglement is the minimum residual contangle
 built from squared logarithmic negativities.
+
+Every measure takes a plain array: one matrix, or a stack of them whose
+leading axes the result keeps.
 """
 
 from __future__ import annotations
@@ -14,8 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .lyapunov import CovMatrix
 
 # relative roundoff: analytic square roots clip, and don't fail, down to
 # -CLIP_TOL; the Heisenberg check allows -CLIP_TOL * ||V||
@@ -28,7 +29,7 @@ SYMMETRY_TOL = 1e-8
 # Heisenberg check: symplectic eigenvalues down to 1/2 - PHYSICAL_SLACK pass
 PHYSICAL_SLACK = 1e-9
 
-# residuals below -VIOLATION_TOL are reported as monogamy violations
+# residuals below -VIOLATION_TOL count as monogamy violations
 VIOLATION_TOL = 1e-9
 
 
@@ -37,9 +38,9 @@ class InvalidCovarianceError(ValueError):
 
 
 def _matrices(V, size: int, what: str) -> np.ndarray:
-    """V (a CovMatrix or an array) as a float array of one matrix or a stack,
-    refused unless its matrices are ``size`` x ``size``."""
-    V = V.V if isinstance(V, CovMatrix) else np.asarray(V, dtype=float)
+    """V as a float array of one matrix or a stack, refused unless its
+    matrices are ``size`` x ``size``."""
+    V = np.asarray(V, dtype=float)
     if V.ndim not in (2, 3) or V.shape[-2:] != (size, size):
         raise InvalidCovarianceError(what)
     return V
@@ -117,7 +118,7 @@ def _det2(M: np.ndarray) -> np.ndarray:
     return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
 
 
-def log_negativity(V4: np.ndarray | CovMatrix):
+def log_negativity(V4: np.ndarray):
     """Logarithmic negativity of a two-mode Gaussian state (one value per
     matrix of a (points, 4, 4) stack).
 
@@ -173,79 +174,55 @@ def _one_vs_two(V6: np.ndarray, single: int):
 
 @dataclass(frozen=True)
 class ContangleReport:
-    """Residual-contangle breakdown of a three-mode Gaussian state.
+    """Residual contangle of a three-mode Gaussian state, or of each state
+    of a stack, whose leading shape ``...`` every field keeps."""
 
-    For a (points, 6, 6) stack every number is an array over the points and
-    ``monogamy_violations`` holds one tuple per point.
-    """
-
-    r_min: float
-    residuals: dict          # focus mode index -> residual C_{i|jk}-C_{i|j}-C_{i|k}
-    one_vs_two: dict         # focus mode index -> squared E across 1|2 split
-    pairwise: dict           # (i, j) -> squared pairwise E_N
-    monogamy_violations: tuple
-    # focus mode index -> symplectic eigenvalues below 1/2 of the 1|2
-    # partial transpose; above 1, the 1|2 value is a lower bound
-    below_half: dict
+    r_min: np.ndarray        # (...): min over focus modes, floored at zero
+    # (..., 3): C_{i|jk} - C_{i|j} - C_{i|k} for focus mode i, signed; a
+    # value below -VIOLATION_TOL is a monogamy violation
+    residuals: np.ndarray
+    # (..., 3): symplectic eigenvalues below 1/2 of the 1|2 partial
+    # transpose for focus mode i; above 1, the 1|2 value is a lower bound
+    below_half: np.ndarray
 
 
-def residual_contangle_min(V6: np.ndarray | CovMatrix) -> ContangleReport:
+def residual_contangle_min(V6: np.ndarray) -> ContangleReport:
     """Minimum residual contangle of a three-mode Gaussian state (or of each
     state of a stack).
 
     The contangle of a split is the squared logarithmic negativity; the
     residual for focus mode i is C_{i|jk} - C_{i|j} - C_{i|k} and the
     reported measure is the minimum over the three focus choices, floored
-    at zero.  Monogamy violations beyond VIOLATION_TOL are reported as
-    diagnostics rather than raised.
+    at zero.  Negative residuals (monogamy violations) are kept in
+    ``residuals`` rather than raised.
     """
-    labels = V6.mode_order if isinstance(V6, CovMatrix) else (0, 1, 2)
     V6 = _matrices(V6, 6, "residual contangle expects a 6x6 matrix")
-    stack = V6.reshape(-1, 6, 6)
 
     def pair_cm(i, j):
         idx = np.array([2 * i, 2 * i + 1, 2 * j, 2 * j + 1])
-        return stack[:, idx[:, None], idx]
+        return V6[..., idx[:, None], idx]
 
-    one_vs_two, below_half = {}, {}
-    for i in range(3):
-        e, below_half[i] = _one_vs_two(stack, i)
-        one_vs_two[i] = e ** 2
     pairwise = {}
     for i, j in ((0, 1), (0, 2), (1, 2)):
         # E_N is symmetric under swapping the two modes
         pairwise[(i, j)] = pairwise[(j, i)] = log_negativity(pair_cm(i, j)) ** 2
-
-    residuals = {}
+    residuals, below_half = [], []
     for i in range(3):
         j, k = [x for x in range(3) if x != i]
-        residuals[i] = one_vs_two[i] - pairwise[(i, j)] - pairwise[(i, k)]
-    r_min = _floor_at_zero(np.minimum.reduce([residuals[i] for i in range(3)]))
-    violations = tuple(
-        tuple((labels[i], float(residuals[i][p])) for i in range(3)
-              if residuals[i][p] < -VIOLATION_TOL)
-        for p in range(len(stack)))
-    if V6.ndim == 3:
-        return ContangleReport(r_min=r_min, residuals=residuals,
-                               one_vs_two=one_vs_two, pairwise=pairwise,
-                               monogamy_violations=violations,
-                               below_half=below_half)
-
-    def first(table):
-        return {key: value[0].item() for key, value in table.items()}
-
-    return ContangleReport(r_min=float(r_min[0]), residuals=first(residuals),
-                           one_vs_two=first(one_vs_two),
-                           pairwise=first(pairwise),
-                           monogamy_violations=violations[0],
-                           below_half=first(below_half))
+        e, below = _one_vs_two(V6, i)
+        residuals.append(e ** 2 - pairwise[(i, j)] - pairwise[(i, k)])
+        below_half.append(below)
+    residuals = np.stack(residuals, axis=-1)
+    return ContangleReport(r_min=_floor_at_zero(np.min(residuals, axis=-1)),
+                           residuals=residuals,
+                           below_half=np.stack(below_half, axis=-1))
 
 
 #: coherent-state covariance matrix, the default teleportation input
 COHERENT_INPUT = 0.5 * np.eye(2)
 
 
-def teleportation_fidelity(V_pair: np.ndarray | CovMatrix,
+def teleportation_fidelity(V_pair: np.ndarray,
                            V_in: np.ndarray | None = None) -> float:
     """Fidelity of teleporting a single-mode Gaussian state over ``V_pair``.
 
@@ -255,7 +232,7 @@ def teleportation_fidelity(V_pair: np.ndarray | CovMatrix,
     mode f receives the state.  A vacuum resource with a coherent input
     gives the classical boundary F = 1/2.
     """
-    V4 = V_pair.V if isinstance(V_pair, CovMatrix) else np.asarray(V_pair, dtype=float)
+    V4 = np.asarray(V_pair, dtype=float)
     if V4.shape != (4, 4):
         raise InvalidCovarianceError("teleportation resource must be a 4x4 CM")
     V_in = COHERENT_INPUT if V_in is None else np.asarray(V_in, dtype=float)

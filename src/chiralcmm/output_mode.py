@@ -386,7 +386,7 @@ def filtered_pair_cm(A: np.ndarray, D: np.ndarray, params: SystemParams,
     port = params.drive_port
     chans = noise_channels(params)
     sig = chans.sigma
-    v_lyap = solve_lyapunov(A, D).V
+    v_lyap = solve_lyapunov(A, D)
     res = _pair_resolvent(A, chans, port, params.kappa_a_e)
     inv_sqrt_2pi = 1.0 / math.sqrt(2.0 * math.pi)
 

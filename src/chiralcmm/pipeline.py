@@ -45,12 +45,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linear_model
-# pipeline.build_model stays the single-point helper (bench/tracer.py wraps
-# it and reads one verdict per call); blocks go through
-# linear_model.build_model
+# nothing here calls pipeline.build_model: it stays only as a patch target
+# of bench/tracer.py until the tracer wraps linear_model.build_model
 from .linear_model import build_model  # noqa: F401
 from .lyapunov import extract_block, solve_lyapunov
 from .measures import (
+    VIOLATION_TOL,
     is_physical,
     log_negativity,
     residual_contangle_min,
@@ -116,14 +116,18 @@ def sweep_columns(spec, detuning_mode: str):
     value columns, whose measures are NaN at unstable points.
     ``unphysical``: a stable covariance fails :func:`is_physical`;
     ``several_below_half``: a 1|2 partial transpose had more than one
-    symplectic eigenvalue below 1/2; ``branches``: real roots of the cubic
-    mean field."""
+    symplectic eigenvalue below 1/2; ``monogamy_violations`` (with
+    triples): focus modes, over all triples, whose residual contangle is
+    below -VIOLATION_TOL; ``branches``: real roots of the cubic mean
+    field."""
     request = spec.request
     written = [ax.name for ax in spec.axes] + ["drive_port", "stable",
                                                "abs_g_m_eff"]
     written += [_column("en", p) for p in request.pairs]
     written += [_column("rmin", t) for t in request.triples]
     diagnostic = ["abscissa", "g_m_eff", "unphysical", "several_below_half"]
+    if request.triples:
+        diagnostic.append("monogamy_violations")
     if detuning_mode == DETUNING_PHYSICAL:
         diagnostic.append("branches")
     if request.filter_spec is not None:
@@ -148,7 +152,7 @@ def _evaluate(params: SystemParams, det: Detunings, request: MeasureRequest,
     dets = Detunings(dets.delta_a, dets.delta_m, steady.delta_m_eff)
     model = linear_model.build_model(P, dets, steady.g_m_eff)
     ok = model.stable
-    cm = solve_lyapunov(model.A[ok], model.D[ok], gated=True)
+    V = solve_lyapunov(model.A[ok], model.D[ok], gated=True)
 
     def at_stable(x, fill=np.nan) -> list:
         out = np.full(n, fill, dtype=np.asarray(x).dtype)
@@ -159,17 +163,20 @@ def _evaluate(params: SystemParams, det: Detunings, request: MeasureRequest,
              "abs_g_m_eff": np.abs(steady.g_m_eff).tolist()}
     for pair in request.pairs:
         table[_column("en", pair)] = at_stable(
-            log_negativity(extract_block(cm, pair)))
-    several_below = False
+            log_negativity(extract_block(V, pair)))
+    several_below, violations = False, 0
     for tri in request.triples:
-        report = residual_contangle_min(extract_block(cm, tri))
+        report = residual_contangle_min(extract_block(V, tri))
         table[_column("rmin", tri)] = at_stable(report.r_min)
-        several_below = several_below | np.any(
-            [b > 1 for b in report.below_half.values()], axis=0)
+        several_below = several_below | np.any(report.below_half > 1, axis=-1)
+        violations = violations + np.sum(report.residuals < -VIOLATION_TOL,
+                                         axis=-1)
     table.update(abscissa=model.abscissa.tolist(),
                  g_m_eff=steady.g_m_eff.tolist(),
-                 unphysical=at_stable(~is_physical(cm.V), False),
+                 unphysical=at_stable(~is_physical(V), False),
                  several_below_half=at_stable(several_below, False))
+    if request.triples:
+        table["monogamy_violations"] = at_stable(violations, 0)
     if params.detuning_mode == DETUNING_PHYSICAL:
         table["branches"] = steady.meta["branches"].tolist()
 

@@ -123,8 +123,7 @@ def output_filter(params: SystemParams) -> FilterSpec:
 
 
 def get(name: str, grid_points: int = 101) -> FigurePreset:
-    """Build a named figure preset (fig2a ... fig6b, figs1)."""
-    name = name.lower()
+    """Build the figure preset of a name in PRESET_NAMES."""
     kappa_m = SystemParams().kappa_m
 
     if name == "fig2a":
@@ -147,7 +146,7 @@ def get(name: str, grid_points: int = 101) -> FigurePreset:
         )
         return FigurePreset(name, "microwave-phonon entanglement vs cavity "
                             "linewidth and drive power", p, det, sweep)
-    if name in ("fig2d", "fig2d_magnon", "fig2d_phonon"):
+    if name in ("fig2d_magnon", "fig2d_phonon"):
         which = "phonon" if name.endswith("phonon") else "magnon"
         p = magnon_set() if which == "magnon" else phonon_set()
         det = optimum(p, which)

@@ -1,9 +1,10 @@
 """Shared constructions for the test suite: random stable systems, the
 symplectic form, random symplectic transformations, random physical
 covariance matrices, the two-mode squeezed state with its known
-entanglement, the Schur-method Lyapunov oracle, the batched-inverse
-resolvent oracle, the strictly chiral closed-form means and the
-complex-form classical right-hand side."""
+entanglement, an off-design state that breaks the monogamy inequality,
+the Schur-method Lyapunov oracle, the batched-inverse resolvent oracle,
+the strictly chiral closed-form means and the complex-form classical
+right-hand side."""
 
 import math
 from typing import NamedTuple
@@ -11,8 +12,9 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
+from chiralcmm.constants import hz
 from chiralcmm.linear_model import MODE_SLOTS
-from chiralcmm.params import DRIVE_CW
+from chiralcmm.params import DRIVE_CW, Detunings, DriveSpec, SystemParams
 from chiralcmm.steady_state import SQRT2, SteadyField
 
 
@@ -100,6 +102,19 @@ def two_mode_squeezed_cm(r, n_th=0.0):
     s = -(n_th + 0.5) * math.sinh(2.0 * r)
     Z = np.diag([1.0, -1.0])
     return np.block([[c * np.eye(2), s * Z], [s * Z, c * np.eye(2)]])
+
+
+def off_design_state():
+    """(params, detunings) of a warm, weakly driven stable point whose
+    a_ccw:m:b state has one residual contangle slightly below zero (about
+    -3e-6, focus mode a_ccw): a monogamy violation of the squared
+    negativity."""
+    p = SystemParams(kappa_a_e=hz(3.000046e6), g_cw=hz(6.136448e6),
+                     g_ccw=hz(0.2528422e6), J=hz(1.0452631e6),
+                     gamma_b=hz(2101.3921), temperature=0.04937237,
+                     drive=DriveSpec("gm_abs", hz(3.6480122e6)))
+    det = Detunings.effective(-0.84250274 * p.omega_b, 1.04799034 * p.omega_b)
+    return p, det
 
 
 def ideal_means(params, det, E):

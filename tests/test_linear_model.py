@@ -217,7 +217,7 @@ class TestCcwBlockClosure:
         p = SystemParams()
         det = Detunings.effective(-0.72 * p.omega_b, 0.76 * p.omega_b)
         model = build_model(p, det, hz(4e6) * np.exp(0.3j))
-        V = solve_lyapunov(model.A, model.D).V
+        V = solve_lyapunov(model.A, model.D)
         n_a = p.occupancies()[0]
         assert_allclose(V[2:4, 2:4], (n_a + 0.5) * np.eye(2), atol=1e-12)
         assert_allclose(V[2:4, :2], 0.0, atol=1e-12)

@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from chiralcmm.linear_model import MODE_ORDER
+from chiralcmm.lyapunov import extract_block
 from chiralcmm.measures import (
     PHYSICAL_SLACK,
+    VIOLATION_TOL,
     InvalidCovarianceError,
+    _one_vs_two,
     is_physical,
     log_negativity,
     partial_transpose,
@@ -16,6 +20,7 @@ from chiralcmm.measures import (
 )
 
 from helpers import (
+    off_design_state,
     random_physical_cm,
     random_symplectic,
     symplectic_form,
@@ -150,9 +155,9 @@ class TestLogNegativity:
 
 
 def one_vs_two(V, single):
-    """Log negativity across the 1|2 split with ``single`` alone, from the
-    squared value the residual-contangle report carries."""
-    return math.sqrt(residual_contangle_min(V).one_vs_two[single])
+    """Log negativity across the 1|2 split with ``single`` alone, as the
+    residual contangle computes it."""
+    return float(_one_vs_two(V, single)[0])
 
 
 class TestOneVsTwo:
@@ -173,7 +178,8 @@ class TestResidualContangle:
         V = direct_sum(*[(n + 0.5) * np.eye(2) for n in (0.0, 1.3, 4.2)])
         rep = residual_contangle_min(V)
         assert rep.r_min == 0.0
-        assert rep.monogamy_violations == ()
+        assert np.array_equal(rep.residuals, np.zeros(3))
+        assert np.array_equal(rep.below_half, np.zeros(3))
 
     def test_monogamy_of_tmsv_plus_vacuum(self):
         V = direct_sum(two_mode_squeezed_cm(0.6), 0.5 * np.eye(2))
@@ -185,30 +191,50 @@ class TestResidualContangle:
     def test_small_violations_reported_and_floored(self):
         # the negativity-squared contangle is not a convex-roof measure, so
         # weakly entangled mixed states can break the monogamy inequality
-        # slightly; such cases must surface as diagnostics with r_min = 0
-        # rather than as a negative measure.  This state comes from an
-        # off-design warm, weakly driven configuration of the full pipeline.
-        from chiralcmm.constants import hz
+        # slightly; such cases must surface as negative residuals with
+        # r_min = 0 rather than as a negative measure.  This state comes from
+        # an off-design warm, weakly driven configuration of the full
+        # pipeline.
         from chiralcmm.linear_model import build_model
-        from chiralcmm.lyapunov import extract_block, solve_lyapunov
-        from chiralcmm.params import Detunings, DriveSpec, SystemParams
+        from chiralcmm.lyapunov import solve_lyapunov
         from chiralcmm.steady_state import resolve_drive
 
-        p = SystemParams(kappa_a_e=hz(3.000046e6), g_cw=hz(6.136448e6),
-                         g_ccw=hz(0.2528422e6), J=hz(1.0452631e6),
-                         gamma_b=hz(2101.3921), temperature=0.04937237,
-                         drive=DriveSpec("gm_abs", hz(3.6480122e6)))
-        det = Detunings.effective(-0.84250274 * p.omega_b,
-                                  1.04799034 * p.omega_b)
+        p, det = off_design_state()
         sf = resolve_drive(p, det)
         model = build_model(p, det, sf.g_m_eff)
         assert model.stable
-        cm = solve_lyapunov(model.A, model.D)
-        rep = residual_contangle_min(extract_block(cm, ("a_ccw", "m", "b")))
-        assert rep.monogamy_violations
-        worst = min(r for _, r in rep.monogamy_violations)
-        assert -1e-4 < worst < -1e-9
+        V = solve_lyapunov(model.A, model.D)
+        rep = residual_contangle_min(extract_block(V, ("a_ccw", "m", "b")))
+        assert np.sum(rep.residuals < -VIOLATION_TOL) == 1
+        assert -1e-4 < np.min(rep.residuals) < -1e-9
         assert rep.r_min == 0.0
+
+
+class TestSingleMatchesStack:
+    def test_single_matrix_gives_the_bits_of_its_row(self):
+        # a matrix alone and as a row of a stack give the same bits
+        rng = np.random.default_rng(2025)
+        V = np.array([random_physical_cm(rng, 4) for _ in range(50)])
+        pairs = [("a_cw", "m"), ("a_ccw", "b"), ("m", "a_cw")]
+        triples = [("a_cw", "m", "b"), ("a_ccw", "m", "b"), MODE_ORDER[:3]]
+        physical = is_physical(V)
+        stacked = {modes: extract_block(V, modes) for modes in pairs + triples}
+        e_n = {pair: log_negativity(stacked[pair]) for pair in pairs}
+        reports = {tri: residual_contangle_min(stacked[tri]) for tri in triples}
+        for k in range(len(V)):
+            assert is_physical(V[k]) == physical[k]
+            for modes, blocks in stacked.items():
+                assert np.array_equal(extract_block(V[k], modes), blocks[k])
+            for pair in pairs:
+                single = log_negativity(extract_block(V[k], pair))
+                assert single == e_n[pair][k]
+            for tri, report in reports.items():
+                single = residual_contangle_min(extract_block(V[k], tri))
+                assert single.r_min.shape == ()
+                assert single.residuals.shape == single.below_half.shape == (3,)
+                assert np.array_equal(single.r_min, report.r_min[k])
+                assert np.array_equal(single.residuals, report.residuals[k])
+                assert np.array_equal(single.below_half, report.below_half[k])
 
 
 class TestTeleportationFidelity:

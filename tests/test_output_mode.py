@@ -120,7 +120,7 @@ class TestSpectralMatrix:
     def test_wiener_khinchin_reproduces_lyapunov_cm(self):
         p, model, _ = fig2d_point()
         chans = noise_channels(p)
-        v_ref = solve_lyapunov(model.A, model.D).V
+        v_ref = solve_lyapunov(model.A, model.D)
 
         def f(w):
             return np.real(spectral_matrix(model.A, chans, w, p.kappa_a_e)[0])
@@ -251,8 +251,7 @@ class TestTimeDomainOracle:
         chans = noise_channels(params)
         B, sig = chans.B, chans.sigma
         n_port = chans.n_port + 0.5
-        V_stat = solve_lyapunov(A, np.diag([0.0] * 8) + (B * sig) @ B.T,
-                                mode_order=("a_cw", "a_ccw", "m", "b")).V
+        V_stat = solve_lyapunov(A, np.diag([0.0] * 8) + (B * sig) @ B.T)
         T_e = np.zeros((2, 11))
         T_e[0, chans.port_channels["cw"][0]] = 1.0
         T_e[1, chans.port_channels["cw"][1]] = 1.0

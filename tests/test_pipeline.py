@@ -38,6 +38,8 @@ from chiralcmm.pipeline import (
 from chiralcmm.steady_state import resolve_drive
 from chiralcmm import presets
 
+from helpers import off_design_state
+
 
 def magnon_point():
     p = presets.magnon_set()
@@ -73,6 +75,22 @@ class TestEvaluatePoint:
         assert row["stable"] == 0
         assert len(_measures(row)) == 6
         assert all(np.isnan(value) for value in _measures(row).values())
+        assert row["monogamy_violations"] == 0
+
+    def test_monogamy_violations_counted(self):
+        # one focus mode of a_ccw:m:b breaks the monogamy inequality here
+        # (residuals about -3.0e-6, 4.9e-5 and 5.0e-5); r_min is floored
+        p, det = off_design_state()
+        tri = ("a_ccw", "m", "b")
+        row = evaluate_point(p, det, MeasureRequest(pairs=(), triples=(tri,)))
+        assert row["stable"] == 1
+        assert row["monogamy_violations"] == 1
+        assert row["rmin_a_ccw_m_b"] == 0.0
+        both = MeasureRequest(pairs=(), triples=(tri, ("a_cw", "m", "b")))
+        assert evaluate_point(p, det, both)["monogamy_violations"] == 1
+        # the column exists only with triples
+        pairs_only = MeasureRequest(triples=())
+        assert "monogamy_violations" not in evaluate_point(p, det, pairs_only)
 
     def test_filtered_block_optional(self):
         p, det = magnon_point()
@@ -525,12 +543,12 @@ def _model_measures(p, det, g_m_eff):
     model = linear_model.build_model(p, det, g_m_eff)
     if not model.stable:
         return False, {}, {}
-    cm = pipeline.solve_lyapunov(model.A, model.D)
+    V = pipeline.solve_lyapunov(model.A, model.D)
     pairs = itertools.combinations(linear_model.MODE_ORDER, 2)
-    e_n = {pair: pipeline.log_negativity(pipeline.extract_block(cm, pair))
+    e_n = {pair: pipeline.log_negativity(pipeline.extract_block(V, pair))
            for pair in pairs}
     r_min = {tri: pipeline.residual_contangle_min(
-                 pipeline.extract_block(cm, tri)).r_min
+                 pipeline.extract_block(V, tri)).r_min
              for tri in pipeline.TRIPLES_DEFAULT}
     return True, e_n, r_min
 
@@ -621,8 +639,8 @@ class TestMetamorphic:
         det = Detunings.effective(delta_a * wb, delta_m * wb)
         model = linear_model.build_model(p, det, 0.0)
         assert model.stable
-        cm = pipeline.solve_lyapunov(model.A, model.D)
-        block = pipeline.extract_block(cm, ("a_cw", "a_ccw", "m")).V
+        V = pipeline.solve_lyapunov(model.A, model.D)
+        block = pipeline.extract_block(V, ("a_cw", "a_ccw", "m"))
         assert_allclose(block, 0.5 * np.eye(6), rtol=0, atol=1e-12)
 
 

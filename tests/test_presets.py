@@ -66,3 +66,10 @@ class TestEveryPreset:
                           request=pre.sweep.request)
         res = run_sweep(pre.params, pre.detunings, small)
         assert all(e == "" for e in res.table["error"])
+
+
+@pytest.mark.parametrize("name", ["fig2d", "FIG2A", "Fig3a"])
+def test_only_exact_preset_names(name):
+    assert name not in presets.PRESET_NAMES
+    with pytest.raises(KeyError):
+        presets.get(name)

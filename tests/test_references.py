@@ -1,11 +1,13 @@
-"""Sweep outputs against the references the benchmark compares them with.
+"""Command-line outputs against the references the benchmark compares
+them with.
 
-The ten one-dimensional figure presets and the filtered ``fig2d_magnon``
-sweep run through the command line exactly as the benchmark's seed-0
+Every benchmark sweep (the 101x101 ``fig2a`` map, the ten one-dimensional
+figure presets and the two filtered ``fig2d`` sweeps) and the comb
+threshold run through the command line exactly as the benchmark's seed-0
 invocations do, and each CSV is compared with its recorded reference in
 ``bench/ref`` by ``bench/checks.compare_reference`` (numbers to a relative
-1e-6).  This pins the row assembly of every sweep to the recorded outputs
-at each test run; the references are only read.
+1e-6).  This pins every recorded output at each test run; the references
+are only read.
 """
 
 import importlib.util
@@ -21,8 +23,9 @@ _spec = importlib.util.spec_from_file_location("bench_checks",
 checks = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(checks)
 
-PRESETS = ("fig2d_magnon", "fig3a", "fig3b", "fig4a", "fig4b", "fig4c",
-           "fig4d", "fig5a", "fig5b", "fig6a", "fig6b")
+PRESETS = ("fig2a", "fig2d_magnon", "fig2d_phonon", "fig3a", "fig3b",
+           "fig4a", "fig4b", "fig4c", "fig4d", "fig5a", "fig5b", "fig6a",
+           "fig6b")
 
 
 @pytest.mark.parametrize("config", PRESETS)
@@ -32,3 +35,12 @@ def test_sweep_matches_its_reference(config, tmp_path):
     assert cli.main(argv) == 0
     header, rows = checks.read_csv(out)
     assert checks.compare_reference(config, header, rows) == []
+
+
+def test_comb_threshold_matches_its_reference(tmp_path):
+    out = tmp_path / "fig2b.csv"
+    argv = ["comb-threshold", "--config", "fig2b", "--gm-cap", "12e6",
+            "--resolution", "4e6", "--out", str(out)]
+    assert cli.main(argv) == 0
+    header, rows = checks.read_csv(out)
+    assert checks.compare_reference("fig2b", header, rows) == []
