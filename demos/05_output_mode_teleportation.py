@@ -15,36 +15,28 @@ classical boundary.
 from dataclasses import replace
 
 from chiralcmm import presets
-from chiralcmm.linear_model import build_model
-from chiralcmm.lyapunov import extract_block, solve_lyapunov
-from chiralcmm.measures import log_negativity, teleportation_fidelity
-from chiralcmm.output_mode import filtered_pair_cm
-from chiralcmm.steady_state import resolve_drive
+from chiralcmm.pipeline import MeasureRequest, evaluate_point
 
 pre = presets.get("fig2d_magnon")
-params, det = pre.params, pre.detunings
-field = resolve_drive(params, det)
-model = build_model(params, det, field.g_m_eff)
 
-# intracavity benchmark
-V = solve_lyapunov(model.A, model.D)
-print("intracavity E(a_cw, m) = %.4f"
-      % log_negativity(extract_block(V, ("a_cw", "m"))))
 
-# filtered output mode + stationary magnon quadratures
-out = filtered_pair_cm(model.A, model.D, params, pre.filter_spec)
-e_out = log_negativity(out.V)
-fid = teleportation_fidelity(out.V)
-print("filtered-output E(a_out, m) = %.3f" % e_out)
+def row(spec):
+    """The point's row with the output filter ``spec``."""
+    request = MeasureRequest(pairs=(("a_cw", "m"),), triples=(),
+                             filter_spec=spec)
+    return evaluate_point(pre.params, pre.detunings, request)
+
+
+out = row(pre.filter_spec)
+# intracavity benchmark, then the filtered output mode + stationary magnon
+print("intracavity E(a_cw, m) = %.4f" % out["en_a_cw_m"])
+print("filtered-output E(a_out, m) = %.3f" % out["filtered_en"])
 print("coherent-state teleportation fidelity F = %.3f (classical limit 0.5)"
-      % fid)
-print("output port and its rate:", {k: out.meta[k] for k in
-                                    ("port", "port_rate")})
+      % out["fidelity"])
 
 # The window bandwidth matters: too narrow integrates excess noise time,
 # too wide dilutes the entangled sideband into vacuum.
 print("\nbandwidth sweep (1/tau in units of omega_b):")
 for ratio in (0.03, 0.1, 0.3, 1.0, 3.0):
-    spec = replace(pre.filter_spec, tau=1.0 / (ratio * params.omega_b))
-    v = filtered_pair_cm(model.A, model.D, params, spec).V
-    print("   %5.2f -> E = %.3f" % (ratio, log_negativity(v)))
+    spec = replace(pre.filter_spec, tau=1.0 / (ratio * pre.params.omega_b))
+    print("   %5.2f -> E = %.3f" % (ratio, row(spec)["filtered_en"]))

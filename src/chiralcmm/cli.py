@@ -88,6 +88,7 @@ class ConfigError(ValueError):
 _SYSTEM_HZ = ("omega_a", "omega_m", "omega_b", "omega_0", "kappa_a_i",
               "kappa_a_e", "kappa_m", "gamma_b", "g_cw", "g_ccw",
               "j_coupling", "g_m")
+_DRIVE_KINDS = ("gm_abs", "amplitude", "power")
 _AXIS_HZ = {"delta_a", "delta_m_eff", "J", "g_cw", "g_ccw", "kappa_a_e",
             "kappa_a_i", "kappa_m", "gamma_b", "omega_b", "gm_abs", "amplitude"}
 #: the keys of each config section; any other section or key is refused
@@ -178,7 +179,7 @@ def _build_params(sections) -> SystemParams:
     port = _get_str(sections, "drive", "port", default=DRIVE_CW,
                     choices=(DRIVE_CW, DRIVE_CCW))
     kind = _get_str(sections, "drive", "spec", default="gm_abs",
-                    choices=("gm_abs", "amplitude", "power"))
+                    choices=_DRIVE_KINDS)
     value = _get_float(sections, "drive", "value", default=to_hz(defaults.drive.value))
     drive = DriveSpec(kind, value if kind == "power" else hz(value))
     mode = _get_str(sections, "detuning", "mode", default=DETUNING_EFFECTIVE,
@@ -286,6 +287,14 @@ def _canonical_text(sections: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _drive_kind(params: SystemParams, sweep: SweepSpec | None) -> str:
+    """The drive kind of the rows: the sweep axis that sets the drive, else
+    the spec."""
+    axes = [ax.name for ax in sweep.axes] if sweep is not None else []
+    return ([name for name in axes if name in _DRIVE_KINDS]
+            or [params.drive.kind])[0]
+
+
 def load_config(args) -> RunConfig:
     sections: dict = {}
     if args.config:
@@ -315,9 +324,8 @@ def load_config(args) -> RunConfig:
     detunings = _build_detunings(sections, params, diags)
     filter_spec = _build_filter(sections, params)
     sweep = _build_sweep(sections, filter_spec)
-    gm_abs = params.drive.kind == DRIVE_GM_ABS or (
-        sweep is not None and any(ax.name == "gm_abs" for ax in sweep.axes))
-    if gm_abs and params.detuning_mode == DETUNING_PHYSICAL:
+    if (_drive_kind(params, sweep) == DRIVE_GM_ABS
+            and params.detuning_mode == DETUNING_PHYSICAL):
         raise ConfigError(GM_ABS_PHYSICAL)
     resolved = _canonical_text(sections)
     digest = hashlib.sha256(resolved.encode()).hexdigest()
@@ -496,6 +504,10 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     workers = _usable_cpus() if args.workers is None else args.workers
     if workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {workers}")
+    kind = _drive_kind(cfg.params, cfg.sweep)
+    if kind != DRIVE_GM_ABS and cfg.params.g_m is None:
+        # resolve_drive's refusal, once for the sweep instead of in every row
+        raise ConfigError(f"{kind} drive spec requires g_m to form G_m")
     result = run_sweep(cfg.params, cfg.detunings, cfg.sweep, workers=workers)
     return _write_result(args, cfg, result.columns, result.rows(), result.meta)
 

@@ -13,7 +13,6 @@ leading axes the result keeps.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,29 +217,27 @@ def residual_contangle_min(V6: np.ndarray) -> ContangleReport:
                            below_half=np.stack(below_half, axis=-1))
 
 
-#: coherent-state covariance matrix, the default teleportation input
+#: coherent-state covariance matrix, the teleportation input
 COHERENT_INPUT = 0.5 * np.eye(2)
 
 
-def teleportation_fidelity(V_pair: np.ndarray,
-                           V_in: np.ndarray | None = None) -> float:
-    """Fidelity of teleporting a single-mode Gaussian state over ``V_pair``.
+def teleportation_fidelity(V_pair: np.ndarray):
+    """Fidelity of teleporting a coherent state over ``V_pair`` (one value
+    per matrix of a (points, 4, 4) stack).
 
-    F = 1/sqrt(det V) with
-    V = 2 V_in + sz V_e sz + sz V_ef + V_ef^T sz + V_f, sz = diag(1, -1),
-    where mode e of the resource is measured together with the input and
-    mode f receives the state.  A vacuum resource with a coherent input
-    gives the classical boundary F = 1/2.
+    F = 1/sqrt(det V), V = 2 V_in + sz V_e sz + sz V_ef + V_ef^T sz + V_f with
+    sz = diag(1, -1) and V_in = COHERENT_INPUT: mode e of the resource is
+    measured together with the input and mode f receives the state.  A
+    vacuum resource gives the classical boundary F = 1/2.
     """
-    V4 = np.asarray(V_pair, dtype=float)
-    if V4.shape != (4, 4):
-        raise InvalidCovarianceError("teleportation resource must be a 4x4 CM")
-    V_in = COHERENT_INPUT if V_in is None else np.asarray(V_in, dtype=float)
+    V4 = _matrices(V_pair, 4, "teleportation resource must be a 4x4 CM")
     sz = np.diag([1.0, -1.0])
-    Ve, Vf, Vef = V4[:2, :2], V4[2:, 2:], V4[:2, 2:]
-    V = 2.0 * V_in + sz @ Ve @ sz.T + sz @ Vef + Vef.T @ sz.T + Vf
-    det = float(np.linalg.det(V))
-    if det <= 0.0:
-        raise InvalidCovarianceError(f"teleportation output CM has det {det:.3g} <= 0")
-    return 1.0 / math.sqrt(det)
-
+    Ve, Vf, Vef = V4[..., :2, :2], V4[..., 2:, 2:], V4[..., :2, 2:]
+    V = (2.0 * COHERENT_INPUT + sz @ Ve @ sz.T + sz @ Vef
+         + Vef.swapaxes(-2, -1) @ sz.T + Vf)
+    det = np.linalg.det(V)
+    if np.any(det <= 0.0):
+        raise InvalidCovarianceError(
+            f"teleportation output CM has det {np.min(det):.3g} <= 0")
+    fidelity = 1.0 / np.sqrt(det)
+    return float(fidelity) if fidelity.ndim == 0 else fidelity

@@ -25,16 +25,17 @@ convention down and is asserted in the test suite.
 
 The magnon partner of the filtered output is the stationary intracavity
 magnon mode, read at the same instant (C. Genes, D. Vitali, P. Tombesi,
-PRA 78, 032316 (2008)): its 2x2 block is the magnon block of the Lyapunov
-covariance, and only the output block and the output-magnon cross block
-are integrated over frequency.
+PRA 78, 032316 (2008)): its 2x2 block is the magnon block of the block's
+Lyapunov covariance, and only the output block and the output-magnon cross
+block are integrated over frequency.
 
-Quadrature: the frequency integrals still run point by point, with an
-adaptive Gauss-Kronrod 21-point integrator (``adaptive_gk21``) that takes
-the steps of SciPy's adaptive vector quadrature (``scipy.integrate``, gk21
-rule): the same initial intervals, heap, batch rule, error estimates and
-stops.  Each pass evaluates the integrand on the 21 nodes of every
-interval it splits in one stacked call (about 6 passes per point).
+Quadrature: :func:`filtered_pair_cm` takes a block of points as stacks; its
+frequency integrals run point by point, with an adaptive Gauss-Kronrod
+21-point integrator (``adaptive_gk21``) that takes the steps of SciPy's
+adaptive vector quadrature (``scipy.integrate``, gk21 rule): the same
+initial intervals, heap, batch rule, error estimates and stops.  Each pass
+evaluates the integrand on the 21 nodes of every interval it splits in one
+stacked call (about 6 passes per point).
 
 Resolvent: each point diagonalizes its drift matrix once,
 A = P diag(lambda) P^{-1}, so that (-i*omega*I - A)^{-1} =
@@ -53,13 +54,15 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .linear_model import MODE_SLOTS
-from .lyapunov import solve_lyapunov
+# nothing here calls solve_lyapunov: it stays only as a patch target of
+# bench/tracer.py, like the pipeline.build_model re-export
+from .lyapunov import extract_block, solve_lyapunov  # noqa: F401
 from .params import DRIVE_CCW, DRIVE_CW, SystemParams
 
 #: absolute error target of the frequency integrals; an error estimate
@@ -358,38 +361,16 @@ def _adjoint(M: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(M, -1, -2))
 
 
-@dataclass(frozen=True)
-class FilteredPairCM:
-    """4x4 covariance matrix of (filtered output, magnon) plus diagnostics."""
-
-    V: np.ndarray
-    meta: dict = field(default_factory=dict, compare=False)
+#: a filtered point's integral error estimate, tail bound, window and kappa(P)
+FILTERED_DIAGNOSTICS = ("quad_error", "tail_estimate", "window", "modal_cond")
 
 
-def filtered_pair_cm(A: np.ndarray, D: np.ndarray, params: SystemParams,
-                     spec: FilterSpec) -> FilteredPairCM:
-    """Covariance matrix of the output of the driven port
-    (``params.drive_port``) through the filter ``spec`` and the stationary
-    magnon mode.  The magnon's 2x2 block is taken from the Lyapunov
-    solution exactly; the output block and the cross block are integrated.
-
-    The white (frequency-flat) part of the output spectrum integrates
-    against the filter analytically and only spectrally colored terms are
-    integrated numerically, which keeps the truncation error of the slowly
-    decaying sinc tail out of the result.
-
-    The resolvent comes from one eigendecomposition of A
-    (:func:`modal_resolvent`); ``meta["modal_cond"]`` is its kappa(P).
-    Raises QuadratureError where kappa(P) exceeds MODAL_COND_MAX or an
-    integral's error estimate exceeds its tolerance.
-    """
+def _integrated_pair(A: np.ndarray, params: SystemParams, spec: FilterSpec):
+    """One point's integrated pair covariance and FILTERED_DIAGNOSTICS."""
     port = params.drive_port
     chans = noise_channels(params)
-    sig = chans.sigma
-    v_lyap = solve_lyapunov(A, D)
     res = _pair_resolvent(A, chans, port, params.kappa_a_e)
     inv_sqrt_2pi = 1.0 / math.sqrt(2.0 * math.pi)
-
     n_port = chans.n_port + 0.5
 
     widths = [40.0 / spec.tau,
@@ -406,7 +387,7 @@ def filtered_pair_cm(A: np.ndarray, D: np.ndarray, params: SystemParams,
         H = np.concatenate([K_out @ F_out, inv_sqrt_2pi * F_mag], axis=1)
         full = np.zeros((len(omega), 4, 4), dtype=complex)
         # output rows: the output block and the cross block
-        full[:, :2] = (H[:, :2] * sig) @ _adjoint(H)
+        full[:, :2] = (H[:, :2] * chans.sigma) @ _adjoint(H)
         # white output part, integrated analytically over the full line
         full[:, :2, :2] -= n_port * (K_out @ _adjoint(K_out))
         full[:, 2:, :2] = _adjoint(full[:, :2, 2:])
@@ -417,23 +398,35 @@ def filtered_pair_cm(A: np.ndarray, D: np.ndarray, params: SystemParams,
                                 epsabs=QUAD_ABS_TOL, epsrel=1e-10)
     # bound for a >= 1/omega^2 decaying tail
     tail = np.abs(integrand(np.array([W]))[0]) * W
-    tail_err = float(np.max(tail))
     if err > 50 * QUAD_ABS_TOL:
         raise QuadratureError(
             f"frequency integral error estimate {err:.3g} exceeds "
             f"tolerance {QUAD_ABS_TOL:.3g}")
+    val[:2, :2] += n_port * np.eye(2)
+    return val, (err, np.max(tail), W, res.cond)
 
-    V = val
-    V[:2, :2] += n_port * np.eye(2)
-    V[2:, 2:] = v_lyap[np.ix_(MODE_SLOTS["m"], MODE_SLOTS["m"])]
 
-    meta = {
-        "port": port,
-        "port_rate": "kappa_a_e",
-        "quad_error": float(err),
-        "tail_estimate": tail_err,
-        "window": W,
-        "modal_cond": res.cond,
-    }
-    V = 0.5 * (V + V.T)
-    return FilteredPairCM(V=V, meta=meta)
+def filtered_pair_cm(A: np.ndarray, V: np.ndarray, params: SystemParams,
+                     spec: FilterSpec) -> tuple[np.ndarray, dict]:
+    """(n, 4, 4) covariance matrices of the driven port's output
+    (``params.drive_port``) through the filter ``spec`` and the stationary
+    magnon mode, and FILTERED_DIAGNOSTICS -> (n,) array, at n stable points
+    (drift matrices A and Lyapunov covariances V as (n, 8, 8) stacks,
+    ``params`` the stack of their parameters).
+
+    The magnon block is V's exactly; the output and cross blocks are
+    integrated, the white (frequency-flat) part of the output spectrum
+    analytically, which keeps the truncation error of the slowly decaying
+    sinc tail out of the result.  Raises QuadratureError where a point's
+    kappa(P) (``modal_cond``, from one eigendecomposition of its A,
+    :func:`modal_resolvent`) exceeds MODAL_COND_MAX or an integral's error
+    estimate exceeds its tolerance.
+    """
+    n = len(A)
+    cm = np.empty((n, 4, 4))
+    diagnostics = np.empty((n, len(FILTERED_DIAGNOSTICS)))
+    for i in range(n):
+        cm[i], diagnostics[i] = _integrated_pair(A[i], params.at(i), spec)
+    cm[:, 2:, 2:] = extract_block(V, ("m",))
+    cm = 0.5 * (cm + cm.swapaxes(-2, -1))
+    return cm, dict(zip(FILTERED_DIAGNOSTICS, diagnostics.T))

@@ -124,12 +124,12 @@ class SystemParams:
         return replace(self, drive=drive, drive_port=np.full(n, self.drive_port),
                        **changes)
 
-    def at(self, i: int) -> "SystemParams":
-        """Point i of a stacked configuration, with plain float fields and
-        its port label."""
-        changes = {name: float(getattr(self, name)[i]) for name in RATE_FIELDS}
-        drive = DriveSpec(self.drive.kind, float(self.drive.value[i]))
-        return replace(self, drive=drive, drive_port=str(self.drive_port[i]),
+    def at(self, index) -> "SystemParams":
+        """The points ``index`` (an int, an index array or a mask) of a
+        stacked configuration."""
+        changes = {name: getattr(self, name)[index] for name in RATE_FIELDS}
+        drive = DriveSpec(self.drive.kind, self.drive.value[index])
+        return replace(self, drive=drive, drive_port=self.drive_port[index],
                        **changes)
 
 

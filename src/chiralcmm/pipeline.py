@@ -6,8 +6,8 @@ Evaluation runs on blocks of points.  A block goes through every stage as
 arrays: stacked parameters, the mean field (closed form, or the stacked
 cubic of the physical detuning mode), (n, 8, 8) drift and diffusion
 stacks, one stability gate, one stacked Lyapunov solve and the vectorized
-measures.  Only the filtered-output quadrature (one stacked call per
-adaptive pass) runs point by point inside a block.  Every stage treats
+measures, the filtered output among them: only its frequency quadrature
+runs point by point, inside ``output_mode``.  Every stage treats
 each point on its own, so a row does not depend on the block it is
 evaluated in.  ``evaluate_point`` is the same evaluator run on a block of
 one point, and ``nonreciprocity_contrast`` on a block of two: one point
@@ -56,7 +56,7 @@ from .measures import (
     residual_contangle_min,
     teleportation_fidelity,
 )
-from .output_mode import FilterSpec, filtered_pair_cm
+from .output_mode import FILTERED_DIAGNOSTICS, FilterSpec, filtered_pair_cm
 from .params import (
     DETUNING_PHYSICAL,
     DRIVE_CCW,
@@ -102,10 +102,8 @@ def _column(prefix: str, modes) -> str:
     return f"{prefix}_{'_'.join(modes)}"
 
 
-#: the filtered_pair_cm diagnostics a filtered block carries, each as the
-#: column ``filtered_<entry>``
-FILTERED_DIAGNOSTICS = ("quad_error", "tail_estimate", "window", "modal_cond")
-#: the columns of a filtered block: the two a sweep writes, then the diagnostics
+#: the columns of a filtered block: the two a sweep writes, then each
+#: filtered_pair_cm diagnostic as the column ``filtered_<entry>``
 FILTERED_COLUMNS = ("filtered_en", "fidelity",
                     *(f"filtered_{key}" for key in FILTERED_DIAGNOSTICS))
 
@@ -181,13 +179,12 @@ def _evaluate(params: SystemParams, det: Detunings, request: MeasureRequest,
         table["branches"] = steady.meta["branches"].tolist()
 
     if request.filter_spec is not None:
-        filtered = np.full((n, len(FILTERED_COLUMNS)), np.nan)
-        for i in np.flatnonzero(ok):
-            out = filtered_pair_cm(model.A[i], model.D[i], P.at(i),
-                                   request.filter_spec)
-            filtered[i] = (log_negativity(out.V), teleportation_fidelity(out.V),
-                           *(out.meta[key] for key in FILTERED_DIAGNOSTICS))
-        table.update(zip(FILTERED_COLUMNS, filtered.T.tolist()))
+        cm, diagnostics = filtered_pair_cm(model.A[ok], V, P.at(ok),
+                                           request.filter_spec)
+        values = (log_negativity(cm), teleportation_fidelity(cm),
+                  *diagnostics.values())
+        table.update((name, at_stable(value))
+                     for name, value in zip(FILTERED_COLUMNS, values))
     return table
 
 

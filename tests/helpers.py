@@ -3,8 +3,8 @@ symplectic form, random symplectic transformations, random physical
 covariance matrices, the two-mode squeezed state with its known
 entanglement, an off-design state that breaks the monogamy inequality,
 the Schur-method Lyapunov oracle, the batched-inverse resolvent oracle,
-the strictly chiral closed-form means and the complex-form classical
-right-hand side."""
+the filtered pair of one point, the strictly chiral closed-form means and
+the complex-form classical right-hand side."""
 
 import math
 from typing import NamedTuple
@@ -14,6 +14,8 @@ import scipy.linalg
 
 from chiralcmm.constants import hz
 from chiralcmm.linear_model import MODE_SLOTS
+from chiralcmm.lyapunov import solve_lyapunov
+from chiralcmm.output_mode import filtered_pair_cm
 from chiralcmm.params import DRIVE_CW, Detunings, DriveSpec, SystemParams
 from chiralcmm.steady_state import SQRT2, SteadyField
 
@@ -66,6 +68,16 @@ class InverseResolvent(NamedTuple):
 def inverse_rows(res, omega):
     """L (-i*omega*I - A)^{-1} R from the inverse oracle."""
     return res.left @ inverse_susceptibility(res.A, omega) @ res.right
+
+
+def filtered_point(A, D, params, spec):
+    """``output_mode.filtered_pair_cm`` on a block of the one stable point
+    (A, D, params): its (4, 4) filtered-pair covariance and its diagnostics
+    (entry -> value)."""
+    V = solve_lyapunov(A, D)
+    cm, diagnostics = filtered_pair_cm(A[None], V[None], params.stacked(1),
+                                       spec)
+    return cm[0], {key: value[0] for key, value in diagnostics.items()}
 
 
 def symplectic_form(n_modes):

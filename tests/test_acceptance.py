@@ -23,9 +23,9 @@ from chiralcmm.measures import (
     symplectic_eigenvalues,
     teleportation_fidelity,
 )
-from chiralcmm.output_mode import filtered_pair_cm
 from chiralcmm.params import Detunings, DriveSpec, SystemParams
 from chiralcmm.pipeline import (
+    MeasureRequest,
     evaluate_point,
     nonreciprocity_contrast,
     run_sweep,
@@ -89,11 +89,9 @@ class TestAcceptance:
     def test_criterion_3_filtered_teleportation_resource(self):
         t0 = time.time()
         pre = presets.get("fig2d_magnon")
-        model = build_model(pre.params, pre.detunings,
-                            resolve_drive(pre.params, pre.detunings).g_m_eff)
-        out = filtered_pair_cm(model.A, model.D, pre.params, pre.filter_spec)
-        e_n = log_negativity(out.V)
-        fid = teleportation_fidelity(out.V)
+        row = evaluate_point(pre.params, pre.detunings,
+                             MeasureRequest(filter_spec=pre.filter_spec))
+        e_n, fid = row["filtered_en"], row["fidelity"]
         elapsed = time.time() - t0
         ok = abs(e_n - 0.23) <= 0.02 and abs(fid - 0.55) <= 0.02 and fid > 0.5
         report(3, ok, f"filtered output-magnon E = {e_n:.3f} (0.23 +-0.02), "

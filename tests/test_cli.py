@@ -467,6 +467,38 @@ class TestSweepCommand:
         assert main(argv) == EXIT_CONFIG
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, kind", [
+        (["drive.spec=power", "drive.value=0.5"], "power"),
+        (["sweep.axis1=amplitude,1e9,2e9,3"], "amplitude"),
+    ], ids=["spec", "axis"])
+    def test_drive_without_g_m_refused(self, overrides, kind, monkeypatch,
+                                       capsys):
+        # fig3a has no g_m: no row could form G_m from this drive
+        monkeypatch.setattr(cli, "run_sweep", _fail_if_swept)
+        argv = ["sweep", "--config", "fig3a"]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == EXIT_CONFIG
+        assert (f"{kind} drive spec requires g_m to form G_m"
+                in capsys.readouterr().err)
+
+    def test_power_axis_runs_in_physical_mode(self, tmp_path):
+        # fig2c's power axis drives every row, whatever its gm_abs spec
+        grid = ["sweep.axis1=kappa_a_e,5e5,7.8e6,2",
+                "sweep.axis2=power,0.001,1.0,2", "detuning.mode=physical"]
+        data = []
+        for spec in ([], ["drive.spec=power"]):
+            out = tmp_path / f"run{len(data)}.csv"
+            argv = ["sweep", "--config", "fig2c", "--out", str(out)]
+            for item in grid + spec:
+                argv += ["--set", item]
+            assert main(argv) == EXIT_OK
+            data.append([ln for ln in out.read_text().splitlines()
+                         if not ln.startswith("#")])
+        assert data[0] == data[1]
+        assert len(data[0]) == 5
+        assert all(ln.endswith(",") for ln in data[0][1:])   # no error rows
+
     def test_unwritable_out_fails_before_sweep(self, sweep_config_path,
                                                monkeypatch, capsys):
         def refuse(*_args, **_kwargs):

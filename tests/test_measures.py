@@ -220,6 +220,8 @@ class TestSingleMatchesStack:
         physical = is_physical(V)
         stacked = {modes: extract_block(V, modes) for modes in pairs + triples}
         e_n = {pair: log_negativity(stacked[pair]) for pair in pairs}
+        fidelity = {pair: teleportation_fidelity(stacked[pair])
+                    for pair in pairs}
         reports = {tri: residual_contangle_min(stacked[tri]) for tri in triples}
         for k in range(len(V)):
             assert is_physical(V[k]) == physical[k]
@@ -228,6 +230,9 @@ class TestSingleMatchesStack:
             for pair in pairs:
                 single = log_negativity(extract_block(V[k], pair))
                 assert single == e_n[pair][k]
+                single = teleportation_fidelity(extract_block(V[k], pair))
+                assert type(single) is float
+                assert single == fidelity[pair][k]
             for tri, report in reports.items():
                 single = residual_contangle_min(extract_block(V[k], tri))
                 assert single.r_min.shape == ()
@@ -263,9 +268,14 @@ class TestTeleportationFidelity:
                 1.0 / (1.0 + 2.0 * eta), rel=1e-9)
 
     def test_invalid_input_rejected(self):
-        with pytest.raises(InvalidCovarianceError):
-            teleportation_fidelity(two_mode_squeezed_cm(0.5),
-                                   V_in=np.diag([-10.0, 10.0]))
+        # -I/2 cancels the coherent input: the output CM has det 0
+        with pytest.raises(InvalidCovarianceError, match="det"):
+            teleportation_fidelity(-0.5 * np.eye(4))
+        with pytest.raises(InvalidCovarianceError, match="det"):
+            teleportation_fidelity(np.stack([0.5 * np.eye(4),
+                                             -0.5 * np.eye(4)]))
+        with pytest.raises(InvalidCovarianceError, match="4x4"):
+            teleportation_fidelity(0.5 * np.eye(6))
 
 
 class TestPhysicality:

@@ -11,7 +11,7 @@ from scipy.integrate import quad, quad_vec
 from chiralcmm import output_mode, pipeline, presets
 from chiralcmm.constants import hz
 from chiralcmm.linear_model import build_model
-from chiralcmm.lyapunov import solve_lyapunov
+from chiralcmm.lyapunov import extract_block, solve_lyapunov
 from chiralcmm.measures import log_negativity, symplectic_eigenvalues
 from chiralcmm.linear_model import build_drift
 from chiralcmm.output_mode import (
@@ -30,7 +30,12 @@ from chiralcmm.output_mode import (
 from chiralcmm.params import DRIVE_CCW, DRIVE_CW, Detunings, SystemParams
 from chiralcmm.pipeline import MeasureRequest, SweepAxis, SweepSpec
 from chiralcmm.steady_state import resolve_drive
-from helpers import InverseResolvent, inverse_rows, inverse_transfers
+from helpers import (
+    InverseResolvent,
+    filtered_point,
+    inverse_rows,
+    inverse_transfers,
+)
 
 
 def spectral_matrix(A, chans, omega, kappa_a_e, port="cw"):
@@ -190,14 +195,14 @@ class TestModalResolvent:
                                                          monkeypatch):
         p, model, spec = imperfect_point() if case == "imperfect" \
             else fig2d_point()
-        ours = filtered_pair_cm(model.A, model.D, p, spec)
+        ours, ours_diag = filtered_point(model.A, model.D, p, spec)
         monkeypatch.setattr(output_mode, "modal_resolvent", InverseResolvent)
         monkeypatch.setattr(output_mode, "susceptibility", inverse_rows)
-        ref = filtered_pair_cm(model.A, model.D, p, spec)
-        assert np.max(np.abs(ours.V - ref.V)) <= 1e-12
-        assert ours.meta["quad_error"] == pytest.approx(ref.meta["quad_error"],
+        ref, ref_diag = filtered_point(model.A, model.D, p, spec)
+        assert np.max(np.abs(ours - ref)) <= 1e-12
+        assert ours_diag["quad_error"] == pytest.approx(ref_diag["quad_error"],
                                                         rel=1e-6)
-        assert 1.0 <= ours.meta["modal_cond"] < 10.0
+        assert 1.0 <= ours_diag["modal_cond"] < 10.0
 
     @pytest.mark.parametrize("offset", [0.0, 1e-14, 1e-8, 1e-2])
     def test_exceptional_point(self, offset):
@@ -213,7 +218,7 @@ class TestModalResolvent:
             with pytest.raises(QuadratureError, match="condition number"):
                 _pair_resolvent(model.A, chans, DRIVE_CW, p.kappa_a_e)
             with pytest.raises(QuadratureError, match="condition number"):
-                filtered_pair_cm(model.A, model.D, p, spec)
+                filtered_point(model.A, model.D, p, spec)
             return
         res = _pair_resolvent(model.A, chans, DRIVE_CW, p.kappa_a_e)
         assert 1.0 < res.cond * math.sqrt(offset) < 3.0
@@ -287,13 +292,13 @@ class TestTimeDomainOracle:
 
     def test_matches_frequency_domain_route(self):
         p, model, spec = fig2d_point()
-        freq = filtered_pair_cm(model.A, model.D, p, spec).V
+        freq, _ = filtered_point(model.A, model.D, p, spec)
         time_dom = self.oracle(model.A, p, spec)
         assert np.max(np.abs(freq - time_dom)) < 2e-5
 
     def test_matches_at_nonzero_temperature_and_imperfections(self):
         p, model, spec = imperfect_point()
-        freq = filtered_pair_cm(model.A, model.D, p, spec).V
+        freq, _ = filtered_point(model.A, model.D, p, spec)
         time_dom = self.oracle(model.A, p, spec)
         assert np.max(np.abs(freq - time_dom)) < 2e-5
 
@@ -304,8 +309,8 @@ class TestFilteredPairCM:
         det = Detunings.effective(-0.4 * p.omega_b, 0.6 * p.omega_b)
         model = build_model(p, det, 0.0)
         spec = FilterSpec(omega_center=-p.omega_b, tau=10.0 / p.omega_b)
-        out = filtered_pair_cm(model.A, model.D, p, spec)
-        assert_allclose(out.V, 0.5 * np.eye(4), atol=1e-6)
+        out, _ = filtered_point(model.A, model.D, p, spec)
+        assert_allclose(out, 0.5 * np.eye(4), atol=1e-6)
 
     def test_decoupled_pair_is_product_state(self):
         # G_m = 0: no magnomechanical link, filtered output x magnon separable
@@ -313,39 +318,58 @@ class TestFilteredPairCM:
         det = Detunings.effective(-0.72 * p.omega_b, 0.76 * p.omega_b)
         model = build_model(p, det, 0.0)
         spec = FilterSpec(omega_center=-p.omega_b, tau=10.0 / p.omega_b)
-        out = filtered_pair_cm(model.A, model.D, p, spec)
-        assert_allclose(out.V[:2, 2:], 0.0, atol=1e-5)
-        assert log_negativity(out.V) < 1e-9
+        out, _ = filtered_point(model.A, model.D, p, spec)
+        assert_allclose(out[:2, 2:], 0.0, atol=1e-5)
+        assert log_negativity(out) < 1e-9
 
     def test_reproduces_output_magnon_entanglement_and_fidelity(self):
         from chiralcmm.measures import teleportation_fidelity
 
         p, model, spec = fig2d_point()
-        out = filtered_pair_cm(model.A, model.D, p, spec)
-        assert log_negativity(out.V) == pytest.approx(0.23, abs=0.02)
-        assert teleportation_fidelity(out.V) == pytest.approx(0.55, abs=0.02)
+        out, _ = filtered_point(model.A, model.D, p, spec)
+        assert log_negativity(out) == pytest.approx(0.23, abs=0.02)
+        assert teleportation_fidelity(out) == pytest.approx(0.55, abs=0.02)
 
     def test_physicality_of_filtered_cm(self):
         p, model, spec = fig2d_point()
-        out = filtered_pair_cm(model.A, model.D, p, spec)
-        assert np.all(symplectic_eigenvalues(out.V) >= 0.5 - 1e-6)
+        out, _ = filtered_point(model.A, model.D, p, spec)
+        assert np.all(symplectic_eigenvalues(out) >= 0.5 - 1e-6)
 
     def test_entanglement_washes_out_at_large_bandwidth(self):
         p, model, spec = fig2d_point()
         values = []
         for ratio in (0.1, 0.3, 1.0, 3.0, 10.0):
             wide = replace(spec, tau=1.0 / (ratio * p.omega_b))
-            out = filtered_pair_cm(model.A, model.D, p, wide)
-            values.append(log_negativity(out.V))
+            out, _ = filtered_point(model.A, model.D, p, wide)
+            values.append(log_negativity(out))
         assert values[0] > 0.1
         # monotone decrease over the last decade of the bandwidth sweep
         assert values[-3] >= values[-2] >= values[-1]
         assert values[-1] < 0.02
 
+    def test_block_gives_the_bits_of_its_points(self):
+        # the magnon block of each filtered covariance is V's, and each
+        # point of a block gives the bits of its block of one
+        pre = presets.get("fig2d_magnon")
+        P = pre.params.stacked(3).replace(
+            gamma_b=hz(np.array([10.0, 2e3, 1e5])))
+        det = pre.detunings.stacked(3)
+        model = build_model(P, det, resolve_drive(P, det).g_m_eff)
+        V = solve_lyapunov(model.A, model.D)
+        cm, diagnostics = filtered_pair_cm(model.A, V, P, pre.filter_spec)
+        assert cm.shape == (3, 4, 4)
+        assert np.array_equal(cm[:, 2:, 2:], extract_block(V, ("m",)))
+        for k in range(3):
+            single, single_diagnostics = filtered_point(
+                model.A[k], model.D[k], P.at(k), pre.filter_spec)
+            assert np.array_equal(cm[k], single)
+            assert single_diagnostics == {key: value[k] for key, value
+                                          in diagnostics.items()}
+
     def test_deterministic(self):
         p, model, spec = fig2d_point()
-        v1 = filtered_pair_cm(model.A, model.D, p, spec).V
-        v2 = filtered_pair_cm(model.A, model.D, p, spec).V
+        v1, _ = filtered_point(model.A, model.D, p, spec)
+        v2, _ = filtered_point(model.A, model.D, p, spec)
         assert np.array_equal(v1, v2)
 
 
@@ -412,11 +436,11 @@ class TestAdaptiveGK21:
 
     def test_filtered_pair_cm_matches_quad_vec(self, monkeypatch):
         p, model, spec = fig2d_point()
-        ours = filtered_pair_cm(model.A, model.D, p, spec)
+        ours, ours_diag = filtered_point(model.A, model.D, p, spec)
         monkeypatch.setattr(output_mode, "adaptive_gk21", scipy_gk21)
-        ref = filtered_pair_cm(model.A, model.D, p, spec)
-        assert np.max(np.abs(ours.V - ref.V)) <= 1e-14
-        assert ours.meta["quad_error"] == pytest.approx(ref.meta["quad_error"],
+        ref, ref_diag = filtered_point(model.A, model.D, p, spec)
+        assert np.max(np.abs(ours - ref)) <= 1e-14
+        assert ours_diag["quad_error"] == pytest.approx(ref_diag["quad_error"],
                                                         rel=1e-12)
 
 
@@ -435,7 +459,7 @@ class TestQuadratureFailure:
         p, model, spec = fig2d_point()
         monkeypatch.setattr(output_mode, "adaptive_gk21", capped(1))
         with pytest.raises(QuadratureError, match="frequency integral error"):
-            filtered_pair_cm(model.A, model.D, p, spec)
+            filtered_point(model.A, model.D, p, spec)
 
     def test_sweep_rows_carry_the_failure(self, monkeypatch):
         pre, spec = fig2d_sweep(6)
@@ -443,12 +467,14 @@ class TestQuadratureFailure:
         doomed = {good[1][0], good[4][0]}      # gamma_b of rows 1 and 4
         real = pipeline.filtered_pair_cm
 
-        def failing_for_doomed(A, D, params, *args, **kwargs):
-            if params.gamma_b not in doomed:
-                return real(A, D, params, *args, **kwargs)
+        def failing_for_doomed(A, V, params, *args, **kwargs):
+            # a block that holds a doomed point fails as a whole; the sweep
+            # splits it until the doomed points stand alone
+            if not np.isin(params.gamma_b, list(doomed)).any():
+                return real(A, V, params, *args, **kwargs)
             with monkeypatch.context() as m:
                 m.setattr(output_mode, "adaptive_gk21", capped(1))
-                return real(A, D, params, *args, **kwargs)
+                return real(A, V, params, *args, **kwargs)
 
         monkeypatch.setattr(pipeline, "filtered_pair_cm", failing_for_doomed)
         res = pipeline.run_sweep(pre.params, pre.detunings, spec)

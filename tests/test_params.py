@@ -130,8 +130,25 @@ class TestDrivePort:
         assert stack.drive_port.tolist() == ["ccw"] * 3
         assert [stack.at(i).drive_port for i in range(3)] == ["ccw"] * 3
         mixed = stack.replace(drive_port=np.array(["cw", "ccw", "cw"]))
-        assert type(mixed.at(1).drive_port) is str
         assert [mixed.at(i).drive_port for i in range(3)] == ["cw", "ccw", "cw"]
+
+    def test_at_selects_points_of_a_stack(self):
+        stack = SystemParams().stacked(3).replace(
+            drive_port=np.array(["cw", "ccw", "cw"]),
+            gamma_b=np.array([1.0, 2.0, 3.0]),
+            drive=DriveSpec("gm_abs", np.array([4.0, 5.0, 6.0])))
+        for index, expected in ((np.array([2, 0]), [2, 0]),
+                                (np.array([True, False, True]), [0, 2])):
+            part = stack.at(index)
+            assert part.gamma_b.tolist() == [1.0 + k for k in expected]
+            assert part.drive.value.tolist() == [4.0 + k for k in expected]
+            assert part.drive_port.tolist() == ["cw", "cw"]
+            assert part.kappa_m.shape == (2,)
+        point = stack.at(1)
+        assert (point.gamma_b, point.drive.value, point.drive_port) \
+            == (2.0, 5.0, "ccw")
+        assert np.ndim(point.kappa_m) == 0
+        assert stack.at(np.zeros(3, dtype=bool)).gamma_b.shape == (0,)
 
 
 class TestDetunings:

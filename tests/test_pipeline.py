@@ -69,13 +69,20 @@ class TestEvaluatePoint:
             assert value <= 1e-8 if name.startswith("en_") else value == 0.0
 
     def test_unstable_point_has_no_measures(self):
+        # the filter runs on an empty stack of stable points
         p, det = magnon_point()
         p = p.replace(drive=DriveSpec("gm_abs", hz(14e6)))
-        row = evaluate_point(p, det)
+        request = MeasureRequest(
+            filter_spec=FilterSpec(-p.omega_b, 10 / p.omega_b))
+        row = evaluate_point(p, det, request)
         assert row["stable"] == 0
         assert len(_measures(row)) == 6
         assert all(np.isnan(value) for value in _measures(row).values())
         assert row["monogamy_violations"] == 0
+        filtered = [name for name in row
+                    if name.startswith("filtered_") or name == "fidelity"]
+        assert len(filtered) == 6
+        assert all(np.isnan(row[name]) for name in filtered)
 
     def test_monogamy_violations_counted(self):
         # one focus mode of a_ccw:m:b breaks the monogamy inequality here
@@ -353,6 +360,22 @@ class TestBlockEngine:
             assert set(expected) == set(whole)
             assert _bits(whole[name][k] for name in whole) \
                 == _bits(expected[name] for name in whole)
+
+    def test_filtered_block_of_stable_and_unstable_points(self):
+        # the filter runs on the block's stable points only; every row
+        # still equals its single-point row
+        pre = _block_preset("fig2d_magnon")
+        spec = replace(pre.sweep, axes=(
+            SweepAxis("gm_abs", hz(4e6), hz(14e6), 4),))
+        values, ports = grid_rows(spec)
+        block = evaluate_block(pre.params, pre.detunings, spec, values, ports)
+        assert block["stable"] == [1, 1, 0, 0]
+        for k, (value, port) in enumerate(zip(values[:, 0], ports)):
+            p = pre.params.replace(drive=DriveSpec("gm_abs", value),
+                                   drive_port=str(port))
+            row = evaluate_point(p, pre.detunings, spec.request)
+            assert _bits(block[name][k] for name in row) \
+                == _bits(row.values())
 
     def test_physical_detuning_mode_rows_match_single_points(self):
         # the cubic mean field of the physical mode runs on the whole block
