@@ -225,8 +225,8 @@ def teleportation_fidelity(V_pair: np.ndarray):
     """Fidelity of teleporting a coherent state over ``V_pair`` (one value
     per matrix of a (points, 4, 4) stack).
 
-    F = 1/sqrt(det V), V = 2 V_in + sz V_e sz + sz V_ef + V_ef^T sz + V_f with
-    sz = diag(1, -1) and V_in = COHERENT_INPUT: mode e of the resource is
+    F = 1/sqrt(det V), V = 2 COHERENT_INPUT + sz V_e sz + sz V_ef
+    + V_ef^T sz + V_f with sz = diag(1, -1): mode e of the resource is
     measured together with the input and mode f receives the state.  A
     vacuum resource gives the classical boundary F = 1/2.
     """
