@@ -9,15 +9,16 @@ result, the ``trajectory`` samples included, goes through one writer: to
 resolved-config digest, conventions) sufficient to reproduce the run.
 
 Exit codes: 0 success (a reader that closes stdout early included),
-2 configuration error (an unknown section or key and an output path that
-cannot be written included), 3 instability where a stable system is
-required, 4 numerical failure.
+2 configuration error, refused before any work, 3 instability where a
+stable system is required, 4 another known numerical condition
+(``params.NumericalCondition``).  Any other exception is a bug and raises.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -32,6 +33,7 @@ from .linear_model import (
     MODE_ORDER,
     QUAD_LABELS,
     UnstableSystemError,
+    check_bisection,
     max_stable_coupling,
 )
 from .output_mode import FilterSpec
@@ -44,6 +46,7 @@ from .params import (
     Detunings,
     Diagnostic,
     DriveSpec,
+    NumericalCondition,
     SystemParams,
     errors_of,
     validate,
@@ -51,6 +54,7 @@ from .params import (
 from .pipeline import (
     FILTERED_COLUMNS,
     PAIRS_DEFAULT,
+    SWEEPABLE,
     MeasureRequest,
     SweepAxis,
     SweepSpec,
@@ -59,7 +63,6 @@ from .pipeline import (
 )
 from .steady_state import (
     GM_ABS_PHYSICAL,
-    SingularConfigurationError,
     precompensated_detunings,
     resolve_drive,
 )
@@ -67,7 +70,6 @@ from .time_domain import (
     ATOL_REL,
     ODE_METHOD,
     RTOL,
-    IntegrationError,
     comb_threshold,
     integrate_classical,
 )
@@ -181,10 +183,14 @@ def _build_params(sections) -> SystemParams:
     kind = _get_str(sections, "drive", "spec", default="gm_abs",
                     choices=_DRIVE_KINDS)
     value = _get_float(sections, "drive", "value", default=to_hz(defaults.drive.value))
-    drive = DriveSpec(kind, value if kind == "power" else hz(value))
     mode = _get_str(sections, "detuning", "mode", default=DETUNING_EFFECTIVE,
                     choices=(DETUNING_EFFECTIVE, DETUNING_PHYSICAL))
-    return SystemParams(drive_port=port, drive=drive, detuning_mode=mode, **kw)
+    try:
+        drive = DriveSpec(kind, value if kind == "power" else hz(value))
+        return SystemParams(drive_port=port, drive=drive, detuning_mode=mode,
+                            **kw)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _check_keys(sections) -> None:
@@ -287,12 +293,20 @@ def _canonical_text(sections: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _drive_kind(params: SystemParams, sweep: SweepSpec | None) -> str:
-    """The drive kind of the rows: the sweep axis that sets the drive, else
-    the spec."""
-    axes = [ax.name for ax in sweep.axes] if sweep is not None else []
-    return ([name for name in axes if name in _DRIVE_KINDS]
-            or [params.drive.kind])[0]
+def _check_sweep_rows(params: SystemParams, det: Detunings, axes) -> None:
+    """Refuse sweep rows outside the domain of :func:`validate`.  The corners
+    are enough: a setter writes one field, affine in each axis value (chi
+    writes chi * g_cw), and each error bound is linear in the fields."""
+    for corner in itertools.product(*[(ax.start, ax.stop) for ax in axes]):
+        p = params
+        try:
+            for ax, value in zip(axes, corner):
+                p = SWEEPABLE[ax.name](p, det, value)[0]
+            messages = [d.message for d in errors_of(validate(p))]
+        except ValueError as exc:     # a drive setter's DriveSpec
+            messages = [str(exc)]
+        if messages:
+            raise ConfigError("sweep row: " + "; ".join(messages))
 
 
 def load_config(args) -> RunConfig:
@@ -324,9 +338,27 @@ def load_config(args) -> RunConfig:
     detunings = _build_detunings(sections, params, diags)
     filter_spec = _build_filter(sections, params)
     sweep = _build_sweep(sections, filter_spec)
-    if (_drive_kind(params, sweep) == DRIVE_GM_ABS
-            and params.detuning_mode == DETUNING_PHYSICAL):
+    axes = sweep.axes if sweep is not None else ()
+    if axes:
+        _check_sweep_rows(params, detunings, axes)
+    # resolve_drive's refusals.  A sweep's rows take the drive of its drive
+    # axis, else the spec; steady, entangle and trajectory resolve the spec,
+    # and trajectory infers a missing g_m.
+    command = getattr(args, "command", None)
+    rows = next((ax.name for ax in axes if ax.name in _DRIVE_KINDS),
+                params.drive.kind)
+    resolves_spec = command in ("steady", "entangle", "trajectory")
+    kind = params.drive.kind if resolves_spec else rows
+    if DRIVE_GM_ABS in (rows, kind) and params.detuning_mode == DETUNING_PHYSICAL:
         raise ConfigError(GM_ABS_PHYSICAL)
+    if (kind != DRIVE_GM_ABS and params.g_m is None
+            and command in ("steady", "entangle", "sweep")):
+        raise ConfigError(f"{kind} drive spec requires g_m to form G_m")
+    if command in ("comb-threshold", "stability-edge"):
+        try:
+            check_bisection(hz(args.gm_cap), hz(args.resolution))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     resolved = _canonical_text(sections)
     digest = hashlib.sha256(resolved.encode()).hexdigest()
     warnings = [f"{d.code}: {d.message}" for d in diags if d.level == "warning"]
@@ -504,10 +536,6 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     workers = _usable_cpus() if args.workers is None else args.workers
     if workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {workers}")
-    kind = _drive_kind(cfg.params, cfg.sweep)
-    if kind != DRIVE_GM_ABS and cfg.params.g_m is None:
-        # resolve_drive's refusal, once for the sweep instead of in every row
-        raise ConfigError(f"{kind} drive spec requires g_m to form G_m")
     result = run_sweep(cfg.params, cfg.detunings, cfg.sweep, workers=workers)
     return _write_result(args, cfg, result.columns, result.rows(), result.meta)
 
@@ -634,13 +662,12 @@ def main(argv=None) -> int:
     try:
         _check_output_path(args)
         cfg = load_config(args)
-    except ValueError as exc:  # ConfigError and malformed values alike
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         code = _COMMANDS[args.command](cfg, args)
         sys.stdout.flush()
         return code
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except BrokenPipeError:
         # the reader closed stdout early (``| head``); point it at devnull
         # so that the flush at interpreter exit does not fail again
@@ -649,13 +676,9 @@ def main(argv=None) -> int:
     except UnstableSystemError as exc:
         print(f"unstable: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
-    except (SingularConfigurationError, IntegrationError, FloatingPointError,
-            np.linalg.LinAlgError, RuntimeError) as exc:
+    except NumericalCondition as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:  # ConfigError, inconsistent parameter combinations
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

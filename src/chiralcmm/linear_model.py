@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import Detunings, SystemParams
+from .params import Detunings, NumericalCondition, SystemParams
 from .steady_state import target_detunings
 
 MODE_ORDER = ("a_cw", "a_ccw", "m", "b")
@@ -28,8 +28,12 @@ MODE_SLOTS = {label: (2 * i, 2 * i + 1) for i, label in enumerate(MODE_ORDER)}
 STABILITY_MARGIN = 1e-9
 
 
-class UnstableSystemError(RuntimeError):
+class UnstableSystemError(NumericalCondition, RuntimeError):
     """No stationary state exists: the drift matrix is not Hurwitz."""
+
+
+class LyapunovError(NumericalCondition, RuntimeError):
+    """A failed eigenvalue solve of the gate, or a refused Lyapunov solution."""
 
 
 @dataclass(frozen=True)
@@ -103,7 +107,7 @@ def is_stable(A: np.ndarray) -> tuple[bool, float]:
     try:
         eig = np.linalg.eigvals(stack)
     except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"eigenvalue solver failed: {exc}") from exc
+        raise LyapunovError(f"eigenvalue solver failed: {exc}") from exc
     abscissa = eig.real.max(axis=-1)
     # ||A||_2 <= ||A||_F, so the 2-norm (an SVD) can only change the verdict
     # where the abscissa lies in [-2 margin ||A||_F, 0); elsewhere the sign

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linear_model import MODE_SLOTS, UnstableSystemError, is_stable
+from .linear_model import MODE_SLOTS, LyapunovError, UnstableSystemError, is_stable
 
 
 @lru_cache(maxsize=None)
@@ -87,7 +87,7 @@ def solve_lyapunov(A: np.ndarray, D: np.ndarray,
         / np.maximum(norm_v, 1e-300)
     bad = ~(asym <= 1e-8)   # NaN fails too
     if np.any(bad):
-        raise RuntimeError("Lyapunov solution asymmetric beyond tolerance: "
+        raise LyapunovError("Lyapunov solution asymmetric beyond tolerance: "
                            f"{asym[bad][0]:.3g}")
     residual = np.linalg.norm(As @ V + V @ As.swapaxes(-2, -1) + Ds,
                               axis=(-2, -1))
@@ -95,7 +95,7 @@ def solve_lyapunov(A: np.ndarray, D: np.ndarray,
                      + np.linalg.norm(Ds, axis=(-2, -1)))
     bad = ~(residual <= bound)
     if np.any(bad):
-        raise RuntimeError(
+        raise LyapunovError(
             f"Lyapunov residual {residual[bad][0]:.3g} exceeds bound "
             f"{bound[bad][0]:.3g} (ill-conditioned solve)")
     return V.reshape(A.shape)

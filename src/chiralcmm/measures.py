@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .params import NumericalCondition
+
 # relative roundoff: analytic square roots clip, and don't fail, down to
 # -CLIP_TOL; the Heisenberg check allows -CLIP_TOL * ||V||
 CLIP_TOL = 1e-12
@@ -32,7 +34,7 @@ PHYSICAL_SLACK = 1e-9
 VIOLATION_TOL = 1e-9
 
 
-class InvalidCovarianceError(ValueError):
+class InvalidCovarianceError(NumericalCondition, ValueError):
     """The matrix is not a physically valid covariance matrix."""
 
 

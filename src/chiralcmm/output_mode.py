@@ -63,7 +63,7 @@ from .linear_model import MODE_SLOTS
 # nothing here calls solve_lyapunov: it stays only as a patch target of
 # bench/tracer.py, like the pipeline.build_model re-export
 from .lyapunov import extract_block, solve_lyapunov  # noqa: F401
-from .params import DRIVE_CCW, DRIVE_CW, SystemParams
+from .params import DRIVE_CCW, DRIVE_CW, NumericalCondition, SystemParams
 
 #: absolute error target of the frequency integrals; an error estimate
 #: above 50 times it is refused
@@ -77,7 +77,7 @@ QUAD_ABS_TOL = 1e-6
 MODAL_COND_MAX = 1e8
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(NumericalCondition, RuntimeError):
     """Frequency integration did not reach the requested accuracy, or
     cannot (a nearly defective drift matrix, see MODAL_COND_MAX)."""
 

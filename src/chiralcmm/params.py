@@ -39,6 +39,10 @@ RATE_FIELDS = ("omega_a", "omega_m", "omega_b", "omega_0", "kappa_a_i",
                "temperature")
 
 
+class NumericalCondition(Exception):
+    """A known numerical condition: an in-row error of a sweep, exit 4 of a command."""
+
+
 @dataclass(frozen=True)
 class DriveSpec:
     """How the drive strength is specified.
@@ -240,8 +244,10 @@ def validate(params: SystemParams) -> list[Diagnostic]:
     if params.gamma_b <= 0:
         err("zero_gamma_b",
             "gamma_b must be > 0: an undamped mechanical mode has no steady state")
-    if params.omega_b <= 0:
-        err("zero_omega_b", "omega_b must be > 0")
+    # the thermal occupancies and the drive power need positive frequencies
+    for name in ("omega_a", "omega_m", "omega_b", "omega_0"):
+        if getattr(params, name) <= 0:
+            err(f"zero_{name}", f"{name} must be > 0")
 
     if params.gamma_b > 0 and params.omega_b > 0 and params.quality_factor < 100:
         warn("low_q", f"mechanical quality factor Q_b = {params.quality_factor:.1f} "

@@ -27,12 +27,13 @@ returns the one row of its table as a dict, column name -> value, and each
 sweep metadata key is one reduction of one column over the joined table
 (SWEEP_META).
 
-A block that meets a domain error (the ValueError and RuntimeError
-families: singular mean field, invalid covariance, quadrature failure,
-instability, a refused Lyapunov solve) is split in halves until each
-failing point stands alone; those rows carry ``"<Type>: <message>"`` in
-``error`` and NaN in every value column, and the others are unaffected.
-Any other exception fails the sweep.
+A block that meets a known numerical condition (a
+:class:`~chiralcmm.params.NumericalCondition`: singular mean field,
+invalid covariance, quadrature failure, a refused Lyapunov solve) is split
+in halves until each failing point stands alone; those rows carry
+``"<Type>: <message>"`` in ``error`` and NaN in every value column, and
+the others are unaffected.  Any other exception is a bug and fails the
+sweep; input errors are refused before a sweep starts.
 """
 
 from __future__ import annotations
@@ -63,15 +64,13 @@ from .params import (
     DRIVE_CW,
     Detunings,
     DriveSpec,
+    NumericalCondition,
     SystemParams,
 )
 from .steady_state import resolve_drive
 
 #: rows per block: the block's (n, 36, 36) Lyapunov system takes 1.3 MB
 BLOCK_POINTS = 128
-
-#: exceptions that become in-row errors of a sweep
-DOMAIN_ERRORS = (ValueError, RuntimeError)
 
 PAIRS_DEFAULT = (("a_cw", "m"), ("a_cw", "b"), ("a_ccw", "m"), ("a_ccw", "b"))
 TRIPLES_DEFAULT = (("a_cw", "m", "b"), ("a_ccw", "m", "b"))
@@ -378,7 +377,7 @@ def evaluate_block(params: SystemParams, det: Detunings, spec: SweepSpec,
     try:
         table = _evaluate(params, det, spec.request, spec.axes, values, ports)
         error = [""] * len(ports)
-    except DOMAIN_ERRORS as exc:
+    except NumericalCondition as exc:
         if len(ports) > 1:
             half = len(ports) // 2
             head = evaluate_block(params, det, spec, values[:half], ports[:half])
@@ -413,9 +412,9 @@ def run_sweep(params: SystemParams, det: Detunings, spec: SweepSpec,
     on the fig2a map on 2 cores) and limits scaling on hosts with many
     cores.  Blocks must not call ``odeint``: ODEPACK keeps its state in
     Fortran common blocks and is not re-entrant.  If a block raises an
-    exception outside DOMAIN_ERRORS, or the caller is interrupted (Ctrl-C),
-    the blocks that have not started are cancelled and the exception
-    propagates once the running ones end.
+    exception other than a NumericalCondition, or the caller is
+    interrupted (Ctrl-C), the blocks that have not started are cancelled
+    and the exception propagates once the running ones end.
     """
     values, ports = grid_rows(spec)
     starts = range(0, len(ports), BLOCK_POINTS)

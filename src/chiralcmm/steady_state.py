@@ -32,6 +32,7 @@ from .params import (
     DRIVE_GM_ABS,
     DRIVE_POWER,
     Detunings,
+    NumericalCondition,
     SystemParams,
     drive_amplitude,
 )
@@ -46,7 +47,7 @@ GM_ABS_PHYSICAL = (f"a {DRIVE_GM_ABS} drive spec needs detuning mode "
                    f"'{DETUNING_PHYSICAL}' is not modelled")
 
 
-class SingularConfigurationError(ValueError):
+class SingularConfigurationError(NumericalCondition, ValueError):
     """The mean-field system is singular at this exact parameter point."""
 
 

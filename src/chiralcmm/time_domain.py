@@ -31,6 +31,7 @@ from .params import (
     DRIVE_CCW,
     DRIVE_CW,
     Detunings,
+    NumericalCondition,
     SystemParams,
 )
 from .steady_state import (
@@ -68,11 +69,11 @@ SAMPLES_PER_PERIOD = 48   # trajectory samples per mechanical period
 SETTLING_PERIODS = 200    # mechanical periods added to the ring-down time
 
 
-class IntegrationError(RuntimeError):
+class IntegrationError(NumericalCondition, RuntimeError):
     pass
 
 
-class InconclusiveError(RuntimeError):
+class InconclusiveError(NumericalCondition, RuntimeError):
     """The analysis window is too short to classify the attractor."""
 
 

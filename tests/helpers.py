@@ -3,8 +3,9 @@ symplectic form, random symplectic transformations, random physical
 covariance matrices, the two-mode squeezed state with its known
 entanglement, an off-design state that breaks the monogamy inequality,
 the Schur-method Lyapunov oracle, the batched-inverse resolvent oracle,
-the filtered pair of one point, the strictly chiral closed-form means and
-the complex-form classical right-hand side."""
+the filtered pair of one point, the strictly chiral closed-form means,
+the complex-form classical right-hand side and a measure with a
+broadcasting bug."""
 
 import math
 from typing import NamedTuple
@@ -15,6 +16,7 @@ import scipy.linalg
 from chiralcmm.constants import hz
 from chiralcmm.linear_model import MODE_SLOTS
 from chiralcmm.lyapunov import solve_lyapunov
+from chiralcmm.measures import log_negativity
 from chiralcmm.output_mode import filtered_pair_cm
 from chiralcmm.params import DRIVE_CW, Detunings, DriveSpec, SystemParams
 from chiralcmm.steady_state import SQRT2, SteadyField
@@ -177,3 +179,10 @@ def complex_rhs(params, det, E):
                 d_m.real, d_m.imag, d_q, d_p]
 
     return rhs
+
+
+def broadcasting_log_negativity(V):
+    """log_negativity with a broadcasting bug: a (3,) array is added to its
+    result.  A stack of 3 matrices passes unnoticed; any other stack fails
+    with a ValueError from numpy."""
+    return log_negativity(V) + np.zeros(3)

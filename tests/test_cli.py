@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chiralcmm import cli, presets, time_domain
+from chiralcmm import cli, pipeline, presets, time_domain
 from chiralcmm.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -22,7 +22,10 @@ from chiralcmm.cli import (
     parse_config_text,
 )
 from chiralcmm.constants import hz, to_hz
+from chiralcmm.measures import InvalidCovarianceError
 from chiralcmm.steady_state import amplitude_for_gm, precompensated_detunings
+
+from helpers import broadcasting_log_negativity
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -366,8 +369,9 @@ class TestSweepCommand:
     def test_diagnostic_counts_in_metadata(self, sweep_config_path, tmp_path):
         counts = {"unphysical_rows": 0, "several_below_half_rows": 0,
                   "error_rows": 1}
-        # a negative temperature is refused: the second of two rows is an error
-        args = ["--set", "sweep.axis1=temperature,0.01,-0.01,2"]
+        # at g_cw = 0 (and g_ccw = J = 0) the drive port does not pump the
+        # magnon: the first of three rows is an error
+        args = ["--set", "sweep.axis1=g_cw,0,1e6,3"]
         csv_out, jsonl_out = tmp_path / "s.csv", tmp_path / "s.jsonl"
         assert main(["sweep", "--config", sweep_config_path, "--out",
                      str(csv_out), *args]) == EXIT_OK
@@ -377,9 +381,12 @@ class TestSweepCommand:
         for key, value in counts.items():
             assert f"# {key} = {value}" in lines
         data = [ln for ln in lines if not ln.startswith("#")]
-        assert data[0] == ("temperature,drive_port,stable,abs_g_m_eff,"
-                           "en_a_cw_m,error")
-        assert [ln.split(",")[-1] != "" for ln in data[1:]] == [False, True]
+        assert data[0] == "g_cw,drive_port,stable,abs_g_m_eff,en_a_cw_m,error"
+        assert data[1].endswith(",SingularConfigurationError: drive port does "
+                                "not pump the magnon mode; |G_m| target "
+                                "unreachable")
+        assert [ln.split(",")[-1] != "" for ln in data[1:]] == [True, False,
+                                                                 False]
         meta = json.loads(jsonl_out.read_text().splitlines()[0])["_meta"]
         assert {key: meta[key] for key in counts} == counts
 
@@ -499,6 +506,19 @@ class TestSweepCommand:
         assert len(data[0]) == 5
         assert all(ln.endswith(",") for ln in data[0][1:])   # no error rows
 
+    @pytest.mark.parametrize("axis, field", [
+        ("gamma_b,-10,10,3", "gamma_b must be >= 0"),
+        ("temperature,0.01,-0.01,3", "temperature must be >= 0"),
+        ("chi,-0.5,0.5,3", "g_ccw must be >= 0"),
+    ], ids=["gamma_b", "temperature", "chi"])
+    def test_rows_outside_the_domain_refused(self, axis, field, monkeypatch,
+                                             capsys):
+        # the same bound as for a --set value, checked before any row runs
+        monkeypatch.setattr(cli, "run_sweep", _fail_if_swept)
+        rc = main(["sweep", "--config", "fig3a", "--set", f"sweep.axis1={axis}"])
+        assert rc == EXIT_CONFIG
+        assert f"config error: sweep row: {field}" in capsys.readouterr().err
+
     def test_unwritable_out_fails_before_sweep(self, sweep_config_path,
                                                monkeypatch, capsys):
         def refuse(*_args, **_kwargs):
@@ -509,6 +529,25 @@ class TestSweepCommand:
                    "--out", "/nonexistent/x.csv"])
         assert rc == EXIT_CONFIG
         assert "/nonexistent/x.csv" in capsys.readouterr().err
+
+
+class TestErrorPolicy:
+    def test_programming_error_raises(self, monkeypatch):
+        # a bug is no config error (exit 2): it ends with a traceback
+        monkeypatch.setattr(pipeline, "log_negativity",
+                            broadcasting_log_negativity)
+        with pytest.raises(ValueError):
+            main(["entangle", "--config", "fig2b"])
+
+    def test_invalid_covariance_is_a_numerical_failure(self, monkeypatch,
+                                                       capsys):
+        def refuse(V):
+            raise InvalidCovarianceError("not a covariance matrix")
+
+        monkeypatch.setattr(pipeline, "log_negativity", refuse)
+        assert main(["entangle", "--config", "fig2b"]) == EXIT_NUMERICAL
+        assert ("numerical failure: not a covariance matrix"
+                in capsys.readouterr().err)
 
 
 class TestStabilityEdgeCommand:
@@ -620,8 +659,10 @@ class TestWriteTable:
         ["steady", "--config", "fig2b"],
         ["entangle", "--config", "fig2d_magnon"],
         ["entangle", "--config", "fig2b", "--set", "drive.value=14e6"],
+        # the middle row's filtered quadrature is refused (an error row)
         ["sweep", "--config", "fig2d_magnon", "--workers", "1",
-         "--set", "sweep.axis1=temperature,0.01,-0.01,2"],
+         "--set", "detuning.delta_m_eff=0",
+         "--set", "sweep.axis1=delta_a,-1e6,1e6,3"],
         ["stability-edge", "--config", "fig2b"],
         ["comb-threshold", "--config", "fig2b", "--gm-cap", "6e6"],
         ["trajectory", "--config", "figs1"],

@@ -21,7 +21,7 @@ from chiralcmm.cli import write_table
 from chiralcmm.constants import hz
 from chiralcmm.linear_model import build_drift
 from chiralcmm.output_mode import FilterSpec
-from chiralcmm.params import Detunings, DriveSpec
+from chiralcmm.params import Detunings, DriveSpec, NumericalCondition
 from chiralcmm.pipeline import (
     BLOCK_POINTS,
     SWEEPABLE,
@@ -35,10 +35,14 @@ from chiralcmm.pipeline import (
     run_sweep,
     sweep_columns,
 )
-from chiralcmm.steady_state import resolve_drive
+from chiralcmm.steady_state import SingularConfigurationError, resolve_drive
 from chiralcmm import presets
 
-from helpers import off_design_state
+from helpers import broadcasting_log_negativity, off_design_state
+
+
+def _raise_type_error(*_args, **_kwargs):
+    raise TypeError("not a domain error")
 
 
 def magnon_point():
@@ -181,16 +185,18 @@ class TestSweep:
         assert res.table["drive_port"] == ["cw", "ccw"] * 3
 
     @staticmethod
-    def error_spec():
-        # a negative temperature has no thermal occupancy: rows 2 and 3 fail
-        return SweepSpec(axes=(SweepAxis("temperature", 0.01, -0.03, 3),),
-                         request=MeasureRequest(pairs=(("a_cw", "m"),),
-                                                triples=()))
+    def error_case():
+        """(params, detunings, spec) of a sweep whose first row fails: at
+        g_cw = g_ccw = J = 0 the drive port does not pump the magnon."""
+        pre = presets.get("fig3a")
+        return (pre.params.replace(g_ccw=0.0, J=0.0), pre.detunings,
+                SweepSpec(axes=(SweepAxis("g_cw", 0.0, hz(1e6), 3),),
+                          request=MeasureRequest(pairs=(("a_cw", "m"),),
+                                                 triples=())))
 
     def test_identical_results_across_worker_counts(self, monkeypatch):
-        p, det, spec = self.spec(n=4)
         monkeypatch.setattr(pipeline, "BLOCK_POINTS", 2)   # two blocks each
-        for spec in (spec, self.error_spec()):
+        for p, det, spec in (self.spec(n=4), self.error_case()):
             serial = run_sweep(p, det, spec, workers=1)
             parallel = run_sweep(p, det, spec, workers=2)
             np.testing.assert_equal(parallel.table, serial.table)  # NaN == NaN
@@ -233,35 +239,33 @@ class TestSweep:
         assert len(evaluated) == done        # no block ran after the raise
 
     def test_per_point_failures_recorded_in_row(self):
-        p, det, _ = self.spec()
-        res = run_sweep(p, det, self.error_spec())
-        errors = res.table["error"]
-        assert errors[0] == ""
-        assert any(e != "" for e in errors[1:])
+        res = run_sweep(*self.error_case())
+        assert [e != "" for e in res.table["error"]] == [True, False, False]
 
     def test_error_rows_carry_the_single_point_error(self):
-        p, det, _ = self.spec()
-        spec = self.error_spec()
+        p, det, spec = self.error_case()
         res = run_sweep(p, det, spec)
-        with pytest.raises(ValueError) as exc:
-            evaluate_point(p.replace(temperature=res.table["temperature"][2]),
-                           det, spec.request)
-        assert res.table["error"][2] == f"ValueError: {exc.value}"
-        value_names = set(res.table) - {"temperature", "drive_port", "error"}
+        with pytest.raises(SingularConfigurationError) as exc:
+            evaluate_point(p.replace(g_cw=res.table["g_cw"][0]), det,
+                           spec.request)
+        assert res.table["error"][0] == f"SingularConfigurationError: {exc.value}"
+        value_names = set(res.table) - {"g_cw", "drive_port", "error"}
         assert value_names == set(itertools.chain(*sweep_columns(
-            spec, p.detuning_mode))) - {"temperature", "drive_port", "error"}
-        assert all(np.isnan(res.table[name][2]) for name in value_names)
+            spec, p.detuning_mode))) - {"g_cw", "drive_port", "error"}
+        assert all(np.isnan(res.table[name][0]) for name in value_names)
         assert res.meta == {"unphysical_rows": 0, "several_below_half_rows": 0,
-                            "error_rows": 2}
+                            "error_rows": 1}
 
-    def test_programming_errors_fail_the_sweep(self, monkeypatch):
-        p, det, spec = self.spec()
-
-        def broken(*_args, **_kwargs):
-            raise TypeError("not a domain error")
-
-        monkeypatch.setattr(pipeline, "log_negativity", broken)
-        with pytest.raises(TypeError, match="not a domain error"):
+    @pytest.mark.parametrize("mutation, error", [
+        (_raise_type_error, TypeError),
+        # a ValueError, the family of the old in-row error net
+        (broadcasting_log_negativity, ValueError),
+    ], ids=["type-error", "broadcasting"])
+    def test_programming_errors_fail_the_sweep(self, mutation, error,
+                                               monkeypatch):
+        p, det, spec = self.spec(n=5)
+        monkeypatch.setattr(pipeline, "log_negativity", mutation)
+        with pytest.raises(error):
             run_sweep(p, det, spec)
 
     def test_validation(self):
@@ -315,19 +319,35 @@ def _bits(row):
 
 def _single_point_row(pre, values, port) -> dict:
     """The sweep row of one grid point, from evaluate_point: column name ->
-    value, the axis values, the port and an empty error added."""
+    value, the axis values, the port and the error added.  A point that
+    meets a numerical condition has NaN in every value column and the
+    condition in ``error``."""
     p, d = pre.params, pre.detunings
     for ax, v in zip(pre.sweep.axes, values):
         p, d = SWEEPABLE[ax.name](p, d, float(v))
-    row = evaluate_point(p.replace(drive_port=port), d, pre.sweep.request)
+    try:
+        row = evaluate_point(p.replace(drive_port=port), d, pre.sweep.request)
+        error = ""
+    except NumericalCondition as exc:
+        row = dict.fromkeys(itertools.chain(*sweep_columns(
+            pre.sweep, p.detuning_mode)), np.nan)
+        error = f"{type(exc).__name__}: {exc}"
     row.update(zip((ax.name for ax in pre.sweep.axes), map(float, values)),
-               drive_port=port, error="")
+               drive_port=port, error=error)
     return row
 
 
 def _block_preset(name):
     """The preset ``name`` on a coarse grid; a filtered preset's sweep
-    requests its filter, as the CLI's does."""
+    requests its filter, as the CLI's does.  ``singular`` is fig3a at
+    g_ccw = J = 0 over g_cw from 0, driven through both ports: the rows at
+    g_cw = 0 fail, as the drive port does not pump the magnon."""
+    if name == "singular":
+        pre = presets.get("fig3a")
+        sweep = replace(pre.sweep, drive_ports=("cw", "ccw"),
+                        axes=(SweepAxis("g_cw", 0.0, hz(1e6), 3),))
+        return replace(pre, params=pre.params.replace(g_ccw=0.0, J=0.0),
+                       sweep=sweep)
     pre = presets.get(name, grid_points=9)
     if pre.filter_spec is None:
         return pre
@@ -336,7 +356,8 @@ def _block_preset(name):
 
 
 class TestBlockEngine:
-    @pytest.mark.parametrize("name", ["fig2a", "fig4a", "fig2d_magnon"])
+    @pytest.mark.parametrize("name", ["fig2a", "fig4a", "fig2d_magnon",
+                                      "singular"])
     @settings(max_examples=15)
     @given(data=st.data())
     def test_rows_do_not_depend_on_the_block(self, name, data):
@@ -488,17 +509,19 @@ class TestBlockEngine:
                 axes=axes, request=MeasureRequest(pairs=(("a_cw", "m"),),
                                                   triples=()))
         if case == "errors":
-            p, det = magnon_point()
-            return p, det, TestSweep.error_spec()
+            return TestSweep.error_case()
+        # at delta_a = delta_m_eff = 0 the cw-driven drift matrix is nearly
+        # defective and its filtered quadrature is refused
         pre = presets.get("fig2d_magnon")
-        temperatures = ((-0.01, -0.03) if case == "filtered_failing"
-                        else (0.01, -0.01))
+        failing = case == "filtered_failing"
+        axis = (SweepAxis("delta_a", 0.0, 0.0, 2) if failing
+                else SweepAxis("delta_a", hz(-1e6), hz(1e6), 3))
         request = MeasureRequest(pairs=(("a_cw", "m"),),
                                  triples=(("a_cw", "m", "b"),),
                                  filter_spec=pre.filter_spec)
-        return pre.params, pre.detunings, SweepSpec(
-            axes=(SweepAxis("temperature", *temperatures, 3),),
-            drive_ports=("cw", "ccw"), request=request)
+        return pre.params, Detunings.effective(0.0, 0.0), SweepSpec(
+            axes=(axis,), drive_ports=("cw",) if failing else ("cw", "ccw"),
+            request=request)
 
     @pytest.mark.parametrize("case", ["filtered", "filtered_failing",
                                       "physical", "errors"])
