@@ -29,24 +29,28 @@ PRA 78, 032316 (2008)): its 2x2 block is the magnon block of the block's
 Lyapunov covariance, and only the output block and the output-magnon cross
 block are integrated over frequency.
 
-Quadrature: :func:`filtered_pair_cm` takes a block of points as stacks; its
-frequency integrals run point by point, with an adaptive Gauss-Kronrod
-21-point integrator (``adaptive_gk21``) that takes the steps of SciPy's
-adaptive vector quadrature (``scipy.integrate``, gk21 rule): the same
-initial intervals, heap, batch rule, error estimates and stops.  Each pass
-evaluates the integrand on the 21 nodes of every interval it splits in one
-stacked call (about 6 passes per point).
+Quadrature: :func:`filtered_pair_cm` takes a block of points as stacks,
+and its frequency integrals run per block: an adaptive Gauss-Kronrod
+21-point integrator (``adaptive_gk21``) advances every point of the block
+in lockstep, each point taking the steps of SciPy's adaptive vector
+quadrature (``scipy.integrate``, gk21 rule): the same initial intervals,
+heap, batch rule, error estimates and stops.  A pass evaluates the
+integrand on the 21 nodes of every interval that any point splits, in one
+stacked call per GK21_CHUNK intervals: 10 or 11 calls for the 51 points
+of a fig2d sweep, which took 306 or 357 calls point by point.  Each point's nodes keep the order and the
+arithmetic of a block of one, so a point gets the same bits in any block.
 
-Resolvent: each point diagonalizes its drift matrix once,
-A = P diag(lambda) P^{-1}, so that (-i*omega*I - A)^{-1} =
-P diag(1/(-i*omega - lambda)) P^{-1}.  The rows the integrands read (the
-driven port's output and the magnon) are folded into P, and the noise map
-into P^{-1} B, once per point (``modal_resolvent``); a node then costs one
-diagonal scaling and one (4x8)(8x11) product (``susceptibility``) instead
-of an 8x8 inverse.  The modal values carry a relative error of about
-kappa(P)*eps, with kappa(P) the condition number of the eigenvector
-matrix, so a point whose kappa(P) exceeds MODAL_COND_MAX (a defective or
-nearly defective drift matrix) is refused with QuadratureError.
+Resolvent: each point diagonalizes its drift matrix once (one stacked
+eigendecomposition per block), A = P diag(lambda) P^{-1}, so that
+(-i*omega*I - A)^{-1} = P diag(1/(-i*omega - lambda)) P^{-1}.  The rows
+the integrands read (the driven port's output and the magnon) are folded
+into P, and the noise map into P^{-1} B (``modal_resolvent``); a node then
+costs one diagonal scaling and its share of one (4k x 8)(8 x 11) product
+per point and pass (``susceptibility``) instead of an 8x8 inverse.  The
+modal values carry a relative error of about kappa(P)*eps, with kappa(P)
+the condition number of the eigenvector matrix, so a point whose kappa(P)
+exceeds MODAL_COND_MAX (a defective or nearly defective drift matrix) is
+refused with QuadratureError.
 """
 
 from __future__ import annotations
@@ -115,13 +119,18 @@ GK21_GAUSS_WEIGHTS = np.array(_GAUSS_HALF + _GAUSS_HALF[::-1])
 #: intervals split in one pass at most (as in SciPy's vector quadrature)
 GK21_BATCH = 128
 
+#: intervals per call of the integrand at most (unless one point's share of
+#: a pass alone holds more): as many as one point splits into in one pass
+GK21_CHUNK = 2 * GK21_BATCH
+
 
 class QuadResult(NamedTuple):
-    """Integral, its error estimate (Frobenius norm, rounding included),
-    and the final partition as sorted (a, b) pairs."""
+    """Integrals of n points as an (n, ...) stack, their (n,) error
+    estimates (Frobenius norm, rounding included), and each point's final
+    partition as sorted (a, b) pairs."""
 
     value: np.ndarray
-    error: float
+    error: np.ndarray
     intervals: list
 
 
@@ -130,14 +139,35 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
 
 
-def _gk21(f, lo: np.ndarray, hi: np.ndarray):
-    """GK21 integrals of f over [lo_j, hi_j] with QUADPACK-style error and
-    rounding estimates; all 21*k nodes go to f in one call."""
+def _chunks(counts: np.ndarray):
+    """Runs of whole points, (first interval, stop, the points' interval
+    counts with 0 outside the run), each holding at most GK21_CHUNK
+    intervals or one point."""
+    ends = np.cumsum(counts)
+    first = 0
+    while first < ends[-1]:
+        stop = ends[ends <= first + GK21_CHUNK].max(initial=first)
+        if stop == first:
+            stop = ends[ends > first].min()
+        yield first, stop, np.where((ends > first) & (ends <= stop), counts, 0)
+        first = stop
+
+
+def _gk21_rule(f, lo: np.ndarray, hi: np.ndarray, counts: np.ndarray):
+    """GK21 integrals over one run of :func:`_chunks`, all its nodes in one
+    call of f."""
     c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
     x = c + h * GK21_NODES[:, None]                      # (21, k), node-major
-    fv = np.asarray(f(x.ravel()))
+    # each point's nodes node-major, as one point's (21, k_p) raveled
+    owner = np.repeat(np.arange(len(counts)), counts)
+    first = (np.cumsum(counts) - counts)[owner]
+    order = (21 * first + counts[owner] * np.arange(21)[:, None]
+             + np.arange(len(lo)) - first)
+    flat = np.empty(x.size)
+    flat[order] = x
+    fv = np.asarray(f(flat, 21 * counts))
     shape = fv.shape[1:]
-    fv = fv.reshape(21, len(lo), -1)
+    fv = fv.reshape(x.size, -1)[order]                   # (21, k, m)
     # reductions over the leading axis add node by node, in SciPy's order
     v = GK21_KRONROD_WEIGHTS[:, None, None]
     s_k = np.sum(v * fv, axis=0)
@@ -154,24 +184,29 @@ def _gk21(f, lo: np.ndarray, hi: np.ndarray):
     round_err = _row_norms(50 * sys.float_info.epsilon * h * s_k_abs)
     err = np.where(round_err > sys.float_info.min,
                    np.maximum(err, round_err), err)
-    return h * s_k, err.tolist(), round_err.tolist(), shape
+    return h * s_k, err, round_err, shape
 
 
-def adaptive_gk21(f, a: float, b: float, points=(), *, epsabs: float,
-                  epsrel: float, limit: int = 10000) -> QuadResult:
-    """Adaptive GK21 integral of the array-valued f over [a, b].
+def _gk21(f, lo: np.ndarray, hi: np.ndarray, counts):
+    """GK21 integrals of f over [lo_j, hi_j] with QUADPACK-style error and
+    rounding estimates, the intervals point after point, counts[p] of them
+    for point p.
 
-    f maps a 1-D array of abscissae to a stack of values, one per abscissa.
-    This is the algorithm of SciPy's adaptive vector quadrature
-    (``scipy.integrate``, gk21 rule, Frobenius norm): initial intervals
-    split at ``points``; a heap of intervals by error; passes that halve up
-    to GK21_BATCH of the worst intervals while their summed error stays
-    within the global error less tol/8; stops once the global error is
-    below tol/8 or below the rounding error, with
-    tol = max(epsabs, epsrel*|integral|), or at ``limit`` intervals.  Each
-    pass evaluates the nodes of all its new intervals in one call of f.
-    """
-    a, b = float(a), float(b)
+    f(x, counts) gets the abscissae x of whole points, point after point,
+    counts[p] of them for point p (0 for a point not in the call).  A
+    point's abscissae are the nodes of its intervals node-major, its
+    (21, k_p) grid raveled, as a block of one would give them.  A pass goes
+    to f in runs of at most GK21_CHUNK intervals (:func:`_chunks`)."""
+    counts = np.asarray(counts)
+    runs = [_gk21_rule(f, lo[i:j], hi[i:j], part)
+            for i, j, part in _chunks(counts)]
+    ig, err, rnd, shapes = zip(*runs)
+    return (np.concatenate(ig), np.concatenate(err).tolist(),
+            np.concatenate(rnd).tolist(), shapes[0])
+
+
+def _initial_intervals(a: float, b: float, points) -> list:
+    """[a, b] split at the breakpoints inside it, in order."""
     bounds, prev = [], a
     for p in sorted(points):
         p = float(p)
@@ -180,47 +215,99 @@ def adaptive_gk21(f, a: float, b: float, points=(), *, epsabs: float,
         bounds.append((prev, p))
         prev = p
     bounds.append((prev, b))
+    return bounds
 
-    lo, hi = np.array(bounds).T
-    ig, err, rnd, shape = _gk21(f, lo, hi)
-    total = ig[0].copy()
-    global_error, rounding_error = err[0], rnd[0]
-    for j in range(1, len(bounds)):
-        total += ig[j]
-        global_error += err[j]
-        rounding_error += rnd[j]
-    cache = {iv: ig[j] for j, iv in enumerate(bounds)}
-    heap = [(-e, x1, x2) for e, (x1, x2) in zip(err, bounds)]
-    heapq.heapify(heap)
 
-    while heap and len(heap) < limit:
-        tol = max(epsabs, epsrel * np.linalg.norm(total))
-        batch, err_sum = [], 0.0
-        for j in range(GK21_BATCH):
-            if not heap or (j > 0 and err_sum > global_error - tol / 8):
-                break
-            neg_err, x1, x2 = heapq.heappop(heap)
-            batch.append((-neg_err, x1, x2, 0.5 * (x1 + x2)))
-            err_sum += -neg_err
-        lo = np.array([x for _, x1, x2, c in batch for x in (x1, c)])
-        hi = np.array([x for _, x1, x2, c in batch for x in (c, x2)])
-        ig, err, rnd, _ = _gk21(f, lo, hi)
-        for j, (old_err, x1, x2, c) in enumerate(batch):
-            total += ig[2 * j] + ig[2 * j + 1] - cache.pop((x1, x2))
-            global_error += err[2 * j] + err[2 * j + 1] - old_err
-            rounding_error += rnd[2 * j] + rnd[2 * j + 1]
-            for k, iv in ((2 * j, (x1, c)), (2 * j + 1, (c, x2))):
-                cache[iv] = ig[k]
-                heapq.heappush(heap, (-err[k], *iv))
-        if len(heap) >= 2:
-            tol = max(epsabs, epsrel * np.linalg.norm(total))
-            if global_error < tol / 8 or global_error < rounding_error:
-                break
-        if not (math.isfinite(global_error) and math.isfinite(rounding_error)):
-            break
-    return QuadResult(value=total.reshape(shape),
-                      error=global_error + rounding_error,
-                      intervals=sorted((x1, x2) for _, x1, x2 in heap))
+def adaptive_gk21(f, a, b, points, *, epsabs: float, epsrel: float,
+                  limit: int = 10000) -> QuadResult:
+    """Adaptive GK21 integrals of the array-valued f over [a_p, b_p], at n
+    points at once (a, b and ``points``, the breakpoints of each, of
+    length n).
+
+    f(x, counts) maps the abscissae of several points, counts[p] of them for
+    point p, point after point, to a stack of values, one per abscissa (see
+    :func:`_gk21`).  Each point takes the steps of SciPy's adaptive vector
+    quadrature (``scipy.integrate``, gk21 rule, Frobenius norm): initial
+    intervals split at its breakpoints; a heap of intervals by error;
+    passes that halve up to GK21_BATCH of the worst intervals while their
+    summed error stays within the global error less tol/8; stops once the
+    global error is below tol/8 or below the rounding error, with
+    tol = max(epsabs, epsrel*|integral|), or at ``limit`` intervals.  The
+    points advance in lockstep: each pass evaluates the nodes of the new
+    intervals of every point still running in one call of :func:`_gk21`.
+    """
+    n = len(a)
+    bounds = [_initial_intervals(float(a[p]), float(b[p]), points[p])
+              for p in range(n)]
+    lo, hi = np.array([iv for bd in bounds for iv in bd]).T
+    ig, err, rnd, shape = _gk21(f, lo, hi, [len(bd) for bd in bounds])
+    totals = np.empty((n, ig.shape[1]))
+    global_error, rounding_error, caches, heaps = [], [], [], []
+    j = 0
+    for p, bd in enumerate(bounds):
+        totals[p] = ig[j]
+        ge, re = err[j], rnd[j]
+        for i in range(j + 1, j + len(bd)):
+            totals[p] += ig[i]
+            ge += err[i]
+            re += rnd[i]
+        global_error.append(ge)
+        rounding_error.append(re)
+        caches.append({iv: ig[j + i] for i, iv in enumerate(bd)})
+        heap = [(-e, x1, x2) for e, (x1, x2) in zip(err[j:j + len(bd)], bd)]
+        heapq.heapify(heap)
+        heaps.append(heap)
+        j += len(bd)
+
+    running = [p for p in range(n) if len(heaps[p]) < limit]
+    while running:
+        # each point's batch, popped from its heap
+        tols = np.fmax(epsabs, epsrel * _row_norms(totals[running]))
+        batches, counts = [], np.zeros(n, dtype=int)
+        for p, tol in zip(running, tols.tolist()):
+            heap, batch, err_sum = heaps[p], [], 0.0
+            for j in range(GK21_BATCH):
+                if not heap or (j > 0 and err_sum > global_error[p] - tol / 8):
+                    break
+                neg_err, x1, x2 = heapq.heappop(heap)
+                batch.append((-neg_err, x1, x2, 0.5 * (x1 + x2)))
+                err_sum += -neg_err
+            batches.append(batch)
+            counts[p] = 2 * len(batch)
+        halves = [(x1, c, x2) for batch in batches for _, x1, x2, c in batch]
+        lo = np.array([x for x1, c, _ in halves for x in (x1, c)])
+        hi = np.array([x for _, c, x2 in halves for x in (c, x2)])
+        ig, err, rnd, _ = _gk21(f, lo, hi, counts)
+        # the batch's halves replace it, interval by interval
+        old, j = [], 0
+        for p, batch in zip(running, batches):
+            cache, heap = caches[p], heaps[p]
+            ge, re = global_error[p], rounding_error[p]
+            for old_err, x1, x2, c in batch:
+                old.append(cache.pop((x1, x2)))
+                ge += err[2 * j] + err[2 * j + 1] - old_err
+                re += rnd[2 * j] + rnd[2 * j + 1]
+                for k, iv in ((2 * j, (x1, c)), (2 * j + 1, (c, x2))):
+                    cache[iv] = ig[k]
+                    heapq.heappush(heap, (-err[k], *iv))
+                j += 1
+            global_error[p], rounding_error[p] = ge, re
+        np.add.at(totals, np.repeat(running, [len(bt) for bt in batches]),
+                  ig[0::2] + ig[1::2] - np.array(old))
+        # the stops
+        tols = np.fmax(epsabs, epsrel * _row_norms(totals[running]))
+        still = []
+        for p, tol in zip(running, tols.tolist()):
+            ge, re, size = global_error[p], rounding_error[p], len(heaps[p])
+            if size >= 2 and (ge < tol / 8 or ge < re):
+                continue
+            if math.isfinite(ge) and math.isfinite(re) and size < limit:
+                still.append(p)
+        running = still
+    return QuadResult(
+        value=totals.reshape((n, *shape)),
+        error=np.array(global_error) + np.array(rounding_error),
+        intervals=[sorted((x1, x2) for _, x1, x2 in heap) for heap in heaps])
 
 
 @dataclass(frozen=True)
@@ -276,19 +363,21 @@ class NoiseChannels:
 
 
 def noise_channels(params: SystemParams) -> NoiseChannels:
-    n_a, n_m, n_b = params.occupancies()
-    r2ae = math.sqrt(2.0 * params.kappa_a_e)
-    r2ai = math.sqrt(2.0 * params.kappa_a_i)
-    r2m = math.sqrt(2.0 * params.kappa_m)
-    B = np.zeros((8, 11))
-    B[0, 0] = B[1, 1] = r2ae
-    B[0, 2] = B[1, 3] = r2ai
-    B[2, 4] = B[3, 5] = r2ae
-    B[2, 6] = B[3, 7] = r2ai
-    B[4, 8] = B[5, 9] = r2m
-    B[7, 10] = 1.0
-    sigma = np.array([n_a + 0.5] * 8 + [n_m + 0.5] * 2
-                     + [params.gamma_b * (2 * n_b + 1)])
+    """The channels of one point, or of a stack of n points as (n, ...)
+    arrays."""
+    n_a, n_m, n_b = (np.asarray(x) for x in params.occupancies())
+    r2ae = np.sqrt(2.0 * params.kappa_a_e)
+    r2ai = np.sqrt(2.0 * params.kappa_a_i)
+    r2m = np.sqrt(2.0 * params.kappa_m)
+    B = np.zeros(n_a.shape + (8, 11))
+    B[..., 0, 0] = B[..., 1, 1] = r2ae
+    B[..., 0, 2] = B[..., 1, 3] = r2ai
+    B[..., 2, 4] = B[..., 3, 5] = r2ae
+    B[..., 2, 6] = B[..., 3, 7] = r2ai
+    B[..., 4, 8] = B[..., 5, 9] = r2m
+    B[..., 7, 10] = 1.0
+    sigma = np.stack([n_a + 0.5] * 8 + [n_m + 0.5] * 2
+                     + [params.gamma_b * (2 * n_b + 1)], axis=-1)
     ports = {DRIVE_CW: (0, 1), DRIVE_CCW: (4, 5)}
     return NoiseChannels(B=B, sigma=sigma, port_channels=ports, n_port=n_a)
 
@@ -296,64 +385,78 @@ def noise_channels(params: SystemParams) -> NoiseChannels:
 class Resolvent(NamedTuple):
     """Rows of the resolvent, L (-i*omega*I - A)^{-1} R, in the eigenbasis
     A = P diag(lam) P^{-1}: ``left`` = L P, ``right`` = P^{-1} R, and the
-    condition number ``cond`` = kappa(P)."""
+    condition number ``cond`` = kappa(P); one point, or (n, ...) stacks."""
 
     lam: np.ndarray
     left: np.ndarray
     right: np.ndarray
-    cond: float
+    cond: np.ndarray
 
 
 def modal_resolvent(A: np.ndarray, left: np.ndarray,
                     right: np.ndarray) -> Resolvent:
-    """One eigendecomposition of A with the rows ``left`` (r, n) and the
-    right factor ``right`` (n, m) folded in; refused with QuadratureError
-    where kappa(P) exceeds MODAL_COND_MAX."""
+    """One eigendecomposition of A (one drift matrix or an (n, N, N)
+    stack) with the rows ``left`` (r, N) and the right factor ``right``
+    (N, m) folded in (stacked alike).  A point whose kappa(P) exceeds
+    MODAL_COND_MAX is not to be used: its P may be singular, so its right
+    factor is ``right`` itself."""
     lam, P = np.linalg.eig(A)
     with np.errstate(divide="ignore", invalid="ignore"):
-        cond = float(np.linalg.cond(P))
-    if not cond <= MODAL_COND_MAX:
-        raise QuadratureError(
-            f"drift matrix eigenvector condition number {cond:.3g} exceeds "
-            f"{MODAL_COND_MAX:.3g} (nearly defective)")
-    return Resolvent(lam=lam, left=left @ P, right=np.linalg.solve(P, right),
-                     cond=cond)
+        cond = np.linalg.cond(P)
+    usable = np.asarray(cond <= MODAL_COND_MAX)[..., None, None]
+    P_right = np.where(usable, P, np.eye(P.shape[-1]))
+    return Resolvent(lam=lam, left=left @ P,
+                     right=np.linalg.solve(P_right, right), cond=cond)
 
 
-def susceptibility(res: Resolvent, omega: np.ndarray) -> np.ndarray:
+def susceptibility(res: Resolvent, omega: np.ndarray,
+                   counts=None) -> np.ndarray:
     """L (-i*omega*I - A)^{-1} R, the rows L of the response of u(omega) to
     the inputs R, on a 1-D array of k frequencies: a (k, r, m) stack from
-    one diagonal scaling and one product.  ``res`` comes from
-    :func:`modal_resolvent`, which refuses a drift matrix whose eigenvector
-    matrix is too ill-conditioned (MODAL_COND_MAX) for these values to hold
-    their accuracy."""
-    d = 1.0 / (-1j * np.asarray(omega, dtype=float)[:, None] - res.lam)
-    k, (r, n) = len(d), res.left.shape
-    scaled = (res.left * d[:, None, :]).reshape(k * r, n)
-    return (scaled @ res.right).reshape(k, r, -1)
+    one diagonal scaling and one product per point.  ``res`` comes from
+    :func:`modal_resolvent`: one point, or a stack of n points, and then
+    omega holds counts[p] frequencies of point p, point after point.  A
+    point whose kappa(P) exceeds MODAL_COND_MAX (``res.cond``) would not
+    hold the accuracy of these values."""
+    omega = np.asarray(omega, dtype=float)
+    lam, left, right = res.lam, res.left, res.right
+    if counts is None:
+        lam, left, right, counts = lam[None], left[None], right[None], [len(omega)]
+    ends = np.cumsum(counts)
+    (r, n), m = left.shape[1:], right.shape[-1]
+    out = np.empty((len(omega), r, m), dtype=complex)
+    for p in np.flatnonzero(counts):
+        rows = slice(ends[p] - counts[p], ends[p])
+        d = 1.0 / (-1j * omega[rows, None] - lam[p])
+        scaled = (left[p] * d[:, None, :]).reshape(-1, n)
+        out[rows] = (scaled @ right[p]).reshape(-1, r, m)
+    return out
 
 
-def _pair_resolvent(A, chans: NoiseChannels, port: str,
-                    kappa_a_e: float) -> Resolvent:
+def _pair_resolvent(A, chans: NoiseChannels, port,
+                    kappa_a_e) -> Resolvent:
     """Resolvent factors of the driven port's output rows (scaled by
-    sqrt(2*kappa_a_e)) and the magnon rows, with the noise map B."""
-    rows = MODE_SLOTS["a_cw"] if port == DRIVE_CW else MODE_SLOTS["a_ccw"]
-    L = np.zeros((4, A.shape[0]))
-    L[[0, 1], list(rows)] = math.sqrt(2.0 * kappa_a_e)
-    L[[2, 3], list(MODE_SLOTS["m"])] = 1.0
+    sqrt(2*kappa_a_e)) and the magnon rows, with the noise map B; one point,
+    or a stack with (n,) arrays of ports and kappa_a_e."""
+    port = np.asarray(port)
+    root = np.sqrt(2.0 * np.asarray(kappa_a_e))
+    L = np.zeros(port.shape + (4, A.shape[-1]))
+    for label, mode in ((DRIVE_CW, "a_cw"), (DRIVE_CCW, "a_ccw")):
+        L[..., [0, 1], list(MODE_SLOTS[mode])] = \
+            np.where(port == label, root, 0.0)[..., None]
+    L[..., [2, 3], list(MODE_SLOTS["m"])] = 1.0
     return modal_resolvent(A, L, chans.B)
 
 
-def _transfers(res: Resolvent, chans: NoiseChannels, port: str, omega):
-    """Channel-to-signal transfer rows at omega from the factors of
-    :func:`_pair_resolvent`: driven-port output (2x11) and magnon
-    quadratures (2x11), stacked (k, 2, 11) over an array of k
-    frequencies."""
-    MB = susceptibility(res, omega)
-    T = np.zeros((2, 11))
-    for i, c in enumerate(chans.port_channels[port]):
-        T[i, c] = 1.0
-    return MB[:, :2] - T, MB[:, 2:]
+def _port_inputs(chans: NoiseChannels, port) -> np.ndarray:
+    """(2, 11) selector of the driven port's input channels, or an (n, 2, 11)
+    stack for (n,) ports: the output rows of :func:`_pair_resolvent` less
+    these are the output field's transfer rows."""
+    port = np.asarray(port)
+    T = np.zeros(port.shape + (2, 11))
+    for label, channels in chans.port_channels.items():
+        T[..., [0, 1], list(channels)] = np.asarray(port == label)[..., None]
+    return T
 
 
 def _adjoint(M: np.ndarray) -> np.ndarray:
@@ -364,46 +467,66 @@ def _adjoint(M: np.ndarray) -> np.ndarray:
 #: a filtered point's integral error estimate, tail bound, window and kappa(P)
 FILTERED_DIAGNOSTICS = ("quad_error", "tail_estimate", "window", "modal_cond")
 
+#: nodes per step of the integrand's pair algebra: its temporaries, a few kB
+#: a node, stay small enough to be reused instead of freshly paged in
+#: (steps of 5 000 nodes ran the fig2d sweeps 1.4 times slower)
+PAIR_SLICE = 512
 
-def _integrated_pair(A: np.ndarray, params: SystemParams, spec: FilterSpec):
-    """One point's integrated pair covariance and FILTERED_DIAGNOSTICS."""
-    port = params.drive_port
-    chans = noise_channels(params)
-    res = _pair_resolvent(A, chans, port, params.kappa_a_e)
+
+def _integrated_pairs(res: Resolvent, chans: NoiseChannels,
+                      params: SystemParams, spec: FilterSpec, m: int):
+    """Integrated pair covariances and FILTERED_DIAGNOSTICS of the first m
+    points of a block, as (m, 4, 4) and (m, 4) stacks."""
+    res = res._make(x[:m] for x in res)
+    port = params.drive_port[:m]
+    sigma, n_port = chans.sigma[:m], chans.n_port[:m] + 0.5
     inv_sqrt_2pi = 1.0 / math.sqrt(2.0 * math.pi)
-    n_port = chans.n_port + 0.5
 
-    widths = [40.0 / spec.tau,
-              10.0 * (params.kappa_a + params.kappa_m + params.omega_b)]
-    W = abs(spec.omega_center) + max(widths)
-    breakpoints = sorted({abs(spec.omega_center), params.omega_b,
-                          abs(spec.omega_center) + 20 / spec.tau})
-    pts = [p for p in breakpoints if 0 < p < W]
+    center = abs(spec.omega_center)
+    omega_b = params.omega_b[:m]
+    widths = 10.0 * (params.kappa_a + params.kappa_m + params.omega_b)[:m]
+    W = center + np.maximum(40.0 / spec.tau, widths)
+    breakpoints = np.stack(np.broadcast_arrays(
+        center, omega_b, center + 20 / spec.tau), axis=-1)
 
-    def integrand(omega: np.ndarray) -> np.ndarray:
+    T = _port_inputs(chans, port)
+
+    def integrand(omega: np.ndarray, counts: np.ndarray) -> np.ndarray:
         # (k, 4, 4) on an array of k frequencies; the magnon block stays 0
-        F_out, F_mag = _transfers(res, chans, port, omega)
-        K_out = _quad_kernel(spec, omega)
-        H = np.concatenate([K_out @ F_out, inv_sqrt_2pi * F_mag], axis=1)
-        full = np.zeros((len(omega), 4, 4), dtype=complex)
-        # output rows: the output block and the cross block
-        full[:, :2] = (H[:, :2] * chans.sigma) @ _adjoint(H)
-        # white output part, integrated analytically over the full line
-        full[:, :2, :2] -= n_port * (K_out @ _adjoint(K_out))
-        full[:, 2:, :2] = _adjoint(full[:, :2, 2:])
-        # fold +-omega: the full-line integral of the two is 2*Re
-        return 2.0 * np.real(full)
+        MB = susceptibility(res, omega, counts)
+        owner = np.repeat(np.arange(m), counts)
+        full = np.zeros((len(omega), 4, 4))
+        # node by node from here, PAIR_SLICE nodes at a time
+        for start in range(0, len(omega), PAIR_SLICE):
+            rows = slice(start, start + PAIR_SLICE)
+            at = owner[rows]
+            K_out = _quad_kernel(spec, omega[rows])
+            H = np.empty((len(at), 4, 11), dtype=complex)
+            np.matmul(K_out, MB[rows, :2] - T[at], out=H[:, :2])
+            np.multiply(inv_sqrt_2pi, MB[rows, 2:], out=H[:, 2:])
+            # output rows: the output block and the cross block
+            out = (H[:, :2] * sigma[at][:, None]) @ _adjoint(H)
+            # white output part, integrated analytically over the full line
+            out[:, :, :2] -= (n_port[at][:, None, None]
+                              * (K_out @ _adjoint(K_out)))
+            # fold +-omega: the full-line integral of the two is 2*Re
+            full[rows, :2] = 2.0 * out.real
+        full[:, 2:, :2] = np.swapaxes(full[:, :2, 2:], -1, -2)
+        return full
 
-    val, err, _ = adaptive_gk21(integrand, 0.0, W, pts,
-                                epsabs=QUAD_ABS_TOL, epsrel=1e-10)
+    quad = adaptive_gk21(integrand, np.zeros(m), W, breakpoints,
+                         epsabs=QUAD_ABS_TOL, epsrel=1e-10)
     # bound for a >= 1/omega^2 decaying tail
-    tail = np.abs(integrand(np.array([W]))[0]) * W
-    if err > 50 * QUAD_ABS_TOL:
+    tail = np.abs(integrand(W, np.ones(m, dtype=int))) * W[:, None, None]
+    refused = np.flatnonzero(quad.error > 50 * QUAD_ABS_TOL)
+    if len(refused):
         raise QuadratureError(
-            f"frequency integral error estimate {err:.3g} exceeds "
-            f"tolerance {QUAD_ABS_TOL:.3g}")
-    val[:2, :2] += n_port * np.eye(2)
-    return val, (err, np.max(tail), W, res.cond)
+            f"frequency integral error estimate {quad.error[refused[0]]:.3g} "
+            f"exceeds tolerance {QUAD_ABS_TOL:.3g}")
+    val = quad.value
+    val[:, :2, :2] += n_port[:, None, None] * np.eye(2)
+    return val, np.stack([quad.error, np.max(tail, axis=(1, 2)), W,
+                          res.cond], axis=-1)
 
 
 def filtered_pair_cm(A: np.ndarray, V: np.ndarray, params: SystemParams,
@@ -417,16 +540,28 @@ def filtered_pair_cm(A: np.ndarray, V: np.ndarray, params: SystemParams,
     The magnon block is V's exactly; the output and cross blocks are
     integrated, the white (frequency-flat) part of the output spectrum
     analytically, which keeps the truncation error of the slowly decaying
-    sinc tail out of the result.  Raises QuadratureError where a point's
-    kappa(P) (``modal_cond``, from one eigendecomposition of its A,
-    :func:`modal_resolvent`) exceeds MODAL_COND_MAX or an integral's error
-    estimate exceeds its tolerance.
+    sinc tail out of the result.  Raises QuadratureError for the first
+    point, in block order, whose kappa(P) (``modal_cond``, from one
+    eigendecomposition of its A, :func:`modal_resolvent`) exceeds
+    MODAL_COND_MAX or whose integral's error estimate exceeds its
+    tolerance.
     """
     n = len(A)
+    chans = noise_channels(params)
+    res = _pair_resolvent(A, chans, params.drive_port, params.kappa_a_e)
+    # the points before the first refused one are integrated: their
+    # error-estimate refusals come before it in block order
+    usable = res.cond <= MODAL_COND_MAX
+    m = n if usable.all() else int(np.argmin(usable))
     cm = np.empty((n, 4, 4))
     diagnostics = np.empty((n, len(FILTERED_DIAGNOSTICS)))
-    for i in range(n):
-        cm[i], diagnostics[i] = _integrated_pair(A[i], params.at(i), spec)
+    if m:
+        cm[:m], diagnostics[:m] = _integrated_pairs(res, chans, params,
+                                                    spec, m)
+    if m < n:
+        raise QuadratureError(
+            f"drift matrix eigenvector condition number {res.cond[m]:.3g} "
+            f"exceeds {MODAL_COND_MAX:.3g} (nearly defective)")
     cm[:, 2:, 2:] = extract_block(V, ("m",))
     cm = 0.5 * (cm + cm.swapaxes(-2, -1))
     return cm, dict(zip(FILTERED_DIAGNOSTICS, diagnostics.T))

@@ -6,10 +6,10 @@ Evaluation runs on blocks of points.  A block goes through every stage as
 arrays: stacked parameters, the mean field (closed form, or the stacked
 cubic of the physical detuning mode), (n, 8, 8) drift and diffusion
 stacks, one stability gate, one stacked Lyapunov solve and the vectorized
-measures, the filtered output among them: only its frequency quadrature
-runs point by point, inside ``output_mode``.  Every stage treats
-each point on its own, so a row does not depend on the block it is
-evaluated in.  ``evaluate_point`` is the same evaluator run on a block of
+measures, the filtered output among them, whose frequency quadrature
+advances all the block's points in lockstep (``output_mode``).  Every
+stage treats each point on its own, so a row does not depend on the block
+it is evaluated in.  ``evaluate_point`` is the same evaluator run on a block of
 one point, and ``nonreciprocity_contrast`` on a block of two: one point
 driven through each port.
 
@@ -28,8 +28,9 @@ sweep metadata key is one reduction of one column over the joined table
 (SWEEP_META).
 
 A block that meets a known numerical condition (a
-:class:`~chiralcmm.params.NumericalCondition`: singular mean field,
-invalid covariance, quadrature failure, a refused Lyapunov solve) is split
+:class:`~chiralcmm.params.NumericalCondition`: singular or overflowing
+mean field, invalid covariance, quadrature failure, a refused Lyapunov
+solve) is split
 in halves until each failing point stands alone; those rows carry
 ``"<Type>: <message>"`` in ``error`` and NaN in every value column, and
 the others are unaffected.  Any other exception is a bug and fails the

@@ -51,6 +51,19 @@ class SingularConfigurationError(NumericalCondition, ValueError):
     """The mean-field system is singular at this exact parameter point."""
 
 
+class MeanFieldOverflowError(NumericalCondition, ValueError):
+    """The mean field overflows: the drive is too strong for floating
+    point."""
+
+
+def _require_finite(*values) -> None:
+    """Raise MeanFieldOverflowError unless every value (None skipped) is
+    finite."""
+    if not all(np.all(np.isfinite(v)) for v in values if v is not None):
+        raise MeanFieldOverflowError("mean field is not finite: the drive "
+                                     "overflows floating point")
+
+
 @dataclass(frozen=True)
 class SteadyField:
     """Classical means and the effective magnomechanical coupling.
@@ -103,6 +116,7 @@ def _pack(params: SystemParams, det: Detunings, E: float | None,
     g_m = params.g_m
     q_mean = -g_m * abs(m) ** 2 / params.omega_b if g_m is not None else 0.0
     g_m_eff = SQRT2 * g_m * m if g_m is not None else None
+    _require_finite(a_cw, a_ccw, m, q_mean, g_m_eff, delta_m_eff)
     return SteadyField(a_cw=a_cw, a_ccw=a_ccw, m=m, q_mean=q_mean,
                        g_m_eff=g_m_eff, delta_m_eff=delta_m_eff,
                        e_amplitude=E, meta=dict(meta))
@@ -205,9 +219,10 @@ def _lowest_root(r):
     its largest real z.  LAPACK marks real eigenvalues with an exact zero
     imaginary part.  Two Newton steps on the y form polish the root.  At
     r = 0 the cubic degenerates to y = 1, one root (z = 0 is no root of
-    the y form).
+    the y form).  Coefficients that overflow raise MeanFieldOverflowError.
     """
     p, q = r.real, r.real ** 2 + r.imag ** 2
+    _require_finite(q)
     companion = np.zeros(r.shape + (3, 3))
     companion[..., 0, 0] = 1.0
     companion[..., 0, 1] = 2.0 * p
@@ -270,6 +285,9 @@ def target_detunings(params: SystemParams, det: Detunings,
                      det.delta_m - gm_abs ** 2 / (2.0 * params.omega_b))
 
 
+# an overflow is refused as MeanFieldOverflowError where it is met, not
+# warned about
+@np.errstate(over="ignore", invalid="ignore")
 def resolve_drive(params: SystemParams, det: Detunings) -> SteadyField:
     """Evaluate the steady field for the configured drive specification.
 
@@ -283,7 +301,8 @@ def resolve_drive(params: SystemParams, det: Detunings) -> SteadyField:
     physical detuning mode the means come from :func:`self_consistent_solve`.
 
     Stacked parameters give a SteadyField of arrays, in either detuning
-    mode.
+    mode.  A mean field that overflows (a drive too strong for floating
+    point) raises MeanFieldOverflowError.
     """
     spec = params.drive
     if spec.kind in (DRIVE_POWER, DRIVE_AMPLITUDE):
@@ -305,6 +324,7 @@ def resolve_drive(params: SystemParams, det: Detunings) -> SteadyField:
                              det, spec.value)   # g_m * E
     out = imperfect_means(params, det, 1.0)
     g_m_eff = SQRT2 * scale * out.m
+    _require_finite(g_m_eff)
     if params.g_m:
         E = scale / params.g_m
         full = imperfect_means(params, det, E)

@@ -39,10 +39,10 @@ def schur_lyapunov(A, D):
 
 def inverse_susceptibility(A, omega):
     """(-i*omega*I - A)^{-1} by one batched inverse, a (k, n, n) stack over
-    an array of k frequencies: the oracle of the library's modal
-    resolvent."""
+    an array of k frequencies (A one matrix or one per frequency): the
+    oracle of the library's modal resolvent."""
     w = np.asarray(omega, dtype=float)[..., None, None]
-    return np.linalg.inv(-1j * w * np.eye(A.shape[0]) - A)
+    return np.linalg.inv(-1j * w * np.eye(A.shape[-1]) - A)
 
 
 def inverse_transfers(A, chans, port, kappa_a_e, omega):
@@ -64,12 +64,23 @@ class InverseResolvent(NamedTuple):
     A: np.ndarray
     left: np.ndarray
     right: np.ndarray
-    cond: float = math.nan
+    cond: np.ndarray
 
 
-def inverse_rows(res, omega):
-    """L (-i*omega*I - A)^{-1} R from the inverse oracle."""
-    return res.left @ inverse_susceptibility(res.A, omega) @ res.right
+def inverse_resolvent(A, left, right):
+    """An InverseResolvent in place of ``output_mode.modal_resolvent``,
+    with kappa(P) = 1 at every point, so that none is refused."""
+    return InverseResolvent(A, left, right, np.ones(np.shape(A)[:-2]))
+
+
+def inverse_rows(res, omega, counts=None):
+    """L (-i*omega*I - A)^{-1} R from the inverse oracle, with the
+    arguments of ``output_mode.susceptibility``."""
+    if counts is None:
+        return res.left @ inverse_susceptibility(res.A, omega) @ res.right
+    at = np.repeat(np.arange(len(counts)), counts)
+    return (res.left[at] @ inverse_susceptibility(res.A[at], omega)
+            @ res.right[at])
 
 
 def filtered_point(A, D, params, spec):

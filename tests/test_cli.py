@@ -549,6 +549,34 @@ class TestErrorPolicy:
         assert ("numerical failure: not a covariance matrix"
                 in capsys.readouterr().err)
 
+    # a cavity drive amplitude whose mean field overflows: in the closed
+    # form of the effective detuning mode, and in the dispersive cubic of
+    # the physical one
+    OVERFLOW = {"effective": ("amplitude,1e300,1e307,2", "1e307"),
+                "physical": ("amplitude,1e150,1e200,2", "1e150")}
+
+    @pytest.mark.parametrize("mode", sorted(OVERFLOW))
+    def test_overflowing_mean_field_is_a_numerical_failure(self, mode,
+                                                           tmp_path, capsys):
+        axis, value = self.OVERFLOW[mode]
+        args = ["--config", "fig3a", "--set", "system.g_m=1",
+                "--set", "drive.spec=amplitude",
+                "--set", f"detuning.mode={mode}"]
+        out = tmp_path / "s.csv"
+        assert main(["sweep", *args, "--set", f"sweep.axis1={axis}",
+                     "--out", str(out)]) == EXIT_OK
+        lines = out.read_text().splitlines()
+        assert "# error_rows = 2" in lines
+        rows = [ln for ln in lines if not ln.startswith("#")][1:]
+        assert all(row.endswith(",MeanFieldOverflowError: mean field is not "
+                                "finite: the drive overflows floating point")
+                   for row in rows)
+        capsys.readouterr()
+        assert main(["entangle", *args, "--set",
+                     f"drive.value={value}"]) == EXIT_NUMERICAL
+        assert ("numerical failure: mean field is not finite"
+                in capsys.readouterr().err)
+
 
 class TestStabilityEdgeCommand:
     def test_known_boundary(self, tmp_path):

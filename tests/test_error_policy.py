@@ -33,6 +33,7 @@ def test_the_scan_finds_the_known_classes():
     found = {cls.__name__ for name in MODULES
              for cls in exception_classes(name)}
     assert found >= {"ConfigError", "SingularConfigurationError",
-                     "UnstableSystemError", "LyapunovError",
-                     "InvalidCovarianceError", "QuadratureError",
-                     "IntegrationError", "InconclusiveError"}
+                     "MeanFieldOverflowError", "UnstableSystemError",
+                     "LyapunovError", "InvalidCovarianceError",
+                     "QuadratureError", "IntegrationError",
+                     "InconclusiveError"}

@@ -15,11 +15,12 @@ from chiralcmm.lyapunov import extract_block, solve_lyapunov
 from chiralcmm.measures import log_negativity, symplectic_eigenvalues
 from chiralcmm.linear_model import build_drift
 from chiralcmm.output_mode import (
+    MODAL_COND_MAX,
     FilterSpec,
     QuadratureError,
     QuadResult,
     _pair_resolvent,
-    _transfers,
+    _port_inputs,
     adaptive_gk21,
     filter_transform,
     filtered_pair_cm,
@@ -27,15 +28,30 @@ from chiralcmm.output_mode import (
     noise_channels,
     susceptibility,
 )
-from chiralcmm.params import DRIVE_CCW, DRIVE_CW, Detunings, SystemParams
+from chiralcmm.params import (
+    DRIVE_CCW,
+    DRIVE_CW,
+    DRIVE_GM_ABS,
+    RATE_FIELDS,
+    Detunings,
+    DriveSpec,
+    SystemParams,
+)
 from chiralcmm.pipeline import MeasureRequest, SweepAxis, SweepSpec
 from chiralcmm.steady_state import resolve_drive
 from helpers import (
-    InverseResolvent,
     filtered_point,
+    inverse_resolvent,
     inverse_rows,
     inverse_transfers,
 )
+
+
+def transfers(res, chans, port, omega):
+    """Driven-port output (2x11) and magnon (2x11) transfer rows of one
+    point at an array of k frequencies, (k, 2, 11) each."""
+    rows = susceptibility(res, omega)
+    return rows[:, :2] - _port_inputs(chans, port), rows[:, 2:]
 
 
 def spectral_matrix(A, chans, omega, kappa_a_e, port="cw"):
@@ -44,7 +60,7 @@ def spectral_matrix(A, chans, omega, kappa_a_e, port="cw"):
     w = np.array([omega])
     MB = susceptibility(modal_resolvent(A, np.eye(8), chans.B), w)[0]
     res = _pair_resolvent(A, chans, port, kappa_a_e)
-    F_out, F_mag = (F[0] for F in _transfers(res, chans, port, w))
+    F_out, F_mag = (F[0] for F in transfers(res, chans, port, w))
     sig = chans.sigma
     return ((MB * sig) @ MB.conj().T, (F_out * sig) @ F_out.conj().T,
             (F_out * sig) @ F_mag.conj().T)
@@ -142,6 +158,23 @@ class TestSpectralMatrix:
         assert_allclose(M @ (-3j * np.eye(2) - A), np.eye(2), atol=1e-14)
 
 
+def exceptional_point(offset=0.0):
+    """On resonance and without G_m, the CW cavity-magnon block has a
+    Jordan block at g_cw = (kappa_a - kappa_m)/2, here 1 MHz: the point at
+    g_cw = 1 MHz * (1 + offset)."""
+    p = SystemParams(g_cw=hz(1e6 * (1.0 + offset)), temperature=0.0)
+    return p, build_model(p, Detunings.effective(0.0, 0.0), 0.0)
+
+
+def stacked_points(points):
+    """One stack of the SystemParams ``points``: their rates and drive
+    ports, and the first one's other fields."""
+    rates = {name: np.array([float(getattr(p, name)) for p in points])
+             for name in RATE_FIELDS}
+    return points[0].stacked(len(points)).replace(
+        drive_port=np.array([p.drive_port for p in points]), **rates)
+
+
 def imperfect_point():
     """The T = 0.05 K point with backscattering and a weak CCW coupling."""
     p = SystemParams(kappa_a_e=hz(4.8e6), g_cw=hz(8e6), g_ccw=hz(0.8e6),
@@ -171,15 +204,13 @@ class TestModalResolvent:
         det = Detunings.effective(d_a * p.omega_b, d_m * p.omega_b)
         A = build_drift(p, det, hz(gm) * np.exp(1j * phase))
         chans = noise_channels(p)
-        try:
-            res = _pair_resolvent(A, chans, port, p.kappa_a_e)
-        except QuadratureError:
-            # the exceptional point of test_exceptional_point
-            assume(False)
+        res = _pair_resolvent(A, chans, port, p.kappa_a_e)
+        # not at the exceptional point of test_exceptional_point
+        assume(res.cond <= MODAL_COND_MAX)
         lam = np.linalg.eigvals(A)
         w = np.concatenate([np.linspace(0.0, 3.0 * p.omega_b, 31),
                             np.abs(lam.imag)])
-        ours = _transfers(res, chans, port, w)
+        ours = transfers(res, chans, port, w)
         ref = inverse_transfers(A, chans, port, p.kappa_a_e, w)
         # both routes resolve -i*omega*I - A to a relative error of about
         # eps*||A||/dist(i*omega, spectrum); the modal one adds kappa(P)
@@ -196,7 +227,7 @@ class TestModalResolvent:
         p, model, spec = imperfect_point() if case == "imperfect" \
             else fig2d_point()
         ours, ours_diag = filtered_point(model.A, model.D, p, spec)
-        monkeypatch.setattr(output_mode, "modal_resolvent", InverseResolvent)
+        monkeypatch.setattr(output_mode, "modal_resolvent", inverse_resolvent)
         monkeypatch.setattr(output_mode, "susceptibility", inverse_rows)
         ref, ref_diag = filtered_point(model.A, model.D, p, spec)
         assert np.max(np.abs(ours - ref)) <= 1e-12
@@ -206,35 +237,53 @@ class TestModalResolvent:
 
     @pytest.mark.parametrize("offset", [0.0, 1e-14, 1e-8, 1e-2])
     def test_exceptional_point(self, offset):
-        # on resonance and without G_m, the CW cavity-magnon block has a
-        # Jordan block at g_cw = (kappa_a - kappa_m)/2, here 1 MHz; next to
-        # it kappa(P) grows as offset^(-1/2), and the modal error with it
-        p = SystemParams(g_cw=hz(1e6 * (1.0 + offset)), temperature=0.0)
-        det = Detunings.effective(0.0, 0.0)
-        model = build_model(p, det, 0.0)
+        # next to the exceptional point kappa(P) grows as offset^(-1/2),
+        # and the modal error with it
+        p, model = exceptional_point(offset)
         chans = noise_channels(p)
         spec = FilterSpec(omega_center=-p.omega_b, tau=10.0 / p.omega_b)
+        res = _pair_resolvent(model.A, chans, DRIVE_CW, p.kappa_a_e)
         if offset == 0.0:
-            with pytest.raises(QuadratureError, match="condition number"):
-                _pair_resolvent(model.A, chans, DRIVE_CW, p.kappa_a_e)
+            assert res.cond > MODAL_COND_MAX
             with pytest.raises(QuadratureError, match="condition number"):
                 filtered_point(model.A, model.D, p, spec)
             return
-        res = _pair_resolvent(model.A, chans, DRIVE_CW, p.kappa_a_e)
         assert 1.0 < res.cond * math.sqrt(offset) < 3.0
         w = np.linspace(0.0, 3.0 * p.omega_b, 31)
-        for F, F_ref in zip(_transfers(res, chans, DRIVE_CW, w),
+        for F, F_ref in zip(transfers(res, chans, DRIVE_CW, w),
                             inverse_transfers(model.A, chans, DRIVE_CW,
                                               p.kappa_a_e, w)):
             assert np.max(np.abs(F - F_ref)) <= 1e-14 * res.cond
 
     def test_defective_drift_refused(self):
         # a Jordan block of the drift's own size: the eigenvector matrix is
-        # numerically singular
+        # numerically singular, so kappa(P) marks the point for refusal
+        # (test_refusals_come_in_block_order); the stack's other point is
+        # untouched
         A = np.diag([-1.0, -1.0, -2.0, -3.0, -4.0, -5.0, -6.0, -7.0]) * 1e6
         A[0, 1] = 1e6
+        A = np.stack([A, np.diag(np.arange(-8.0, 0.0)) * 1e6])
+        res = modal_resolvent(A, np.eye(8)[None], np.eye(8)[None])
+        assert res.cond[0] > MODAL_COND_MAX and res.cond[1] == 1.0
+        assert np.all(np.isfinite(res.right))
+        assert_allclose(susceptibility(res, np.array([0.0]), [0, 1])[0],
+                        np.linalg.inv(-A[1]), rtol=1e-14)
+
+    def test_refusals_come_in_block_order(self, monkeypatch):
+        # a block of the fig2d point and the exceptional point of
+        # test_exceptional_point: the exceptional point is refused for its
+        # kappa(P), after the error-estimate refusal of a point before it
+        (p, model, spec), (q, bad) = fig2d_point(), exceptional_point()
+        block = stacked_points([p, q]), np.stack([model.A, bad.A])
+        V = solve_lyapunov(block[1], np.stack([model.D, bad.D]))
         with pytest.raises(QuadratureError, match="condition number"):
-            modal_resolvent(A, np.eye(8), np.eye(8))
+            filtered_pair_cm(block[1], V, block[0], spec)
+        monkeypatch.setattr(output_mode, "adaptive_gk21", capped(1))
+        with pytest.raises(QuadratureError, match="frequency integral"):
+            filtered_pair_cm(block[1], V, block[0], spec)
+        with pytest.raises(QuadratureError, match="condition number"):
+            filtered_pair_cm(block[1][::-1], V[::-1],
+                             stacked_points([q, p]), spec)
 
 
 class TestTimeDomainOracle:
@@ -347,30 +396,69 @@ class TestFilteredPairCM:
         assert values[-3] >= values[-2] >= values[-1]
         assert values[-1] < 0.02
 
-    def test_block_gives_the_bits_of_its_points(self):
-        # the magnon block of each filtered covariance is V's, and each
-        # point of a block gives the bits of its block of one
+    def test_block_gives_the_bits_of_its_points(self, monkeypatch):
+        # one block of points with their own window and breakpoints
+        # (omega_b, kappa_m), both drive ports, and couplings, damping and
+        # temperatures that stop their integrals after 4 to 7 passes: the
+        # magnon block of each filtered covariance is V's, and each point
+        # gives the bits of its block of one, diagnostics included
         pre = presets.get("fig2d_magnon")
-        P = pre.params.stacked(3).replace(
-            gamma_b=hz(np.array([10.0, 2e3, 1e5])))
-        det = pre.detunings.stacked(3)
+        P = pre.params.stacked(6).replace(
+            gamma_b=hz(np.array([10.0, 2e3, 1e5, 10.0, 5e4, 300.0])),
+            omega_b=hz(np.array([10e6, 10e6, 10e6, 12e6, 9e6, 10e6])),
+            kappa_m=hz(np.array([1e6, 1e6, 1.5e6, 1e6, 0.8e6, 1e6])),
+            g_ccw=hz(np.array([0.0, 3e6, 0.0, 4e6, 1e6, 0.0])),
+            temperature=np.array([0.01, 0.01, 0.01, 0.05, 0.0, 0.2]),
+            drive=DriveSpec(DRIVE_GM_ABS,
+                            hz(np.array([4e6, 4e6, 4e6, 2e6, 0.3e6, 0.0]))),
+            drive_port=np.array([DRIVE_CW, DRIVE_CCW, DRIVE_CW, DRIVE_CCW,
+                                 DRIVE_CW, DRIVE_CW]))
+        det = pre.detunings.stacked(6)
         model = build_model(P, det, resolve_drive(P, det).g_m_eff)
         V = solve_lyapunov(model.A, model.D)
         cm, diagnostics = filtered_pair_cm(model.A, V, P, pre.filter_spec)
-        assert cm.shape == (3, 4, 4)
+        assert cm.shape == (6, 4, 4)
         assert np.array_equal(cm[:, 2:, 2:], extract_block(V, ("m",)))
-        for k in range(3):
+        assert len(set(diagnostics["window"])) == 4
+        calls = count_calls(monkeypatch, "susceptibility")
+        passes = []
+        for k in range(6):
+            before = len(calls)
             single, single_diagnostics = filtered_point(
                 model.A[k], model.D[k], P.at(k), pre.filter_spec)
+            passes.append(len(calls) - before - 1)     # and one tail call
             assert np.array_equal(cm[k], single)
             assert single_diagnostics == {key: value[k] for key, value
                                           in diagnostics.items()}
+        assert sorted(set(passes)) == [4, 5, 6, 7]
+
+    def test_one_susceptibility_call_per_pass(self, monkeypatch):
+        # each pass evaluates every point still running at once: a sweep's
+        # calls grow with its passes, not with its points (one per pass
+        # and point, 357 for these 51 points, when points ran one by one)
+        calls = count_calls(monkeypatch, "susceptibility")
+        pre, spec = fig2d_sweep(51)
+        res = pipeline.run_sweep(pre.params, pre.detunings, spec)
+        assert res.meta["error_rows"] == 0
+        assert len(calls) <= 16
 
     def test_deterministic(self):
         p, model, spec = fig2d_point()
         v1, _ = filtered_point(model.A, model.D, p, spec)
         v2, _ = filtered_point(model.A, model.D, p, spec)
         assert np.array_equal(v1, v2)
+
+
+def count_calls(monkeypatch, name):
+    """The list that output_mode's function ``name`` appends to at each
+    call, from now on."""
+    calls, real = [], getattr(output_mode, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(output_mode, name, counted)
+    return calls
 
 
 def lorentzians(centers, widths):
@@ -384,6 +472,18 @@ def lorentzians(centers, widths):
     return f
 
 
+def block_integrand(integrands):
+    """The integrands of n points as one integrand of adaptive_gk21's
+    block form."""
+    def f(x, counts):
+        at = np.repeat(np.arange(len(integrands)), counts)
+        out = np.empty((len(x), 2, 3))
+        for p, g in enumerate(integrands):
+            out[at == p] = g(x[at == p])
+        return out
+    return f
+
+
 def scipy_gk21(f, a, b, points=(), *, epsabs, epsrel, limit=10000):
     """The same integral by scipy's quad_vec on scalar calls of f."""
     val, err, info = quad_vec(lambda x: f(np.array([x]))[0], a, b,
@@ -393,9 +493,22 @@ def scipy_gk21(f, a, b, points=(), *, epsabs, epsrel, limit=10000):
     return QuadResult(val, err, sorted(map(tuple, info.intervals.tolist())))
 
 
+def scipy_gk21_block(f, a, b, points, **kwargs):
+    """adaptive_gk21 by scipy_gk21, one point at a time."""
+    def one(p):
+        counts = np.eye(len(a), dtype=int)[p]
+        return scipy_gk21(lambda x: f(x, counts), a[p], b[p], points[p],
+                          **kwargs)
+    results = [one(p) for p in range(len(a))]
+    return QuadResult(np.stack([r.value for r in results]),
+                      np.array([r.error for r in results]),
+                      [r.intervals for r in results])
+
+
 class TestAdaptiveGK21:
     """quad_vec is the oracle: the stacked integrator must visit the same
-    intervals and return the same integral and error estimate."""
+    intervals and return the same integral and error estimate, at each
+    point of a block."""
 
     # the library's tolerances, and tighter ones that end at the
     # rounding-error stop or at the interval limit, where the batch rule
@@ -404,15 +517,17 @@ class TestAdaptiveGK21:
                   "rounding": dict(epsabs=0.0, epsrel=1e-14),
                   "unreachable": dict(epsabs=0.0, epsrel=1e-16, limit=400)}
 
-    def check(self, f, a, b, points, tolerance):
+    def check(self, integrands, a, b, points, tolerance):
         kwargs = self.TOLERANCES[tolerance]
-        ours = adaptive_gk21(f, a, b, points, **kwargs)
-        ref = scipy_gk21(f, a, b, points, **kwargs)
-        assert ours.intervals == ref.intervals
-        assert ours.value.shape == ref.value.shape
-        assert (np.max(np.abs(ours.value - ref.value))
-                <= 1e-14 * np.linalg.norm(ref.value))
-        assert ours.error == pytest.approx(ref.error, rel=1e-12)
+        ours = adaptive_gk21(block_integrand(integrands), a, b, points,
+                             **kwargs)
+        assert ours.value.shape == (len(a), 2, 3)
+        for p, f in enumerate(integrands):
+            ref = scipy_gk21(f, a[p], b[p], points[p], **kwargs)
+            assert ours.intervals[p] == ref.intervals
+            assert (np.max(np.abs(ours.value[p] - ref.value))
+                    <= 1e-14 * np.linalg.norm(ref.value))
+            assert ours.error[p] == pytest.approx(ref.error, rel=1e-12)
         return ours
 
     @pytest.mark.parametrize("tolerance", sorted(TOLERANCES))
@@ -422,8 +537,8 @@ class TestAdaptiveGK21:
                              ids=["plain", "breakpoints"])
     def test_matches_quad_vec_on_peaks(self, points, widths, tolerance):
         f = lorentzians((0.3, 1.0, 1.9), widths)
-        ours = self.check(f, 0.0, 2.5, points, tolerance)
-        assert len(ours.intervals) > 6     # the peaks force splits
+        ours = self.check([f], [0.0], [2.5], [points], tolerance)
+        assert len(ours.intervals[0]) > 6     # the peaks force splits
 
     @settings(max_examples=12)
     @given(centers=st.lists(st.floats(0.05, 2.45), min_size=3, max_size=3),
@@ -432,12 +547,30 @@ class TestAdaptiveGK21:
     def test_matches_quad_vec_for_any_peaks(self, centers, log_widths, split,
                                             tolerance):
         f = lorentzians(centers, [10.0 ** w for w in log_widths])
-        self.check(f, 0.0, 2.5, sorted(centers) if split else (), tolerance)
+        self.check([f], [0.0], [2.5], [sorted(centers) if split else ()],
+                   tolerance)
+
+    @pytest.mark.parametrize("tolerance", sorted(TOLERANCES))
+    def test_each_point_of_a_block_matches_quad_vec(self, tolerance):
+        # integrands with their own bounds and breakpoints; the block's
+        # points take different numbers of passes and, at the limit, stop
+        # in different ways
+        integrands = [lorentzians((0.3, 1.0, 1.9), (0.1, 0.07, 0.13)),
+                      lorentzians((-1.0, 0.5, 3.0), (2e-2, 0.3, 5e-3)),
+                      lorentzians((0.1, 0.2, 0.3), (1.0, 2.0, 3.0)),
+                      lorentzians((4.0, 4.5, 5.0), (3e-3, 1e-3, 1e-2))]
+        a, b = [0.0, -2.0, 0.0, 3.0], [2.5, 4.0, 0.5, 6.0]
+        points = [(0.3, 0.7, 1.1, 0.7, 9.0), (0.5,), (), (4.0, 5.0)]
+        ours = self.check(integrands, a, b, points, tolerance)
+        sizes = [len(iv) for iv in ours.intervals]
+        assert len(set(sizes)) == len(sizes)
+        if tolerance == "unreachable":
+            assert 0 < sum(size >= 400 for size in sizes) < len(sizes)
 
     def test_filtered_pair_cm_matches_quad_vec(self, monkeypatch):
         p, model, spec = fig2d_point()
         ours, ours_diag = filtered_point(model.A, model.D, p, spec)
-        monkeypatch.setattr(output_mode, "adaptive_gk21", scipy_gk21)
+        monkeypatch.setattr(output_mode, "adaptive_gk21", scipy_gk21_block)
         ref, ref_diag = filtered_point(model.A, model.D, p, spec)
         assert np.max(np.abs(ours - ref)) <= 1e-14
         assert ours_diag["quad_error"] == pytest.approx(ref_diag["quad_error"],

@@ -13,6 +13,7 @@ from chiralcmm.params import RATE_FIELDS, Detunings, DriveSpec, SystemParams
 from chiralcmm.pipeline import evaluate_point
 from chiralcmm.steady_state import (
     SQRT2,
+    MeanFieldOverflowError,
     amplitude_for_gm,
     imperfect_means,
     precompensated_detunings,
@@ -326,3 +327,17 @@ class TestDriveResolution:
                          detuning_mode="physical")
         with pytest.raises(ValueError, match="detuning mode 'effective'"):
             resolve_drive(p, Detunings.physical(p))
+
+    @pytest.mark.parametrize("mode, value", [("effective", 1e307),
+                                             ("physical", 1e150)])
+    def test_overflowing_drive_is_refused(self, mode, value):
+        # one stacked point's means (effective) or dispersive cubic
+        # (physical) overflow; the stack is refused as a whole
+        p = SystemParams(g_m=1.0, detuning_mode=mode,
+                         drive=DriveSpec("amplitude", hz(1e6))).stacked(2)
+        p = p.replace(drive=DriveSpec("amplitude", hz(np.array([1e6, value]))))
+        omega_b = SystemParams().omega_b
+        det = Detunings.effective(-0.72 * omega_b, 0.76 * omega_b)
+        with pytest.raises(MeanFieldOverflowError, match="not finite"):
+            resolve_drive(p, det)
+        assert np.all(np.isfinite(resolve_drive(p.at([0]), det).m))
