@@ -36,7 +36,7 @@ in lockstep, each point taking the steps of SciPy's adaptive vector
 quadrature (``scipy.integrate``, gk21 rule): the same initial intervals,
 heap, batch rule, error estimates and stops.  A pass evaluates the
 integrand on the 21 nodes of every interval that any point splits, in one
-stacked call per GK21_CHUNK intervals: 10 or 11 calls for the 51 points
+stacked call per GK21_CHUNK intervals: 21 or 23 calls for the 51 points
 of a fig2d sweep, which took 306 or 357 calls point by point.  Each point's nodes keep the order and the
 arithmetic of a block of one, so a point gets the same bits in any block.
 
@@ -120,8 +120,11 @@ GK21_GAUSS_WEIGHTS = np.array(_GAUSS_HALF + _GAUSS_HALF[::-1])
 GK21_BATCH = 128
 
 #: intervals per call of the integrand at most (unless one point's share of
-#: a pass alone holds more): as many as one point splits into in one pass
-GK21_CHUNK = 2 * GK21_BATCH
+#: a pass alone holds more): its largest array, the resolvent rows of 2 016
+#: nodes, stays at 1.4 MB (calls of 256 intervals left the fig2d sweeps
+#: holding about 5 MB more memory after the stage, which raised the
+#: benchmark's peak RSS)
+GK21_CHUNK = 96
 
 
 class QuadResult(NamedTuple):
@@ -467,9 +470,10 @@ def _adjoint(M: np.ndarray) -> np.ndarray:
 #: a filtered point's integral error estimate, tail bound, window and kappa(P)
 FILTERED_DIAGNOSTICS = ("quad_error", "tail_estimate", "window", "modal_cond")
 
-#: nodes per step of the integrand's pair algebra: its temporaries, a few kB
-#: a node, stay small enough to be reused instead of freshly paged in
-#: (steps of 5 000 nodes ran the fig2d sweeps 1.4 times slower)
+#: nodes per step of the integrand's pair algebra: its temporaries, about
+#: 3 kB a node, stay in cache (one step per call, up to 2 016 nodes, ran
+#: the stage about 1.3 times slower; 256 nodes were no faster, and raised
+#: the benchmark's peak RSS by 1.5 MB)
 PAIR_SLICE = 512
 
 
