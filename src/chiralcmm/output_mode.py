@@ -37,8 +37,9 @@ quadrature (``scipy.integrate``, gk21 rule): the same initial intervals,
 heap, batch rule, error estimates and stops.  A pass evaluates the
 integrand on the 21 nodes of every interval that any point splits, in one
 stacked call per GK21_CHUNK intervals: 21 or 23 calls for the 51 points
-of a fig2d sweep, which took 306 or 357 calls point by point.  Each point's nodes keep the order and the
-arithmetic of a block of one, so a point gets the same bits in any block.
+of a fig2d sweep, which took 306 or 357 calls point by point.  Each
+point's nodes keep the order and the arithmetic of a block of one, so a
+point gets the same bits in any block.
 
 Resolvent: each point diagonalizes its drift matrix once (one stacked
 eigendecomposition per block), A = P diag(lambda) P^{-1}, so that
@@ -170,7 +171,7 @@ def _gk21_rule(f, lo: np.ndarray, hi: np.ndarray, counts: np.ndarray):
     flat[order] = x
     fv = np.asarray(f(flat, 21 * counts))
     shape = fv.shape[1:]
-    fv = fv.reshape(x.size, -1)[order]                   # (21, k, m)
+    fv = np.take(fv.reshape(x.size, -1), order, axis=0)  # (21, k, m)
     # reductions over the leading axis add node by node, in SciPy's order
     v = GK21_KRONROD_WEIGHTS[:, None, None]
     s_k = np.sum(v * fv, axis=0)
@@ -423,16 +424,17 @@ def susceptibility(res: Resolvent, omega: np.ndarray,
     hold the accuracy of these values."""
     omega = np.asarray(omega, dtype=float)
     lam, left, right = res.lam, res.left, res.right
-    if counts is None:
-        lam, left, right, counts = lam[None], left[None], right[None], [len(omega)]
+    if counts is None:      # one point
+        lam, left, right = lam[None], left[None], right[None]
+        counts = [len(omega)]
     ends = np.cumsum(counts)
     (r, n), m = left.shape[1:], right.shape[-1]
     out = np.empty((len(omega), r, m), dtype=complex)
     for p in np.flatnonzero(counts):
-        rows = slice(ends[p] - counts[p], ends[p])
-        d = 1.0 / (-1j * omega[rows, None] - lam[p])
+        start, stop = ends[p] - counts[p], ends[p]
+        d = 1.0 / (-1j * omega[start:stop, None] - lam[p])
         scaled = (left[p] * d[:, None, :]).reshape(-1, n)
-        out[rows] = (scaled @ right[p]).reshape(-1, r, m)
+        np.matmul(scaled, right[p], out=out[start:stop].reshape(-1, m))
     return out
 
 
