@@ -59,7 +59,7 @@ class MeanFieldOverflowError(NumericalCondition, ValueError):
 def _require_finite(*values) -> None:
     """Raise MeanFieldOverflowError unless every value (None skipped) is
     finite."""
-    if not all(np.all(np.isfinite(v)) for v in values if v is not None):
+    if not all(np.isfinite(v).all() for v in values if v is not None):
         raise MeanFieldOverflowError("mean field is not finite: the drive "
                                      "overflows floating point")
 
@@ -116,7 +116,6 @@ def _pack(params: SystemParams, det: Detunings, E: float | None,
     g_m = params.g_m
     q_mean = -g_m * abs(m) ** 2 / params.omega_b if g_m is not None else 0.0
     g_m_eff = SQRT2 * g_m * m if g_m is not None else None
-    _require_finite(a_cw, a_ccw, m, q_mean, g_m_eff, delta_m_eff)
     return SteadyField(a_cw=a_cw, a_ccw=a_ccw, m=m, q_mean=q_mean,
                        g_m_eff=g_m_eff, delta_m_eff=delta_m_eff,
                        e_amplitude=E, meta=dict(meta))
@@ -285,8 +284,7 @@ def target_detunings(params: SystemParams, det: Detunings,
                      det.delta_m - gm_abs ** 2 / (2.0 * params.omega_b))
 
 
-# an overflow is refused as MeanFieldOverflowError where it is met, not
-# warned about
+# an overflow is refused as MeanFieldOverflowError, not warned about
 @np.errstate(over="ignore", invalid="ignore")
 def resolve_drive(params: SystemParams, det: Detunings) -> SteadyField:
     """Evaluate the steady field for the configured drive specification.
@@ -304,6 +302,13 @@ def resolve_drive(params: SystemParams, det: Detunings) -> SteadyField:
     mode.  A mean field that overflows (a drive too strong for floating
     point) raises MeanFieldOverflowError.
     """
+    field = _field_for_drive(params, det)
+    _require_finite(field.a_cw, field.a_ccw, field.m, field.q_mean,
+                    field.g_m_eff, field.delta_m_eff)
+    return field
+
+
+def _field_for_drive(params: SystemParams, det: Detunings) -> SteadyField:
     spec = params.drive
     if spec.kind in (DRIVE_POWER, DRIVE_AMPLITUDE):
         if params.g_m is None:
@@ -324,7 +329,6 @@ def resolve_drive(params: SystemParams, det: Detunings) -> SteadyField:
                              det, spec.value)   # g_m * E
     out = imperfect_means(params, det, 1.0)
     g_m_eff = SQRT2 * scale * out.m
-    _require_finite(g_m_eff)
     if params.g_m:
         E = scale / params.g_m
         full = imperfect_means(params, det, E)
