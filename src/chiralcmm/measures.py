@@ -39,11 +39,12 @@ class InvalidCovarianceError(NumericalCondition, ValueError):
 
 
 def _matrices(V, size: int, what: str) -> np.ndarray:
-    """V as a float array of one matrix or a stack, refused unless its
-    matrices are ``size`` x ``size``."""
+    """V as a float array of one matrix or a stack; a ValueError (a
+    programming error, not a NumericalCondition) unless its matrices are
+    ``size`` x ``size``."""
     V = np.asarray(V, dtype=float)
     if V.ndim not in (2, 3) or V.shape[-2:] != (size, size):
-        raise InvalidCovarianceError(what)
+        raise ValueError(what)
     return V
 
 
@@ -54,11 +55,12 @@ def _floor_at_zero(x: np.ndarray) -> np.ndarray:
 
 def _symmetric(V: np.ndarray) -> np.ndarray:
     """V as a float array of one symmetric 2n x 2n matrix or a stack of
-    them, refused otherwise."""
+    them: a wrong shape is a ValueError, an asymmetric matrix an
+    InvalidCovarianceError."""
     V = np.asarray(V, dtype=float)
     n2 = V.shape[-1]
     if V.ndim not in (2, 3) or V.shape[-2] != n2 or n2 % 2:
-        raise InvalidCovarianceError("covariance matrix must be 2n x 2n")
+        raise ValueError("covariance matrix must be 2n x 2n")
     norm = np.maximum(np.linalg.norm(V, axis=(-2, -1)), 1e-300)
     if np.any(np.linalg.norm(V - V.swapaxes(-2, -1), axis=(-2, -1))
               > SYMMETRY_TOL * norm):

@@ -49,9 +49,10 @@ into P, and the noise map into P^{-1} B (``modal_resolvent``); a node then
 costs one diagonal scaling and its share of one (4k x 8)(8 x 11) product
 per point and pass (``susceptibility``) instead of an 8x8 inverse.  The
 modal values carry a relative error of about kappa(P)*eps, with kappa(P)
-the condition number of the eigenvector matrix, so a point whose kappa(P)
-exceeds MODAL_COND_MAX (a defective or nearly defective drift matrix) is
-refused with QuadratureError.
+the condition number of the eigenvector matrix, so a block holding a
+point whose kappa(P) exceeds MODAL_COND_MAX (a defective or nearly
+defective drift matrix) is refused with QuadratureError by
+``modal_resolvent``, before any of it is integrated.
 """
 
 from __future__ import annotations
@@ -328,19 +329,18 @@ class FilterSpec:
             raise ValueError("filter duration tau must be positive and finite")
 
 
-def filter_transform(spec: FilterSpec, omega) -> complex | np.ndarray:
-    """Frequency response of the top-hat window (unit L2 norm), at one
-    frequency or elementwise on an array."""
+def filter_transform(spec: FilterSpec, omega: np.ndarray) -> np.ndarray:
+    """Frequency response of the top-hat window (unit L2 norm), elementwise
+    on an array of frequencies."""
     x = (np.asarray(omega, dtype=float) - spec.omega_center) * spec.tau / 2.0
-    out = math.sqrt(spec.tau / (2.0 * math.pi)) * np.exp(1j * x) * np.sinc(x / math.pi)
-    return complex(out) if np.ndim(omega) == 0 else out
+    return math.sqrt(spec.tau / (2.0 * math.pi)) * np.exp(1j * x) * np.sinc(x / math.pi)
 
 
 def _quad_kernel(spec: FilterSpec, omega) -> np.ndarray:
     """2x2 kernel mapping quadrature Fourier components onto the filtered
     mode's quadratures; built from the +-sideband filter amplitudes.  An
     array of k frequencies gives a (k, 2, 2) stack."""
-    alpha = np.asarray(filter_transform(spec, omega))
+    alpha = filter_transform(spec, omega)
     beta = np.conj(filter_transform(spec, -omega))
     s, d = alpha + beta, alpha - beta
     K = np.empty(alpha.shape + (2, 2), dtype=complex)
@@ -363,7 +363,6 @@ class NoiseChannels:
     B: np.ndarray
     sigma: np.ndarray
     port_channels: dict
-    n_port: float
 
 
 def noise_channels(params: SystemParams) -> NoiseChannels:
@@ -383,7 +382,7 @@ def noise_channels(params: SystemParams) -> NoiseChannels:
     sigma = np.stack([n_a + 0.5] * 8 + [n_m + 0.5] * 2
                      + [params.gamma_b * (2 * n_b + 1)], axis=-1)
     ports = {DRIVE_CW: (0, 1), DRIVE_CCW: (4, 5)}
-    return NoiseChannels(B=B, sigma=sigma, port_channels=ports, n_port=n_a)
+    return NoiseChannels(B=B, sigma=sigma, port_channels=ports)
 
 
 class Resolvent(NamedTuple):
@@ -401,32 +400,31 @@ def modal_resolvent(A: np.ndarray, left: np.ndarray,
                     right: np.ndarray) -> Resolvent:
     """One eigendecomposition of A (one drift matrix or an (n, N, N)
     stack) with the rows ``left`` (r, N) and the right factor ``right``
-    (N, m) folded in (stacked alike).  A point whose kappa(P) exceeds
-    MODAL_COND_MAX is not to be used: its P may be singular, so its right
-    factor is ``right`` itself."""
+    (N, m) folded in (stacked alike).  Raises QuadratureError, before any
+    solve, if a point's kappa(P) exceeds MODAL_COND_MAX (its P may be
+    singular)."""
     lam, P = np.linalg.eig(A)
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = np.linalg.cond(P)
-    usable = np.asarray(cond <= MODAL_COND_MAX)[..., None, None]
-    P_right = np.where(usable, P, np.eye(P.shape[-1]))
-    return Resolvent(lam=lam, left=left @ P,
-                     right=np.linalg.solve(P_right, right), cond=cond)
+    usable = np.ravel(cond) <= MODAL_COND_MAX
+    if not usable.all():
+        raise QuadratureError(
+            "drift matrix eigenvector condition number "
+            f"{np.ravel(cond)[np.argmin(usable)]:.3g} exceeds "
+            f"{MODAL_COND_MAX:.3g} (nearly defective)")
+    return Resolvent(lam=lam, left=left @ P, right=np.linalg.solve(P, right),
+                     cond=cond)
 
 
 def susceptibility(res: Resolvent, omega: np.ndarray,
-                   counts=None) -> np.ndarray:
+                   counts) -> np.ndarray:
     """L (-i*omega*I - A)^{-1} R, the rows L of the response of u(omega) to
     the inputs R, on a 1-D array of k frequencies: a (k, r, m) stack from
     one diagonal scaling and one product per point.  ``res`` comes from
-    :func:`modal_resolvent`: one point, or a stack of n points, and then
-    omega holds counts[p] frequencies of point p, point after point.  A
-    point whose kappa(P) exceeds MODAL_COND_MAX (``res.cond``) would not
-    hold the accuracy of these values."""
+    :func:`modal_resolvent` on a stack of n points, and omega holds
+    counts[p] frequencies of point p, point after point."""
     omega = np.asarray(omega, dtype=float)
     lam, left, right = res.lam, res.left, res.right
-    if counts is None:      # one point
-        lam, left, right = lam[None], left[None], right[None]
-        counts = [len(omega)]
     ends = np.cumsum(counts)
     (r, n), m = left.shape[1:], right.shape[-1]
     out = np.empty((len(omega), r, m), dtype=complex)
@@ -480,27 +478,26 @@ PAIR_SLICE = 512
 
 
 def _integrated_pairs(res: Resolvent, chans: NoiseChannels,
-                      params: SystemParams, spec: FilterSpec, m: int):
-    """Integrated pair covariances and FILTERED_DIAGNOSTICS of the first m
-    points of a block, as (m, 4, 4) and (m, 4) stacks."""
-    res = res._make(x[:m] for x in res)
-    port = params.drive_port[:m]
-    sigma, n_port = chans.sigma[:m], chans.n_port[:m] + 0.5
+                      params: SystemParams, spec: FilterSpec):
+    """Integrated pair covariances and FILTERED_DIAGNOSTICS of the n points
+    of a block, as (n, 4, 4) and (n, 4) stacks."""
+    n = len(res.cond)
+    # every cavity channel, the driven port's among them, has n_a + 1/2
+    sigma, port_var = chans.sigma, chans.sigma[:, 0]
     inv_sqrt_2pi = 1.0 / math.sqrt(2.0 * math.pi)
 
     center = abs(spec.omega_center)
-    omega_b = params.omega_b[:m]
-    widths = 10.0 * (params.kappa_a + params.kappa_m + params.omega_b)[:m]
+    widths = 10.0 * (params.kappa_a + params.kappa_m + params.omega_b)
     W = center + np.maximum(40.0 / spec.tau, widths)
     breakpoints = np.stack(np.broadcast_arrays(
-        center, omega_b, center + 20 / spec.tau), axis=-1)
+        center, params.omega_b, center + 20 / spec.tau), axis=-1)
 
-    T = _port_inputs(chans, port)
+    T = _port_inputs(chans, params.drive_port)
 
     def integrand(omega: np.ndarray, counts: np.ndarray) -> np.ndarray:
         # (k, 4, 4) on an array of k frequencies; the magnon block stays 0
         MB = susceptibility(res, omega, counts)
-        owner = np.repeat(np.arange(m), counts)
+        owner = np.repeat(np.arange(n), counts)
         full = np.zeros((len(omega), 4, 4))
         # node by node from here, PAIR_SLICE nodes at a time
         for start in range(0, len(omega), PAIR_SLICE):
@@ -513,24 +510,24 @@ def _integrated_pairs(res: Resolvent, chans: NoiseChannels,
             # output rows: the output block and the cross block
             out = (H[:, :2] * sigma[at][:, None]) @ _adjoint(H)
             # white output part, integrated analytically over the full line
-            out[:, :, :2] -= (n_port[at][:, None, None]
+            out[:, :, :2] -= (port_var[at][:, None, None]
                               * (K_out @ _adjoint(K_out)))
             # fold +-omega: the full-line integral of the two is 2*Re
             full[rows, :2] = 2.0 * out.real
         full[:, 2:, :2] = np.swapaxes(full[:, :2, 2:], -1, -2)
         return full
 
-    quad = adaptive_gk21(integrand, np.zeros(m), W, breakpoints,
+    quad = adaptive_gk21(integrand, np.zeros(n), W, breakpoints,
                          epsabs=QUAD_ABS_TOL, epsrel=1e-10)
     # bound for a >= 1/omega^2 decaying tail
-    tail = np.abs(integrand(W, np.ones(m, dtype=int))) * W[:, None, None]
+    tail = np.abs(integrand(W, np.ones(n, dtype=int))) * W[:, None, None]
     refused = np.flatnonzero(quad.error > 50 * QUAD_ABS_TOL)
     if len(refused):
         raise QuadratureError(
             f"frequency integral error estimate {quad.error[refused[0]]:.3g} "
             f"exceeds tolerance {QUAD_ABS_TOL:.3g}")
     val = quad.value
-    val[:, :2, :2] += n_port[:, None, None] * np.eye(2)
+    val[:, :2, :2] += port_var[:, None, None] * np.eye(2)
     return val, np.stack([quad.error, np.max(tail, axis=(1, 2)), W,
                           res.cond], axis=-1)
 
@@ -546,28 +543,17 @@ def filtered_pair_cm(A: np.ndarray, V: np.ndarray, params: SystemParams,
     The magnon block is V's exactly; the output and cross blocks are
     integrated, the white (frequency-flat) part of the output spectrum
     analytically, which keeps the truncation error of the slowly decaying
-    sinc tail out of the result.  Raises QuadratureError for the first
-    point, in block order, whose kappa(P) (``modal_cond``, from one
-    eigendecomposition of its A, :func:`modal_resolvent`) exceeds
-    MODAL_COND_MAX or whose integral's error estimate exceeds its
-    tolerance.
+    sinc tail out of the result.  Raises QuadratureError if a point's
+    kappa(P) exceeds MODAL_COND_MAX (from one eigendecomposition of its A,
+    :func:`modal_resolvent`, before any integration), or else for the first
+    point whose integral's error estimate exceeds its tolerance.
     """
-    n = len(A)
+    if not len(A):
+        return np.empty((0, 4, 4)), dict.fromkeys(FILTERED_DIAGNOSTICS,
+                                                  np.empty(0))
     chans = noise_channels(params)
     res = _pair_resolvent(A, chans, params.drive_port, params.kappa_a_e)
-    # the points before the first refused one are integrated: their
-    # error-estimate refusals come before it in block order
-    usable = res.cond <= MODAL_COND_MAX
-    m = n if usable.all() else int(np.argmin(usable))
-    cm = np.empty((n, 4, 4))
-    diagnostics = np.empty((n, len(FILTERED_DIAGNOSTICS)))
-    if m:
-        cm[:m], diagnostics[:m] = _integrated_pairs(res, chans, params,
-                                                    spec, m)
-    if m < n:
-        raise QuadratureError(
-            f"drift matrix eigenvector condition number {res.cond[m]:.3g} "
-            f"exceeds {MODAL_COND_MAX:.3g} (nearly defective)")
+    cm, diagnostics = _integrated_pairs(res, chans, params, spec)
     cm[:, 2:, 2:] = extract_block(V, ("m",))
     cm = 0.5 * (cm + cm.swapaxes(-2, -1))
     return cm, dict(zip(FILTERED_DIAGNOSTICS, diagnostics.T))

@@ -322,7 +322,6 @@ class SweepSpec:
 class SweepResult:
     columns: tuple       # the written columns, in order
     table: dict          # column name -> one entry per row (see evaluate_block)
-    spec: SweepSpec
     # sweep-level reductions of the diagnostic columns (see run_sweep)
     meta: dict = field(default_factory=dict, compare=False)
 
@@ -436,4 +435,4 @@ def run_sweep(params: SystemParams, det: Detunings, spec: SweepSpec,
     meta = {key: reduce(table[name])
             for key, (name, reduce) in SWEEP_META.items() if name in table}
     columns, _ = sweep_columns(spec, params.detuning_mode)
-    return SweepResult(columns=columns, table=table, spec=spec, meta=meta)
+    return SweepResult(columns=columns, table=table, meta=meta)

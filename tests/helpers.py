@@ -69,15 +69,13 @@ class InverseResolvent(NamedTuple):
 
 def inverse_resolvent(A, left, right):
     """An InverseResolvent in place of ``output_mode.modal_resolvent``,
-    with kappa(P) = 1 at every point, so that none is refused."""
+    which refuses no point, with kappa(P) = 1 at every point."""
     return InverseResolvent(A, left, right, np.ones(np.shape(A)[:-2]))
 
 
-def inverse_rows(res, omega, counts=None):
+def inverse_rows(res, omega, counts):
     """L (-i*omega*I - A)^{-1} R from the inverse oracle, with the
     arguments of ``output_mode.susceptibility``."""
-    if counts is None:
-        return res.left @ inverse_susceptibility(res.A, omega) @ res.right
     at = np.repeat(np.arange(len(counts)), counts)
     return (res.left[at] @ inverse_susceptibility(res.A[at], omega)
             @ res.right[at])

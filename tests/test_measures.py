@@ -18,6 +18,7 @@ from chiralcmm.measures import (
     symplectic_eigenvalues,
     teleportation_fidelity,
 )
+from chiralcmm.params import NumericalCondition
 
 from helpers import (
     off_design_state,
@@ -274,8 +275,10 @@ class TestTeleportationFidelity:
         with pytest.raises(InvalidCovarianceError, match="det"):
             teleportation_fidelity(np.stack([0.5 * np.eye(4),
                                              -0.5 * np.eye(4)]))
-        with pytest.raises(InvalidCovarianceError, match="4x4"):
+        # a wrong shape is a programming error, not a numerical condition
+        with pytest.raises(ValueError, match="4x4") as exc:
             teleportation_fidelity(0.5 * np.eye(6))
+        assert not isinstance(exc.value, NumericalCondition)
 
 
 class TestPhysicality:

@@ -3,19 +3,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad, quad_vec
 
-from chiralcmm import output_mode, pipeline, presets
+from chiralcmm import cli, output_mode, pipeline, presets
 from chiralcmm.constants import hz
 from chiralcmm.linear_model import build_model
 from chiralcmm.lyapunov import extract_block, solve_lyapunov
 from chiralcmm.measures import log_negativity, symplectic_eigenvalues
 from chiralcmm.linear_model import build_drift
 from chiralcmm.output_mode import (
-    MODAL_COND_MAX,
     FilterSpec,
     QuadratureError,
     QuadResult,
@@ -48,9 +47,9 @@ from helpers import (
 
 
 def transfers(res, chans, port, omega):
-    """Driven-port output (2x11) and magnon (2x11) transfer rows of one
-    point at an array of k frequencies, (k, 2, 11) each."""
-    rows = susceptibility(res, omega)
+    """Driven-port output (2x11) and magnon (2x11) transfer rows of a stack
+    of one point at an array of k frequencies, (k, 2, 11) each."""
+    rows = susceptibility(res, omega, [len(omega)])
     return rows[:, :2] - _port_inputs(chans, port), rows[:, 2:]
 
 
@@ -58,8 +57,9 @@ def spectral_matrix(A, chans, omega, kappa_a_e, port="cw"):
     """Symmetrized spectral matrices at one frequency (V = (1/2pi) Int S):
     intracavity (8x8), driven-port output (2x2), output x magnon (2x2)."""
     w = np.array([omega])
-    MB = susceptibility(modal_resolvent(A, np.eye(8), chans.B), w)[0]
-    res = _pair_resolvent(A, chans, port, kappa_a_e)
+    MB = susceptibility(modal_resolvent(A[None], np.eye(8), chans.B), w,
+                        [1])[0]
+    res = _pair_resolvent(A[None], chans, port, kappa_a_e)
     F_out, F_mag = (F[0] for F in transfers(res, chans, port, w))
     sig = chans.sigma
     return ((MB * sig) @ MB.conj().T, (F_out * sig) @ F_out.conj().T,
@@ -153,8 +153,8 @@ class TestSpectralMatrix:
 
     def test_susceptibility_definition(self):
         A = np.array([[-1.0, 0.5], [0.0, -2.0]])
-        res = modal_resolvent(A, np.eye(2), np.eye(2))
-        M = susceptibility(res, np.array([3.0]))[0]
+        res = modal_resolvent(A[None], np.eye(2), np.eye(2))
+        M = susceptibility(res, np.array([3.0]), [1])[0]
         assert_allclose(M @ (-3j * np.eye(2) - A), np.eye(2), atol=1e-14)
 
 
@@ -204,9 +204,12 @@ class TestModalResolvent:
         det = Detunings.effective(d_a * p.omega_b, d_m * p.omega_b)
         A = build_drift(p, det, hz(gm) * np.exp(1j * phase))
         chans = noise_channels(p)
-        res = _pair_resolvent(A, chans, port, p.kappa_a_e)
-        # not at the exceptional point of test_exceptional_point
-        assume(res.cond <= MODAL_COND_MAX)
+        try:
+            res = _pair_resolvent(A[None], chans, port, p.kappa_a_e)
+        except QuadratureError:
+            # refused for its kappa(P), as the exceptional point of
+            # test_exceptional_point
+            reject()
         lam = np.linalg.eigvals(A)
         w = np.concatenate([np.linspace(0.0, 3.0 * p.omega_b, 31),
                             np.abs(lam.imag)])
@@ -238,52 +241,75 @@ class TestModalResolvent:
     @pytest.mark.parametrize("offset", [0.0, 1e-14, 1e-8, 1e-2])
     def test_exceptional_point(self, offset):
         # next to the exceptional point kappa(P) grows as offset^(-1/2),
-        # and the modal error with it
+        # and the modal error with it; at the point itself the resolvent
+        # is refused, and with it the filtered pair
         p, model = exceptional_point(offset)
         chans = noise_channels(p)
         spec = FilterSpec(omega_center=-p.omega_b, tau=10.0 / p.omega_b)
-        res = _pair_resolvent(model.A, chans, DRIVE_CW, p.kappa_a_e)
         if offset == 0.0:
-            assert res.cond > MODAL_COND_MAX
+            with pytest.raises(QuadratureError,
+                               match=r"condition number \S+ exceeds 1e\+08"):
+                _pair_resolvent(model.A[None], chans, DRIVE_CW, p.kappa_a_e)
             with pytest.raises(QuadratureError, match="condition number"):
                 filtered_point(model.A, model.D, p, spec)
             return
-        assert 1.0 < res.cond * math.sqrt(offset) < 3.0
+        res = _pair_resolvent(model.A[None], chans, DRIVE_CW, p.kappa_a_e)
+        assert 1.0 < res.cond[0] * math.sqrt(offset) < 3.0
         w = np.linspace(0.0, 3.0 * p.omega_b, 31)
         for F, F_ref in zip(transfers(res, chans, DRIVE_CW, w),
                             inverse_transfers(model.A, chans, DRIVE_CW,
                                               p.kappa_a_e, w)):
-            assert np.max(np.abs(F - F_ref)) <= 1e-14 * res.cond
+            assert np.max(np.abs(F - F_ref)) <= 1e-14 * res.cond[0]
 
     def test_defective_drift_refused(self):
         # a Jordan block of the drift's own size: the eigenvector matrix is
-        # numerically singular, so kappa(P) marks the point for refusal
-        # (test_refusals_come_in_block_order); the stack's other point is
-        # untouched
+        # numerically singular, so kappa(P) refuses the stack that holds
+        # it, before its solve; the stack's other point alone is accepted
         A = np.diag([-1.0, -1.0, -2.0, -3.0, -4.0, -5.0, -6.0, -7.0]) * 1e6
         A[0, 1] = 1e6
         A = np.stack([A, np.diag(np.arange(-8.0, 0.0)) * 1e6])
-        res = modal_resolvent(A, np.eye(8)[None], np.eye(8)[None])
-        assert res.cond[0] > MODAL_COND_MAX and res.cond[1] == 1.0
-        assert np.all(np.isfinite(res.right))
-        assert_allclose(susceptibility(res, np.array([0.0]), [0, 1])[0],
+        with pytest.raises(QuadratureError, match="nearly defective"):
+            modal_resolvent(A, np.eye(8)[None], np.eye(8)[None])
+        res = modal_resolvent(A[1:], np.eye(8)[None], np.eye(8)[None])
+        assert res.cond[0] == 1.0
+        assert_allclose(susceptibility(res, np.array([0.0]), [1])[0],
                         np.linalg.inv(-A[1]), rtol=1e-14)
 
-    def test_refusals_come_in_block_order(self, monkeypatch):
+    def test_kappa_refusal_precedes_the_quadrature(self, monkeypatch):
         # a block of the fig2d point and the exceptional point of
-        # test_exceptional_point: the exceptional point is refused for its
-        # kappa(P), after the error-estimate refusal of a point before it
+        # test_exceptional_point, in either order: the block is refused for
+        # the exceptional point's kappa(P) before any point is integrated,
+        # even where the quadrature would refuse the fig2d point
         (p, model, spec), (q, bad) = fig2d_point(), exceptional_point()
-        block = stacked_points([p, q]), np.stack([model.A, bad.A])
-        V = solve_lyapunov(block[1], np.stack([model.D, bad.D]))
-        with pytest.raises(QuadratureError, match="condition number"):
-            filtered_pair_cm(block[1], V, block[0], spec)
+        A = np.stack([model.A, bad.A])
+        V = solve_lyapunov(A, np.stack([model.D, bad.D]))
         monkeypatch.setattr(output_mode, "adaptive_gk21", capped(1))
-        with pytest.raises(QuadratureError, match="frequency integral"):
-            filtered_pair_cm(block[1], V, block[0], spec)
-        with pytest.raises(QuadratureError, match="condition number"):
-            filtered_pair_cm(block[1][::-1], V[::-1],
-                             stacked_points([q, p]), spec)
+        calls = count_calls(monkeypatch, "adaptive_gk21")
+        for order in (slice(None), slice(None, None, -1)):
+            with pytest.raises(QuadratureError, match="condition number"):
+                filtered_pair_cm(A[order], V[order],
+                                 stacked_points([p, q][order]), spec)
+        assert calls == []
+
+    def test_kappa_refused_row_costs_no_quadrature(self, monkeypatch):
+        # the reversed delta_a sweep at delta_m_eff = 0: its 25 stable
+        # points come before the kappa-refused row delta_a = 0, and are
+        # integrated once, in one call
+        cfg = cli.load_config(cli.build_parser().parse_args(
+            ["sweep", "--config", "fig2d_magnon",
+             "--set", "detuning.delta_m_eff=0",
+             "--set", "sweep.axis1=delta_a,1e6,-1e6,51"]))
+        points, real = [], output_mode.adaptive_gk21
+
+        def counted(f, a, *args, **kwargs):
+            points.append(len(a))
+            return real(f, a, *args, **kwargs)
+        monkeypatch.setattr(output_mode, "adaptive_gk21", counted)
+        res = pipeline.run_sweep(cfg.params, cfg.detunings, cfg.sweep)
+        assert res.table["error"][25].startswith(
+            "QuadratureError: drift matrix eigenvector condition number")
+        assert res.meta["error_rows"] == 1
+        assert points == [25]
 
 
 class TestTimeDomainOracle:
@@ -304,7 +330,6 @@ class TestTimeDomainOracle:
 
         chans = noise_channels(params)
         B, sig = chans.B, chans.sigma
-        n_port = chans.n_port + 0.5
         V_stat = solve_lyapunov(A, np.diag([0.0] * 8) + (B * sig) @ B.T)
         T_e = np.zeros((2, 11))
         T_e[0, chans.port_channels["cw"][0]] = 1.0

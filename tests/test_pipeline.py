@@ -20,6 +20,7 @@ from chiralcmm import linear_model, pipeline
 from chiralcmm.cli import write_table
 from chiralcmm.constants import hz
 from chiralcmm.linear_model import build_drift
+from chiralcmm.lyapunov import extract_block
 from chiralcmm.output_mode import FilterSpec
 from chiralcmm.params import Detunings, DriveSpec, NumericalCondition
 from chiralcmm.pipeline import (
@@ -43,6 +44,12 @@ from helpers import broadcasting_log_negativity, off_design_state
 
 def _raise_type_error(*_args, **_kwargs):
     raise TypeError("not a domain error")
+
+
+def _extract_with_b(V, modes):
+    """``extract_block`` with the mode b added to every partition: a pair
+    becomes a 6x6 block, a wrong shape for log_negativity."""
+    return extract_block(V, (*modes, "b"))
 
 
 def magnon_point():
@@ -256,17 +263,20 @@ class TestSweep:
         assert res.meta == {"unphysical_rows": 0, "several_below_half_rows": 0,
                             "error_rows": 1}
 
-    @pytest.mark.parametrize("mutation, error", [
-        (_raise_type_error, TypeError),
+    @pytest.mark.parametrize("target, mutation, error", [
+        ("log_negativity", _raise_type_error, TypeError),
         # a ValueError, the family of the old in-row error net
-        (broadcasting_log_negativity, ValueError),
-    ], ids=["type-error", "broadcasting"])
-    def test_programming_errors_fail_the_sweep(self, mutation, error,
+        ("log_negativity", broadcasting_log_negativity, ValueError),
+        # wrong-shaped covariances: a ValueError, not InvalidCovarianceError
+        ("extract_block", _extract_with_b, ValueError),
+    ], ids=["type-error", "broadcasting", "wrong-shape"])
+    def test_programming_errors_fail_the_sweep(self, target, mutation, error,
                                                monkeypatch):
         p, det, spec = self.spec(n=5)
-        monkeypatch.setattr(pipeline, "log_negativity", mutation)
-        with pytest.raises(error):
+        monkeypatch.setattr(pipeline, target, mutation)
+        with pytest.raises(error) as exc:
             run_sweep(p, det, spec)
+        assert not isinstance(exc.value, NumericalCondition)
 
     def test_validation(self):
         with pytest.raises(ValueError):
