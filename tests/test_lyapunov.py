@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,14 +7,18 @@ from scipy.integrate import quad_vec
 from scipy.linalg import expm
 from scipy.stats import ortho_group
 
+from chiralcmm import presets
 from chiralcmm.constants import hz
-from chiralcmm.linear_model import MODE_ORDER, build_model
+from chiralcmm.linear_model import MODE_ORDER, build_model, is_stable
 from chiralcmm.lyapunov import (
+    SOLVE_CHUNK,
     UnstableSystemError,
     extract_block,
     solve_lyapunov,
 )
 from chiralcmm.params import Detunings, SystemParams
+from chiralcmm.pipeline import grid_rows
+from chiralcmm.steady_state import resolve_drive
 
 from helpers import random_stable_system, schur_lyapunov
 
@@ -108,6 +114,52 @@ class TestSolver:
         model = build_model(p, det, hz(4e6))
         V = solve_lyapunov(model.A, model.D)
         assert np.all(symplectic_eigenvalues(V) >= 0.5 - 1e-9)
+
+
+def fig2a_systems(count):
+    """Drift and diffusion stacks of ``count`` stable points of the fig2a
+    detuning map, in grid order."""
+    pre = presets.get("fig2a", grid_points=15)
+    values, _ = grid_rows(pre.sweep)
+    P = pre.params.stacked(len(values))
+    det = Detunings.effective(values[:, 0], values[:, 1])
+    model = build_model(P, det, resolve_drive(P, det).g_m_eff)
+    assert np.sum(model.stable) >= count
+    return model.A[model.stable][:count], model.D[model.stable][:count]
+
+
+class TestChunks:
+    # a stack of two full chunks and a partial one
+    SIZE = 2 * SOLVE_CHUNK + 3
+
+    def test_stack_gives_the_bits_of_each_system_alone(self):
+        A, D = fig2a_systems(self.SIZE)
+        V = solve_lyapunov(A, D, gated=True)
+        for k in range(self.SIZE):
+            assert np.array_equal(V[k], solve_lyapunov(A[k], D[k]))
+
+    def test_no_solve_takes_more_than_one_chunk(self, monkeypatch):
+        A, D = fig2a_systems(self.SIZE)
+        sizes, solve = [], np.linalg.solve
+
+        def recording(M, b):
+            sizes.append(len(M))
+            return solve(M, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        solve_lyapunov(A, D, gated=True)
+        assert sizes == [SOLVE_CHUNK, SOLVE_CHUNK, 3]
+
+    def test_unstable_system_in_the_second_chunk_refused(self):
+        A, D = fig2a_systems(self.SIZE)
+        k = SOLVE_CHUNK + 5
+        # mirror the abscissa of point k to the right half-plane
+        A[k] -= 2 * is_stable(A[k])[1] * np.eye(8)
+        stable, abscissa = is_stable(A[k])
+        assert not stable
+        with pytest.raises(UnstableSystemError, match=re.escape(
+                f"(spectral abscissa {abscissa:.6g})")):
+            solve_lyapunov(A, D)
 
 
 class TestExtractBlock:

@@ -12,11 +12,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from chiralcmm import linear_model, pipeline
+from chiralcmm import linear_model, lyapunov, pipeline
 from chiralcmm.cli import write_table
 from chiralcmm.constants import hz
 from chiralcmm.linear_model import build_drift
@@ -24,7 +24,6 @@ from chiralcmm.lyapunov import extract_block
 from chiralcmm.output_mode import FilterSpec
 from chiralcmm.params import Detunings, DriveSpec, NumericalCondition
 from chiralcmm.pipeline import (
-    BLOCK_POINTS,
     SWEEPABLE,
     MeasureRequest,
     SweepAxis,
@@ -365,12 +364,24 @@ def _block_preset(name):
     return replace(pre, sweep=replace(pre.sweep, request=request))
 
 
+_BLOCK_PRESETS = ("fig2a", "fig4a", "fig2d_magnon", "singular")
+
+
 class TestBlockEngine:
-    @pytest.mark.parametrize("name", ["fig2a", "fig4a", "fig2d_magnon",
-                                      "singular"])
-    @settings(max_examples=15)
+    # each preset again with Lyapunov chunks of 2 systems, so that a block
+    # of more than two points is solved in several chunks
+    @pytest.mark.parametrize("name, chunk", [
+        *(pytest.param(name, lyapunov.SOLVE_CHUNK, id=name)
+          for name in _BLOCK_PRESETS),
+        *(pytest.param(name, 2, id=f"{name}-chunk2")
+          for name in _BLOCK_PRESETS)])
+    # the patch is the same for every example
+    @settings(max_examples=15,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
-    def test_rows_do_not_depend_on_the_block(self, name, data):
+    def test_rows_do_not_depend_on_the_block(self, name, chunk, data,
+                                             monkeypatch):
+        monkeypatch.setattr(lyapunov, "SOLVE_CHUNK", chunk)
         pre = _block_preset(name)
         values, ports = grid_rows(pre.sweep)
         # a filtered point costs milliseconds: fewer of them
@@ -569,9 +580,10 @@ class TestBlockEngine:
                                                 triples=()))
         assert "filtered_quad_error_max" not in run_sweep(p, det, spec).meta
 
-    def test_output_identical_across_worker_counts(self):
+    def test_output_identical_across_worker_counts(self, monkeypatch):
         pre = presets.get("fig2a", grid_points=23)
-        assert 23 * 23 > 2 * BLOCK_POINTS    # at least three blocks
+        monkeypatch.setattr(pipeline, "BLOCK_POINTS", 128)
+        assert 23 * 23 > 2 * pipeline.BLOCK_POINTS    # at least three blocks
 
         class _Cfg:
             digest = "test"
