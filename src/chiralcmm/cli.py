@@ -436,9 +436,18 @@ def write_table(fh, cfg: RunConfig, columns, rows, fmt: str,
     for line in cfg.resolved_text.splitlines():
         fh.write(f"# cfg: {line}\n")
     fh.write(",".join(columns) + "\n")
+    # one % template per run of rows with the same cell types (a sweep has
+    # one, and another for its error rows): floats, np.float64 included, to
+    # 9 significant digits, anything else through str
+    kinds = None
     for row in rows:
-        fh.write(",".join([format(v, ".9g") if isinstance(v, float) else str(v)
-                           for v in row]) + "\n")
+        row = tuple(row)
+        row_kinds = tuple(map(type, row))
+        if row_kinds != kinds:
+            kinds = row_kinds
+            template = ",".join("%.9g" if issubclass(k, float) else "%s"
+                                for k in kinds) + "\n"
+        fh.write(template % row)
 
 
 def _check_output_path(args) -> None:

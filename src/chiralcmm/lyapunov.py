@@ -1,13 +1,15 @@
 """Steady-state covariance matrix from the Lyapunov equation A V + V A^T = -D.
 
-One solver for one system or a stack of them: the n(n+1)/2 independent
-entries of the symmetric V solve a linear system whose matrix is assembled
-entrywise from A (no matrix products, so a point's result does not depend
-on the stack it is solved in), and numpy's batched LU solves the systems
-of the stack SOLVE_CHUNK at a time, so that a large stack's (n, 36, 36)
-system is never built whole.  The test suite checks it against a Schur
-(Bartels-Stewart) solve, a dense Kronecker-product solve and a time-integral
-oracle.
+One solver for one system or a stack of them.  Each point is solved on the
+connected components of its coupling graph (modes i and j are linked when
+A[i, j], A[j, i] or D[i, j] is nonzero): between components V solves a
+homogeneous Sylvester equation whose only solution for a stable A is 0, so
+those entries are exact zeros.  Points are grouped by their partition, so a
+point's result depends on that point alone.  On a component of s modes the
+s(s+1)/2 independent entries of V solve a linear system assembled entrywise
+from A (no matrix products), SOLVE_CHUNK systems per batched LU solve.  The
+test suite checks it against a Schur (Bartels-Stewart) solve, a dense
+Kronecker-product solve and a time-integral oracle.
 
 A covariance matrix is a plain array, in the quadrature ordering of
 ``linear_model.MODE_ORDER``: :func:`extract_block` picks modes by label
@@ -52,12 +54,50 @@ def _sym_vec_maps(n: int):
     return iu, ju, pos, first, second
 
 
+def _partitions(As: np.ndarray, Ds: np.ndarray) -> list:
+    """(points, components) per partition of the stack's coupling graphs:
+    the indices of the points that have it and its components as index
+    tuples.  One closure per distinct nonzero pattern (a packed-bits key)."""
+    n = As.shape[-1]
+    link = (As != 0) | (Ds != 0)
+    link = link | link.swapaxes(-2, -1)
+    packed = np.packbits(link.reshape(len(As), n * n), axis=-1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, shown, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    groups = {}
+    for k, point in enumerate(shown):
+        reach = link[point] | np.eye(n, dtype=bool)
+        for _ in range(n.bit_length()):   # paths of up to 2^bits > n steps
+            reach = reach @ reach
+        parts = tuple(sorted({tuple(np.flatnonzero(row)) for row in reach}))
+        groups.setdefault(parts, []).append(k)
+    return [(np.flatnonzero(np.isin(inverse, keys_of)), parts)
+            for parts, keys_of in groups.items()]
+
+
+def _sym_vec_solve(As: np.ndarray, Ds: np.ndarray) -> np.ndarray:
+    """V of every system of a (points, s, s) stack, by the sym-vec form,
+    SOLVE_CHUNK systems per batched LU solve."""
+    s = As.shape[-1]
+    iu, ju, pos, first, second = _sym_vec_maps(s)
+    a = np.concatenate((As.reshape(len(As), s * s), np.zeros((len(As), 1))),
+                       axis=1)
+    b = -Ds[:, iu, ju][..., None]
+    V = np.empty_like(As)
+    for k in range(0, len(As), SOLVE_CHUNK):
+        chunk = slice(k, k + SOLVE_CHUNK)
+        M = a[chunk, first]
+        M += a[chunk, second]
+        V[chunk] = np.linalg.solve(M, b[chunk])[:, pos, 0]
+    return V
+
+
 def solve_lyapunov(A: np.ndarray, D: np.ndarray,
                    gated: bool = False) -> np.ndarray:
     """Solve A V + V A^T = -D for the stationary covariance matrix V.
 
-    A and D are n x n, or (points, n, n) stacks, solved SOLVE_CHUNK
-    systems at a time; V has the shape of A.
+    A and D are n x n, or (points, n, n) stacks; V has the shape of A, with
+    exact zeros between the components of each point's coupling graph.
     Refuses unstable drift matrices (there is no steady state to report);
     ``gated=True`` says the caller has already checked every A with
     :func:`is_stable`, which is then not repeated.  Every solution is
@@ -80,16 +120,11 @@ def solve_lyapunov(A: np.ndarray, D: np.ndarray,
 
     As = A.reshape(-1, n, n)
     Ds = D.reshape(-1, n, n)
-    iu, ju, pos, first, second = _sym_vec_maps(n)
-    a = np.concatenate((As.reshape(len(As), n * n), np.zeros((len(As), 1))),
-                       axis=1)
-    b = -Ds[:, iu, ju][..., None]
-    V = np.empty_like(As)
-    for k in range(0, len(As), SOLVE_CHUNK):
-        chunk = slice(k, k + SOLVE_CHUNK)
-        M = a[chunk, first]
-        M += a[chunk, second]
-        V[chunk] = np.linalg.solve(M, b[chunk])[:, pos, 0]
+    V = np.zeros_like(As)
+    for points, parts in _partitions(As, Ds):
+        for part in parts:
+            block = np.ix_(points, part, part)
+            V[block] = _sym_vec_solve(As[block], Ds[block])
 
     norm_v = np.linalg.norm(V, axis=(-2, -1))
     asym = np.linalg.norm(V - V.swapaxes(-2, -1), axis=(-2, -1)) \

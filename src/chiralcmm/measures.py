@@ -128,8 +128,9 @@ def log_negativity(V4: np.ndarray):
     Uses the closed form
         eta_minus = 2^{-1/2} [Sigma - (Sigma^2 - 4 det V4)^{1/2}]^{1/2},
         Sigma = det V_e + det V_f - 2 det V_ef,
-    and E_N = max[0, -ln(2*eta_minus)].  Symmetric under swapping the two
-    modes; zero for separable states.
+    and E_N = -ln(2*eta_minus).  Symmetric under swapping the two modes.
+    E_N is zero unless 2*eta_minus falls below 1 by more than CLIP_TOL:
+    roundoff about 1/2 is no entanglement, as in :func:`_one_vs_two`.
 
     Both differences of the closed form cancel in floating point: the
     discriminant at product states with nearly equal local determinants,
@@ -161,7 +162,9 @@ def log_negativity(V4: np.ndarray):
             or np.any(np.diagonal(V4, axis1=-2, axis2=-1) <= 0.0)):
         raise InvalidCovarianceError("invalid two-mode CM (eta_minus^2 <= 0 "
                                      "or a variance <= 0)")
-    e_n = _floor_at_zero(-0.5 * np.log(8.0 * det_v / plus))
+    two_eta_sq = 8.0 * det_v / plus
+    e_n = np.where(two_eta_sq < (1.0 - CLIP_TOL) ** 2,
+                   -0.5 * np.log(two_eta_sq), 0.0)
     return float(e_n) if e_n.ndim == 0 else e_n
 
 

@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -682,6 +683,34 @@ class TestWriteTable:
         assert data == [",".join(map(legacy_cell, row))
                         for row in (self.CELLS, self.CELLS[::-1])]
         assert data[0].split(",")[2:4] == ["nan", "nan"]
+
+    @pytest.mark.parametrize("name", [
+        *(name for name in presets.PRESET_NAMES
+          if presets.get(name, grid_points=2).sweep is not None),
+        "singular"])
+    def test_sweep_presets_write_their_rows_as_before(self, name, config_path):
+        # each sweep preset on a coarse grid, filtered ones with their
+        # filter; "singular" is fig3a at g_ccw = J = 0 from g_cw = 0 through
+        # both ports, whose g_cw = 0 rows are error rows, with NaN in the
+        # int column "stable"
+        if name == "singular":
+            pre = presets.get("fig3a")
+            params = pre.params.replace(g_ccw=0.0, J=0.0)
+            spec = replace(pre.sweep, drive_ports=("cw", "ccw"), axes=(
+                pipeline.SweepAxis("g_cw", 0.0, hz(1e6), 3),))
+        else:
+            pre = presets.get(name, grid_points=3)
+            params, spec = pre.params, replace(pre.sweep, request=replace(
+                pre.sweep.request, filter_spec=pre.filter_spec))
+        result = pipeline.run_sweep(params, pre.detunings, spec, workers=1)
+        rows = list(result.rows())
+        assert any(result.table["error"]) == (name == "singular")
+        cfg = load_config(cli.build_parser().parse_args(
+            ["steady", "--config", config_path]))
+        fh = io.StringIO()
+        cli.write_table(fh, cfg, result.columns, rows, "csv")
+        data = fh.getvalue().splitlines()[-len(rows):]
+        assert data == [",".join(map(legacy_cell, row)) for row in rows]
 
     @pytest.mark.parametrize("argv", [
         ["steady", "--config", "fig2b"],

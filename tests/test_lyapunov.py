@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad_vec
 from scipy.linalg import expm
@@ -139,16 +141,21 @@ class TestChunks:
             assert np.array_equal(V[k], solve_lyapunov(A[k], D[k]))
 
     def test_no_solve_takes_more_than_one_chunk(self, monkeypatch):
+        # fig2a is chiral (J = g_ccw = 0): each point splits into a_cw, m, b
+        # (21 unknowns) and a_ccw (3), and each component's stack is solved
+        # in chunks of at most SOLVE_CHUNK systems
         A, D = fig2a_systems(self.SIZE)
-        sizes, solve = [], np.linalg.solve
+        calls, solve = [], np.linalg.solve
 
         def recording(M, b):
-            sizes.append(len(M))
+            calls.append(M.shape[:2])
             return solve(M, b)
 
         monkeypatch.setattr(np.linalg, "solve", recording)
         solve_lyapunov(A, D, gated=True)
-        assert sizes == [SOLVE_CHUNK, SOLVE_CHUNK, 3]
+        assert max(systems for systems, _ in calls) <= SOLVE_CHUNK
+        assert calls == [(SOLVE_CHUNK, 21), (SOLVE_CHUNK, 21), (3, 21),
+                         (SOLVE_CHUNK, 3), (SOLVE_CHUNK, 3), (3, 3)]
 
     def test_unstable_system_in_the_second_chunk_refused(self):
         A, D = fig2a_systems(self.SIZE)
@@ -160,6 +167,46 @@ class TestChunks:
         with pytest.raises(UnstableSystemError, match=re.escape(
                 f"(spectral abscissa {abscissa:.6g})")):
             solve_lyapunov(A, D)
+
+
+@st.composite
+def split_stacks(draw):
+    """A stack of random stable systems, each block-diagonal under a random
+    permutation, and each point's components: a point takes one of up to
+    three partitions of n modes into components of 1 to n modes."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    partitions = []
+    for _ in range(draw(st.integers(1, 3))):
+        cuts = draw(st.sets(st.integers(1, n - 1), max_size=n - 1)) if n > 1 \
+            else set()
+        perm = rng.permutation(n)
+        partitions.append(np.split(perm, sorted(cuts)))
+    which = draw(st.lists(st.integers(0, len(partitions) - 1),
+                          min_size=1, max_size=40))
+    A, D = np.zeros((2, len(which), n, n))
+    for k, p in enumerate(which):
+        for part in partitions[p]:
+            block = np.ix_(part, part)
+            A[k][block], D[k][block] = random_stable_system(rng, len(part))
+    return A, D, [partitions[p] for p in which]
+
+
+class TestSplitSolve:
+    @settings(max_examples=60, deadline=None)
+    @given(split_stacks())
+    def test_components_solve_alone(self, stack):
+        A, D, parts = stack
+        V = solve_lyapunov(A, D)
+        for k, components in enumerate(parts):
+            ref = schur_lyapunov(A[k], D[k])
+            assert np.linalg.norm(V[k] - ref) <= 1e-10 * np.linalg.norm(ref)
+            label = np.empty(len(A[k]), dtype=int)
+            for c, part in enumerate(components):
+                label[part] = c
+            between = label[:, None] != label
+            assert np.all(V[k][between] == 0.0)
+            assert np.array_equal(solve_lyapunov(A[k], D[k]), V[k])
 
 
 class TestExtractBlock:

@@ -149,6 +149,28 @@ class TestLogNegativity:
         assert log_negativity(V) == pytest.approx(-math.log(2 * (a - s)),
                                                   rel=0, abs=1e-13)
 
+    def test_uncoupled_pairs_of_chiral_points_are_exactly_zero(self):
+        # along fig3a (J = g_ccw = 0) a_ccw couples to nothing, so (a_ccw, b)
+        # and (a_ccw, m) are product states; the roundoff of det V4 about
+        # 2 eta_minus = 1 must not read as a few 1e-16 of E_N (it did in
+        # row 1 of the fig3a sweep)
+        from chiralcmm import presets
+        from chiralcmm.linear_model import build_model
+        from chiralcmm.lyapunov import solve_lyapunov
+        from chiralcmm.pipeline import SWEEPABLE
+        from chiralcmm.steady_state import resolve_drive
+
+        pre = presets.get("fig3a")
+        assert pre.params.J == pre.params.g_ccw == 0.0
+        axis = pre.sweep.axes[0]
+        p, det = SWEEPABLE[axis.name](pre.params.stacked(axis.num),
+                                      pre.detunings.stacked(axis.num),
+                                      axis.values())
+        model = build_model(p, det, resolve_drive(p, det).g_m_eff)
+        V = solve_lyapunov(model.A, model.D)
+        for pair in (("a_ccw", "b"), ("a_ccw", "m")):
+            assert np.all(log_negativity(extract_block(V, pair)) == 0.0)
+
     def test_invalid_cm_rejected(self):
         V = np.diag([1.0, 1.0, 1e-12, 1e-12])  # violates Heisenberg badly
         with pytest.raises(InvalidCovarianceError):

@@ -350,7 +350,12 @@ def _block_preset(name):
     """The preset ``name`` on a coarse grid; a filtered preset's sweep
     requests its filter, as the CLI's does.  ``singular`` is fig3a at
     g_ccw = J = 0 over g_cw from 0, driven through both ports: the rows at
-    g_cw = 0 fail, as the drive port does not pump the magnon."""
+    g_cw = 0 fail, as the drive port does not pump the magnon.
+    ``fig4a_chi0`` is fig4a at g_ccw = 0: only its J = 0 rows leave a_ccw
+    uncoupled, so a block mixes points of two coupling graphs."""
+    if name == "fig4a_chi0":
+        pre = presets.get("fig4a", grid_points=9)
+        return replace(pre, params=pre.params.replace(g_ccw=0.0))
     if name == "singular":
         pre = presets.get("fig3a")
         sweep = replace(pre.sweep, drive_ports=("cw", "ccw"),
@@ -364,7 +369,7 @@ def _block_preset(name):
     return replace(pre, sweep=replace(pre.sweep, request=request))
 
 
-_BLOCK_PRESETS = ("fig2a", "fig4a", "fig2d_magnon", "singular")
+_BLOCK_PRESETS = ("fig2a", "fig4a", "fig4a_chi0", "fig2d_magnon", "singular")
 
 
 class TestBlockEngine:
