@@ -7,9 +7,9 @@ homogeneous Sylvester equation whose only solution for a stable A is 0, so
 those entries are exact zeros.  Points are grouped by their partition, so a
 point's result depends on that point alone.  On a component of s modes the
 s(s+1)/2 independent entries of V solve a linear system assembled entrywise
-from A (no matrix products), SOLVE_CHUNK systems per batched LU solve.  The
-test suite checks it against a Schur (Bartels-Stewart) solve, a dense
-Kronecker-product solve and a time-integral oracle.
+from A (no matrix products), in LU solves of at most SOLVE_CHUNK * 36**2
+entries.  The test suite checks it against a Schur (Bartels-Stewart) solve,
+a dense Kronecker-product solve and a time-integral oracle.
 
 A covariance matrix is a plain array, in the quadrature ordering of
 ``linear_model.MODE_ORDER``: :func:`extract_block` picks modes by label
@@ -25,8 +25,8 @@ import numpy as np
 from .linear_model import MODE_SLOTS, LyapunovError, UnstableSystemError, is_stable
 
 
-#: systems per batched LU solve: a chunk's (32, 36, 36) system takes
-#: 0.33 MB, so it stays in cache and adds little to a pooled sweep's peak RSS
+#: a batched LU solve takes at most SOLVE_CHUNK * 36**2 matrix entries (0.33
+#: MB), so a chunk stays in cache and adds little to a pooled sweep's peak RSS
 SOLVE_CHUNK = 32
 
 
@@ -76,16 +76,17 @@ def _partitions(As: np.ndarray, Ds: np.ndarray) -> list:
 
 
 def _sym_vec_solve(As: np.ndarray, Ds: np.ndarray) -> np.ndarray:
-    """V of every system of a (points, s, s) stack, by the sym-vec form,
-    SOLVE_CHUNK systems per batched LU solve."""
+    """V of every system of a (points, s, s) stack, by the sym-vec form in
+    m unknowns, SOLVE_CHUNK * 36**2 // m**2 systems per batched LU solve."""
     s = As.shape[-1]
     iu, ju, pos, first, second = _sym_vec_maps(s)
+    size = max(1, SOLVE_CHUNK * 36**2 // len(iu)**2)
     a = np.concatenate((As.reshape(len(As), s * s), np.zeros((len(As), 1))),
                        axis=1)
     b = -Ds[:, iu, ju][..., None]
     V = np.empty_like(As)
-    for k in range(0, len(As), SOLVE_CHUNK):
-        chunk = slice(k, k + SOLVE_CHUNK)
+    for k in range(0, len(As), size):
+        chunk = slice(k, k + size)
         M = a[chunk, first]
         M += a[chunk, second]
         V[chunk] = np.linalg.solve(M, b[chunk])[:, pos, 0]

@@ -61,8 +61,10 @@ def _symmetric(V: np.ndarray) -> np.ndarray:
     n2 = V.shape[-1]
     if V.ndim not in (2, 3) or V.shape[-2] != n2 or n2 % 2:
         raise ValueError("covariance matrix must be 2n x 2n")
-    norm = np.maximum(np.linalg.norm(V, axis=(-2, -1)), 1e-300)
-    if np.any(np.linalg.norm(V - V.swapaxes(-2, -1), axis=(-2, -1))
+    # a non-finite matrix is the caller's to judge: inf - inf would warn
+    W = np.where(np.isfinite(V).all(axis=(-2, -1))[..., None, None], V, 0.0)
+    norm = np.maximum(np.linalg.norm(W, axis=(-2, -1)), 1e-300)
+    if np.any(np.linalg.norm(W - W.swapaxes(-2, -1), axis=(-2, -1))
               > SYMMETRY_TOL * norm):
         raise InvalidCovarianceError("covariance matrix must be symmetric")
     return V
@@ -95,15 +97,31 @@ def symplectic_eigenvalues(V: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(1j * M)[..., n:]
 
 
+def _positive_definite(H: np.ndarray) -> np.ndarray:
+    """Whether each Hermitian matrix of H (one or a stack) is positive
+    definite, by Cholesky elimination in place.  A matrix whose pivot is not
+    positive fails, and an infinite pivot freezes it: NaN raises no warning."""
+    ok = np.ones(H.shape[:-2], dtype=bool)
+    for k in range(H.shape[-1]):
+        pivot = H[..., k, k].real
+        ok &= pivot > 0.0
+        col = H[..., k + 1:, k] / np.where(ok, pivot, np.inf)[..., None]
+        H[..., k + 1:, k + 1:] -= col[..., :, None] * H[..., k, None, k + 1:]
+    return ok
+
+
 def is_physical(V: np.ndarray):
     """Heisenberg check: V + i(1/2 - PHYSICAL_SLACK) Omega >= 0, that is
     (Williamson) every symplectic eigenvalue >= 1/2 - PHYSICAL_SLACK and V
-    positive definite.  Its smallest eigenvalue may fall below zero by the
-    roundoff CLIP_TOL * ||V|| (one verdict per matrix of a stack)."""
+    positive definite.  A Cholesky test of that matrix plus the roundoff
+    CLIP_TOL ||V||_F I, one verdict per matrix of a stack: its smallest
+    eigenvalue may fall to -CLIP_TOL ||V||_F.  A non-finite matrix fails."""
     V = _symmetric(V)
-    omega = _omega_times(np.eye(V.shape[-1]))
-    smallest = np.linalg.eigvalsh(V + 1j * (0.5 - PHYSICAL_SLACK) * omega)[..., 0]
-    ok = smallest >= -CLIP_TOL * np.linalg.norm(V, axis=(-2, -1))
+    V = np.where(np.isfinite(V).all(axis=(-2, -1))[..., None, None], V, np.nan)
+    eye = np.eye(V.shape[-1])
+    shift = CLIP_TOL * np.linalg.norm(V, axis=(-2, -1))[..., None, None]
+    ok = _positive_definite(V + 1j * (0.5 - PHYSICAL_SLACK) * _omega_times(eye)
+                            + shift * eye)
     return bool(ok) if np.ndim(ok) == 0 else ok
 
 

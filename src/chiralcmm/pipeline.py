@@ -71,7 +71,7 @@ from .params import (
 from .steady_state import resolve_drive
 
 #: rows per block: a block pays about 1 ms of GIL-holding Python whatever
-#: its size; its Lyapunov solve runs lyapunov.SOLVE_CHUNK systems at a time
+#: its size; each LU solve of its Lyapunov stage is bounded by SOLVE_CHUNK
 BLOCK_POINTS = 512
 
 PAIRS_DEFAULT = (("a_cw", "m"), ("a_cw", "b"), ("a_ccw", "m"), ("a_ccw", "b"))
@@ -407,16 +407,15 @@ def run_sweep(params: SystemParams, det: Detunings, spec: SweepSpec,
     ``workers > 1`` evaluates the blocks on that many threads of this
     process.  Most of a block's time is spent in numpy's stacked LAPACK
     calls, which release the GIL: the ``eigvals`` of
-    :func:`linear_model.is_stable` and :func:`is_physical` and the batched
-    solve of the Lyapunov system.  The rest of a block is Python that holds
-    the GIL; that share caps the speed-up (1 -> 2 workers: medians of 1.55x
-    and 1.8x over two rounds of 10 runs of the fig2a map on a shared 2-core
-    host) and limits scaling on hosts with many cores.  Blocks must not
-    call ``odeint``: ODEPACK keeps its state in Fortran common blocks and
-    is not re-entrant.  If a block raises an exception other than a
-    NumericalCondition, or the caller is interrupted (Ctrl-C), the blocks
-    that have not started are cancelled and the exception propagates once
-    the running ones end.
+    :func:`linear_model.is_stable` and the batched solves of the Lyapunov
+    system.  The rest of a block is Python that holds the GIL; that share
+    caps the speed-up (1 -> 2 workers: medians of 1.55x and 1.8x over two
+    rounds of 10 runs of the fig2a map on a shared 2-core host) and limits
+    scaling on hosts with many cores.  Blocks must not call ``odeint``:
+    ODEPACK keeps its state in Fortran common blocks and is not re-entrant.
+    If a block raises an exception other than a NumericalCondition, or the
+    caller is interrupted (Ctrl-C), the blocks that have not started are
+    cancelled and the exception propagates once the running ones end.
     """
     values, ports = grid_rows(spec)
     starts = range(0, len(ports), BLOCK_POINTS)

@@ -4,8 +4,8 @@ covariance matrices, the two-mode squeezed state with its known
 entanglement, an off-design state that breaks the monogamy inequality,
 the Schur-method Lyapunov oracle, the batched-inverse resolvent oracle,
 the filtered pair of one point, the strictly chiral closed-form means,
-the complex-form classical right-hand side and a measure with a
-broadcasting bug."""
+the complex-form classical right-hand side, a measure with a
+broadcasting bug and the eigenvalue form of the Heisenberg check."""
 
 import math
 from typing import NamedTuple
@@ -16,7 +16,7 @@ import scipy.linalg
 from chiralcmm.constants import hz
 from chiralcmm.linear_model import MODE_SLOTS
 from chiralcmm.lyapunov import solve_lyapunov
-from chiralcmm.measures import log_negativity
+from chiralcmm.measures import CLIP_TOL, PHYSICAL_SLACK, log_negativity
 from chiralcmm.output_mode import filtered_pair_cm
 from chiralcmm.params import DRIVE_CW, Detunings, DriveSpec, SystemParams
 from chiralcmm.steady_state import SQRT2, SteadyField
@@ -195,3 +195,14 @@ def broadcasting_log_negativity(V):
     result.  A stack of 3 matrices passes unnoticed; any other stack fails
     with a ValueError from numpy."""
     return log_negativity(V) + np.zeros(3)
+
+
+def heisenberg_margin(V):
+    """Smallest eigenvalue of V + i(1/2 - PHYSICAL_SLACK) Omega plus
+    CLIP_TOL ||V||_F, per matrix of a stack, by the full spectrum: the
+    oracle of ``measures.is_physical``, whose verdict is margin >= 0 up to
+    roundoff at the threshold."""
+    n_modes = V.shape[-1] // 2
+    H = V + 1j * (0.5 - PHYSICAL_SLACK) * symplectic_form(n_modes)
+    return (np.linalg.eigvalsh(H)[..., 0]
+            + CLIP_TOL * np.linalg.norm(V, axis=(-2, -1)))

@@ -120,8 +120,9 @@ class TestSolver:
 
 def fig2a_systems(count):
     """Drift and diffusion stacks of ``count`` stable points of the fig2a
-    detuning map, in grid order."""
-    pre = presets.get("fig2a", grid_points=15)
+    detuning map, in grid order.  The first 215 of them have delta_a < 0,
+    where a_ccw's two quadratures are coupled."""
+    pre = presets.get("fig2a", grid_points=16)
     values, _ = grid_rows(pre.sweep)
     P = pre.params.stacked(len(values))
     det = Detunings.effective(values[:, 0], values[:, 1])
@@ -131,8 +132,12 @@ def fig2a_systems(count):
 
 
 class TestChunks:
-    # a stack of two full chunks and a partial one
-    SIZE = 2 * SOLVE_CHUNK + 3
+    # fig2a is chiral (J = g_ccw = 0): each point splits into a_cw, m, b
+    # (21 unknowns) and a_ccw (3).  A chunk of the 21-unknown component
+    # holds CHUNK systems, and the stack is two full chunks and a partial one
+    ENTRIES = SOLVE_CHUNK * 36**2
+    CHUNK = ENTRIES // 21**2
+    SIZE = 2 * CHUNK + 3
 
     def test_stack_gives_the_bits_of_each_system_alone(self):
         A, D = fig2a_systems(self.SIZE)
@@ -141,9 +146,8 @@ class TestChunks:
             assert np.array_equal(V[k], solve_lyapunov(A[k], D[k]))
 
     def test_no_solve_takes_more_than_one_chunk(self, monkeypatch):
-        # fig2a is chiral (J = g_ccw = 0): each point splits into a_cw, m, b
-        # (21 unknowns) and a_ccw (3), and each component's stack is solved
-        # in chunks of at most SOLVE_CHUNK systems
+        # each solve takes at most SOLVE_CHUNK * 36**2 matrix entries: 94
+        # systems of 21 unknowns, or the whole stack of 3-unknown ones
         A, D = fig2a_systems(self.SIZE)
         calls, solve = [], np.linalg.solve
 
@@ -153,13 +157,12 @@ class TestChunks:
 
         monkeypatch.setattr(np.linalg, "solve", recording)
         solve_lyapunov(A, D, gated=True)
-        assert max(systems for systems, _ in calls) <= SOLVE_CHUNK
-        assert calls == [(SOLVE_CHUNK, 21), (SOLVE_CHUNK, 21), (3, 21),
-                         (SOLVE_CHUNK, 3), (SOLVE_CHUNK, 3), (3, 3)]
+        assert max(systems * m**2 for systems, m in calls) <= self.ENTRIES
+        assert calls == [(94, 21), (94, 21), (3, 21), (191, 3)]
 
     def test_unstable_system_in_the_second_chunk_refused(self):
         A, D = fig2a_systems(self.SIZE)
-        k = SOLVE_CHUNK + 5
+        k = self.CHUNK + 5
         # mirror the abscissa of point k to the right half-plane
         A[k] -= 2 * is_stable(A[k])[1] * np.eye(8)
         stable, abscissa = is_stable(A[k])

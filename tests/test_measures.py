@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from chiralcmm.linear_model import MODE_ORDER
@@ -21,6 +23,7 @@ from chiralcmm.measures import (
 from chiralcmm.params import NumericalCondition
 
 from helpers import (
+    heisenberg_margin,
     off_design_state,
     random_physical_cm,
     random_symplectic,
@@ -303,6 +306,29 @@ class TestTeleportationFidelity:
         assert not isinstance(exc.value, NumericalCondition)
 
 
+@st.composite
+def scaled_states(draw):
+    """A stack of 2-8 two-mode covariance matrices scaled across the
+    Heisenberg bound: each a two-mode squeezed thermal state or a
+    random_physical_cm state, scaled so that its smallest symplectic
+    eigenvalue is (1 + delta)/2, with |delta| from 1e-10 to 1e-2 and either
+    sign."""
+    stack = []
+    for _ in range(draw(st.integers(2, 8))):
+        if draw(st.booleans()):
+            n_th = draw(st.floats(0.0, 2.0))
+            V = two_mode_squeezed_cm(draw(st.floats(0.0, 3.0)), n_th)
+            nu = n_th + 0.5
+        else:
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            V = random_physical_cm(rng, 2)
+            nu = symplectic_eigenvalues(V)[0]
+        delta = draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** draw(
+            st.floats(-10.0, -2.0))
+        stack.append(V * (0.5 * (1.0 + delta) / nu))
+    return np.stack(stack)
+
+
 class TestPhysicality:
     def test_vacuum_is_physical(self):
         assert is_physical(0.5 * np.eye(8))
@@ -326,3 +352,25 @@ class TestPhysicality:
         assert is_physical(two_mode_squeezed_cm(7.0))
         assert list(is_physical(np.stack([two_mode_squeezed_cm(7.0),
                                           -np.eye(4)]))) == [True, False]
+
+    @settings(max_examples=60)
+    @given(scaled_states())
+    def test_verdict_is_the_eigenvalue_rule(self, V):
+        # points within 1e-12 ||V|| of the threshold are roundoff's to decide
+        margin = heisenberg_margin(V)
+        decided = np.abs(margin) > 1e-12 * np.linalg.norm(V, axis=(-2, -1))
+        expected = margin[decided] >= 0.0
+        assume(np.any(expected) and not np.all(expected))
+        verdict = is_physical(V)
+        assert list(verdict[decided]) == list(expected)
+        assert list(verdict) == [is_physical(v) for v in V]
+
+    def test_non_finite_point_is_not_physical(self):
+        # without a floating-point warning, which the suite makes an error
+        vacuum = 0.5 * np.eye(8)
+        nan, inf = vacuum.copy(), vacuum.copy()
+        nan[0, 1] = np.nan
+        inf[3, 3] = np.inf
+        assert not is_physical(inf)
+        assert list(is_physical(np.stack([nan, vacuum, inf]))) == [
+            False, True, False]

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from chiralcmm import linear_model, lyapunov, pipeline
-from chiralcmm.cli import write_table
+from chiralcmm.cli import EXIT_OK, main, write_table
 from chiralcmm.constants import hz
 from chiralcmm.linear_model import build_drift
 from chiralcmm.lyapunov import extract_block
@@ -296,6 +296,46 @@ class TestSweep:
                       request=request)
 
 
+class TestLapackWork:
+    def test_fig2a_map_makes_one_solve_per_chunk(self, tmp_path, monkeypatch):
+        # the physicality check makes no eigvalsh call, and the Lyapunov
+        # stage one solve per chunk of SOLVE_CHUNK * 36**2 matrix entries of
+        # each component of each partition of a block's stable points.
+        # fig2a is chiral: a point splits into a_cw, m, b (21 unknowns) and
+        # a_ccw (3), whose two quadratures decouple at delta_a = 0 (1 each)
+        counts = dict.fromkeys(("solve", "eigvalsh"), 0)
+
+        def counting(name, function):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return function(*args, **kwargs)
+            return call
+
+        for name in counts:
+            monkeypatch.setattr(np.linalg, name,
+                                counting(name, getattr(np.linalg, name)))
+        out = tmp_path / "fig2a.csv"
+        assert main(["sweep", "--config", "fig2a", "--workers", "1",
+                     "--out", str(out)]) == EXIT_OK
+        lines = [line.split(",") for line in out.read_text().splitlines()
+                 if not line.startswith("#")]
+        rows = [dict(zip(lines[0], line)) for line in lines[1:]]
+        assert len(rows) == 101 * 101
+
+        expected = 0
+        for k in range(0, len(rows), pipeline.BLOCK_POINTS):
+            block = [r for r in rows[k:k + pipeline.BLOCK_POINTS]
+                     if r["stable"] == "1"]
+            for at_zero, unknowns in ((False, (21, 3)), (True, (21, 1, 1))):
+                points = sum((float(r["delta_a"]) == 0.0) == at_zero
+                             for r in block)
+                for m in unknowns if points else ():
+                    chunk = max(1, lyapunov.SOLVE_CHUNK * 36**2 // m**2)
+                    expected += -(-points // chunk)
+        assert counts == {"solve": expected, "eigvalsh": 0}
+        assert expected == 133
+
+
 class TestTemperatureCurve:
     def test_monotone_decay_past_the_peak(self):
         # raising the bath temperature can first help (killing unwanted
@@ -373,8 +413,9 @@ _BLOCK_PRESETS = ("fig2a", "fig4a", "fig4a_chi0", "fig2d_magnon", "singular")
 
 
 class TestBlockEngine:
-    # each preset again with Lyapunov chunks of 2 systems, so that a block
-    # of more than two points is solved in several chunks
+    # each preset again with SOLVE_CHUNK = 2 (Lyapunov chunks of 2 systems
+    # of 36 unknowns, 5 of 21), so that a block of more than five points is
+    # solved in several chunks
     @pytest.mark.parametrize("name, chunk", [
         *(pytest.param(name, lyapunov.SOLVE_CHUNK, id=name)
           for name in _BLOCK_PRESETS),
