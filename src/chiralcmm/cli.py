@@ -355,8 +355,11 @@ def load_config(args) -> RunConfig:
             and command in ("steady", "entangle", "sweep")):
         raise ConfigError(f"{kind} drive spec requires g_m to form G_m")
     if command in ("comb-threshold", "stability-edge"):
+        bounds = {"cap": hz(args.gm_cap)}
+        if command == "comb-threshold":
+            bounds["resolution"] = hz(args.resolution)
         try:
-            check_bisection(hz(args.gm_cap), hz(args.resolution))
+            check_bisection(**bounds)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     resolved = _canonical_text(sections)
@@ -595,20 +598,21 @@ def cmd_comb_threshold(cfg: RunConfig, args) -> int:
                "realized_hz": to_hz(realized), **info}
               for (target, kind, realized), info
               in zip(res.probes, res.probe_info)]
+    bracket = None if res.bracket is None else [to_hz(g) for g in res.bracket]
     return _write_result(args, cfg, columns, rows,
-                         {**_ODE_META, "probes": probes})
+                         {**_ODE_META, "resolution_hz": args.resolution,
+                          "bracket_hz": bracket, "probes": probes})
 
 
 def cmd_stability_edge(cfg: RunConfig, args) -> int:
-    edge = max_stable_coupling(cfg.params, cfg.detunings, cap=hz(args.gm_cap),
-                               resolution=hz(args.resolution))
+    edge = max_stable_coupling(cfg.params, cfg.detunings, cap=hz(args.gm_cap))
     columns = ("field", "value")
     rows = [("gm_cap_hz", args.gm_cap)]
-    if edge.stable_up_to_cap:
+    if edge is None:
         rows.append(("max_stable_gm_hz", float("nan")))
         rows.append(("note", "stable up to cap"))
     else:
-        rows.append(("max_stable_gm_hz", to_hz(edge.value)))
+        rows.append(("max_stable_gm_hz", to_hz(edge)))
     return _write_result(args, cfg, columns, rows)
 
 
@@ -652,7 +656,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stability-edge", help="largest stable |G_m|")
     common(p)
     p.add_argument("--gm-cap", type=float, metavar="HZ", default=20e6)
-    p.add_argument("--resolution", type=float, metavar="HZ", default=0.01e6)
     return parser
 
 

@@ -27,6 +27,9 @@ MODE_SLOTS = {label: (2 * i, 2 * i + 1) for i, label in enumerate(MODE_ORDER)}
 # eigenvalue real parts above -STABILITY_MARGIN * ||A|| count as non-negative
 STABILITY_MARGIN = 1e-9
 
+#: |G_m| points of the stacked scan that brackets the stability edge
+EDGE_SCAN = 33
+
 
 class UnstableSystemError(NumericalCondition, RuntimeError):
     """No stationary state exists: the drift matrix is not Hurwitz."""
@@ -133,40 +136,22 @@ def build_model(params: SystemParams, det: Detunings,
     return LinearModel(A=A, D=D, stable=stable, abscissa=absc)
 
 
-@dataclass(frozen=True)
-class CouplingEdge:
-    """Result of the stability-boundary search over |G_m|."""
-
-    value: float | None       # critical |G_m| in rad/s; None if cap reached
-    cap: float
-    bracket: tuple[float, float] | None
-
-    @property
-    def stable_up_to_cap(self) -> bool:
-        return self.value is None
-
-
-def check_bisection(cap: float, resolution: float) -> None:
-    """Reject a |G_m| search whose bisection could not end or has no range."""
-    for name, value in (("cap", cap), ("resolution", resolution)):
+def check_bisection(**bounds: float) -> None:
+    """Reject a |G_m| search whose ``cap`` (no range) or bisection
+    ``resolution`` (no end) is not finite and positive."""
+    for name, value in bounds.items():
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, "
                              f"got {value!r} rad/s")
 
 
-def bisect_edge(passes, cap: float, resolution: float):
-    """Bracket (lo, hi) of the |G_m| where ``passes`` stops holding, or None
-    if it still holds at the cap.
-
-    Probes the cap first, then halves [0, cap] until the bracket is no wider
-    than ``resolution``; ``passes`` must hold at lo and fail at hi.  Callers
-    check the arguments with :func:`check_bisection` first.
-    """
-    if passes(cap):
-        return None
-    lo, hi = 0.0, cap
+def bisect_edge(passes, lo: float, hi: float, resolution: float = 0.0):
+    """Halve the bracket (lo, hi), where ``passes`` holds at lo and fails at
+    hi, until it is no wider than ``resolution`` or its ends are adjacent."""
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if passes(mid):
             lo = mid
         else:
@@ -175,26 +160,30 @@ def bisect_edge(passes, cap: float, resolution: float):
 
 
 def max_stable_coupling(params: SystemParams, det: Detunings,
-                        cap: float, resolution: float) -> CouplingEdge:
-    """Largest |G_m| keeping the drift matrix stable, by bisection.
+                        cap: float) -> float | None:
+    """The last stable |G_m| before the drift matrix first loses stability
+    in [0, cap], or None if every point of the scan is stable.
 
-    Raises UnstableSystemError if the system is unstable already at
-    |G_m| = 0.  The phase of G_m amounts to a local rotation of the magnon
-    quadratures and does not move the boundary, so G_m is taken real.  In
-    the physical detuning mode ``det`` holds the bare detunings and each
-    |G_m| is probed at the dispersive shift it implies
+    A stacked :func:`is_stable` scan of EDGE_SCAN points of [0, cap]
+    brackets the first edge, and bisection narrows it to adjacent floats,
+    so the edge does not depend on the cap.  Raises UnstableSystemError if
+    the system is unstable at |G_m| = 0.  G_m is taken real: its phase is a
+    local rotation of the magnon quadratures and does not move the
+    boundary.  In the physical detuning mode ``det`` holds the bare
+    detunings and each |G_m| is probed at the dispersive shift it implies
     (:func:`target_detunings`).
     """
-    check_bisection(cap, resolution)
+    check_bisection(cap=cap)
 
-    def stable_at(g: float) -> bool:
+    def stable_at(g):
         return is_stable(build_drift(params, target_detunings(params, det, g),
                                      g))[0]
 
-    if not stable_at(0.0):
+    scan = np.linspace(0.0, cap, EDGE_SCAN)
+    stable = stable_at(scan)
+    if not stable[0]:
         raise UnstableSystemError("system is unstable already at |G_m| = 0")
-    bracket = bisect_edge(stable_at, cap, resolution)
-    if bracket is None:
-        return CouplingEdge(value=None, cap=cap, bracket=None)
-    lo, hi = bracket
-    return CouplingEdge(value=0.5 * (lo + hi), cap=cap, bracket=bracket)
+    if stable.all():
+        return None
+    first = int(np.argmin(stable))
+    return bisect_edge(stable_at, *scan[first - 1:first + 1].tolist())[0]

@@ -41,10 +41,12 @@ class InvalidCovarianceError(NumericalCondition, ValueError):
 def _matrices(V, size: int, what: str) -> np.ndarray:
     """V as a float array of one matrix or a stack; a ValueError (a
     programming error, not a NumericalCondition) unless its matrices are
-    ``size`` x ``size``."""
+    ``size`` x ``size``, and an InvalidCovarianceError unless finite."""
     V = np.asarray(V, dtype=float)
     if V.ndim not in (2, 3) or V.shape[-2:] != (size, size):
         raise ValueError(what)
+    if not np.all(np.isfinite(V)):
+        raise InvalidCovarianceError("covariance matrix must be finite")
     return V
 
 
@@ -84,9 +86,12 @@ def symplectic_eigenvalues(V: np.ndarray) -> np.ndarray:
 
     With V = L L^T (Cholesky), the Hermitian i L^T Omega L has the
     eigenvalues +-nu; the returned values are its n positive ones.  A matrix
-    that is not positive definite is refused as an invalid input.
+    that is not finite or not positive definite is refused as an invalid
+    input.
     """
     V = _symmetric(V)
+    if not np.all(np.isfinite(V)):
+        raise InvalidCovarianceError("covariance matrix must be finite")
     try:
         L = np.linalg.cholesky(V)
     except np.linalg.LinAlgError as exc:

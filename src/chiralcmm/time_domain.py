@@ -280,7 +280,8 @@ class CombThreshold:
 
 def comb_threshold(params: SystemParams, det: Detunings, cap: float,
                    resolution: float) -> CombThreshold:
-    """Bisect the drive scale for the onset of magnon self-oscillation.
+    """Bisect the drive scale for the onset of magnon self-oscillation: probe
+    the cap, then halve [0, cap] to a bracket no wider than ``resolution``.
 
     In the effective detuning mode ``det`` carries the target effective
     detunings (held fixed along the sweep by adjusting the bare detuning per
@@ -288,15 +289,14 @@ def comb_threshold(params: SystemParams, det: Detunings, cap: float,
     In the physical mode ``det`` carries the bare detunings, which every
     probe integrates at; its drive is calibrated at the effective detuning
     that its target's dispersive shift implies (:func:`target_detunings`).
-    The threshold is reported as the effective coupling
-    |G_m| = sqrt(2)*g_m*|<m>| of the settled state at the steady side of
-    the final bracket.  If g_m is not set, an arbitrary
-    reference value is used internally; the reported |G_m| is invariant
-    under the (g_m, E) -> (g_m/s, s*E) rescaling of the dynamics.  Every
-    probe integrates from the empty state (all modes zero) over the
-    default horizon.
+    The threshold is the midpoint of the final bracket of target
+    |G_m| = sqrt(2)*g_m*|<m>|.  If g_m is not set, an arbitrary reference
+    value is used internally; the reported |G_m| is invariant under the
+    (g_m, E) -> (g_m/s, s*E) rescaling of the dynamics.  Every probe
+    integrates from the empty state (all modes zero) over the default
+    horizon.
     """
-    check_bisection(cap, resolution)
+    check_bisection(cap=cap, resolution=resolution)
     if params.g_m is None:
         params = params.replace(g_m=1.0)
     if imperfect_means(params, det, 1.0).m == 0:
@@ -317,7 +317,8 @@ def comb_threshold(params: SystemParams, det: Detunings, cap: float,
                      "variation": rep.variation})
         return rep.kind == STEADY
 
-    bracket = bisect_edge(settles, cap, resolution)
+    bracket = (None if settles(cap)
+               else bisect_edge(settles, 0.0, cap, resolution))
     value = None if bracket is None else 0.5 * (bracket[0] + bracket[1])
     return CombThreshold(value=value, cap=cap, bracket=bracket,
                          probes=tuple(probes), probe_info=tuple(info))

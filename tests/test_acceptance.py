@@ -67,10 +67,9 @@ class TestAcceptance:
     def test_criterion_1_stability_boundary(self):
         t0 = time.time()
         p, det = stability_point()
-        edge = max_stable_coupling(p, det, cap=hz(30e6),
-                                   resolution=hz(0.01e6))
+        edge = max_stable_coupling(p, det, cap=hz(30e6))
         elapsed = time.time() - t0
-        value_mhz = to_hz(edge.value) / 1e6
+        value_mhz = to_hz(edge) / 1e6
         ok = abs(value_mhz - 11.9) <= 0.02 * 11.9 and elapsed < 10.0
         report(1, ok, f"stability boundary |G_m| = {value_mhz:.3f} MHz "
                       f"(target 11.9 +-2%, runtime < 10 s)", elapsed)

@@ -1,7 +1,9 @@
+import argparse
 import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -192,8 +194,11 @@ class TestOverrides:
          "--magnon-convention", "instant"],
         ["comb-threshold", "--config", "figs1", "--dump-trajectory", "t.csv"],
         ["steady", "--config", "fig2b", "--workers", "1"],
+        # the edge is bisected to adjacent floats: there is no resolution
+        ["stability-edge", "--config", "fig2b", "--resolution", "1e4"],
     ], ids=["drive", "filter-center", "filter-tau", "magnon-convention",
-            "dump-trajectory", "workers-on-steady"])
+            "dump-trajectory", "workers-on-steady",
+            "resolution-on-stability-edge"])
     def test_removed_flag_refused(self, argv, monkeypatch, tmp_path):
         # each config key has one override, --set section.key=value
         monkeypatch.chdir(tmp_path)
@@ -210,6 +215,18 @@ class TestOverrides:
         parser = cli.build_parser()
         for argv in commands:
             parser.parse_args(argv)
+
+    def test_readme_flag_table_matches_the_parser(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        table = {m[1]: set(re.findall(r"--[a-z-]+", m[2])) for m in
+                 re.finditer(r"^\| `([a-z-]+)` \|(.*)\|$", readme, re.M)}
+        (commands,) = [action.choices for action in cli.build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        assert table == {
+            name: {flag for action in sub._actions
+                   for flag in action.option_strings
+                   if flag.startswith("--") and flag != "--help"}
+            for name, sub in commands.items()}
 
 
 class TestSteadyCommand:
@@ -589,9 +606,8 @@ class TestStabilityEdgeCommand:
                     if line and not line.startswith("#") and "field" not in line)
         assert float(rows["max_stable_gm_hz"]) == pytest.approx(11.9e6, rel=0.02)
 
-    @pytest.mark.parametrize("flag", [("--resolution", "0"),
-                                      ("--gm-cap", "-5")],
-                             ids=["resolution-0", "gm-cap-negative"])
+    @pytest.mark.parametrize("flag", [("--gm-cap", "-5")],
+                             ids=["gm-cap-negative"])
     def test_bisection_arguments_checked(self, flag, capsys):
         t0 = time.perf_counter()
         rc = main(["stability-edge", "--config", "fig2b", *flag])
@@ -630,13 +646,17 @@ class TestCombThresholdCommand:
             meta = dict(ln[2:].split(" = ", 1) for ln in lines
                         if ln.startswith("# ") and " = " in ln)
             meta["probes"] = json.loads(meta["probes"])
+            meta["resolution_hz"] = float(meta["resolution_hz"])
             data = [ln for ln in lines if not ln.startswith("#")]
             assert data[:2] == ["field,value", "gm_cap_hz,6000000"]
             assert data[2] == "comb_threshold_hz,nan"
+            assert meta["bracket_hz"] == "None"
         else:
             meta = json.loads(lines[0])["_meta"]
             assert json.loads(lines[1]) == {"field": "gm_cap_hz",
                                             "value": 6e6}
+            assert meta["bracket_hz"] is None
+        assert meta["resolution_hz"] == 0.05e6
         assert meta["ode_start"] == "zero"
         assert meta["ode_method"] == "LSODA"
         assert float(meta["ode_rtol"]) == time_domain.RTOL
@@ -648,6 +668,21 @@ class TestCombThresholdCommand:
         assert 0 < probe["nst"] < probe["nfev"]
         assert probe["used_bdf"] is True
         assert 0 <= probe["variation"] < time_domain.STEADY_TOL
+
+    def test_bracket_in_metadata(self, tmp_path):
+        # a resolution wider than the cap: the one oscillatory probe at the
+        # cap leaves the bracket [0, cap], and its midpoint is the threshold
+        out = tmp_path / "comb.jsonl"
+        assert main(["comb-threshold", "--config", "fig2b", "--gm-cap", "12e6",
+                     "--resolution", "20e6", "--format", "jsonl",
+                     "--out", str(out)]) == EXIT_OK
+        lines = out.read_text().splitlines()
+        meta = json.loads(lines[0])["_meta"]
+        assert meta["resolution_hz"] == 20e6
+        assert meta["bracket_hz"] == [0.0, pytest.approx(12e6, rel=1e-15)]
+        assert [probe["kind"] for probe in meta["probes"]] == ["oscillatory"]
+        assert json.loads(lines[2]) == {"field": "comb_threshold_hz",
+                                        "value": pytest.approx(6e6, rel=1e-15)}
 
     def test_stdout_starts_with_the_header(self, capsys):
         assert main(["comb-threshold", "--config", "fig2b",

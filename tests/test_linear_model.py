@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 
@@ -166,17 +168,40 @@ class TestMaxStableCoupling:
 
     def test_known_boundary(self):
         p, det = self.stability_point()
-        edge = max_stable_coupling(p, det, cap=hz(30e6),
-                                   resolution=hz(0.01e6))
-        assert edge.value == pytest.approx(hz(11.9e6), rel=0.02)
+        edge = max_stable_coupling(p, det, cap=hz(30e6))
+        assert edge == pytest.approx(hz(11.9e6), rel=0.02)
+
+    def test_edge_is_the_last_stable_float(self):
+        p, det = self.stability_point()
+        edge = max_stable_coupling(p, det, cap=hz(30e6))
+        assert is_stable(build_drift(p, det, edge))[0]
+        assert not is_stable(build_drift(p, det, np.nextafter(edge, np.inf)))[0]
+
+    @settings(max_examples=20)
+    @given(cap_mhz=st.floats(12.5, 60.0))
+    def test_edge_does_not_depend_on_the_cap(self, cap_mhz):
+        p, det = self.stability_point()
+        assert max_stable_coupling(p, det, cap=hz(cap_mhz * 1e6)) \
+            == max_stable_coupling(p, det, cap=hz(30e6))
+
+    def test_first_edge_below_a_stable_cap(self):
+        # the bare cavity omega_b/2 above the drive: the dispersive shift of
+        # the physical mode makes the drift unstable for |G_m| in about
+        # [4.49, 45.4] MHz, and it is stable again at the 50 MHz cap
+        p = SystemParams(kappa_a_e=hz(4.8e6), g_cw=hz(8e6),
+                         detuning_mode="physical")
+        p = p.replace(omega_a=p.omega_0 + 0.5 * p.omega_b)
+        det = Detunings.physical(p)
+        cap = hz(50e6)
+        assert is_stable(build_drift(p, target_detunings(p, det, cap), cap))[0]
+        edge = max_stable_coupling(p, det, cap=cap)
+        assert edge == pytest.approx(hz(4.4869e6), rel=1e-4)
 
     def test_decoupled_system_stable_up_to_cap(self):
         # cap kept below the bare magnomechanical parametric instability
         p = SystemParams(g_cw=0.0)
         det = Detunings.effective(-p.omega_b, p.omega_b)
-        edge = max_stable_coupling(p, det, cap=hz(5e6),
-                                   resolution=hz(0.01e6))
-        assert edge.stable_up_to_cap and edge.value is None
+        assert max_stable_coupling(p, det, cap=hz(5e6)) is None
 
     def test_invariant_under_coupling_phase(self):
         p, det = self.stability_point()
@@ -187,16 +212,18 @@ class TestMaxStableCoupling:
 
     def test_physical_mode_edge_brackets_the_self_consistent_edge(self):
         # fig2b's cavity at zero bare detunings: each probe sees the
-        # dispersive shift of its |G_m|, and the bracket's ends are stable
-        # and unstable where the pipeline solves the mean field itself
+        # dispersive shift of its |G_m|, and the pipeline, which solves the
+        # mean field itself, finds the edge stable and unstable on either
+        # side.  Its own mean field flips the verdict at random within about
+        # 1e-11 of the edge, so the sides are taken 1e-9 away.
         p = SystemParams(kappa_a_e=hz(4.8e6), g_cw=hz(8e6), g_m=hz(1.0),
                          detuning_mode="physical",
                          drive=DriveSpec("amplitude", hz(1e12)))
         det = Detunings.physical(p)
-        edge = max_stable_coupling(p, det, cap=hz(20e6),
-                                   resolution=hz(0.01e6))
-        assert edge.value == pytest.approx(hz(0.5225e6), rel=1e-3)
-        for gm, stable in zip(edge.bracket, (True, False)):
+        edge = max_stable_coupling(p, det, cap=hz(20e6))
+        assert edge == pytest.approx(hz(526118.1887), rel=1e-9)
+        for gm, stable in ((edge * (1 - 1e-9), True),
+                           (edge * (1 + 1e-9), False)):
             E = amplitude_for_gm(p, target_detunings(p, det, gm), gm)
             row = evaluate_point(p.replace(drive=DriveSpec("amplitude", E)),
                                  det)
@@ -207,7 +234,7 @@ class TestMaxStableCoupling:
         p = SystemParams(gamma_b=-1.0)
         det = Detunings.effective(-p.omega_b, p.omega_b)
         with pytest.raises(UnstableSystemError):
-            max_stable_coupling(p, det, cap=hz(5e6), resolution=hz(0.01e6))
+            max_stable_coupling(p, det, cap=hz(5e6))
 
 
 class TestCcwBlockClosure:

@@ -374,3 +374,20 @@ class TestPhysicality:
         assert not is_physical(inf)
         assert list(is_physical(np.stack([nan, vacuum, inf]))) == [
             False, True, False]
+
+
+class TestNonFiniteCovariance:
+    # refused as invalid covariances, without a floating-point warning,
+    # which the suite makes an error
+    @pytest.mark.parametrize("measure, size", [
+        (symplectic_eigenvalues, 4), (log_negativity, 4),
+        (teleportation_fidelity, 4), (residual_contangle_min, 6)],
+        ids=lambda x: getattr(x, "__name__", str(x)))
+    @pytest.mark.parametrize("entry, value", [((0, 0), np.nan),
+                                              ((0, 1), np.inf)],
+                             ids=["nan-diagonal", "inf-off-diagonal"])
+    def test_refused(self, measure, size, entry, value):
+        V = 0.5 * np.eye(size)
+        V[entry] = value
+        with pytest.raises(InvalidCovarianceError, match="must be finite"):
+            measure(V)
