@@ -433,7 +433,7 @@ def write_table(fh, cfg: RunConfig, columns, rows, fmt: str,
     for key, value in meta.items():
         if isinstance(value, tuple):
             value = ",".join(value)
-        elif isinstance(value, (list, dict)):
+        elif value is None or isinstance(value, (list, dict)):
             value = json.dumps(value)
         fh.write(f"# {key} = {value}\n")
     for line in cfg.resolved_text.splitlines():
@@ -588,8 +588,8 @@ def cmd_comb_threshold(cfg: RunConfig, args) -> int:
     res = comb_threshold(cfg.params, cfg.detunings, cap=hz(args.gm_cap),
                          resolution=hz(args.resolution))
     columns = ("field", "value")
-    rows = [("gm_cap_hz", to_hz(res.cap))]
-    if res.no_comb_below_cap:
+    rows = [("gm_cap_hz", args.gm_cap)]
+    if res.value is None:
         rows.append(("comb_threshold_hz", float("nan")))
         rows.append(("note", "no self-oscillation below cap"))
     else:

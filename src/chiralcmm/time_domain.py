@@ -13,7 +13,9 @@ The ODE is integrated by ODEPACK's LSODA (``scipy.integrate.odeint``),
 which switches between Adams and BDF steps as the stiffness changes.  Its
 step loop and its interpolation onto the sample grid both run in compiled
 code; only the right-hand side is a Python call, and the samples cost no
-right-hand-side calls.
+right-hand-side calls.  That call writes the derivative into one
+preallocated array and returns it, so ``odeint`` has no list to convert
+per call; the array is overwritten by the next call (see :func:`make_rhs`).
 """
 
 from __future__ import annotations
@@ -142,28 +144,36 @@ def make_rhs(params: SystemParams, det: Detunings, E: float):
     state.  It drops the products with an exact zero part, except the
     0.0*x terms of i*(g_cw<a_cw> + g_ccw<a_ccw>) and the final + 0.0 of
     the cavity equations, which decide the sign of a zero derivative.
+
+    Every call returns the same 8-element float64 array, overwritten by
+    the next call: ``odeint`` copies it into its own buffer at once, but a
+    caller that keeps a derivative (``solve_ivp`` does) must copy it.
     """
     e_cw = E if params.drive_port == DRIVE_CW else 0.0
     e_ccw = E if params.drive_port == DRIVE_CCW else 0.0
     ca = params.kappa_a + 1j * det.delta_a
     cm_ = params.kappa_m + 1j * det.delta_m
-    car, cai, cmr, cmi = ca.real, ca.imag, cm_.real, cm_.imag
+    # the negated rates, since -x * y rounds as (-x) * y
+    nar, cai, nmr, cmi = -ca.real, ca.imag, -cm_.real, cm_.imag
     gr, gl, J, gm = params.g_cw, params.g_ccw, params.J, params.g_m
-    wb, gb = params.omega_b, params.gamma_b
+    wb, nwb, gb = params.omega_b, -params.omega_b, params.gamma_b
+    out = np.empty(8)
+    dy = memoryview(out)
 
     def rhs(_t, y):
         ar, ai, cr, ci, mr, mi, q, p = y.tolist()
         w = cmi + gm * q
         ur = gr * ar - 0.0 * ai + (gl * cr - 0.0 * ci)
         ui = gr * ai + 0.0 * ar + (gl * ci + 0.0 * cr)
-        return [-car * ar + cai * ai + (J * ci + gr * mi) + e_cw,
-                -car * ai - cai * ar - (J * cr + gr * mr) + 0.0,
-                -car * cr + cai * ci + (J * ai + gl * mi) + e_ccw,
-                -car * ci - cai * cr - (J * ar + gl * mr) + 0.0,
-                -cmr * mr + w * mi - (0.0 * ur - ui),
-                -cmr * mi - w * mr - (0.0 * ui + ur),
-                wb * p,
-                -wb * q - gb * p - gm * (mr * mr + mi * mi)]
+        dy[0] = nar * ar + cai * ai + (J * ci + gr * mi) + e_cw
+        dy[1] = nar * ai - cai * ar - (J * cr + gr * mr) + 0.0
+        dy[2] = nar * cr + cai * ci + (J * ai + gl * mi) + e_ccw
+        dy[3] = nar * ci - cai * cr - (J * ar + gl * mr) + 0.0
+        dy[4] = nmr * mr + w * mi - (0.0 * ur - ui)
+        dy[5] = nmr * mi - w * mr - (0.0 * ui + ur)
+        dy[6] = wb * p
+        dy[7] = nwb * q - gb * p - gm * (mr * mr + mi * mi)
+        return out
 
     return rhs
 
@@ -266,16 +276,11 @@ class CombThreshold:
     """Drive threshold for magnon-comb self-oscillation, in |G_m| terms."""
 
     value: float | None          # rad/s; None if no oscillation below the cap
-    cap: float
     bracket: tuple[float, float] | None
     probes: tuple                # (target |G_m|, kind, realized |G_m|) triples
     # per probe: its ODE run's nfev, nst and used_bdf, and the
     # AttractorReport.variation
     probe_info: tuple = ()
-
-    @property
-    def no_comb_below_cap(self) -> bool:
-        return self.value is None
 
 
 def comb_threshold(params: SystemParams, det: Detunings, cap: float,
@@ -301,7 +306,7 @@ def comb_threshold(params: SystemParams, det: Detunings, cap: float,
         params = params.replace(g_m=1.0)
     if imperfect_means(params, det, 1.0).m == 0:
         # the drive cannot pump the magnon at all: no comb at any power
-        return CombThreshold(value=None, cap=cap, bracket=None, probes=())
+        return CombThreshold(value=None, bracket=None, probes=())
 
     probes, info = [], []
 
@@ -320,5 +325,5 @@ def comb_threshold(params: SystemParams, det: Detunings, cap: float,
     bracket = (None if settles(cap)
                else bisect_edge(settles, 0.0, cap, resolution))
     value = None if bracket is None else 0.5 * (bracket[0] + bracket[1])
-    return CombThreshold(value=value, cap=cap, bracket=bracket,
+    return CombThreshold(value=value, bracket=bracket,
                          probes=tuple(probes), probe_info=tuple(info))

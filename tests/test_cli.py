@@ -419,6 +419,32 @@ class TestSweepCommand:
             assert 0 < float(meta[key]) < 1e-3
         assert 1 <= float(meta["filtered_modal_cond_max"]) < 10
 
+    def test_metadata_without_a_filtered_row_parses_as_json(self, tmp_path):
+        # at delta_a = delta_m_eff = 0 every row's filtered stage is refused
+        # for kappa(P), so the filtered maxima have no value
+        args = ["sweep", "--config", "fig2d_magnon", "--workers", "1",
+                "--set", "detuning.delta_a=0", "--set", "detuning.delta_m_eff=0",
+                "--set", "sweep.axis1=gamma_b,10,1e5,3"]
+        csv_out, jsonl_out = tmp_path / "s.csv", tmp_path / "s.jsonl"
+        assert main([*args, "--out", str(csv_out)]) == EXIT_OK
+        assert main([*args, "--format", "jsonl",
+                     "--out", str(jsonl_out)]) == EXIT_OK
+        rows = [ln for ln in csv_out.read_text().splitlines()
+                if not ln.startswith("#")][1:]
+        assert len(rows) == 3
+        assert all(",QuadratureError: drift matrix eigenvector condition "
+                   "number " in row for row in rows)
+        csv_meta, jsonl_meta = read_meta(csv_out, "csv"), read_meta(
+            jsonl_out, "jsonl")
+        assert jsonl_meta["filtered_quad_error_max"] is None
+        # every null and number is written as JSON
+        values = {key: value for key, value in jsonl_meta.items()
+                  if key != "config" and not isinstance(value, (str, list))}
+        assert {"error_rows", "filtered_quad_error_max",
+                "filtered_tail_estimate_max",
+                "filtered_modal_cond_max"} <= set(values)
+        assert {key: json.loads(csv_meta[key]) for key in values} == values
+
     def test_worker_flag_output_identical(self, sweep_config_path, tmp_path):
         out1, out2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
         main(["sweep", "--config", sweep_config_path, "--out", str(out1),
@@ -650,7 +676,7 @@ class TestCombThresholdCommand:
             data = [ln for ln in lines if not ln.startswith("#")]
             assert data[:2] == ["field,value", "gm_cap_hz,6000000"]
             assert data[2] == "comb_threshold_hz,nan"
-            assert meta["bracket_hz"] == "None"
+            assert meta["bracket_hz"] == "null"
         else:
             meta = json.loads(lines[0])["_meta"]
             assert json.loads(lines[1]) == {"field": "gm_cap_hz",
