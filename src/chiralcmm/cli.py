@@ -418,7 +418,8 @@ def preset_config_text(name: str) -> str:
 def write_table(fh, cfg: RunConfig, columns, rows, fmt: str,
                 extra_meta: dict | None = None) -> None:
     """Write the metadata (tool, digest, conventions and ``extra_meta``;
-    tuples are name lists), then the rows, as CSV or JSONL."""
+    tuples are name lists), then the rows, as CSV or JSONL.  In CSV, a
+    null, bool, list or dict metadata value is written as JSON."""
     meta = {"tool": f"chiralcmm {__version__}", "config_sha256": cfg.digest,
             "mode_order": MODE_ORDER, "quadrature_order": QUAD_LABELS,
             **(extra_meta or {})}
@@ -433,7 +434,7 @@ def write_table(fh, cfg: RunConfig, columns, rows, fmt: str,
     for key, value in meta.items():
         if isinstance(value, tuple):
             value = ",".join(value)
-        elif value is None or isinstance(value, (list, dict)):
+        elif value is None or isinstance(value, (bool, list, dict)):
             value = json.dumps(value)
         fh.write(f"# {key} = {value}\n")
     for line in cfg.resolved_text.splitlines():

@@ -16,6 +16,13 @@ code; only the right-hand side is a Python call, and the samples cost no
 right-hand-side calls.  That call writes the derivative into one
 preallocated array and returns it, so ``odeint`` has no list to convert
 per call; the array is overwritten by the next call (see :func:`make_rhs`).
+
+The integrated state is the 8 real components of the five averages, except
+under chiral coupling: with J = 0 and the undriven port's coupling 0, the
+drive never reaches the other circulating mode, which stays empty, and
+only the 6 components of the driven mode, the magnon and the mechanics
+are integrated (:func:`integrated_slots`).  The choice is read from the
+parameters alone.
 """
 
 from __future__ import annotations
@@ -133,9 +140,24 @@ def _fixed_point_scales(params: SystemParams, det: Detunings,
     return np.where(scales > 0, scales, fallback)
 
 
+def integrated_slots(params: SystemParams) -> tuple[int, ...]:
+    """The slots of the real state y = (Re a_cw, Im a_cw, Re a_ccw,
+    Im a_ccw, Re m, Im m, q, p) that :func:`integrate_classical`
+    integrates: all 8, or, when J = 0 and the undriven port's coupling is
+    0, the 6 that leave out the undriven circulating mode.  That mode then
+    starts empty and its derivative is +0.0 whatever the rest of the
+    state, so it stays +0.0 exactly.
+    """
+    cw = params.drive_port == DRIVE_CW
+    if params.J == 0 and (params.g_ccw if cw else params.g_cw) == 0:
+        return (0, 1, 4, 5, 6, 7) if cw else (2, 3, 4, 5, 6, 7)
+    return tuple(range(8))
+
+
 def make_rhs(params: SystemParams, det: Detunings, E: float):
-    """Right-hand side f(t, y) of the classical equations on the real state
-    y = (Re a_cw, Im a_cw, Re a_ccw, Im a_ccw, Re m, Im m, q, p).
+    """Right-hand side f(t, y) of the classical equations on the slots of
+    the real state that :func:`integrated_slots` selects: all 8, or the 6
+    of (driven mode, m, q, p) under chiral coupling.
 
     This is the integration hot loop, so it works on plain floats.  Each
     component repeats, operation for operation, the rounding of the complex
@@ -143,11 +165,15 @@ def make_rhs(params: SystemParams, det: Detunings, E: float):
     g_cw<m>) + E_cw, and so on) and gives the same bits for any finite
     state.  It drops the products with an exact zero part, except the
     0.0*x terms of i*(g_cw<a_cw> + g_ccw<a_ccw>) and the final + 0.0 of
-    the cavity equations, which decide the sign of a zero derivative.
+    the cavity equations, which decide the sign of a zero derivative.  The
+    6-slot form is the 8-slot one at an empty undriven mode (+0.0): there
+    the products with J and with the undriven coupling g_u are the signed
+    zeros 0.0*J and 0.0*g_u, which it keeps as constants, and it gives the
+    same bits as the complex form at the state embedded with +0.0.
 
-    Every call returns the same 8-element float64 array, overwritten by
-    the next call: ``odeint`` copies it into its own buffer at once, but a
-    caller that keeps a derivative (``solve_ivp`` does) must copy it.
+    Every call returns the same float64 array, overwritten by the next
+    call: ``odeint`` copies it into its own buffer at once, but a caller
+    that keeps a derivative (``solve_ivp`` does) must copy it.
     """
     e_cw = E if params.drive_port == DRIVE_CW else 0.0
     e_ccw = E if params.drive_port == DRIVE_CCW else 0.0
@@ -157,8 +183,27 @@ def make_rhs(params: SystemParams, det: Detunings, E: float):
     nar, cai, nmr, cmi = -ca.real, ca.imag, -cm_.real, cm_.imag
     gr, gl, J, gm = params.g_cw, params.g_ccw, params.J, params.g_m
     wb, nwb, gb = params.omega_b, -params.omega_b, params.gamma_b
-    out = np.empty(8)
+    out = np.empty(len(integrated_slots(params)))
     dy = memoryview(out)
+
+    if out.size == 6:
+        g, gu = (gr, gl) if params.drive_port == DRIVE_CW else (gl, gr)
+        zj, zu = 0.0 * J, 0.0 * gu
+
+        def chiral_rhs(_t, y):
+            ar, ai, mr, mi, q, p = y.tolist()
+            w = cmi + gm * q
+            ur = g * ar - 0.0 * ai + zu
+            ui = g * ai + 0.0 * ar + 0.0
+            dy[0] = nar * ar + cai * ai + (zj + g * mi) + E
+            dy[1] = nar * ai - cai * ar - (zj + g * mr) + 0.0
+            dy[2] = nmr * mr + w * mi - (0.0 * ur - ui)
+            dy[3] = nmr * mi - w * mr - (0.0 * ui + ur)
+            dy[4] = wb * p
+            dy[5] = nwb * q - gb * p - gm * (mr * mr + mi * mi)
+            return out
+
+        return chiral_rhs
 
     def rhs(_t, y):
         ar, ai, cr, ci, mr, mi, q, p = y.tolist()
@@ -203,6 +248,17 @@ def integrate_classical(params: SystemParams, det: Detunings, E: float,
     state does, so the rescaling invariance of the dynamics carries over
     to the integrator.
 
+    Only the slots of :func:`integrated_slots` are integrated; under
+    chiral coupling the undriven circulating mode is written as +0.0, as
+    an 8-component run leaves it.  Since the norm is a max over
+    components, its identically zero components never enter the error
+    test, and an Adams run of the 6 components gives the same samples,
+    ``nfev`` and ``nst`` as one of all 8.  A BDF run can differ in
+    round-off: LSODA's finite-difference Jacobian increment depends on the
+    length of the state (the settling fig2b probe at |G_m| = 6 MHz takes
+    the same 3 044 steps with 6 214 right-hand-side calls, against 6 292
+    for all 8 components).
+
     ``stats`` records the right-hand-side calls (``nfev``), the accepted
     steps (``nst``) and whether LSODA switched to its stiff BDF method
     (``used_bdf``), and ``omega_b``, which sets the shortest window
@@ -214,18 +270,21 @@ def integrate_classical(params: SystemParams, det: Detunings, E: float,
     wb = params.omega_b
     if t_end is None:
         t_end = default_horizon(params)
-    atol = ATOL_REL * _fixed_point_scales(params, det, E)
+    slots = list(integrated_slots(params))
+    atol = ATOL_REL * _fixed_point_scales(params, det, E)[slots]
     n_samples = max(int(SAMPLES_PER_PERIOD * t_end * wb / (2 * math.pi)), 200)
     t = np.linspace(0.0, t_end, n_samples)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", ODEintWarning)
-            y, info = odeint(make_rhs(params, det, E), np.zeros(8), t,
-                             rtol=RTOL, atol=atol, mxstep=MXSTEP,
-                             full_output=True, tfirst=True)
+            sol, info = odeint(make_rhs(params, det, E), np.zeros(len(slots)),
+                               t, rtol=RTOL, atol=atol, mxstep=MXSTEP,
+                               full_output=True, tfirst=True)
     except ODEintWarning as exc:
         raise IntegrationError(f"{ODE_METHOD} failed: {exc}") from exc
-    y = y.T
+    y = [np.zeros(n_samples)] * 8
+    for slot, column in zip(slots, sol.T):
+        y[slot] = column
     return Trajectory(
         t=t, a_cw=y[0] + 1j * y[1], a_ccw=y[2] + 1j * y[3],
         m=y[4] + 1j * y[5], q=y[6], p=y[7],

@@ -872,6 +872,22 @@ class TestTrajectoryCommand:
         assert list(first) == sorted(TRAJECTORY_HEADER.split(","))
         assert len(lines) == 1 + traj.t.size
 
+    def test_metadata_parses_as_json(self, monkeypatch, tmp_path):
+        # the run's flag, counts and g_m read the same in CSV as in JSONL
+        self.short_runs(monkeypatch)
+        csv_out, jsonl_out = tmp_path / "t.csv", tmp_path / "t.jsonl"
+        assert main(["trajectory", "--config", "fig2b",
+                     "--out", str(csv_out)]) == EXIT_OK
+        assert main(["trajectory", "--config", "fig2b", "--format", "jsonl",
+                     "--out", str(jsonl_out)]) == EXIT_OK
+        csv_meta, jsonl_meta = read_meta(csv_out, "csv"), read_meta(
+            jsonl_out, "jsonl")
+        values = {key: value for key, value in jsonl_meta.items()
+                  if key != "config" and not isinstance(value, (str, list))}
+        assert {"used_bdf", "nfev", "nst", "g_m_hz"} <= set(values)
+        assert isinstance(values["used_bdf"], bool)
+        assert {key: json.loads(csv_meta[key]) for key in values} == values
+
 
 class TestPresets:
     def test_preset_loads(self, capsys):

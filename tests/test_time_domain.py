@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.integrate import solve_ivp
+from scipy.integrate import odeint, solve_ivp
 
 from chiralcmm.constants import hz
 from chiralcmm.params import DRIVE_CCW, DRIVE_CW, Detunings, SystemParams
@@ -30,6 +30,7 @@ from chiralcmm.time_domain import (
     comb_threshold,
     default_horizon,
     integrate_classical,
+    integrated_slots,
     make_rhs,
 )
 from chiralcmm import presets, time_domain
@@ -121,60 +122,108 @@ class TestIntegration:
 state_component = st.one_of(st.sampled_from([0.0, -0.0]),
                             st.floats(min_value=-1e30, max_value=1e30))
 coupling = st.floats(min_value=-1e9, max_value=1e9)
+# J and the couplings are often a zero of either sign, so that a share of
+# the examples is chiral and takes the 6-slot form
+coupling_or_zero = st.one_of(st.sampled_from([0.0, -0.0]), coupling)
+
+CHIRAL_CW_SLOTS, CHIRAL_CCW_SLOTS = [0, 1, 4, 5, 6, 7], [2, 3, 4, 5, 6, 7]
+
+
+def embedded(y, slots):
+    """The 8-slot state of a state on ``slots``, +0.0 elsewhere."""
+    full = np.zeros(8)
+    full[slots] = y
+    return full
+
+
+def probe(case):
+    """g_m, bare detunings and drive of a short test run: the fig2b comb
+    probe at 9 MHz (cw, chiral), a ccw drive at g_cw = J = 0 (chiral), or
+    a ccw drive with J and g_ccw nonzero, where every coupling term of the
+    right-hand side acts."""
+    if case == "fig2b-9MHz":
+        return fig2b_probe(9e6)
+    pre = presets.get("fig2b")
+    p = pre.params.replace(g_m=1.0, drive_port=DRIVE_CCW)
+    if case == "ccw-chiral":
+        p = p.replace(g_cw=0.0, g_ccw=pre.params.g_cw)
+    else:
+        p = p.replace(J=hz(0.5e6), g_ccw=hz(1.5e6))
+    E = amplitude_for_gm(p, pre.detunings, hz(5e6))
+    return p, precompensated_detunings(p, pre.detunings, E), E
 
 
 class TestRightHandSide:
     @settings(max_examples=300, deadline=None)
     @given(y=st.lists(state_component, min_size=8, max_size=8),
-           J=coupling, g_ccw=coupling,
+           J=coupling_or_zero, g_cw=coupling_or_zero, g_ccw=coupling_or_zero,
            g_m=st.floats(min_value=0.0, max_value=1e3),
            gamma_b=st.floats(min_value=0.0, max_value=1e7),
            delta_a=coupling, delta_m=coupling,
            E=st.floats(min_value=0.0, max_value=1e16),
            port=st.sampled_from([DRIVE_CW, DRIVE_CCW]))
     def test_float_form_matches_complex_form_bitwise(
-            self, y, J, g_ccw, g_m, gamma_b, delta_a, delta_m, E, port):
-        p = SystemParams(J=J, g_ccw=g_ccw, g_m=g_m, gamma_b=gamma_b,
-                         drive_port=port)
+            self, y, J, g_cw, g_ccw, g_m, gamma_b, delta_a, delta_m, E, port):
+        p = SystemParams(J=J, g_cw=g_cw, g_ccw=g_ccw, g_m=g_m,
+                         gamma_b=gamma_b, drive_port=port)
         det = Detunings(delta_a, delta_m, delta_m)
-        y = np.array(y)
-        ours = make_rhs(p, det, E)(0.0, y)
-        oracle = complex_rhs(p, det, E)(0.0, y)
-        assert np.array(ours).tobytes() == np.array(oracle).tobytes()
+        slots = list(integrated_slots(p))
+        if J == 0 and (g_ccw if port == DRIVE_CW else g_cw) == 0:
+            assert slots == (CHIRAL_CW_SLOTS if port == DRIVE_CW
+                             else CHIRAL_CCW_SLOTS)
+        else:
+            assert slots == list(range(8))
+        state = embedded(np.array(y)[slots], slots)
+        ours = make_rhs(p, det, E)(0.0, state[slots])
+        oracle = np.array(complex_rhs(p, det, E)(0.0, state))
+        assert ours.tobytes() == oracle[slots].tobytes()
+        # what makes dropping the undriven mode exact: its derivative at
+        # the embedded state is +0.0
+        dropped = np.delete(oracle, slots)
+        assert np.all(dropped == 0.0) and not np.any(np.signbit(dropped))
 
     def test_every_call_returns_one_buffer(self):
-        p, det, E = fig2b_probe(9e6)
-        rhs, oracle = make_rhs(p, det, E), complex_rhs(p, det, E)
-        y1, y2 = np.random.default_rng(0).normal(size=(2, 8))
-        first = rhs(0.0, y1)
-        kept = first.copy()
-        second = rhs(0.0, y2)
-        assert second is first
-        assert first.dtype == np.float64 and first.shape == (8,)
-        assert kept.tobytes() == np.array(oracle(0.0, y1)).tobytes()
-        assert first.tobytes() == np.array(oracle(0.0, y2)).tobytes()
+        # the chiral form's buffer has 6 entries, the full form's 8
+        for case, size in (("fig2b-9MHz", 6), ("ccw-backscattering", 8)):
+            p, det, E = probe(case)
+            slots = list(integrated_slots(p))
+            rhs, oracle = make_rhs(p, det, E), complex_rhs(p, det, E)
+            y1, y2 = np.random.default_rng(0).normal(size=(2, size))
+            first = rhs(0.0, y1)
+            kept = first.copy()
+            second = rhs(0.0, y2)
+            assert second is first
+            assert first.dtype == np.float64 and first.shape == (size,)
+            assert kept.tobytes() == \
+                np.array(oracle(0.0, embedded(y1, slots)))[slots].tobytes()
+            assert first.tobytes() == \
+                np.array(oracle(0.0, embedded(y2, slots)))[slots].tobytes()
 
-    @pytest.mark.parametrize("case", ["fig2b-9MHz", "ccw-backscattering"])
-    def test_integration_matches_the_list_form(self, case, monkeypatch):
-        # odeint copies each returned derivative before the next call, so
-        # the buffer gives the samples and counts of a fresh list per call
-        if case == "fig2b-9MHz":
-            p, det, E = fig2b_probe(9e6)
-        else:
-            # a ccw drive with J and g_ccw nonzero, so that every coupling
-            # term of the right-hand side acts
-            pre = presets.get("fig2b")
-            p = pre.params.replace(g_m=1.0, J=hz(0.5e6), g_ccw=hz(1.5e6),
-                                   drive_port=DRIVE_CCW)
-            E = amplitude_for_gm(p, pre.detunings, hz(5e6))
-            det = precompensated_detunings(p, pre.detunings, E)
+    @pytest.mark.parametrize("case", ["fig2b-9MHz", "ccw-chiral",
+                                      "ccw-backscattering"])
+    def test_integration_matches_the_list_form(self, case):
+        # an 8-component odeint run of the complex form, with the same grid
+        # and tolerances, gives the samples and counts of integrate_classical
+        # bit for bit: the buffer is copied before the next call, and under
+        # chiral coupling the dropped mode is +0.0 and outside the max norm
+        p, det, E = probe(case)
+        chiral = case != "ccw-backscattering"
+        assert len(integrated_slots(p)) == (6 if chiral else 8)
         ours = integrate_classical(p, det, E, t_end=2e-6)
-        monkeypatch.setattr(time_domain, "make_rhs", complex_rhs)
-        oracle = integrate_classical(p, det, E, t_end=2e-6)
-        for name in ("t", "a_cw", "a_ccw", "m", "q", "p"):
-            assert getattr(ours, name).tobytes() == \
-                getattr(oracle, name).tobytes()
-        assert ours.stats == oracle.stats
+        y, info = odeint(complex_rhs(p, det, E), np.zeros(8), ours.t,
+                         rtol=time_domain.RTOL,
+                         atol=time_domain.ATOL_REL
+                         * _fixed_point_scales(p, det, E),
+                         mxstep=time_domain.MXSTEP, full_output=True,
+                         tfirst=True)
+        y = y.T
+        oracle = {"a_cw": y[0] + 1j * y[1], "a_ccw": y[2] + 1j * y[3],
+                  "m": y[4] + 1j * y[5], "q": y[6], "p": y[7]}
+        for name, value in oracle.items():
+            assert getattr(ours, name).tobytes() == value.tobytes()
+        assert not np.any(info["mused"] == 2)
+        assert (ours.stats["nfev"], ours.stats["nst"]) == \
+            (info["nfe"][-1], info["nst"][-1])
 
 
 def fig2b_probe(target_hz):
@@ -224,18 +273,22 @@ class TestAccuracy:
         traj = integrate_classical(p, det, E)
         start = int(traj.t.size * (1.0 - WINDOW_FRAC))
         scales = _fixed_point_scales(p, det, E)
+        # the oracle integrates the same slots: the empty ccw mode is exact
+        slots = list(integrated_slots(p))
         with np.errstate(over="ignore", invalid="ignore"):  # rejected steps
             # solve_ivp keeps each returned derivative: copy the buffer
             rhs = make_rhs(p, det, E)
             ref = solve_ivp(lambda t, y: rhs(t, y).copy(),
-                            (0.0, traj.t[-1]), np.zeros(8), method="DOP853",
-                            t_eval=traj.t[start:], rtol=1e-13,
-                            atol=1e-13 * scales)
+                            (0.0, traj.t[-1]), np.zeros(len(slots)),
+                            method="DOP853", t_eval=traj.t[start:],
+                            rtol=1e-13, atol=1e-13 * scales[slots])
         assert ref.success
+        ref_y = np.zeros((8, ref.t.size))
+        ref_y[slots] = ref.y
         ours = np.stack([traj.a_cw.real, traj.a_cw.imag, traj.a_ccw.real,
                          traj.a_ccw.imag, traj.m.real, traj.m.imag, traj.q,
                          traj.p])[:, start:]
-        assert np.max(np.abs(ours - ref.y) / scales[:, None]) <= 2e-7
+        assert np.max(np.abs(ours - ref_y) / scales[:, None]) <= 2e-7
 
 
 class TestClassification:
