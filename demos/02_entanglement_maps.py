@@ -22,7 +22,7 @@ print(pre.description, "-", "grid:",
       " x ".join(str(ax.num) for ax in pre.sweep.axes))
 
 result = run_sweep(pre.params, pre.detunings, pre.sweep)
-t = {name: np.array(column) for name, column in result.table.items()}
+t = result.table                      # column name -> numpy array
 
 wb = pre.params.omega_b
 best = np.argmax(np.where(t["stable"] == 1, t["en_a_cw_m"], -1))

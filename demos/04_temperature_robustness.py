@@ -8,17 +8,15 @@ and residual coupling chi = 0.1, the microwave-magnon entanglement survives
 to roughly 125 mK and the microwave-phonon one to roughly 163 mK.
 """
 
-import numpy as np
-
 from chiralcmm import presets
 from chiralcmm.pipeline import run_sweep
 
 for name, column in (("fig5a", "en_a_cw_m"), ("fig5b", "en_a_cw_b")):
     pre = presets.get(name, grid_points=26)
     res = run_sweep(pre.params, pre.detunings, pre.sweep)
-    cw = np.array(res.table["drive_port"]) == "cw"
-    temps = np.array(res.table["temperature"])[cw]
-    values = np.array(res.table[column])[cw]
+    cw = res.table["drive_port"] == "cw"
+    temps = res.table["temperature"][cw]
+    values = res.table[column][cw]
     alive = temps[values > 0]
     print(f"{name}: {column}")
     for T, E in zip(temps[::5], values[::5]):

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__, presets
+from . import __version__, linear_model, measures, presets, time_domain
 from .constants import hz, to_hz
 from .linear_model import (
     MODE_ORDER,
@@ -515,6 +515,16 @@ def cmd_steady(cfg: RunConfig, args) -> int:
                          _branch_meta(cfg, sf.meta.get("branches")))
 
 
+def _measure_thresholds() -> dict:
+    """The thresholds that decide a point's ``stable``, whether its
+    covariance is physical, where E_N is zero and which residual contangles
+    count as monogamy violations, read from their modules."""
+    return {"stability_margin": linear_model.STABILITY_MARGIN,
+            "physical_slack": measures.PHYSICAL_SLACK,
+            "clip_tol": measures.CLIP_TOL,
+            "violation_tol": measures.VIOLATION_TOL}
+
+
 def cmd_entangle(cfg: RunConfig, args) -> int:
     row = evaluate_point(cfg.params, cfg.detunings,
                          MeasureRequest(filter_spec=cfg.filter_spec))
@@ -530,7 +540,7 @@ def cmd_entangle(cfg: RunConfig, args) -> int:
         diagnostics = {name: row[name] for name in FILTERED_COLUMNS[2:]
                        if name in row}
     return _write_result(args, cfg, columns, rows,
-                         {"stable": stable,
+                         {"stable": stable, **_measure_thresholds(),
                           **_branch_meta(cfg, row.get("branches")),
                           **diagnostics})
 
@@ -581,6 +591,7 @@ def cmd_trajectory(cfg: RunConfig, args) -> int:
     ]).tolist()
     return _write_result(args, cfg, columns, rows,
                          {"g_m_hz": to_hz(params.g_m), **_ODE_META,
+                          "horizon_s": time_domain.default_horizon(params),
                           **{k: traj.stats[k]
                              for k in ("nfev", "nst", "used_bdf")}})
 
@@ -600,8 +611,14 @@ def cmd_comb_threshold(cfg: RunConfig, args) -> int:
               for (target, kind, realized), info
               in zip(res.probes, res.probe_info)]
     bracket = None if res.bracket is None else [to_hz(g) for g in res.bracket]
+    # the horizon of every probe, and the analysis window and tolerance
+    # that decide each probe's kind
     return _write_result(args, cfg, columns, rows,
-                         {**_ODE_META, "resolution_hz": args.resolution,
+                         {**_ODE_META,
+                          "horizon_s": time_domain.default_horizon(cfg.params),
+                          "window_frac": time_domain.WINDOW_FRAC,
+                          "steady_tol": time_domain.STEADY_TOL,
+                          "resolution_hz": args.resolution,
                           "bracket_hz": bracket, "probes": probes})
 
 

@@ -15,17 +15,17 @@ driven through each port.
 
 A sweep lists its rows in a fixed order: row-major over the grid (the last
 axis varies fastest), clockwise drive before counter-clockwise at each grid
-point.  It cuts that list into contiguous blocks of BLOCK_POINTS rows.
-``workers > 1`` maps whole blocks onto a pool of threads in this process; a
-sweep of one block runs in the calling thread.  The result is the same for
-any worker count.
+point.  It cuts that list into contiguous blocks of BLOCK_POINTS rows,
+which the calling thread and ``workers - 1`` pool threads of this process
+take in turn from one shared queue.  The result is the same for any worker
+count.
 
-Every result is one table: column name -> list with one entry per point.
-A block's table holds the written columns of a sweep and the diagnostic
-columns computed on the way (:func:`sweep_columns`).  ``evaluate_point``
-returns the one row of its table as a dict, column name -> value, and each
-sweep metadata key is one reduction of one column over the joined table
-(SWEEP_META).
+Every result is one table: column name -> numpy array with one entry per
+point.  A block's table holds the written columns of a sweep and the
+diagnostic columns computed on the way (:func:`sweep_columns`).
+``evaluate_point`` returns the one row of its table as a dict, column name
+-> Python scalar, and each sweep metadata key is one reduction of one
+column over the joined table (SWEEP_META).
 
 A block that meets a known numerical condition (a
 :class:`~chiralcmm.params.NumericalCondition`: singular or overflowing
@@ -33,15 +33,17 @@ mean field, invalid covariance, quadrature failure, a refused Lyapunov
 solve) is split
 in halves until each failing point stands alone; those rows carry
 ``"<Type>: <message>"`` in ``error`` and NaN in every value column, and
-the others are unaffected.  Any other exception is a bug and fails the
+the others are unaffected.  A column of ints or bools that meets such a
+NaN is joined as an array of Python objects, so that ``stable`` reads 1 or
+0, or NaN, and never 1.0.  Any other exception is a bug and fails the
 sweep; input errors are refused before a sweep starts.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,7 +97,7 @@ def evaluate_point(params: SystemParams, det: Detunings,
     one point, so the values equal those of the point's row in a sweep."""
     table = _evaluate(params, det, request or MeasureRequest(), (),
                       np.empty((1, 0)), np.array([params.drive_port]))
-    return {name: column[0] for name, column in table.items()}
+    return {name: column.tolist()[0] for name, column in table.items()}
 
 
 def _column(prefix: str, modes) -> str:
@@ -139,7 +141,7 @@ def _evaluate(params: SystemParams, det: Detunings, request: MeasureRequest,
               axes: tuple, values: np.ndarray, ports: np.ndarray) -> dict:
     """The value columns (see :func:`sweep_columns`) of the points
     ``params``/``det`` with ``axes`` set to the rows of ``values``, each
-    driven through its entry of ``ports``: column name -> list with one
+    driven through its entry of ``ports``: column name -> array with one
     entry per point."""
     n = len(ports)
     P, dets = params.stacked(n).replace(drive_port=ports), det.stacked(n)
@@ -153,13 +155,12 @@ def _evaluate(params: SystemParams, det: Detunings, request: MeasureRequest,
     ok = model.stable
     V = solve_lyapunov(model.A[ok], model.D[ok], gated=True)
 
-    def at_stable(x, fill=np.nan) -> list:
+    def at_stable(x, fill=np.nan) -> np.ndarray:
         out = np.full(n, fill, dtype=np.asarray(x).dtype)
         out[ok] = x
-        return out.tolist()
+        return out
 
-    table = {"stable": ok.astype(int).tolist(),
-             "abs_g_m_eff": np.abs(steady.g_m_eff).tolist()}
+    table = {"stable": ok.astype(int), "abs_g_m_eff": np.abs(steady.g_m_eff)}
     for pair in request.pairs:
         table[_column("en", pair)] = at_stable(
             log_negativity(extract_block(V, pair)))
@@ -170,14 +171,13 @@ def _evaluate(params: SystemParams, det: Detunings, request: MeasureRequest,
         several_below = several_below | np.any(report.below_half > 1, axis=-1)
         violations = violations + np.sum(report.residuals < -VIOLATION_TOL,
                                          axis=-1)
-    table.update(abscissa=model.abscissa.tolist(),
-                 g_m_eff=steady.g_m_eff.tolist(),
+    table.update(abscissa=model.abscissa, g_m_eff=steady.g_m_eff,
                  unphysical=at_stable(~is_physical(V), False),
                  several_below_half=at_stable(several_below, False))
     if request.triples:
         table["monogamy_violations"] = at_stable(violations, 0)
     if params.detuning_mode == DETUNING_PHYSICAL:
-        table["branches"] = steady.meta["branches"].tolist()
+        table["branches"] = steady.meta["branches"]
 
     if request.filter_spec is not None:
         cm, diagnostics = filtered_pair_cm(model.A[ok], V, P.at(ok),
@@ -206,7 +206,7 @@ def nonreciprocity_contrast(params: SystemParams, det: Detunings,
                              triples=() if pair else (partition,))
     table = _evaluate(params, det, request, (), np.empty((2, 0)),
                       np.array([DRIVE_CW, DRIVE_CCW]))
-    e1, e2 = table[_column("en" if pair else "rmin", partition)]
+    e1, e2 = table[_column("en" if pair else "rmin", partition)].tolist()
     if e1 + e2 == 0.0:
         return 0.0
     return (e1 - e2) / (e1 + e2)
@@ -322,14 +322,17 @@ class SweepSpec:
 @dataclass(frozen=True)
 class SweepResult:
     columns: tuple       # the written columns, in order
-    table: dict          # column name -> one entry per row (see evaluate_block)
+    table: dict          # column name -> array, one entry per row
     # sweep-level reductions of the diagnostic columns (see run_sweep)
     meta: dict = field(default_factory=dict, compare=False)
 
     def rows(self):
-        """An iterator over the rows: the written columns, one tuple per row.
-        It builds no row list, so a writer holds the table only."""
-        return zip(*(self.table[name] for name in self.columns))
+        """An iterator over the rows: the written columns, one tuple of
+        Python scalars per row.  It converts the columns one BLOCK_POINTS
+        slice at a time, so a writer holds the table and one slice."""
+        columns = [self.table[name] for name in self.columns]
+        for i in range(0, len(columns[0]), BLOCK_POINTS):
+            yield from zip(*(c[i:i + BLOCK_POINTS].tolist() for c in columns))
 
 
 def grid_rows(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -367,27 +370,36 @@ SWEEP_META = {
 }
 
 
+def _join(parts) -> np.ndarray:
+    """One column of several tables, in order, as a new array.  Parts of
+    different dtypes (an int or bool column and an error row's NaN) are
+    joined as Python objects, so that each entry keeps its type."""
+    if len({part.dtype for part in parts}) > 1:
+        return np.concatenate(parts, dtype=object)
+    return np.concatenate(parts)
+
+
 def evaluate_block(params: SystemParams, det: Detunings, spec: SweepSpec,
                    values: np.ndarray, ports: np.ndarray) -> dict:
     """The table of the sweep points given by ``values`` and ``ports`` (as
-    from :func:`grid_rows`): column name -> list with one entry per point.
+    from :func:`grid_rows`): column name -> array with one entry per point.
     The columns are those of :func:`sweep_columns`, in its order; ``error``
-    is "" where the point evaluated.  A point that fails alone has NaN in
-    every value column."""
+    (an array of str objects) is "" where the point evaluated.  A point that
+    fails alone has NaN in every value column."""
     names = list(itertools.chain(*sweep_columns(spec, params.detuning_mode)))
     try:
         table = _evaluate(params, det, spec.request, spec.axes, values, ports)
-        error = [""] * len(ports)
+        error = np.full(len(ports), "", dtype=object)
     except NumericalCondition as exc:
         if len(ports) > 1:
             half = len(ports) // 2
             head = evaluate_block(params, det, spec, values[:half], ports[:half])
             tail = evaluate_block(params, det, spec, values[half:], ports[half:])
-            return {name: head[name] + tail[name] for name in names}
-        table = {name: [np.nan] for name in names}
-        error = [f"{type(exc).__name__}: {exc}"]
-    table.update(zip((ax.name for ax in spec.axes), values.T.tolist()),
-                 drive_port=ports.tolist(), error=error)
+            return {name: _join([head[name], tail[name]]) for name in names}
+        table = {name: np.full(1, np.nan) for name in names}
+        error = np.array([f"{type(exc).__name__}: {exc}"], dtype=object)
+    table.update(zip((ax.name for ax in spec.axes), values.T),
+                 drive_port=ports, error=error)
     return {name: table[name] for name in names}
 
 
@@ -395,18 +407,21 @@ def run_sweep(params: SystemParams, det: Detunings, spec: SweepSpec,
               workers: int = 1) -> SweepResult:
     """Evaluate the grid; deterministic row order regardless of worker count.
 
-    ``table`` joins the block tables of :func:`evaluate_block`, and each
-    ``meta`` key is one reduction of one of its columns (SWEEP_META): the
-    counts of rows whose covariance fails :func:`is_physical`, of rows where
-    a 1|2 partial transpose had more than one symplectic eigenvalue below
-    1/2, and of rows with an in-row error.  A sweep in the physical
-    detuning mode adds the count of rows whose mean field has several
-    branches.  A filtered sweep adds the largest quadrature error estimate,
-    tail estimate and modal condition number of its filtered rows.
+    ``table`` joins the block tables of :func:`evaluate_block` into one
+    array per column, and each ``meta`` key is one reduction of one of its
+    columns (SWEEP_META): the counts of rows whose covariance fails
+    :func:`is_physical`, of rows where a 1|2 partial transpose had more
+    than one symplectic eigenvalue below 1/2, and of rows with an in-row
+    error.  A sweep in the physical detuning mode adds the count of rows
+    whose mean field has several branches.  A filtered sweep adds the
+    largest quadrature error estimate, tail estimate and modal condition
+    number of its filtered rows.
 
-    ``workers > 1`` evaluates the blocks on that many threads of this
-    process.  Most of a block's time is spent in numpy's stacked LAPACK
-    calls, which release the GIL: the ``eigvals`` of
+    The blocks wait in one queue.  The calling thread takes them in turn,
+    beside ``workers - 1`` threads of this process that do the same (none
+    for one worker or one block), and each block's table goes to its place
+    in row order.  Most of a block's time is spent in numpy's stacked
+    LAPACK calls, which release the GIL: the ``eigvals`` of
     :func:`linear_model.is_stable` and the batched solves of the Lyapunov
     system.  The rest of a block is Python that holds the GIL; that share
     caps the speed-up (1 -> 2 workers: medians of 1.55x and 1.8x over two
@@ -414,25 +429,50 @@ def run_sweep(params: SystemParams, det: Detunings, spec: SweepSpec,
     scaling on hosts with many cores.  Blocks must not call ``odeint``:
     ODEPACK keeps its state in Fortran common blocks and is not re-entrant.
     If a block raises an exception other than a NumericalCondition, or the
-    caller is interrupted (Ctrl-C), the blocks that have not started are
-    cancelled and the exception propagates once the running ones end.
+    caller is interrupted (Ctrl-C), the queue is emptied, so that no
+    further block starts, and the exception propagates once the running
+    blocks end.
     """
     values, ports = grid_rows(spec)
     starts = range(0, len(ports), BLOCK_POINTS)
-    blocks = ([values[i:i + BLOCK_POINTS] for i in starts],
-              [ports[i:i + BLOCK_POINTS] for i in starts])
-    evaluate = functools.partial(evaluate_block, params, det, spec)
-    workers = min(workers, len(starts))
-    if workers <= 1:
-        tables = list(map(evaluate, *blocks))
-    else:
-        pool = ThreadPoolExecutor(max_workers=workers)
+    tables = [None] * len(starts)
+    waiting = deque(range(len(starts)))
+    lock = threading.Lock()
+
+    failures = []
+
+    def work():
         try:
-            tables = list(pool.map(evaluate, *blocks))
-        finally:
-            pool.shutdown(cancel_futures=True)
-    table = {name: list(itertools.chain.from_iterable(t[name] for t in tables))
-             for name in tables[0]}
+            while True:
+                with lock:
+                    if not waiting:
+                        return
+                    k = waiting.popleft()
+                rows = slice(starts[k], starts[k] + BLOCK_POINTS)
+                tables[k] = evaluate_block(params, det, spec, values[rows],
+                                           ports[rows])
+        except BaseException as exc:
+            with lock:
+                waiting.clear()
+            failures.append(exc)
+
+    helpers = [threading.Thread(target=work)
+               for _ in range(min(workers, len(starts)) - 1)]
+    for thread in helpers:
+        thread.start()
+    try:
+        work()
+    finally:
+        with lock:          # also when Ctrl-C ends the wait for the helpers
+            waiting.clear()
+        for thread in helpers:
+            thread.join()
+    if failures:
+        raise failures[0]
+    # pop each block's column as it is joined, so that the join holds one
+    # copy of the table and one column more
+    table = {name: _join([t.pop(name) for t in tables])
+             for name in list(tables[0])}
     meta = {key: reduce(table[name])
             for key, (name, reduce) in SWEEP_META.items() if name in table}
     columns, _ = sweep_columns(spec, params.detuning_mode)

@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chiralcmm import cli, pipeline, presets, time_domain
+from chiralcmm import (cli, linear_model, measures, pipeline, presets,
+                       time_domain)
 from chiralcmm.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -351,6 +352,23 @@ class TestEntangleCommand:
         assert 1 <= float(meta["filtered_modal_cond"]) < 10
         assert "filtered_magnon_commutator" not in meta
         assert "magnon_convention" not in meta
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_thresholds_in_metadata(self, fmt, monkeypatch, tmp_path):
+        # each threshold is read from its module when the command runs:
+        # doubled here, the written value follows
+        thresholds = {"stability_margin": (linear_model, "STABILITY_MARGIN"),
+                      "physical_slack": (measures, "PHYSICAL_SLACK"),
+                      "clip_tol": (measures, "CLIP_TOL"),
+                      "violation_tol": (measures, "VIOLATION_TOL")}
+        for module, name in thresholds.values():
+            monkeypatch.setattr(module, name, 2 * getattr(module, name))
+        out = tmp_path / f"ent.{fmt}"
+        assert main(["entangle", "--config", "fig2b", "--format", fmt,
+                     "--out", str(out)]) == EXIT_OK
+        meta = read_meta(out, fmt)
+        for key, (module, name) in thresholds.items():
+            assert float(meta[key]) == getattr(module, name)
 
     def test_no_filtered_diagnostics_without_a_filter(self, tmp_path):
         assert not any(key.startswith("filtered_")
@@ -695,6 +713,23 @@ class TestCombThresholdCommand:
         assert probe["used_bdf"] is True
         assert 0 <= probe["variation"] < time_domain.STEADY_TOL
 
+    def test_probe_thresholds_in_metadata(self, monkeypatch, tmp_path):
+        # the horizon, window and tolerance that decide a probe's kind are
+        # read from time_domain when the command runs: changed here, the
+        # written values follow
+        monkeypatch.setattr(time_domain, "SETTLING_PERIODS", 150)
+        monkeypatch.setattr(time_domain, "WINDOW_FRAC", 0.25)
+        monkeypatch.setattr(time_domain, "STEADY_TOL", 2e-3)
+        out = tmp_path / "comb.csv"
+        argv = ["comb-threshold", "--config", "fig2b", "--gm-cap", "6e6",
+                "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        meta = read_meta(out, "csv")
+        params = load_config(cli.build_parser().parse_args(argv)).params
+        assert float(meta["horizon_s"]) == time_domain.default_horizon(params)
+        assert float(meta["window_frac"]) == 0.25
+        assert float(meta["steady_tol"]) == 2e-3
+
     def test_bracket_in_metadata(self, tmp_path):
         # a resolution wider than the cap: the one oscillatory probe at the
         # cap leaves the bracket [0, cap], and its midpoint is the threshold
@@ -868,6 +903,10 @@ class TestTrajectoryCommand:
         assert meta["g_m_hz"] == to_hz(presets.inferred_g_m())
         assert meta["nfev"] == traj.stats["nfev"] > 0
         assert meta["ode_method"] == "LSODA" and meta["ode_start"] == "zero"
+        # the horizon of the command's own run (this test shortens it)
+        params = load_config(cli.build_parser().parse_args(
+            ["trajectory", "--config", "fig2b"])).params
+        assert meta["horizon_s"] == time_domain.default_horizon(params)
         first = json.loads(lines[1])
         assert list(first) == sorted(TRAJECTORY_HEADER.split(","))
         assert len(lines) == 1 + traj.t.size

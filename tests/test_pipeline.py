@@ -5,7 +5,9 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -49,6 +51,10 @@ def _extract_with_b(V, modes):
     """``extract_block`` with the mode b added to every partition: a pair
     becomes a 6x6 block, a wrong shape for log_negativity."""
     return extract_block(V, (*modes, "b"))
+
+
+#: the run config that write_table needs, for tables written in memory
+_CFG = SimpleNamespace(digest="test", filter_spec=None, resolved_text="")
 
 
 def magnon_point():
@@ -188,26 +194,94 @@ class TestSweep:
     def test_row_order_cw_before_ccw(self):
         p, det, spec = self.spec(ports=("ccw", "cw"))
         res = run_sweep(p, det, spec)
-        assert res.table["drive_port"] == ["cw", "ccw"] * 3
+        assert res.table["drive_port"].tolist() == ["cw", "ccw"] * 3
 
     @staticmethod
-    def error_case():
+    def error_case(n=3):
         """(params, detunings, spec) of a sweep whose first row fails: at
         g_cw = g_ccw = J = 0 the drive port does not pump the magnon."""
         pre = presets.get("fig3a")
         return (pre.params.replace(g_ccw=0.0, J=0.0), pre.detunings,
-                SweepSpec(axes=(SweepAxis("g_cw", 0.0, hz(1e6), 3),),
+                SweepSpec(axes=(SweepAxis("g_cw", 0.0, hz(1e6), n),),
                           request=MeasureRequest(pairs=(("a_cw", "m"),),
                                                  triples=())))
 
     def test_identical_results_across_worker_counts(self, monkeypatch):
-        monkeypatch.setattr(pipeline, "BLOCK_POINTS", 2)   # two blocks each
-        for p, det, spec in (self.spec(n=4), self.error_case()):
-            serial = run_sweep(p, det, spec, workers=1)
-            parallel = run_sweep(p, det, spec, workers=2)
-            np.testing.assert_equal(parallel.table, serial.table)  # NaN == NaN
-            assert parallel.columns == serial.columns
-            assert serial.meta == parallel.meta
+        monkeypatch.setattr(pipeline, "BLOCK_POINTS", 2)   # four blocks
+        for errors, (p, det, spec) in ((False, self.spec(n=7)),
+                                       (True, self.error_case(n=7))):
+            results = [run_sweep(p, det, spec, workers=w) for w in (1, 2, 3)]
+            jsonl = []
+            for res in results:
+                fh = io.StringIO()
+                write_table(fh, _CFG, res.columns, res.rows(), "jsonl",
+                            res.meta)
+                jsonl.append(fh.getvalue())
+            serial = results[0]
+            stable = serial.table["stable"].tolist()
+            assert all(type(v) is int or np.isnan(v) for v in stable)
+            assert (serial.meta["error_rows"] > 0) == errors
+            # JSONL writes an int column as 1 or 0, and NaN as null
+            assert ('"stable": null' in jsonl[0]) == errors
+            assert '"stable": 1}' in jsonl[0]
+            assert '"stable": 1.0' not in jsonl[0]
+            for res, text in zip(results[1:], jsonl[1:]):
+                assert res.columns == serial.columns
+                assert res.meta == serial.meta
+                assert {name: _bits(column) for name, column in
+                        _lists(res.table).items()} \
+                    == {name: _bits(column) for name, column in
+                        _lists(serial.table).items()}
+                assert text == jsonl[0]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_the_caller_is_one_of_the_workers(self, monkeypatch, workers):
+        # workers = k adds k - 1 threads to the calling one, which takes
+        # blocks too
+        p, det, spec = self.spec(n=6)
+        monkeypatch.setattr(pipeline, "BLOCK_POINTS", 1)   # six blocks
+        caller = threading.get_ident()
+        threads_before = threading.active_count()
+        idents, counts = [], []
+
+        def recording(*args):
+            idents.append(threading.get_ident())
+            counts.append(threading.active_count())
+            time.sleep(0.005)           # so that every thread finds a block
+            return evaluate_block(*args)
+
+        monkeypatch.setattr(pipeline, "evaluate_block", recording)
+        run_sweep(p, det, spec, workers=workers)
+        assert len(idents) == 6 and caller in idents
+        assert len(set(idents) - {caller}) <= workers - 1
+        assert max(counts) <= threads_before + workers - 1
+        assert threading.active_count() == threads_before
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, TypeError])
+    def test_error_in_a_block_of_the_caller_starts_no_further_block(
+            self, monkeypatch, error):
+        p, det, spec = self.spec(n=40)
+        monkeypatch.setattr(pipeline, "BLOCK_POINTS", 1)   # 40 blocks
+        caller = threading.get_ident()
+        threads_before = threading.active_count()
+        started = []
+
+        def caller_fails(*args):
+            started.append(threading.get_ident())
+            if threading.get_ident() == caller:
+                raise error("in a block of the calling thread")
+            time.sleep(0.01)
+            return evaluate_block(*args)
+
+        monkeypatch.setattr(pipeline, "evaluate_block", caller_fails)
+        with pytest.raises(error, match="calling thread"):
+            run_sweep(p, det, spec, workers=2)
+        # the pool thread ended its block before the error propagated
+        assert threading.active_count() == threads_before
+        assert started.count(caller) == 1 and len(started) < 40
+        done = len(started)
+        time.sleep(0.05)
+        assert len(started) == done        # no block ran after the raise
 
     def test_blocks_run_in_this_process(self, monkeypatch):
         p, det, spec = self.spec(n=6)
@@ -366,6 +440,12 @@ def _bits(row):
     return [repr(float(v)) if isinstance(v, float) else repr(v) for v in row]
 
 
+def _lists(table) -> dict:
+    """A table with each column as a list of Python scalars, as a writer
+    gets its rows."""
+    return {name: column.tolist() for name, column in table.items()}
+
+
 def _single_point_row(pre, values, port) -> dict:
     """The sweep row of one grid point, from evaluate_point: column name ->
     value, the axis values, the port and the error added.  A point that
@@ -440,8 +520,10 @@ class TestBlockEngine:
         head = evaluate_block(*args, values[idx[:cut]], ports[idx[:cut]])
         tail = evaluate_block(*args, values[idx[cut:]], ports[idx[cut:]])
         assert list(head) == list(tail) == list(whole)
+        whole = _lists(whole)
         for name, column in whole.items():
-            assert _bits(head[name] + tail[name]) == _bits(column)
+            assert _bits(head[name].tolist() + tail[name].tolist()) \
+                == _bits(column)
         # evaluate_point returns the value columns, diagnostics included
         for k, i in enumerate(idx):
             expected = _single_point_row(pre, values[i], str(ports[i]))
@@ -456,7 +538,8 @@ class TestBlockEngine:
         spec = replace(pre.sweep, axes=(
             SweepAxis("gm_abs", hz(4e6), hz(14e6), 4),))
         values, ports = grid_rows(spec)
-        block = evaluate_block(pre.params, pre.detunings, spec, values, ports)
+        block = _lists(evaluate_block(pre.params, pre.detunings, spec,
+                                      values, ports))
         assert block["stable"] == [1, 1, 0, 0]
         for k, (value, port) in enumerate(zip(values[:, 0], ports)):
             p = pre.params.replace(drive=DriveSpec("gm_abs", value),
@@ -479,11 +562,12 @@ class TestBlockEngine:
         res = run_sweep(p, pre.detunings, spec)
         values, ports = grid_rows(spec)
         assert res.meta["error_rows"] == 0
+        table = _lists(res.table)
         for i, (v, port) in enumerate(zip(values, ports)):
             expected = _single_point_row(pre, v, str(port))
-            assert set(expected) == set(res.table)
-            assert _bits(res.table[name][i] for name in res.table) \
-                == _bits(expected[name] for name in res.table)
+            assert set(expected) == set(table)
+            assert _bits(table[name][i] for name in table) \
+                == _bits(expected[name] for name in table)
 
     def test_physical_mode_drift_sees_the_dispersive_shift(self, monkeypatch):
         # the drift is built at the self-consistent delta_m_eff, not at the
@@ -595,7 +679,7 @@ class TestBlockEngine:
     def test_meta_is_one_reduction_per_column(self, case):
         p, det, spec = self._meta_case(case)
         res = run_sweep(p, det, spec)
-        t = res.table
+        t = _lists(res.table)
         assert list(t) == list(itertools.chain(*sweep_columns(
             spec, p.detuning_mode)))
         expected = {
@@ -631,18 +715,43 @@ class TestBlockEngine:
         monkeypatch.setattr(pipeline, "BLOCK_POINTS", 128)
         assert 23 * 23 > 2 * pipeline.BLOCK_POINTS    # at least three blocks
 
-        class _Cfg:
-            digest = "test"
-            filter_spec = None
-            resolved_text = ""
-
         def table(workers):
             res = run_sweep(pre.params, pre.detunings, pre.sweep, workers=workers)
             buf = io.StringIO()
-            write_table(buf, _Cfg(), res.columns, res.rows(), "csv", res.meta)
+            write_table(buf, _CFG, res.columns, res.rows(), "csv", res.meta)
             return buf.getvalue().encode()
 
         assert table(1) == table(2)
+
+
+class TestMemory:
+    def test_table_holds_arrays_and_the_sweep_one_block(self):
+        # a 45 x 45 fig2a map is four blocks.  Its table retains about 86 B
+        # a row (8 B a float, 16 a complex, 12 the port, 8 the error
+        # reference); Python lists took about 300.  The sweep's peak is one
+        # block's working memory and the table, so nothing of a block
+        # outlives it but its rows.
+        pre = presets.get("fig2a", grid_points=45)
+        values, ports = grid_rows(pre.sweep)
+        assert 3 * pipeline.BLOCK_POINTS < len(ports) \
+            <= 4 * pipeline.BLOCK_POINTS
+        block = values[:pipeline.BLOCK_POINTS], ports[:pipeline.BLOCK_POINTS]
+        args = (pre.params, pre.detunings, pre.sweep)
+        evaluate_block(*args, *block)          # warm every lazy cache
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            evaluate_block(*args, *block)
+            block_peak = tracemalloc.get_traced_memory()[1] - start
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            res = run_sweep(*args, workers=1)
+            held, peak = (m - start for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert len(res.table["error"]) == len(ports)
+        assert held / len(ports) < 150
+        assert peak < block_peak + held
 
 
 def _mirrored(column):
