@@ -560,7 +560,8 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     if workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {workers}")
     result = run_sweep(cfg.params, cfg.detunings, cfg.sweep, workers=workers)
-    return _write_result(args, cfg, result.columns, result.rows(), result.meta)
+    return _write_result(args, cfg, result.columns, result.rows(),
+                         {**result.meta, **_measure_thresholds()})
 
 
 #: the classical ODE's start state, integrator and tolerances, written to
@@ -631,7 +632,9 @@ def cmd_stability_edge(cfg: RunConfig, args) -> int:
         rows.append(("note", "stable up to cap"))
     else:
         rows.append(("max_stable_gm_hz", to_hz(edge)))
-    return _write_result(args, cfg, columns, rows)
+    # the margin that decides whether a scanned |G_m| is stable
+    return _write_result(args, cfg, columns, rows,
+                         {"stability_margin": linear_model.STABILITY_MARGIN})
 
 
 # ---------------------------------------------------------------------------

@@ -191,14 +191,13 @@ def log_negativity(V4: np.ndarray):
     return float(e_n) if e_n.ndim == 0 else e_n
 
 
-def _one_vs_two(V6: np.ndarray, single: int):
-    """E across the 1|2 split and the number of symplectic eigenvalues of the
-    partial transpose below 1/2, per matrix.  E is zero unless an eigenvalue
-    counts as below 1/2 (by more than CLIP_TOL): roundoff about 1/2 is no
+def _one_vs_two(V6: np.ndarray, single: int) -> np.ndarray:
+    """E across the 1|2 split, per matrix: -ln 2 nu_1 with nu_1 the smallest
+    symplectic eigenvalue of the partial transpose, zero unless nu_1 falls
+    below 1/2 by more than CLIP_TOL: roundoff about 1/2 is no
     entanglement."""
-    nu = symplectic_eigenvalues(partial_transpose(V6, [single]))
-    below = np.sum(nu < 0.5 - CLIP_TOL, axis=-1)
-    return np.where(below > 0, -np.log(2.0 * nu[..., 0]), 0.0), below
+    nu = symplectic_eigenvalues(partial_transpose(V6, [single]))[..., 0]
+    return np.where(nu < 0.5 - CLIP_TOL, -np.log(2.0 * nu), 0.0)
 
 
 @dataclass(frozen=True)
@@ -210,9 +209,6 @@ class ContangleReport:
     # (..., 3): C_{i|jk} - C_{i|j} - C_{i|k} for focus mode i, signed; a
     # value below -VIOLATION_TOL is a monogamy violation
     residuals: np.ndarray
-    # (..., 3): symplectic eigenvalues below 1/2 of the 1|2 partial
-    # transpose for focus mode i; above 1, the 1|2 value is a lower bound
-    below_half: np.ndarray
 
 
 def residual_contangle_min(V6: np.ndarray) -> ContangleReport:
@@ -224,6 +220,12 @@ def residual_contangle_min(V6: np.ndarray) -> ContangleReport:
     reported measure is the minimum over the three focus choices, floored
     at zero.  Negative residuals (monogamy violations) are kept in
     ``residuals`` rather than raised.
+
+    C_{i|jk} comes from the smallest symplectic eigenvalue of the partial
+    transpose alone: for a 1 x N split of a Gaussian state, at most one
+    symplectic eigenvalue of the partial transpose lies below 1/2 beyond
+    roundoff (A. Serafini, PRL 96, 110402 (2006); G. Adesso and
+    F. Illuminati, J. Phys. A 40, 7821 (2007)).
     """
     V6 = _matrices(V6, 6, "residual contangle expects a 6x6 matrix")
 
@@ -235,16 +237,14 @@ def residual_contangle_min(V6: np.ndarray) -> ContangleReport:
     for i, j in ((0, 1), (0, 2), (1, 2)):
         # E_N is symmetric under swapping the two modes
         pairwise[(i, j)] = pairwise[(j, i)] = log_negativity(pair_cm(i, j)) ** 2
-    residuals, below_half = [], []
+    residuals = []
     for i in range(3):
         j, k = [x for x in range(3) if x != i]
-        e, below = _one_vs_two(V6, i)
-        residuals.append(e ** 2 - pairwise[(i, j)] - pairwise[(i, k)])
-        below_half.append(below)
+        residuals.append(_one_vs_two(V6, i) ** 2 - pairwise[(i, j)]
+                         - pairwise[(i, k)])
     residuals = np.stack(residuals, axis=-1)
     return ContangleReport(r_min=_floor_at_zero(np.min(residuals, axis=-1)),
-                           residuals=residuals,
-                           below_half=np.stack(below_half, axis=-1))
+                           residuals=residuals)
 
 
 #: coherent-state covariance matrix, the teleportation input

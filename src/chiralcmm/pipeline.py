@@ -116,17 +116,15 @@ def sweep_columns(spec, detuning_mode: str):
     diagnostic ones.  All but the axes, ``drive_port`` and ``error`` are
     value columns, whose measures are NaN at unstable points.
     ``unphysical``: a stable covariance fails :func:`is_physical`;
-    ``several_below_half``: a 1|2 partial transpose had more than one
-    symplectic eigenvalue below 1/2; ``monogamy_violations`` (with
-    triples): focus modes, over all triples, whose residual contangle is
-    below -VIOLATION_TOL; ``branches``: real roots of the cubic mean
-    field."""
+    ``monogamy_violations`` (with triples): focus modes, over all triples,
+    whose residual contangle is below -VIOLATION_TOL; ``branches``: real
+    roots of the cubic mean field."""
     request = spec.request
     written = [ax.name for ax in spec.axes] + ["drive_port", "stable",
                                                "abs_g_m_eff"]
     written += [_column("en", p) for p in request.pairs]
     written += [_column("rmin", t) for t in request.triples]
-    diagnostic = ["abscissa", "g_m_eff", "unphysical", "several_below_half"]
+    diagnostic = ["abscissa", "g_m_eff", "unphysical"]
     if request.triples:
         diagnostic.append("monogamy_violations")
     if detuning_mode == DETUNING_PHYSICAL:
@@ -164,16 +162,14 @@ def _evaluate(params: SystemParams, det: Detunings, request: MeasureRequest,
     for pair in request.pairs:
         table[_column("en", pair)] = at_stable(
             log_negativity(extract_block(V, pair)))
-    several_below, violations = False, 0
+    violations = 0
     for tri in request.triples:
         report = residual_contangle_min(extract_block(V, tri))
         table[_column("rmin", tri)] = at_stable(report.r_min)
-        several_below = several_below | np.any(report.below_half > 1, axis=-1)
         violations = violations + np.sum(report.residuals < -VIOLATION_TOL,
                                          axis=-1)
     table.update(abscissa=model.abscissa, g_m_eff=steady.g_m_eff,
-                 unphysical=at_stable(~is_physical(V), False),
-                 several_below_half=at_stable(several_below, False))
+                 unphysical=at_stable(~is_physical(V), False))
     if request.triples:
         table["monogamy_violations"] = at_stable(violations, 0)
     if params.detuning_mode == DETUNING_PHYSICAL:
@@ -361,7 +357,6 @@ def _largest(column) -> float | None:
 #: physical detuning mode, the ``*_max`` keys in a filtered sweep.
 SWEEP_META = {
     "unphysical_rows": ("unphysical", _rows_above(0)),
-    "several_below_half_rows": ("several_below_half", _rows_above(0)),
     "error_rows": ("error", lambda column: sum(map(bool, column))),
     "multistable_rows": ("branches", _rows_above(1)),
     "filtered_quad_error_max": ("filtered_quad_error", _largest),
@@ -410,12 +405,11 @@ def run_sweep(params: SystemParams, det: Detunings, spec: SweepSpec,
     ``table`` joins the block tables of :func:`evaluate_block` into one
     array per column, and each ``meta`` key is one reduction of one of its
     columns (SWEEP_META): the counts of rows whose covariance fails
-    :func:`is_physical`, of rows where a 1|2 partial transpose had more
-    than one symplectic eigenvalue below 1/2, and of rows with an in-row
-    error.  A sweep in the physical detuning mode adds the count of rows
-    whose mean field has several branches.  A filtered sweep adds the
-    largest quadrature error estimate, tail estimate and modal condition
-    number of its filtered rows.
+    :func:`is_physical` and of rows with an in-row error.  A sweep in the
+    physical detuning mode adds the count of rows whose mean field has
+    several branches.  A filtered sweep adds the largest quadrature error
+    estimate, tail estimate and modal condition number of its filtered
+    rows.
 
     The blocks wait in one queue.  The calling thread takes them in turn,
     beside ``workers - 1`` threads of this process that do the same (none

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import io
 import json
 import math
@@ -14,8 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chiralcmm import (cli, linear_model, measures, pipeline, presets,
-                       time_domain)
+import chiralcmm
+from chiralcmm import cli, pipeline, presets, time_domain
 from chiralcmm.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -79,6 +80,52 @@ def read_meta(path, fmt):
         return json.loads(lines[0])["_meta"]
     return dict(ln[2:].split(" = ", 1) for ln in lines
                 if ln.startswith("# ") and " = " in ln)
+
+
+#: every module-level threshold of chiralcmm, a constant whose name ends in
+#: _TOL, _MARGIN, _SLACK or _FRAC and that decides a written value:
+#: (module, name) -> (metadata key, the commands that must write it)
+THRESHOLDS = {
+    ("linear_model", "STABILITY_MARGIN"):
+        ("stability_margin", ("entangle", "sweep", "stability-edge")),
+    ("measures", "PHYSICAL_SLACK"): ("physical_slack", ("entangle", "sweep")),
+    ("measures", "CLIP_TOL"): ("clip_tol", ("entangle", "sweep")),
+    ("measures", "VIOLATION_TOL"): ("violation_tol", ("entangle", "sweep")),
+    ("time_domain", "WINDOW_FRAC"): ("window_frac", ("comb-threshold",)),
+    ("time_domain", "STEADY_TOL"): ("steady_tol", ("comb-threshold",)),
+}
+
+#: the thresholds that no command writes, each with the reason
+THRESHOLD_EXEMPTIONS = {
+    ("measures", "SYMMETRY_TOL"): "only refuses input, it decides no value",
+    ("output_mode", "QUAD_ABS_TOL"):
+        "the achieved error is written, as filtered_quad_error(_max)",
+}
+
+#: the arguments of a short run of each command of THRESHOLDS
+THRESHOLD_RUNS = {
+    "entangle": ["--config", "fig2b"],
+    "sweep": ["--config", "fig3a", "--set", "sweep.axis1=delta_a,-1e7,-5e6,3"],
+    "stability-edge": ["--config", "fig2b"],
+    # one steady probe at the cap
+    "comb-threshold": ["--config", "fig2b", "--gm-cap", "6e6"],
+}
+
+
+def test_every_threshold_is_tabled():
+    # a new threshold fails here until THRESHOLDS says which commands write
+    # it, or THRESHOLD_EXEMPTIONS says why none does
+    pattern = re.compile(r"[A-Z][A-Z0-9_]*_(TOL|MARGIN|SLACK|FRAC)")
+    found = set()
+    for path in Path(chiralcmm.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign)
+                       else [])
+            found |= {(path.stem, t.id) for t in targets
+                      if isinstance(t, ast.Name) and pattern.fullmatch(t.id)}
+    assert found == set(THRESHOLDS) | set(THRESHOLD_EXEMPTIONS)
+    assert not set(THRESHOLDS) & set(THRESHOLD_EXEMPTIONS)
 
 
 def legacy_cell(value):
@@ -355,20 +402,21 @@ class TestEntangleCommand:
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_thresholds_in_metadata(self, fmt, monkeypatch, tmp_path):
-        # each threshold is read from its module when the command runs:
-        # doubled here, the written value follows
-        thresholds = {"stability_margin": (linear_model, "STABILITY_MARGIN"),
-                      "physical_slack": (measures, "PHYSICAL_SLACK"),
-                      "clip_tol": (measures, "CLIP_TOL"),
-                      "violation_tol": (measures, "VIOLATION_TOL")}
-        for module, name in thresholds.values():
+        # each threshold of THRESHOLDS is read from its module when a command
+        # that must write it runs: doubled here, the written value follows
+        for module, name in THRESHOLDS:
+            module = getattr(chiralcmm, module)
             monkeypatch.setattr(module, name, 2 * getattr(module, name))
-        out = tmp_path / f"ent.{fmt}"
-        assert main(["entangle", "--config", "fig2b", "--format", fmt,
-                     "--out", str(out)]) == EXIT_OK
-        meta = read_meta(out, fmt)
-        for key, (module, name) in thresholds.items():
-            assert float(meta[key]) == getattr(module, name)
+        commands = {c for _key, cmds in THRESHOLDS.values() for c in cmds}
+        for command in sorted(commands):
+            out = tmp_path / f"{command}.{fmt}"
+            assert main([command, *THRESHOLD_RUNS[command], "--format", fmt,
+                         "--out", str(out)]) == EXIT_OK
+            meta = read_meta(out, fmt)
+            for (module, name), (key, cmds) in THRESHOLDS.items():
+                if command in cmds:
+                    value = getattr(getattr(chiralcmm, module), name)
+                    assert float(meta[key]) == value, (command, key)
 
     def test_no_filtered_diagnostics_without_a_filter(self, tmp_path):
         assert not any(key.startswith("filtered_")
@@ -403,8 +451,7 @@ class TestSweepCommand:
         assert record["drive_port"] == "cw"
 
     def test_diagnostic_counts_in_metadata(self, sweep_config_path, tmp_path):
-        counts = {"unphysical_rows": 0, "several_below_half_rows": 0,
-                  "error_rows": 1}
+        counts = {"unphysical_rows": 0, "error_rows": 1}
         # at g_cw = 0 (and g_ccw = J = 0) the drive port does not pump the
         # magnon: the first of three rows is an error
         args = ["--set", "sweep.axis1=g_cw,0,1e6,3"]

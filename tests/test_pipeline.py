@@ -333,8 +333,7 @@ class TestSweep:
         assert value_names == set(itertools.chain(*sweep_columns(
             spec, p.detuning_mode))) - {"g_cw", "drive_port", "error"}
         assert all(np.isnan(res.table[name][0]) for name in value_names)
-        assert res.meta == {"unphysical_rows": 0, "several_below_half_rows": 0,
-                            "error_rows": 1}
+        assert res.meta == {"unphysical_rows": 0, "error_rows": 1}
 
     @pytest.mark.parametrize("target, mutation, error", [
         ("log_negativity", _raise_type_error, TypeError),
@@ -684,8 +683,6 @@ class TestBlockEngine:
             spec, p.detuning_mode)))
         expected = {
             "unphysical_rows": sum(v is True for v in t["unphysical"]),
-            "several_below_half_rows":
-                sum(v is True for v in t["several_below_half"]),
             "error_rows": sum(e != "" for e in t["error"])}
         if case == "physical":
             expected["multistable_rows"] = sum(
