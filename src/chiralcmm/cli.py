@@ -17,6 +17,7 @@ stable system is required, 4 another known numerical condition
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -639,7 +640,10 @@ def cmd_stability_edge(cfg: RunConfig, args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args``
+    leaves it unchanged, and every call returns the same instance."""
     parser = argparse.ArgumentParser(
         prog="chiralcmm",
         description="steady-state entanglement and classical dynamics of a "

@@ -20,7 +20,8 @@ import numpy as np
 from .params import NumericalCondition
 
 # relative roundoff: analytic square roots clip, and don't fail, down to
-# -CLIP_TOL; the Heisenberg check allows -CLIP_TOL * ||V||
+# -CLIP_TOL; the Heisenberg check allows -CLIP_TOL * ||V||, and a 1|2
+# split reads entangled below 1/2 - CLIP_TOL * ||V||
 CLIP_TOL = 1e-12
 
 # a matrix whose asymmetric part exceeds SYMMETRY_TOL of its norm is not a
@@ -153,7 +154,7 @@ def log_negativity(V4: np.ndarray):
         Sigma = det V_e + det V_f - 2 det V_ef,
     and E_N = -ln(2*eta_minus).  Symmetric under swapping the two modes.
     E_N is zero unless 2*eta_minus falls below 1 by more than CLIP_TOL:
-    roundoff about 1/2 is no entanglement, as in :func:`_one_vs_two`.
+    roundoff about 1/2 is no entanglement.
 
     Both differences of the closed form cancel in floating point: the
     discriminant at product states with nearly equal local determinants,
@@ -194,10 +195,11 @@ def log_negativity(V4: np.ndarray):
 def _one_vs_two(V6: np.ndarray, single: int) -> np.ndarray:
     """E across the 1|2 split, per matrix: -ln 2 nu_1 with nu_1 the smallest
     symplectic eigenvalue of the partial transpose, zero unless nu_1 falls
-    below 1/2 by more than CLIP_TOL: roundoff about 1/2 is no
-    entanglement."""
+    below 1/2 by more than CLIP_TOL ||V6||_F: roundoff about 1/2, which
+    scales with ||V6|| as in :func:`is_physical`, is no entanglement."""
     nu = symplectic_eigenvalues(partial_transpose(V6, [single]))[..., 0]
-    return np.where(nu < 0.5 - CLIP_TOL, -np.log(2.0 * nu), 0.0)
+    floor = 0.5 - CLIP_TOL * np.linalg.norm(V6, axis=(-2, -1))
+    return np.where(nu < floor, -np.log(2.0 * nu), 0.0)
 
 
 @dataclass(frozen=True)

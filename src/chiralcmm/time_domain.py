@@ -9,13 +9,25 @@ marks the self-oscillation (comb) regime, and the threshold in |G_m| is
 located by bisection on the drive scale.  The attractor is read from the
 final WINDOW_FRAC of the run.
 
-The ODE is integrated by ODEPACK's LSODA (``scipy.integrate.odeint``),
-which switches between Adams and BDF steps as the stiffness changes.  Its
-step loop and its interpolation onto the sample grid both run in compiled
-code; only the right-hand side is a Python call, and the samples cost no
-right-hand-side calls.  That call writes the derivative into one
-preallocated array and returns it, so ``odeint`` has no list to convert
-per call; the array is overwritten by the next call (see :func:`make_rhs`).
+The ODE is integrated by ODEPACK's LSODA (L. Petzold, SIAM J. Sci. Stat.
+Comput. 4, 136 (1983)), which switches between Adams and BDF steps as the
+stiffness changes.  Its step loop and its interpolation onto the sample
+grid both run in compiled code; only the right-hand side is a Python call,
+and the samples cost no right-hand-side calls.  That call writes the
+derivative into one preallocated array and returns it, so ``odeint`` has
+no list to convert per call; the array is overwritten by the next call
+(see :func:`make_rhs`).
+
+LSODA is called through scipy's compiled extension
+``scipy/integrate/_odepack*.so``, which :func:`_load_odepack` loads by
+path: importing the ``scipy.integrate`` package would also import
+``scipy.optimize`` and ``scipy.special``, which LSODA does not use and
+which would cost every process that imports this module, the command line
+included, about 0.25 s of start-up and 22 MB (scipy 1.17.1 on a 2-core
+x86-64 host).  The extension's ``odeint`` and its 21 positional arguments
+are private to scipy; the call is the one that ``scipy.integrate.odeint``
+makes, verified on scipy 1.17.1, and gives the same samples and counts
+bit for bit.
 
 The integrated state is the 8 real components of the five averages, except
 under chiral coupling: with J = 0 and the undriven port's coupling 0, the
@@ -27,12 +39,15 @@ parameters alone.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
-import warnings
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import ODEintWarning, odeint
+import scipy
 
 from .linear_model import bisect_edge, check_bisection
 from .params import (
@@ -74,12 +89,55 @@ ATOL_REL = 1e-11
 # its whole run of about 10 000 samples)
 MXSTEP = 1_000_000
 
+# ODEPACK's text for each failing istate, as scipy.integrate.odeint gives it
+ODEPACK_FAILURES = {
+    -1: "Excess work done on this call (perhaps wrong Dfun type).",
+    -2: "Excess accuracy requested (tolerances too small).",
+    -3: "Illegal input detected (internal error).",
+    -4: "Repeated error test failures (internal error).",
+    -5: "Repeated convergence failures (perhaps bad Jacobian or tolerances).",
+    -6: "Error weight became zero during problem.",
+    -7: "Internal workspace insufficient to finish (internal error).",
+    -8: "Run terminated (internal error).",
+}
+
 SAMPLES_PER_PERIOD = 48   # trajectory samples per mechanical period
 SETTLING_PERIODS = 200    # mechanical periods added to the ring-down time
 
 
 class IntegrationError(NumericalCondition, RuntimeError):
     pass
+
+
+def _load_odepack():
+    """scipy's compiled ODEPACK extension, without the ``scipy.integrate``
+    package.
+
+    The module is registered as ``scipy.integrate._odepack``, so a later
+    ``import scipy.integrate`` in the process reuses this one instance.
+    Where no extension file is found under scipy's directory, the package
+    import gives the same module.
+    """
+    name = "scipy.integrate._odepack"
+    if name in sys.modules:
+        return sys.modules[name]
+    stem = os.path.join(os.path.dirname(scipy.__file__), "integrate",
+                        "_odepack")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.isfile(stem + suffix):
+            loader = importlib.machinery.ExtensionFileLoader(name,
+                                                             stem + suffix)
+            spec = importlib.util.spec_from_file_location(
+                name, stem + suffix, loader=loader)
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[name] = module
+            loader.exec_module(module)
+            return module
+    from scipy.integrate import _odepack
+    return _odepack
+
+
+_odepack = _load_odepack()
 
 
 class InconclusiveError(NumericalCondition, RuntimeError):
@@ -274,14 +332,18 @@ def integrate_classical(params: SystemParams, det: Detunings, E: float,
     atol = ATOL_REL * _fixed_point_scales(params, det, E)[slots]
     n_samples = max(int(SAMPLES_PER_PERIOD * t_end * wb / (2 * math.pi)), 200)
     t = np.linspace(0.0, t_end, n_samples)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ODEintWarning)
-            sol, info = odeint(make_rhs(params, det, E), np.zeros(len(slots)),
-                               t, rtol=RTOL, atol=atol, mxstep=MXSTEP,
-                               full_output=True, tfirst=True)
-    except ODEintWarning as exc:
-        raise IntegrationError(f"{ODE_METHOD} failed: {exc}") from exc
+    # the extension overwrites y0 in place (t it leaves alone): a start
+    # state given by a caller must be passed as a copy
+    y0 = np.zeros(len(slots))
+    # the positional call of scipy.integrate.odeint: args, Dfun, col_deriv,
+    # ml, mu, full_output, rtol, atol, tcrit, h0, hmax, hmin, ixpr, mxstep,
+    # mxhnil, mxordn, mxords, tfirst
+    sol, info, istate = _odepack.odeint(
+        make_rhs(params, det, E), y0, t, (), None, 0, -1, -1, 1, RTOL, atol,
+        None, 0.0, 0.0, 0.0, 0, MXSTEP, 0, 12, 5, 1)
+    if istate < 0:
+        raise IntegrationError(f"{ODE_METHOD} failed: istate {istate}, "
+                               f"{ODEPACK_FAILURES[istate]}")
     y = [np.zeros(n_samples)] * 8
     for slot, column in zip(slots, sol.T):
         y[slot] = column

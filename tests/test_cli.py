@@ -204,6 +204,31 @@ class TestOverrides:
         cfg = load_config(Args())
         assert cfg.params.drive.value == pytest.approx(2 * math.pi * 2.5e6)
 
+    def test_one_parser_keeps_no_overrides_between_runs(self, tmp_path):
+        # main reuses one parser per process: an override of one run must
+        # not reach the resolved config of the next
+        def cfg_lines(*overrides):
+            out = tmp_path / "steady.csv"
+            argv = ["steady", "--config", "fig2b", "--out", str(out)]
+            for item in overrides:
+                argv += ["--set", item]
+            assert main(argv) == EXIT_OK
+            return [line for line in out.read_text().splitlines()
+                    if line.startswith(("# cfg: ", "# config_sha256"))]
+
+        class Args:
+            config = "fig2b"
+            set = None
+
+        first = cfg_lines("system.g_m=0.5", "drive.port=ccw")
+        plain = cfg_lines()
+        assert cli.build_parser() is cli.build_parser()
+        ref = load_config(Args())
+        assert plain == [f"# config_sha256 = {ref.digest}"] + [
+            f"# cfg: {line}" for line in ref.resolved_text.splitlines()]
+        assert first != plain
+        assert cfg_lines("system.g_m=0.5", "drive.port=ccw") == first
+
     def test_sweep_variant_key_refused(self, tmp_path, capsys):
         # files written by earlier versions carry a drift-variant key
         path = tmp_path / "old.cfg"

@@ -249,6 +249,33 @@ class TestOneVsTwo:
         for single in range(3):
             assert one_vs_two(V, single) == 0.0
 
+    def test_squeezed_product_is_exactly_unentangled(self):
+        # a squeezed vacuum on mode 0 times a two-mode squeezed vacuum on
+        # modes 1 and 2: the 0|12 split is a product, and its nu_1 is 1/2
+        # up to a roundoff that scales with ||V||_F, which an absolute
+        # clip read as entanglement of up to a few 1e-9
+        rng = np.random.default_rng(31)
+        stack = []
+        for _ in range(300):
+            phi = rng.uniform(0.0, 2.0 * math.pi)
+            R = np.array([[math.cos(phi), math.sin(phi)],
+                          [-math.sin(phi), math.cos(phi)]])
+            r = rng.uniform(2.0, 4.5)
+            single = R @ np.diag([0.5 * math.exp(-2 * r),
+                                  0.5 * math.exp(2 * r)]) @ R.T
+            stack.append(direct_sum(single,
+                                    two_mode_squeezed_cm(rng.uniform(1, 4))))
+        assert np.all(_one_vs_two(np.stack(stack), 0) == 0.0)
+
+    def test_weak_entanglement_beside_a_squeezed_mode(self):
+        # ||V||_F is about 1.5e3, so the clip sits 1.5e-9 below 1/2, far
+        # above nu_1 = e^{-2r}/2 of a two-mode squeezed pair at r = 1e-6
+        r = 1e-6
+        squeezed = np.diag([0.5 * math.exp(-8.0), 0.5 * math.exp(8.0)])
+        V = direct_sum(two_mode_squeezed_cm(r), squeezed)
+        assert one_vs_two(V, 0) == pytest.approx(2 * r, rel=1e-6)
+        assert one_vs_two(V, 2) == 0.0
+
     def test_tmsv_with_spectator_vacuum(self):
         for r in (0.2, 0.7):
             V = direct_sum(two_mode_squeezed_cm(r), 0.5 * np.eye(2))

@@ -864,9 +864,11 @@ class TestMetamorphic:
         assert_allclose(block, 0.5 * np.eye(6), rtol=0, atol=1e-12)
 
 
-def test_import_loads_no_scipy():
-    # the sweep engine is numpy-only: scipy is loaded by time_domain alone,
-    # for the ODE
+def test_import_loads_no_scipy(tmp_path):
+    # the sweep engine is numpy-only.  scipy comes with time_domain, which
+    # loads ODEPACK's extension alone: neither the command line nor a run
+    # that integrates no ODE imports the scipy.integrate package or what
+    # it pulls in (scipy.optimize, scipy.special)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
@@ -876,3 +878,21 @@ def test_import_loads_no_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+    code = f"""
+import sys
+from chiralcmm import cli, time_domain
+for argv in (["steady", "--config", "fig2b"],
+             ["trajectory", "--config", "fig2b"]):
+    assert cli.main([*argv, "--out", {str(tmp_path / "out.csv")!r}]) == 0
+print(sorted(m for m in sys.modules if m == "scipy.integrate"
+             or m.startswith(("scipy.optimize", "scipy.special"))))
+import scipy.integrate
+from scipy.integrate import _odepack
+print(_odepack is time_domain._odepack
+      and scipy.integrate._odepack_py._odepack is _odepack)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "True"]

@@ -225,6 +225,41 @@ class TestRightHandSide:
         assert (ours.stats["nfev"], ours.stats["nst"]) == \
             (info["nfe"][-1], info["nst"][-1])
 
+    def test_settling_probe_matches_the_public_odeint(self, monkeypatch):
+        # the settling fig2b probe switches to BDF, so the mxordn and mxords
+        # positions of the extension call count: every sample and every
+        # entry of LSODA's info dict match scipy.integrate.odeint's bits
+        p, det, E = fig2b_probe(6e6)
+        infos = []
+
+        class Recorder:
+            def odeint(self, *args):
+                out = odepack.odeint(*args)
+                infos.append(out[1])
+                return out
+
+        odepack = time_domain._odepack
+        monkeypatch.setattr(time_domain, "_odepack", Recorder())
+        ours = integrate_classical(p, det, E)
+        slots = list(integrated_slots(p))
+        y, info = odeint(make_rhs(p, det, E), np.zeros(len(slots)), ours.t,
+                         rtol=time_domain.RTOL,
+                         atol=time_domain.ATOL_REL
+                         * _fixed_point_scales(p, det, E)[slots],
+                         mxstep=time_domain.MXSTEP, full_output=True,
+                         tfirst=True)
+        ours_y = np.stack([ours.a_cw.real, ours.a_cw.imag, ours.m.real,
+                           ours.m.imag, ours.q, ours.p])
+        assert ours_y.tobytes() == np.ascontiguousarray(y.T).tobytes()
+        assert np.any(info["mused"] == 2) and ours.stats["used_bdf"]
+        (recorded,) = infos
+        assert recorded.keys() == info.keys() - {"message"}
+        for key, value in recorded.items():
+            assert np.asarray(value).tobytes() == \
+                np.asarray(info[key]).tobytes(), key
+        assert (ours.stats["nfev"], ours.stats["nst"]) == \
+            (info["nfe"][-1], info["nst"][-1])
+
 
 def fig2b_probe(target_hz):
     """g_m, bare detunings and drive of the fig2b comb probe at a target."""
@@ -260,8 +295,11 @@ class TestSampleGrid:
     def test_failed_run_raises(self, monkeypatch):
         monkeypatch.setattr(time_domain, "MXSTEP", 1)
         p, det, E = fig2b_probe(6e6)
-        with pytest.raises(IntegrationError, match="LSODA"):
+        with pytest.raises(IntegrationError) as exc:
             integrate_classical(p, det, E, t_end=2e-6)
+        assert str(exc.value) == ("LSODA failed: istate -1, Excess work "
+                                  "done on this call (perhaps wrong Dfun "
+                                  "type).")
 
 
 class TestAccuracy:
