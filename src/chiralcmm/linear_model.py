@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import Detunings, NumericalCondition, SystemParams
+from .params import Detunings, NumericalCondition, SystemParams, require, solves
 from .steady_state import target_detunings
 
 MODE_ORDER = ("a_cw", "a_ccw", "m", "b")
@@ -110,7 +110,9 @@ def is_stable(A: np.ndarray) -> tuple[bool, float]:
     try:
         eig = np.linalg.eigvals(stack)
     except np.linalg.LinAlgError as exc:
-        raise LyapunovError(f"eigenvalue solver failed: {exc}") from exc
+        require(solves(np.linalg.eigvals, stack), LyapunovError,
+                f"eigenvalue solver failed: {exc}")
+        raise
     abscissa = eig.real.max(axis=-1)
     # ||A||_2 <= ||A||_F, so the 2-norm (an SVD) can only change the verdict
     # where the abscissa lies in [-2 margin ||A||_F, 0); elsewhere the sign

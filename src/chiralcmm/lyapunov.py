@@ -23,6 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linear_model import MODE_SLOTS, LyapunovError, UnstableSystemError, is_stable
+from .params import require
 
 
 #: a batched LU solve takes at most SOLVE_CHUNK * 36**2 matrix entries (0.33
@@ -112,12 +113,9 @@ def solve_lyapunov(A: np.ndarray, D: np.ndarray,
         raise ValueError("A and D must be square and of equal size")
     if not gated:
         stable, abscissa = is_stable(A)
-        if not np.all(stable):
-            worst = np.flatnonzero(~np.atleast_1d(stable))[0]
-            raise UnstableSystemError(
-                f"drift matrix is not stable (spectral abscissa "
-                f"{np.atleast_1d(abscissa)[worst]:.6g}); "
-                "the system has no steady state")
+        require(stable, UnstableSystemError, lambda i: (
+            "drift matrix is not stable (spectral abscissa "
+            f"{np.ravel(abscissa)[i]:.6g}); the system has no steady state"))
 
     As = A.reshape(-1, n, n)
     Ds = D.reshape(-1, n, n)
@@ -130,19 +128,15 @@ def solve_lyapunov(A: np.ndarray, D: np.ndarray,
     norm_v = np.linalg.norm(V, axis=(-2, -1))
     asym = np.linalg.norm(V - V.swapaxes(-2, -1), axis=(-2, -1)) \
         / np.maximum(norm_v, 1e-300)
-    bad = ~(asym <= 1e-8)   # NaN fails too
-    if np.any(bad):
-        raise LyapunovError("Lyapunov solution asymmetric beyond tolerance: "
-                           f"{asym[bad][0]:.3g}")
+    require(asym <= 1e-8, LyapunovError, lambda i:   # NaN fails too
+            f"Lyapunov solution asymmetric beyond tolerance: {asym[i]:.3g}")
     residual = np.linalg.norm(As @ V + V @ As.swapaxes(-2, -1) + Ds,
                               axis=(-2, -1))
     bound = 1e-10 * (np.linalg.norm(As, axis=(-2, -1)) * norm_v
                      + np.linalg.norm(Ds, axis=(-2, -1)))
-    bad = ~(residual <= bound)
-    if np.any(bad):
-        raise LyapunovError(
-            f"Lyapunov residual {residual[bad][0]:.3g} exceeds bound "
-            f"{bound[bad][0]:.3g} (ill-conditioned solve)")
+    require(residual <= bound, LyapunovError, lambda i: (
+        f"Lyapunov residual {residual[i]:.3g} exceeds bound {bound[i]:.3g} "
+        "(ill-conditioned solve)"))
     return V.reshape(A.shape)
 
 

@@ -17,11 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import NumericalCondition
+from .params import NumericalCondition, require, solves
 
 # relative roundoff: analytic square roots clip, and don't fail, down to
-# -CLIP_TOL; the Heisenberg check allows -CLIP_TOL * ||V||, and a 1|2
-# split reads entangled below 1/2 - CLIP_TOL * ||V||
+# -CLIP_TOL; the Heisenberg check allows -CLIP_TOL * ||V||, and a pair (E_N)
+# or a 1|2 split reads entangled below 1/2 - CLIP_TOL * ||V||, as the
+# roundoff of a symplectic eigenvalue scales with ||V||
 CLIP_TOL = 1e-12
 
 # a matrix whose asymmetric part exceeds SYMMETRY_TOL of its norm is not a
@@ -46,8 +47,8 @@ def _matrices(V, size: int, what: str) -> np.ndarray:
     V = np.asarray(V, dtype=float)
     if V.ndim not in (2, 3) or V.shape[-2:] != (size, size):
         raise ValueError(what)
-    if not np.all(np.isfinite(V)):
-        raise InvalidCovarianceError("covariance matrix must be finite")
+    require(np.isfinite(V).all(axis=(-2, -1)), InvalidCovarianceError,
+            "covariance matrix must be finite")
     return V
 
 
@@ -67,9 +68,9 @@ def _symmetric(V: np.ndarray) -> np.ndarray:
     # a non-finite matrix is the caller's to judge: inf - inf would warn
     W = np.where(np.isfinite(V).all(axis=(-2, -1))[..., None, None], V, 0.0)
     norm = np.maximum(np.linalg.norm(W, axis=(-2, -1)), 1e-300)
-    if np.any(np.linalg.norm(W - W.swapaxes(-2, -1), axis=(-2, -1))
-              > SYMMETRY_TOL * norm):
-        raise InvalidCovarianceError("covariance matrix must be symmetric")
+    require(np.linalg.norm(W - W.swapaxes(-2, -1), axis=(-2, -1))
+            <= SYMMETRY_TOL * norm, InvalidCovarianceError,
+            "covariance matrix must be symmetric")
     return V
 
 
@@ -91,13 +92,15 @@ def symplectic_eigenvalues(V: np.ndarray) -> np.ndarray:
     input.
     """
     V = _symmetric(V)
-    if not np.all(np.isfinite(V)):
-        raise InvalidCovarianceError("covariance matrix must be finite")
+    require(np.isfinite(V).all(axis=(-2, -1)), InvalidCovarianceError,
+            "covariance matrix must be finite")
     try:
         L = np.linalg.cholesky(V)
-    except np.linalg.LinAlgError as exc:
-        raise InvalidCovarianceError(
-            "covariance matrix must be positive definite") from exc
+    except np.linalg.LinAlgError:
+        require(solves(np.linalg.cholesky, V.reshape((-1,) + V.shape[-2:])),
+                InvalidCovarianceError,
+                "covariance matrix must be positive definite")
+        raise
     n = V.shape[-1] // 2
     M = L.swapaxes(-2, -1) @ _omega_times(L)
     return np.linalg.eigvalsh(1j * M)[..., n:]
@@ -153,8 +156,9 @@ def log_negativity(V4: np.ndarray):
         eta_minus = 2^{-1/2} [Sigma - (Sigma^2 - 4 det V4)^{1/2}]^{1/2},
         Sigma = det V_e + det V_f - 2 det V_ef,
     and E_N = -ln(2*eta_minus).  Symmetric under swapping the two modes.
-    E_N is zero unless 2*eta_minus falls below 1 by more than CLIP_TOL:
-    roundoff about 1/2 is no entanglement.
+    E_N is zero unless eta_minus falls below 1/2 by more than
+    CLIP_TOL ||V4||_F: roundoff about 1/2, which scales with ||V4||, is no
+    entanglement (a squeezed product state).
 
     Both differences of the closed form cancel in floating point: the
     discriminant at product states with nearly equal local determinants,
@@ -175,19 +179,18 @@ def log_negativity(V4: np.ndarray):
     disc = ((de - df) ** 2 - 4.0 * dc * (de + df)
             + 4.0 * np.trace(chain, axis1=-2, axis2=-1))
     scale = np.maximum(np.abs(sigma * sigma), 1.0)
-    bad = disc < -CLIP_TOL * scale
-    if np.any(bad):
-        worst = np.atleast_1d(disc)[np.atleast_1d(bad)][0]
-        raise InvalidCovarianceError(
-            f"negative discriminant {worst:.3g}: not a valid two-mode CM")
+    require(~(disc < -CLIP_TOL * scale), InvalidCovarianceError, lambda i:
+            f"negative discriminant {np.ravel(disc)[i]:.3g}: "
+            "not a valid two-mode CM")
     plus = sigma + np.sqrt(np.maximum(disc, 0.0))
     det_v = np.linalg.det(V4)
-    if (np.any(plus <= 0.0) or np.any(det_v <= 0.0)
-            or np.any(np.diagonal(V4, axis1=-2, axis2=-1) <= 0.0)):
-        raise InvalidCovarianceError("invalid two-mode CM (eta_minus^2 <= 0 "
-                                     "or a variance <= 0)")
+    require(~((plus <= 0.0) | (det_v <= 0.0)
+              | np.any(np.diagonal(V4, axis1=-2, axis2=-1) <= 0.0, axis=-1)),
+            InvalidCovarianceError,
+            "invalid two-mode CM (eta_minus^2 <= 0 or a variance <= 0)")
     two_eta_sq = 8.0 * det_v / plus
-    e_n = np.where(two_eta_sq < (1.0 - CLIP_TOL) ** 2,
+    floor = 1.0 - 2.0 * CLIP_TOL * np.linalg.norm(V4, axis=(-2, -1))
+    e_n = np.where(two_eta_sq < np.maximum(floor, 0.0) ** 2,
                    -0.5 * np.log(two_eta_sq), 0.0)
     return float(e_n) if e_n.ndim == 0 else e_n
 
@@ -268,8 +271,7 @@ def teleportation_fidelity(V_pair: np.ndarray):
     V = (2.0 * COHERENT_INPUT + sz @ Ve @ sz.T + sz @ Vef
          + Vef.swapaxes(-2, -1) @ sz.T + Vf)
     det = np.linalg.det(V)
-    if np.any(det <= 0.0):
-        raise InvalidCovarianceError(
-            f"teleportation output CM has det {np.min(det):.3g} <= 0")
+    require(~(det <= 0.0), InvalidCovarianceError, lambda i:
+            f"teleportation output CM has det {np.ravel(det)[i]:.3g} <= 0")
     fidelity = 1.0 / np.sqrt(det)
     return float(fidelity) if fidelity.ndim == 0 else fidelity

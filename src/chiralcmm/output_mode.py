@@ -30,14 +30,10 @@ Lyapunov covariance, and only the output block and the output-magnon cross
 block are integrated over frequency.
 
 Quadrature: :func:`filtered_pair_cm` takes a block of points as stacks,
-and its frequency integrals run per block: an adaptive Gauss-Kronrod
-21-point integrator (``adaptive_gk21``) advances every point of the block
-in lockstep, each point taking the steps of SciPy's adaptive vector
-quadrature (``scipy.integrate``, gk21 rule): the same initial intervals,
-heap, batch rule, error estimates and stops.  A pass evaluates the
-integrand on the 21 nodes of every interval that any point splits, in one
-stacked call per GK21_CHUNK intervals: 21 or 23 calls for the 51 points
-of a fig2d sweep, which took 306 or 357 calls point by point.  Each
+and an adaptive Gauss-Kronrod 21-point integrator (``adaptive_gk21``)
+advances all of them in lockstep, each taking the steps of SciPy's
+adaptive vector quadrature: 21 or 23 stacked integrand calls for the 51
+points of a fig2d sweep, which took 306 or 357 calls point by point.  Each
 point's nodes keep the order and the arithmetic of a block of one, so a
 point gets the same bits in any block.
 
@@ -49,10 +45,9 @@ into P, and the noise map into P^{-1} B (``modal_resolvent``); a node then
 costs one diagonal scaling and its share of one (4k x 8)(8 x 11) product
 per point and pass (``susceptibility``) instead of an 8x8 inverse.  The
 modal values carry a relative error of about kappa(P)*eps, with kappa(P)
-the condition number of the eigenvector matrix, so a block holding a
-point whose kappa(P) exceeds MODAL_COND_MAX (a defective or nearly
-defective drift matrix) is refused with QuadratureError by
-``modal_resolvent``, before any of it is integrated.
+the condition number of the eigenvector matrix, so a point whose kappa(P)
+exceeds MODAL_COND_MAX (a nearly defective drift matrix) is refused with
+QuadratureError by ``modal_resolvent``, before its block is integrated.
 """
 
 from __future__ import annotations
@@ -69,7 +64,7 @@ from .linear_model import MODE_SLOTS
 # nothing here calls solve_lyapunov: it stays only as a patch target of
 # bench/tracer.py, like the pipeline.build_model re-export
 from .lyapunov import extract_block, solve_lyapunov  # noqa: F401
-from .params import DRIVE_CCW, DRIVE_CW, NumericalCondition, SystemParams
+from .params import DRIVE_CCW, DRIVE_CW, NumericalCondition, SystemParams, require
 
 #: absolute error target of the frequency integrals; an error estimate
 #: above 50 times it is refused
@@ -401,17 +396,14 @@ def modal_resolvent(A: np.ndarray, left: np.ndarray,
     """One eigendecomposition of A (one drift matrix or an (n, N, N)
     stack) with the rows ``left`` (r, N) and the right factor ``right``
     (N, m) folded in (stacked alike).  Raises QuadratureError, before any
-    solve, if a point's kappa(P) exceeds MODAL_COND_MAX (its P may be
-    singular)."""
+    solve, naming the points whose kappa(P) exceeds MODAL_COND_MAX (their
+    P may be singular)."""
     lam, P = np.linalg.eig(A)
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = np.linalg.cond(P)
-    usable = np.ravel(cond) <= MODAL_COND_MAX
-    if not usable.all():
-        raise QuadratureError(
-            "drift matrix eigenvector condition number "
-            f"{np.ravel(cond)[np.argmin(usable)]:.3g} exceeds "
-            f"{MODAL_COND_MAX:.3g} (nearly defective)")
+    require(cond <= MODAL_COND_MAX, QuadratureError, lambda i: (
+        f"drift matrix eigenvector condition number {np.ravel(cond)[i]:.3g} "
+        f"exceeds {MODAL_COND_MAX:.3g} (nearly defective)"))
     return Resolvent(lam=lam, left=left @ P, right=np.linalg.solve(P, right),
                      cond=cond)
 
@@ -521,11 +513,9 @@ def _integrated_pairs(res: Resolvent, chans: NoiseChannels,
                          epsabs=QUAD_ABS_TOL, epsrel=1e-10)
     # bound for a >= 1/omega^2 decaying tail
     tail = np.abs(integrand(W, np.ones(n, dtype=int))) * W[:, None, None]
-    refused = np.flatnonzero(quad.error > 50 * QUAD_ABS_TOL)
-    if len(refused):
-        raise QuadratureError(
-            f"frequency integral error estimate {quad.error[refused[0]]:.3g} "
-            f"exceeds tolerance {QUAD_ABS_TOL:.3g}")
+    require(~(quad.error > 50 * QUAD_ABS_TOL), QuadratureError, lambda i: (
+        f"frequency integral error estimate {quad.error[i]:.3g} "
+        f"exceeds tolerance {QUAD_ABS_TOL:.3g}"))
     val = quad.value
     val[:, :2, :2] += port_var[:, None, None] * np.eye(2)
     return val, np.stack([quad.error, np.max(tail, axis=(1, 2)), W,
@@ -543,10 +533,10 @@ def filtered_pair_cm(A: np.ndarray, V: np.ndarray, params: SystemParams,
     The magnon block is V's exactly; the output and cross blocks are
     integrated, the white (frequency-flat) part of the output spectrum
     analytically, which keeps the truncation error of the slowly decaying
-    sinc tail out of the result.  Raises QuadratureError if a point's
-    kappa(P) exceeds MODAL_COND_MAX (from one eigendecomposition of its A,
-    :func:`modal_resolvent`, before any integration), or else for the first
-    point whose integral's error estimate exceeds its tolerance.
+    sinc tail out of the result.  Raises QuadratureError naming the points
+    whose kappa(P) exceeds MODAL_COND_MAX (:func:`modal_resolvent`, before
+    any integration), or else those whose error estimate exceeds the
+    tolerance.
     """
     if not len(A):
         return np.empty((0, 4, 4)), dict.fromkeys(FILTERED_DIAGNOSTICS,

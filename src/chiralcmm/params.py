@@ -40,7 +40,38 @@ RATE_FIELDS = ("omega_a", "omega_m", "omega_b", "omega_0", "kappa_a_i",
 
 
 class NumericalCondition(Exception):
-    """A known numerical condition: an in-row error of a sweep, exit 4 of a command."""
+    """A known numerical condition: an in-row error of a sweep, exit 4 of a
+    command.  ``points`` holds the indices of the failing points in the
+    stack the raising call was given (index 0 for one point), and
+    ``messages`` each one's message; ``str(exc)`` is the first one's."""
+
+    def __init__(self, message: str, points=(0,), messages=None):
+        super().__init__(message)
+        self.points = np.asarray(points)
+        self.messages = messages or [message]
+
+
+def require(ok, condition: type, message) -> None:
+    """Raise ``condition`` naming the points whose verdict in ``ok`` (one
+    per point of a stack, or one bool for one point) is False; ``message``
+    is their text, or a function that gives point i's."""
+    points = np.flatnonzero(~np.asarray(ok, dtype=bool))
+    if len(points):
+        messages = [message(i) if callable(message) else message
+                    for i in points]
+        raise condition(messages[0], points, messages)
+
+
+def solves(routine, stack) -> np.ndarray:
+    """Whether the numpy ``routine``, which fails a whole stack of matrices
+    with LinAlgError, succeeds on each matrix of ``stack`` alone."""
+    ok = np.ones(len(stack), dtype=bool)
+    for i, matrix in enumerate(stack):
+        try:
+            routine(matrix)
+        except np.linalg.LinAlgError:
+            ok[i] = False
+    return ok
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,8 @@ driven through each port.
 A sweep lists its rows in a fixed order: row-major over the grid (the last
 axis varies fastest), clockwise drive before counter-clockwise at each grid
 point.  It cuts that list into contiguous blocks of BLOCK_POINTS rows,
-which the calling thread and ``workers - 1`` pool threads of this process
-take in turn from one shared queue.  The result is the same for any worker
-count.
+which threads of this process take in turn (:func:`run_sweep`); the result
+is the same for any worker count.
 
 Every result is one table: column name -> numpy array with one entry per
 point.  A block's table holds the written columns of a sweep and the
@@ -27,16 +26,13 @@ diagnostic columns computed on the way (:func:`sweep_columns`).
 -> Python scalar, and each sweep metadata key is one reduction of one
 column over the joined table (SWEEP_META).
 
-A block that meets a known numerical condition (a
-:class:`~chiralcmm.params.NumericalCondition`: singular or overflowing
-mean field, invalid covariance, quadrature failure, a refused Lyapunov
-solve) is split
-in halves until each failing point stands alone; those rows carry
-``"<Type>: <message>"`` in ``error`` and NaN in every value column, and
-the others are unaffected.  A column of ints or bools that meets such a
-NaN is joined as an array of Python objects, so that ``stable`` reads 1 or
-0, or NaN, and never 1.0.  Any other exception is a bug and fails the
-sweep; input errors are refused before a sweep starts.
+A known numerical condition (``params.NumericalCondition``) names the
+points of a block that meet it: their rows carry ``"<Type>: <message>"``
+in ``error`` and NaN in every value column, and the other points are
+evaluated again.  An int or bool column that meets such a NaN becomes an
+array of Python objects, so that ``stable`` reads 1, 0 or NaN, never 1.0.
+Any other exception is a bug and fails the sweep; input errors are refused
+before a sweep starts.
 """
 
 from __future__ import annotations
@@ -140,7 +136,8 @@ def _evaluate(params: SystemParams, det: Detunings, request: MeasureRequest,
     """The value columns (see :func:`sweep_columns`) of the points
     ``params``/``det`` with ``axes`` set to the rows of ``values``, each
     driven through its entry of ``ports``: column name -> array with one
-    entry per point."""
+    entry per point.  A known numerical condition names its points by
+    their index here."""
     n = len(ports)
     P, dets = params.stacked(n).replace(drive_port=ports), det.stacked(n)
     for k, ax in enumerate(axes):
@@ -151,7 +148,6 @@ def _evaluate(params: SystemParams, det: Detunings, request: MeasureRequest,
     dets = Detunings(dets.delta_a, dets.delta_m, steady.delta_m_eff)
     model = linear_model.build_model(P, dets, steady.g_m_eff)
     ok = model.stable
-    V = solve_lyapunov(model.A[ok], model.D[ok], gated=True)
 
     def at_stable(x, fill=np.nan) -> np.ndarray:
         out = np.full(n, fill, dtype=np.asarray(x).dtype)
@@ -159,29 +155,34 @@ def _evaluate(params: SystemParams, det: Detunings, request: MeasureRequest,
         return out
 
     table = {"stable": ok.astype(int), "abs_g_m_eff": np.abs(steady.g_m_eff)}
-    for pair in request.pairs:
-        table[_column("en", pair)] = at_stable(
-            log_negativity(extract_block(V, pair)))
-    violations = 0
-    for tri in request.triples:
-        report = residual_contangle_min(extract_block(V, tri))
-        table[_column("rmin", tri)] = at_stable(report.r_min)
-        violations = violations + np.sum(report.residuals < -VIOLATION_TOL,
-                                         axis=-1)
-    table.update(abscissa=model.abscissa, g_m_eff=steady.g_m_eff,
-                 unphysical=at_stable(~is_physical(V), False))
-    if request.triples:
-        table["monogamy_violations"] = at_stable(violations, 0)
-    if params.detuning_mode == DETUNING_PHYSICAL:
-        table["branches"] = steady.meta["branches"]
-
-    if request.filter_spec is not None:
-        cm, diagnostics = filtered_pair_cm(model.A[ok], V, P.at(ok),
-                                           request.filter_spec)
-        values = (log_negativity(cm), teleportation_fidelity(cm),
-                  *diagnostics.values())
-        table.update((name, at_stable(value))
-                     for name, value in zip(FILTERED_COLUMNS, values))
+    try:
+        V = solve_lyapunov(model.A[ok], model.D[ok], gated=True)
+        for pair in request.pairs:
+            table[_column("en", pair)] = at_stable(
+                log_negativity(extract_block(V, pair)))
+        violations = 0
+        for tri in request.triples:
+            report = residual_contangle_min(extract_block(V, tri))
+            table[_column("rmin", tri)] = at_stable(report.r_min)
+            violations = violations + np.sum(
+                report.residuals < -VIOLATION_TOL, axis=-1)
+        table.update(abscissa=model.abscissa, g_m_eff=steady.g_m_eff,
+                     unphysical=at_stable(~is_physical(V), False))
+        if request.triples:
+            table["monogamy_violations"] = at_stable(violations, 0)
+        if params.detuning_mode == DETUNING_PHYSICAL:
+            table["branches"] = steady.meta["branches"]
+        if request.filter_spec is not None:
+            cm, diagnostics = filtered_pair_cm(model.A[ok], V, P.at(ok),
+                                               request.filter_spec)
+            values = (log_negativity(cm), teleportation_fidelity(cm),
+                      *diagnostics.values())
+            table.update((name, at_stable(value))
+                         for name, value in zip(FILTERED_COLUMNS, values))
+    except NumericalCondition as exc:
+        # the stages after the gate name points of its stable subset
+        exc.points = np.flatnonzero(ok)[exc.points]
+        raise
     return table
 
 
@@ -379,23 +380,31 @@ def evaluate_block(params: SystemParams, det: Detunings, spec: SweepSpec,
     """The table of the sweep points given by ``values`` and ``ports`` (as
     from :func:`grid_rows`): column name -> array with one entry per point.
     The columns are those of :func:`sweep_columns`, in its order; ``error``
-    (an array of str objects) is "" where the point evaluated.  A point that
-    fails alone has NaN in every value column."""
+    (an array of str objects) is "" where the point evaluated.  The live
+    points are evaluated until no known numerical condition is raised: the
+    points a condition names leave, so a block costs one evaluation more
+    than the distinct conditions it meets."""
     names = list(itertools.chain(*sweep_columns(spec, params.detuning_mode)))
-    try:
-        table = _evaluate(params, det, spec.request, spec.axes, values, ports)
-        error = np.full(len(ports), "", dtype=object)
-    except NumericalCondition as exc:
-        if len(ports) > 1:
-            half = len(ports) // 2
-            head = evaluate_block(params, det, spec, values[:half], ports[:half])
-            tail = evaluate_block(params, det, spec, values[half:], ports[half:])
-            return {name: _join([head[name], tail[name]]) for name in names}
-        table = {name: np.full(1, np.nan) for name in names}
-        error = np.array([f"{type(exc).__name__}: {exc}"], dtype=object)
+    n = len(ports)
+    live, table = np.arange(n), {}
+    error = np.full(n, "", dtype=object)
+    while len(live):
+        try:
+            table = _evaluate(params, det, spec.request, spec.axes,
+                              values[live], ports[live])
+            break
+        except NumericalCondition as exc:
+            error[live[exc.points]] = [f"{type(exc).__name__}: {message}"
+                                       for message in exc.messages]
+            live = np.delete(live, exc.points)
+    if len(live) < n:           # NaN in the failed rows
+        for name, column in table.items():
+            kind = float if column.dtype == float else object
+            table[name] = np.full(n, np.nan, dtype=kind)
+            table[name][live] = column
     table.update(zip((ax.name for ax in spec.axes), values.T),
                  drive_port=ports, error=error)
-    return {name: table[name] for name in names}
+    return {name: table.get(name, np.full(n, np.nan)) for name in names}
 
 
 def run_sweep(params: SystemParams, det: Detunings, spec: SweepSpec,

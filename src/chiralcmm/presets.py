@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .constants import hz
 from .output_mode import FilterSpec
-from .params import DRIVE_CW, Detunings, DriveSpec, SystemParams, drive_amplitude
+from .params import Detunings, DriveSpec, SystemParams, drive_amplitude
 from .pipeline import MeasureRequest, SweepAxis, SweepSpec
 from .steady_state import amplitude_for_gm
 
@@ -105,16 +105,6 @@ class FigurePreset:
     filter_spec: FilterSpec | None = None
 
 
-def _detuning_grid(params, pairs, n=101) -> SweepSpec:
-    wb = params.omega_b
-    return SweepSpec(
-        axes=(SweepAxis("delta_a", -2 * wb, 0.0, n),
-              SweepAxis("delta_m_eff", 0.0, 2 * wb, n)),
-        drive_ports=(DRIVE_CW,),
-        request=MeasureRequest(pairs=pairs, triples=()),
-    )
-
-
 def output_filter(params: SystemParams) -> FilterSpec:
     """Stokes-sideband filter: center -omega_b, bandwidth
     FILTER_BANDWIDTH_RATIO*omega_b."""
@@ -126,87 +116,67 @@ def get(name: str, grid_points: int = 101) -> FigurePreset:
     """Build the figure preset of a name in PRESET_NAMES."""
     kappa_m = SystemParams().kappa_m
 
-    if name == "fig2a":
-        p = magnon_set()
-        return FigurePreset(name, "microwave-magnon entanglement vs detunings",
-                            p, optimum(p, "magnon"),
-                            _detuning_grid(p, (("a_cw", "m"),), grid_points))
-    if name == "fig2b":
-        p = phonon_set()
-        return FigurePreset(name, "microwave-phonon entanglement vs detunings",
-                            p, optimum(p, "phonon"),
-                            _detuning_grid(p, (("a_cw", "b"),), grid_points))
+    if name in ("fig2a", "fig2b"):
+        which, nu = ("magnon", "m") if name == "fig2a" else ("phonon", "b")
+        p = magnon_set() if which == "magnon" else phonon_set()
+        wb = p.omega_b
+        sweep = SweepSpec(
+            axes=(SweepAxis("delta_a", -2 * wb, 0.0, grid_points),
+                  SweepAxis("delta_m_eff", 0.0, 2 * wb, grid_points)),
+            request=MeasureRequest(pairs=(("a_cw", nu),), triples=()))
+        return FigurePreset(name, f"microwave-{which} entanglement vs detunings",
+                            p, optimum(p, which), sweep)
     if name == "fig2c":
         p = phonon_set(g_m=inferred_g_m())
-        det = optimum(p, "phonon")
         sweep = SweepSpec(
             axes=(SweepAxis("kappa_a_e", hz(0.5e6), hz(7.8e6), grid_points),
                   SweepAxis("power", 1e-3, 1.0, grid_points)),
             request=MeasureRequest(pairs=(("a_cw", "b"),), triples=()),
         )
         return FigurePreset(name, "microwave-phonon entanglement vs cavity "
-                            "linewidth and drive power", p, det, sweep)
+                            "linewidth and drive power", p,
+                            optimum(p, "phonon"), sweep)
     if name in ("fig2d_magnon", "fig2d_phonon"):
         which = "phonon" if name.endswith("phonon") else "magnon"
         p = magnon_set() if which == "magnon" else phonon_set()
-        det = optimum(p, which)
         pair = ("a_cw", "m") if which == "magnon" else ("a_cw", "b")
         sweep = SweepSpec(axes=(SweepAxis("gamma_b", hz(10.0), hz(1e5), 51),),
                           request=MeasureRequest(pairs=(pair,), triples=()))
         return FigurePreset(name, "entanglement vs mechanical damping",
-                            p, det, sweep, output_filter(p))
+                            p, optimum(p, which), sweep, output_filter(p))
     if name in ("fig3a", "fig3b"):
         which = "magnon" if name == "fig3a" else "phonon"
         p = magnon_set() if which == "magnon" else phonon_set()
-        det = optimum(p, which)
         wb = p.omega_b
         sweep = SweepSpec(axes=(SweepAxis("delta_a", -2 * wb, 0.0, grid_points),),
                           request=MeasureRequest(pairs=(),
                                                  triples=(("a_cw", "m", "b"),)))
         return FigurePreset(name, "tripartite residual contangle vs delta_a",
-                            p, det, sweep)
-    if name in ("fig4a", "fig4b"):
-        which = "magnon" if name == "fig4a" else "phonon"
-        nu = "m" if which == "magnon" else "b"
-        p = fixed_power_set(which, chi=0.1)
-        det = optimum(p, which)
-        sweep = SweepSpec(
-            axes=(SweepAxis("J", 0.0, 2 * kappa_m, grid_points),),
-            drive_ports=("cw", "ccw"),
-            request=MeasureRequest(pairs=(("a_cw", nu), ("a_ccw", nu)), triples=()),
-        )
-        return FigurePreset(name, "nonreciprocal entanglement vs backscattering",
-                            p, det, sweep)
-    if name in ("fig4c", "fig4d"):
-        which = "magnon" if name == "fig4c" else "phonon"
+                            p, optimum(p, which), sweep)
+    if name in ("fig4a", "fig4b", "fig4c", "fig4d", "fig5a", "fig5b"):
+        # the magnon pairs in a and c, the phonon pairs in b and d
+        which = "magnon" if name[-1] in "ac" else "phonon"
         nu = "m" if which == "magnon" else "b"
         J = 0.5 * kappa_m if which == "magnon" else kappa_m
-        p = fixed_power_set(which, J=J)
-        det = optimum(p, which)
+        # the swept quantity, the fixed imperfections and the title's "vs"
+        axis, imperfections, versus = {
+            "fig4ab": (SweepAxis("J", 0.0, 2 * kappa_m, grid_points),
+                       {"chi": 0.1}, "backscattering"),
+            "fig4cd": (SweepAxis("chi", 0.0, 0.2, grid_points), {"J": J},
+                       "coupling ratio"),
+            "fig5ab": (SweepAxis("temperature", 0.001, 0.25, grid_points),
+                       {"J": J, "chi": 0.1}, "temperature"),
+        }[name[:4] + ("ab" if name[-1] in "ab" else "cd")]
+        p = fixed_power_set(which, **imperfections)
         sweep = SweepSpec(
-            axes=(SweepAxis("chi", 0.0, 0.2, grid_points),),
-            drive_ports=("cw", "ccw"),
+            axes=(axis,), drive_ports=("cw", "ccw"),
             request=MeasureRequest(pairs=(("a_cw", nu), ("a_ccw", nu)), triples=()),
         )
-        return FigurePreset(name, "nonreciprocal entanglement vs coupling ratio",
-                            p, det, sweep)
-    if name in ("fig5a", "fig5b"):
-        which = "magnon" if name == "fig5a" else "phonon"
-        nu = "m" if which == "magnon" else "b"
-        J = 0.5 * kappa_m if which == "magnon" else kappa_m
-        p = fixed_power_set(which, J=J, chi=0.1)
-        det = optimum(p, which)
-        sweep = SweepSpec(
-            axes=(SweepAxis("temperature", 0.001, 0.25, grid_points),),
-            drive_ports=("cw", "ccw"),
-            request=MeasureRequest(pairs=(("a_cw", nu), ("a_ccw", nu)), triples=()),
-        )
-        return FigurePreset(name, "nonreciprocal entanglement vs temperature",
-                            p, det, sweep)
+        return FigurePreset(name, f"nonreciprocal entanglement vs {versus}",
+                            p, optimum(p, which), sweep)
     if name in ("fig6a", "fig6b"):
         p = fixed_power_set("magnon", chi=0.1,
                             J=0.0 if name == "fig6a" else 0.5 * kappa_m)
-        det = optimum(p, "magnon")
         axis = (SweepAxis("J", 0.0, 2 * kappa_m, grid_points)
                 if name == "fig6a" else SweepAxis("chi", 0.0, 0.2, grid_points))
         sweep = SweepSpec(
@@ -215,12 +185,11 @@ def get(name: str, grid_points: int = 101) -> FigurePreset:
                 pairs=(), triples=(("a_cw", "m", "b"), ("a_ccw", "m", "b"))),
         )
         return FigurePreset(name, "nonreciprocal tripartite contangle",
-                            p, det, sweep)
+                            p, optimum(p, "magnon"), sweep)
     if name == "figs1":
         p = fixed_power_set("magnon", J=0.5 * kappa_m, chi=0.1)
-        det = optimum(p, "magnon")
         return FigurePreset(name, "classical magnon amplitude settling check",
-                            p, det, None)
+                            p, optimum(p, "magnon"))
     raise KeyError(f"unknown preset {name!r}")
 
 

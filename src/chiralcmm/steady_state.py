@@ -35,6 +35,7 @@ from .params import (
     NumericalCondition,
     SystemParams,
     drive_amplitude,
+    require,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -57,11 +58,11 @@ class MeanFieldOverflowError(NumericalCondition, ValueError):
 
 
 def _require_finite(*values) -> None:
-    """Raise MeanFieldOverflowError unless every value (None skipped) is
-    finite."""
-    if not all(np.isfinite(v).all() for v in values if v is not None):
-        raise MeanFieldOverflowError("mean field is not finite: the drive "
-                                     "overflows floating point")
+    """Raise MeanFieldOverflowError for the points where a value is not finite."""
+    finite = [np.isfinite(v) for v in values if v is not None]
+    require(np.all(np.broadcast_arrays(*finite), axis=0),
+            MeanFieldOverflowError,
+            "mean field is not finite: the drive overflows floating point")
 
 
 @dataclass(frozen=True)
@@ -103,8 +104,8 @@ def _cavity_means(params: SystemParams, det: Detunings, E: float,
     b1 = e_cw - 1j * params.g_cw * m
     b2 = e_ccw - 1j * params.g_ccw * m
     det2 = ka * ka + params.J**2
-    if np.any(det2 == 0):
-        raise SingularConfigurationError("cavity mean-field system is singular")
+    require(det2 != 0, SingularConfigurationError,
+            "cavity mean-field system is singular")
     a_cw = (ka * b1 - 1j * params.J * b2) / det2
     a_ccw = (ka * b2 - 1j * params.J * b1) / det2
     return a_cw, a_ccw
@@ -136,8 +137,8 @@ def _denominator(params: SystemParams, det: Detunings):
     eps2 = ka * dme + km * da
     den = (km * J * J + ka * eps1 - da * eps2) \
         + 1j * (dme * J * J - 2 * J * gr * gl + da * eps1 + ka * eps2)
-    if np.any(den == 0):
-        raise SingularConfigurationError("vanishing mean-field denominator")
+    require(den != 0, SingularConfigurationError,
+            "vanishing mean-field denominator")
     return den
 
 
@@ -246,8 +247,7 @@ def amplitude_for_gm(params: SystemParams, det: Detunings,
     depends on the two.  Stacked parameters give an array.
     """
     m1 = imperfect_means(params, det, 1.0).m
-    if np.any(m1 == 0):
-        raise SingularConfigurationError(
+    require(m1 != 0, SingularConfigurationError,
             "drive port does not pump the magnon mode; |G_m| target unreachable")
     scale = gm_target / (SQRT2 * abs(m1))
     return scale if params.g_m is None else scale / params.g_m

@@ -5,7 +5,8 @@ entanglement, an off-design state that breaks the monogamy inequality,
 the Schur-method Lyapunov oracle, the batched-inverse resolvent oracle,
 the filtered pair of one point, the strictly chiral closed-form means,
 the complex-form classical right-hand side, a measure with a
-broadcasting bug and the eigenvalue form of the Heisenberg check."""
+broadcasting bug, the eigenvalue form of the Heisenberg check and a
+frequency quadrature that fails at chosen points."""
 
 import math
 from typing import NamedTuple
@@ -17,7 +18,7 @@ from chiralcmm.constants import hz
 from chiralcmm.linear_model import MODE_SLOTS
 from chiralcmm.lyapunov import solve_lyapunov
 from chiralcmm.measures import CLIP_TOL, PHYSICAL_SLACK, log_negativity
-from chiralcmm.output_mode import filtered_pair_cm
+from chiralcmm.output_mode import adaptive_gk21, filtered_pair_cm
 from chiralcmm.params import DRIVE_CW, Detunings, DriveSpec, SystemParams
 from chiralcmm.steady_state import SQRT2, SteadyField
 
@@ -206,3 +207,13 @@ def heisenberg_margin(V):
     H = V + 1j * (0.5 - PHYSICAL_SLACK) * symplectic_form(n_modes)
     return (np.linalg.eigvalsh(H)[..., 0]
             + CLIP_TOL * np.linalg.norm(V, axis=(-2, -1)))
+
+
+def failing_gk21(hit):
+    """``output_mode.adaptive_gk21`` whose error estimate is 1, far above
+    the refusal threshold, at the points ``hit`` (a mask of the points of
+    each call) and unchanged elsewhere."""
+    def integrate(*args, **kwargs):
+        quad = adaptive_gk21(*args, **kwargs)
+        return quad._replace(error=np.where(hit, 1.0, quad.error))
+    return integrate

@@ -138,6 +138,36 @@ class TestLogNegativity:
             V[:, k:k + 2, k:k + 2] = 0.5 * R @ squeeze @ R.swapaxes(-2, -1)
         assert np.max(log_negativity(V)) <= 1e-13
 
+    def test_strongly_squeezed_products_are_exactly_unentangled(self):
+        # a squeezed vacuum (r up to 4.5) beside a squeezed vacuum or a hot
+        # thermal mode (n up to 2 000): eta_minus is 1/2 up to a roundoff
+        # that scales with ||V||_F, which a clip at 1/2 - CLIP_TOL/2 read as
+        # E_N up to about 2e-9 in about one product of four
+        rng = np.random.default_rng(5)
+
+        def rotated_squeezed(r):
+            phi = rng.uniform(0.0, 2.0 * math.pi)
+            R = np.array([[math.cos(phi), math.sin(phi)],
+                          [-math.sin(phi), math.cos(phi)]])
+            return R @ np.diag([0.5 * math.exp(-2 * r),
+                                0.5 * math.exp(2 * r)]) @ R.T
+
+        stack = []
+        for _ in range(2000):
+            other = (rotated_squeezed(rng.uniform(0.0, 4.5))
+                     if rng.random() < 0.5
+                     else (rng.uniform(0.0, 2000.0) + 0.5) * np.eye(2))
+            stack.append(direct_sum(rotated_squeezed(rng.uniform(0.0, 4.5)),
+                                    other))
+        assert np.all(log_negativity(np.stack(stack)) == 0.0)
+
+    def test_weak_entanglement_is_kept(self):
+        # ||V4||_F of a two-mode squeezed vacuum at r = 1e-6 is 1, so the
+        # clip sits 1e-12 below 1/2, far above eta_minus = e^{-2r}/2
+        for r in (1e-6, 1e-4):
+            assert log_negativity(two_mode_squeezed_cm(r)) == pytest.approx(
+                2 * r, rel=1e-6)
+
     @pytest.mark.parametrize("a", [250.0, 930.0, 1000.0])
     @pytest.mark.parametrize("gap", [0.4999, 0.4995, 0.499, 0.45])
     def test_hot_two_mode_squeezed_state_near_the_edge(self, a, gap):

@@ -39,6 +39,7 @@ from chiralcmm.params import (
 from chiralcmm.pipeline import MeasureRequest, SweepAxis, SweepSpec
 from chiralcmm.steady_state import resolve_drive
 from helpers import (
+    failing_gk21,
     filtered_point,
     inverse_resolvent,
     inverse_rows,
@@ -622,21 +623,25 @@ class TestQuadratureFailure:
     def test_sweep_rows_carry_the_failure(self, monkeypatch):
         pre, spec = fig2d_sweep(6)
         good = list(pipeline.run_sweep(pre.params, pre.detunings, spec).rows())
-        doomed = {good[1][0], good[4][0]}      # gamma_b of rows 1 and 4
+        doomed = [good[1][0], good[4][0]]      # gamma_b of rows 1 and 4
         real = pipeline.filtered_pair_cm
+        points = []
 
         def failing_for_doomed(A, V, params, *args, **kwargs):
-            # a block that holds a doomed point fails as a whole; the sweep
-            # splits it until the doomed points stand alone
-            if not np.isin(params.gamma_b, list(doomed)).any():
-                return real(A, V, params, *args, **kwargs)
+            # the doomed points' integrals report an error estimate far
+            # above the tolerance; the others keep their own
+            points.append(len(A))
             with monkeypatch.context() as m:
-                m.setattr(output_mode, "adaptive_gk21", capped(1))
+                m.setattr(output_mode, "adaptive_gk21",
+                          failing_gk21(np.isin(params.gamma_b, doomed)))
                 return real(A, V, params, *args, **kwargs)
 
         monkeypatch.setattr(pipeline, "filtered_pair_cm", failing_for_doomed)
         res = pipeline.run_sweep(pre.params, pre.detunings, spec)
         assert res.meta["error_rows"] == 2
+        # the one condition names both doomed points, and the block's four
+        # other points are integrated once more
+        assert points == [6, 4]
         for i, (row, ref) in enumerate(zip(res.rows(), good)):
             if i in (1, 4):
                 assert row[:2] == ref[:2]

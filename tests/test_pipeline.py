@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from chiralcmm import linear_model, lyapunov, pipeline
+from chiralcmm import linear_model, lyapunov, output_mode, pipeline
 from chiralcmm.cli import EXIT_OK, main, write_table
 from chiralcmm.constants import hz
 from chiralcmm.linear_model import build_drift
@@ -40,7 +40,11 @@ from chiralcmm.pipeline import (
 from chiralcmm.steady_state import SingularConfigurationError, resolve_drive
 from chiralcmm import presets
 
-from helpers import broadcasting_log_negativity, off_design_state
+from helpers import (
+    broadcasting_log_negativity,
+    failing_gk21,
+    off_design_state,
+)
 
 
 def _raise_type_error(*_args, **_kwargs):
@@ -529,6 +533,63 @@ class TestBlockEngine:
             assert set(expected) == set(whole)
             assert _bits(whole[name][k] for name in whole) \
                 == _bits(expected[name] for name in whole)
+
+    def test_a_forced_lyapunov_failure_costs_one_more_solve(self,
+                                                             monkeypatch):
+        # fig2a row 5 100 fails the Lyapunov symmetry check in its block of
+        # BLOCK_POINTS rows: the block is solved with the row, then once
+        # more without it
+        pre = presets.get("fig2a")
+        values, ports = grid_rows(pre.sweep)
+        first = 5100 // pipeline.BLOCK_POINTS * pipeline.BLOCK_POINTS
+        rows = slice(first, first + pipeline.BLOCK_POINTS)
+        args = (pre.params, pre.detunings, pre.sweep, values[rows],
+                ports[rows])
+        expected = _lists(evaluate_block(*args))
+        da, dme = values[5100]
+        solve, points = pipeline.solve_lyapunov, []
+
+        def failing_at_5100(A, D, gated=False):
+            points.append(len(A))
+            doomed = (A[:, 0, 1] == da) & (A[:, 4, 5] == dme)
+            return solve(A, np.where(doomed[:, None, None], np.nan, D),
+                         gated=gated)
+
+        monkeypatch.setattr(pipeline, "solve_lyapunov", failing_at_5100)
+        block = _lists(evaluate_block(*args))
+        assert len(points) == 2 and points[0] == points[1] + 1
+        failed = [k for k, e in enumerate(block["error"]) if e]
+        assert failed == [5100 - first]
+        assert block["error"][failed[0]] == ("LyapunovError: Lyapunov "
+                                             "solution asymmetric beyond "
+                                             "tolerance: nan")
+        for name, column in block.items():
+            del column[failed[0]], expected[name][failed[0]]
+            assert _bits(column) == _bits(expected[name])
+
+    def test_a_forced_quadrature_failure_costs_one_more_quadrature(
+            self, monkeypatch):
+        # fig2d_magnon row 25 fails its quadrature's error test: the block
+        # is integrated with the row, then once more without it
+        pre = presets.get("fig2d_magnon")
+        spec = replace(pre.sweep, request=replace(
+            pre.sweep.request, filter_spec=pre.filter_spec))
+        values, ports = grid_rows(spec)
+        integrate, points = output_mode._integrated_pairs, []
+
+        def failing_at_25(res, chans, params, filter_spec):
+            points.append(len(res.cond))
+            with monkeypatch.context() as m:
+                m.setattr(output_mode, "adaptive_gk21",
+                          failing_gk21(params.gamma_b == values[25, 0]))
+                return integrate(res, chans, params, filter_spec)
+
+        monkeypatch.setattr(output_mode, "_integrated_pairs", failing_at_25)
+        table = evaluate_block(pre.params, pre.detunings, spec, values, ports)
+        assert points == [51, 50]
+        assert [k for k, e in enumerate(table["error"]) if e] == [25]
+        assert table["error"][25].startswith(
+            "QuadratureError: frequency integral error estimate 1 exceeds")
 
     def test_filtered_block_of_stable_and_unstable_points(self):
         # the filter runs on the block's stable points only; every row
