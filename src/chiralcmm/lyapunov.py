@@ -23,8 +23,11 @@ from functools import lru_cache
 import numpy as np
 
 from .linear_model import MODE_SLOTS, LyapunovError, UnstableSystemError, is_stable
+from .measures import SYMMETRY_TOL
 from .params import require
 
+#: a residual above RESIDUAL_TOL (||A|| ||V|| + ||D||) is ill-conditioned
+RESIDUAL_TOL = 1e-10
 
 #: a batched LU solve takes at most SOLVE_CHUNK * 36**2 matrix entries (0.33
 #: MB), so a chunk stays in cache and adds little to a pooled sweep's peak RSS
@@ -103,8 +106,8 @@ def solve_lyapunov(A: np.ndarray, D: np.ndarray,
     Refuses unstable drift matrices (there is no steady state to report);
     ``gated=True`` says the caller has already checked every A with
     :func:`is_stable`, which is then not repeated.  Every solution is
-    checked for symmetry and finiteness and against the residual bound
-    ||A V + V A^T + D|| <= 1e-10 (||A|| ||V|| + ||D||).
+    checked for symmetry (to SYMMETRY_TOL) and finiteness and against the
+    residual bound ||A V + V A^T + D|| <= RESIDUAL_TOL (||A|| ||V|| + ||D||).
     """
     A = np.asarray(A, dtype=float)
     D = np.asarray(D, dtype=float)
@@ -128,12 +131,12 @@ def solve_lyapunov(A: np.ndarray, D: np.ndarray,
     norm_v = np.linalg.norm(V, axis=(-2, -1))
     asym = np.linalg.norm(V - V.swapaxes(-2, -1), axis=(-2, -1)) \
         / np.maximum(norm_v, 1e-300)
-    require(asym <= 1e-8, LyapunovError, lambda i:   # NaN fails too
+    require(asym <= SYMMETRY_TOL, LyapunovError, lambda i:   # NaN fails too
             f"Lyapunov solution asymmetric beyond tolerance: {asym[i]:.3g}")
     residual = np.linalg.norm(As @ V + V @ As.swapaxes(-2, -1) + Ds,
                               axis=(-2, -1))
-    bound = 1e-10 * (np.linalg.norm(As, axis=(-2, -1)) * norm_v
-                     + np.linalg.norm(Ds, axis=(-2, -1)))
+    bound = RESIDUAL_TOL * (np.linalg.norm(As, axis=(-2, -1)) * norm_v
+                            + np.linalg.norm(Ds, axis=(-2, -1)))
     require(residual <= bound, LyapunovError, lambda i: (
         f"Lyapunov residual {residual[i]:.3g} exceeds bound {bound[i]:.3g} "
         "(ill-conditioned solve)"))

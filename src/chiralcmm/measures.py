@@ -94,43 +94,29 @@ def symplectic_eigenvalues(V: np.ndarray) -> np.ndarray:
     V = _symmetric(V)
     require(np.isfinite(V).all(axis=(-2, -1)), InvalidCovarianceError,
             "covariance matrix must be finite")
-    try:
-        L = np.linalg.cholesky(V)
-    except np.linalg.LinAlgError:
-        require(solves(np.linalg.cholesky, V.reshape((-1,) + V.shape[-2:])),
-                InvalidCovarianceError,
-                "covariance matrix must be positive definite")
-        raise
+    L, ok = solves(np.linalg.cholesky, V)
+    require(ok, InvalidCovarianceError,
+            "covariance matrix must be positive definite")
     n = V.shape[-1] // 2
     M = L.swapaxes(-2, -1) @ _omega_times(L)
     return np.linalg.eigvalsh(1j * M)[..., n:]
 
 
-def _positive_definite(H: np.ndarray) -> np.ndarray:
-    """Whether each Hermitian matrix of H (one or a stack) is positive
-    definite, by Cholesky elimination in place.  A matrix whose pivot is not
-    positive fails, and an infinite pivot freezes it: NaN raises no warning."""
-    ok = np.ones(H.shape[:-2], dtype=bool)
-    for k in range(H.shape[-1]):
-        pivot = H[..., k, k].real
-        ok &= pivot > 0.0
-        col = H[..., k + 1:, k] / np.where(ok, pivot, np.inf)[..., None]
-        H[..., k + 1:, k + 1:] -= col[..., :, None] * H[..., k, None, k + 1:]
-    return ok
-
-
 def is_physical(V: np.ndarray):
     """Heisenberg check: V + i(1/2 - PHYSICAL_SLACK) Omega >= 0, that is
     (Williamson) every symplectic eigenvalue >= 1/2 - PHYSICAL_SLACK and V
-    positive definite.  A Cholesky test of that matrix plus the roundoff
-    CLIP_TOL ||V||_F I, one verdict per matrix of a stack: its smallest
-    eigenvalue may fall to -CLIP_TOL ||V||_F.  A non-finite matrix fails."""
+    positive definite.  One LAPACK Cholesky of that matrix plus the roundoff
+    CLIP_TOL ||V||_F I per stack (:func:`params.solves`), one verdict per
+    matrix: its smallest eigenvalue may fall to -CLIP_TOL ||V||_F.  A
+    non-finite matrix fails; it is factored as I, as LAPACK need not fail NaN."""
     V = _symmetric(V)
-    V = np.where(np.isfinite(V).all(axis=(-2, -1))[..., None, None], V, np.nan)
+    finite = np.isfinite(V).all(axis=(-2, -1))
     eye = np.eye(V.shape[-1])
+    V = np.where(finite[..., None, None], V, eye)
     shift = CLIP_TOL * np.linalg.norm(V, axis=(-2, -1))[..., None, None]
-    ok = _positive_definite(V + 1j * (0.5 - PHYSICAL_SLACK) * _omega_times(eye)
-                            + shift * eye)
+    _, ok = solves(np.linalg.cholesky, V + shift * eye
+                   + 1j * (0.5 - PHYSICAL_SLACK) * _omega_times(eye))
+    ok &= finite
     return bool(ok) if np.ndim(ok) == 0 else ok
 
 

@@ -66,9 +66,10 @@ from .linear_model import MODE_SLOTS
 from .lyapunov import extract_block, solve_lyapunov  # noqa: F401
 from .params import DRIVE_CCW, DRIVE_CW, NumericalCondition, SystemParams, require
 
-#: absolute error target of the frequency integrals; an error estimate
-#: above 50 times it is refused
+#: absolute and relative error targets of the frequency integrals; an error
+#: estimate above 50 times QUAD_ABS_TOL is refused
 QUAD_ABS_TOL = 1e-6
+QUAD_REL_TOL = 1e-10
 
 #: largest condition number kappa(P) of the drift matrix's eigenvector
 #: matrix that the modal resolvent accepts: its values carry a relative
@@ -510,7 +511,7 @@ def _integrated_pairs(res: Resolvent, chans: NoiseChannels,
         return full
 
     quad = adaptive_gk21(integrand, np.zeros(n), W, breakpoints,
-                         epsabs=QUAD_ABS_TOL, epsrel=1e-10)
+                         epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL)
     # bound for a >= 1/omega^2 decaying tail
     tail = np.abs(integrand(W, np.ones(n, dtype=int))) * W[:, None, None]
     require(~(quad.error > 50 * QUAD_ABS_TOL), QuadratureError, lambda i: (

@@ -62,16 +62,23 @@ def require(ok, condition: type, message) -> None:
         raise condition(messages[0], points, messages)
 
 
-def solves(routine, stack) -> np.ndarray:
-    """Whether the numpy ``routine``, which fails a whole stack of matrices
-    with LinAlgError, succeeds on each matrix of ``stack`` alone."""
-    ok = np.ones(len(stack), dtype=bool)
-    for i, matrix in enumerate(stack):
-        try:
-            routine(matrix)
-        except np.linalg.LinAlgError:
-            ok[i] = False
-    return ok
+def solves(routine, stack):
+    """``routine(stack)``, a numpy.linalg routine on one matrix or a stack,
+    and whether it succeeds on each matrix.  numpy fails a whole stack with
+    LinAlgError when one matrix fails; only then is each matrix run alone,
+    and the result is None.  Re-raises if every matrix passes alone."""
+    ok = np.ones(stack.shape[:-2], dtype=bool)
+    try:
+        return routine(stack), ok
+    except np.linalg.LinAlgError:
+        for i in np.ndindex(ok.shape):
+            try:
+                routine(stack[i])
+            except np.linalg.LinAlgError:
+                ok[i] = False
+        if ok.all():
+            raise
+        return None, ok
 
 
 @dataclass(frozen=True)
@@ -216,7 +223,7 @@ def thermal_occupancy(omega: float, temperature: float) -> float:
     if np.any(temperature < 0):
         raise ValueError("thermal_occupancy requires T >= 0")
     with np.errstate(divide="ignore"):
-        x = HBAR * omega / (KB * temperature)   # inf at T = 0
+        x = HBAR * omega / (KB * np.abs(temperature))   # inf at T = +-0
     # beyond x = 700 exp would overflow; the occupancy is indistinguishable
     # from 0 there
     n = np.where(x > 700.0, 0.0, 1.0 / np.expm1(np.minimum(x, 700.0)))

@@ -115,7 +115,8 @@ def _pack(params: SystemParams, det: Detunings, E: float | None,
           a_cw: complex, a_ccw: complex, m: complex,
           delta_m_eff: float, **meta) -> SteadyField:
     g_m = params.g_m
-    q_mean = -g_m * abs(m) ** 2 / params.omega_b if g_m is not None else 0.0
+    # numpy's power gives inf where a float's ** raises OverflowError
+    q_mean = -g_m * np.float64(abs(m)) ** 2 / params.omega_b if g_m is not None else 0.0
     g_m_eff = SQRT2 * g_m * m if g_m is not None else None
     return SteadyField(a_cw=a_cw, a_ccw=a_ccw, m=m, q_mean=q_mean,
                        g_m_eff=g_m_eff, delta_m_eff=delta_m_eff,

@@ -100,6 +100,9 @@ THRESHOLD_EXEMPTIONS = {
     ("measures", "SYMMETRY_TOL"): "only refuses input, it decides no value",
     ("output_mode", "QUAD_ABS_TOL"):
         "the achieved error is written, as filtered_quad_error(_max)",
+    ("output_mode", "QUAD_REL_TOL"):
+        "the achieved error is written, as filtered_quad_error(_max)",
+    ("lyapunov", "RESIDUAL_TOL"): "only refuses a solution, it decides no value",
 }
 
 #: the arguments of a short run of each command of THRESHOLDS
@@ -126,6 +129,34 @@ def test_every_threshold_is_tabled():
                       if isinstance(t, ast.Name) and pattern.fullmatch(t.id)}
     assert found == set(THRESHOLDS) | set(THRESHOLD_EXEMPTIONS)
     assert not set(THRESHOLDS) & set(THRESHOLD_EXEMPTIONS)
+
+
+#: the small float literals allowed inside a function of chiralcmm:
+#: (module, function, value), each a guard against division by zero
+SMALL_LITERAL_EXEMPTIONS = {
+    ("measures", "_symmetric", 1e-300),
+    ("lyapunov", "solve_lyapunov", 1e-300),
+    ("time_domain", "classify_attractor", 1e-300),
+}
+
+
+def test_no_threshold_hides_in_a_literal():
+    # a tolerance written as a literal inside a function escapes
+    # test_every_threshold_is_tabled; it must be a named module constant
+    found = set()
+
+    def visit(node, module, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif (function and isinstance(node, ast.Constant)
+              and isinstance(node.value, float) and 0 < abs(node.value) < 1e-3):
+            found.add((module, function, node.value))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for path in Path(chiralcmm.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    assert found == SMALL_LITERAL_EXEMPTIONS
 
 
 def legacy_cell(value):
@@ -710,6 +741,30 @@ class TestErrorPolicy:
                      f"drive.value={value}"]) == EXIT_NUMERICAL
         assert ("numerical failure: mean field is not finite"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["steady", "trajectory"])
+    def test_one_point_overflow_is_a_numerical_failure(self, command, capsys):
+        # one point's |<m>|^2 overflowed in a float's **, which raised
+        # OverflowError instead of giving inf
+        assert main([command, "--config", "fig4a",
+                     "--set", "drive.value=1e200"]) == EXIT_NUMERICAL
+        assert ("numerical failure: mean field is not finite"
+                in capsys.readouterr().err)
+
+    def test_negative_zero_temperature_is_zero(self, tmp_path):
+        # T = -0 made every thermal occupancy -1, and every row an error
+        rows = {}
+        for temperature in ("0", "-0"):
+            out = tmp_path / f"T{temperature}.csv"
+            assert main(["sweep", "--config", "fig4a",
+                         "--set", f"system.temperature={temperature}",
+                         "--set", "sweep.axis1=J,0,2e6,3",
+                         "--out", str(out)]) == EXIT_OK
+            rows[temperature] = [ln for ln in out.read_text().splitlines()
+                                 if not ln.startswith("#")]
+        assert len(rows["0"]) == 1 + 6
+        assert not any("Error" in row for row in rows["0"])
+        assert rows["-0"] == rows["0"]
 
 
 class TestStabilityEdgeCommand:

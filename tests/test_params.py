@@ -10,6 +10,7 @@ from chiralcmm.params import (
     SystemParams,
     drive_amplitude,
     errors_of,
+    solves,
     thermal_occupancy,
     validate,
 )
@@ -29,6 +30,13 @@ def bose_einstein(omega, T):
 class TestThermalOccupancy:
     def test_zero_temperature(self):
         assert thermal_occupancy(hz(10e9), 0.0) == 0.0
+
+    def test_negative_zero_temperature_is_zero(self):
+        # hbar*omega/(k_B*-0) is -inf, and expm1(-inf) would make N = -1
+        assert thermal_occupancy(hz(10e9), -0.0) == 0.0
+        assert list(thermal_occupancy(hz(10e6), np.array([0.0, -0.0]))) == [
+            0.0, 0.0]
+        assert SystemParams(temperature=-0.0).occupancies() == (0.0, 0.0, 0.0)
 
     def test_microwave_mode_is_frozen_out(self):
         # hbar*omega/kT ~ 48 at 10 GHz and 10 mK
@@ -149,6 +157,35 @@ class TestDrivePort:
             == (2.0, 5.0, "ccw")
         assert np.ndim(point.kappa_m) == 0
         assert stack.at(np.zeros(3, dtype=bool)).gamma_b.shape == (0,)
+
+
+class TestSolves:
+    def test_reruns_each_matrix_only_when_the_stack_fails(self):
+        calls = []
+
+        def cholesky(a):
+            calls.append(a.shape)
+            return np.linalg.cholesky(a)
+
+        good = np.stack([np.eye(2), 2.0 * np.eye(2)])
+        L, ok = solves(cholesky, good)
+        assert calls == [(2, 2, 2)] and list(ok) == [True, True]
+        assert np.array_equal(L, np.sqrt(good))
+        calls.clear()
+        L, ok = solves(cholesky, np.stack([np.eye(2), -np.eye(2), np.eye(2)]))
+        assert L is None and list(ok) == [True, False, True]
+        assert calls == [(3, 2, 2)] + [(2, 2)] * 3
+        L, ok = solves(cholesky, -np.eye(2))
+        assert L is None and ok.shape == () and not ok
+
+    def test_a_stack_failure_no_matrix_meets_alone_is_raised(self):
+        def stack_only(a):
+            if a.ndim == 3:
+                raise np.linalg.LinAlgError("stack failed")
+            return a
+
+        with pytest.raises(np.linalg.LinAlgError, match="stack failed"):
+            solves(stack_only, np.stack([np.eye(2)] * 2))
 
 
 class TestDetunings:

@@ -375,12 +375,13 @@ class TestSweep:
 
 class TestLapackWork:
     def test_fig2a_map_makes_one_solve_per_chunk(self, tmp_path, monkeypatch):
-        # the physicality check makes no eigvalsh call, and the Lyapunov
-        # stage one solve per chunk of SOLVE_CHUNK * 36**2 matrix entries of
-        # each component of each partition of a block's stable points.
+        # the physicality check makes one stacked Cholesky call per block
+        # and no eigvalsh call, and the Lyapunov stage one solve per chunk
+        # of SOLVE_CHUNK * 36**2 matrix entries of each component of each
+        # partition of a block's stable points.
         # fig2a is chiral: a point splits into a_cw, m, b (21 unknowns) and
         # a_ccw (3), whose two quadratures decouple at delta_a = 0 (1 each)
-        counts = dict.fromkeys(("solve", "eigvalsh"), 0)
+        counts = dict.fromkeys(("solve", "eigvalsh", "cholesky"), 0)
 
         def counting(name, function):
             def call(*args, **kwargs):
@@ -409,8 +410,9 @@ class TestLapackWork:
                 for m in unknowns if points else ():
                     chunk = max(1, lyapunov.SOLVE_CHUNK * 36**2 // m**2)
                     expected += -(-points // chunk)
-        assert counts == {"solve": expected, "eigvalsh": 0}
-        assert expected == 133
+        blocks = -(-len(rows) // pipeline.BLOCK_POINTS)
+        assert counts == {"solve": expected, "eigvalsh": 0, "cholesky": blocks}
+        assert (expected, blocks) == (133, 20)
 
 
 class TestTemperatureCurve:
